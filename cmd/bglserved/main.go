@@ -103,7 +103,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8650", "listen address")
 	flag.IntVar(&o.shards, "shards", 4, "engine shards (records route by rack/midplane)")
-	flag.IntVar(&o.queue, "queue", 1024, "per-shard ingest queue depth (backpressure bound)")
+	flag.IntVar(&o.queue, "queue", 1024, "per-shard ingest queue depth in batches of up to 4096 records (backpressure bound)")
 	flag.IntVar(&o.history, "history", 256, "recent-alerts ring capacity")
 	flag.DurationVar(&o.window, "window", 30*time.Minute, "prediction window")
 	flag.Float64Var(&o.minConf, "min-confidence", 0, "suppress alerts below this confidence")

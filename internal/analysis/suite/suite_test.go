@@ -41,9 +41,9 @@ func TestZeroFindings(t *testing.T) {
 // to nothing. This test fails instead.
 func TestHotpathRootsAnnotated(t *testing.T) {
 	want := map[string][]string{
-		"internal/raslog": {"ReadFrame", "PeekWireEvent"},
+		"internal/raslog": {"ReadFrame", "PeekWireEvent", "Read"},
 		"internal/assoc":  {"countChunkPacked"},
-		"internal/serve":  {"ingestWire"},
+		"internal/serve":  {"ingest", "readChunk"},
 		"internal/online": {"IngestBatch"},
 	}
 	l, err := analysis.NewLoader(".")

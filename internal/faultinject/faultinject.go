@@ -32,10 +32,10 @@ import (
 type Point string
 
 const (
-	// ShardPanic panics a serve shard worker between two records,
+	// ShardPanic panics a serve shard worker between two batches,
 	// exercising the supervisor's restart-from-snapshot path.
 	ShardPanic Point = "serve.shard.panic"
-	// ShardSlow stalls a shard worker per record (Plan.Delay), backing
+	// ShardSlow stalls a shard worker per batch (Plan.Delay), backing
 	// its queue up into the load-shedding path.
 	ShardSlow Point = "serve.shard.slow"
 	// IngestCorrupt marks a decoded ingest record as corrupt, routing

@@ -51,7 +51,9 @@ func TestChaosAcceptance(t *testing.T) {
 	// Chaos run: panics on the shard workers, ENOSPC and fsync faults
 	// on every persistence write.
 	in := faultinject.New(chaosSeed)
-	in.Set(faultinject.ShardPanic, faultinject.Plan{Every: 400, Panic: true})
+	// ShardPanic counts hand-offs (batches), not records: every 7th
+	// batch either shard takes off its queue crashes its worker.
+	in.Set(faultinject.ShardPanic, faultinject.Plan{Every: 7, Panic: true})
 	in.Set(faultinject.FsWrite, faultinject.Plan{Err: faultinject.ENOSPC, Every: 4})
 	in.Set(faultinject.FsSync, faultinject.Plan{Every: 7})
 	faultFs := faultinject.NewFs(in, nil)
@@ -89,11 +91,16 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 
 	// Replay in chunks; between chunks the service must be healthy and
-	// a checkpoint must land through the faulty filesystem.
-	const chunks = 5
+	// a checkpoint must land through the faulty filesystem. Each chunk
+	// goes in as requests of 250 records — a request hands each shard at
+	// most one batch, so this is what puts hundreds of hand-offs (and
+	// dozens of panics) into the run.
+	const chunks, perPost = 5, 250
 	for i := 0; i < chunks; i++ {
 		lo, hi := i*len(tail)/chunks, (i+1)*len(tail)/chunks
-		post(t, s, encode(t, tail[lo:hi]))
+		for ; lo < hi; lo += perPost {
+			post(t, s, encode(t, tail[lo:min(lo+perPost, hi)]))
+		}
 		if status, code := healthz(); status != "ok" || code != http.StatusOK {
 			t.Fatalf("healthz after chunk %d: %q (%d); the chaos run must stay serving", i, status, code)
 		}
@@ -110,6 +117,7 @@ func TestChaosAcceptance(t *testing.T) {
 	if got := s.Restarts(); got != wantRestarts {
 		t.Fatalf("restarts = %d, injected panics = %d", got, wantRestarts)
 	}
+	t.Logf("%d injected shard panics over %d hand-offs, all supervised", wantRestarts, in.Hits(faultinject.ShardPanic))
 
 	// ...and were lossless: per-shard alert streams match the
 	// fault-free reference exactly.

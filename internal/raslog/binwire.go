@@ -71,6 +71,11 @@ const (
 	// strings kept alive for zero-alloc re-reads; beyond it, strings
 	// still decode, they just allocate).
 	wireInternCap = 1 << 14
+	// wireInternMaxLen caps the length of a string the intern map keeps,
+	// so a pooled decoder retains at most wireInternCap × this (16 MiB)
+	// however hostile its past inputs were. Real RAS strings are tens
+	// of bytes.
+	wireInternMaxLen = 1 << 10
 	// wireReadChunk is the unit payload bytes are read in, so a frame
 	// header lying about its length cannot make the decoder allocate
 	// more than the bytes that actually arrive.
@@ -258,7 +263,7 @@ type WireDecoder struct {
 	payload []byte
 	tbl     []string
 	evs     []Event
-	intern  map[string]string
+	intern  internTable
 
 	// OnSkip, when set, makes event-record decode failures non-fatal:
 	// the bad record is skipped (its length prefix tells the decoder
@@ -268,11 +273,30 @@ type WireDecoder struct {
 	OnSkip func(rec []byte, err error)
 }
 
+// internTable resolves the strings a decoder sees over and over —
+// event types, facilities, entry texts — to one shared copy each, so
+// a warm decoder materializes none. It holds at most wireInternCap
+// strings of at most wireInternMaxLen bytes; anything past either
+// bound still decodes, as a fresh copy.
+type internTable map[string]string
+
+func (t internTable) get(b []byte) string {
+	s, ok := t[string(b)] // no allocation on the hit path
+	if !ok {
+		//bglvet:ignore hotpathalloc intern-miss copy; the table amortizes it to zero on the steady-state path the AllocsPerRun tests pin
+		s = string(b)
+		if len(t) < wireInternCap && len(s) <= wireInternMaxLen {
+			t[s] = s
+		}
+	}
+	return s
+}
+
 // NewWireDecoder returns a decoder reading frames from r.
 func NewWireDecoder(r io.Reader) *WireDecoder {
 	d := &WireDecoder{
 		br:     bufio.NewReaderSize(r, 1<<16),
-		intern: make(map[string]string),
+		intern: make(internTable),
 	}
 	return d
 }
@@ -322,16 +346,7 @@ func (d *WireDecoder) ReadFrame() ([]Event, error) {
 			if len(d.tbl) >= wireMaxFrameStrings {
 				return nil, wiref("frame exceeds %d strings", wireMaxFrameStrings)
 			}
-			b := payload[pos : pos+int(n)]
-			s, ok := d.intern[string(b)] // no allocation on the hit path
-			if !ok {
-				//bglvet:ignore hotpathalloc intern-miss copy; the cache amortizes it to zero on the steady-state path the AllocsPerRun test pins
-				s = string(b)
-				if len(d.intern) < wireInternCap {
-					d.intern[s] = s
-				}
-			}
-			d.tbl = append(d.tbl, s)
+			d.tbl = append(d.tbl, d.intern.get(payload[pos:pos+int(n)]))
 			pos += int(n)
 		case WireTagEvent:
 			n, w := binary.Uvarint(payload[pos:])

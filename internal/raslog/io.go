@@ -2,6 +2,7 @@ package raslog
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -27,6 +28,7 @@ const timeLayout = "2006-01-02 15:04:05"
 // dialect above.
 type Writer struct {
 	bw    *bufio.Writer
+	line  []byte // encode scratch, reused across records
 	count int64
 	err   error
 }
@@ -45,10 +47,17 @@ func (w *Writer) Write(e *Event) error {
 		w.err = err
 		return err
 	}
-	_, err := fmt.Fprintf(w.bw, "%d|%s|%s|%d|%s|%s|%s|%s\n",
-		e.RecID, e.Type, e.Time.UTC().Format(timeLayout), e.JobID,
-		e.Location, e.Facility, e.Severity, e.EntryData)
-	if err != nil {
+	b := strconv.AppendInt(w.line[:0], e.RecID, 10)
+	b = append(append(b, '|'), e.Type...)
+	b = e.Time.UTC().AppendFormat(append(b, '|'), timeLayout)
+	b = strconv.AppendInt(append(b, '|'), e.JobID, 10)
+	b = e.Location.AppendTo(append(b, '|'))
+	b = append(append(b, '|'), e.Facility...)
+	b = append(append(b, '|'), e.Severity.String()...)
+	b = append(append(b, '|'), e.EntryData...)
+	b = append(b, '\n')
+	w.line = b
+	if _, err := w.bw.Write(b); err != nil {
 		w.err = err
 		return err
 	}
@@ -84,6 +93,14 @@ type LineError struct {
 func (e *LineError) Error() string { return fmt.Sprintf("line %d: %v", e.Line, e.Err) }
 func (e *LineError) Unwrap() error { return e.Err }
 
+const (
+	// readerBufSize is the line buffer a Reader starts with.
+	readerBufSize = 1 << 16
+	// maxLineBytes caps one line, terminator included; a longer one
+	// fails the stream with bufio.ErrTooLong.
+	maxLineBytes = 1 << 20
+)
+
 // A Reader streams RAS records from an underlying io.Reader. Each
 // line is either a pipe-dialect record or an NDJSON object (see
 // ndjson.go); the two may be mixed freely within one stream.
@@ -93,20 +110,49 @@ func (e *LineError) Unwrap() error { return e.Err }
 // counting them and surfacing each to a callback — so one garbage
 // line interleaved into a production RAS stream cannot terminate
 // ingestion of everything after it.
+//
+// Pipe records in the spelling Writer emits decode straight from the
+// line buffer without allocating (repeated TYPE, FACILITY and
+// ENTRY_DATA strings resolve through a capped intern table); every
+// other line, valid or not, takes the general parser. A Reader is
+// meant to be pooled and re-armed with Reset, which keeps the buffer
+// and the intern table warm.
 type Reader struct {
-	sc      *bufio.Scanner
-	line    int64
-	last    string
+	src        io.Reader
+	buf        []byte // line buffer; doubles up to maxLineBytes for a long line
+	start, end int    // buf[start:end] is read but not yet split into lines
+	srcErr     error  // sticky: why src stopped (io.EOF at a clean end)
+
+	line int64
+	// last is the most recent record line. It aliases buf until the
+	// next fill, which parks it in lastBuf so Raw stays answerable.
+	last      []byte
+	lastBuf   []byte
+	lastInBuf bool
+
 	lenient bool
 	skipped int64
 	onSkip  func(LineError)
+
+	// Fast-path caches; both are pure functions of the bytes they key
+	// on, so they carry over a Reset.
+	intern    internTable
+	stamp     [len(timeLayout)]byte // text of the last timestamp decoded
+	stampTime time.Time
 }
 
 // NewReader returns a Reader consuming the log dialect from r.
 func NewReader(r io.Reader) *Reader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	return &Reader{sc: sc}
+	return &Reader{src: r, buf: make([]byte, readerBufSize), intern: make(internTable)}
+}
+
+// Reset re-arms the reader for a new stream, as if fresh from
+// NewReader — strict, line 0, nothing skipped — but keeping its
+// buffers and intern table: the pooling hook.
+func (r *Reader) Reset(src io.Reader) {
+	r.src, r.start, r.end, r.srcErr = src, 0, 0, nil
+	r.line, r.last, r.lastInBuf = 0, nil, false
+	r.lenient, r.skipped, r.onSkip = false, 0, nil
 }
 
 // Lenient switches the reader to skip undecodable lines instead of
@@ -126,7 +172,7 @@ func (r *Reader) SkippedLines() int64 { return r.skipped }
 // the last successful Read decoded. Callers that transform decoded
 // events (the gate's re-encode path) use it to preserve the original
 // bytes of a record they cannot reproduce.
-func (r *Reader) Raw() string { return r.last }
+func (r *Reader) Raw() string { return string(r.last) }
 
 // Line returns the 1-based line number of the most recently scanned
 // line.
@@ -134,39 +180,232 @@ func (r *Reader) Line() int64 { return r.line }
 
 // Read returns the next record, or io.EOF after the last one. In
 // strict mode (the default) an undecodable line returns a *LineError;
-// in lenient mode it is skipped and the scan continues.
+// in lenient mode it is skipped and the scan continues. A stream-level
+// failure (a line over the cap, a source read error) is final: every
+// later Read returns it again.
+//
+//bglvet:hotpath
 func (r *Reader) Read() (Event, error) {
-	for r.sc.Scan() {
+	for {
+		line, ok := r.nextLine()
+		if !ok {
+			return Event{}, r.srcErr // io.EOF at a clean end
+		}
 		r.line++
-		line := r.sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
+		if len(line) == 0 || line[0] == '#' {
 			continue // blank lines and comments are permitted
 		}
-		r.last = line
+		r.last, r.lastInBuf = line, true
 		var ev Event
-		var err error
-		if line[0] == '{' {
-			err = json.Unmarshal(r.sc.Bytes(), &ev)
-		} else {
-			ev, err = parseLine(line)
+		if r.parseFast(line, &ev) {
+			return ev, nil
 		}
-		if err != nil {
-			le := LineError{Line: r.line, Raw: line, Err: err}
-			if r.lenient {
-				r.skipped++
-				if r.onSkip != nil {
-					r.onSkip(le)
-				}
-				continue
-			}
+		ev, err := parseSlow(line)
+		if err == nil {
+			return ev, nil
+		}
+		//bglvet:ignore hotpathalloc the copy happens only for undecodable lines, on their way into a LineError
+		le := LineError{Line: r.line, Raw: string(line), Err: err}
+		if !r.lenient {
 			return Event{}, &le
 		}
-		return ev, nil
+		r.skipped++
+		if r.onSkip != nil {
+			r.onSkip(le)
+		}
 	}
-	if err := r.sc.Err(); err != nil {
-		return Event{}, err
+}
+
+// nextLine returns the next line without its terminator ("\n" or
+// "\r\n"; the last line may be unterminated), valid until the next
+// call. It reports false once the source is exhausted or failed.
+func (r *Reader) nextLine() ([]byte, bool) {
+	for {
+		if i := bytes.IndexByte(r.buf[r.start:r.end], '\n'); i >= 0 {
+			line := r.buf[r.start : r.start+i]
+			r.start += i + 1
+			return dropCR(line), true
+		}
+		if r.srcErr != nil {
+			line := r.buf[r.start:r.end]
+			r.start = r.end
+			return dropCR(line), len(line) > 0
+		}
+		r.fill()
 	}
-	return Event{}, io.EOF
+}
+
+func dropCR(line []byte) []byte {
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		return line[:n-1]
+	}
+	return line
+}
+
+// fill reads more of the source behind the unsplit tail, sliding the
+// tail to the front of the buffer or doubling the buffer when it needs
+// the room. A tail that fills the buffer at maxLineBytes is a line over
+// the cap: it is dropped and the stream fails.
+func (r *Reader) fill() {
+	if r.lastInBuf {
+		r.lastBuf = append(r.lastBuf[:0], r.last...)
+		r.last, r.lastInBuf = r.lastBuf, false
+	}
+	if r.start > 0 && (r.end == len(r.buf) || r.start > len(r.buf)/2) {
+		r.end = copy(r.buf, r.buf[r.start:r.end])
+		r.start = 0
+	}
+	if r.end == len(r.buf) {
+		if len(r.buf) >= maxLineBytes {
+			r.start, r.srcErr = r.end, bufio.ErrTooLong
+			return
+		}
+		grown := make([]byte, min(2*len(r.buf), maxLineBytes))
+		copy(grown, r.buf[:r.end])
+		r.buf = grown
+	}
+	for empty := 0; ; empty++ {
+		n, err := r.src.Read(r.buf[r.end:])
+		if n < 0 || n > len(r.buf)-r.end {
+			r.srcErr = bufio.ErrBadReadCount
+			return
+		}
+		r.end += n
+		if err != nil {
+			r.srcErr = err
+			return
+		}
+		if n > 0 {
+			return
+		}
+		if empty == 100 { // bufio's patience with a source that returns (0, nil)
+			r.srcErr = io.ErrNoProgress
+			return
+		}
+	}
+}
+
+// parseFast decodes a pipe record in the spelling Writer emits — eight
+// fields, plain decimal ids, a "2006-01-02 15:04:05" timestamp —
+// without allocating. It reports false for every other line, valid or
+// not: the verdict on those, and the error text, belong to parseSlow.
+func (r *Reader) parseFast(line []byte, ev *Event) bool {
+	var f [8][]byte
+	rest := line
+	for i := 0; i < 7; i++ {
+		j := bytes.IndexByte(rest, '|')
+		if j < 0 {
+			return false
+		}
+		f[i], rest = rest[:j], rest[j+1:]
+	}
+	f[7] = rest // a stray pipe in ENTRY_DATA stays in the field
+	var ok bool
+	if ev.RecID, ok = fastInt(f[0]); !ok {
+		return false
+	}
+	if ev.Time, ok = r.fastTime(f[2]); !ok {
+		return false
+	}
+	if ev.JobID, ok = fastInt(f[3]); !ok {
+		return false
+	}
+	if ev.Location, ok = parseLocation(f[4]); !ok {
+		return false
+	}
+	if ev.Severity, ok = parseSeverity(f[6]); !ok {
+		return false
+	}
+	ev.Type = r.intern.get(f[1])
+	ev.Facility = r.intern.get(f[5])
+	ev.EntryData = r.intern.get(f[7])
+	return true
+}
+
+// fastInt parses b as strconv.ParseInt(b, 10, 64) does, for the values
+// that cannot overflow: an optional sign and one to eighteen digits.
+func fastInt(b []byte) (int64, bool) {
+	neg := false
+	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
+		neg, b = b[0] == '-', b[1:]
+	}
+	if len(b) == 0 || len(b) > 18 {
+		return 0, false
+	}
+	var n int64
+	for _, c := range b {
+		d := c - '0'
+		if d > 9 {
+			return 0, false
+		}
+		n = n*10 + int64(d)
+	}
+	if neg {
+		n = -n
+	}
+	return n, true
+}
+
+// fastTime parses b as time.ParseInLocation(timeLayout, b, time.UTC)
+// does when b has exactly the layout's shape: nineteen bytes, every
+// number at full width. (The general parser also takes a one-digit
+// hour and fractional seconds.) CMCS stamps whole seconds, so raw logs
+// carry long same-second runs; the last stamp is cached.
+func (r *Reader) fastTime(b []byte) (time.Time, bool) {
+	if len(b) != len(timeLayout) {
+		return time.Time{}, false
+	}
+	if string(b) == string(r.stamp[:]) {
+		return r.stampTime, true
+	}
+	if b[4] != '-' || b[7] != '-' || b[10] != ' ' || b[13] != ':' || b[16] != ':' {
+		return time.Time{}, false
+	}
+	century, yy := digits2(b[0:2]), digits2(b[2:4])
+	month, day := digits2(b[5:7]), digits2(b[8:10])
+	hour, minute, sec := digits2(b[11:13]), digits2(b[14:16]), digits2(b[17:19])
+	year := 100*century + yy
+	if century < 0 || yy < 0 || month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
+		hour < 0 || hour > 23 || minute < 0 || minute > 59 || sec < 0 || sec > 59 {
+		return time.Time{}, false
+	}
+	copy(r.stamp[:], b)
+	r.stampTime = time.Date(year, time.Month(month), day, hour, minute, sec, 0, time.UTC)
+	return r.stampTime, true
+}
+
+// digits2 is the value of a two-digit field, or -1 if either byte is
+// not a digit.
+func digits2(b []byte) int {
+	hi, lo := b[0]-'0', b[1]-'0'
+	if hi > 9 || lo > 9 {
+		return -1
+	}
+	return int(hi)*10 + int(lo)
+}
+
+func daysIn(month, year int) int {
+	switch month {
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
+}
+
+// parseSlow is the general decoder: NDJSON objects, and every pipe
+// line parseFast passed over.
+func parseSlow(line []byte) (ev Event, err error) {
+	if line[0] == '{' {
+		err = json.Unmarshal(line, &ev)
+		return ev, err
+	}
+	//bglvet:ignore hotpathalloc the general parser works on a string; lines in Writer's spelling never reach it
+	return parseLine(string(line))
 }
 
 // ReadAll drains the reader into a slice.
@@ -184,24 +423,30 @@ func (r *Reader) ReadAll() ([]Event, error) {
 	}
 }
 
+// parsef builds the general parsers' errors.
+func parsef(format string, args ...any) error {
+	//bglvet:ignore hotpathalloc error construction runs only for undecodable lines, which the fast path has already passed over
+	return fmt.Errorf(format, args...)
+}
+
 func parseLine(line string) (Event, error) {
 	// SplitN so a stray pipe in ENTRY_DATA (rejected by the writer, but
 	// tolerated on read) stays in the final field.
 	fields := strings.SplitN(line, "|", 8)
 	if len(fields) != 8 {
-		return Event{}, fmt.Errorf("raslog: want 8 fields, got %d", len(fields))
+		return Event{}, parsef("raslog: want 8 fields, got %d", len(fields))
 	}
 	recID, err := strconv.ParseInt(fields[0], 10, 64)
 	if err != nil {
-		return Event{}, fmt.Errorf("raslog: bad record id %q", fields[0])
+		return Event{}, parsef("raslog: bad record id %q", fields[0])
 	}
 	ts, err := time.ParseInLocation(timeLayout, fields[2], time.UTC)
 	if err != nil {
-		return Event{}, fmt.Errorf("raslog: bad timestamp %q", fields[2])
+		return Event{}, parsef("raslog: bad timestamp %q", fields[2])
 	}
 	jobID, err := strconv.ParseInt(fields[3], 10, 64)
 	if err != nil {
-		return Event{}, fmt.Errorf("raslog: bad job id %q", fields[3])
+		return Event{}, parsef("raslog: bad job id %q", fields[3])
 	}
 	loc, err := ParseLocation(fields[4])
 	if err != nil {

@@ -2,8 +2,8 @@ package raslog
 
 import (
 	"fmt"
+	"math"
 	"strconv"
-	"strings"
 )
 
 // LocationKind identifies which hardware level of the Blue Gene/L
@@ -64,112 +64,167 @@ type Location struct {
 // String formats the location in the BG/L LOCATION grammar shown above.
 // Unknown locations format as "?".
 func (l Location) String() string {
-	switch l.Kind {
-	case KindRack:
-		return fmt.Sprintf("R%02d", l.Rack)
-	case KindMidplane:
-		return fmt.Sprintf("R%02d-M%d", l.Rack, l.Midplane)
-	case KindNodeCard:
-		return fmt.Sprintf("R%02d-M%d-N%02d", l.Rack, l.Midplane, l.Card)
-	case KindComputeChip:
-		return fmt.Sprintf("R%02d-M%d-N%02d-C%02d", l.Rack, l.Midplane, l.Card, l.Chip)
-	case KindIONode:
-		return fmt.Sprintf("R%02d-M%d-N%02d-I%02d", l.Rack, l.Midplane, l.Card, l.Chip)
-	case KindLinkCard:
-		return fmt.Sprintf("R%02d-M%d-L%d", l.Rack, l.Midplane, l.Card)
-	case KindServiceCard:
-		return fmt.Sprintf("R%02d-M%d-S", l.Rack, l.Midplane)
-	default:
-		return "?"
-	}
+	var buf [24]byte
+	return string(l.AppendTo(buf[:0]))
 }
+
+// AppendTo appends the String form of the location to dst: the
+// allocation-free spelling the text Writer encodes through.
+func (l Location) AppendTo(dst []byte) []byte {
+	if l.Kind < KindRack || l.Kind > KindServiceCard {
+		return append(dst, '?')
+	}
+	dst = appendPad2(append(dst, 'R'), l.Rack)
+	if l.Kind == KindRack {
+		return dst
+	}
+	dst = strconv.AppendInt(append(dst, "-M"...), int64(l.Midplane), 10)
+	switch l.Kind {
+	case KindNodeCard, KindComputeChip, KindIONode:
+		dst = appendPad2(append(dst, "-N"...), l.Card)
+		switch l.Kind {
+		case KindComputeChip:
+			dst = appendPad2(append(dst, "-C"...), l.Chip)
+		case KindIONode:
+			dst = appendPad2(append(dst, "-I"...), l.Chip)
+		}
+	case KindLinkCard:
+		dst = strconv.AppendInt(append(dst, "-L"...), int64(l.Card), 10)
+	case KindServiceCard:
+		dst = append(dst, "-S"...)
+	}
+	return dst
+}
+
+// appendPad2 appends n as fmt's %02d would.
+func appendPad2(dst []byte, n int) []byte {
+	if 0 <= n && n < 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(n), 10)
+}
+
+// bytestring is what the text-grammar parsers accept. Reader parses
+// fields straight out of its line buffer and the exported string API
+// parses its argument, through one implementation of each grammar.
+type bytestring interface{ ~string | ~[]byte }
 
 // ParseLocation parses a LOCATION string in the grammar documented on
 // Location. It accepts any truncation point of the hierarchy.
 func ParseLocation(text string) (Location, error) {
-	var loc Location
-	if text == "" || text == "?" {
-		return loc, nil
+	loc, ok := parseLocation(text)
+	if !ok {
+		return Location{}, parsef("raslog: malformed location %q", text)
 	}
-	parts := strings.Split(text, "-")
-	bad := func() (Location, error) {
-		return Location{}, fmt.Errorf("raslog: malformed location %q", text)
+	return loc, nil
+}
+
+// parseLocation is ParseLocation without the error value (and so
+// without an allocation on either outcome).
+func parseLocation[T bytestring](text T) (Location, bool) {
+	if len(text) == 0 || (len(text) == 1 && text[0] == '?') {
+		return Location{}, true
+	}
+	// Segment k of the dash-separated text is text[lo[k]:hi[k]]. The
+	// grammar has at most four; a fifth never parses.
+	var lo, hi [4]int
+	nseg, from := 0, 0
+	for i := 0; i <= len(text); i++ {
+		if i < len(text) && text[i] != '-' {
+			continue
+		}
+		if nseg == len(lo) {
+			return Location{}, false
+		}
+		lo[nseg], hi[nseg] = from, i
+		nseg++
+		from = i + 1
 	}
 	// Rack segment.
-	if len(parts[0]) < 2 || parts[0][0] != 'R' {
-		return bad()
+	if hi[0] < 2 || text[0] != 'R' {
+		return Location{}, false
 	}
-	n, err := strconv.Atoi(parts[0][1:])
-	if err != nil || n < 0 {
-		return bad()
+	n, ok := segmentNumber(text, 1, hi[0])
+	if !ok {
+		return Location{}, false
 	}
-	loc = Location{Kind: KindRack, Rack: n}
-	if len(parts) == 1 {
-		return loc, nil
+	loc := Location{Kind: KindRack, Rack: n}
+	if nseg == 1 {
+		return loc, true
 	}
 	// Midplane segment.
-	if len(parts[1]) != 2 || parts[1][0] != 'M' || (parts[1][1] != '0' && parts[1][1] != '1') {
-		return bad()
+	if hi[1]-lo[1] != 2 || text[lo[1]] != 'M' || (text[lo[1]+1] != '0' && text[lo[1]+1] != '1') {
+		return Location{}, false
 	}
 	loc.Kind = KindMidplane
-	loc.Midplane = int(parts[1][1] - '0')
-	if len(parts) == 2 {
-		return loc, nil
+	loc.Midplane = int(text[lo[1]+1] - '0')
+	if nseg == 2 {
+		return loc, true
 	}
 	// Card segment: Nxx, Lx, or S.
-	seg := parts[2]
-	if seg == "" {
-		return bad()
+	if hi[2] == lo[2] {
+		return Location{}, false
 	}
-	switch {
-	case seg == "S":
-		if len(parts) != 3 {
-			return bad()
+	switch c := text[lo[2]]; {
+	case c == 'S' && hi[2]-lo[2] == 1:
+		if nseg != 3 {
+			return Location{}, false
 		}
 		loc.Kind = KindServiceCard
-		return loc, nil
-	case seg[0] == 'L':
-		if len(parts) != 3 {
-			return bad()
-		}
-		n, err := strconv.Atoi(seg[1:])
-		if err != nil || n < 0 {
-			return bad()
+		return loc, true
+	case c == 'L':
+		if nseg != 3 {
+			return Location{}, false
 		}
 		loc.Kind = KindLinkCard
-		loc.Card = n
-		return loc, nil
-	case seg[0] == 'N':
-		n, err := strconv.Atoi(seg[1:])
-		if err != nil || n < 0 {
-			return bad()
-		}
+	case c == 'N':
 		loc.Kind = KindNodeCard
-		loc.Card = n
 	default:
-		return bad()
+		return Location{}, false
 	}
-	if len(parts) == 3 {
-		return loc, nil
+	if loc.Card, ok = segmentNumber(text, lo[2]+1, hi[2]); !ok {
+		return Location{}, false
 	}
-	if len(parts) != 4 || len(parts[3]) < 2 {
-		return bad()
+	if nseg == 3 {
+		return loc, true
 	}
 	// Chip segment: Cxx or Ixx.
-	n, err = strconv.Atoi(parts[3][1:])
-	if err != nil || n < 0 {
-		return bad()
+	if hi[3]-lo[3] < 2 {
+		return Location{}, false
 	}
-	switch parts[3][0] {
+	switch text[lo[3]] {
 	case 'C':
 		loc.Kind = KindComputeChip
 	case 'I':
 		loc.Kind = KindIONode
 	default:
-		return bad()
+		return Location{}, false
 	}
-	loc.Chip = n
-	return loc, nil
+	if loc.Chip, ok = segmentNumber(text, lo[3]+1, hi[3]); !ok {
+		return Location{}, false
+	}
+	return loc, true
+}
+
+// segmentNumber parses text[i:j] as strconv.Atoi would, given that a
+// segment cannot contain '-': an optional '+', then one or more
+// digits, the value within int.
+func segmentNumber[T bytestring](text T, i, j int) (int, bool) {
+	if i < j && text[i] == '+' {
+		i++
+	}
+	if i >= j {
+		return 0, false
+	}
+	n := 0
+	for ; i < j; i++ {
+		d := int(text[i] - '0')
+		if d > 9 || n > (math.MaxInt-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	return n, true
 }
 
 // MidplaneOf returns the midplane-level prefix of the location, which is

@@ -52,12 +52,21 @@ func (s Severity) IsFatal() bool { return s == Fatal || s == Failure }
 
 // ParseSeverity converts a CMCS severity spelling back to a Severity.
 func ParseSeverity(text string) (Severity, error) {
+	sev, ok := parseSeverity(text)
+	if !ok {
+		return 0, parsef("raslog: unknown severity %q", text)
+	}
+	return sev, nil
+}
+
+// parseSeverity is ParseSeverity without the error value.
+func parseSeverity[T bytestring](text T) (Severity, bool) {
 	for i, name := range severityNames {
-		if name == text {
-			return Severity(i), nil
+		if string(text) == name {
+			return Severity(i), true
 		}
 	}
-	return 0, fmt.Errorf("raslog: unknown severity %q", text)
+	return 0, false
 }
 
 // Severities returns all six severity levels in increasing order.

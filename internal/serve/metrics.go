@@ -53,8 +53,9 @@ func (h *histogram) observe(d time.Duration) {
 
 // handleMetrics writes the Prometheus text exposition: aggregate and
 // per-shard engine counters, queue depths, and the ingest-latency
-// histogram. Latency is measured from enqueue to engine completion,
-// so queue wait (backpressure) is included.
+// histogram. Latency is measured per hand-off — one observation per
+// batch a shard queue carried, in either dialect — from enqueue to
+// engine completion, so queue wait (backpressure) is included.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -109,7 +110,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "bglserved_shard_worker_restarts_total{shard=\"%d\"} %d\n", i, sh.restarts.Load())
 	}
 
-	fmt.Fprintf(w, "# HELP bglserved_shard_queue_depth Records queued per shard.\n# TYPE bglserved_shard_queue_depth gauge\n")
+	fmt.Fprintf(w, "# HELP bglserved_shard_queue_depth Batches queued per shard.\n# TYPE bglserved_shard_queue_depth gauge\n")
 	for i, ps := range shards {
 		fmt.Fprintf(w, "bglserved_shard_queue_depth{shard=\"%d\"} %d\n", i, ps.depth)
 	}
@@ -122,7 +123,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "bglserved_shard_pending_keys{shard=\"%d\"} %d\n", i, ps.snap.PendingKeys)
 	}
 
-	fmt.Fprintf(w, "# HELP bglserved_ingest_latency_seconds Enqueue-to-engine latency per record.\n# TYPE bglserved_ingest_latency_seconds histogram\n")
+	fmt.Fprintf(w, "# HELP bglserved_ingest_latency_seconds Enqueue-to-engine-completion latency per hand-off (one batch of up to 4096 records of one request), text and binary alike.\n# TYPE bglserved_ingest_latency_seconds histogram\n")
 	var cum int64
 	for i, bound := range latencyBounds {
 		cum += s.latency.buckets[i].Load()

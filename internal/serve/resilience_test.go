@@ -33,13 +33,16 @@ func TestShardPanicSupervisionIsLossless(t *testing.T) {
 		t.Fatal("no alerts over a failure-rich tail")
 	}
 
-	// Faulty run: the worker panics every 500 records. With
-	// SnapshotEvery=1 the panic point sits after the snapshot of the
-	// record just processed, so every restart resumes exactly where the
-	// crash happened and the alert stream must match the reference
-	// bit for bit.
+	// Faulty run: the worker panics on every 5th hand-off. The unit of
+	// hand-off is a batch, and a 100-record request to the single shard
+	// is exactly one, so the tail goes in as ~400 requests. With
+	// SnapshotEvery=1 the shard snapshots after every batch and the
+	// panic point sits after that snapshot, so every restart resumes
+	// exactly where the crash happened and the alert stream must match
+	// the reference bit for bit.
+	const perPost, every = 100, 5
 	in := faultinject.New(7)
-	in.Set(faultinject.ShardPanic, faultinject.Plan{Every: 500, Panic: true})
+	in.Set(faultinject.ShardPanic, faultinject.Plan{Every: every, Panic: true})
 	s := New(meta, Config{
 		Shards:        1,
 		History:       1 << 16,
@@ -49,19 +52,21 @@ func TestShardPanicSupervisionIsLossless(t *testing.T) {
 	})
 	defer s.Close()
 
-	third := len(tail) / 3
-	for _, bounds := range [][2]int{{0, third}, {third, 2 * third}, {2 * third, len(tail)}} {
-		chunk := tail[bounds[0]:bounds[1]]
+	posts := 0
+	for lo := 0; lo < len(tail); lo += perPost {
+		chunk := tail[lo:min(lo+perPost, len(tail))]
 		resp := post(t, s, encode(t, chunk))
 		if resp.Accepted != int64(len(chunk)) {
 			t.Fatalf("accepted %d of %d", resp.Accepted, len(chunk))
 		}
+		posts++
 	}
 
 	if restarts := s.Restarts(); restarts == 0 {
 		t.Fatal("no supervisor restarts despite the armed panic point")
-	} else if want := int64(len(tail) / 500); restarts != want {
-		t.Fatalf("restarts = %d, want %d (Every=500 over %d records)", restarts, want, len(tail))
+	} else if want := int64(posts / every); restarts != want || restarts != int64(in.Fires(faultinject.ShardPanic)) {
+		t.Fatalf("restarts = %d, want %d (Every=%d over %d hand-offs; %d panics injected)",
+			restarts, want, every, posts, in.Fires(faultinject.ShardPanic))
 	}
 
 	got := getAlerts(t, s)
@@ -128,8 +133,11 @@ func TestInjectedCorruptionQuarantinesDeterministically(t *testing.T) {
 func TestSaturatedShardShedsWith429(t *testing.T) {
 	meta, tail := fixture(t)
 	in := faultinject.New(7)
-	// Each record takes 100 ms on the single shard; queue depth 1 and
-	// immediate shedding mean the third in-flight record is refused.
+	// Each hand-off (a batch of up to wireBatchCap records) takes 100 ms
+	// on the single shard. The whole tail is ~10 batches in one request:
+	// the worker sleeps on the first, the second fills the depth-1
+	// queue, and with immediate shedding the next one is refused long
+	// before the worker wakes.
 	in.Set(faultinject.ShardSlow, faultinject.Plan{Delay: 100 * time.Millisecond})
 	s := New(meta, Config{
 		Shards:      1,
@@ -139,8 +147,11 @@ func TestSaturatedShardShedsWith429(t *testing.T) {
 		Inject:      in,
 	})
 	defer s.Close()
+	if len(tail) < 4*wireBatchCap {
+		t.Fatalf("tail of %d records cannot saturate a depth-1 queue of %d-record batches", len(tail), wireBatchCap)
+	}
 
-	req := httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(string(encode(t, tail[:10]))))
+	req := httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(string(encode(t, tail))))
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusTooManyRequests {
@@ -150,8 +161,8 @@ func TestSaturatedShardShedsWith429(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Error == "" || resp.Accepted == 0 || resp.Accepted >= 10 {
-		t.Fatalf("resp = %+v; a shed reply reports the partial acceptance", resp)
+	if resp.Error == "" || resp.Accepted == 0 || resp.Accepted >= int64(len(tail)) || resp.Accepted%wireBatchCap != 0 {
+		t.Fatalf("resp = %+v; a shed reply reports the partial acceptance, in whole batches, of the %d sent", resp, len(tail))
 	}
 
 	// The shed flips the service into degraded mode on /healthz...

@@ -60,9 +60,11 @@ type Config struct {
 	// evidence for one midplane — the granularity jobs are scheduled
 	// at — lands on one engine.
 	Shards int
-	// QueueDepth is the per-shard channel capacity (default 1024).
-	// A full queue blocks ingestion up to ShedTimeout: backpressure
-	// first, load-shedding after.
+	// QueueDepth is the per-shard channel capacity (default 1024),
+	// counted in hand-offs: each element is one batch of up to
+	// wireBatchCap records of one request, whatever the dialect. A full
+	// queue blocks ingestion up to ShedTimeout: backpressure first,
+	// load-shedding after.
 	QueueDepth int
 	// History is the capacity of the recent-alerts ring buffer served
 	// by GET /v1/alerts (default 256).
@@ -78,13 +80,15 @@ type Config struct {
 	// negative disables). An expired deadline answers 503 with the
 	// records accepted so far.
 	RequestTimeout time.Duration
-	// ShedTimeout is how long one record may wait on a saturated shard
+	// ShedTimeout is how long one batch may wait on a saturated shard
 	// queue before the request is shed with 429 (default 1 s; negative
 	// sheds immediately when a queue is full).
 	ShedTimeout time.Duration
 	// SnapshotEvery is the shard supervisor's state-snapshot cadence
-	// in records (default 1024). It bounds what a shard panic can
-	// lose: the records processed since the last snapshot.
+	// in records (default 1024), checked after each batch: a snapshot
+	// is taken once at least this many records have gone by since the
+	// last. It bounds what a shard panic can lose to those records plus
+	// the batch in progress.
 	SnapshotEvery int
 	// StreamHeartbeat is the SSE comment-heartbeat interval on
 	// GET /v1/alerts/stream (default 15 s; negative disables), which
@@ -218,22 +222,12 @@ type AlertsResponse struct {
 	TotalAlerts int64 `json:"total_alerts"`
 }
 
-// shardMsg is one unit of work on a shard channel: a record, a batch
-// of records (the wire-frame path; evs non-empty), or a barrier when
-// done is non-nil.
+// shardMsg is one unit of work on a shard channel: a batch of records
+// (never empty), or a barrier when done is non-nil.
 type shardMsg struct {
-	ev   raslog.Event
 	evs  []raslog.Event
 	at   time.Time // enqueue time, for the ingest-latency histogram
 	done *sync.WaitGroup
-}
-
-// n is the record count this message carries.
-func (m *shardMsg) n() int {
-	if len(m.evs) > 0 {
-		return len(m.evs)
-	}
-	return 1
 }
 
 // shard is one engine plus its feed. The engine lives behind an
@@ -418,24 +412,22 @@ func (s *Server) shardLoop(sh *shard) (clean bool) {
 			continue
 		}
 		_ = s.cfg.Inject.Fire(faultinject.ShardSlow) // delay-only point
-		if len(msg.evs) > 0 {
-			// Wire-frame batch: one lock acquisition for the lot.
-			if rej := sh.engine().IngestBatch(msg.evs); rej > 0 {
-				sh.rejected.Add(rej)
-			}
-			recycleBatch(msg.evs)
-		} else if _, err := sh.engine().Ingest(&msg.ev); err != nil {
-			sh.rejected.Add(1)
+		// One lock acquisition and one latency observation per batch.
+		if rej := sh.engine().IngestBatch(msg.evs); rej > 0 {
+			sh.rejected.Add(rej)
 		}
+		sh.sinceSnap += len(msg.evs)
+		recycleBatch(msg.evs)
 		s.latency.observe(time.Since(msg.at))
-		if sh.sinceSnap += msg.n(); sh.sinceSnap >= s.cfg.SnapshotEvery {
+		if sh.sinceSnap >= s.cfg.SnapshotEvery {
 			st := sh.engine().State()
 			sh.lastGood.Store(&st)
 			sh.sinceSnap = 0
 		}
 		// The panic point sits after the snapshot update, so an
-		// injected crash at SnapshotEvery=1 is provably lossless — the
-		// chaos acceptance test's exact-continuity half.
+		// injected crash at SnapshotEvery=1 (a snapshot after every
+		// batch) is provably lossless — the chaos acceptance test's
+		// exact-continuity half.
 		_ = s.cfg.Inject.Fire(faultinject.ShardPanic)
 	}
 	return true
@@ -528,8 +520,8 @@ func (s *Server) noteShed() {
 	s.lastShed.Store(time.Now().UnixNano())
 }
 
-// handleIngest streams the request body through the raslog decoder,
-// routing each record to its shard. Undecodable lines are quarantined,
+// handleIngest streams the request body through its dialect's decoder,
+// routing each record to its shard. Undecodable ones are quarantined,
 // not fatal. The reply is written only after every record of this
 // request has been processed by its engine (a per-shard barrier), so a
 // 200 means the alert surfaces reflect the batch. The whole request
@@ -560,10 +552,28 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// The ledger digest streams alongside decoding — one pass over the
 	// body, no buffering of the batch.
 	body, digest := s.teeIngestBody(r.Body)
+	// The dialects differ only in the pooled decoder armed on the body;
+	// the ingest loop pulls chunks of events from either.
 	if r.Header.Get("Content-Type") == raslog.WireContentType {
-		code = s.ingestWire(ctx, body, &resp, touched)
+		dec := wireDecoders.Get().(*raslog.WireDecoder)
+		dec.Reset(body)
+		dec.OnSkip = func(rec []byte, err error) {
+			s.quarantine.add(0, string(rec), err)
+			resp.Quarantined++
+		}
+		code = s.ingest(ctx, dec.ReadFrame, &resp, touched)
+		dec.Reset(eofReader{}) // drop the body reference before pooling
+		wireDecoders.Put(dec)
 	} else {
-		code = s.ingestText(ctx, body, &resp, touched)
+		dec := textDecoders.Get().(*textDecoder)
+		dec.rd.Reset(body)
+		dec.rd.Lenient(func(le raslog.LineError) {
+			s.quarantine.add(le.Line, le.Raw, le.Err)
+			resp.Quarantined++
+		})
+		code = s.ingest(ctx, dec.readChunk, &resp, touched)
+		dec.rd.Reset(eofReader{})
+		textDecoders.Put(dec)
 	}
 
 	// Barrier: wait until each touched shard has drained this
@@ -584,69 +594,61 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, resp)
 }
 
-// ingestText streams a newline-delimited body (pipe or NDJSON dialect)
-// record by record. Undecodable lines quarantine; a stream-level
-// failure stops the request with 400. Returns the HTTP status.
-func (s *Server) ingestText(ctx context.Context, body io.Reader, resp *IngestResponse, touched []bool) int {
-	code := http.StatusOK
-	rd := raslog.NewReader(body).Lenient(func(le raslog.LineError) {
-		s.quarantine.add(le.Line, le.Raw, le.Err)
-		resp.Quarantined++
-	})
-loop:
-	for {
-		ev, err := rd.Read()
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				// Stream-level failure (oversized line, body read error):
-				// nothing after this point is decodable.
-				s.parseErrs.Add(1)
-				resp.Error = err.Error()
-				code = http.StatusBadRequest
-			}
-			break
-		}
-		if err := s.cfg.Inject.Fire(faultinject.IngestCorrupt); err != nil {
-			s.quarantine.add(0, ev.EntryData, err)
-			resp.Quarantined++
-			continue
-		}
-		if s.cfg.Observer != nil {
-			// closeMu.RLock is held for the whole request. Observer is
-			// contractually cheap, non-blocking and must not call back into
-			// the server; invoking it here (not after unlock) is what gives
-			// it records in request order.
-			s.cfg.Observer(ev)
-		}
-		sh := s.shardFor(ev.Location)
-		msg := shardMsg{ev: ev, at: time.Now()}
-		select {
-		case sh.ch <- msg:
-		default:
-			// Queue full: backpressure for up to ShedTimeout, then shed.
-			if !s.enqueueSlow(ctx, sh, msg) {
-				code = s.enqueueFailed(ctx, resp)
-				break loop
-			}
-		}
-		touched[sh.id] = true
-		resp.Accepted++
+// Decoders are pooled across ingest requests so their buffers and
+// string intern tables carry over: steady-state ingest in either
+// dialect does not allocate per record. A parked decoder holds no
+// body (eofReader) and at most its line or payload buffer (1 MiB text,
+// 16 MiB wire, both usually 64 KiB), its event arena, and an intern
+// table capped at 16 Ki strings of at most 1 KiB.
+var (
+	wireDecoders = sync.Pool{
+		New: func() any { return raslog.NewWireDecoder(eofReader{}) },
 	}
-	return code
-}
-
-// wireDecoders pools zero-alloc wire decoders across ingest requests:
-// a warm decoder's payload buffer, frame table, event arena and string
-// intern map all carry over, so steady-state binary ingest does not
-// allocate per frame.
-var wireDecoders = sync.Pool{
-	New: func() any { return raslog.NewWireDecoder(eofReader{}) },
-}
+	textDecoders = sync.Pool{
+		New: func() any {
+			return &textDecoder{rd: raslog.NewReader(eofReader{}), evs: make([]raslog.Event, 0, textChunk)}
+		},
+	}
+)
 
 // eofReader is the parked state of a pooled decoder (no body retained).
 type eofReader struct{}
 
 func (eofReader) Read([]byte) (int, error) { return 0, io.EOF }
+
+// textChunk is how many records the text decoder hands the ingest loop
+// at a time: enough to amortize the call, small enough that the arena
+// stays in cache between being filled and being split by shard.
+const textChunk = 512
+
+// textDecoder gives the newline-delimited dialects (pipe and NDJSON)
+// the shape of the wire decoder: a chunk of events per call, out of a
+// reused arena.
+type textDecoder struct {
+	rd  *raslog.Reader
+	evs []raslog.Event
+}
+
+// readChunk returns the next records of the body, valid until the next
+// call, or the reader's error once there are none. A stream-level
+// failure after some records surfaces on the following call, which
+// the reader answers with the same error.
+//
+//bglvet:hotpath
+func (d *textDecoder) readChunk() ([]raslog.Event, error) {
+	d.evs = d.evs[:0]
+	for len(d.evs) < cap(d.evs) {
+		ev, err := d.rd.Read()
+		if err != nil {
+			if len(d.evs) == 0 {
+				return nil, err
+			}
+			break
+		}
+		d.evs = append(d.evs, ev)
+	}
+	return d.evs, nil
+}
 
 // wireBatchCap bounds a per-shard event batch: large enough to
 // amortize the channel send and the engine-lock acquisition over
@@ -654,14 +656,14 @@ func (eofReader) Read([]byte) (int, error) { return 0, io.EOF }
 // and a shard starts chewing while the request is still decoding.
 const wireBatchCap = 4096
 
-// eventBatches recycles per-shard batch buffers between the wire
-// ingest path (producer) and the shard loops (consumer). Growing a
-// fresh multi-thousand-event slice per frame would reintroduce, on
-// the far side of the zero-alloc decoder, exactly the allocation and
-// GC-scan traffic the decoder removed; steady-state binary ingest
-// instead cycles a small set of fixed-capacity buffers. A pooled
-// buffer may pin the strings of its last batch until reuse — bounded
-// by wireBatchCap and the pool's lifetime, and cheaper than clearing.
+// eventBatches recycles per-shard batch buffers between the ingest
+// loop (producer) and the shard loops (consumer). Growing a fresh
+// multi-thousand-event slice per request would reintroduce, on the far
+// side of the zero-alloc decoders, exactly the allocation and GC-scan
+// traffic they removed; steady-state ingest instead cycles a small set
+// of fixed-capacity buffers. A pooled buffer may pin the strings of its
+// last batch until reuse — bounded by wireBatchCap and the pool's
+// lifetime, and cheaper than clearing.
 var eventBatches = sync.Pool{
 	New: func() any {
 		s := make([]raslog.Event, 0, wireBatchCap)
@@ -669,8 +671,8 @@ var eventBatches = sync.Pool{
 	},
 }
 
-// recycleBatch parks a consumed wire batch for reuse. Only buffers at
-// the pooled capacity return; oddballs fall to the GC.
+// recycleBatch parks a consumed batch for reuse. Only buffers at the
+// pooled capacity return; oddballs fall to the GC.
 func recycleBatch(evs []raslog.Event) {
 	if cap(evs) != wireBatchCap {
 		return
@@ -679,28 +681,17 @@ func recycleBatch(evs []raslog.Event) {
 	eventBatches.Put(&evs)
 }
 
-// ingestWire streams a binary wire-frame body. Each frame decodes on a
-// pooled zero-alloc decoder, is split per shard, and is enqueued as
-// per-shard batches (one engine-lock acquisition per batch instead of
-// per record). Corrupt event records quarantine via the decoder's
-// skip hook; frame-level corruption stops the request with 400, as a
-// text stream failure does. Returns the HTTP status.
+// ingest is the one ingest loop. next yields the body's decoded events
+// a chunk at a time (a wire frame, or a run of text lines), io.EOF at
+// the clean end; each chunk is split per shard into pooled batches,
+// and every hand-off to a shard queue is a batch of up to wireBatchCap
+// records. Undecodable records have already gone to quarantine through
+// the decoder's hook; a stream-level failure stops the request with 400
+// after the intact prefix is delivered. Returns the HTTP status.
 //
 //bglvet:hotpath
-func (s *Server) ingestWire(ctx context.Context, body io.Reader, resp *IngestResponse, touched []bool) int {
+func (s *Server) ingest(ctx context.Context, next func() ([]raslog.Event, error), resp *IngestResponse, touched []bool) int {
 	code := http.StatusOK
-	dec := wireDecoders.Get().(*raslog.WireDecoder)
-	dec.Reset(body)
-	//bglvet:ignore hotpathalloc one closure per request, not per record; it captures the per-request response
-	dec.OnSkip = func(rec []byte, err error) {
-		//bglvet:ignore hotpathalloc the copy happens only for corrupt records, on their way into quarantine
-		s.quarantine.add(0, string(rec), err)
-		resp.Quarantined++
-	}
-	defer func() {
-		dec.Reset(eofReader{}) // drop the body reference before pooling
-		wireDecoders.Put(dec)
-	}()
 	byShard := make([][]raslog.Event, len(s.shards))
 	// flush hands shard id's batch (never empty) to its queue; false
 	// means the request must shed.
@@ -712,6 +703,7 @@ func (s *Server) ingestWire(ctx context.Context, body io.Reader, resp *IngestRes
 		select {
 		case sh.ch <- msg:
 		default:
+			// Queue full: backpressure for up to ShedTimeout, then shed.
 			if !s.enqueueSlow(ctx, sh, msg) {
 				return false
 			}
@@ -722,9 +714,11 @@ func (s *Server) ingestWire(ctx context.Context, body io.Reader, resp *IngestRes
 	}
 loop:
 	for {
-		evs, err := dec.ReadFrame()
+		evs, err := next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
+				// Stream-level failure (corrupt frame, oversized line, body
+				// read error): nothing after this point is decodable.
 				s.parseErrs.Add(1)
 				resp.Error = err.Error()
 				code = http.StatusBadRequest
@@ -738,7 +732,10 @@ loop:
 				continue
 			}
 			if s.cfg.Observer != nil {
-				// Same contract and ordering argument as the text path.
+				// closeMu.RLock is held for the whole request. Observer is
+				// contractually cheap, non-blocking and must not call back into
+				// the server; invoking it here (not after unlock) is what gives
+				// it records in request order.
 				s.cfg.Observer(evs[i])
 			}
 			sh := s.shardFor(evs[i].Location)
@@ -746,7 +743,7 @@ loop:
 			if b == nil {
 				b = (*eventBatches.Get().(*[]raslog.Event))[:0]
 			}
-			// Copy out of the decoder arena: the batch outlives this frame.
+			// Copy out of the decoder's arena: the batch outlives the chunk.
 			b = append(b, evs[i])
 			byShard[sh.id] = b
 			if len(b) >= wireBatchCap {
@@ -757,8 +754,8 @@ loop:
 			}
 		}
 	}
-	// Deliver the partial batches — including ahead of a corrupt frame,
-	// where every record of the intact prefix still counts.
+	// Deliver the partial batches — including ahead of a stream-level
+	// failure, where every record of the intact prefix still counts.
 	for id := range byShard {
 		if len(byShard[id]) > 0 && !flush(id) {
 			code = s.enqueueFailed(ctx, resp)
@@ -768,8 +765,8 @@ loop:
 	return code
 }
 
-// enqueueFailed classifies why a record or batch could not be
-// enqueued, updating the response, and returns the HTTP status.
+// enqueueFailed classifies why a batch could not be enqueued, updating
+// the response, and returns the HTTP status.
 func (s *Server) enqueueFailed(ctx context.Context, resp *IngestResponse) int {
 	if ctx.Err() != nil {
 		s.deadlined.Add(1)
@@ -782,8 +779,8 @@ func (s *Server) enqueueFailed(ctx context.Context, resp *IngestResponse) int {
 }
 
 // enqueueSlow waits up to ShedTimeout (and the request deadline) for
-// room on a saturated shard queue; false means the record did not
-// land and the request should shed.
+// room on a saturated shard queue; false means the batch did not land
+// and the request should shed.
 func (s *Server) enqueueSlow(ctx context.Context, sh *shard, msg shardMsg) bool {
 	if s.cfg.ShedTimeout < 0 {
 		return false

@@ -303,6 +303,17 @@ func TestHealthzAndMetrics(t *testing.T) {
 	defer s.Close()
 	post(t, s, encode(t, tail))
 
+	// The latency histogram takes one observation per hand-off: each
+	// shard's share of the request, in batches of wireBatchCap.
+	perShard := make([]int, len(s.shards))
+	for i := range tail {
+		perShard[s.shardFor(tail[i].Location).id]++
+	}
+	handoffs := 0
+	for _, n := range perShard {
+		handoffs += (n + wireBatchCap - 1) / wireBatchCap
+	}
+
 	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
@@ -325,8 +336,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 		// is named apart from the aggregate bglserved_shard_restarts_total.
 		"bglserved_shard_worker_restarts_total{shard=\"0\"} 0",
 		"bglserved_shard_restarts_total 0",
-		"bglserved_ingest_latency_seconds_bucket{le=\"+Inf\"} " + strconv.Itoa(len(tail)),
-		"bglserved_ingest_latency_seconds_count " + strconv.Itoa(len(tail)),
+		"# HELP bglserved_ingest_latency_seconds Enqueue-to-engine-completion latency per hand-off",
+		"bglserved_ingest_latency_seconds_bucket{le=\"+Inf\"} " + strconv.Itoa(handoffs) + "\n",
+		"bglserved_ingest_latency_seconds_count " + strconv.Itoa(handoffs) + "\n",
 		"bglserved_uptime_seconds",
 	} {
 		if !strings.Contains(body, want) {
