@@ -2,37 +2,24 @@ package bglpred
 
 // One benchmark per paper table and figure (backed by the experiments
 // registry DESIGN.md §4 indexes), plus micro-benchmarks for the
-// hot paths: generation, classification, Phase 1 compression, rule
-// mining per window, rule matching, and online ingestion.
+// batch stages: generation, classification, Phase 1 compression, rule
+// mining per window, rule matching, base-predictor training. Serving,
+// gate, durability and retraining costs are measured by `go run
+// ./bench` (bench/README.md), not here.
 //
 // Benchmarks run at a reduced scale so `go test -bench=.` finishes in
 // minutes; cmd/bglbench reproduces the same experiments at any scale.
 
 import (
-	"bytes"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"bglpred/internal/assoc"
 	"bglpred/internal/bglsim"
 	"bglpred/internal/catalog"
-	"bglpred/internal/cluster"
-	"bglpred/internal/ecg"
 	"bglpred/internal/experiments"
-	"bglpred/internal/ledger"
-	"bglpred/internal/lifecycle"
-	"bglpred/internal/model"
-	"bglpred/internal/online"
 	"bglpred/internal/predictor"
 	"bglpred/internal/preprocess"
-	"bglpred/internal/raslog"
-	"bglpred/internal/serve"
 )
 
 const benchScale = 0.1
@@ -182,65 +169,6 @@ func BenchmarkRuleMatching(b *testing.B) {
 	b.ReportMetric(float64(len(d.Pre.Events)), "events/op")
 }
 
-// BenchmarkTrainPipeline measures the full retraining path at ANL
-// scale: Phase 1 compression over ~1M raw records followed by
-// association-rule mining (Apriori) at a fixed 15-minute
-// rule-generation window — the work one lifecycle.Retrainer cycle
-// performs between hot swaps. BENCH_train.json records the tracked
-// before/after numbers.
-func BenchmarkTrainPipeline(b *testing.B) {
-	gen, err := bglsim.Generate(bglsim.ANLProfile().Scaled(0.25))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(gen.Events) < 1_000_000 {
-		b.Fatalf("only %d records generated; the pipeline bench wants >= 1M", len(gen.Events))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pre := preprocess.Run(gen.Events, preprocess.Options{})
-		r := predictor.NewRule()
-		r.Config.RuleGenWindow = 15 * time.Minute
-		r.Config.Miner = &assoc.Apriori{}
-		if err := r.Train(pre.Events); err != nil {
-			b.Fatal(err)
-		}
-		if r.Rules().Len() == 0 {
-			b.Fatal("training produced no rules")
-		}
-	}
-	b.ReportMetric(float64(len(gen.Events)), "records/op")
-}
-
-// BenchmarkECGMine measures event-correlation-graph mining over the
-// same ~1M-record ANL-scale corpus BenchmarkTrainPipeline trains on.
-// Phase 1 runs outside the timer; the timed op is ecg training —
-// per-segment graph mining plus fail-path precomputation — the work a
-// three-base retrain cycle adds on top of the classic pair.
-// BENCH_train.json records the tracked numbers.
-func BenchmarkECGMine(b *testing.B) {
-	gen, err := bglsim.Generate(bglsim.ANLProfile().Scaled(0.25))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(gen.Events) < 1_000_000 {
-		b.Fatalf("only %d records generated; the mining bench wants >= 1M", len(gen.Events))
-	}
-	pre := preprocess.Run(gen.Events, preprocess.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := ecg.New(ecg.Config{})
-		if err := p.Train(pre.Events); err != nil {
-			b.Fatal(err)
-		}
-		if p.Graph().NodeCount() == 0 {
-			b.Fatal("mining produced an empty graph")
-		}
-	}
-	b.ReportMetric(float64(len(gen.Events)), "records/op")
-	b.ReportMetric(float64(len(pre.Events)), "events/op")
-}
-
 func BenchmarkStatisticalTrain(b *testing.B) {
 	d := benchDataset(b, "ANL")
 	b.ResetTimer()
@@ -264,238 +192,4 @@ func BenchmarkMetaPredict(b *testing.B) {
 		m.Predict(d.Pre.Events, 30*time.Minute)
 	}
 	b.ReportMetric(float64(len(d.Pre.Events)), "events/op")
-}
-
-// benchWireBodies encodes one tail both ways — the pipe dialect and
-// binary wire frames — so the serve and gate benches can price the
-// formats against each other on an identical record stream.
-type benchWireBody struct {
-	name        string
-	contentType string
-	body        []byte
-}
-
-func benchWireBodies(b *testing.B, tail []raslog.Event) []benchWireBody {
-	b.Helper()
-	var text bytes.Buffer
-	tw := raslog.NewWriter(&text)
-	for i := range tail {
-		if err := tw.Write(&tail[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := tw.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	var bin bytes.Buffer
-	ww := raslog.NewWireWriter(&bin)
-	for i := range tail {
-		if err := ww.Write(&tail[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := ww.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	return []benchWireBody{
-		{name: "text", contentType: "application/octet-stream", body: text.Bytes()},
-		{name: "bin", contentType: raslog.WireContentType, body: bin.Bytes()},
-	}
-}
-
-// BenchmarkServeIngest measures records/sec through the sharded
-// serving path — HTTP handler, decode, fan-out, shard queues, engines,
-// barrier — at 1, 4 and 8 shards, over both the text dialect and the
-// binary wire (zero-alloc pooled decode, per-shard event batches).
-func BenchmarkServeIngest(b *testing.B) {
-	d := benchDataset(b, "ANL")
-	cut := len(d.Gen.Events) / 2
-	pre := preprocess.Run(d.Gen.Events[:cut], preprocess.Options{})
-	m := predictor.NewMeta()
-	m.Rule.Config.RuleGenWindow = 15 * time.Minute
-	if err := m.Train(pre.Events); err != nil {
-		b.Fatal(err)
-	}
-	tail := d.Gen.Events[cut:]
-
-	for _, wb := range benchWireBodies(b, tail) {
-		for _, shards := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("wire=%s/shards=%d", wb.name, shards), func(b *testing.B) {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					srv := serve.New(m, serve.Config{Shards: shards, Window: 30 * time.Minute})
-					req := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(wb.body))
-					req.Header.Set("Content-Type", wb.contentType)
-					rec := httptest.NewRecorder()
-					srv.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						b.Fatalf("ingest: status %d: %s", rec.Code, rec.Body.String())
-					}
-					b.StopTimer()
-					srv.Close()
-					b.StartTimer()
-				}
-				recsPerOp := float64(len(tail))
-				b.ReportMetric(recsPerOp, "records/op")
-				b.ReportMetric(recsPerOp*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-			})
-		}
-	}
-}
-
-// BenchmarkGateIngest measures the same record stream pushed through
-// the cluster path instead: bglgate's HTTP handler, ring routing and
-// forwards over real loopback TCP to 1, 2 and 4 single-shard bglserved
-// backends. The text rows decode and re-encode every record at the
-// gate; the bin rows take the pass-through path (peek the location
-// prefix, forward raw sub-frames). Comparing records/s against
-// BenchmarkServeIngest prices the gate hop.
-func BenchmarkGateIngest(b *testing.B) {
-	d := benchDataset(b, "ANL")
-	cut := len(d.Gen.Events) / 2
-	pre := preprocess.Run(d.Gen.Events[:cut], preprocess.Options{})
-	m := predictor.NewMeta()
-	m.Rule.Config.RuleGenWindow = 15 * time.Minute
-	if err := m.Train(pre.Events); err != nil {
-		b.Fatal(err)
-	}
-	tail := d.Gen.Events[cut:]
-
-	for _, wb := range benchWireBodies(b, tail) {
-		for _, nodes := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("wire=%s/backends=%d", wb.name, nodes), func(b *testing.B) {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					urls := make([]string, nodes)
-					servers := make([]*serve.Server, nodes)
-					listeners := make([]*httptest.Server, nodes)
-					for k := range urls {
-						servers[k] = serve.New(m, serve.Config{Shards: 1, Window: 30 * time.Minute})
-						listeners[k] = httptest.NewServer(servers[k])
-						urls[k] = listeners[k].URL
-					}
-					g, err := cluster.New(cluster.Config{Backends: urls})
-					if err != nil {
-						b.Fatal(err)
-					}
-					g.ProbeNow()
-					b.StartTimer()
-
-					req := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(wb.body))
-					req.Header.Set("Content-Type", wb.contentType)
-					rec := httptest.NewRecorder()
-					g.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						b.Fatalf("gate ingest: status %d: %s", rec.Code, rec.Body.String())
-					}
-
-					b.StopTimer()
-					g.Close()
-					for k := range listeners {
-						listeners[k].Close()
-						servers[k].Close()
-					}
-					b.StartTimer()
-				}
-				recsPerOp := float64(len(tail))
-				b.ReportMetric(recsPerOp, "records/op")
-				b.ReportMetric(recsPerOp*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-			})
-		}
-	}
-}
-
-func BenchmarkOnlineIngest(b *testing.B) {
-	d := benchDataset(b, "ANL")
-	cut := len(d.Gen.Events) / 2
-	pre := preprocess.Run(d.Gen.Events[:cut], preprocess.Options{})
-	m := predictor.NewMeta()
-	m.Rule.Config.RuleGenWindow = 15 * time.Minute
-	if err := m.Train(pre.Events); err != nil {
-		b.Fatal(err)
-	}
-	tail := d.Gen.Events[cut:]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := online.New(m, online.Config{Window: 30 * time.Minute})
-		for j := range tail {
-			if _, err := e.Ingest(&tail[j]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(len(tail)), "records/op")
-}
-
-// BenchmarkCheckpointDurability prices one durable checkpoint under
-// concurrent durability demand. mode=statefile is the classic
-// per-write discipline (temp file, fsync, rename — every writer pays
-// a full fsync); mode=ledger appends the same checkpoint envelope to
-// the audit ledger, whose Merkle-batched group commit amortizes one
-// fsync across every writer in the batch. writers scales the
-// concurrent checkpointing goroutines; the amortization shows as the
-// ledger rows flattening while the statefile rows pay per writer.
-func BenchmarkCheckpointDurability(b *testing.B) {
-	m := predictor.NewMeta()
-	d := benchDataset(b, "ANL")
-	cut := len(d.Gen.Events) / 4
-	pre := preprocess.Run(d.Gen.Events[:cut], preprocess.Options{})
-	if err := m.Train(pre.Events); err != nil {
-		b.Fatal(err)
-	}
-	srv := serve.New(m, serve.Config{Shards: 4, Window: 30 * time.Minute})
-	cp := &lifecycle.Checkpoint{
-		SavedAt:      time.Now(),
-		ModelSHA256:  "benchmark-model-sha",
-		ModelVersion: 1,
-		Shards:       srv.ExportShards(),
-	}
-	srv.Close()
-
-	for _, writers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("mode=statefile/writers=%d", writers), func(b *testing.B) {
-			dir := b.TempDir()
-			var id atomic.Int64
-			b.SetParallelism(writers)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				path := filepath.Join(dir, fmt.Sprintf("state-%d.bglc", id.Add(1)))
-				for pb.Next() {
-					if _, err := lifecycle.SaveCheckpointFS(model.OS, path, cp); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "checkpoints/s")
-		})
-		b.Run(fmt.Sprintf("mode=ledger/writers=%d", writers), func(b *testing.B) {
-			led, _, err := ledger.Open(filepath.Join(b.TempDir(), "audit.bgll"), ledger.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer led.Close()
-			b.SetParallelism(writers)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					framed, _, err := model.MarshalEnvelope(lifecycle.CheckpointMagic, lifecycle.CheckpointVersion, cp)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if _, err := led.Append(ledger.KindCheckpoint, framed); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "checkpoints/s")
-			if c := led.Commits(); c > 0 {
-				b.ReportMetric(float64(b.N)/float64(c), "checkpoints/fsync")
-			}
-		})
-	}
 }

@@ -44,7 +44,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -56,6 +55,7 @@ import (
 
 	"bglpred/internal/bglsim"
 	"bglpred/internal/core"
+	"bglpred/internal/edge"
 	"bglpred/internal/ledger"
 	"bglpred/internal/lifecycle"
 	"bglpred/internal/model"
@@ -194,18 +194,18 @@ func run(o options) error {
 		checkpointer *lifecycle.Checkpointer
 		auxRetrainer *lifecycle.Retrainer
 	)
-	auxMetrics := func(w io.Writer) {
+	auxMetrics := func(m *edge.Metrics) {
 		auxMu.Lock()
 		ck, rt := checkpointer, auxRetrainer
 		auxMu.Unlock()
 		if ck != nil {
-			fmt.Fprintf(w, "# HELP bglserved_checkpoint_saves_total Completed shard-state checkpoints.\n# TYPE bglserved_checkpoint_saves_total counter\nbglserved_checkpoint_saves_total %d\n", ck.Saves())
-			fmt.Fprintf(w, "# HELP bglserved_checkpoint_retries_total Checkpoint write re-tries spent.\n# TYPE bglserved_checkpoint_retries_total counter\nbglserved_checkpoint_retries_total %d\n", ck.Retries())
-			fmt.Fprintf(w, "# HELP bglserved_checkpoint_giveups_total Checkpoints abandoned with their retry budget exhausted.\n# TYPE bglserved_checkpoint_giveups_total counter\nbglserved_checkpoint_giveups_total %d\n", ck.GiveUps())
+			m.Counter("bglserved_checkpoint_saves_total", "Completed shard-state checkpoints.", ck.Saves())
+			m.Counter("bglserved_checkpoint_retries_total", "Checkpoint write re-tries spent.", ck.Retries())
+			m.Counter("bglserved_checkpoint_giveups_total", "Checkpoints abandoned with their retry budget exhausted.", ck.GiveUps())
 		}
 		if rt != nil {
-			fmt.Fprintf(w, "# HELP bglserved_model_persist_retries_total Model-artifact write re-tries spent.\n# TYPE bglserved_model_persist_retries_total counter\nbglserved_model_persist_retries_total %d\n", rt.PersistRetries())
-			fmt.Fprintf(w, "# HELP bglserved_model_persist_giveups_total Retrained models whose artifact never landed.\n# TYPE bglserved_model_persist_giveups_total counter\nbglserved_model_persist_giveups_total %d\n", rt.PersistGiveUps())
+			m.Counter("bglserved_model_persist_retries_total", "Model-artifact write re-tries spent.", rt.PersistRetries())
+			m.Counter("bglserved_model_persist_giveups_total", "Retrained models whose artifact never landed.", rt.PersistGiveUps())
 		}
 	}
 

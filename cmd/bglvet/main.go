@@ -13,7 +13,6 @@
 //	               //bglvet:hotpath roots
 //	lockorder      no cycles in the cross-package lock-ordering graph;
 //	               no non-deferred Unlock skippable by an early return
-//	metricconv     Prometheus naming conventions in the /metrics code
 //	wrapsentinel   sentinels wrapped with %w, compared with errors.Is
 //
 // Two modes:
@@ -26,12 +25,12 @@
 // problem-matcher consumes to annotate pull-request diffs.
 //
 // Standalone mode loads the entire module from source and runs the
-// whole-program checks (fault-point uniqueness, duplicate metric
-// families) across every package at once; this is the mode CI runs
-// and the only one that sees cross-package violations. Under go vet
-// the tool speaks the vettool protocol (-V=full handshake, unit .cfg
-// files) and checks one compilation unit at a time, so cross-package
-// checks degrade to per-package.
+// whole-program checks (fault-point uniqueness, lock-order cycles,
+// hot-path call closures) across every package at once; this is the
+// mode CI runs and the only one that sees cross-package violations.
+// Under go vet the tool speaks the vettool protocol (-V=full handshake,
+// unit .cfg files) and checks one compilation unit at a time, so
+// cross-package checks degrade to per-package.
 //
 // Exit status: 0 clean, 1 findings (standalone), 2 findings or
 // protocol error (vettool mode, matching unitchecker), 64 usage.

@@ -1,16 +1,15 @@
-// Package suite assembles the bglvet registry: the eight invariant
+// Package suite assembles the bglvet registry: the seven invariant
 // analyzers plus the policy of which packages each one patrols.
 //
 // callbacklock, faultpoint and wrapsentinel apply everywhere — their
 // contracts (no callbacks under locks, nil-tolerant fault points,
 // errors.Is-visible sentinels) are repo-wide. determinism is scoped
 // to the pipeline packages whose outputs must be byte-stable run to
-// run, and metricconv to the packages that hand-write the Prometheus
-// exposition. The concurrency pair — lockorder and goroutinelife —
-// patrols the packages that own mutexes and long-lived goroutines
-// (serve, cluster, ledger, lifecycle, online), and hotpathalloc the
+// run. The concurrency pair — lockorder and goroutinelife — patrols
+// the packages that own mutexes and long-lived goroutines (serve,
+// cluster, edge, ledger, lifecycle, online), and hotpathalloc the
 // packages the //bglvet:hotpath roots and their call closures live in
-// (raslog, assoc, serve, online, catalog).
+// (raslog, assoc, serve, edge, online, catalog).
 package suite
 
 import (
@@ -23,7 +22,6 @@ import (
 	"bglpred/internal/analysis/goroutinelife"
 	"bglpred/internal/analysis/hotpathalloc"
 	"bglpred/internal/analysis/lockorder"
-	"bglpred/internal/analysis/metricconv"
 	"bglpred/internal/analysis/wrapsentinel"
 )
 
@@ -36,7 +34,6 @@ func All() []*analysis.Analyzer {
 		goroutinelife.Analyzer,
 		hotpathalloc.Analyzer,
 		lockorder.Analyzer,
-		metricconv.Analyzer,
 		wrapsentinel.Analyzer,
 	}
 }
@@ -66,25 +63,23 @@ var deterministicPkgs = map[string]bool{
 	"experiments": true,
 }
 
-// metricPkgs hand-write the Prometheus text exposition.
-var metricPkgs = []string{"internal/serve", "cmd/bglserved", "internal/cluster", "cmd/bglgate"}
-
 // concurrencyPkgs own the mutexes and long-lived goroutines the
 // lockorder/goroutinelife pair patrols: the serving layer's shard
-// supervisors, the cluster gate's replay loops, the ledger's
-// group-commit leader, lifecycle's retrain machinery and the online
-// engine's dual-lock emission path.
+// supervisors, the cluster gate's replay loops, the edge's SSE broker
+// and inspection ring, the ledger's group-commit leader, lifecycle's
+// retrain machinery and the online engine's dual-lock emission path.
 var concurrencyPkgs = []string{
-	"internal/serve", "internal/cluster", "internal/ledger",
-	"internal/lifecycle", "internal/online",
+	"internal/serve", "internal/cluster", "internal/edge",
+	"internal/ledger", "internal/lifecycle", "internal/online",
 }
 
 // hotPkgs hold the //bglvet:hotpath roots (binwire decoding, packed
 // Apriori counting, serve/online ingest) and the packages their call
-// closures stay within.
+// closures stay within (serve's ingest parks records in an edge.Ring
+// and times hand-offs with an edge.Histogram).
 var hotPkgs = []string{
 	"internal/raslog", "internal/assoc", "internal/serve",
-	"internal/online", "internal/catalog",
+	"internal/edge", "internal/online", "internal/catalog",
 }
 
 // Filter is the default package-scoping policy.
@@ -92,8 +87,6 @@ func Filter(pkgPath, analyzer string) bool {
 	switch analyzer {
 	case determinism.Analyzer.Name:
 		return deterministicPkgs[lastElem(pkgPath)]
-	case metricconv.Analyzer.Name:
-		return hasSuffixIn(pkgPath, metricPkgs)
 	case lockorder.Analyzer.Name, goroutinelife.Analyzer.Name:
 		return hasSuffixIn(pkgPath, concurrencyPkgs)
 	case hotpathalloc.Analyzer.Name:

@@ -87,21 +87,21 @@ func TestFilterScopes(t *testing.T) {
 		{"bglpred/internal/experiments", "determinism", true},
 		{"bglpred/internal/ecg", "determinism", true},
 		{"bglpred/internal/serve", "determinism", false},
-		{"bglpred/internal/serve", "metricconv", true},
-		{"bglpred/cmd/bglserved", "metricconv", true},
-		{"bglpred/internal/preprocess", "metricconv", false},
 		{"bglpred/internal/serve", "callbacklock", true},
 		{"bglpred/internal/online", "wrapsentinel", true},
 		{"bglpred/internal/lifecycle", "faultpoint", true},
 		{"bglpred/internal/serve", "lockorder", true},
 		{"bglpred/internal/ledger", "lockorder", true},
+		{"bglpred/internal/edge", "lockorder", true},
 		{"bglpred/internal/raslog", "lockorder", false},
 		{"bglpred/internal/cluster", "goroutinelife", true},
 		{"bglpred/internal/lifecycle", "goroutinelife", true},
+		{"bglpred/internal/edge", "goroutinelife", true},
 		{"bglpred/internal/assoc", "goroutinelife", false},
 		{"bglpred/internal/raslog", "hotpathalloc", true},
 		{"bglpred/internal/assoc", "hotpathalloc", true},
 		{"bglpred/internal/online", "hotpathalloc", true},
+		{"bglpred/internal/edge", "hotpathalloc", true},
 		{"bglpred/internal/ledger", "hotpathalloc", false},
 	}
 	for _, c := range cases {
@@ -116,7 +116,7 @@ func TestFilterScopes(t *testing.T) {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"callbacklock", "determinism", "faultpoint", "goroutinelife",
-		"hotpathalloc", "lockorder", "metricconv", "wrapsentinel",
+		"hotpathalloc", "lockorder", "wrapsentinel",
 	}
 	known := suite.Known()
 	if len(known) != len(want) {

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bglpred/internal/edge"
 	"bglpred/internal/faultinject"
 	"bglpred/internal/raslog"
 	"bglpred/internal/serve"
@@ -92,6 +93,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// gateQuarantineCap bounds the gate's own quarantine ring.
+const gateQuarantineCap = 128
+
 // IngestResponse is the body of a POST /v1/ingest reply from the
 // gate. Accepted mirrors the single-node field (bglreplay keys on
 // it): every line the gate took responsibility for, whether delivered
@@ -143,8 +147,14 @@ type Gate struct {
 	streamsUp      atomic.Int64 // live fan-in subscriptions to backend streams
 	tampered       atomic.Int64 // backends flagged tampered by ledger checks
 
-	quarantine quarantineRing
-	broker     broker
+	// quarantine holds what only the gate can see: records that decoded
+	// leniently but could not be re-encoded for forwarding. Dropping
+	// them would violate the nothing-silently-vanishes contract, and
+	// forwarding them raw would make a backend ingest them into the
+	// wrong ring owner. Backends keep their own rings for lines that
+	// reach them.
+	quarantine *serve.Quarantine
+	broker     *edge.Broker[Alert]
 
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -191,10 +201,10 @@ func New(cfg Config) (*Gate, error) {
 		client:       client,
 		streamClient: streamClient,
 		start:        time.Now(),
+		quarantine:   serve.NewQuarantine(gateQuarantineCap),
+		broker:       edge.NewBroker[Alert](),
 	}
 	g.ctx, g.cancel = context.WithCancel(context.Background())
-	g.broker.init()
-	g.quarantine.init(gateQuarantineCap)
 	for _, m := range ring.Members() {
 		g.backends = append(g.backends, &backend{
 			url:    m,
@@ -202,14 +212,19 @@ func New(cfg Config) (*Gate, error) {
 			replay: newReplayBuffer(cfg.ReplayCap, cfg.ReplayWindow),
 		})
 	}
-	g.mux.HandleFunc("/v1/ingest", g.handleIngest)
-	g.mux.HandleFunc("/v1/quarantine", g.handleQuarantine)
-	g.mux.HandleFunc("/v1/alerts", g.handleAlerts)
-	g.mux.HandleFunc("/v1/alerts/stream", g.handleStream)
-	g.mux.HandleFunc("/v1/cluster/status", g.handleStatus)
-	g.mux.HandleFunc("/v1/model/reload", g.handleReload)
-	g.mux.HandleFunc("/healthz", g.handleHealthz)
-	g.mux.HandleFunc("/metrics", g.handleMetrics)
+	g.mux.HandleFunc("POST /v1/ingest", g.handleIngest)
+	g.mux.Handle("GET /v1/quarantine", g.quarantine)
+	g.mux.HandleFunc("GET /v1/alerts", g.handleAlerts)
+	// The merged stream is the union of every backend's live alert
+	// stream in a single node's wire format: ids are gate-assigned, and
+	// each event's JSON carries its backend of origin.
+	g.mux.HandleFunc("GET /v1/alerts/stream", func(w http.ResponseWriter, r *http.Request) {
+		g.broker.ServeSSE(w, r, cfg.StreamHeartbeat, func(Alert) int64 { return g.streamSeq.Add(1) })
+	})
+	g.mux.HandleFunc("GET /v1/cluster/status", g.handleStatus)
+	g.mux.HandleFunc("POST /v1/model/reload", g.handleReload)
+	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
+	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
 	return g, nil
 }
 
@@ -243,7 +258,7 @@ func (g *Gate) Close() error {
 	g.closed.Do(func() {
 		g.cancel()
 		g.wg.Wait()
-		g.broker.close()
+		g.broker.Close()
 	})
 	return nil
 }
@@ -281,10 +296,6 @@ func (g *Gate) probeLoop() {
 // cluster's single place to inspect garbage; records that decode but
 // cannot be re-encoded park in the gate's own /v1/quarantine.
 func (g *Gate) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	g.ingestReqs.Add(1)
 
 	var resp IngestResponse
@@ -309,7 +320,7 @@ func (g *Gate) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.Accepted = resp.Routed + resp.Buffered
-	writeJSON(w, code, resp)
+	edge.WriteJSON(w, code, resp)
 }
 
 // ingestText decodes a newline-delimited body and fills batches with
@@ -351,7 +362,7 @@ func (g *Gate) ingestText(body io.Reader, resp *IngestResponse, batches [][]repl
 			// break the nothing-vanishes contract. Park it in the gate's
 			// own quarantine ring and re-arm the writer (validation
 			// errors are sticky).
-			g.quarantine.add(rd.Line(), rd.Raw(), werr)
+			g.quarantine.Add(rd.Line(), rd.Raw(), werr)
 			g.encQuarantined.Add(1)
 			resp.Quarantined++
 			enc.Reset()
@@ -740,10 +751,6 @@ func (g *Gate) AgreedSHA() string {
 // enforcement is suspended for the duration, since a half-rolled
 // cluster is legitimately skewed.
 func (g *Gate) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	g.mu.Lock()
 	if g.swapping {
 		g.mu.Unlock()
@@ -772,7 +779,7 @@ func (g *Gate) handleReload(w http.ResponseWriter, r *http.Request) {
 	abort := func(code int, format string, args ...any) {
 		g.reloadFails.Add(1)
 		reply.Error = fmt.Sprintf(format, args...)
-		writeJSON(w, code, reply)
+		edge.WriteJSON(w, code, reply)
 	}
 
 	for _, b := range g.backends {
@@ -809,7 +816,7 @@ func (g *Gate) handleReload(w http.ResponseWriter, r *http.Request) {
 	g.mu.Unlock()
 	g.swaps.Add(1)
 	reply.AgreedSHA = sha
-	writeJSON(w, http.StatusOK, reply)
+	edge.WriteJSON(w, http.StatusOK, reply)
 }
 
 // reloadBackend POSTs one backend's reload and returns the model it
@@ -845,10 +852,6 @@ func (g *Gate) reloadBackend(b *backend) (*serve.ModelResponse, error) {
 
 // handleStatus serves GET /v1/cluster/status.
 func (g *Gate) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	g.mu.Lock()
 	resp := StatusResponse{
 		AgreedSHA: g.agreedSHA,
@@ -862,7 +865,7 @@ func (g *Gate) handleStatus(w http.ResponseWriter, r *http.Request) {
 		b.mu.Unlock()
 	}
 	resp.UptimeSeconds = time.Since(g.start).Seconds()
-	writeJSON(w, http.StatusOK, resp)
+	edge.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz reports the gate's own liveness: ok when every
@@ -887,7 +890,7 @@ func (g *Gate) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	g.mu.Lock()
 	agreed, swapping := g.agreedSHA, g.swapping
 	g.mu.Unlock()
-	writeJSON(w, code, map[string]any{
+	edge.WriteJSON(w, code, map[string]any{
 		"status":         status,
 		"backends":       len(g.backends),
 		"routable":       routable,
@@ -895,14 +898,4 @@ func (g *Gate) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"swapping":       swapping,
 		"uptime_seconds": time.Since(g.start).Seconds(),
 	})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		_ = err // status line already out; the client sees truncation
-	}
 }

@@ -675,3 +675,29 @@ func TestMergedAlertDedup(t *testing.T) {
 		}
 	}
 }
+
+// TestWrongMethodIs405 holds every gate route to the method its mux
+// pattern declares.
+func TestWrongMethodIs405(t *testing.T) {
+	g, err := New(Config{Backends: []string{"http://b0.cluster.test"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for _, c := range []struct{ method, path, allow string }{
+		{http.MethodGet, "/v1/ingest", "POST"},
+		{http.MethodPost, "/v1/quarantine", "GET, HEAD"},
+		{http.MethodPost, "/v1/alerts", "GET, HEAD"},
+		{http.MethodPost, "/v1/alerts/stream", "GET, HEAD"},
+		{http.MethodPost, "/v1/cluster/status", "GET, HEAD"},
+		{http.MethodGet, "/v1/model/reload", "POST"},
+		{http.MethodPost, "/healthz", "GET, HEAD"},
+		{http.MethodPost, "/metrics", "GET, HEAD"},
+	} {
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))
+		if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != c.allow {
+			t.Errorf("%s %s: status %d, Allow %q; want 405, Allow %q", c.method, c.path, rec.Code, rec.Header().Get("Allow"), c.allow)
+		}
+	}
+}

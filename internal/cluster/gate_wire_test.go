@@ -287,7 +287,7 @@ func TestGateWireCorruptEventRoutesToUnknown(t *testing.T) {
 		t.Fatalf("quarantined %d, want the corrupt record quarantined at its backend", resp.Quarantined)
 	}
 	// The gate itself quarantined nothing — the record was forwarded.
-	if got := tc.gate.quarantine.total(); got != 0 {
+	if got, _ := tc.gate.quarantine.Counts(); got != 0 {
 		t.Fatalf("gate quarantine total = %d, want 0 (corrupt wire events forward to a backend)", got)
 	}
 }

@@ -1,92 +1,68 @@
 package cluster
 
 import (
-	"fmt"
 	"net/http"
 	"time"
+
+	"bglpred/internal/edge"
 )
 
-// handleMetrics writes the gate's Prometheus text exposition: routing
-// and replay counters per backend, cluster health gauges, and the
-// gate's own request counters — the bglgate_ namespace, disjoint from
-// the backends' bglserved_ families so one scrape config can collect
-// both without collisions. Per-backend families are labeled by the
-// backend URL (the ring member identity, stable across restarts).
+// handleMetrics serves GET /metrics.
 func (g *Gate) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	edge.ServeMetrics(w, g.writeMetrics)
+}
 
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("bglgate_ingest_requests_total", "POST /v1/ingest requests served by the gate.", g.ingestReqs.Load())
-	counter("bglgate_parse_errors_total", "Ingest requests aborted by a stream-level read error.", g.parseErrs.Load())
-	counter("bglgate_model_swaps_total", "Completed rolling cluster-wide model swaps.", g.swaps.Load())
-	counter("bglgate_reload_failures_total", "Rolling swaps aborted before completing.", g.reloadFails.Load())
-	counter("bglgate_stream_dropped_total", "Merged SSE events dropped on slow subscribers.", g.broker.droppedTotal())
-	counter("bglgate_encode_quarantined_total", "Records that decoded leniently but failed re-encode and were parked in the gate quarantine.", g.encQuarantined.Load())
-	counter("bglgate_encode_quarantine_dropped_total", "Quarantined records evicted from the gate's bounded ring before an operator read them.", g.quarantine.droppedCount())
-	counter("bglgate_ledger_tampered_total", "Backends flagged tampered by the audit-ledger self-consistency check (head regressed or root changed under a fixed seq).", g.tampered.Load())
+// writeMetrics lists the gate's exposition: routing and replay
+// counters per backend, cluster health gauges, and the gate's own
+// request counters — the bglgate_ namespace, disjoint from the
+// backends' bglserved_ families so one scrape config can collect both
+// without collisions. Per-backend families are labeled by the backend
+// URL (the ring member identity, stable across restarts).
+func (g *Gate) writeMetrics(m *edge.Metrics) {
+	_, quarantineDropped := g.quarantine.Counts()
+	m.Counter("bglgate_ingest_requests_total", "POST /v1/ingest requests served by the gate.", g.ingestReqs.Load())
+	m.Counter("bglgate_parse_errors_total", "Ingest requests aborted by a stream-level read error.", g.parseErrs.Load())
+	m.Counter("bglgate_model_swaps_total", "Completed rolling cluster-wide model swaps.", g.swaps.Load())
+	m.Counter("bglgate_reload_failures_total", "Rolling swaps aborted before completing.", g.reloadFails.Load())
+	m.Counter("bglgate_stream_dropped_total", "Merged SSE events dropped on slow subscribers.", g.broker.Dropped())
+	m.Counter("bglgate_encode_quarantined_total", "Records that decoded leniently but failed re-encode and were parked in the gate quarantine.", g.encQuarantined.Load())
+	m.Counter("bglgate_encode_quarantine_dropped_total", "Quarantined records evicted from the gate's bounded ring before an operator read them.", quarantineDropped)
+	m.Counter("bglgate_ledger_tampered_total", "Backends flagged tampered by the audit-ledger self-consistency check (head regressed or root changed under a fixed seq).", g.tampered.Load())
 
-	fmt.Fprintf(w, "# HELP bglgate_routed_total Lines delivered per backend on the direct path.\n# TYPE bglgate_routed_total counter\n")
-	for _, b := range g.backends {
-		fmt.Fprintf(w, "bglgate_routed_total{backend=%q} %d\n", b.url, b.routed.Load())
-	}
-	fmt.Fprintf(w, "# HELP bglgate_replayed_total Lines delivered per backend from its replay buffer.\n# TYPE bglgate_replayed_total counter\n")
-	for _, b := range g.backends {
-		fmt.Fprintf(w, "bglgate_replayed_total{backend=%q} %d\n", b.url, b.replayed.Load())
-	}
-	fmt.Fprintf(w, "# HELP bglgate_rerouted_total Lines diverted into a backend's replay buffer while it was unroutable.\n# TYPE bglgate_rerouted_total counter\n")
-	for _, b := range g.backends {
-		fmt.Fprintf(w, "bglgate_rerouted_total{backend=%q} %d\n", b.url, b.rerouted.Load())
-	}
-	fmt.Fprintf(w, "# HELP bglgate_forward_errors_total Failed ingest forwards per backend.\n# TYPE bglgate_forward_errors_total counter\n")
-	for _, b := range g.backends {
-		fmt.Fprintf(w, "bglgate_forward_errors_total{backend=%q} %d\n", b.url, b.forwardErrs.Load())
-	}
-	fmt.Fprintf(w, "# HELP bglgate_probe_failures_total Failed health probes per backend.\n# TYPE bglgate_probe_failures_total counter\n")
-	for _, b := range g.backends {
-		fmt.Fprintf(w, "bglgate_probe_failures_total{backend=%q} %d\n", b.url, b.probeFails.Load())
-	}
-	fmt.Fprintf(w, "# HELP bglgate_partial_responses_total Delivered batches whose acknowledgment body was cut (200 status trusted).\n# TYPE bglgate_partial_responses_total counter\n")
-	for _, b := range g.backends {
-		fmt.Fprintf(w, "bglgate_partial_responses_total{backend=%q} %d\n", b.url, b.partials.Load())
-	}
+	bs := g.backends
+	m.CounterVec("bglgate_routed_total", "Lines delivered per backend on the direct path.", "backend", len(bs),
+		func(i int) (string, int64) { return bs[i].url, bs[i].routed.Load() })
+	m.CounterVec("bglgate_replayed_total", "Lines delivered per backend from its replay buffer.", "backend", len(bs),
+		func(i int) (string, int64) { return bs[i].url, bs[i].replayed.Load() })
+	m.CounterVec("bglgate_rerouted_total", "Lines diverted into a backend's replay buffer while it was unroutable.", "backend", len(bs),
+		func(i int) (string, int64) { return bs[i].url, bs[i].rerouted.Load() })
+	m.CounterVec("bglgate_forward_errors_total", "Failed ingest forwards per backend.", "backend", len(bs),
+		func(i int) (string, int64) { return bs[i].url, bs[i].forwardErrs.Load() })
+	m.CounterVec("bglgate_probe_failures_total", "Failed health probes per backend.", "backend", len(bs),
+		func(i int) (string, int64) { return bs[i].url, bs[i].probeFails.Load() })
+	m.CounterVec("bglgate_partial_responses_total", "Delivered batches whose acknowledgment body was cut (200 status trusted).", "backend", len(bs),
+		func(i int) (string, int64) { return bs[i].url, bs[i].partials.Load() })
 
-	type replayView struct {
-		buffered int
-		dropped  int64
-		up       int
-	}
-	views := make([]replayView, len(g.backends))
-	for i, b := range g.backends {
+	// Replay state is read under one lock acquisition per backend, so
+	// the three families describing it agree within a scrape.
+	type replayView struct{ dropped, buffered, up int64 }
+	views := make([]replayView, len(bs))
+	for i, b := range bs {
 		b.mu.Lock()
-		views[i] = replayView{buffered: b.replay.len(), dropped: b.replay.dropped}
+		views[i] = replayView{dropped: b.replay.dropped, buffered: int64(b.replay.len())}
 		if b.state.routable() {
 			views[i].up = 1
 		}
 		b.mu.Unlock()
 	}
-	fmt.Fprintf(w, "# HELP bglgate_replay_dropped_total Replay-buffer lines lost to the window or hard cap, per backend.\n# TYPE bglgate_replay_dropped_total counter\n")
-	for i, b := range g.backends {
-		fmt.Fprintf(w, "bglgate_replay_dropped_total{backend=%q} %d\n", b.url, views[i].dropped)
-	}
-	fmt.Fprintf(w, "# HELP bglgate_replay_buffered Lines currently parked in each backend's replay buffer.\n# TYPE bglgate_replay_buffered gauge\n")
-	for i, b := range g.backends {
-		fmt.Fprintf(w, "bglgate_replay_buffered{backend=%q} %d\n", b.url, views[i].buffered)
-	}
-	fmt.Fprintf(w, "# HELP bglgate_backend_up Whether each backend is routable (up or degraded = 1; down, skewed or tampered = 0).\n# TYPE bglgate_backend_up gauge\n")
-	for i, b := range g.backends {
-		fmt.Fprintf(w, "bglgate_backend_up{backend=%q} %d\n", b.url, views[i].up)
-	}
+	m.CounterVec("bglgate_replay_dropped_total", "Replay-buffer lines lost to the window or hard cap, per backend.", "backend", len(bs),
+		func(i int) (string, int64) { return bs[i].url, views[i].dropped })
+	m.GaugeVec("bglgate_replay_buffered", "Lines currently parked in each backend's replay buffer.", "backend", len(bs),
+		func(i int) (string, int64) { return bs[i].url, views[i].buffered })
+	m.GaugeVec("bglgate_backend_up", "Whether each backend is routable (up or degraded = 1; down, skewed or tampered = 0).", "backend", len(bs),
+		func(i int) (string, int64) { return bs[i].url, views[i].up })
 
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	gauge("bglgate_backends", "Configured backend count.", float64(len(g.backends)))
-	gauge("bglgate_stream_subscriptions", "Live fan-in subscriptions to backend alert streams.", float64(g.streamsUp.Load()))
-	gauge("bglgate_uptime_seconds", "Seconds since gate startup.", time.Since(g.start).Seconds())
+	m.Gauge("bglgate_backends", "Configured backend count.", int64(len(bs)))
+	m.Gauge("bglgate_stream_subscriptions", "Live fan-in subscriptions to backend alert streams.", g.streamsUp.Load())
+	m.GaugeSeconds("bglgate_uptime_seconds", "Seconds since gate startup.", time.Since(g.start))
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"bglpred/internal/edge"
 	"bglpred/internal/serve"
 )
 
@@ -39,10 +40,6 @@ type AlertsResponse struct {
 // handleAlerts fans GET /v1/alerts out to every reachable backend
 // concurrently and merges the responses deterministically.
 func (g *Gate) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	type nodeAlerts struct {
 		url  string
 		resp serve.AlertsResponse
@@ -84,7 +81,7 @@ func (g *Gate) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	}
 	sortAlerts(resp.Standing)
 	resp.Recent = dedupAlerts(recent)
-	writeJSON(w, http.StatusOK, resp)
+	edge.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (g *Gate) fetchAlerts(b *backend) (serve.AlertsResponse, error) {

@@ -3,78 +3,12 @@ package cluster
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bglpred/internal/serve"
 )
-
-// broker fans merged alerts out to the gate's own SSE subscribers —
-// the same never-block contract as the serve-layer broker: a stalled
-// client loses events (counted) rather than stalling the fan-in.
-type broker struct {
-	mu      sync.Mutex
-	subs    map[chan Alert]struct{}
-	closed  bool
-	dropped atomic.Int64
-}
-
-const subBuffer = 64
-
-func (b *broker) init() {
-	b.subs = make(map[chan Alert]struct{})
-}
-
-func (b *broker) subscribe() (ch chan Alert, ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return nil, false
-	}
-	ch = make(chan Alert, subBuffer)
-	b.subs[ch] = struct{}{}
-	return ch, true
-}
-
-func (b *broker) unsubscribe(ch chan Alert) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, live := b.subs[ch]; live {
-		delete(b.subs, ch)
-		close(ch)
-	}
-}
-
-func (b *broker) publish(a Alert) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for ch := range b.subs {
-		select {
-		case ch <- a:
-		default:
-			b.dropped.Add(1)
-		}
-	}
-}
-
-func (b *broker) close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
-	b.closed = true
-	for ch := range b.subs {
-		delete(b.subs, ch)
-		close(ch)
-	}
-}
-
-func (b *broker) droppedTotal() int64 { return b.dropped.Load() }
 
 // streamLoop is one backend's SSE fan-in subscriber: it holds a
 // GET /v1/alerts/stream open against the backend, republishes each
@@ -129,7 +63,7 @@ func (g *Gate) subscribeOnce(b *backend) {
 			if event == "alert" && data != "" {
 				var a serve.Alert
 				if json.Unmarshal([]byte(data), &a) == nil {
-					g.broker.publish(Alert{Alert: a, Backend: b.url})
+					g.broker.Publish(Alert{Alert: a, Backend: b.url})
 				}
 			}
 			event, data = "", ""
@@ -139,64 +73,6 @@ func (g *Gate) subscribeOnce(b *backend) {
 			event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
 		case strings.HasPrefix(line, "data:"):
 			data = strings.TrimSpace(strings.TrimPrefix(line, "data:"))
-		}
-	}
-}
-
-// handleStream serves the gate's merged GET /v1/alerts/stream: the
-// union of every backend's live alert stream as one SSE feed, same
-// wire format as a single node (ids are gate-assigned; each event's
-// JSON carries its backend of origin).
-func (g *Gate) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	ch, ok := g.broker.subscribe()
-	if !ok {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	defer g.broker.unsubscribe(ch)
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprint(w, ": connected\n\n")
-	flusher.Flush()
-
-	var hb <-chan time.Time
-	if g.cfg.StreamHeartbeat > 0 {
-		t := time.NewTicker(g.cfg.StreamHeartbeat)
-		defer t.Stop()
-		hb = t.C
-	}
-
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-hb:
-			if _, err := fmt.Fprint(w, ": hb\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-		case a, live := <-ch:
-			if !live {
-				return
-			}
-			data, err := json.Marshal(a)
-			if err != nil {
-				continue
-			}
-			fmt.Fprintf(w, "id: %d\nevent: alert\ndata: %s\n\n", g.streamSeq.Add(1), data)
-			flusher.Flush()
 		}
 	}
 }

@@ -34,10 +34,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"bglpred/internal/edge"
 )
 
 // File format identity.
@@ -378,9 +379,19 @@ func (l *Ledger) Append(kind Kind, payload []byte) (Receipt, error) {
 	l.committing = true
 	batch := l.queue
 	l.queue = nil
+	failed := l.failed
 	l.mu.Unlock()
 
-	results, err := l.commitBatch(batch)
+	var results []Receipt
+	var err error
+	if failed != nil {
+		// Poisoned while these entries waited behind the batch whose
+		// rollback failed: committing them would bury its torn bytes
+		// mid-chain, under records that were then acknowledged.
+		err = fmt.Errorf("%w: %w", ErrFailed, failed)
+	} else {
+		results, err = l.commitBatch(batch)
+	}
 
 	l.mu.Lock()
 	l.committing = false
@@ -736,16 +747,13 @@ func writeRecord(buf *bytes.Buffer, body []byte, chain [32]byte) {
 	buf.Write(chain[:])
 }
 
-// WriteMetrics appends the ledger's Prometheus text exposition — the
-// bglledger_ families — to w; the serve layer calls it from /metrics.
-func (l *Ledger) WriteMetrics(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("bglledger_entries_total", "Entries committed to the audit ledger.", l.Entries())
-	counter("bglledger_commits_total", "Group commits (one fsync each) sealing entry batches.", l.Commits())
-	counter("bglledger_rollbacks_total", "Failed commits rolled back to the last durable boundary.", l.Rollbacks())
+// WriteMetrics lists the ledger's own families — the bglledger_
+// namespace — on m; the serve layer calls it from /metrics.
+func (l *Ledger) WriteMetrics(m *edge.Metrics) {
+	m.Counter("bglledger_entries_total", "Entries committed to the audit ledger.", l.Entries())
+	m.Counter("bglledger_commits_total", "Group commits (one fsync each) sealing entry batches.", l.Commits())
+	m.Counter("bglledger_rollbacks_total", "Failed commits rolled back to the last durable boundary.", l.Rollbacks())
 	seq, _ := l.Head()
-	fmt.Fprintf(w, "# HELP bglledger_seq Next ledger sequence number (committed records so far).\n# TYPE bglledger_seq gauge\nbglledger_seq %d\n", seq)
-	fmt.Fprintf(w, "# HELP bglledger_anchor_seq Sequence covered by the newest anchor write.\n# TYPE bglledger_anchor_seq gauge\nbglledger_anchor_seq %d\n", l.AnchorSeq())
+	m.Gauge("bglledger_seq", "Next ledger sequence number (committed records so far).", int64(seq))
+	m.Gauge("bglledger_anchor_seq", "Sequence covered by the newest anchor write.", int64(l.AnchorSeq()))
 }

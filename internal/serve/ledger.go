@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"bglpred/internal/edge"
 	"bglpred/internal/ledger"
 )
 
@@ -105,10 +106,6 @@ type ProofsHead struct {
 // with nothing but the proof body (fold leaf through siblings, compare
 // root) plus a trusted root for its commit.
 func (s *Server) handleProofs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	if s.cfg.Ledger == nil {
 		http.Error(w, "no audit ledger configured", http.StatusNotFound)
 		return
@@ -116,7 +113,7 @@ func (s *Server) handleProofs(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("seq")
 	if q == "" {
 		seq, root := s.cfg.Ledger.Head()
-		writeJSON(w, http.StatusOK, ProofsHead{Seq: seq, Root: root})
+		edge.WriteJSON(w, http.StatusOK, ProofsHead{Seq: seq, Root: root})
 		return
 	}
 	seq, err := strconv.ParseUint(q, 10, 64)
@@ -133,5 +130,5 @@ func (s *Server) handleProofs(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), code)
 		return
 	}
-	writeJSON(w, http.StatusOK, p)
+	edge.WriteJSON(w, http.StatusOK, p)
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"bglpred/internal/edge"
 	"bglpred/internal/online"
 	"bglpred/internal/predictor"
 )
@@ -112,12 +113,8 @@ func (s *Server) RestoreShards(states []online.State) error {
 // handleModel serves GET /v1/model (identity and age of the serving
 // model) and dispatches POST /v1/model/reload via handleModelReload.
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	info := s.Model()
-	writeJSON(w, http.StatusOK, ModelResponse{
+	edge.WriteJSON(w, http.StatusOK, ModelResponse{
 		ModelInfo:  info,
 		AgeSeconds: time.Since(info.LoadedAt).Seconds(),
 		Swaps:      s.swaps.Load(),
@@ -129,10 +126,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 // disk — the daemon decides) and replies with the model that is
 // serving afterwards.
 func (s *Server) handleModelReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	if s.cfg.Reload == nil {
 		http.Error(w, "no reload hook configured (start with -load-model or -retrain-interval)", http.StatusNotImplemented)
 		return
@@ -142,7 +135,7 @@ func (s *Server) handleModelReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info := s.Model()
-	writeJSON(w, http.StatusOK, ModelResponse{
+	edge.WriteJSON(w, http.StatusOK, ModelResponse{
 		ModelInfo:  info,
 		AgeSeconds: time.Since(info.LoadedAt).Seconds(),
 		Swaps:      s.swaps.Load(),

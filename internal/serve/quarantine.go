@@ -2,8 +2,9 @@ package serve
 
 import (
 	"net/http"
-	"sync"
 	"time"
+
+	"bglpred/internal/edge"
 )
 
 // rawSnippet bounds how much of an offending line the quarantine
@@ -41,81 +42,39 @@ type QuarantineResponse struct {
 	Recent []QuarantinedRecord `json:"recent"`
 }
 
-// quarantineLog is the bounded ring of malformed ingest records, same
-// shape as alertLog: lifetime total plus the newest capacity entries.
-type quarantineLog struct {
-	mu      sync.Mutex
-	buf     []QuarantinedRecord
-	cap     int
-	next    int64
-	dropped int64 // entries evicted by the ring on overflow
+// WithSeq implements edge.Sequenced: the ring assigns Seq.
+func (q QuarantinedRecord) WithSeq(seq int64) QuarantinedRecord { q.Seq = seq; return q }
+
+// Quarantine is the bounded ring of records an ingest path could not
+// accept, and the GET /v1/quarantine handler over it: the recent
+// records and the lifetime counts, for debugging upstream producers
+// without scraping server logs. The cluster gate keeps one of its own,
+// so operators read one schema cluster-wide.
+type Quarantine struct {
+	ring *edge.Ring[QuarantinedRecord]
 }
 
-func (q *quarantineLog) init(capacity int) {
-	q.cap = capacity
-	q.buf = make([]QuarantinedRecord, 0, capacity)
+// NewQuarantine returns a quarantine holding the newest capacity records.
+func NewQuarantine(capacity int) *Quarantine {
+	return &Quarantine{ring: edge.NewRing[QuarantinedRecord](capacity)}
 }
 
-func (q *quarantineLog) add(line int64, raw string, cause error) {
+// Add parks one record: the 1-based body line it came from (0 when
+// unknown), the offending text, and why it was refused.
+func (q *Quarantine) Add(line int64, raw string, cause error) {
 	if len(raw) > rawSnippet {
 		raw = raw[:rawSnippet]
 	}
-	rec := QuarantinedRecord{
-		At:    time.Now(),
-		Line:  line,
-		Raw:   raw,
-		Cause: cause.Error(),
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	rec.Seq = q.next
-	if len(q.buf) < q.cap {
-		q.buf = append(q.buf, rec)
-	} else {
-		// Overwriting the oldest entry loses it for inspection; count
-		// the eviction instead of letting it happen silently.
-		q.buf[q.next%int64(q.cap)] = rec
-		q.dropped++
-	}
-	q.next++
+	q.ring.Add(QuarantinedRecord{At: time.Now(), Line: line, Raw: raw, Cause: cause.Error()})
 }
 
-func (q *quarantineLog) droppedCount() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.dropped
-}
+// Counts returns how many records were ever quarantined and how many
+// of those the ring has since evicted.
+func (q *Quarantine) Counts() (total, dropped int64) { return q.ring.Counts() }
 
-func (q *quarantineLog) total() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.next
-}
-
-func (q *quarantineLog) snapshot() ([]QuarantinedRecord, int64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]QuarantinedRecord, 0, len(q.buf))
-	if len(q.buf) < q.cap {
-		out = append(out, q.buf...)
-	} else {
-		head := q.next % int64(q.cap)
-		out = append(out, q.buf[head:]...)
-		out = append(out, q.buf[:head]...)
-	}
-	return out, q.next
-}
-
-// handleQuarantine serves GET /v1/quarantine: the recent malformed
-// ingest records and the lifetime count, for debugging upstream
-// producers without scraping server logs.
-func (s *Server) handleQuarantine(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
+// ServeHTTP serves GET /v1/quarantine.
+func (q *Quarantine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var resp QuarantineResponse
-	resp.Recent, resp.Total = s.quarantine.snapshot()
-	resp.Dropped = s.quarantine.droppedCount()
-	writeJSON(w, http.StatusOK, resp)
+	resp.Recent, resp.Total, resp.Dropped = q.ring.Snapshot()
+	edge.WriteJSON(w, http.StatusOK, resp)
 }

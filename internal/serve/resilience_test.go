@@ -249,7 +249,7 @@ func TestSSEHeartbeatAndDisconnectCleanup(t *testing.T) {
 	}
 	defer resp.Body.Close()
 
-	if got := s.broker.subscribers(); got != 1 {
+	if got := s.broker.Subscribers(); got != 1 {
 		t.Fatalf("subscribers = %d after connect, want 1", got)
 	}
 
@@ -284,9 +284,9 @@ func TestSSEHeartbeatAndDisconnectCleanup(t *testing.T) {
 	cancel()
 	resp.Body.Close()
 	cleanupDeadline := time.Now().Add(5 * time.Second)
-	for s.broker.subscribers() != 0 {
+	for s.broker.Subscribers() != 0 {
 		if time.Now().After(cleanupDeadline) {
-			t.Fatalf("subscribers = %d after disconnect, want 0", s.broker.subscribers())
+			t.Fatalf("subscribers = %d after disconnect, want 0", s.broker.Subscribers())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -37,7 +37,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -45,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bglpred/internal/edge"
 	"bglpred/internal/faultinject"
 	"bglpred/internal/ledger"
 	"bglpred/internal/online"
@@ -121,9 +121,9 @@ type Config struct {
 	// returning.
 	Reload func() error
 	// AuxMetrics, when set, is invoked at the end of GET /metrics to
-	// append extra exposition lines (the daemon wires lifecycle
-	// retry/give-up counters through it).
-	AuxMetrics func(io.Writer)
+	// append extra families (the daemon wires lifecycle retry/give-up
+	// counters through it).
+	AuxMetrics func(*edge.Metrics)
 	// Inject is the fault-injection harness consulted at the serving
 	// layer's fault points (shard panic/slow, ingest corruption). Nil
 	// — the production configuration — compiles every fault point down
@@ -191,6 +191,9 @@ type Alert struct {
 	Source     string  `json:"source"`
 	Detail     string  `json:"detail"`
 }
+
+// WithSeq implements edge.Sequenced: the history ring assigns Seq.
+func (a Alert) WithSeq(seq int64) Alert { a.Seq = seq; return a }
 
 // IngestResponse is the body of a POST /v1/ingest reply.
 type IngestResponse struct {
@@ -276,16 +279,16 @@ type Server struct {
 	shedTotal  atomic.Int64
 	lastShed   atomic.Int64 // unixnano of the most recent shed, 0 if none
 	deadlined  atomic.Int64 // ingest requests cut short by their deadline
-	latency    histogram
+	latency    *edge.Histogram
 
 	// model is the RCU-published identity of the serving model; swaps
 	// replace the pointer after the engines have switched over.
 	model atomic.Pointer[ModelInfo]
 	swaps atomic.Int64
 
-	history    alertLog
-	quarantine quarantineLog
-	broker     broker
+	history    *edge.Ring[Alert]
+	quarantine *Quarantine
+	broker     *edge.Broker[Alert]
 
 	// Audit-ledger append outcomes (both 0 when cfg.Ledger is nil).
 	ledgerAppends atomic.Int64
@@ -298,15 +301,15 @@ type Server struct {
 func New(meta *predictor.Meta, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		mux:   http.NewServeMux(),
-		start: time.Now(),
+		cfg:        cfg,
+		mux:        http.NewServeMux(),
+		start:      time.Now(),
+		latency:    edge.NewHistogram(latencyBounds),
+		history:    edge.NewRing[Alert](cfg.History),
+		quarantine: NewQuarantine(cfg.QuarantineCap),
+		broker:     edge.NewBroker[Alert](),
 	}
 	s.meta.Store(meta)
-	s.latency.init()
-	s.history.init(cfg.History)
-	s.quarantine.init(cfg.QuarantineCap)
-	s.broker.init()
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{id: i, ch: make(chan shardMsg, cfg.QueueDepth)}
 		sh.eng.Store(s.newEngine(i))
@@ -325,15 +328,19 @@ func New(meta *predictor.Meta, cfg Config) *Server {
 		info.Predictors = meta.BaseNames()
 	}
 	s.model.Store(&info)
-	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
-	s.mux.HandleFunc("/v1/alerts", s.handleAlerts)
-	s.mux.HandleFunc("/v1/alerts/stream", s.handleStream)
-	s.mux.HandleFunc("/v1/quarantine", s.handleQuarantine)
-	s.mux.HandleFunc("/v1/proofs", s.handleProofs)
-	s.mux.HandleFunc("/v1/model", s.handleModel)
-	s.mux.HandleFunc("/v1/model/reload", s.handleModelReload)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
+	s.mux.HandleFunc("GET /v1/alerts", s.handleAlerts)
+	// A subscriber sees only alarms raised after it connects; GET
+	// /v1/alerts has the history. The event id is the alert's Seq.
+	s.mux.HandleFunc("GET /v1/alerts/stream", func(w http.ResponseWriter, r *http.Request) {
+		s.broker.ServeSSE(w, r, cfg.StreamHeartbeat, func(a Alert) int64 { return a.Seq })
+	})
+	s.mux.Handle("GET /v1/quarantine", s.quarantine)
+	s.mux.HandleFunc("GET /v1/proofs", s.handleProofs)
+	s.mux.HandleFunc("GET /v1/model", s.handleModel)
+	s.mux.HandleFunc("POST /v1/model/reload", s.handleModelReload)
+	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
 }
 
@@ -369,7 +376,7 @@ func (s *Server) Close() error {
 	}
 	s.closeMu.Unlock()
 	s.wg.Wait() // drain: every queued record reaches its engine
-	s.broker.close()
+	s.broker.Close()
 	return nil
 }
 
@@ -418,7 +425,7 @@ func (s *Server) shardLoop(sh *shard) (clean bool) {
 		}
 		sh.sinceSnap += len(msg.evs)
 		recycleBatch(msg.evs)
-		s.latency.observe(time.Since(msg.at))
+		s.latency.Observe(time.Since(msg.at))
 		if sh.sinceSnap >= s.cfg.SnapshotEvery {
 			st := sh.engine().State()
 			sh.lastGood.Store(&st)
@@ -449,7 +456,7 @@ func (s *Server) onAlert(i int) func(predictor.Warning) {
 		if w.Confidence < s.cfg.MinConfidence {
 			return
 		}
-		a := Alert{
+		a := s.history.Add(Alert{ // assigns Seq
 			Shard:      i,
 			At:         w.At,
 			Start:      w.Start,
@@ -457,9 +464,8 @@ func (s *Server) onAlert(i int) func(predictor.Warning) {
 			Confidence: w.Confidence,
 			Source:     w.Source,
 			Detail:     w.Detail,
-		}
-		s.history.add(&a) // assigns Seq
-		s.broker.publish(a)
+		})
+		s.broker.Publish(a)
 		s.appendAlertRecord(a)
 	}
 }
@@ -527,10 +533,6 @@ func (s *Server) noteShed() {
 // 200 means the alert surfaces reflect the batch. The whole request
 // runs under RequestTimeout; a saturated shard sheds with 429.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed {
@@ -558,7 +560,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		dec := wireDecoders.Get().(*raslog.WireDecoder)
 		dec.Reset(body)
 		dec.OnSkip = func(rec []byte, err error) {
-			s.quarantine.add(0, string(rec), err)
+			s.quarantine.Add(0, string(rec), err)
 			resp.Quarantined++
 		}
 		code = s.ingest(ctx, dec.ReadFrame, &resp, touched)
@@ -568,7 +570,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		dec := textDecoders.Get().(*textDecoder)
 		dec.rd.Reset(body)
 		dec.rd.Lenient(func(le raslog.LineError) {
-			s.quarantine.add(le.Line, le.Raw, le.Err)
+			s.quarantine.Add(le.Line, le.Raw, le.Err)
 			resp.Quarantined++
 		})
 		code = s.ingest(ctx, dec.readChunk, &resp, touched)
@@ -591,7 +593,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.appendIngestRecord(digest, &resp)
 
 	resp.RejectedTotal = s.rejectedTotal()
-	writeJSON(w, code, resp)
+	edge.WriteJSON(w, code, resp)
 }
 
 // Decoders are pooled across ingest requests so their buffers and
@@ -727,7 +729,7 @@ loop:
 		}
 		for i := range evs {
 			if err := s.cfg.Inject.Fire(faultinject.IngestCorrupt); err != nil {
-				s.quarantine.add(0, evs[i].EntryData, err)
+				s.quarantine.Add(0, evs[i].EntryData, err)
 				resp.Quarantined++
 				continue
 			}
@@ -825,10 +827,6 @@ func (s *Server) barrier(ctx context.Context, touched []bool) bool {
 
 // handleAlerts serves the standing alarms and the recent-alert ring.
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	var resp AlertsResponse
 	resp.Standing = []Alert{}
 	for i, sh := range s.shards {
@@ -847,8 +845,8 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	resp.Recent, resp.TotalAlerts = s.history.snapshot()
-	writeJSON(w, http.StatusOK, resp)
+	resp.Recent, resp.TotalAlerts, _ = s.history.Snapshot()
+	edge.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz is the liveness/readiness probe. A degraded service
@@ -907,59 +905,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.AuxHealth != nil {
 		s.cfg.AuxHealth(resp)
 	}
-	writeJSON(w, code, resp)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		// The status line is already out; nothing to do but log-free
-		// best effort (the client sees a truncated body).
-		_ = err
-	}
-}
-
-// alertLog is the fixed-capacity ring of recent alerts.
-type alertLog struct {
-	mu   sync.Mutex
-	buf  []Alert
-	cap  int
-	next int64 // total alerts ever added; also the next Seq
-}
-
-func (l *alertLog) init(capacity int) {
-	l.cap = capacity
-	l.buf = make([]Alert, 0, capacity)
-}
-
-// add assigns the alert's Seq and records it.
-func (l *alertLog) add(a *Alert) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	a.Seq = l.next
-	if len(l.buf) < l.cap {
-		l.buf = append(l.buf, *a)
-	} else {
-		l.buf[l.next%int64(l.cap)] = *a
-	}
-	l.next++
-}
-
-// snapshot returns the ring contents oldest-first plus the lifetime
-// alert count.
-func (l *alertLog) snapshot() ([]Alert, int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Alert, 0, len(l.buf))
-	if len(l.buf) < l.cap {
-		out = append(out, l.buf...)
-	} else {
-		head := l.next % int64(l.cap)
-		out = append(out, l.buf[head:]...)
-		out = append(out, l.buf[:head]...)
-	}
-	return out, l.next
+	edge.WriteJSON(w, code, resp)
 }

@@ -346,3 +346,28 @@ func TestHealthzAndMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestWrongMethodIs405 holds every route to the method its mux pattern
+// declares.
+func TestWrongMethodIs405(t *testing.T) {
+	meta, _ := fixture(t)
+	s := New(meta, Config{Shards: 1})
+	defer s.Close()
+	for _, c := range []struct{ method, path, allow string }{
+		{http.MethodGet, "/v1/ingest", "POST"},
+		{http.MethodPost, "/v1/alerts", "GET, HEAD"},
+		{http.MethodPost, "/v1/alerts/stream", "GET, HEAD"},
+		{http.MethodPost, "/v1/quarantine", "GET, HEAD"},
+		{http.MethodPost, "/v1/proofs", "GET, HEAD"},
+		{http.MethodPost, "/v1/model", "GET, HEAD"},
+		{http.MethodGet, "/v1/model/reload", "POST"},
+		{http.MethodPost, "/healthz", "GET, HEAD"},
+		{http.MethodPost, "/metrics", "GET, HEAD"},
+	} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))
+		if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != c.allow {
+			t.Errorf("%s %s: status %d, Allow %q; want 405, Allow %q", c.method, c.path, rec.Code, rec.Header().Get("Allow"), c.allow)
+		}
+	}
+}
