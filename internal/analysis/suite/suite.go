@@ -9,7 +9,7 @@
 // the packages that own mutexes and long-lived goroutines (serve,
 // cluster, edge, ledger, lifecycle, online), and hotpathalloc the
 // packages the //bglvet:hotpath roots and their call closures live in
-// (raslog, assoc, serve, edge, online, catalog).
+// (raslog, assoc, serve, edge, online, preprocess, catalog).
 package suite
 
 import (
@@ -76,10 +76,12 @@ var concurrencyPkgs = []string{
 // hotPkgs hold the //bglvet:hotpath roots (binwire decoding, packed
 // Apriori counting, serve/online ingest) and the packages their call
 // closures stay within (serve's ingest parks records in an edge.Ring
-// and times hand-offs with an edge.Histogram).
+// and times hand-offs with an edge.Histogram; online's ingest steps
+// preprocess's Compressor).
 var hotPkgs = []string{
 	"internal/raslog", "internal/assoc", "internal/serve",
-	"internal/edge", "internal/online", "internal/catalog",
+	"internal/edge", "internal/online", "internal/preprocess",
+	"internal/catalog",
 }
 
 // Filter is the default package-scoping policy.

@@ -102,6 +102,7 @@ func TestFilterScopes(t *testing.T) {
 		{"bglpred/internal/assoc", "hotpathalloc", true},
 		{"bglpred/internal/online", "hotpathalloc", true},
 		{"bglpred/internal/edge", "hotpathalloc", true},
+		{"bglpred/internal/preprocess", "hotpathalloc", true},
 		{"bglpred/internal/ledger", "hotpathalloc", false},
 	}
 	for _, c := range cases {

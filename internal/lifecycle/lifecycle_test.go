@@ -200,6 +200,61 @@ func TestKillAndRestoreEquivalence(t *testing.T) {
 	}
 }
 
+// TestParentCheckpointRestores is the checkpoint compatibility golden:
+// testdata/checkpoint_parent.bglc was written by the commit before the
+// Phase 1 kernel (engine-private dedup tables, map-ordered export)
+// from a 3-shard server over the fixture model after
+// tail[:parentCheckpointCut], with an alarm standing on shard 0 and
+// shard 2 never touched. It must load, restore, and yield the alerts
+// an uninterrupted run emits over the rest of the stream.
+func TestParentCheckpointRestores(t *testing.T) {
+	const parentCheckpointCut = 10554
+	meta, _, tail := fixture(t)
+	cfg := serve.Config{Shards: 3, History: 1 << 16, Window: 30 * time.Minute}
+
+	control := serve.New(meta, cfg)
+	defer control.Close()
+	post(t, control, encode(t, tail[:parentCheckpointCut]))
+	before := getAlerts(t, control)
+	post(t, control, encode(t, tail[parentCheckpointCut:]))
+	want := getAlerts(t, control)
+
+	cp, _, err := LoadCheckpoint(filepath.Join("testdata", "checkpoint_parent.bglc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cp.Shards[0]; !st.Stepper.Active || !st.Stepper.Current.End.After(st.LastSeen) || len(st.Temporal) == 0 {
+		t.Fatalf("golden carries no standing alarm or no compression windows: %+v", st)
+	}
+	restored := serve.New(meta, cfg)
+	defer restored.Close()
+	if err := restored.RestoreShards(cp.Shards); err != nil {
+		t.Fatal(err)
+	}
+	post(t, restored, encode(t, tail[parentCheckpointCut:]))
+	got := getAlerts(t, restored)
+
+	combined := keysOf(before.Recent)
+	for shard, keys := range keysOf(got.Recent) {
+		combined[shard] = append(combined[shard], keys...)
+	}
+	if !reflect.DeepEqual(combined, keysOf(want.Recent)) {
+		t.Fatalf("alert streams diverge:\nparent checkpoint + restored: %+v\nuninterrupted: %+v",
+			combined, keysOf(want.Recent))
+	}
+	if got.TotalAlerts == 0 {
+		t.Fatal("restored run raised no alerts; golden is degenerate")
+	}
+	// The alert stream tolerates a stray unique event; the counters do
+	// not, so they pin the restored compression windows too.
+	wantStates := control.ExportShards()
+	for i, st := range restored.ExportShards() {
+		if st.Counters != wantStates[i].Counters {
+			t.Errorf("shard %d counters %+v, uninterrupted %+v", i, st.Counters, wantStates[i].Counters)
+		}
+	}
+}
+
 // TestRestoreRefusesWrongModel: stale state over different rules must
 // be refused, not silently served.
 func TestRestoreRefusesWrongModel(t *testing.T) {

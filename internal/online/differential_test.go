@@ -1,8 +1,8 @@
 package online
 
 import (
-	"fmt"
 	"testing"
+	"time"
 
 	"bglpred/internal/bglsim"
 	"bglpred/internal/predictor"
@@ -10,12 +10,12 @@ import (
 )
 
 // TestStreamingMatchesBatchCompression is the differential test
-// between the two Phase 1 implementations: batch preprocess.Run
-// (sharded, parallel) and the engine's streaming compression must
-// keep exactly the same raw records as unique events. An untrained
-// meta-learner raises no alarms, so the engine acts as a pure
-// streaming compressor here. Both settings of the spatial
-// same-location knob are pinned.
+// between the two drivers of the Phase 1 kernel: batch preprocess.Run
+// (sharded, parallel) and the engine must keep exactly the same raw
+// records as unique events when handed the same preprocess.Options —
+// the training pipeline's settings, literal temporal key and
+// non-default thresholds included. An untrained meta-learner raises
+// no alarms, so the engine acts as a pure streaming compressor here.
 func TestStreamingMatchesBatchCompression(t *testing.T) {
 	gen, err := bglsim.Generate(bglsim.ANLProfile().Scaled(0.004))
 	if err != nil {
@@ -24,18 +24,21 @@ func TestStreamingMatchesBatchCompression(t *testing.T) {
 	if len(gen.Events) < 2*4096 {
 		t.Fatalf("only %d records; need enough to exercise the sharded batch path", len(gen.Events))
 	}
-	for _, same := range []bool{false, true} {
-		t.Run(fmt.Sprintf("sameLocation=%v", same), func(t *testing.T) {
-			batch := preprocess.Run(gen.Events, preprocess.Options{
-				Workers:                  4, // force the shard-then-merge path
-				SpatialMergeSameLocation: same,
-			})
+	for name, opts := range map[string]preprocess.Options{
+		"defaults":                    {},
+		"literalKey":                  {TemporalKeyIgnoresCategory: true},
+		"thresholds=1m,15m":           {TemporalThreshold: time.Minute, SpatialThreshold: 15 * time.Minute},
+		"literalKey+thresholds=1h,1s": {TemporalThreshold: time.Hour, SpatialThreshold: time.Second, TemporalKeyIgnoresCategory: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			opts.Workers = 4 // force the shard-then-merge path
+			batch := preprocess.Run(gen.Events, opts)
 			want := make(map[int64]bool, len(batch.Events))
 			for i := range batch.Events {
 				want[batch.Events[i].RecID] = true
 			}
 
-			eng := New(predictor.NewMeta(), Config{SpatialMergeSameLocation: same})
+			eng := New(predictor.NewMeta(), Config{Preprocess: opts})
 			got := make(map[int64]bool, len(want))
 			for i := range gen.Events {
 				ing, err := eng.Ingest(&gen.Events[i])

@@ -1,9 +1,10 @@
 // Package online is the deployable form of the three-phase predictor
 // (paper §3.3: "it is practical to deploy the meta-learner as an
 // online prediction engine"). An Engine ingests raw RAS records one
-// at a time, performs streaming Phase 1 compression with bounded
-// memory, and drives a trained meta-learner incrementally, surfacing
-// alarm transitions as they happen.
+// at a time, classifies them, runs them through the same Phase 1
+// compression kernel the training pipeline uses (preprocess.Compressor)
+// and drives a trained meta-learner incrementally, surfacing alarm
+// transitions as they happen.
 package online
 
 import (
@@ -23,10 +24,10 @@ import (
 type Config struct {
 	// Window is the prediction window alarms cover.
 	Window time.Duration
-	// TemporalThreshold and SpatialThreshold are the Phase 1
-	// compression windows (default 300 s each).
-	TemporalThreshold time.Duration
-	SpatialThreshold  time.Duration
+	// Preprocess is the Phase 1 configuration; hand the engine the
+	// value its model was trained with so both compress alike. Workers
+	// is ignored.
+	Preprocess preprocess.Options
 	// OnAlert, when set, is invoked synchronously for every new alarm
 	// (not for renewals). It runs outside the engine's state lock, so
 	// it may call back into the engine (Counters, ActiveAlert); with
@@ -37,25 +38,6 @@ type Config struct {
 	// append-only operations log (timestamp, confidence, source,
 	// detail).
 	Journal io.Writer
-	// SpatialMergeSameLocation relaxes the paper's "different
-	// locations" wording for streaming spatial compression, mirroring
-	// preprocess.Options.SpatialMergeSameLocation: when set, a record
-	// is suppressed by a same-entry same-job window even when it comes
-	// from the window's own representative location.
-	SpatialMergeSameLocation bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Window == 0 {
-		c.Window = 30 * time.Minute
-	}
-	if c.TemporalThreshold == 0 {
-		c.TemporalThreshold = preprocess.DefaultThreshold
-	}
-	if c.SpatialThreshold == 0 {
-		c.SpatialThreshold = preprocess.DefaultThreshold
-	}
-	return c
 }
 
 // Counters tracks engine activity.
@@ -88,43 +70,22 @@ type Engine struct {
 	cfg     Config
 	clf     *catalog.Interner
 	stepper *predictor.Stepper
+	comp    *preprocess.Compressor
 
-	temporal map[tkey]time.Time
-	spatial  map[skey]sstate
 	lastSeen time.Time
-	lastGC   time.Time
-
 	counters Counters
-}
-
-type tkey struct {
-	job int64
-	loc raslog.Location
-	sub int
-}
-
-type skey struct {
-	job   int64
-	entry string
-}
-
-// sstate is a spatial window: when it last absorbed a record and the
-// location of its representative (first) record, which the paper's
-// "different locations" rule compares against.
-type sstate struct {
-	last time.Time
-	loc  raslog.Location
 }
 
 // New builds an engine over a trained meta-learner.
 func New(meta *predictor.Meta, cfg Config) *Engine {
-	cfg = cfg.withDefaults()
+	if cfg.Window == 0 {
+		cfg.Window = 30 * time.Minute
+	}
 	return &Engine{
-		cfg:      cfg,
-		clf:      catalog.NewInterner(0),
-		stepper:  meta.Stepper(cfg.Window),
-		temporal: make(map[tkey]time.Time),
-		spatial:  make(map[skey]sstate),
+		cfg:     cfg,
+		clf:     catalog.NewInterner(0),
+		stepper: meta.Stepper(cfg.Window),
+		comp:    preprocess.NewCompressor(cfg.Preprocess),
 	}
 }
 
@@ -136,20 +97,7 @@ func (e *Engine) Ingest(ev *raslog.Event) (Ingestion, error) {
 	if err != nil || out.Alert == nil || out.Renewed {
 		return out, err
 	}
-	// A new alarm: emit after releasing the state lock so OnAlert may
-	// reenter the engine. emitMu keeps the journal and callback stream
-	// serialized even under concurrent ingesters.
-	e.emitMu.Lock()
-	w := *out.Alert
-	if e.cfg.Journal != nil {
-		fmt.Fprintf(e.cfg.Journal, "%s alert conf=%.3f source=%s until=%s detail=%q\n",
-			w.At.UTC().Format(time.RFC3339), w.Confidence, w.Source,
-			w.End.UTC().Format(time.RFC3339), w.Detail)
-	}
-	if e.cfg.OnAlert != nil {
-		e.cfg.OnAlert(w)
-	}
-	e.emitMu.Unlock()
+	e.emit([]predictor.Warning{*out.Alert})
 	return out, nil
 }
 
@@ -178,11 +126,21 @@ func (e *Engine) IngestBatch(evs []raslog.Event) (rejected int64) {
 		}
 	}
 	e.mu.Unlock()
-	if len(pend) == 0 {
-		return rejected
+	e.emit(pend)
+	return rejected
+}
+
+// emit journals and delivers new alarms, in order. It runs after the
+// state lock is released so OnAlert may reenter the engine; emitMu
+// keeps the journal and callback stream serialized even under
+// concurrent ingesters.
+func (e *Engine) emit(alarms []predictor.Warning) {
+	if len(alarms) == 0 {
+		return
 	}
 	e.emitMu.Lock()
-	for _, w := range pend {
+	defer e.emitMu.Unlock()
+	for _, w := range alarms {
 		if e.cfg.Journal != nil {
 			//bglvet:ignore hotpathalloc journal lines are written per emitted alarm, which is rare relative to ingest volume
 			fmt.Fprintf(e.cfg.Journal, "%s alert conf=%.3f source=%s until=%s detail=%q\n",
@@ -193,8 +151,6 @@ func (e *Engine) IngestBatch(evs []raslog.Event) (rejected int64) {
 			e.cfg.OnAlert(w)
 		}
 	}
-	e.emitMu.Unlock()
-	return rejected
 }
 
 // ingestLocked is the state transition; e.mu must be held.
@@ -206,7 +162,6 @@ func (e *Engine) ingestLocked(ev *raslog.Event) (Ingestion, error) {
 	}
 	e.lastSeen = ev.Time
 	e.counters.Ingested++
-	e.maybeGC(ev.Time)
 
 	sub, ok := e.clf.Classify(ev)
 	if !ok {
@@ -215,26 +170,9 @@ func (e *Engine) ingestLocked(ev *raslog.Event) (Ingestion, error) {
 	}
 	out := Ingestion{Sub: sub}
 
-	// Streaming temporal compression (single location).
-	tk := tkey{job: ev.JobID, loc: ev.Location, sub: sub.ID}
-	if last, seen := e.temporal[tk]; seen && ev.Time.Sub(last) <= e.cfg.TemporalThreshold {
-		e.temporal[tk] = ev.Time
+	if v, _ := e.comp.Step(ev, sub.ID); v != preprocess.Unique {
 		return out, nil
 	}
-	e.temporal[tk] = ev.Time
-
-	// Streaming spatial compression (same entry and job; per the
-	// paper, from a location other than the representative's, unless
-	// configured to merge same-location repeats too).
-	sk := skey{job: ev.JobID, entry: ev.EntryData}
-	if st, seen := e.spatial[sk]; seen && ev.Time.Sub(st.last) <= e.cfg.SpatialThreshold &&
-		(e.cfg.SpatialMergeSameLocation || ev.Location != st.loc) {
-		st.last = ev.Time
-		e.spatial[sk] = st
-		return out, nil
-	}
-	e.spatial[sk] = sstate{last: ev.Time, loc: ev.Location}
-
 	out.Unique = true
 	e.counters.Unique++
 
@@ -250,31 +188,6 @@ func (e *Engine) ingestLocked(ev *raslog.Event) (Ingestion, error) {
 		out.Renewed = true
 	}
 	return out, nil
-}
-
-// maybeGC prunes compression state older than both thresholds; it
-// bounds memory to the working set of the last few minutes.
-func (e *Engine) maybeGC(now time.Time) {
-	const gcEvery = 10 * time.Minute
-	if !e.lastGC.IsZero() && now.Sub(e.lastGC) < gcEvery {
-		return
-	}
-	e.lastGC = now
-	horizon := e.cfg.TemporalThreshold
-	if e.cfg.SpatialThreshold > horizon {
-		horizon = e.cfg.SpatialThreshold
-	}
-	cutoff := now.Add(-horizon)
-	for k, last := range e.temporal {
-		if last.Before(cutoff) {
-			delete(e.temporal, k)
-		}
-	}
-	for k, st := range e.spatial {
-		if st.last.Before(cutoff) {
-			delete(e.spatial, k)
-		}
-	}
 }
 
 // ActiveAlert returns the alarm standing at time t, if any.
@@ -299,8 +212,8 @@ type Snapshot struct {
 	// LastSeen is the timestamp of the newest record ingested (zero if
 	// none yet) — the engine's notion of "now".
 	LastSeen time.Time
-	// PendingKeys is the current size of the streaming-compression
-	// dedup state (temporal + spatial keys), a memory gauge.
+	// PendingKeys is the number of live Phase 1 compression windows
+	// (temporal + spatial keys), a memory gauge.
 	PendingKeys int
 	// Standing is the alarm in force at LastSeen, nil if none — the
 	// same state a checkpoint persists, so observability surfaces
@@ -316,7 +229,7 @@ func (e *Engine) Snapshot() Snapshot {
 	snap := Snapshot{
 		Counters:    e.counters,
 		LastSeen:    e.lastSeen,
-		PendingKeys: len(e.temporal) + len(e.spatial),
+		PendingKeys: e.comp.Pending(),
 	}
 	if w, ok := e.stepper.Standing(e.lastSeen); ok {
 		snap.Standing = &w

@@ -1,6 +1,8 @@
 package online
 
 import (
+	"bytes"
+	"encoding/gob"
 	"strings"
 	"sync"
 	"testing"
@@ -157,7 +159,7 @@ func TestEngineBoundedMemory(t *testing.T) {
 	}
 	// After GC the dedup maps must hold far fewer keys than the number
 	// of unique events processed.
-	if n := len(e.temporal) + len(e.spatial); int64(n) > e.Counters().Unique/2+100 {
+	if n := e.Snapshot().PendingKeys; int64(n) > e.Counters().Unique/2+100 {
 		t.Fatalf("dedup state holds %d keys for %d unique events; GC not working",
 			n, e.Counters().Unique)
 	}
@@ -252,5 +254,32 @@ func TestEngineJournal(t *testing.T) {
 	}
 	if lines > 0 && !strings.Contains(journal.String(), "conf=") {
 		t.Fatalf("journal format wrong: %q", journal.String()[:80])
+	}
+	var batched strings.Builder
+	New(meta, Config{Window: 30 * time.Minute, Journal: &batched}).IngestBatch(raw)
+	if batched.String() != journal.String() {
+		t.Fatal("IngestBatch journals differently from Ingest")
+	}
+}
+
+// TestStateBytesAreDeterministic: checkpoint bytes are a function of
+// engine state, so two engines fed the same stream must gob-encode
+// identically (ledger checkpoint payloads and SHAs depend on it).
+func TestStateBytesAreDeterministic(t *testing.T) {
+	meta, raw := trainedMeta(t)
+	encode := func() []byte {
+		e := New(meta, Config{})
+		e.IngestBatch(raw[:5000])
+		if n := e.Snapshot().PendingKeys; n < 10 {
+			t.Fatalf("only %d pending keys; the export order is not exercised", n)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(e.State()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if a, b := encode(), encode(); !bytes.Equal(a, b) {
+		t.Fatalf("same stream, different checkpoint bytes (%d vs %d)", len(a), len(b))
 	}
 }

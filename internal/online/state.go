@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"bglpred/internal/predictor"
-	"bglpred/internal/raslog"
+	"bglpred/internal/preprocess"
 )
 
 // This file is the engine's checkpoint/restore and hot-swap seam.
@@ -14,64 +14,37 @@ import (
 // retrained meta-learner into a live engine without losing the
 // observation window or the standing alarm.
 
-// TemporalEntry is one streaming temporal-compression key with its
-// last-seen time.
-type TemporalEntry struct {
-	Job  int64
-	Loc  raslog.Location
-	Sub  int
-	Last time.Time
-}
-
-// SpatialEntry is one streaming spatial-compression key with its
-// last-seen time and the location of its representative record (the
-// paper's spatial rule only merges reports from other locations).
-type SpatialEntry struct {
-	Job   int64
-	Entry string
-	Last  time.Time
-	Loc   raslog.Location
-}
-
 // State is the complete mutable state of an Engine as plain,
-// serializable data: the dedup tables driving streaming Phase 1
-// compression, the activity counters, the engine clock, and the
-// Stepper's observation window and standing alarm. The trained model
-// itself is NOT part of the state — it is persisted separately as a
-// model artifact (internal/model), and a checkpoint records which
-// artifact it was taken against.
+// serializable data: the Phase 1 compressor's windows (LastGC,
+// Temporal, Spatial — preprocess.CompressorState, flattened under the
+// gob field names checkpoints have always used), the activity
+// counters, the engine clock, and the Stepper's observation window and
+// standing alarm. The trained model itself is NOT part of the state —
+// it is persisted separately as a model artifact (internal/model), and
+// a checkpoint records which artifact it was taken against.
 type State struct {
 	LastSeen time.Time
 	LastGC   time.Time
 	Counters Counters
-	Temporal []TemporalEntry
-	Spatial  []SpatialEntry
+	Temporal []preprocess.TemporalEntry
+	Spatial  []preprocess.SpatialEntry
 	Stepper  predictor.StepperState
 }
 
 // State exports a consistent snapshot of the engine's mutable state.
+// Equal engines export equal bytes: the compressor sorts its windows.
 func (e *Engine) State() State {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := State{
+	cs := e.comp.State()
+	return State{
 		LastSeen: e.lastSeen,
-		LastGC:   e.lastGC,
+		LastGC:   cs.LastGC,
 		Counters: e.counters,
+		Temporal: cs.Temporal,
+		Spatial:  cs.Spatial,
 		Stepper:  e.stepper.State(),
 	}
-	if len(e.temporal) > 0 {
-		st.Temporal = make([]TemporalEntry, 0, len(e.temporal))
-		for k, last := range e.temporal {
-			st.Temporal = append(st.Temporal, TemporalEntry{Job: k.job, Loc: k.loc, Sub: k.sub, Last: last})
-		}
-	}
-	if len(e.spatial) > 0 {
-		st.Spatial = make([]SpatialEntry, 0, len(e.spatial))
-		for k, sp := range e.spatial {
-			st.Spatial = append(st.Spatial, SpatialEntry{Job: k.job, Entry: k.entry, Last: sp.last, Loc: sp.loc})
-		}
-	}
-	return st
 }
 
 // Restore replaces the engine's mutable state with a previously
@@ -85,16 +58,15 @@ func (e *Engine) Restore(st State) error {
 		return fmt.Errorf("online: cannot restore state into an engine that has already ingested %d records", e.counters.Ingested)
 	}
 	e.lastSeen = st.LastSeen
-	e.lastGC = st.LastGC
 	e.counters = st.Counters
-	e.temporal = make(map[tkey]time.Time, len(st.Temporal))
-	for _, t := range st.Temporal {
-		e.temporal[tkey{job: t.Job, loc: t.Loc, sub: t.Sub}] = t.Last
-	}
-	e.spatial = make(map[skey]sstate, len(st.Spatial))
-	for _, s := range st.Spatial {
-		e.spatial[skey{job: s.Job, entry: s.Entry}] = sstate{last: s.Last, loc: s.Loc}
-	}
+	e.comp.Restore(preprocess.CompressorState{
+		LastGC: st.LastGC,
+		// Every Unique verdict bumps Counters.Unique, so it is also the
+		// compressor's next slot.
+		Next:     int(st.Counters.Unique),
+		Temporal: st.Temporal,
+		Spatial:  st.Spatial,
+	})
 	e.stepper.Restore(st.Stepper)
 	return nil
 }

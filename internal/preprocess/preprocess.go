@@ -41,14 +41,6 @@ type Options struct {
 	// precursor event from being swallowed by an unrelated event at the
 	// same location; DESIGN.md §5 lists this as an ablation knob.
 	TemporalKeyIgnoresCategory bool
-	// SpatialMergeSameLocation relaxes the paper's §3.1 wording that
-	// spatial compression merges records "from different locations":
-	// when set, a unique event is absorbed by a same-entry same-job
-	// window even when it was reported by the window's own
-	// representative location (the pre-fix behaviour). The default
-	// honours the paper: a same-location repeat that survived temporal
-	// compression starts a new unique event.
-	SpatialMergeSameLocation bool
 	// Workers bounds the classification goroutines and the compression
 	// shards; 0 means GOMAXPROCS, 1 forces the sequential path.
 	Workers int
@@ -122,46 +114,36 @@ const shardMinRecords = 4096
 // time (raslog.SortEvents); Run does not modify it.
 func Run(raw []raslog.Event, opts Options) *Result {
 	opts = opts.withDefaults()
-	res := &Result{}
-	res.Stats.Input = len(raw)
-
 	subs := classifyParallel(raw, opts.Workers)
 
-	shards := opts.Workers
-	if shards > maxShards {
-		shards = maxShards
+	shards := min(opts.Workers, maxShards)
+	if len(raw) < shardMinRecords {
+		shards = 1
 	}
-	if shards <= 1 || len(raw) < shardMinRecords {
-		sh := compressShard(raw, subs, nil, opts)
-		res.Events = sh.events
-		res.Stats.Unclassified = sh.unclassified
-		res.Stats.AfterTemporal = sh.afterTemporal
-	} else {
-		res.Events, res.Stats.Unclassified, res.Stats.AfterTemporal =
-			compressSharded(raw, subs, shards, opts)
+	outs := make([]shardOut, shards)
+	var wg sync.WaitGroup
+	for s := range outs {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			outs[s] = compressShard(raw, subs, s, shards, opts)
+		}(s)
 	}
-	res.Stats.AfterSpatial = len(res.Events)
+	wg.Wait()
+
+	res := &Result{Stats: Stats{Input: len(raw)}}
+	for s := range outs {
+		res.Stats.Unclassified += outs[s].unclassified
+		res.Stats.AfterTemporal += outs[s].afterTemporal
+		res.Stats.AfterSpatial += len(outs[s].events)
+	}
+	res.Events = mergeShards(outs, res.Stats.AfterSpatial)
 	for i := range res.Events {
 		if res.Events[i].Sub.IsFatal() {
 			res.Stats.FatalUnique++
 		}
 	}
 	return res
-}
-
-// tkey keys temporal compression: same JOB ID and LOCATION (and, by
-// default, subcategory) within the threshold coalesce.
-type tkey struct {
-	job int64
-	loc raslog.Location
-	sub int
-}
-
-// skey keys spatial compression: same ENTRY DATA and JOB ID within
-// the threshold merge.
-type skey struct {
-	job   int64
-	entry string
 }
 
 // shardOut is the compression result of one shard: unique events plus
@@ -173,133 +155,51 @@ type shardOut struct {
 	afterTemporal int
 }
 
-// compressShard runs temporal then spatial compression over the raw
-// records whose indices are listed in idxs (nil means all), reading
-// classifications from subs (subcategory ID, -1 for unclassified).
-func compressShard(raw []raslog.Event, subs []int32, idxs []int, opts Options) shardOut {
+// compressShard feeds one Compressor the records whose JOB ID hashes
+// to shard, reading classifications from subs (subcategory ID, -1 for
+// unclassified). A unique record opens an Event; a duplicate is
+// credited to the Event in the slot Step names.
+func compressShard(raw []raslog.Event, subs []int32, shard, shards int, opts Options) shardOut {
 	var sh shardOut
-
-	// Step 2: temporal compression at a single location. Records with
-	// the same JOB ID and LOCATION (and, by default, subcategory)
-	// within the threshold coalesce into the earliest record; the
-	// window slides on the last merged record.
-	type tstate struct {
-		idx  int // index into sh.events
-		last time.Time
-	}
-	n := len(raw)
-	if idxs != nil {
-		n = len(idxs)
-	}
-	temporal := make(map[tkey]tstate)
-	for j := 0; j < n; j++ {
-		i := j
-		if idxs != nil {
-			i = idxs[j]
+	c := NewCompressor(opts)
+	for i := range raw {
+		if shards > 1 && jobShard(raw[i].JobID, shards) != shard {
+			continue
 		}
-		sid := subs[i]
+		sid := int(subs[i])
 		if sid < 0 {
 			sh.unclassified++
 			continue
 		}
-		e := &raw[i]
-		key := tkey{job: e.JobID, loc: e.Location, sub: int(sid)}
-		if opts.TemporalKeyIgnoresCategory {
-			key.sub = -1
+		switch v, slot := c.Step(&raw[i], sid); v {
+		case Unique:
+			sub, _ := catalog.ByID(sid)
+			sh.events = append(sh.events, Event{Event: raw[i], Sub: sub, Count: 1, Locations: 1})
+			sh.rawIdx = append(sh.rawIdx, i)
+			sh.afterTemporal++
+		case SpatialDuplicate:
+			sh.events[slot].Count++
+			sh.events[slot].Locations++
+			sh.afterTemporal++
+		case TemporalDuplicate:
+			sh.events[slot].Count++
 		}
-		if st, ok := temporal[key]; ok && e.Time.Sub(st.last) <= opts.TemporalThreshold {
-			sh.events[st.idx].Count++
-			st.last = e.Time
-			temporal[key] = st
-			continue
-		}
-		sub, _ := catalog.ByID(int(sid))
-		sh.events = append(sh.events, Event{Event: *e, Sub: sub, Count: 1, Locations: 1})
-		sh.rawIdx = append(sh.rawIdx, i)
-		temporal[key] = tstate{idx: len(sh.events) - 1, last: e.Time}
 	}
-	sh.afterTemporal = len(sh.events)
-
-	// Step 3: spatial compression across locations. Unique events with
-	// the same ENTRY DATA and JOB ID within the threshold, reported
-	// from different locations, merge into the earliest. The window
-	// remembers its representative's location so a same-location
-	// repeat is only absorbed when SpatialMergeSameLocation is set.
-	type sstate struct {
-		idx  int
-		last time.Time
-		loc  raslog.Location
-	}
-	spatial := make(map[skey]sstate)
-	kept := sh.events[:0]
-	keptIdx := sh.rawIdx[:0]
-	for i := range sh.events {
-		ue := &sh.events[i]
-		key := skey{job: ue.JobID, entry: ue.EntryData}
-		if st, ok := spatial[key]; ok && ue.Time.Sub(st.last) <= opts.SpatialThreshold &&
-			(opts.SpatialMergeSameLocation || ue.Location != st.loc) {
-			target := &kept[st.idx]
-			if target.Location != ue.Location {
-				target.Locations++
-			}
-			target.Count += ue.Count
-			st.last = ue.Time
-			spatial[key] = st
-			continue
-		}
-		kept = append(kept, *ue)
-		keptIdx = append(keptIdx, sh.rawIdx[i])
-		spatial[key] = sstate{idx: len(kept) - 1, last: ue.Time, loc: ue.Location}
-	}
-	sh.events = kept
-	sh.rawIdx = keptIdx
 	return sh
 }
 
-// compressSharded partitions records by JOB ID hash, compresses the
-// shards concurrently, and merges the outputs back into raw-record
-// order. Both compression keys contain the job, so no key spans
-// shards and the result equals the sequential run's exactly.
-func compressSharded(raw []raslog.Event, subs []int32, shards int, opts Options) (events []Event, unclassified, afterTemporal int) {
-	part := make([][]int, shards)
-	est := len(raw)/shards + 1
-	for s := range part {
-		part[s] = make([]int, 0, est)
+// mergeShards is a k-way merge by representative raw index: raw is
+// time-sorted, so index order is time order with input-order
+// tie-breaking — the exact order a sequential pass emits.
+func mergeShards(outs []shardOut, total int) []Event {
+	if len(outs) == 1 {
+		return outs[0].events
 	}
-	for i := range raw {
-		s := jobShard(raw[i].JobID, shards)
-		part[s] = append(part[s], i)
-	}
-
-	outs := make([]shardOut, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		if len(part[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			outs[s] = compressShard(raw, subs, part[s], opts)
-		}(s)
-	}
-	wg.Wait()
-
-	total := 0
-	for s := range outs {
-		unclassified += outs[s].unclassified
-		afterTemporal += outs[s].afterTemporal
-		total += len(outs[s].events)
-	}
-
-	// K-way merge by representative raw index: raw is time-sorted, so
-	// index order is time order with input-order tie-breaking — the
-	// exact order the sequential pass emits.
-	events = make([]Event, 0, total)
-	heads := make([]int, shards)
+	events := make([]Event, 0, total)
+	heads := make([]int, len(outs))
 	for len(events) < total {
 		best, bestIdx := -1, 0
-		for s := 0; s < shards; s++ {
+		for s := range outs {
 			if heads[s] >= len(outs[s].events) {
 				continue
 			}
@@ -310,7 +210,7 @@ func compressSharded(raw []raslog.Event, subs []int32, shards int, opts Options)
 		events = append(events, outs[best].events[heads[best]])
 		heads[best]++
 	}
-	return events, unclassified, afterTemporal
+	return events
 }
 
 // jobShard maps a job ID onto a shard. Fibonacci hashing spreads

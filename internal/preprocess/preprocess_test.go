@@ -160,23 +160,6 @@ func TestSpatialCompressionSkipsSameLocation(t *testing.T) {
 	}
 }
 
-// TestSpatialMergeSameLocationKnob restores the pre-fix behaviour:
-// with the knob set, the same-location repeat is absorbed.
-func TestSpatialMergeSameLocationKnob(t *testing.T) {
-	raw := []raslog.Event{
-		rec(1, t0, "socketReadFailure", 7, chipA, " rc=-5"),
-		rec(2, t0.Add(30*time.Second), "socketReadFailure", 7, chipB, " rc=-5"),
-		rec(3, t0.Add(301*time.Second), "socketReadFailure", 7, chipA, " rc=-5"),
-	}
-	res := Run(raw, Options{SpatialMergeSameLocation: true})
-	if len(res.Events) != 1 {
-		t.Fatalf("got %d unique events, want 1 under the relaxed knob", len(res.Events))
-	}
-	if ue := res.Events[0]; ue.Count != 3 || ue.Locations != 2 {
-		t.Fatalf("merged event = %+v", ue)
-	}
-}
-
 func TestUnclassifiedDropped(t *testing.T) {
 	raw := []raslog.Event{
 		rec(1, t0, "torusFailure", 7, chipA, ""),

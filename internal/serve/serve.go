@@ -95,11 +95,9 @@ type Config struct {
 	// lets dead subscriber connections be detected and reaped even
 	// when no alerts flow.
 	StreamHeartbeat time.Duration
-	// Window and the thresholds parameterize each shard's engine
-	// (zero values take the online package defaults).
-	Window            time.Duration
-	TemporalThreshold time.Duration
-	SpatialThreshold  time.Duration
+	// Window is each shard engine's prediction window (zero takes the
+	// online package default).
+	Window time.Duration
 	// Model identifies the trained model the server starts with
 	// (surfaced by GET /v1/model). Zero-value fields get defaults:
 	// Version 1, LoadedAt now.
@@ -348,10 +346,8 @@ func New(meta *predictor.Meta, cfg Config) *Server {
 // published meta-learner.
 func (s *Server) newEngine(i int) *online.Engine {
 	return online.New(s.meta.Load(), online.Config{
-		Window:            s.cfg.Window,
-		TemporalThreshold: s.cfg.TemporalThreshold,
-		SpatialThreshold:  s.cfg.SpatialThreshold,
-		OnAlert:           s.onAlert(i),
+		Window:  s.cfg.Window,
+		OnAlert: s.onAlert(i),
 	})
 }
 
