@@ -224,10 +224,12 @@ func LoadModel(path string) (*ModelArtifact, ModelFileInfo, error) {
 // decoding it.
 func VerifyModel(path string) (ModelFileInfo, error) { return model.Verify(path) }
 
-// NewRecorder buffers at most window of event time and max records of
-// accepted traffic (zero values select the defaults: 6 h, 250k). Wire
-// its Observe method as ServerConfig.Observer and hand it to
-// NewRetrainer.
+// NewRecorder keeps at most window of event time of accepted traffic,
+// compressed to unique events (Phase 1) as it is observed, and at most
+// max unique events (zero values select the defaults: 6 h, 250k — some
+// 18 M raw records at a Blue Gene/L log's 73:1). Wire its Observe
+// method as ServerConfig.Observer and hand it to NewRetrainer, whose
+// Pipeline.Preprocess it compresses under.
 func NewRecorder(window time.Duration, max int) *Recorder {
 	return lifecycle.NewRecorder(window, max)
 }

@@ -23,8 +23,9 @@
 // and restores it on the next start, so a crash or restart resumes
 // prediction mid-stream instead of retraining cold. With
 // -retrain-interval it re-mines the model over a sliding window of
-// recently ingested records and hot-swaps the result into the live
-// shards without dropping a record.
+// recent traffic — compressed to unique events as it arrives, so a
+// retrain is training alone and takes milliseconds — and hot-swaps the
+// result into the live shards without dropping a record.
 //
 // A -checkpoint-dir also activates the tamper-evident audit ledger
 // (<dir>/audit.bgll, overridable with -ledger): every accepted ingest
@@ -127,8 +128,8 @@ func main() {
 	flag.StringVar(&o.ledgerPath, "ledger", "", "audit-ledger file (default <checkpoint-dir>/audit.bgll when -checkpoint-dir is set; 'off' disables)")
 	flag.DurationVar(&o.checkpointInterval, "checkpoint-interval", 30*time.Second, "interval between shard-state checkpoints")
 	flag.DurationVar(&o.retrainInterval, "retrain-interval", 0, "retrain on recent traffic this often and hot-swap (0 disables periodic retraining; POST /v1/model/reload always works)")
-	flag.DurationVar(&o.retrainWindow, "retrain-window", lifecycle.DefaultRecorderWindow, "sliding window of recent records retrains learn from")
-	flag.IntVar(&o.retrainMinEvents, "retrain-min-events", 1000, "skip retrains with fewer recorded events than this")
+	flag.DurationVar(&o.retrainWindow, "retrain-window", lifecycle.DefaultRecorderWindow, "sliding event-time window retrains learn from; traffic is compressed to unique events (Phase 1) as it arrives and kept that way")
+	flag.IntVar(&o.retrainMinEvents, "retrain-min-events", 1000, "skip retrains whose window stands for fewer raw records than this")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -206,7 +207,11 @@ func run(o options) error {
 		if rt != nil {
 			m.Counter("bglserved_model_persist_retries_total", "Model-artifact write re-tries spent.", rt.PersistRetries())
 			m.Counter("bglserved_model_persist_giveups_total", "Retrained models whose artifact never landed.", rt.PersistGiveUps())
+			m.GaugeSeconds("bglserved_retrain_seconds", "Duration of the last completed retrain, retraining window to swapped model.", rt.LastCycle())
 		}
+		m.Gauge("bglserved_recorder_events", "Unique events in the retraining window (Phase 1 output).", int64(recorder.Unique()))
+		m.Gauge("bglserved_recorder_records", "Raw records the retraining window's events stand for.", int64(recorder.Len()))
+		m.Counter("bglserved_recorder_seen_total", "Records the retraining recorder has observed.", recorder.Seen())
 	}
 
 	srv := serve.New(meta, serve.Config{

@@ -74,14 +74,16 @@ var concurrencyPkgs = []string{
 }
 
 // hotPkgs hold the //bglvet:hotpath roots (binwire decoding, packed
-// Apriori counting, serve/online ingest) and the packages their call
-// closures stay within (serve's ingest parks records in an edge.Ring
-// and times hand-offs with an edge.Histogram; online's ingest steps
+// Apriori counting, serve/online ingest, lifecycle's Recorder.Observe —
+// which serve's ingest reaches through a func value the call graph
+// cannot follow) and the packages their call closures stay within
+// (serve's ingest parks records in an edge.Ring and times hand-offs
+// with an edge.Histogram; online's ingest and the recorder step
 // preprocess's Compressor).
 var hotPkgs = []string{
 	"internal/raslog", "internal/assoc", "internal/serve",
 	"internal/edge", "internal/online", "internal/preprocess",
-	"internal/catalog",
+	"internal/catalog", "internal/lifecycle",
 }
 
 // Filter is the default package-scoping policy.

@@ -41,10 +41,11 @@ func TestZeroFindings(t *testing.T) {
 // to nothing. This test fails instead.
 func TestHotpathRootsAnnotated(t *testing.T) {
 	want := map[string][]string{
-		"internal/raslog": {"ReadFrame", "PeekWireEvent", "Read"},
-		"internal/assoc":  {"countChunkPacked"},
-		"internal/serve":  {"ingest", "readChunk"},
-		"internal/online": {"IngestBatch"},
+		"internal/raslog":    {"ReadFrame", "PeekWireEvent", "Read"},
+		"internal/assoc":     {"countChunkPacked"},
+		"internal/serve":     {"ingest", "readChunk"},
+		"internal/online":    {"IngestBatch"},
+		"internal/lifecycle": {"Observe"},
 	}
 	l, err := analysis.NewLoader(".")
 	if err != nil {
@@ -103,6 +104,7 @@ func TestFilterScopes(t *testing.T) {
 		{"bglpred/internal/online", "hotpathalloc", true},
 		{"bglpred/internal/edge", "hotpathalloc", true},
 		{"bglpred/internal/preprocess", "hotpathalloc", true},
+		{"bglpred/internal/lifecycle", "hotpathalloc", true},
 		{"bglpred/internal/ledger", "hotpathalloc", false},
 	}
 	for _, c := range cases {

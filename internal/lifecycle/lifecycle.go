@@ -7,8 +7,9 @@
 //
 // Three cooperating pieces:
 //
-//   - Recorder: a bounded sliding window over the raw records the
-//     server accepts — the retrainer's training data.
+//   - Recorder: a bounded sliding window over the records the server
+//     accepts, compressed to unique events (Phase 1) as they arrive —
+//     the retrainer's training data.
 //   - Checkpointer: periodically snapshots every shard engine's
 //     mutable state (dedup tables, observation windows, standing
 //     alarms, counters) into a crash-safe checkpoint file, tagged with

@@ -27,6 +27,7 @@ var fixtureOnce struct {
 	meta *predictor.Meta
 	art  *model.Artifact
 	tail []raslog.Event
+	all  []raslog.Event // the whole generated log, tail included
 	err  error
 }
 
@@ -53,6 +54,7 @@ func fixture(t *testing.T) (*predictor.Meta, *model.Artifact, []raslog.Event) {
 		fixtureOnce.meta = m
 		fixtureOnce.art = art
 		fixtureOnce.tail = gen.Events[cut:]
+		fixtureOnce.all = gen.Events
 	})
 	if fixtureOnce.err != nil {
 		t.Fatal(fixtureOnce.err)
@@ -438,36 +440,6 @@ func TestCheckpointerRun(t *testing.T) {
 	}
 }
 
-// TestRecorderWindowAndCap exercises pruning by event-time window and
-// by the hard cap.
-func TestRecorderWindowAndCap(t *testing.T) {
-	base := time.Date(2026, 8, 6, 0, 0, 0, 0, time.UTC)
-	r := NewRecorder(time.Hour, 100)
-	for i := 0; i < 300; i++ {
-		r.Observe(raslog.Event{RecID: int64(i), Time: base.Add(time.Duration(i) * time.Minute)})
-	}
-	snap := r.Snapshot()
-	if len(snap) > 100 {
-		t.Fatalf("cap leaked: %d records", len(snap))
-	}
-	// Everything kept must be within the window of the newest record.
-	latest := snap[len(snap)-1].Time
-	for _, ev := range snap {
-		if latest.Sub(ev.Time) > time.Hour {
-			t.Fatalf("record at %v survived a 1h window ending %v", ev.Time, latest)
-		}
-	}
-	// Sorted by time.
-	for i := 1; i < len(snap); i++ {
-		if snap[i].Time.Before(snap[i-1].Time) {
-			t.Fatal("snapshot is not time-sorted")
-		}
-	}
-	if r.Seen() != 300 {
-		t.Fatalf("lifetime seen = %d", r.Seen())
-	}
-}
-
 // TestRetrainerRetrainNow: a retrain over recorded traffic swaps a
 // fresh model in and persists both the active and the versioned
 // artifact.
@@ -511,8 +483,19 @@ func TestRetrainerRetrainNow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Provenance.Records == 0 || a.Provenance.Unique == 0 || a.Provenance.LogEnd.Before(a.Provenance.LogStart) {
-		t.Fatalf("provenance = %+v", a.Provenance)
+	// Records is the raw count the window stands for, Unique its events;
+	// the span runs from the first retained representative to the
+	// newest record observed.
+	window, prov := rec.Events(), a.Provenance
+	if prov.Records != rec.Len() || prov.Unique != len(window) || prov.Unique >= prov.Records {
+		t.Fatalf("provenance counts %d records, %d unique; the recorder holds %d and %d", prov.Records, prov.Unique, rec.Len(), len(window))
+	}
+	if !prov.LogStart.Equal(window[0].Time) || !prov.LogEnd.Equal(tail[len(tail)-1].Time) {
+		t.Fatalf("provenance spans %v to %v; first representative %v, newest record %v",
+			prov.LogStart, prov.LogEnd, window[0].Time, tail[len(tail)-1].Time)
+	}
+	if rt.LastCycle() <= 0 {
+		t.Fatal("LastCycle() is zero after a completed retrain")
 	}
 
 	// Too little data refuses and leaves the serving model untouched.

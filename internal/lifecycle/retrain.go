@@ -19,13 +19,16 @@ import (
 type RetrainerConfig struct {
 	// Interval between retrain attempts; default 10 min.
 	Interval time.Duration
-	// MinEvents skips a retrain when the recorder holds fewer raw
-	// records (too little data mines a degenerate rule set); default
-	// 1000.
+	// MinEvents skips a retrain when the recorder's events stand for
+	// fewer raw records (Recorder.Len; too little data mines a
+	// degenerate rule set); default 1000.
 	MinEvents int
 	// Pipeline carries the mining parameters retrains use (min
 	// support, confidence thresholds, rule window, policy, ...). The
-	// zero value reproduces the repository defaults.
+	// zero value reproduces the repository defaults. Phase 1 runs in
+	// the recorder, as records arrive: NewRetrainer hands
+	// Pipeline.Preprocess to a recorder that has observed nothing, and
+	// RetrainNow refuses one that filled under other options.
 	Pipeline core.Config
 	// Dir, when non-empty, persists each retrained model: the active
 	// artifact at ModelPath(Dir) plus an immutable versioned copy
@@ -50,10 +53,10 @@ type RetrainerConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// Retrainer re-mines the model over the recorder's sliding window and
-// hot-swaps the result into the server. Retrains are serialized: the
-// periodic loop and POST /v1/model/reload share one mutex, so two
-// trainings never race each other or double-swap.
+// Retrainer re-mines the model over the recorder's sliding window of
+// unique events and hot-swaps the result into the server. Retrains are
+// serialized: the periodic loop and POST /v1/model/reload share one
+// mutex, so two trainings never race each other or double-swap.
 type Retrainer struct {
 	srv *serve.Server
 	rec *Recorder
@@ -62,9 +65,12 @@ type Retrainer struct {
 	mu             sync.Mutex // serializes RetrainNow
 	persistRetries atomic.Int64
 	persistGiveups atomic.Int64
+	lastCycle      atomic.Int64 // ns the last completed retrain took
 }
 
-// NewRetrainer builds a retrainer over a server and its recorder.
+// NewRetrainer builds a retrainer over a server and its recorder; a
+// recorder that has observed nothing yet takes on the pipeline's
+// Phase 1 options.
 func NewRetrainer(srv *serve.Server, rec *Recorder, cfg RetrainerConfig) *Retrainer {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * time.Minute
@@ -78,6 +84,7 @@ func NewRetrainer(srv *serve.Server, rec *Recorder, cfg RetrainerConfig) *Retrai
 	if cfg.FS == nil {
 		cfg.FS = model.OS
 	}
+	rec.adopt(cfg.Pipeline.Preprocess)
 	return &Retrainer{srv: srv, rec: rec, cfg: cfg}
 }
 
@@ -88,14 +95,22 @@ func NewRetrainer(srv *serve.Server, rec *Recorder, cfg RetrainerConfig) *Retrai
 func (r *Retrainer) PersistRetries() int64 { return r.persistRetries.Load() }
 func (r *Retrainer) PersistGiveUps() int64 { return r.persistGiveups.Load() }
 
-// RetrainNow trains a new model on the recorder's current window,
-// persists it (when Dir is set), and hot-swaps it into every serving
-// shard. It returns the identity of the model now serving, or an
-// error that leaves the previous model serving untouched — a failed
-// retrain never degrades the running service. Artifact writes retry
-// with backoff; an exhausted budget on the active artifact aborts the
-// swap with an error wrapping ErrModelPersistGiveUp (serving a model
-// whose SHA names bytes that don't exist would poison checkpoints).
+// LastCycle reports how long the last completed retrain took, from the
+// recorder's window to the swapped model; zero before the first.
+func (r *Retrainer) LastCycle() time.Duration { return time.Duration(r.lastCycle.Load()) }
+
+// RetrainNow trains a new model on the recorder's current window —
+// already Phase 1's output, so the cycle is training, packaging and
+// the swap — persists it (when Dir is set), and hot-swaps it into
+// every serving shard. It returns the identity of the model now
+// serving, or an error that leaves the previous model serving
+// untouched — a failed retrain never degrades the running service: too
+// few records in the window, a recorder that compressed under other
+// Phase 1 options than Pipeline.Preprocess, a training failure, or an
+// artifact that would not persist. Artifact writes retry with backoff;
+// an exhausted budget on the active artifact aborts the swap with an
+// error wrapping ErrModelPersistGiveUp (serving a model whose SHA names
+// bytes that don't exist would poison checkpoints).
 func (r *Retrainer) RetrainNow() (serve.ModelInfo, error) {
 	return r.retrainNow(context.Background())
 }
@@ -105,15 +120,17 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 	defer r.mu.Unlock()
 
 	started := time.Now()
-	raw := r.rec.Snapshot()
-	if len(raw) < r.cfg.MinEvents {
+	if got, want := r.rec.compression(), compressionOf(r.cfg.Pipeline.Preprocess); got != want {
+		return serve.ModelInfo{}, fmt.Errorf("lifecycle: the recorder compressed its window under %+v but the retrain pipeline asks for %+v; serving model unchanged",
+			got, want)
+	}
+	events, records, newest := r.rec.training()
+	if records < r.cfg.MinEvents {
 		return serve.ModelInfo{}, fmt.Errorf("lifecycle: only %d records in the retraining window (need %d); serving model unchanged",
-			len(raw), r.cfg.MinEvents)
+			records, r.cfg.MinEvents)
 	}
 
-	pipeline := core.New(r.cfg.Pipeline)
-	pre := pipeline.Preprocess(raw)
-	trained, err := pipeline.Train(pre.Events)
+	trained, err := core.New(r.cfg.Pipeline).Train(events)
 	if err != nil {
 		return serve.ModelInfo{}, fmt.Errorf("lifecycle: retrain: %w", err)
 	}
@@ -122,10 +139,10 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 	prov := model.Provenance{
 		TrainedAt: time.Now().UTC(),
 		Source:    r.cfg.Source,
-		Records:   len(raw),
-		Unique:    len(pre.Events),
-		LogStart:  raw[0].Time,
-		LogEnd:    raw[len(raw)-1].Time,
+		Records:   records,
+		Unique:    len(events),
+		LogStart:  events[0].Time,
+		LogEnd:    newest,
 		Params: model.MiningParams{
 			MinSupport:    ruleCfg.MinSupport,
 			MinConfidence: ruleCfg.MinConfidence,
@@ -203,9 +220,10 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 			}
 		}
 	}
+	cycle := time.Since(started)
+	r.lastCycle.Store(int64(cycle))
 	r.logf("retrained model v%d on %d records (%d unique, %d rules, sha %.12s) in %v",
-		newInfo.Version, len(raw), len(pre.Events), newInfo.Rules, sha,
-		time.Since(started).Round(time.Millisecond))
+		newInfo.Version, records, len(events), newInfo.Rules, sha, cycle.Round(time.Millisecond))
 	return newInfo, nil
 }
 
