@@ -46,6 +46,7 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		"internal/serve":     {"ingest", "readChunk"},
 		"internal/online":    {"IngestBatch"},
 		"internal/lifecycle": {"Observe"},
+		"internal/cluster":   {"routeFrame"},
 	}
 	l, err := analysis.NewLoader(".")
 	if err != nil {
@@ -105,6 +106,7 @@ func TestFilterScopes(t *testing.T) {
 		{"bglpred/internal/edge", "hotpathalloc", true},
 		{"bglpred/internal/preprocess", "hotpathalloc", true},
 		{"bglpred/internal/lifecycle", "hotpathalloc", true},
+		{"bglpred/internal/cluster", "hotpathalloc", true},
 		{"bglpred/internal/ledger", "hotpathalloc", false},
 	}
 	for _, c := range cases {

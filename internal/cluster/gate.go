@@ -3,10 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"net/url"
 	"strings"
@@ -60,7 +62,9 @@ type Config struct {
 	// not carry a client-level timeout.
 	Client       *http.Client
 	StreamClient *http.Client
-	// Logf, when set, receives operational log lines.
+	// Logf, when set, receives operational log lines. It must be safe
+	// for concurrent use: a request's forwards run side by side, beside
+	// the prober.
 	Logf func(format string, args ...any)
 	// Inject is the fault-injection harness consulted at the gate's
 	// fault points (forward timeout, partial response, probe flap).
@@ -129,6 +133,8 @@ type Gate struct {
 	mux          *http.ServeMux
 	ring         *Ring
 	backends     []*backend // in ring.Members() order
+	unknownOwner int        // ring owner of the unknown-location key
+	scratch      sync.Pool  // of *routeScratch
 	client       *http.Client
 	streamClient *http.Client
 	start        time.Time
@@ -212,6 +218,13 @@ func New(cfg Config) (*Gate, error) {
 			replay: newReplayBuffer(cfg.ReplayCap, cfg.ReplayWindow),
 		})
 	}
+	g.unknownOwner = ring.OwnerIndex("?")
+	g.scratch.New = func() any {
+		return &routeScratch{
+			owners: make([]ownerBatch, len(g.backends)),
+			subs:   make([]subFrame, len(g.backends)),
+		}
+	}
 	g.mux.HandleFunc("POST /v1/ingest", g.handleIngest)
 	g.mux.Handle("GET /v1/quarantine", g.quarantine)
 	g.mux.HandleFunc("GET /v1/alerts", g.handleAlerts)
@@ -284,58 +297,154 @@ func (g *Gate) probeLoop() {
 }
 
 // handleIngest groups the request's records by their ring owner and
-// delivers each group in forwarded POSTs per backend, walking the
-// backends in ring order so fault-injection schedules are
-// deterministic. Text bodies decode with the same lenient raslog
-// reader a backend uses; binary wire bodies (Content-Type
-// application/x-bglbin) take the pass-through path, which peeks only
-// each record's location prefix and forwards the raw bytes. Records
-// owned by an unroutable backend park in its replay buffer —
-// accepted, not dropped. Undecodable lines are forwarded verbatim to
-// the owner of the unknown-location key, whose quarantine ring is the
-// cluster's single place to inspect garbage; records that decode but
-// cannot be re-encoded park in the gate's own /v1/quarantine.
+// delivers each owner's group in one forwarded POST, all owners at
+// once: the hop costs the slowest backend, not the sum of them. Text
+// bodies decode with the same lenient raslog reader a backend uses;
+// binary wire bodies (Content-Type application/x-bglbin) take the
+// pass-through path, which peeks only each record's location prefix
+// and forwards the raw bytes. Records owned by an unroutable backend
+// park in its replay buffer — accepted, not dropped. Undecodable lines
+// are forwarded verbatim to the owner of the unknown-location key,
+// whose quarantine ring is the cluster's single place to inspect
+// garbage; records that decode but cannot be re-encoded park in the
+// gate's own /v1/quarantine.
 func (g *Gate) handleIngest(w http.ResponseWriter, r *http.Request) {
 	g.ingestReqs.Add(1)
 
+	s := g.scratch.Get().(*routeScratch)
+	defer g.release(s)
 	var resp IngestResponse
 	var code int
-	batches := make([][]replayEntry, len(g.backends))
-	if r.Header.Get("Content-Type") == raslog.WireContentType {
-		code = g.ingestWire(r.Body, &resp, batches)
+	bin := r.Header.Get("Content-Type") == raslog.WireContentType
+	if bin {
+		code = g.ingestWire(r.Body, &resp, s)
 	} else {
-		code = g.ingestText(r.Body, &resp, batches)
+		code = g.ingestText(r.Body, &resp, s)
 	}
 
-	for i, batch := range batches {
-		if len(batch) == 0 {
+	// Everything order-sensitive happens here, on the request
+	// goroutine, walking the owners in ring order: whether a batch may
+	// go out directly or parks behind a backlog, and the injected-fault
+	// verdicts of each batch that goes — so a seeded fault schedule
+	// replays identically however the concurrent forwards interleave.
+	sends := s.sends[:0]
+	for i := range s.owners {
+		ob := &s.owners[i]
+		if len(ob.marks) == 0 {
 			continue
 		}
-		routed, buffered, ir := g.deliver(g.backends[i], batch)
-		resp.Routed += routed
-		resp.Buffered += buffered
-		if ir != nil {
-			resp.Quarantined += ir.Quarantined
-			resp.RejectedTotal += ir.RejectedTotal
+		if !g.backends[i].admit(ob, bin) {
+			resp.Buffered += ob.n
+			continue
+		}
+		sends = append(sends, send{b: g.backends[i], ob: ob, faults: g.drawForwardFaults()})
+	}
+	s.sends = sends
+	var wg sync.WaitGroup
+	for i := range sends {
+		sd := &sends[i]
+		if i == len(sends)-1 {
+			g.deliver(sd, bin) // the last one needs no goroutine
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.deliver(sd, bin)
+		}()
+	}
+	wg.Wait()
+	for i := range sends {
+		sd := &sends[i]
+		if sd.parked {
+			resp.Buffered += sd.ob.n
+			continue
+		}
+		resp.Routed += sd.ob.n
+		if sd.ir != nil {
+			resp.Quarantined += sd.ir.Quarantined
+			resp.RejectedTotal += sd.ir.RejectedTotal
 		}
 	}
 	resp.Accepted = resp.Routed + resp.Buffered
 	edge.WriteJSON(w, code, resp)
 }
 
-// ingestText decodes a newline-delimited body and fills batches with
-// re-encoded per-owner lines. Returns the HTTP status.
-func (g *Gate) ingestText(body io.Reader, resp *IngestResponse, batches [][]replayEntry) int {
+// routeScratch is one ingest request's working memory, pooled per gate
+// so a steady stream of bodies routes without allocating: the wire
+// scanner with its read and payload buffers, one batch per backend in
+// ring order, and the wire scan's per-frame state.
+type routeScratch struct {
+	sc      *raslog.WireScanner // made by the first wire body
+	owners  []ownerBatch
+	subs    []subFrame
+	strRecs [][]byte // the current frame's string records, source order
+	sends   []send
+}
+
+// subFrame is the wire scan's progress on one owner's share of the
+// source frame in hand; n == 0 means the owner has none yet.
+type subFrame struct {
+	start     int // where the sub-frame's header begins in the owner's buf
+	payloadAt int // where its payload begins
+	n         int
+	last      time.Time
+	strings   int // source string records copied so far
+}
+
+// send is one direct forward of a request's fan-out: what goes to whom
+// under which fault verdicts and, once delivered, how it went.
+type send struct {
+	b      *backend
+	ob     *ownerBatch
+	faults forwardFaults
+	parked bool                  // the forward failed and the batch parked
+	ir     *serve.IngestResponse // the backend's ack; nil when parked or cut
+}
+
+// scratchKeep is the largest per-owner buffer a pooled scratch may
+// hold on to; one oversized body must not pin its size in the pool.
+const scratchKeep = 4 << 20
+
+// release returns a scratch to the pool, emptied — or, grown past
+// scratchKeep, leaves it to the collector. Every forward has returned
+// by now, and forward does not return before the transport is done
+// with the bytes it was lent.
+func (g *Gate) release(s *routeScratch) {
+	for i := range s.owners {
+		if cap(s.owners[i].buf) > scratchKeep {
+			return
+		}
+	}
+	s.reset()
+	g.scratch.Put(s)
+}
+
+// reset empties the scratch for the next request, keeping its buffers.
+func (s *routeScratch) reset() {
+	if s.sc != nil {
+		s.sc.Reset(http.NoBody) // do not pin the request body
+	}
+	for i := range s.owners {
+		ob := &s.owners[i]
+		ob.buf, ob.marks, ob.n = ob.buf[:0], ob.marks[:0], 0
+	}
+	clear(s.sends)
+}
+
+// ingestText decodes a newline-delimited body and fills each owner's
+// batch with its re-encoded lines. Returns the HTTP status.
+func (g *Gate) ingestText(body io.Reader, resp *IngestResponse, s *routeScratch) int {
 	code := http.StatusOK
-	unknownOwner := g.ring.OwnerIndex("?")
 	var enc bytes.Buffer
 	ew := raslog.NewWriter(&enc)
 	rd := raslog.NewReader(body)
 	rd.Lenient(func(le raslog.LineError) {
 		// Forward the raw line to a deterministic owner; its backend
 		// quarantines it, so nothing silently vanishes at the gate.
-		line := append([]byte(le.Raw), '\n')
-		batches[unknownOwner] = append(batches[unknownOwner], replayEntry{line: line})
+		ob := &s.owners[g.unknownOwner]
+		ob.buf = append(append(ob.buf, le.Raw...), '\n')
+		ob.mark(time.Time{}, 0)
 	})
 	for {
 		ev, err := rd.Read()
@@ -369,172 +478,225 @@ func (g *Gate) ingestText(body io.Reader, resp *IngestResponse, batches [][]repl
 			ew = raslog.NewWriter(&enc)
 			continue
 		}
-		line := append([]byte(nil), enc.Bytes()...)
-		batches[owner] = append(batches[owner], replayEntry{line: line, at: ev.Time})
+		ob := &s.owners[owner]
+		ob.buf = append(ob.buf, enc.Bytes()...)
+		ob.mark(ev.Time, 0)
 	}
 	return code
 }
 
-// ingestWire routes a binary wire body without decoding events: per
-// source frame it peeks each event record's location prefix to pick
-// the ring owner, then assembles one sub-frame per touched owner from
-// the raw record bytes — string-table adds are copied in source order
-// as a prefix of each sub-frame, so positional indices stay valid —
-// stamped with the source frame's header bases. Event records whose
-// prefix cannot be peeked route to the unknown-location owner, whose
-// backend decoder quarantines them. Returns the HTTP status.
-func (g *Gate) ingestWire(body io.Reader, resp *IngestResponse, batches [][]replayEntry) int {
-	code := http.StatusOK
-	unknownOwner := g.ring.OwnerIndex("?")
-	sc := raslog.NewWireScanner(body)
-	type subFrame struct {
-		payload []byte
-		n       int
-		last    time.Time
-		strings int // source string records copied so far
+// ingestWire routes a binary wire body without decoding events, one
+// source frame at a time (routeFrame). Returns the HTTP status.
+func (g *Gate) ingestWire(body io.Reader, resp *IngestResponse, s *routeScratch) int {
+	if s.sc == nil {
+		s.sc = raslog.NewWireScanner(body)
+	} else {
+		s.sc.Reset(body)
 	}
-	subs := make([]subFrame, len(g.backends))
-	var strRecs [][]byte
 	for {
-		f, err := sc.Next()
+		f, err := s.sc.Next()
+		if err == nil {
+			err = s.routeFrame(f, g.ring, g.unknownOwner)
+		}
 		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				g.parseErrs.Add(1)
-				resp.Error = err.Error()
-				code = http.StatusBadRequest
+			if errors.Is(err, io.EOF) {
+				return http.StatusOK
 			}
-			break
-		}
-		strRecs = strRecs[:0]
-		for i := range subs {
-			subs[i].payload = subs[i].payload[:0]
-			subs[i].n = 0
-			subs[i].last = time.Time{}
-			subs[i].strings = 0
-		}
-		werr := f.Records(func(tag byte, raw, content []byte) error {
-			if tag == raslog.WireTagString {
-				strRecs = append(strRecs, raw)
-				return nil
-			}
-			owner := unknownOwner
-			var at time.Time
-			if loc, t, perr := raslog.PeekWireEvent(content, f.BaseSec); perr == nil {
-				owner = g.ring.OwnerIndexLocation(loc)
-				at = t
-			}
-			sub := &subs[owner]
-			// Catch up string records this sub-frame hasn't copied yet:
-			// adds precede the events that reference them, so copying the
-			// source-order prefix keeps every index in raw valid.
-			for ; sub.strings < len(strRecs); sub.strings++ {
-				sub.payload = append(sub.payload, strRecs[sub.strings]...)
-			}
-			sub.payload = append(sub.payload, raw...)
-			sub.n++
-			if at.After(sub.last) {
-				sub.last = at
-			}
-			return nil
-		})
-		if werr != nil {
-			// Frame-level corruption: the record stream is unwalkable.
+			// A corrupt header or an unwalkable record stream: nothing
+			// after it is trustworthy (the frames before it were routed).
 			g.parseErrs.Add(1)
-			resp.Error = werr.Error()
-			code = http.StatusBadRequest
-			break
-		}
-		for i := range subs {
-			sub := &subs[i]
-			if sub.n == 0 {
-				continue
-			}
-			frame := raslog.AppendWireFrameHeader(nil, f.BaseSec, f.BaseRecID, len(sub.payload))
-			frame = append(frame, sub.payload...)
-			batches[i] = append(batches[i], replayEntry{line: frame, at: sub.last, n: sub.n, bin: true})
+			resp.Error = err.Error()
+			return http.StatusBadRequest
 		}
 	}
-	return code
 }
 
-// deliver routes one request's batch for one backend: the direct
-// forward when the backend is routable with an empty backlog, the
-// replay buffer otherwise (including when a direct forward fails —
-// the failure marks the backend down and the batch parks instead of
-// dropping). Order is preserved either way: a non-empty backlog
-// forces new records behind it. Mixed text/binary batches forward as
-// homogeneous runs (one POST per run, each with its own Content-Type);
-// a mid-batch failure parks the failed run and everything after it.
-// All counts are records, not entries — a wire-frame entry carries
-// many.
-func (g *Gate) deliver(b *backend, batch []replayEntry) (routed, buffered int64, ir *serve.IngestResponse) {
-	n := countRecords(batch)
-	b.mu.Lock()
-	direct := b.state.routable() && !b.draining && b.replay.len() == 0
-	if !direct {
-		for _, e := range batch {
-			b.replay.append(e)
+// routeFrame splits one source frame among the ring owners of its
+// events: it peeks each event record's location prefix to pick the
+// owner and appends the raw record bytes to a sub-frame growing in
+// place at the end of that owner's batch — string-table adds are
+// copied in source order as a prefix of each sub-frame, so positional
+// indices stay valid — under the source frame's header bases. Event
+// records whose prefix cannot be peeked route to the unknown-location
+// owner, whose backend decoder quarantines them. Each record is copied
+// once, to where its forward will read it from. If the frame turns out
+// unwalkable, none of it is routed.
+//
+//bglvet:hotpath
+func (s *routeScratch) routeFrame(f *raslog.WireFrame, ring *Ring, unknownOwner int) error {
+	s.strRecs = s.strRecs[:0]
+	clear(s.subs)
+	//bglvet:ignore hotpathalloc Records only calls the literal, so it stays on this stack; TestRouteFrameZeroAllocs pins it
+	err := f.Records(func(tag byte, raw, content []byte) error {
+		if tag == raslog.WireTagString {
+			s.strRecs = append(s.strRecs, raw)
+			return nil
 		}
-		b.rerouted.Add(n)
-		b.mu.Unlock()
-		return 0, n, nil
-	}
-	b.mu.Unlock()
-
-	agg := &serve.IngestResponse{}
-	runs := splitRuns(batch)
-	for ri, run := range runs {
-		rir, err := g.forward(b, run)
+		owner := unknownOwner
+		var at time.Time
+		if loc, t, perr := raslog.PeekWireEvent(content, f.BaseSec); perr == nil {
+			owner = ring.OwnerIndexLocation(loc)
+			at = t
+		}
+		ob, sub := &s.owners[owner], &s.subs[owner]
+		if sub.n == 0 {
+			// A sub-frame's payload is not known until the walk ends, but
+			// it cannot outgrow the source's: a header stamped with that
+			// length reserves a length field wide enough to patch.
+			sub.start = len(ob.buf)
+			ob.buf = raslog.AppendWireFrameHeader(ob.buf, f.BaseSec, f.BaseRecID, len(f.Payload))
+			sub.payloadAt = len(ob.buf)
+		}
+		// Catch up string records this sub-frame hasn't copied yet:
+		// adds precede the events that reference them, so copying the
+		// source-order prefix keeps every index in raw valid.
+		for ; sub.strings < len(s.strRecs); sub.strings++ {
+			ob.buf = append(ob.buf, s.strRecs[sub.strings]...)
+		}
+		ob.buf = append(ob.buf, raw...)
+		sub.n++
+		if at.After(sub.last) {
+			sub.last = at
+		}
+		return nil
+	})
+	room := uvarintLen(len(f.Payload))
+	for i := range s.subs {
+		ob, sub := &s.owners[i], &s.subs[i]
+		if sub.n == 0 {
+			continue
+		}
 		if err != nil {
-			b.forwardErrs.Add(1)
-			var rest int64
-			b.mu.Lock()
-			b.markDownLocked(err)
-			for _, r2 := range runs[ri:] {
-				for _, e := range r2 {
-					b.replay.append(e)
-				}
-				rest += countRecords(r2)
-			}
-			b.rerouted.Add(rest)
-			b.mu.Unlock()
-			g.logf("backend %s: forward failed, %d records parked for replay: %v", b.url, rest, err)
-			return routed, rest, agg
+			ob.buf = ob.buf[:sub.start]
+			continue
 		}
-		rn := countRecords(run)
-		b.routed.Add(rn)
-		routed += rn
-		if rir != nil {
-			agg.Quarantined += rir.Quarantined
-			agg.RejectedTotal = rir.RejectedTotal
+		// Patch the real payload length in. When it needs fewer bytes
+		// than were reserved (a small share of a large frame), the
+		// payload moves down to meet it, so the batch stays gap-free.
+		plen := len(ob.buf) - sub.payloadAt
+		lenAt, w := sub.payloadAt-room, uvarintLen(plen)
+		if w < room {
+			copy(ob.buf[lenAt+w:], ob.buf[sub.payloadAt:])
+			ob.buf = ob.buf[:lenAt+w+plen]
 		}
+		binary.PutUvarint(ob.buf[lenAt:], uint64(plen))
+		ob.mark(sub.last, sub.n)
 	}
-	return routed, 0, agg
+	return err
 }
 
-// forward POSTs one batch to a backend's /v1/ingest. The batch must
-// be format-homogeneous (deliver and drainReplay split runs): binary
-// wire frames concatenate into one wire stream posted as
-// application/x-bglbin, text lines as before. A nil error means the
-// batch was delivered; a nil response with a nil error means delivered
-// but the acknowledgment was lost (partial response — the 200 status
-// line is the delivery receipt).
-func (g *Gate) forward(b *backend, batch []replayEntry) (*serve.IngestResponse, error) {
-	if err := g.cfg.Inject.Fire(faultinject.GateForwardDown); err != nil {
-		return nil, fmt.Errorf("forward to %s: %w", b.url, err)
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }
+
+// admit decides, under the backend's lock, whether a request's batch
+// may be forwarded directly: only to a routable backend with an empty
+// backlog and no drain in flight. Otherwise it parks the batch — a
+// non-empty backlog forces new records behind it, so order holds
+// either way — and reports false.
+func (b *backend) admit(ob *ownerBatch, bin bool) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state.routable() && !b.draining && b.replay.len() == 0 {
+		return true
 	}
-	var body bytes.Buffer
-	for _, e := range batch {
-		body.Write(e.line)
+	b.parkLocked(ob.entries(bin))
+	return false
+}
+
+// parkLocked appends entries to the replay backlog; b.mu held. All
+// counts are records, not entries — a wire-frame entry carries many.
+func (b *backend) parkLocked(entries []replayEntry) {
+	for _, e := range entries {
+		b.replay.append(e)
+	}
+	b.rerouted.Add(countRecords(entries))
+}
+
+// deliver forwards one admitted batch and records the outcome in sd. A
+// failed forward marks the backend down and parks the batch instead of
+// dropping it. It touches only its own backend and its own send, so a
+// request's deliveries run side by side.
+func (g *Gate) deliver(sd *send, bin bool) {
+	b := sd.b
+	ir, err := g.forward(b, sd.ob.buf, bin, sd.faults)
+	if err != nil {
+		b.forwardErrs.Add(1)
+		b.mu.Lock()
+		b.markDownLocked(err)
+		b.parkLocked(sd.ob.entries(bin))
+		b.mu.Unlock()
+		g.logf("backend %s: forward failed, %d records parked for replay: %v", b.url, sd.ob.n, err)
+		sd.parked = true
+		return
+	}
+	b.routed.Add(sd.ob.n)
+	sd.ir = ir
+}
+
+// forwardFaults are one forward's injected-fault verdicts. The caller
+// draws them, so that forwards running concurrently still consume a
+// seeded schedule in a fixed order.
+type forwardFaults struct {
+	down    error // fail before any bytes leave the gate
+	partial error // cut the acknowledgment after the status line
+}
+
+func (g *Gate) drawForwardFaults() forwardFaults {
+	ff := forwardFaults{down: g.cfg.Inject.Fire(faultinject.GateForwardDown)}
+	if ff.down == nil {
+		ff.partial = g.cfg.Inject.Fire(faultinject.GateForwardPartial)
+	}
+	return ff
+}
+
+// lentBody is a forward's request body: a reader over bytes the caller
+// lends for the length of the call, which reports when the transport
+// is done with them.
+type lentBody struct {
+	bytes.Reader
+	once sync.Once
+	done func()
+}
+
+func (lb *lentBody) Close() error {
+	lb.once.Do(lb.done)
+	return nil
+}
+
+// forward POSTs one format-homogeneous body to a backend's /v1/ingest
+// — concatenated wire frames as application/x-bglbin, text lines as
+// before — reading it straight out of the caller's bytes, which it
+// borrows until it returns. A nil error means the body was delivered;
+// a nil response with a nil error means delivered but the
+// acknowledgment was lost (partial response — the 200 status line is
+// the delivery receipt).
+func (g *Gate) forward(b *backend, body []byte, bin bool, ff forwardFaults) (*serve.IngestResponse, error) {
+	if ff.down != nil {
+		return nil, fmt.Errorf("forward to %s: %w", b.url, ff.down)
+	}
+	// The transport may go on reading a request body after Do has
+	// returned (RoundTrip promises only to close it, possibly later and
+	// from another goroutine), and callers reuse body as soon as forward
+	// returns — so it returns only once every reader handed out is closed.
+	var lent sync.WaitGroup
+	defer lent.Wait()
+	lend := func() (io.ReadCloser, error) {
+		lent.Add(1)
+		lb := &lentBody{done: lent.Done}
+		lb.Reset(body)
+		return lb, nil
 	}
 	ctx, cancel := context.WithTimeout(g.ctx, g.cfg.ForwardTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v1/ingest", &body)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v1/ingest", nil)
 	if err != nil {
 		return nil, err
 	}
+	req.Body, _ = lend()
+	req.ContentLength = int64(len(body))
+	req.GetBody = lend // a stale keep-alive connection retries with a fresh reader
 	ct := "application/octet-stream"
-	if len(batch) > 0 && batch[0].bin {
+	if bin {
 		ct = raslog.WireContentType
 	}
 	req.Header.Set("Content-Type", ct)
@@ -544,7 +706,7 @@ func (g *Gate) forward(b *backend, batch []replayEntry) (*serve.IngestResponse, 
 	}
 	defer resp.Body.Close()
 	data, readErr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if ferr := g.cfg.Inject.Fire(faultinject.GateForwardPartial); ferr != nil {
+	if ff.partial != nil {
 		data, readErr = data[:len(data)/2], io.ErrUnexpectedEOF
 	}
 	if resp.StatusCode != http.StatusOK {
@@ -710,8 +872,13 @@ func (g *Gate) drainReplay(b *backend) {
 		var done int        // entries delivered
 		var delivered int64 // records delivered
 		var ferr error
+		var body []byte
 		for _, run := range splitRuns(entries) {
-			if _, ferr = g.forward(b, run); ferr != nil {
+			body = body[:0]
+			for _, e := range run {
+				body = append(body, e.line...)
+			}
+			if _, ferr = g.forward(b, body, run[0].bin, g.drawForwardFaults()); ferr != nil {
 				break
 			}
 			done += len(run)

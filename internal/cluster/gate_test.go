@@ -29,7 +29,7 @@ var fixtureOnce struct {
 	err  error
 }
 
-func fixture(t *testing.T) (*predictor.Meta, []raslog.Event) {
+func fixture(t testing.TB) (*predictor.Meta, []raslog.Event) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		gen, err := bglsim.Generate(bglsim.ANLProfile().Scaled(0.05))
@@ -97,6 +97,11 @@ func (tr *hostTransport) setDown(host string, down bool) {
 }
 
 func (tr *hostTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	// The RoundTripper contract: the body is always closed, errors
+	// included. forward waits for that before it reuses the bytes.
+	if req.Body != nil {
+		defer req.Body.Close()
+	}
 	tr.mu.Lock()
 	h, ok := tr.handlers[req.URL.Host]
 	down := tr.down[req.URL.Host]

@@ -15,7 +15,7 @@ import (
 )
 
 // encodeWire renders events as binary wire frames.
-func encodeWire(t *testing.T, events []raslog.Event) []byte {
+func encodeWire(t testing.TB, events []raslog.Event) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := raslog.NewWireWriter(&buf)
@@ -48,9 +48,10 @@ func gatePostWire(t *testing.T, g *Gate, body []byte) IngestResponse {
 }
 
 // TestRingOwnerIndexLocationEquivalence pins the gate peek path's
-// allocation-free routing to the canonical string path: for every
-// location shape the two must agree, or binary and text ingest would
-// partition the same stream differently.
+// allocation-free routing — the memoised owner for the keys a real
+// machine emits, the hashed key bytes for the rest — to the canonical
+// string path: for every location shape the two must agree, or binary
+// and text ingest would partition the same stream differently.
 func TestRingOwnerIndexLocationEquivalence(t *testing.T) {
 	ring := NewRing([]string{"http://a", "http://b", "http://c"}, 0)
 	kinds := []raslog.LocationKind{
@@ -58,7 +59,6 @@ func TestRingOwnerIndexLocationEquivalence(t *testing.T) {
 		raslog.KindNodeCard, raslog.KindComputeChip, raslog.KindIONode,
 		raslog.KindServiceCard, raslog.KindLinkCard,
 	}
-	rng := rand.New(rand.NewSource(47))
 	check := func(loc raslog.Location) {
 		t.Helper()
 		want := ring.OwnerIndex(LocationKey(loc))
@@ -67,21 +67,31 @@ func TestRingOwnerIndexLocationEquivalence(t *testing.T) {
 			t.Fatalf("OwnerIndexLocation(%+v) = %d, OwnerIndex(%q) = %d", loc, got, LocationKey(loc), want)
 		}
 	}
+	// Every kind over every memoised rack and midplane, across the
+	// memo's bounds on both axes, and negative fields (which a wire body
+	// cannot carry but a caller can).
+	for _, kind := range kinds {
+		for rack := -2; rack < ownerMemoRacks+3; rack++ {
+			for mp := -1; mp < 4; mp++ {
+				check(raslog.Location{Kind: kind, Rack: rack, Midplane: mp, Card: 3, Chip: 7})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(47))
 	for i := 0; i < 5000; i++ {
 		check(raslog.Location{
 			Kind:     kinds[rng.Intn(len(kinds))],
-			Rack:     rng.Intn(128),
-			Midplane: rng.Intn(2),
+			Rack:     rng.Intn(4 * ownerMemoRacks),
+			Midplane: rng.Intn(3),
 			Card:     rng.Intn(16),
 			Chip:     rng.Intn(32),
 		})
 	}
-	// Degenerate fields take the string fallback; they must still agree.
-	check(raslog.Location{Kind: raslog.KindMidplane, Rack: -1, Midplane: 0})
-	check(raslog.Location{Kind: raslog.KindMidplane, Rack: 3, Midplane: -2})
-	check(raslog.Location{Kind: raslog.KindRack, Rack: -5})
-	check(raslog.Location{Kind: raslog.KindRack, Rack: 7})   // single digit pads
-	check(raslog.Location{Kind: raslog.KindRack, Rack: 123}) // three digits
+	check(raslog.Location{Kind: raslog.KindRack, Rack: 1 << 40})
+	check(raslog.Location{Kind: raslog.LocationKind(99), Rack: 1}) // no such kind
+	if got := NewRing(nil, 0).OwnerIndexLocation(raslog.Location{}); got != -1 {
+		t.Fatalf("empty ring owner = %d, want -1", got)
+	}
 }
 
 // TestGateWireRoutesByRing is TestGateRoutesByRing over the binary

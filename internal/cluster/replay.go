@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"time"
 )
 
@@ -35,6 +36,46 @@ func countRecords(entries []replayEntry) int64 {
 		n += entries[i].records()
 	}
 	return n
+}
+
+// ownerBatch is what one ingest request owes one backend, laid out as
+// the forward will send it: the request's lines or wire sub-frames for
+// that backend back to back in buf, plus one mark per entry so the
+// batch can still park entry by entry. A batch lives in a pooled
+// routeScratch; a forward borrows buf, parking copies out of it.
+type ownerBatch struct {
+	buf   []byte
+	marks []entryMark
+	n     int64 // records carried
+}
+
+// entryMark delimits one entry of an ownerBatch: it ends at buf[end]
+// and starts where the previous one ended; at and n are as on
+// replayEntry.
+type entryMark struct {
+	end int
+	at  time.Time
+	n   int
+}
+
+// mark closes the entry appended to buf since the previous mark.
+func (ob *ownerBatch) mark(at time.Time, n int) {
+	ob.marks = append(ob.marks, entryMark{end: len(ob.buf), at: at, n: n})
+	ob.n += max(int64(n), 1)
+}
+
+// entries returns the batch as replay entries that own their bytes — a
+// replay buffer outlives the request whose scratch buf belongs to — at
+// the price of one copy of buf, which the entries share.
+func (ob *ownerBatch) entries(bin bool) []replayEntry {
+	owned := bytes.Clone(ob.buf)
+	out := make([]replayEntry, len(ob.marks))
+	start := 0
+	for i, m := range ob.marks {
+		out[i] = replayEntry{line: owned[start:m.end:m.end], at: m.at, n: m.n, bin: bin}
+		start = m.end
+	}
+	return out
 }
 
 // splitRuns partitions entries into maximal runs sharing a wire

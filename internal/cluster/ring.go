@@ -41,7 +41,18 @@ type Ring struct {
 	vnodes  int
 	members []string
 	points  []ringPoint
+	// memo holds OwnerIndexLocation's answer for every routing key a
+	// real machine emits — per rack below ownerMemoRacks the rack key
+	// and its two midplane keys, then the unknown-location key — worked
+	// out once here so the per-record lookup is an index, not a hash
+	// and a binary search. Built with the ring, so it shares the ring's
+	// immutability; keys outside it take the computed path.
+	memo []int32
 }
+
+// ownerMemoRacks bounds the memo: twice the 64 racks of the largest
+// Blue Gene/L installation.
+const ownerMemoRacks = 128
 
 type ringPoint struct {
 	hash  uint64
@@ -81,6 +92,16 @@ func NewRing(members []string, vnodes int) *Ring {
 		// the ring stays deterministic regardless of build order.
 		return r.points[a].owner < r.points[b].owner
 	})
+	if len(r.points) > 0 {
+		r.memo = make([]int32, 0, 3*ownerMemoRacks+1)
+		for rack := 0; rack < ownerMemoRacks; rack++ {
+			r.memo = append(r.memo,
+				int32(r.locationOwner(raslog.Location{Kind: raslog.KindRack, Rack: rack})),
+				int32(r.locationOwner(raslog.Location{Kind: raslog.KindMidplane, Rack: rack, Midplane: 0})),
+				int32(r.locationOwner(raslog.Location{Kind: raslog.KindMidplane, Rack: rack, Midplane: 1})))
+		}
+		r.memo = append(r.memo, int32(r.locationOwner(raslog.Location{})))
+	}
 	return r
 }
 
@@ -110,54 +131,52 @@ func (r *Ring) OwnerIndex(key string) int {
 }
 
 // OwnerIndexLocation returns OwnerIndex(LocationKey(loc)) without
-// building the key string — the gate's wire pass-through path calls
-// this once per peeked record, where a fmt-formatted key would
-// dominate the routing cost. It hashes exactly the bytes LocationKey
-// would produce, so the two always agree.
+// building the key string or, for the keys in the memo, hashing at all
+// — the gate's wire pass-through path calls this once per peeked
+// record, where either would dominate the routing cost.
 func (r *Ring) OwnerIndexLocation(loc raslog.Location) int {
 	if len(r.points) == 0 {
 		return -1
 	}
-	mp := loc.MidplaneOf()
-	if mp.Kind != raslog.KindUnknown && (mp.Rack < 0 || mp.Midplane < 0) {
-		// Not representable by the fast-path formatter; defer to the
-		// canonical string form.
-		return r.ownerOfHash(hashKey(LocationKey(loc)))
+	if loc.Kind == raslog.KindUnknown {
+		return int(r.memo[3*ownerMemoRacks])
 	}
-	var buf [24]byte
-	key := buf[:0]
-	switch mp.Kind {
-	case raslog.KindUnknown:
-		key = append(key, '?')
-	case raslog.KindRack:
-		key = append(key, 'R')
-		key = appendPad2(key, mp.Rack)
-	default: // KindMidplane: MidplaneOf yields nothing finer
-		key = append(key, 'R')
-		key = appendPad2(key, mp.Rack)
-		key = append(key, '-', 'M')
-		key = strconv.AppendInt(key, int64(mp.Midplane), 10)
+	if uint(loc.Rack) < ownerMemoRacks { // a negative rack reads as huge
+		if loc.Kind == raslog.KindRack {
+			return int(r.memo[3*loc.Rack])
+		}
+		if uint(loc.Midplane) < 2 { // every finer kind routes by its midplane
+			return int(r.memo[3*loc.Rack+1+loc.Midplane])
+		}
 	}
-	return r.ownerOfHash(hashBytes(key))
+	return r.locationOwner(loc.MidplaneOf())
 }
 
-// appendPad2 appends v in decimal, zero-padded to at least two digits
-// (the %02d of the LOCATION grammar).
-func appendPad2(dst []byte, v int) []byte {
-	if v < 10 {
-		dst = append(dst, '0')
-	}
-	return strconv.AppendInt(dst, int64(v), 10)
+// locationOwner resolves a midplane-level location (MidplaneOf's
+// output) on a non-empty ring by hashing exactly the bytes LocationKey
+// would produce, so the two always agree.
+func (r *Ring) locationOwner(mp raslog.Location) int {
+	var buf [24]byte
+	return r.ownerOfHash(hashKey(mp.AppendTo(buf[:0])))
 }
 
 // ownerOfHash resolves a key hash to its owning member; the ring must
 // be non-empty.
 func (r *Ring) ownerOfHash(h uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0 // wrap past the highest point to the lowest
+	// sort.Search without the closure: the first point at or past h.
+	lo, hi := 0, len(r.points)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.points[mid].hash < h {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return r.points[i].owner
+	if lo == len(r.points) {
+		lo = 0 // wrap past the highest point to the lowest
+	}
+	return r.points[lo].owner
 }
 
 // With returns a new ring with member added (a no-op copy if already
@@ -201,26 +220,10 @@ func LocationKey(loc raslog.Location) string {
 // those neighbors across the whole circle. Determinism across
 // processes is what matters here, not speed: the gate and any test
 // reference must agree byte-for-byte.
-func hashKey(s string) uint64 {
+func hashKey[T string | []byte](s T) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-// hashBytes is hashKey over a byte slice (same function, no
-// conversion allocation).
-func hashBytes(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
 		h *= 1099511628211
 	}
 	h ^= h >> 33

@@ -596,6 +596,10 @@ func NewWireScanner(r io.Reader) *WireScanner {
 	return s
 }
 
+// Reset re-arms the scanner for a new stream, keeping its read and
+// payload buffers — the pooling hook, as on WireDecoder.
+func (s *WireScanner) Reset(r io.Reader) { s.d.br.Reset(r) }
+
 // Next reads the next frame. The returned frame's Payload is only
 // valid until the following Next. io.EOF is returned at a clean
 // boundary.
