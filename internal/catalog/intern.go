@@ -27,6 +27,14 @@ type Interner struct {
 	// maxEntries bounds the cache; on overflow the cache resets, which
 	// costs re-classification, never correctness.
 	maxEntries int
+	// last and lastID memoize the verdict of the previous record: a storm
+	// repeats one ENTRY DATA record after record, and a decoder that
+	// interned the string makes the equality check a pointer compare.
+	// The memoized entry is always one ids holds, so the memo never
+	// answers what the map would not.
+	last   string
+	lastID int32
+	primed bool
 }
 
 // DefaultInternerEntries bounds the verdict cache: at ~60 bytes per
@@ -51,24 +59,27 @@ func NewInterner(maxEntries int) *Interner {
 // ok=false if no subcategory's signature matches. Verdicts are
 // memoized per ENTRY DATA string.
 func (in *Interner) Classify(e *raslog.Event) (*Subcategory, bool) {
-	if id, seen := in.ids[e.EntryData]; seen {
-		if id < 0 {
-			return nil, false
+	id, ok := in.lastID, in.primed && e.EntryData == in.last
+	if !ok {
+		id, ok = in.ids[e.EntryData]
+	}
+	if !ok {
+		id = -1
+		if sub, matched := in.clf.Classify(e); matched {
+			id = int32(sub.ID)
 		}
-		return &taxonomy[id], true
+		if len(in.ids) >= in.maxEntries {
+			// Reset rather than evict: the working set of a log window is
+			// far below the cap, so a reset is rare and the rebuild cheap.
+			in.ids = make(map[string]int32, in.maxEntries/4)
+		}
+		in.ids[e.EntryData] = id
 	}
-	sub, ok := in.clf.Classify(e)
-	if len(in.ids) >= in.maxEntries {
-		// Reset rather than evict: the working set of a log window is
-		// far below the cap, so a reset is rare and the rebuild cheap.
-		in.ids = make(map[string]int32, in.maxEntries/4)
+	in.last, in.lastID, in.primed = e.EntryData, id, true
+	if id < 0 {
+		return nil, false
 	}
-	if ok {
-		in.ids[e.EntryData] = int32(sub.ID)
-	} else {
-		in.ids[e.EntryData] = -1
-	}
-	return sub, ok
+	return &taxonomy[id], true
 }
 
 // Entries reports the current size of the verdict cache.

@@ -9,17 +9,26 @@ import (
 	"time"
 )
 
+// TestNilInjectorIsNoOp: the production configuration never fires, at
+// any point, whatever was asked of it.
 func TestNilInjectorIsNoOp(t *testing.T) {
 	var in *Injector
-	in.Set(ShardPanic, Plan{Panic: true}) // must not panic or crash
-	in.Clear(ShardPanic)
-	for i := 0; i < 3; i++ {
-		if err := in.Fire(ShardPanic); err != nil {
-			t.Fatalf("nil injector fired: %v", err)
-		}
+	points := []Point{
+		ShardPanic, ShardSlow, IngestCorrupt, GateForwardDown, GateForwardPartial, GateProbeFlap,
+		FsWrite, FsSync, FsRename, FsRead, FsCorrupt,
+		LedgerWrite, LedgerSync, LedgerRead, LedgerTruncate, LedgerAnchor,
 	}
-	if in.Hits(ShardPanic) != 0 || in.Fires(ShardPanic) != 0 {
-		t.Fatal("nil injector reported activity")
+	for _, p := range points {
+		in.Set(p, Plan{Panic: true}) // must not panic or crash
+		for i := 0; i < 3; i++ {
+			if err := in.Fire(p); err != nil {
+				t.Fatalf("nil injector fired at %s: %v", p, err)
+			}
+		}
+		if in.Hits(p) != 0 || in.Fires(p) != 0 {
+			t.Fatalf("nil injector reported activity at %s", p)
+		}
+		in.Clear(p)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -208,7 +209,10 @@ func TestKillAndRestoreEquivalence(t *testing.T) {
 // from a 3-shard server over the fixture model after
 // tail[:parentCheckpointCut], with an alarm standing on shard 0 and
 // shard 2 never touched. It must load, restore, and yield the alerts
-// an uninterrupted run emits over the rest of the stream.
+// an uninterrupted run emits over the rest of the stream. Re-exported
+// straight after the restore, it must save to the bytes of
+// testdata/checkpoint_parent_reexport.bglc, which the commit before
+// the compressor's hot spatial window wrote the same way.
 func TestParentCheckpointRestores(t *testing.T) {
 	const parentCheckpointCut = 10554
 	meta, _, tail := fixture(t)
@@ -232,6 +236,23 @@ func TestParentCheckpointRestores(t *testing.T) {
 	defer restored.Close()
 	if err := restored.RestoreShards(cp.Shards); err != nil {
 		t.Fatal(err)
+	}
+	reexport := *cp
+	reexport.Shards = restored.ExportShards()
+	path := filepath.Join(t.TempDir(), "reexport.bglc")
+	if _, err := SaveCheckpoint(path, &reexport); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_parent_reexport.bglc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved, golden) {
+		t.Fatalf("re-exported checkpoint (%d bytes) differs from the parent's re-export (%d bytes)", len(saved), len(golden))
 	}
 	post(t, restored, encode(t, tail[parentCheckpointCut:]))
 	got := getAlerts(t, restored)

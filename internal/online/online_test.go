@@ -283,3 +283,53 @@ func TestStateBytesAreDeterministic(t *testing.T) {
 		t.Fatalf("same stream, different checkpoint bytes (%d vs %d)", len(a), len(b))
 	}
 }
+
+// TestIngestBatchZeroAllocs: a steady-state storm — one non-fatal entry
+// reported from chip after chip, each record past its chip's temporal
+// window but inside the storm's spatial one — goes through
+// IngestBatch's classify and Phase 1 steps without a heap allocation.
+func TestIngestBatchZeroAllocs(t *testing.T) {
+	meta, raw := trainedMeta(t)
+	e := New(meta, Config{Window: 30 * time.Minute, Preprocess: preprocess.Options{
+		TemporalThreshold: time.Second, SpatialThreshold: 300 * time.Second,
+	}})
+	var proto raslog.Event
+	for i := range raw {
+		if sub, ok := e.clf.Classify(&raw[i]); ok && !sub.IsFatal() {
+			proto = raw[i]
+			break
+		}
+	}
+	if proto.EntryData == "" {
+		t.Fatal("tail has no classifiable non-fatal record")
+	}
+	chip := func(i int) raslog.Location {
+		return raslog.Location{Kind: raslog.KindComputeChip, Rack: 0, Midplane: 0, Card: i / 32, Chip: i % 32}
+	}
+	first := proto
+	first.Location = chip(0) // opens the storm's spatial window
+	if _, err := e.Ingest(&first); err != nil {
+		t.Fatal(err)
+	}
+	storm := make([]raslog.Event, 512)
+	for i := range storm {
+		storm[i] = proto
+		storm[i].Location = chip(1 + i)
+	}
+	run := func() {
+		for i := range storm {
+			storm[i].Time = storm[i].Time.Add(2 * time.Second)
+		}
+		if rej := e.IngestBatch(storm); rej != 0 {
+			t.Fatalf("%d records rejected", rej)
+		}
+	}
+	run()
+	before := e.Counters()
+	if avg := testing.AllocsPerRun(100, run); avg != 0 {
+		t.Fatalf("steady-state IngestBatch allocates %.1f allocs per %d-record batch, want 0", avg, len(storm))
+	}
+	if after := e.Counters(); after.Unique != before.Unique {
+		t.Fatalf("the storm opened %d unique events; it must stay duplicates", after.Unique-before.Unique)
+	}
+}

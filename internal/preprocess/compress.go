@@ -57,11 +57,31 @@ type sstate struct {
 // job shard, online.Engine one per stream. Memory is bounded to the
 // keys touched within the larger threshold. Not safe for concurrent use.
 type Compressor struct {
-	opts     Options
-	temporal map[tkey]tstate
+	opts Options
+	// temporal maps each live temporal key to its window's index in
+	// twins, so a record hashes its key once: the lookup finds the
+	// window, which then updates in place. The sweep frees indices for
+	// reuse.
+	temporal map[tkey]int32
+	twins    []tstate
+	free     []int32
 	spatial  map[skey]sstate
 	next     int
 	lastGC   time.Time
+
+	// hot holds the spatial window of the last key Step looked up, and
+	// in a storm — one ENTRY DATA reported from chip after chip — every
+	// record's key is that one: a spatial duplicate updates the window
+	// here without hashing its key, to find it or to store it. While hot
+	// is valid its window is the logical one and spatial[hot.key] may
+	// lag behind it (dirty); flushHot writes it back. maybeGC, State and
+	// Restore, which read or replace the map whole, flush or drop it.
+	hot struct {
+		key          skey
+		st           sstate
+		valid, found bool // found: a window exists for key
+		dirty        bool
+	}
 }
 
 // NewCompressor builds an empty compressor; zero thresholds in opts
@@ -69,7 +89,7 @@ type Compressor struct {
 func NewCompressor(opts Options) *Compressor {
 	return &Compressor{
 		opts:     opts.withDefaults(),
-		temporal: make(map[tkey]tstate),
+		temporal: make(map[tkey]int32),
 		spatial:  make(map[skey]sstate),
 	}
 }
@@ -86,25 +106,57 @@ func (c *Compressor) Step(ev *raslog.Event, subID int) (Verdict, int) {
 	if c.opts.TemporalKeyIgnoresCategory {
 		tk.sub = -1
 	}
-	if st, ok := c.temporal[tk]; ok && ev.Time.Sub(st.last) <= c.opts.TemporalThreshold {
-		st.last = ev.Time
-		c.temporal[tk] = st
-		return TemporalDuplicate, st.slot
+	ti, tfound := c.temporal[tk]
+	if tfound {
+		if tw := &c.twins[ti]; ev.Time.Sub(tw.last) <= c.opts.TemporalThreshold {
+			tw.last = ev.Time
+			return TemporalDuplicate, tw.slot
+		}
 	}
 
 	sk := skey{job: ev.JobID, entry: ev.EntryData}
-	if st, ok := c.spatial[sk]; ok && ev.Time.Sub(st.last) <= c.opts.SpatialThreshold && ev.Location != st.loc {
-		st.last = ev.Time
-		c.spatial[sk] = st
-		c.temporal[tk] = tstate{slot: st.slot, last: ev.Time}
-		return SpatialDuplicate, st.slot
+	h := &c.hot
+	if !h.valid || h.key != sk {
+		c.flushHot()
+		h.st, h.found = c.spatial[sk]
+		h.key, h.valid = sk, true
+	}
+	if h.found && ev.Time.Sub(h.st.last) <= c.opts.SpatialThreshold && ev.Location != h.st.loc {
+		h.st.last = ev.Time
+		h.dirty = true
+		c.setTemporal(tk, ti, tfound, tstate{slot: h.st.slot, last: ev.Time})
+		return SpatialDuplicate, h.st.slot
 	}
 
 	slot := c.next
 	c.next++
-	c.temporal[tk] = tstate{slot: slot, last: ev.Time}
-	c.spatial[sk] = sstate{slot: slot, last: ev.Time, loc: ev.Location}
+	c.setTemporal(tk, ti, tfound, tstate{slot: slot, last: ev.Time})
+	h.st, h.found, h.dirty = sstate{slot: slot, last: ev.Time, loc: ev.Location}, true, false
+	c.spatial[sk] = h.st
 	return Unique, slot
+}
+
+// setTemporal makes st tk's temporal window: in place when Step's
+// lookup found one (found, at i), else in a free slab slot.
+func (c *Compressor) setTemporal(tk tkey, i int32, found bool, st tstate) {
+	if !found {
+		if n := len(c.free); n > 0 {
+			i, c.free = c.free[n-1], c.free[:n-1]
+		} else {
+			i = int32(len(c.twins))
+			c.twins = append(c.twins, tstate{})
+		}
+		c.temporal[tk] = i
+	}
+	c.twins[i] = st
+}
+
+// flushHot writes the hot spatial window back to the map.
+func (c *Compressor) flushHot() {
+	if c.hot.dirty {
+		c.spatial[c.hot.key] = c.hot.st
+		c.hot.dirty = false
+	}
 }
 
 // maybeGC prunes windows idle for longer than both thresholds. A
@@ -115,10 +167,14 @@ func (c *Compressor) maybeGC(now time.Time) {
 		return
 	}
 	c.lastGC = now
+	c.flushHot()
+	c.hot.valid = false // the sweep may delete its window
 	cutoff := now.Add(-max(c.opts.TemporalThreshold, c.opts.SpatialThreshold))
-	for k, st := range c.temporal {
-		if st.last.Before(cutoff) {
+	for k, i := range c.temporal {
+		if c.twins[i].last.Before(cutoff) {
 			delete(c.temporal, k)
+			//bglvet:ignore determinism which slab slot a window reuses is never observed: verdicts and State read windows by key
+			c.free = append(c.free, i)
 		}
 	}
 	for k, st := range c.spatial {
@@ -128,7 +184,8 @@ func (c *Compressor) maybeGC(now time.Time) {
 	}
 }
 
-// Pending is the number of live compression windows, a memory gauge.
+// Pending is the number of live compression windows, a memory gauge. A
+// dirty hot window is already a map key, so the count needs no flush.
 func (c *Compressor) Pending() int { return len(c.temporal) + len(c.spatial) }
 
 // TemporalEntry is one temporal window of a CompressorState.
@@ -161,10 +218,12 @@ type CompressorState struct {
 
 // State exports the compressor's state.
 func (c *Compressor) State() CompressorState {
+	c.flushHot()
 	st := CompressorState{LastGC: c.lastGC, Next: c.next}
 	if len(c.temporal) > 0 {
 		st.Temporal = make([]TemporalEntry, 0, len(c.temporal))
-		for k, t := range c.temporal {
+		for k, i := range c.temporal {
+			t := c.twins[i]
 			st.Temporal = append(st.Temporal, TemporalEntry{Job: k.job, Loc: k.loc, Sub: k.sub, Last: t.last, Slot: t.slot})
 		}
 		slices.SortFunc(st.Temporal, func(a, b TemporalEntry) int {
@@ -192,9 +251,12 @@ func compareLocation(a, b raslog.Location) int {
 // stream then continues exactly where the exporting compressor stopped.
 func (c *Compressor) Restore(st CompressorState) {
 	c.lastGC, c.next = st.LastGC, st.Next
-	c.temporal = make(map[tkey]tstate, len(st.Temporal))
-	for _, t := range st.Temporal {
-		c.temporal[tkey{job: t.Job, loc: t.Loc, sub: t.Sub}] = tstate{slot: t.Slot, last: t.Last}
+	c.hot.valid, c.hot.dirty = false, false
+	c.temporal = make(map[tkey]int32, len(st.Temporal))
+	c.twins, c.free = make([]tstate, len(st.Temporal)), nil
+	for i, t := range st.Temporal {
+		c.temporal[tkey{job: t.Job, loc: t.Loc, sub: t.Sub}] = int32(i)
+		c.twins[i] = tstate{slot: t.Slot, last: t.Last}
 	}
 	c.spatial = make(map[skey]sstate, len(st.Spatial))
 	for _, s := range st.Spatial {

@@ -257,6 +257,12 @@ func AppendWireFrameHeader(dst []byte, baseSec, baseRecID int64, payloadLen int)
 // event arena are all reused across frames, and repeated strings
 // resolve through a capped intern map without copying. It is intended
 // to be pooled (sync.Pool) and re-armed per connection with Reset.
+//
+// A stream decodes one of two ways over one kernel: ReadFrame hands
+// back a frame's events at a time out of the arena, and NextEvent with
+// DecodeEvent go a record at a time, decoding each event into memory
+// the caller picks from its location — a server's routing decode,
+// which places every event straight into its shard's batch.
 type WireDecoder struct {
 	br      *bufio.Reader
 	head    [5]byte
@@ -265,11 +271,22 @@ type WireDecoder struct {
 	evs     []Event
 	intern  internTable
 
+	// The frame in hand: its bases, the records not walked yet, and how
+	// many of its string adds the walk has passed — the indices an event
+	// may use, since an add precedes the events referencing it.
+	baseSec, baseID int64
+	rest            []byte
+	nstr            int
+	// The event record NextEvent stopped at, decoded up to its location.
+	body []byte
+	at   int
+	loc  Location
+
 	// OnSkip, when set, makes event-record decode failures non-fatal:
 	// the bad record is skipped (its length prefix tells the decoder
 	// where the next one starts) and handed to the callback. Frame-level
 	// corruption — bad magic, a broken string table, truncation — still
-	// fails ReadFrame, since nothing after it is trustworthy.
+	// fails the decode, since nothing after it is trustworthy.
 	OnSkip func(rec []byte, err error)
 }
 
@@ -305,6 +322,7 @@ func NewWireDecoder(r io.Reader) *WireDecoder {
 // intern map — the pooling hook.
 func (d *WireDecoder) Reset(r io.Reader) {
 	d.br.Reset(r)
+	d.rest, d.body = nil, nil
 	d.OnSkip = nil
 }
 
@@ -319,60 +337,181 @@ func wiref(format string, args ...any) error {
 // ReadFrame decodes the next frame and returns its events. The slice
 // (and the events' strings) is only valid until the next ReadFrame —
 // callers that retain events must copy them out. io.EOF is returned at
-// a clean frame boundary.
+// a clean frame boundary. Without OnSkip a corrupt event record fails
+// its frame, and the next call goes on with the following frame.
 //
 //bglvet:hotpath
 func (d *WireDecoder) ReadFrame() ([]Event, error) {
-	baseSec, baseID, err := d.readFrameHeader()
-	if err != nil {
+	if err := d.loadFrame(); err != nil {
 		return nil, err
 	}
-	d.tbl = d.tbl[:0]
 	d.evs = d.evs[:0]
-	payload := d.payload
-	for pos := 0; pos < len(payload); {
-		tag := payload[pos]
-		pos++
-		switch tag {
-		case WireTagString:
-			n, w := binary.Uvarint(payload[pos:])
-			if w <= 0 || n > wireMaxString {
-				return nil, wiref("bad string length at %d", pos)
+	for {
+		body, ok := d.nextBody()
+		if !ok {
+			return d.evs, nil
+		}
+		var ev Event
+		if err := d.decodeEvent(body, &ev); err != nil {
+			if err = d.skip(body, err); err != nil {
+				return nil, err
 			}
-			pos += w
-			if pos+int(n) > len(payload) {
-				return nil, wiref("string truncated at %d", pos)
+			continue
+		}
+		d.evs = append(d.evs, ev)
+	}
+}
+
+// NextEvent advances to the stream's next event record and decodes its
+// location, the routing key; DecodeEvent then decodes the rest of the
+// record into wherever the caller routes it. A record whose location
+// does not decode goes to OnSkip or, without OnSkip, comes back as the
+// error and ends its frame. NextEvent returns io.EOF at a clean end,
+// and a frame-level error exactly as ReadFrame does — before any event
+// of the broken frame, so a frame whose framing breaks yields none of
+// its events whichever way it is decoded.
+//
+//bglvet:hotpath
+func (d *WireDecoder) NextEvent() (Location, error) {
+	for {
+		body, ok := d.nextBody()
+		if !ok {
+			if err := d.loadFrame(); err != nil {
+				return Location{}, err
 			}
-			if len(d.tbl) >= wireMaxFrameStrings {
-				return nil, wiref("frame exceeds %d strings", wireMaxFrameStrings)
+			continue
+		}
+		loc, at, err := decodeWireLocation(body)
+		if err != nil {
+			if err = d.skip(body, err); err != nil {
+				return Location{}, err
 			}
-			d.tbl = append(d.tbl, d.intern.get(payload[pos:pos+int(n)]))
-			pos += int(n)
-		case WireTagEvent:
-			n, w := binary.Uvarint(payload[pos:])
-			if w <= 0 || n > wireMaxEventBody {
-				return nil, wiref("bad event length at %d", pos)
+			continue
+		}
+		d.body, d.at, d.loc = body, at, loc
+		return loc, nil
+	}
+}
+
+// DecodeEvent decodes the event record NextEvent stopped at into *ev,
+// overwriting every field. A non-nil error means the record is corrupt
+// past its location and *ev holds no event: the record has gone to
+// OnSkip or, without OnSkip, the rest of its frame is dropped.
+//
+//bglvet:hotpath
+func (d *WireDecoder) DecodeEvent(ev *Event) error {
+	ev.Location = d.loc
+	err := d.decodeRest(d.body, d.at, ev)
+	if err != nil {
+		_ = d.skip(d.body, err) // err itself or nil; the caller has err either way
+	}
+	return err
+}
+
+// loadFrame reads the next frame and checks its record structure before
+// any of its events decodes, interning the frame's string table on the
+// way.
+func (d *WireDecoder) loadFrame() error {
+	d.rest = nil
+	baseSec, baseID, err := d.readFrameHeader()
+	if err != nil {
+		return err
+	}
+	d.baseSec, d.baseID = baseSec, baseID
+	d.tbl = d.tbl[:0]
+	p := d.payload
+	for pos := 0; pos < len(p); {
+		next, err := d.checkRecord(p, pos)
+		if err != nil {
+			return d.brokenFrame(pos, err)
+		}
+		pos = next
+	}
+	d.rest, d.nstr = p, 0
+	return nil
+}
+
+// checkRecord checks the framing of the record at p[pos:], interning it
+// if it is a string add, and returns where the next record starts.
+func (d *WireDecoder) checkRecord(p []byte, pos int) (int, error) {
+	tag := p[pos]
+	pos++
+	switch tag {
+	case WireTagString:
+		n, w := binary.Uvarint(p[pos:])
+		if w <= 0 || n > wireMaxString {
+			return 0, wiref("bad string length at %d", pos)
+		}
+		pos += w
+		if pos+int(n) > len(p) {
+			return 0, wiref("string truncated at %d", pos)
+		}
+		if len(d.tbl) >= wireMaxFrameStrings {
+			return 0, wiref("frame exceeds %d strings", wireMaxFrameStrings)
+		}
+		d.tbl = append(d.tbl, d.intern.get(p[pos:pos+int(n)]))
+		return pos + int(n), nil
+	case WireTagEvent:
+		n, w := binary.Uvarint(p[pos:])
+		if w <= 0 || n > wireMaxEventBody {
+			return 0, wiref("bad event length at %d", pos)
+		}
+		pos += w
+		if pos+int(n) > len(p) {
+			return 0, wiref("event truncated at %d", pos)
+		}
+		return pos + int(n), nil
+	}
+	return 0, wiref("unknown record tag 0x%02x at %d", tag, pos-1)
+}
+
+// brokenFrame fails a frame whose record at breakAt broke its framing.
+// A single-pass walk meets the event records before the break first, so
+// each corrupt one among them goes to OnSkip or, without OnSkip, fails
+// the frame with its own error — as the frame has always failed.
+func (d *WireDecoder) brokenFrame(breakAt int, err error) error {
+	d.rest, d.nstr = d.payload[:breakAt], 0
+	var scratch Event
+	for {
+		body, ok := d.nextBody()
+		if !ok {
+			return err
+		}
+		if berr := d.decodeEvent(body, &scratch); berr != nil {
+			if berr = d.skip(body, berr); berr != nil {
+				return berr
 			}
-			pos += w
-			if pos+int(n) > len(payload) {
-				return nil, wiref("event truncated at %d", pos)
-			}
-			body := payload[pos : pos+int(n)]
-			pos += int(n)
-			ev, err := decodeWireEvent(body, baseSec, baseID, d.tbl)
-			if err != nil {
-				if d.OnSkip == nil {
-					return nil, err
-				}
-				d.OnSkip(body, err)
-				continue
-			}
-			d.evs = append(d.evs, ev)
-		default:
-			return nil, wiref("unknown record tag 0x%02x at %d", tag, pos-1)
 		}
 	}
-	return d.evs, nil
+}
+
+// nextBody walks the frame in hand to its next event record, counting
+// the string adds it passes, and returns that record's body; false at
+// the end of the frame. loadFrame has checked every length it reads.
+func (d *WireDecoder) nextBody() ([]byte, bool) {
+	for len(d.rest) > 0 {
+		tag := d.rest[0]
+		n, w := binary.Uvarint(d.rest[1:])
+		end := 1 + w + int(n)
+		rec := d.rest[1+w : end]
+		d.rest = d.rest[end:]
+		if tag == WireTagEvent {
+			return rec, true
+		}
+		d.nstr++
+	}
+	return nil, false
+}
+
+// skip disposes of a corrupt event record: OnSkip takes it and the walk
+// goes on, or, without OnSkip, its frame ends there and err comes back.
+func (d *WireDecoder) skip(body []byte, err error) error {
+	if d.OnSkip == nil {
+		d.rest = nil
+		return err
+	}
+	d.OnSkip(body, err)
+	return nil
 }
 
 // readFrameHeader reads one frame header and fills d.payload with the
@@ -422,6 +561,31 @@ func (d *WireDecoder) readFrameHeader() (baseSec, baseID int64, err error) {
 	return baseSec, baseID, nil
 }
 
+// The varint kernel every event decode shares — ReadFrame's,
+// NextEvent's and the gate's PeekWireEvent. Each read returns the value
+// and the position after it, or ok=false with pos unchanged, so a
+// caller's error names where the bad field starts.
+
+func uvarintAt(b []byte, pos int) (uint64, int, bool) {
+	if pos < len(b) && b[pos] < 0x80 {
+		return uint64(b[pos]), pos + 1, true // the one-byte form most fields take
+	}
+	v, w := binary.Uvarint(b[pos:])
+	if w <= 0 {
+		return 0, pos, false
+	}
+	return v, pos + w, true
+}
+
+func varintAt(b []byte, pos int) (int64, int, bool) {
+	ux, next, ok := uvarintAt(b, pos)
+	x := int64(ux >> 1) // zigzag, as binary.Varint
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, next, ok
+}
+
 // decodeWireLocation decodes the leading location of an event body and
 // returns it with the number of bytes consumed.
 func decodeWireLocation(body []byte) (Location, int, error) {
@@ -433,93 +597,83 @@ func decodeWireLocation(body []byte) (Location, int, error) {
 	if loc.Kind < KindUnknown || loc.Kind > KindServiceCard {
 		return Location{}, 0, wiref("invalid location kind %d", body[0])
 	}
-	pos := 1
-	next := func(dst *int) error {
-		v, w := binary.Uvarint(body[pos:])
-		if w <= 0 || v > 1<<31 {
-			return wiref("bad location field at %d", pos)
-		}
-		pos += w
-		*dst = int(v)
-		return nil
-	}
-	if err := next(&loc.Rack); err != nil {
-		return Location{}, 0, err
-	}
-	fields := 0
+	// The rack, then as many of midplane, card and chip as the kind has.
+	fields := 1
 	switch loc.Kind {
 	case KindMidplane, KindServiceCard:
-		fields = 1
-	case KindNodeCard, KindLinkCard:
 		fields = 2
-	case KindComputeChip, KindIONode:
+	case KindNodeCard, KindLinkCard:
 		fields = 3
+	case KindComputeChip, KindIONode:
+		fields = 4
 	}
-	dsts := [3]*int{&loc.Midplane, &loc.Card, &loc.Chip}
+	var v [4]int
+	pos := 1
 	for i := 0; i < fields; i++ {
-		if err := next(dsts[i]); err != nil {
-			return Location{}, 0, err
+		x, next, ok := uvarintAt(body, pos)
+		if !ok || x > 1<<31 {
+			return Location{}, 0, wiref("bad location field at %d", pos)
 		}
+		v[i], pos = int(x), next
 	}
+	loc.Rack, loc.Midplane, loc.Card, loc.Chip = v[0], v[1], v[2], v[3]
 	return loc, pos, nil
 }
 
-// decodeWireEvent decodes one event body against the frame bases and
-// string table.
-func decodeWireEvent(body []byte, baseSec, baseID int64, tbl []string) (Event, error) {
+// decodeEvent decodes a whole event body of the frame in hand into *ev.
+func (d *WireDecoder) decodeEvent(body []byte, ev *Event) error {
 	loc, pos, err := decodeWireLocation(body)
 	if err != nil {
-		return Event{}, err
+		return err
 	}
-	var e Event
-	e.Location = loc
-	varint := func(what string) (int64, error) {
-		v, w := binary.Varint(body[pos:])
-		if w <= 0 {
-			return 0, wiref("bad %s at %d", what, pos)
-		}
-		pos += w
-		return v, nil
+	ev.Location = loc
+	return d.decodeRest(body, pos, ev)
+}
+
+// decodeRest decodes an event body from pos, just past its location,
+// against the frame's bases and the strings it has added so far.
+func (d *WireDecoder) decodeRest(body []byte, pos int, ev *Event) error {
+	var dsec, did int64
+	var ok bool
+	if dsec, pos, ok = varintAt(body, pos); !ok {
+		return wiref("bad time delta at %d", pos)
 	}
-	dsec, err := varint("time delta")
-	if err != nil {
-		return Event{}, err
+	ev.Time = time.Unix(d.baseSec+dsec, 0).UTC()
+	if did, pos, ok = varintAt(body, pos); !ok {
+		return wiref("bad rec id delta at %d", pos)
 	}
-	e.Time = time.Unix(baseSec+dsec, 0).UTC()
-	did, err := varint("rec id delta")
-	if err != nil {
-		return Event{}, err
-	}
-	e.RecID = baseID + did
-	if e.JobID, err = varint("job id"); err != nil {
-		return Event{}, err
+	ev.RecID = d.baseID + did
+	if ev.JobID, pos, ok = varintAt(body, pos); !ok {
+		return wiref("bad job id at %d", pos)
 	}
 	if pos >= len(body) {
-		return Event{}, wiref("severity missing")
+		return wiref("severity missing")
 	}
-	e.Severity = Severity(body[pos])
+	ev.Severity = Severity(body[pos])
 	pos++
-	if !e.Severity.Valid() {
-		return Event{}, wiref("invalid severity %d", e.Severity)
+	if !ev.Severity.Valid() {
+		return wiref("invalid severity %d", ev.Severity)
 	}
-	str := func(what string) (string, error) {
-		v, w := binary.Uvarint(body[pos:])
-		if w <= 0 || v >= uint64(len(tbl)) {
-			return "", wiref("bad %s index at %d", what, pos)
-		}
-		pos += w
-		return tbl[v], nil
+	if ev.Facility, pos, ok = d.stringAt(body, pos); !ok {
+		return wiref("bad facility index at %d", pos)
 	}
-	if e.Facility, err = str("facility"); err != nil {
-		return Event{}, err
+	if ev.EntryData, pos, ok = d.stringAt(body, pos); !ok {
+		return wiref("bad entry index at %d", pos)
 	}
-	if e.EntryData, err = str("entry"); err != nil {
-		return Event{}, err
+	if ev.Type, _, ok = d.stringAt(body, pos); !ok {
+		return wiref("bad type index at %d", pos)
 	}
-	if e.Type, err = str("type"); err != nil {
-		return Event{}, err
+	return nil
+}
+
+// stringAt resolves the string index at body[pos:] among the strings
+// the frame has added so far.
+func (d *WireDecoder) stringAt(body []byte, pos int) (string, int, bool) {
+	i, next, ok := uvarintAt(body, pos)
+	if !ok || i >= uint64(d.nstr) {
+		return "", pos, false
 	}
-	return e, nil
+	return d.tbl[i], next, true
 }
 
 // PeekWireEvent decodes only the routing prefix of an event body — its
@@ -532,8 +686,8 @@ func PeekWireEvent(body []byte, baseSec int64) (Location, time.Time, error) {
 	if err != nil {
 		return Location{}, time.Time{}, err
 	}
-	dsec, w := binary.Varint(body[pos:])
-	if w <= 0 {
+	dsec, _, ok := varintAt(body, pos)
+	if !ok {
 		return Location{}, time.Time{}, wiref("bad time delta at %d", pos)
 	}
 	return loc, time.Unix(baseSec+dsec, 0).UTC(), nil

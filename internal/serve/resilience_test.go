@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"bglpred/internal/faultinject"
 	"bglpred/internal/online"
 	"bglpred/internal/predictor"
+	"bglpred/internal/raslog"
 )
 
 func TestShardPanicSupervisionIsLossless(t *testing.T) {
@@ -132,67 +135,75 @@ func TestInjectedCorruptionQuarantinesDeterministically(t *testing.T) {
 
 func TestSaturatedShardShedsWith429(t *testing.T) {
 	meta, tail := fixture(t)
-	in := faultinject.New(7)
-	// Each hand-off (a batch of up to wireBatchCap records) takes 100 ms
-	// on the single shard. The whole tail is ~10 batches in one request:
-	// the worker sleeps on the first, the second fills the depth-1
-	// queue, and with immediate shedding the next one is refused long
-	// before the worker wakes.
-	in.Set(faultinject.ShardSlow, faultinject.Plan{Delay: 100 * time.Millisecond})
-	s := New(meta, Config{
-		Shards:      1,
-		QueueDepth:  1,
-		Window:      30 * time.Minute,
-		ShedTimeout: -1,
-		Inject:      in,
-	})
-	defer s.Close()
 	if len(tail) < 4*wireBatchCap {
 		t.Fatalf("tail of %d records cannot saturate a depth-1 queue of %d-record batches", len(tail), wireBatchCap)
 	}
+	for _, wire := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wire=%v", wire), func(t *testing.T) {
+			in := faultinject.New(7)
+			// Each hand-off (a batch of up to wireBatchCap records) takes
+			// 100 ms on the single shard. The whole tail is ~10 batches in
+			// one request: the worker sleeps on the first, the second fills
+			// the depth-1 queue, and with immediate shedding the next one is
+			// refused long before the worker wakes.
+			in.Set(faultinject.ShardSlow, faultinject.Plan{Delay: 100 * time.Millisecond})
+			s := New(meta, Config{
+				Shards:      1,
+				QueueDepth:  1,
+				Window:      30 * time.Minute,
+				ShedTimeout: -1,
+				Inject:      in,
+			})
+			defer s.Close()
 
-	req := httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(string(encode(t, tail))))
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429: %s", rec.Code, rec.Body.String())
-	}
-	var resp IngestResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error == "" || resp.Accepted == 0 || resp.Accepted >= int64(len(tail)) || resp.Accepted%wireBatchCap != 0 {
-		t.Fatalf("resp = %+v; a shed reply reports the partial acceptance, in whole batches, of the %d sent", resp, len(tail))
-	}
+			req := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(encode(t, tail)))
+			if wire {
+				req = httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(encodeWire(t, tail)))
+				req.Header.Set("Content-Type", raslog.WireContentType)
+			}
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			if rec.Code != http.StatusTooManyRequests {
+				t.Fatalf("status %d, want 429: %s", rec.Code, rec.Body.String())
+			}
+			var resp IngestResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Error == "" || resp.Accepted == 0 || resp.Accepted >= int64(len(tail)) || resp.Accepted%wireBatchCap != 0 {
+				t.Fatalf("resp = %+v; a shed reply reports the partial acceptance, in whole batches, of the %d sent", resp, len(tail))
+			}
 
-	// The shed flips the service into degraded mode on /healthz...
-	hreq := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	hrec := httptest.NewRecorder()
-	s.ServeHTTP(hrec, hreq)
-	if hrec.Code != http.StatusOK {
-		t.Fatalf("healthz status %d (degraded is not dead)", hrec.Code)
-	}
-	var hz struct {
-		Status   string `json:"status"`
-		Degraded bool   `json:"degraded"`
-	}
-	if err := json.Unmarshal(hrec.Body.Bytes(), &hz); err != nil {
-		t.Fatal(err)
-	}
-	if !hz.Degraded || hz.Status != "degraded" {
-		t.Fatalf("healthz = %+v, want degraded after a shed", hz)
-	}
+			// The shed flips the service into degraded mode on /healthz...
+			hreq := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+			hrec := httptest.NewRecorder()
+			s.ServeHTTP(hrec, hreq)
+			if hrec.Code != http.StatusOK {
+				t.Fatalf("healthz status %d (degraded is not dead)", hrec.Code)
+			}
+			var hz struct {
+				Status   string `json:"status"`
+				Degraded bool   `json:"degraded"`
+			}
+			if err := json.Unmarshal(hrec.Body.Bytes(), &hz); err != nil {
+				t.Fatal(err)
+			}
+			if !hz.Degraded || hz.Status != "degraded" {
+				t.Fatalf("healthz = %+v, want degraded after a shed", hz)
+			}
 
-	// ...and onto /metrics.
-	mreq := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-	mrec := httptest.NewRecorder()
-	s.ServeHTTP(mrec, mreq)
-	body := mrec.Body.String()
-	if !strings.Contains(body, "bglserved_shed_total 1") {
-		t.Fatalf("metrics missing shed counter:\n%s", body)
-	}
-	if !strings.Contains(body, "bglserved_degraded 1") {
-		t.Fatal("metrics missing degraded gauge")
+			// ...and onto /metrics.
+			mreq := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+			mrec := httptest.NewRecorder()
+			s.ServeHTTP(mrec, mreq)
+			body := mrec.Body.String()
+			if !strings.Contains(body, "bglserved_shed_total 1") {
+				t.Fatalf("metrics missing shed counter:\n%s", body)
+			}
+			if !strings.Contains(body, "bglserved_degraded 1") {
+				t.Fatal("metrics missing degraded gauge")
+			}
+		})
 	}
 }
 

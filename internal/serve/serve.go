@@ -478,15 +478,16 @@ func (s *Server) shardFor(loc raslog.Location) *shard {
 		}
 		return s.shards[i]
 	}
-	mp := loc.MidplaneOf()
+	// loc.MidplaneOf()'s rack and midplane, read in place: copying the
+	// Location in and out of MidplaneOf cost more than the routing.
 	var key int
-	switch mp.Kind {
+	switch loc.Kind {
 	case raslog.KindUnknown:
 		key = 0
 	case raslog.KindRack:
-		key = mp.Rack * 2
+		key = loc.Rack * 2
 	default:
-		key = mp.Rack*2 + mp.Midplane
+		key = loc.Rack*2 + loc.Midplane
 	}
 	return s.shards[key%len(s.shards)]
 }
@@ -551,7 +552,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// body, no buffering of the batch.
 	body, digest := s.teeIngestBody(r.Body)
 	// The dialects differ only in the pooled decoder armed on the body;
-	// the ingest loop pulls chunks of events from either.
+	// the ingest loop pulls records from either.
 	if r.Header.Get("Content-Type") == raslog.WireContentType {
 		dec := wireDecoders.Get().(*raslog.WireDecoder)
 		dec.Reset(body)
@@ -559,19 +560,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			s.quarantine.Add(0, string(rec), err)
 			resp.Quarantined++
 		}
-		code = s.ingest(ctx, dec.ReadFrame, &resp, touched)
+		code = s.ingest(ctx, dec, &resp, touched)
 		dec.Reset(eofReader{}) // drop the body reference before pooling
 		wireDecoders.Put(dec)
 	} else {
-		dec := textDecoders.Get().(*textDecoder)
-		dec.rd.Reset(body)
-		dec.rd.Lenient(func(le raslog.LineError) {
+		src := textSources.Get().(*textSource)
+		src.rd.Reset(body)
+		src.rd.Lenient(func(le raslog.LineError) {
 			s.quarantine.Add(le.Line, le.Raw, le.Err)
 			resp.Quarantined++
 		})
-		code = s.ingest(ctx, dec.readChunk, &resp, touched)
-		dec.rd.Reset(eofReader{})
-		textDecoders.Put(dec)
+		code = s.ingest(ctx, src, &resp, touched)
+		src.rd.Reset(eofReader{})
+		src.ev = raslog.Event{}
+		textSources.Put(src)
 	}
 
 	// Barrier: wait until each touched shard has drained this
@@ -596,16 +598,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // string intern tables carry over: steady-state ingest in either
 // dialect does not allocate per record. A parked decoder holds no
 // body (eofReader) and at most its line or payload buffer (1 MiB text,
-// 16 MiB wire, both usually 64 KiB), its event arena, and an intern
-// table capped at 16 Ki strings of at most 1 KiB.
+// 16 MiB wire, both usually 64 KiB) and an intern table capped at
+// 16 Ki strings of at most 1 KiB.
 var (
 	wireDecoders = sync.Pool{
 		New: func() any { return raslog.NewWireDecoder(eofReader{}) },
 	}
-	textDecoders = sync.Pool{
-		New: func() any {
-			return &textDecoder{rd: raslog.NewReader(eofReader{}), evs: make([]raslog.Event, 0, textChunk)}
-		},
+	textSources = sync.Pool{
+		New: func() any { return &textSource{rd: raslog.NewReader(eofReader{})} },
 	}
 )
 
@@ -614,44 +614,46 @@ type eofReader struct{}
 
 func (eofReader) Read([]byte) (int, error) { return 0, io.EOF }
 
-// textChunk is how many records the text decoder hands the ingest loop
-// at a time: enough to amortize the call, small enough that the arena
-// stays in cache between being filled and being split by shard.
-const textChunk = 512
-
-// textDecoder gives the newline-delimited dialects (pipe and NDJSON)
-// the shape of the wire decoder: a chunk of events per call, out of a
-// reused arena.
-type textDecoder struct {
-	rd  *raslog.Reader
-	evs []raslog.Event
+// recordSource is a body decoder as the ingest loop drives it, one
+// record at a time: NextEvent decodes the next record's location —
+// io.EOF at the clean end, or a stream-level error — and DecodeEvent
+// the rest of it into the batch slot the loop picked by that location.
+// A record DecodeEvent fails has gone to quarantine through the
+// decoder's hook. *raslog.WireDecoder is one; textSource the other.
+type recordSource interface {
+	NextEvent() (raslog.Location, error)
+	DecodeEvent(*raslog.Event) error
 }
 
-// readChunk returns the next records of the body, valid until the next
-// call, or the reader's error once there are none. A stream-level
-// failure after some records surfaces on the following call, which
-// the reader answers with the same error.
-//
-//bglvet:hotpath
-func (d *textDecoder) readChunk() ([]raslog.Event, error) {
-	d.evs = d.evs[:0]
-	for len(d.evs) < cap(d.evs) {
-		ev, err := d.rd.Read()
-		if err != nil {
-			if len(d.evs) == 0 {
-				return nil, err
-			}
-			break
-		}
-		d.evs = append(d.evs, ev)
-	}
-	return d.evs, nil
+// textSource gives the newline-delimited dialects (pipe and NDJSON) the
+// wire decoder's shape. A line yields its location only once it is
+// parsed whole, so DecodeEvent copies the parsed record into the slot:
+// the one copy the text dialect pays.
+type textSource struct {
+	rd *raslog.Reader
+	ev raslog.Event
+}
+
+func (t *textSource) NextEvent() (raslog.Location, error) {
+	var err error
+	t.ev, err = t.rd.Read()
+	return t.ev.Location, err
+}
+
+func (t *textSource) DecodeEvent(ev *raslog.Event) error {
+	*ev = t.ev
+	return nil
 }
 
 // wireBatchCap bounds a per-shard event batch: large enough to
 // amortize the channel send and the engine-lock acquisition over
-// thousands of records, small enough that pooled buffers stay warm
-// and a shard starts chewing while the request is still decoding.
+// thousands of records, small enough that pooled buffers stay warm and
+// batch memory per request stays bounded. A request hands a shard a
+// batch when the batch fills, which for a body carrying fewer than
+// wireBatchCap records of that shard — every 4096-record bench body —
+// is only at the end of the body: the engines then work after the
+// decode, not beside it. Smaller batches to overlap the two do not pay
+// on two cores (EXPERIMENTS.md, "512-record hand-offs").
 const wireBatchCap = 4096
 
 // eventBatches recycles per-shard batch buffers between the ingest
@@ -679,16 +681,16 @@ func recycleBatch(evs []raslog.Event) {
 	eventBatches.Put(&evs)
 }
 
-// ingest is the one ingest loop. next yields the body's decoded events
-// a chunk at a time (a wire frame, or a run of text lines), io.EOF at
-// the clean end; each chunk is split per shard into pooled batches,
-// and every hand-off to a shard queue is a batch of up to wireBatchCap
-// records. Undecodable records have already gone to quarantine through
-// the decoder's hook; a stream-level failure stops the request with 400
-// after the intact prefix is delivered. Returns the HTTP status.
+// ingest is the one ingest loop. It pulls the body's records one at a
+// time from src, decodes each in place at the end of its shard's pooled
+// batch, and hands a batch to its shard queue when it reaches
+// wireBatchCap or the body ends. Undecodable records have gone to
+// quarantine through the decoder's hook; a stream-level failure stops
+// the request with 400 after the intact prefix is delivered. Returns
+// the HTTP status.
 //
 //bglvet:hotpath
-func (s *Server) ingest(ctx context.Context, next func() ([]raslog.Event, error), resp *IngestResponse, touched []bool) int {
+func (s *Server) ingest(ctx context.Context, src recordSource, resp *IngestResponse, touched []bool) int {
 	code := http.StatusOK
 	byShard := make([][]raslog.Event, len(s.shards))
 	// flush hands shard id's batch (never empty) to its queue; false
@@ -710,9 +712,8 @@ func (s *Server) ingest(ctx context.Context, next func() ([]raslog.Event, error)
 		resp.Accepted += int64(len(batch))
 		return true
 	}
-loop:
 	for {
-		evs, err := next()
+		loc, err := src.NextEvent()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				// Stream-level failure (corrupt frame, oversized line, body
@@ -723,39 +724,46 @@ loop:
 			}
 			break
 		}
-		for i := range evs {
-			if err := s.cfg.Inject.Fire(faultinject.IngestCorrupt); err != nil {
-				s.quarantine.Add(0, evs[i].EntryData, err)
-				resp.Quarantined++
-				continue
-			}
-			if s.cfg.Observer != nil {
-				// closeMu.RLock is held for the whole request. Observer is
-				// contractually cheap, non-blocking and must not call back into
-				// the server; invoking it here (not after unlock) is what gives
-				// it records in request order.
-				s.cfg.Observer(evs[i])
-			}
-			sh := s.shardFor(evs[i].Location)
-			b := byShard[sh.id]
-			if b == nil {
-				b = (*eventBatches.Get().(*[]raslog.Event))[:0]
-			}
-			// Copy out of the decoder's arena: the batch outlives the chunk.
-			b = append(b, evs[i])
-			byShard[sh.id] = b
-			if len(b) >= wireBatchCap {
-				if !flush(sh.id) {
-					code = s.enqueueFailed(ctx, resp)
-					break loop
-				}
-			}
+		id := s.shardFor(loc).id
+		b := byShard[id]
+		if b == nil {
+			b = (*eventBatches.Get().(*[]raslog.Event))[:0]
+			byShard[id] = b
+		}
+		// The record decodes into the slot past the batch's end (a batch
+		// below wireBatchCap always has one) and joins the batch only
+		// once it is decoded and admitted.
+		n := len(b)
+		ev := &b[:n+1][n]
+		if src.DecodeEvent(ev) != nil {
+			continue
+		}
+		if err := s.cfg.Inject.Fire(faultinject.IngestCorrupt); err != nil {
+			s.quarantine.Add(0, ev.EntryData, err)
+			resp.Quarantined++
+			continue
+		}
+		if s.cfg.Observer != nil {
+			// closeMu.RLock is held for the whole request. Observer is
+			// contractually cheap, non-blocking and must not call back into
+			// the server; invoking it here (not after unlock) is what gives
+			// it records in request order.
+			s.cfg.Observer(*ev)
+		}
+		byShard[id] = b[:n+1]
+		if n+1 == wireBatchCap && !flush(id) {
+			code = s.enqueueFailed(ctx, resp)
+			break
 		}
 	}
 	// Deliver the partial batches — including ahead of a stream-level
 	// failure, where every record of the intact prefix still counts.
-	for id := range byShard {
-		if len(byShard[id]) > 0 && !flush(id) {
+	for id, b := range byShard {
+		if len(b) == 0 {
+			recycleBatch(b) // every record of it went to quarantine
+			continue
+		}
+		if !flush(id) {
 			code = s.enqueueFailed(ctx, resp)
 			break
 		}
