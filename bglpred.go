@@ -302,8 +302,8 @@ func SubcategoryName(id int) string {
 }
 
 // ReadLogFile loads a serialized RAS log in either the text dialect
-// or the binary format (sniffed by magic) — whatever cmd/bglgen or
-// cmd/bglconvert wrote.
+// or the binary wire-frame format (sniffed by magic) — whatever
+// cmd/bglgen or cmd/bglconvert wrote.
 func ReadLogFile(path string) ([]Event, error) { return raslog.ReadAnyFile(path) }
 
 // WriteLogFile saves a raw RAS log.

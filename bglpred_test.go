@@ -117,7 +117,7 @@ func TestFacadePaperWindows(t *testing.T) {
 
 func TestIntegrationPublicFormatRoundTripThroughPipeline(t *testing.T) {
 	// Full interop path: synthesize -> export in the public CFDR
-	// format -> re-import -> binary round trip -> preprocess ->
+	// format -> re-import -> wire-file round trip -> preprocess ->
 	// cross-validate. This is examples/publiclog with assertions.
 	gen, err := Generate(SDSCProfile().Scaled(0.04))
 	if err != nil {
@@ -137,16 +137,16 @@ func TestIntegrationPublicFormatRoundTripThroughPipeline(t *testing.T) {
 	}
 	raslog.SortEvents(events)
 
-	binPath := filepath.Join(dir, "public.bin")
-	if err := raslog.WriteBinFile(binPath, events); err != nil {
+	wirePath := filepath.Join(dir, "public.bglw")
+	if err := raslog.WriteWireFile(wirePath, events); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadLogFile(binPath)
+	back, err := ReadLogFile(wirePath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != len(events) {
-		t.Fatalf("binary round trip: %d != %d", len(back), len(events))
+		t.Fatalf("wire round trip: %d != %d", len(back), len(events))
 	}
 
 	p := NewPipeline(Config{Folds: 3})

@@ -1,17 +1,16 @@
 // Command bglconvert converts RAS logs between formats: the public
 // CFDR/USENIX Blue Gene/L trace format, this repository's text
-// dialect, its compact binary file format, and the binary ingest wire
-// format (length-prefixed frames, the application/x-bglbin body a
-// bglserved or bglgate accepts). Converting the published
-// LLNL BG/L log once lets every other tool here run against real
-// data:
+// dialect, and its binary log format (a stream of wire frames, so a
+// .bglw file is as-is the application/x-bglbin body a bglserved or
+// bglgate accepts). Converting the published LLNL BG/L log once lets
+// every other tool here run against real data:
 //
-//	bglconvert -in cfdr -out binary bgl2.log bgl2.bin
-//	bglprep bgl2.bin
+//	bglconvert -in cfdr bgl2.log bgl2.bglw
+//	bglprep bgl2.bglw
 //
 // Usage:
 //
-//	bglconvert [-in auto|cfdr|text|binary|wire] [-out text|binary|wire] <src> <dst>
+//	bglconvert [-in auto|cfdr|text|wire] [-out wire|text|cfdr] <src> <dst>
 package main
 
 import (
@@ -34,16 +33,38 @@ func readInput(format, path string) ([]raslog.Event, error) {
 			fmt.Fprintf(os.Stderr, "bglconvert: skipped %d malformed lines\n", skipped)
 		}
 		return events, nil
-	case "text", "binary", "wire", "auto":
+	case "text", "wire", "auto":
 		return raslog.ReadAnyFile(path)
 	default:
 		return nil, fmt.Errorf("unknown input format %q", format)
 	}
 }
 
+// convert reads src in format in, sorts it into log order and writes
+// it to dst in format out, returning the records converted.
+func convert(in, out, src, dst string) (int, error) {
+	var write func(string, []raslog.Event) error
+	switch out {
+	case "wire":
+		write = raslog.WriteWireFile
+	case "text":
+		write = raslog.WriteFile
+	case "cfdr":
+		write = raslog.WriteCFDRFile
+	default:
+		return 0, fmt.Errorf("unknown output format %q", out)
+	}
+	events, err := readInput(in, src)
+	if err != nil {
+		return 0, err
+	}
+	raslog.SortEvents(events)
+	return len(events), write(dst, events)
+}
+
 func main() {
-	inFormat := flag.String("in", "auto", "input format: auto, cfdr, text, binary, wire")
-	outFormat := flag.String("out", "binary", "output format: text, binary, wire or cfdr")
+	inFormat := flag.String("in", "auto", "input format: auto, cfdr, text, wire")
+	outFormat := flag.String("out", "wire", "output format: wire, text or cfdr")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: bglconvert [flags] <src> <dst>")
@@ -51,28 +72,8 @@ func main() {
 	}
 
 	start := time.Now()
-	events, err := readInput(*inFormat, flag.Arg(0))
+	n, err := convert(*inFormat, *outFormat, flag.Arg(0), flag.Arg(1))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bglconvert: %v\n", err)
-		os.Exit(1)
-	}
-	raslog.SortEvents(events)
-
-	var write func(string, []raslog.Event) error
-	switch *outFormat {
-	case "text":
-		write = raslog.WriteFile
-	case "binary":
-		write = raslog.WriteBinFile
-	case "wire":
-		write = raslog.WriteWireFile
-	case "cfdr":
-		write = raslog.WriteCFDRFile
-	default:
-		fmt.Fprintf(os.Stderr, "bglconvert: unknown output format %q\n", *outFormat)
-		os.Exit(2)
-	}
-	if err := write(flag.Arg(1), events); err != nil {
 		fmt.Fprintf(os.Stderr, "bglconvert: %v\n", err)
 		os.Exit(1)
 	}
@@ -82,5 +83,5 @@ func main() {
 		size = info.Size()
 	}
 	fmt.Printf("converted %d records in %v (%.1f MB written)\n",
-		len(events), time.Since(start).Round(time.Millisecond), float64(size)/1e6)
+		n, time.Since(start).Round(time.Millisecond), float64(size)/1e6)
 }

@@ -115,7 +115,7 @@ func main() {
 	flag.DurationVar(&o.readTimeout, "read-timeout", 5*time.Minute, "http.Server ReadTimeout (bounds slow ingest uploads)")
 	flag.DurationVar(&o.writeTimeout, "write-timeout", 0, "http.Server WriteTimeout (0 = disabled; a non-zero value kills long-lived SSE streams)")
 	flag.DurationVar(&o.idleTimeout, "idle-timeout", 2*time.Minute, "http.Server IdleTimeout for keep-alive connections")
-	flag.StringVar(&o.logPath, "log", "", "train on this RAS log file (text or binary)")
+	flag.StringVar(&o.logPath, "log", "", "train on this RAS log file (text or wire)")
 	flag.Float64Var(&o.trainFrac, "train", 1.0, "fraction of -log used for training (0,1]")
 	flag.StringVar(&o.profile, "profile", "anl", "with no -log, generate a training log from this profile (anl|sdsc)")
 	flag.Float64Var(&o.scale, "scale", 0.05, "profile scale factor for the generated training log")

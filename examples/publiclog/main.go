@@ -47,14 +47,15 @@ func main() {
 	fmt.Printf("step 1: parsed %d records (skipped %d malformed)\n", len(events), skipped)
 	raslog.SortEvents(events)
 
-	// Step 2: convert once to the compact binary format for reuse.
-	binPath := filepath.Join(dir, "bgl2.bin")
-	if err := raslog.WriteBinFile(binPath, events); err != nil {
+	// Step 2: convert once to the binary log format (wire frames) for
+	// reuse; the file is also a ready-made POST /v1/ingest body.
+	wirePath := filepath.Join(dir, "bgl2.bglw")
+	if err := raslog.WriteWireFile(wirePath, events); err != nil {
 		log.Fatal(err)
 	}
-	binInfo, _ := os.Stat(binPath)
-	fmt.Printf("step 2: converted to binary (%.1f MB, %.0fx smaller)\n",
-		float64(binInfo.Size())/1e6, float64(info.Size())/float64(binInfo.Size()))
+	wireInfo, _ := os.Stat(wirePath)
+	fmt.Printf("step 2: converted to wire frames (%.1f MB, %.0fx smaller)\n",
+		float64(wireInfo.Size())/1e6, float64(info.Size())/float64(wireInfo.Size()))
 
 	// Step 3: Phase 1. Note: the public format has no JOB ID column,
 	// so compression keys degrade to location/entry only — exactly what

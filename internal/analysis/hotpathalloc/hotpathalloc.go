@@ -2,8 +2,8 @@
 // ingest hot path. The runtime AllocsPerRun tests prove specific
 // executed paths allocation-free; this analyzer complements them by
 // walking every path: a `//bglvet:hotpath` doc-comment annotation
-// marks root functions (the binwire decoder, packed Apriori counting,
-// serve's wire ingest), the whole-program Finish hook computes the
+// marks root functions (the binwire decoder, serve's wire ingest, the
+// gate's routing scan), the whole-program Finish hook computes the
 // static call closure of those roots across the admitted packages,
 // and every allocating construct inside the closure is reported:
 //

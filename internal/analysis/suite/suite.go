@@ -9,7 +9,7 @@
 // the packages that own mutexes and long-lived goroutines (serve,
 // cluster, edge, ledger, lifecycle, online), and hotpathalloc the
 // packages the //bglvet:hotpath roots and their call closures live in
-// (raslog, assoc, serve, edge, online, preprocess, catalog, lifecycle,
+// (raslog, serve, edge, online, preprocess, catalog, lifecycle,
 // cluster).
 package suite
 
@@ -74,18 +74,18 @@ var concurrencyPkgs = []string{
 	"internal/ledger", "internal/lifecycle", "internal/online",
 }
 
-// hotPkgs hold the //bglvet:hotpath roots (binwire decoding, packed
-// Apriori counting, serve/online ingest, the cluster gate's wire
-// routing scan, lifecycle's Recorder.Observe — which serve's ingest
+// hotPkgs hold the //bglvet:hotpath roots (binwire decoding,
+// serve/online ingest, the cluster gate's wire routing scan,
+// lifecycle's Recorder.Observe — which serve's ingest
 // reaches through a func value the call graph cannot follow) and the
 // packages their call closures stay within
 // (serve's ingest parks records in an edge.Ring and times hand-offs
 // with an edge.Histogram; online's ingest and the recorder step
 // preprocess's Compressor).
 var hotPkgs = []string{
-	"internal/raslog", "internal/assoc", "internal/serve",
-	"internal/edge", "internal/online", "internal/preprocess",
-	"internal/catalog", "internal/lifecycle", "internal/cluster",
+	"internal/raslog", "internal/serve", "internal/edge",
+	"internal/online", "internal/preprocess", "internal/catalog",
+	"internal/lifecycle", "internal/cluster",
 }
 
 // Filter is the default package-scoping policy.

@@ -42,7 +42,6 @@ func TestZeroFindings(t *testing.T) {
 func TestHotpathRootsAnnotated(t *testing.T) {
 	want := map[string][]string{
 		"internal/raslog":    {"ReadFrame", "NextEvent", "DecodeEvent", "PeekWireEvent", "Read"},
-		"internal/assoc":     {"countChunkPacked"},
 		"internal/serve":     {"ingest"},
 		"internal/online":    {"IngestBatch"},
 		"internal/lifecycle": {"Observe"},
@@ -101,7 +100,7 @@ func TestFilterScopes(t *testing.T) {
 		{"bglpred/internal/edge", "goroutinelife", true},
 		{"bglpred/internal/assoc", "goroutinelife", false},
 		{"bglpred/internal/raslog", "hotpathalloc", true},
-		{"bglpred/internal/assoc", "hotpathalloc", true},
+		{"bglpred/internal/assoc", "hotpathalloc", false},
 		{"bglpred/internal/online", "hotpathalloc", true},
 		{"bglpred/internal/edge", "hotpathalloc", true},
 		{"bglpred/internal/preprocess", "hotpathalloc", true},

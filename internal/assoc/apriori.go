@@ -1,387 +1,95 @@
 package assoc
 
-import (
-	"runtime"
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Apriori is the level-wise frequent-itemset miner of Agrawal &
-// Srikant (paper reference [1]). It generates candidate k-itemsets by
-// joining frequent (k-1)-itemsets and prunes candidates with an
-// infrequent subset before counting.
-//
-// When the run fits the interned representation (at most 255 frequent
-// items and a bounded itemset length of at most 8 — see intern.go),
-// mining runs entirely over packed integer keys; otherwise it falls
-// back to string-keyed maps.
-type Apriori struct {
-	// Workers bounds the goroutines used for candidate counting.
-	// Zero means GOMAXPROCS.
-	Workers int
-}
+// Srikant (paper reference [1]) in its textbook form: join frequent
+// (k-1)-itemsets sharing a prefix into candidate k-itemsets, prune
+// candidates with an infrequent (k-1)-subset, then count the survivors
+// against every transaction. FPGrowth is the tuned miner production
+// runs; Apriori is the reference it is held equal to and the paper's
+// own algorithm in the miner ablation.
+type Apriori struct{}
 
-// Mine implements Miner.
+// Mine implements Miner. Itemsets come out level by level, each level
+// in lexicographic order, so the output is deterministic.
 func (a *Apriori) Mine(tx []Transaction, minCount, maxLen int) []FrequentItemset {
 	if minCount < 1 {
 		minCount = 1
 	}
-	var out []FrequentItemset
-
-	// Level 1: plain item counting.
 	counts := make(map[Item]int)
 	for _, t := range tx {
 		for _, it := range t {
 			counts[it]++
 		}
 	}
-	frequent := make(map[Item]bool)
-	freqItems := make([]Item, 0, len(counts))
+	var items []Item
 	for it, c := range counts {
 		if c >= minCount {
-			frequent[it] = true
-			freqItems = append(freqItems, it)
+			items = append(items, it)
 		}
 	}
-	sort.Ints(freqItems)
-	// Emit level-1 itemsets in sorted item order, not map order: Mine
-	// feeds rule generation and the experiment tables, which must be
-	// byte-identical run to run.
-	for _, it := range freqItems {
-		out = append(out, FrequentItemset{Items: Itemset{it}, Count: counts[it]})
-	}
-	if maxLen == 1 {
-		return out
+	sort.Ints(items)
+	var out []FrequentItemset
+	var level []Itemset
+	for _, it := range items {
+		s := Itemset{it}
+		out = append(out, FrequentItemset{Items: s, Count: counts[it]})
+		level = append(level, s)
 	}
 
-	// Pre-filter transactions down to their frequent items; infrequent
-	// items can never appear in a frequent itemset (anti-monotonicity).
-	filtered := make([]Transaction, 0, len(tx))
-	for _, t := range tx {
-		ft := make(Itemset, 0, len(t))
-		for _, it := range t {
-			if frequent[it] {
-				ft = append(ft, it)
-			}
-		}
-		if len(ft) >= 2 {
-			filtered = append(filtered, ft)
-		}
-	}
-
-	// Intern the frequent vocabulary when the run fits the packed
-	// representation; the level loop then never touches a string key.
-	if maxLen > 0 && maxLen <= maxInternLen {
-		if v, ok := newVocab(freqItems); ok {
-			coded := make([]Transaction, len(filtered))
-			for i, t := range filtered {
-				coded[i] = v.encode(t) // order-preserving, stays sorted
-			}
-			return a.mineLevels(coded, minCount, maxLen, out, v)
-		}
-	}
-	return a.mineLevels(filtered, minCount, maxLen, out, nil)
-}
-
-// mineLevels runs the level-wise join/prune/count loop. With a vocab,
-// tx and all intermediate itemsets are in code space and lookup maps
-// key on packed uint64 setKeys; with a nil vocab they key on
-// Itemset.Key() strings.
-func (a *Apriori) mineLevels(tx []Transaction, minCount, maxLen int, out []FrequentItemset, v *vocab) []FrequentItemset {
-	level := make([]Itemset, 0, len(out))
-	for _, fi := range out {
-		items := fi.Items
-		if v != nil {
-			items = v.encode(items)
-		}
-		level = append(level, items)
-	}
-	for k := 2; maxLen <= 0 || k <= maxLen; k++ {
-		candidates := joinAndPrune(level, v)
-		if len(candidates) == 0 {
-			break
-		}
-		candCounts := a.countCandidates(tx, candidates, k, v)
-		level = level[:0]
-		for i, c := range candCounts {
-			if c >= minCount {
-				items := candidates[i]
-				if v != nil {
-					items = v.decode(items)
+	for k := 2; (maxLen <= 0 || k <= maxLen) && len(level) >= 2; k++ {
+		candidates := joinAndPrune(level)
+		level = nil
+		for _, cand := range candidates {
+			n := 0
+			for _, t := range tx {
+				if t.ContainsAll(cand) {
+					n++
 				}
-				out = append(out, FrequentItemset{Items: items, Count: c})
-				level = append(level, candidates[i])
 			}
-		}
-		if len(level) < 2 {
-			break
+			if n >= minCount {
+				out = append(out, FrequentItemset{Items: cand, Count: n})
+				level = append(level, cand)
+			}
 		}
 	}
 	return out
 }
 
-// joinAndPrune produces candidate (k+1)-itemsets from frequent
-// k-itemsets: join pairs sharing the first k-1 items, then drop
-// candidates with any infrequent k-subset.
-func joinAndPrune(level []Itemset, v *vocab) []Itemset {
-	if len(level) == 0 {
-		return nil
-	}
-	sortItemsetsLex(level)
-	var knownPacked map[setKey]bool
-	var knownStr map[string]bool
-	if v != nil {
-		knownPacked = make(map[setKey]bool, len(level))
-		for _, s := range level {
-			knownPacked[packKey(s)] = true
-		}
-	} else {
-		knownStr = make(map[string]bool, len(level))
-		for _, s := range level {
-			knownStr[s.Key()] = true
-		}
-	}
-	known := func(s Itemset) bool {
-		if v != nil {
-			return knownPacked[packKey(s)]
-		}
-		return knownStr[s.Key()]
+// joinAndPrune produces candidate (k+1)-itemsets from the frequent
+// k-itemsets of level, which must be in lexicographic order: join
+// pairs sharing their first k-1 items, then drop candidates with any
+// infrequent k-subset. Candidates come out in lexicographic order.
+func joinAndPrune(level []Itemset) []Itemset {
+	known := make(map[string]bool, len(level))
+	for _, s := range level {
+		known[s.Key()] = true
 	}
 	k := len(level[0])
 	var cands []Itemset
-	for i := 0; i < len(level); i++ {
-		for j := i + 1; j < len(level); j++ {
-			if !samePrefix(level[i], level[j], k-1) {
-				break // sorted, so no later j matches either
-			}
+	for i := range level {
+		for j := i + 1; j < len(level) && samePrefix(level[i], level[j], k-1); j++ {
 			cand := append(level[i].Clone(), level[j][k-1])
-			if hasInfrequentSubset(cand, known) {
-				continue
+			if allSubsetsKnown(cand, known) {
+				cands = append(cands, cand)
 			}
-			cands = append(cands, cand)
 		}
 	}
 	return cands
 }
 
-// sortItemsetsLex orders itemsets lexicographically in place so
-// prefix-joins can early-terminate.
-func sortItemsetsLex(level []Itemset) {
-	sort.Slice(level, func(i, j int) bool {
-		a, b := level[i], level[j]
-		for k := range a {
-			if k >= len(b) {
-				return false
-			}
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-}
-
-func samePrefix(a, b Itemset, n int) bool {
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// hasInfrequentSubset checks every (len-1)-subset of cand against the
-// known frequent sets.
-func hasInfrequentSubset(cand Itemset, known func(Itemset) bool) bool {
-	sub := make(Itemset, len(cand)-1)
+// allSubsetsKnown reports whether every (len-1)-subset of cand is in
+// known.
+func allSubsetsKnown(cand Itemset, known map[string]bool) bool {
+	sub := make(Itemset, 0, len(cand)-1)
 	for skip := range cand {
-		sub = sub[:0]
-		for i, it := range cand {
-			if i != skip {
-				sub = append(sub, it)
-			}
-		}
-		if !known(sub) {
-			return true
-		}
-	}
-	return false
-}
-
-// countCandidates counts candidate occurrences across transactions,
-// fanning out over worker goroutines with per-worker count arrays.
-func (a *Apriori) countCandidates(tx []Transaction, candidates []Itemset, k int, v *vocab) []int {
-	var indexPacked map[setKey]int
-	var indexStr map[string]int
-	if v != nil {
-		indexPacked = make(map[setKey]int, len(candidates))
-		for i, c := range candidates {
-			indexPacked[packKey(c)] = i
-		}
-	} else {
-		indexStr = make(map[string]int, len(candidates))
-		for i, c := range candidates {
-			indexStr[c.Key()] = i
-		}
-	}
-	count := func(txs []Transaction, counts []int) {
-		if v != nil {
-			countChunkPacked(txs, candidates, indexPacked, k, counts)
-		} else {
-			countChunk(txs, candidates, indexStr, k, counts)
-		}
-	}
-	workers := a.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(tx) {
-		workers = len(tx)
-	}
-	if workers <= 1 {
-		counts := make([]int, len(candidates))
-		count(tx, counts)
-		return counts
-	}
-
-	var wg sync.WaitGroup
-	partials := make([][]int, workers)
-	chunk := (len(tx) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(tx))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		partials[w] = make([]int, len(candidates))
-		go func(part []int, txs []Transaction) {
-			defer wg.Done()
-			count(txs, part)
-		}(partials[w], tx[lo:hi])
-	}
-	wg.Wait()
-	counts := make([]int, len(candidates))
-	for _, part := range partials {
-		for i, c := range part {
-			counts[i] += c
-		}
-	}
-	return counts
-}
-
-// countChunkPacked adds candidate occurrence counts for one slice of
-// code-space transactions into counts. When a transaction is small it
-// enumerates the transaction's k-subsets iteratively, packing each
-// directly into a setKey — no buffer, no string, no allocation — and
-// looks them up; when the subset space explodes it falls back to
-// per-candidate containment checks.
-//
-//bglvet:hotpath
-func countChunkPacked(tx []Transaction, candidates []Itemset, index map[setKey]int, k int, counts []int) {
-	// pos[d] is the transaction position chosen at subset depth d;
-	// pre[d] is the packed prefix of the first d chosen codes.
-	var pos [maxInternLen]int
-	var pre [maxInternLen + 1]setKey
-	for _, t := range tx {
-		n := len(t)
-		if n < k {
-			continue
-		}
-		if !binomialAtMost(n, k, 4*len(candidates)) {
-			for i, cand := range candidates {
-				if t.ContainsAll(cand) {
-					counts[i]++
-				}
-			}
-			continue
-		}
-		d := 0
-		pos[0] = 0
-		for d >= 0 {
-			if pos[d] > n-k+d {
-				// Choices at this depth exhausted; backtrack.
-				d--
-				if d >= 0 {
-					pos[d]++
-				}
-				continue
-			}
-			pre[d+1] = pre[d] | setKey(t[pos[d]]+1)<<(8*d)
-			if d == k-1 {
-				if idx, ok := index[pre[k]]; ok {
-					counts[idx]++
-				}
-				pos[d]++
-			} else {
-				pos[d+1] = pos[d] + 1
-				d++
-			}
-		}
-	}
-}
-
-// countChunk is the string-keyed fallback of countChunkPacked, used
-// when the run exceeds the interned representation. The enumeration
-// buffer is allocated once with capacity k, so the k-subset recursion
-// never reallocates per transaction.
-func countChunk(tx []Transaction, candidates []Itemset, index map[string]int, k int, counts []int) {
-	buf := make(Itemset, 0, k)
-	for _, t := range tx {
-		if len(t) < k {
-			continue
-		}
-		if binomialAtMost(len(t), k, 4*len(candidates)) {
-			enumerateSubsets(t, k, buf, func(sub Itemset) {
-				if idx, ok := index[sub.Key()]; ok {
-					counts[idx]++
-				}
-			})
-		} else {
-			for i, cand := range candidates {
-				if t.ContainsAll(cand) {
-					counts[i]++
-				}
-			}
-		}
-	}
-}
-
-// binomialAtMost reports whether C(n, k) <= limit without overflow.
-func binomialAtMost(n, k, limit int) bool {
-	if k > n {
-		return true
-	}
-	if k > n-k {
-		k = n - k
-	}
-	c := 1
-	for i := 1; i <= k; i++ {
-		c = c * (n - k + i) / i
-		if c > limit {
+		sub = append(append(sub[:0], cand[:skip]...), cand[skip+1:]...)
+		if !known[sub.Key()] {
 			return false
 		}
 	}
 	return true
 }
 
-// enumerateSubsets calls fn for every k-subset of the sorted set t.
-// The callback's argument is reused between calls; buf must have
-// capacity at least k (its contents are ignored).
-func enumerateSubsets(t Itemset, k int, buf Itemset, fn func(Itemset)) {
-	buf = buf[:0]
-	var rec func(start int)
-	rec = func(start int) {
-		if len(buf) == k {
-			fn(buf)
-			return
-		}
-		// Not enough items left to fill the subset.
-		for i := start; i <= len(t)-(k-len(buf)); i++ {
-			buf = append(buf, t[i])
-			rec(i + 1)
-			buf = buf[:len(buf)-1]
-		}
-	}
-	rec(0)
-}
+func samePrefix(a, b Itemset, n int) bool { return a[:n].Equal(b[:n]) }

@@ -2,6 +2,7 @@ package raslog
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,11 +11,12 @@ import (
 	"time"
 )
 
-// Wire format. The binary *file* format (binlog.go) interns strings
-// cumulatively and delta-encodes each record against the previous one,
-// which makes a stream unsplittable: drop or reroute one record and
-// every later delta is wrong. The wire format trades a few bytes per
-// frame for exactly the properties a routing gate needs:
+// Wire format: the one binary encoding of RAS records. It is both the
+// application/x-bglbin ingest body and the binary log file (a file is
+// a stream of frames, so its bytes are a valid POST /v1/ingest body).
+// Strings and deltas are scoped to one frame rather than to the whole
+// stream, which costs a few bytes per record over a cumulative encoding
+// and buys exactly the properties a routing gate needs:
 //
 //	frame:  "BGLW" magic (4 bytes)
 //	        version byte (0x01)
@@ -63,7 +65,7 @@ const (
 	wireMaxPayload = 1 << 24
 	// wireFlushPayload is the writer's auto-split threshold.
 	wireFlushPayload = 1 << 20
-	// wireMaxString caps one interned string, as in the file format.
+	// wireMaxString caps one interned string.
 	wireMaxString = 1 << 20
 	// wireMaxEventBody caps one event record's body.
 	wireMaxEventBody = 1 << 16
@@ -92,9 +94,9 @@ const (
 
 // WireWriter encodes events into a stream of wire frames. Frames are
 // cut automatically at the string-table cap and the payload threshold;
-// Flush emits the pending frame. Unlike the file BinWriter it does not
-// require time order (deltas are base-relative), though producers that
-// feed engines should still send log order.
+// Flush emits the pending frame. It does not require time order
+// (deltas are base-relative), though producers that feed engines should
+// still send log order.
 type WireWriter struct {
 	w       io.Writer
 	payload []byte
@@ -766,7 +768,8 @@ func (s *WireScanner) Next() (*WireFrame, error) {
 	return &s.frame, nil
 }
 
-// WriteWireFile writes events to path as a stream of wire frames.
+// WriteWireFile writes events to path as a stream of wire frames: the
+// binary log file, whose bytes are also a valid ingest body.
 func WriteWireFile(path string, events []Event) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -805,4 +808,35 @@ func ReadWireFile(path string) ([]Event, error) {
 		}
 		out = append(out, evs...)
 	}
+}
+
+// retiredBinMagic opened the binary log files of an earlier, separate
+// file codec with stream-wide strings and deltas.
+const retiredBinMagic = "BGLRAS1\n"
+
+// ErrRetiredBinLog is ReadAnyFile's error for a file in the retired
+// BGLRAS1 binary log format.
+var ErrRetiredBinLog = errors.New(`raslog: retired "BGLRAS1" binary log format; convert it with an older bglconvert -out wire`)
+
+// ReadAnyFile reads a RAS log that is either a wire-frame file or the
+// text dialect, sniffing the wire magic.
+func ReadAnyFile(path string) ([]Event, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	head := make([]byte, len(retiredBinMagic))
+	n, err := io.ReadFull(f, head)
+	f.Close()
+	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+		return nil, err
+	}
+	head = head[:n]
+	switch {
+	case string(head) == retiredBinMagic:
+		return nil, fmt.Errorf("%s: %w", path, ErrRetiredBinLog)
+	case bytes.HasPrefix(head, []byte(wireMagic)):
+		return ReadWireFile(path)
+	}
+	return ReadFile(path)
 }
