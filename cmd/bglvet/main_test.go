@@ -32,7 +32,7 @@ func sampleFindings(t *testing.T) []analysis.Finding {
 			SuggestedFix: "hoist the allocation out of the hot path, reuse an amortized buffer, or move the work to the slow path",
 		},
 		{
-			Analyzer: "goroutinelife",
+			Analyzer: "wrapsentinel",
 			Pos:      token.Position{Filename: filepath.Join(cwd, "c.go"), Line: 3, Column: 2},
 			Message:  `message with "quotes" and a back\slash`,
 		},

@@ -2,18 +2,18 @@
 // the spirit of golang.org/x/tools/go/analysis, built only on the
 // standard library's go/ast, go/parser, go/token and go/types (this
 // repo vendors no third-party modules). It exists to turn the
-// concurrency, determinism and resilience contracts written down in
-// DESIGN.md — callbacks outside locks (PR 1), bit-identical
-// deterministic pipelines (PR 3), nil-safe fault points and %w
-// sentinel wrapping (PR 4) — into machine-checked invariants that run
-// on every build via cmd/bglvet.
+// concurrency, determinism, allocation and error-wrapping contracts
+// written down in DESIGN.md — an acyclic lock order, bit-identical
+// deterministic pipelines, allocation-free hot paths and %w sentinel
+// wrapping — into machine-checked invariants that run on every build
+// via cmd/bglvet.
 //
 // The shape mirrors x/tools deliberately (Analyzer, Pass, Diagnostic,
 // an analysistest-style corpus runner) so the suite can migrate to
 // the real framework wholesale if the module ever takes on the
 // dependency; the one addition is Analyzer.Finish, a whole-program
-// hook used for cross-package invariants such as fault-point name
-// uniqueness.
+// hook used for cross-package invariants such as the lock-ordering
+// graph and hot-path call closures.
 package analysis
 
 import (
@@ -35,8 +35,8 @@ type Analyzer struct {
 	Run func(pass *Pass) (any, error)
 	// Finish, when non-nil, runs once after every package has been
 	// analyzed, seeing all per-package Run results — the hook for
-	// whole-program invariants (e.g. fault-point names unique across
-	// the repo). Findings are reported through report.
+	// whole-program invariants (e.g. no lock-order cycle across
+	// packages). Findings are reported through report.
 	Finish func(results []PkgResult, report func(Finding))
 }
 
@@ -53,11 +53,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Load resolves another package of the module (or a dependency) to
-	// its loaded form, ASTs included — cross-package syntax access for
-	// analyzers that must read a dependency's method bodies (faultpoint
-	// derives the nil-safe Injector method set this way).
-	Load func(path string) (*Package, error)
 	// Report records one finding.
 	Report func(Diagnostic)
 }

@@ -88,7 +88,7 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) []analysis.Finding 
 		loaded = append(loaded, pkg)
 	}
 	suite := &analysis.Suite{Analyzers: []*analysis.Analyzer{a}}
-	findings, err := suite.Run(l, loaded)
+	findings, err := suite.Run(loaded)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
@@ -192,6 +192,58 @@ func splitQuoted(t *testing.T, pos, s string) []string {
 		t.Fatalf("%s: want clause with no regexps", pos)
 	}
 	return out
+}
+
+// RunOnCopy runs one analyzer over a real module package — its
+// non-test sources copied into a temp directory the loader serves
+// under the package's own import path — plus planted.go when planted
+// is non-empty. It is the harness for planted-bug tests: the analyzer
+// must stay quiet on the package as it stands and catch the bug once
+// it is planted.
+func RunOnCopy(t *testing.T, a *analysis.Analyzer, path, planted string) []analysis.Finding {
+	t.Helper()
+	l, err := analysis.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, ok := strings.CutPrefix(path, l.ModulePath+"/")
+	if !ok {
+		t.Fatalf("analysistest: %s is not a package of module %s", path, l.ModulePath)
+	}
+	names, err := filepath.Glob(filepath.Join(l.ModuleDir, filepath.FromSlash(rel), "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(name string, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(filepath.Base(name), data)
+	}
+	if planted != "" {
+		write("planted.go", []byte(planted))
+	}
+	l.ExtraRoots = map[string]string{path: dir}
+	pkg, err := l.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite := &analysis.Suite{Analyzers: []*analysis.Analyzer{a}}
+	findings, err := suite.Run([]*analysis.Package{pkg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return findings
 }
 
 // MustContain asserts that some finding message matches the pattern —

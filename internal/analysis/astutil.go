@@ -3,12 +3,11 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// PathString renders a pure selector chain ("s.cfg.Observer") or ""
-// if the expression is anything more complicated (calls, indexing) —
-// the analyzers track locks and callbacks only through plain paths.
+// PathString renders a pure selector chain ("s.shard.mu") or "" if
+// the expression is anything more complicated (calls, indexing) — the
+// analyzers track locks and maps only through plain paths.
 func PathString(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:
@@ -37,14 +36,6 @@ func BaseIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// LastComponent returns the final element of a dotted path.
-func LastComponent(path string) string {
-	if i := strings.LastIndexByte(path, '.'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }
 
 // CalleeFunc resolves a call to the package-level function or method

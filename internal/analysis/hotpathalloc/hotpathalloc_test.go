@@ -43,7 +43,7 @@ func runOn(t *testing.T, src string) []analysis.Finding {
 		t.Fatal(err)
 	}
 	s := &analysis.Suite{Analyzers: []*analysis.Analyzer{hotpathalloc.Analyzer}}
-	findings, err := s.Run(l, []*analysis.Package{pkg})
+	findings, err := s.Run([]*analysis.Package{pkg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func TestNoCycleWithoutClosingPackage(t *testing.T) {
 		pkgs = append(pkgs, pkg)
 	}
 	suite := &analysis.Suite{Analyzers: []*analysis.Analyzer{lockorder.Analyzer}}
-	findings, err := suite.Run(l, pkgs)
+	findings, err := suite.Run(pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func runOn(t *testing.T, src string) []analysis.Finding {
 		t.Fatal(err)
 	}
 	s := &analysis.Suite{Analyzers: []*analysis.Analyzer{lockorder.Analyzer}}
-	findings, err := s.Run(l, []*analysis.Package{pkg})
+	findings, err := s.Run([]*analysis.Package{pkg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,4 +149,49 @@ func clean(s *S) {
 	if f.Analyzer != analysis.MetaName || !strings.Contains(f.Message, "stale ignore") {
 		t.Fatalf("want a stale-ignore meta finding, got: %v", f)
 	}
+}
+
+// plantedInversion takes lifecycle's two mutexes in opposite orders —
+// the deadlock lockorder exists to catch, planted into the real
+// package.
+const plantedInversion = `package lifecycle
+
+func plantedRecorderFirst(rec *Recorder, rt *Retrainer) {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+}
+
+func plantedRetrainerFirst(rec *Recorder, rt *Retrainer) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+}
+`
+
+// TestPlantedLifecycleInversion is lockorder's evidence on this tree:
+// the real lifecycle package is clean, and two functions taking
+// Recorder.mu and Retrainer.mu in opposite orders produce exactly one
+// cycle naming both.
+func TestPlantedLifecycleInversion(t *testing.T) {
+	const path = "bglpred/internal/lifecycle"
+	t.Run("unmodified", func(t *testing.T) {
+		if findings := analysistest.RunOnCopy(t, lockorder.Analyzer, path, ""); len(findings) != 0 {
+			t.Fatalf("unmodified lifecycle has findings: %v", findings)
+		}
+	})
+	t.Run("planted", func(t *testing.T) {
+		findings := analysistest.RunOnCopy(t, lockorder.Analyzer, path, plantedInversion)
+		if len(findings) != 1 {
+			t.Fatalf("got %d findings, want exactly 1 cycle: %v", len(findings), findings)
+		}
+		msg := findings[0].Message
+		for _, want := range []string{"lock-order cycle", "lifecycle.(Recorder).mu", "lifecycle.(Retrainer).mu"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("finding %q does not name %q", msg, want)
+			}
+		}
+	})
 }

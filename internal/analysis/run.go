@@ -25,9 +25,8 @@ type Suite struct {
 
 // Run analyzes pkgs with every analyzer, applies //bglvet:ignore
 // suppressions, reports stale ignores, and returns the surviving
-// findings sorted by position. The loader is the one the packages
-// came from — analyzers reach sibling packages through it.
-func (s *Suite) Run(l *Loader, pkgs []*Package) ([]Finding, error) {
+// findings sorted by position.
+func (s *Suite) Run(pkgs []*Package) ([]Finding, error) {
 	known := s.Known
 	if known == nil {
 		known = make(map[string]bool, len(s.Analyzers))
@@ -62,7 +61,6 @@ func (s *Suite) Run(l *Loader, pkgs []*Package) ([]Finding, error) {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Load:      l.Load,
 			}
 			name := a.Name
 			pass.Report = func(d Diagnostic) {

@@ -1,26 +1,20 @@
-// Package suite assembles the bglvet registry: the seven invariant
+// Package suite assembles the bglvet registry: the four invariant
 // analyzers plus the policy of which packages each one patrols.
 //
-// callbacklock, faultpoint and wrapsentinel apply everywhere — their
-// contracts (no callbacks under locks, nil-tolerant fault points,
-// errors.Is-visible sentinels) are repo-wide. determinism is scoped
-// to the pipeline packages whose outputs must be byte-stable run to
-// run. The concurrency pair — lockorder and goroutinelife — patrols
-// the packages that own mutexes and long-lived goroutines (serve,
-// cluster, edge, ledger, lifecycle, online), and hotpathalloc the
-// packages the //bglvet:hotpath roots and their call closures live in
-// (raslog, serve, edge, online, preprocess, catalog, lifecycle,
-// cluster).
+// wrapsentinel applies everywhere — errors.Is-visible sentinels are a
+// repo-wide contract. determinism is scoped to the pipeline packages
+// whose outputs must be byte-stable run to run. lockorder patrols the
+// packages that own mutexes (serve, cluster, edge, ledger, lifecycle,
+// online), and hotpathalloc the packages the //bglvet:hotpath roots
+// and their call closures live in (raslog, serve, edge, online,
+// preprocess, catalog, lifecycle, cluster).
 package suite
 
 import (
 	"strings"
 
 	"bglpred/internal/analysis"
-	"bglpred/internal/analysis/callbacklock"
 	"bglpred/internal/analysis/determinism"
-	"bglpred/internal/analysis/faultpoint"
-	"bglpred/internal/analysis/goroutinelife"
 	"bglpred/internal/analysis/hotpathalloc"
 	"bglpred/internal/analysis/lockorder"
 	"bglpred/internal/analysis/wrapsentinel"
@@ -29,10 +23,7 @@ import (
 // All returns the full analyzer registry in name order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		callbacklock.Analyzer,
 		determinism.Analyzer,
-		faultpoint.Analyzer,
-		goroutinelife.Analyzer,
 		hotpathalloc.Analyzer,
 		lockorder.Analyzer,
 		wrapsentinel.Analyzer,
@@ -64,11 +55,11 @@ var deterministicPkgs = map[string]bool{
 	"experiments": true,
 }
 
-// concurrencyPkgs own the mutexes and long-lived goroutines the
-// lockorder/goroutinelife pair patrols: the serving layer's shard
-// supervisors, the cluster gate's replay loops, the edge's SSE broker
-// and inspection ring, the ledger's group-commit leader, lifecycle's
-// retrain machinery and the online engine's dual-lock emission path.
+// concurrencyPkgs own the mutexes lockorder patrols: the serving
+// layer's shard supervisors, the cluster gate's replay loops, the
+// edge's SSE broker and inspection ring, the ledger's group-commit
+// leader, lifecycle's retrain machinery and the online engine's
+// dual-lock emission path.
 var concurrencyPkgs = []string{
 	"internal/serve", "internal/cluster", "internal/edge",
 	"internal/ledger", "internal/lifecycle", "internal/online",
@@ -93,7 +84,7 @@ func Filter(pkgPath, analyzer string) bool {
 	switch analyzer {
 	case determinism.Analyzer.Name:
 		return deterministicPkgs[lastElem(pkgPath)]
-	case lockorder.Analyzer.Name, goroutinelife.Analyzer.Name:
+	case lockorder.Analyzer.Name:
 		return hasSuffixIn(pkgPath, concurrencyPkgs)
 	case hotpathalloc.Analyzer.Name:
 		return hasSuffixIn(pkgPath, hotPkgs)

@@ -28,7 +28,7 @@ func runOn(t *testing.T, src string) []analysis.Finding {
 		t.Fatal(err)
 	}
 	s := &analysis.Suite{Analyzers: []*analysis.Analyzer{wrapsentinel.Analyzer}}
-	findings, err := s.Run(l, []*analysis.Package{pkg})
+	findings, err := s.Run([]*analysis.Package{pkg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ var x = 1
 		Analyzers: []*analysis.Analyzer{wrapsentinel.Analyzer},
 		Known:     map[string]bool{"wrapsentinel": true, "determinism": true},
 	}
-	findings, err := s.Run(l, []*analysis.Package{pkg})
+	findings, err := s.Run([]*analysis.Package{pkg})
 	if err != nil {
 		t.Fatal(err)
 	}

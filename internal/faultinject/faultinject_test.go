@@ -4,19 +4,33 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
 // TestNilInjectorIsNoOp: the production configuration never fires, at
-// any point, whatever was asked of it.
+// any point, whatever was asked of it. Every exported method is called
+// on the nil receiver, so call sites need no nil guard; a new method
+// fails the count below until it joins the calls here.
 func TestNilInjectorIsNoOp(t *testing.T) {
 	var in *Injector
 	points := []Point{
 		ShardPanic, ShardSlow, IngestCorrupt, GateForwardDown, GateForwardPartial, GateProbeFlap,
 		FsWrite, FsSync, FsRename, FsRead, FsCorrupt,
 		LedgerWrite, LedgerSync, LedgerRead, LedgerTruncate, LedgerAnchor,
+	}
+	seen := make(map[Point]bool)
+	for _, p := range points {
+		if seen[p] {
+			t.Errorf("fault point %q is declared twice", p)
+		}
+		seen[p] = true
+	}
+	const called = 5 // Set, Fire, Hits, Fires, Clear
+	if n := reflect.TypeOf(in).NumMethod(); n != called {
+		t.Errorf("*Injector has %d exported methods, the nil-receiver checks call %d", n, called)
 	}
 	for _, p := range points {
 		in.Set(p, Plan{Panic: true}) // must not panic or crash

@@ -112,7 +112,9 @@ type Config struct {
 	// Observer, when set, sees every record accepted by /v1/ingest, in
 	// request order, on the request goroutine — the model-lifecycle
 	// subsystem's tap for its sliding retraining window. It must be
-	// cheap and must not block.
+	// cheap and must not block. It runs while the server's close lock
+	// is held for reading, so it must not call back into the Server:
+	// calling Close from it deadlocks.
 	Observer func(raslog.Event)
 	// Reload, when set, backs POST /v1/model/reload: it should retrain
 	// or re-read the model and hot-swap it via SwapModel before
