@@ -32,6 +32,7 @@ import (
 	"bglpred/internal/ecg"
 	"bglpred/internal/eval"
 	"bglpred/internal/faultinject"
+	"bglpred/internal/ledger"
 	"bglpred/internal/lifecycle"
 	"bglpred/internal/model"
 	"bglpred/internal/online"
@@ -235,7 +236,8 @@ func NewRecorder(window time.Duration, max int) *Recorder {
 }
 
 // NewCheckpointer periodically snapshots srv's shard state into
-// cfg.Dir; restore on the next start with RestoreCheckpoint.
+// cfg.Dir (or cfg.Ledger); cmd/bglserved restores the newest snapshot
+// on its next start, pairing it with the model it was taken against.
 func NewCheckpointer(srv *Server, cfg CheckpointerConfig) *Checkpointer {
 	return lifecycle.NewCheckpointer(srv, cfg)
 }
@@ -245,14 +247,6 @@ func NewCheckpointer(srv *Server, cfg CheckpointerConfig) *Checkpointer {
 // (RetrainNow).
 func NewRetrainer(srv *Server, rec *Recorder, cfg RetrainerConfig) *Retrainer {
 	return lifecycle.NewRetrainer(srv, rec, cfg)
-}
-
-// RestoreCheckpoint installs the checkpoint saved in dir into a
-// freshly built server; wantSHA guards against restoring state taken
-// against a different model (pass "" to skip the check). A missing
-// checkpoint returns (nil, nil): a cold start.
-func RestoreCheckpoint(srv *Server, dir, wantSHA string) (*Checkpoint, error) {
-	return lifecycle.Restore(srv, dir, wantSHA)
 }
 
 // RegisterPredictor adds a named base predictor to the registry, so
@@ -314,10 +308,11 @@ func WriteLogFile(path string, events []Event) error { return raslog.WriteFile(p
 // into ServerConfig.Inject, and wrap filesystems with NewFaultFs.
 func NewFaultInjector(seed uint64) *FaultInjector { return faultinject.New(seed) }
 
-// NewFaultFs wraps a model filesystem so inj's fs.* fault points can
-// inject ENOSPC, short writes, failed fsyncs and renames, and read
+// NewFaultFs wraps the filesystem seam of the durable state (nil =
+// the real filesystem) so inj's fs.* fault points can inject ENOSPC,
+// short writes, failed fsyncs, renames and truncates, and read
 // corruption. Pass it as CheckpointerConfig.FS or RetrainerConfig.FS.
-func NewFaultFs(inj *FaultInjector, base model.FS) model.FS {
+func NewFaultFs(inj *FaultInjector, base ledger.FS) ledger.FS {
 	return faultinject.NewFs(inj, base)
 }
 

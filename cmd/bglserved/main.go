@@ -443,14 +443,18 @@ func loadArtifact(path string) (*predictor.Meta, serve.ModelInfo, error) {
 	if err != nil {
 		return nil, serve.ModelInfo{}, fmt.Errorf("rebuild model: %w", err)
 	}
+	rules := 0
+	if meta.Rule != nil {
+		rules = meta.Rule.Rules().Len()
+	}
 	logf("loaded model %s (sha %.12s, trained %s on %q, %d rules, predictors %v)",
 		path, mi.SHA256, art.Provenance.TrainedAt.Format(time.RFC3339),
-		art.Provenance.Source, len(art.Rule.Rules), meta.BaseNames())
+		art.Provenance.Source, rules, meta.BaseNames())
 	return meta, serve.ModelInfo{
 		SHA256:     mi.SHA256,
 		TrainedAt:  art.Provenance.TrainedAt,
 		Source:     art.Provenance.Source,
-		Rules:      len(art.Rule.Rules),
+		Rules:      rules,
 		Predictors: meta.BaseNames(),
 	}, nil
 }

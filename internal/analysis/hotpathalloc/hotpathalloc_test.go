@@ -91,3 +91,36 @@ func cold(b []byte) string {
 		t.Fatalf("want a stale-ignore meta finding, got: %v", f)
 	}
 }
+
+// TestPlantedServeConcatenation is hotpathalloc's evidence on this
+// tree: internal/serve as it stands gives no finding, and a string
+// concatenation planted in a helper that a //bglvet:hotpath root
+// reaches — the root also walking serve's real ingest loop — gives
+// exactly one.
+func TestPlantedServeConcatenation(t *testing.T) {
+	const path = "bglpred/internal/serve"
+	t.Run("unmodified", func(t *testing.T) {
+		if findings := analysistest.RunOnCopy(t, hotpathalloc.Analyzer, path, ""); len(findings) != 0 {
+			t.Fatalf("unmodified serve has findings: %v", findings)
+		}
+	})
+	t.Run("planted", func(t *testing.T) {
+		findings := analysistest.RunOnCopy(t, hotpathalloc.Analyzer, path, `package serve
+
+import "context"
+
+//bglvet:hotpath
+func (s *Server) plantedIngest(ctx context.Context, src recordSource, resp *IngestResponse, touched []bool, via string) int {
+	resp.Error = plantedTag(via)
+	return s.ingest(ctx, src, resp, touched)
+}
+
+func plantedTag(via string) string {
+	return "ingest via " + via
+}
+`)
+		if len(findings) != 1 || !strings.Contains(findings[0].Message, "string concatenation on the hot path") {
+			t.Fatalf("want exactly 1 finding for the planted concatenation, got %v", findings)
+		}
+	})
+}

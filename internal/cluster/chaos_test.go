@@ -260,7 +260,7 @@ func TestClusterChaosAcceptance(t *testing.T) {
 	// fresh server here — and put it back on the wire. The gate's next
 	// sweep drains the backlog into it, in order.
 	fresh := mkServer()
-	cp, err := lifecycle.Restore(fresh, dir, "sha-v1")
+	cp, err := lifecycle.RestoreMatching(fresh, dir, nil, "sha-v1", t.Logf)
 	if err != nil || cp == nil {
 		t.Fatalf("restore from checkpoint: cp=%v err=%v", cp, err)
 	}

@@ -14,9 +14,11 @@
 //     the fault fires. A nil *Injector is the production configuration:
 //     every method is a nil-receiver no-op, so fault points compile to
 //     a pointer compare and nothing else.
-//   - Fs: a model.FS middleware injecting filesystem faults (ENOSPC,
-//     short writes, fsync errors, failed renames, read-side truncation
-//     and bit corruption) into the model/checkpoint persistence path.
+//   - Fs: middleware over ledger.FS, the one filesystem seam of the
+//     durable state, injecting filesystem faults (ENOSPC, short
+//     writes, fsync errors, failed renames and truncates, read-side
+//     truncation and bit corruption) into model artifacts,
+//     checkpoints and the audit ledger alike.
 package faultinject
 
 import (
@@ -53,25 +55,17 @@ const (
 	// backend, modeling flapping health checks; routing must buffer
 	// and recover without losing or reordering lines.
 	GateProbeFlap Point = "gate.probe.flap"
-	// FsWrite fails a staged write (ENOSPC, optionally after a short
-	// write), FsSync an fsync, FsRename the commit rename, FsRead a
-	// whole-file read; FsCorrupt mutates read bytes instead of failing
-	// the read (truncation or a bit flip — the SHA-mismatch path).
-	FsWrite   Point = "fs.write"
-	FsSync    Point = "fs.sync"
-	FsRename  Point = "fs.rename"
-	FsRead    Point = "fs.read"
-	FsCorrupt Point = "fs.corrupt"
-	// LedgerWrite fails (or short-writes) an audit-ledger batch write,
-	// LedgerSync the group-commit fsync, LedgerRead a ledger file read,
-	// LedgerTruncate the rollback truncate after a failed commit (the
-	// ledger-poisoning path), and LedgerAnchor the anchor sidecar's
-	// commit rename.
-	LedgerWrite    Point = "ledger.append.write"
-	LedgerSync     Point = "ledger.commit.sync"
-	LedgerRead     Point = "ledger.read"
-	LedgerTruncate Point = "ledger.rollback.truncate"
-	LedgerAnchor   Point = "ledger.anchor.rename"
+	// FsWrite fails a write (ENOSPC, optionally after a short write),
+	// FsSync an fsync, FsRename a commit rename, FsTruncate the ledger's
+	// rollback truncate, FsRead a whole-file read; FsCorrupt mutates
+	// read bytes instead of failing the read (truncation or a bit flip
+	// — the SHA-mismatch path).
+	FsWrite    Point = "fs.write"
+	FsSync     Point = "fs.sync"
+	FsRename   Point = "fs.rename"
+	FsTruncate Point = "fs.truncate"
+	FsRead     Point = "fs.read"
+	FsCorrupt  Point = "fs.corrupt"
 )
 
 // ErrInjected is the default error injected faults return; plans may

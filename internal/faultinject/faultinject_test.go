@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bglpred/internal/ledger"
 )
 
 // TestNilInjectorIsNoOp: the production configuration never fires, at
@@ -18,8 +20,10 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 	var in *Injector
 	points := []Point{
 		ShardPanic, ShardSlow, IngestCorrupt, GateForwardDown, GateForwardPartial, GateProbeFlap,
-		FsWrite, FsSync, FsRename, FsRead, FsCorrupt,
-		LedgerWrite, LedgerSync, LedgerRead, LedgerTruncate, LedgerAnchor,
+		FsWrite, FsSync, FsRename, FsTruncate, FsRead, FsCorrupt,
+	}
+	if len(points) != 12 {
+		t.Errorf("%d fault points listed, the package declares 12", len(points))
 	}
 	seen := make(map[Point]bool)
 	for _, p := range points {
@@ -187,29 +191,6 @@ func TestDelayOnlyPlanIsSlowNotFailed(t *testing.T) {
 	}
 }
 
-// writeVia stages and commits one file through fsys the way the
-// envelope writer does: temp, write, sync, rename.
-func writeVia(t *testing.T, fsys *Fs, path string, data []byte) error {
-	t.Helper()
-	f, err := fsys.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(f.Name())
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fsys.Rename(f.Name(), path)
-}
-
 func TestFsFaultModes(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "f.bin")
@@ -217,7 +198,7 @@ func TestFsFaultModes(t *testing.T) {
 
 	t.Run("passthrough", func(t *testing.T) {
 		fsys := NewFs(nil, nil) // nil injector: pure passthrough
-		if err := writeVia(t, fsys, path, payload); err != nil {
+		if err := ledger.WriteFileAtomic(fsys, path, payload, true); err != nil {
 			t.Fatal(err)
 		}
 		got, err := fsys.ReadFile(path)
@@ -229,7 +210,7 @@ func TestFsFaultModes(t *testing.T) {
 	t.Run("enospc", func(t *testing.T) {
 		in := New(1)
 		in.Set(FsWrite, Plan{Err: ENOSPC})
-		err := writeVia(t, NewFs(in, nil), filepath.Join(dir, "x"), payload)
+		err := ledger.WriteFileAtomic(NewFs(in, nil), filepath.Join(dir, "x"), payload, true)
 		if !errors.Is(err, ENOSPC) {
 			t.Fatalf("err = %v, want ENOSPC through the wrap", err)
 		}
@@ -254,7 +235,7 @@ func TestFsFaultModes(t *testing.T) {
 	t.Run("fsync", func(t *testing.T) {
 		in := New(1)
 		in.Set(FsSync, Plan{})
-		err := writeVia(t, NewFs(in, nil), filepath.Join(dir, "y"), payload)
+		err := ledger.WriteFileAtomic(NewFs(in, nil), filepath.Join(dir, "y"), payload, true)
 		if !errors.Is(err, ErrInjected) || !strings.Contains(err.Error(), "fs.sync") {
 			t.Fatalf("fsync fault = %v", err)
 		}
@@ -264,7 +245,7 @@ func TestFsFaultModes(t *testing.T) {
 		in := New(1)
 		in.Set(FsRename, Plan{})
 		target := filepath.Join(dir, "z")
-		err := writeVia(t, NewFs(in, nil), target, payload)
+		err := ledger.WriteFileAtomic(NewFs(in, nil), target, payload, true)
 		if !errors.Is(err, ErrInjected) {
 			t.Fatalf("rename fault = %v", err)
 		}

@@ -3,31 +3,40 @@ package faultinject
 import (
 	"fmt"
 
-	"bglpred/internal/model"
+	"bglpred/internal/ledger"
 )
 
-// Fs is model.FS middleware that injects filesystem faults into the
-// model-artifact and checkpoint persistence path: failed or short
-// writes (FsWrite), fsync errors (FsSync), failed commit renames
-// (FsRename), failed reads (FsRead), and silent read corruption
-// (FsCorrupt — truncation or a payload bit flip, the two shapes the
+// Fs is ledger.FS middleware that injects filesystem faults into every
+// durable write and read: model artifacts, checkpoints, and the audit
+// ledger with its anchor sidecar. Failed or short writes (FsWrite) and
+// fsync errors (FsSync) hit every handle it opens — staged temp files
+// and the ledger's append handle alike; FsRename fails commit renames,
+// FsTruncate the ledger's rollback truncate (the path that poisons
+// it), FsRead whole-file reads, and FsCorrupt mutates read bytes
+// instead (truncation or a payload bit flip, the two shapes the
 // envelope decoder must catch).
 //
-// Wrap the real filesystem with NewFs(inj, model.OS) and hand the
-// result to the FS-taking persistence entry points
-// (lifecycle.CheckpointerConfig.FS, model.Artifact.SaveFS, ...).
+// Wrap the real filesystem with NewFs(inj, ledger.OS) and hand the
+// result to the FS-taking entry points (ledger.Config.FS,
+// lifecycle.CheckpointerConfig.FS, model.Artifact.SaveFS, ...).
 type Fs struct {
 	inj  *Injector
-	base model.FS
+	base ledger.FS
 }
 
-// NewFs wraps base (nil = model.OS) with inj's filesystem fault
+// NewFs wraps base (nil = ledger.OS) with inj's filesystem fault
 // points. A nil injector yields a pure passthrough.
-func NewFs(inj *Injector, base model.FS) *Fs {
+func NewFs(inj *Injector, base ledger.FS) *Fs {
 	if base == nil {
-		base = model.OS
+		base = ledger.OS
 	}
 	return &Fs{inj: inj, base: base}
+}
+
+// OpenAppend opens an append handle whose Write and Sync are fault
+// points.
+func (f *Fs) OpenAppend(path string) (ledger.File, error) {
+	return f.wrap(f.base.OpenAppend(path))
 }
 
 // ReadFile reads through the base FS, then applies FsRead (failed
@@ -65,14 +74,18 @@ func corrupt(data []byte, mode CorruptMode) []byte {
 	}
 }
 
-// CreateTemp opens a staging file whose Write and Sync are themselves
-// fault points.
-func (f *Fs) CreateTemp(dir, pattern string) (model.File, error) {
-	file, err := f.base.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
+// Truncate applies FsTruncate, then truncates through the base FS.
+func (f *Fs) Truncate(path string, size int64) error {
+	if err := f.inj.Fire(FsTruncate); err != nil {
+		return err
 	}
-	return &faultFile{inj: f.inj, base: file}, nil
+	return f.base.Truncate(path, size)
+}
+
+// CreateTemp opens a staging file whose Write and Sync are fault
+// points.
+func (f *Fs) CreateTemp(dir, pattern string) (ledger.File, error) {
+	return f.wrap(f.base.CreateTemp(dir, pattern))
 }
 
 // Rename applies FsRename, then renames through the base FS.
@@ -87,14 +100,21 @@ func (f *Fs) Rename(oldpath, newpath string) error {
 // failed write would mask the interesting error).
 func (f *Fs) Remove(name string) error { return f.base.Remove(name) }
 
-// SyncDir passes through; the injectable fsync is the staged file's
-// (File.Sync), which the save path actually depends on.
+// SyncDir passes through; the injectable fsync is the file's
+// (File.Sync), which every durability path depends on.
 func (f *Fs) SyncDir(dir string) error { return f.base.SyncDir(dir) }
 
-// faultFile interposes FsWrite and FsSync on a staged file.
+func (f *Fs) wrap(file ledger.File, err error) (ledger.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &faultFile{inj: f.inj, base: file}, nil
+}
+
+// faultFile interposes FsWrite and FsSync on an open handle.
 type faultFile struct {
 	inj  *Injector
-	base model.File
+	base ledger.File
 }
 
 func (f *faultFile) Name() string { return f.base.Name() }

@@ -34,30 +34,30 @@ func TestLedgerChaosAcceptance(t *testing.T) {
 		expectOpenErr bool
 	}{
 		{name: "write-enospc", arm: func(in *faultinject.Injector) {
-			in.Set(faultinject.LedgerWrite, faultinject.Plan{Every: 3, Times: 6})
+			in.Set(faultinject.FsWrite, faultinject.Plan{Every: 3, Times: 6})
 		}},
 		{name: "write-short", arm: func(in *faultinject.Injector) {
-			in.Set(faultinject.LedgerWrite, faultinject.Plan{Every: 2, Times: 8, ShortWrite: true})
+			in.Set(faultinject.FsWrite, faultinject.Plan{Every: 2, Times: 8, ShortWrite: true})
 		}},
 		{name: "sync-fail", arm: func(in *faultinject.Injector) {
-			in.Set(faultinject.LedgerSync, faultinject.Plan{Every: 4, Times: 5})
+			in.Set(faultinject.FsSync, faultinject.Plan{Every: 4, Times: 5})
 		}},
 		{name: "sync-prob", arm: func(in *faultinject.Injector) {
-			in.Set(faultinject.LedgerSync, faultinject.Plan{Prob: 0.3, Times: 10})
+			in.Set(faultinject.FsSync, faultinject.Plan{Prob: 0.3, Times: 10})
 		}},
 		{name: "write-then-truncate-fail-poisons", arm: func(in *faultinject.Injector) {
 			// A short write whose rollback also fails: the ledger must
 			// refuse further appends rather than bury the torn batch.
-			in.Set(faultinject.LedgerWrite, faultinject.Plan{After: 10, Times: 1, ShortWrite: true})
-			in.Set(faultinject.LedgerTruncate, faultinject.Plan{Times: 1})
+			in.Set(faultinject.FsWrite, faultinject.Plan{After: 10, Times: 1, ShortWrite: true})
+			in.Set(faultinject.FsTruncate, faultinject.Plan{Times: 1})
 		}},
 		{name: "anchor-rename-fail", arm: func(in *faultinject.Injector) {
-			in.Set(faultinject.LedgerAnchor, faultinject.Plan{Every: 2})
+			in.Set(faultinject.FsRename, faultinject.Plan{Every: 2})
 		}},
 		{name: "read-fail-on-open", expectOpenErr: true, arm: func(in *faultinject.Injector) {
 			// After:1 skips round 0's existence check so the file gets
 			// created; the next round's recovery read then fails loudly.
-			in.Set(faultinject.LedgerRead, faultinject.Plan{After: 1, Times: 1})
+			in.Set(faultinject.FsRead, faultinject.Plan{After: 1, Times: 1})
 		}},
 	}
 	for _, sc := range scenarios {
@@ -82,8 +82,7 @@ func runFaultCycles(t *testing.T, arm func(*faultinject.Injector), expectOpenErr
 	for round := 0; round < 3; round++ {
 		in := faultinject.New(ledgerChaosSeed + uint64(round))
 		arm(in)
-		lfs := faultinject.NewLedgerFs(in, nil)
-		l, _, err := ledger.Open(path, ledger.Config{FS: lfs, AnchorEvery: 2})
+		l, _, err := ledger.Open(path, ledger.Config{FS: faultinject.NewFs(in, nil), AnchorEvery: 2})
 		if err != nil {
 			if !expectOpenErr {
 				t.Fatalf("round %d open: %v", round, err)
@@ -117,8 +116,8 @@ func runFaultCycles(t *testing.T, arm func(*faultinject.Injector), expectOpenErr
 			l.Close() // may fail on an injected anchor fault; the data is already durable
 		}
 		for _, p := range []faultinject.Point{
-			faultinject.LedgerWrite, faultinject.LedgerSync, faultinject.LedgerRead,
-			faultinject.LedgerTruncate, faultinject.LedgerAnchor,
+			faultinject.FsWrite, faultinject.FsSync, faultinject.FsRead,
+			faultinject.FsTruncate, faultinject.FsRename,
 		} {
 			if in.Fires(p) > 0 {
 				injectedFired = true

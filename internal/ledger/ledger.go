@@ -24,6 +24,10 @@
 // tail — a mid-file flip, a rewritten history, truncation below the
 // anchored offset — is detected and refused, never repaired into a
 // chain that verifies while omitting an acknowledged entry.
+//
+// FS is the filesystem seam of all durable state, not only the
+// ledger's: model artifacts, checkpoint files and the ledger's anchor
+// sidecar all replace files through WriteFileAtomic over it.
 package ledger
 
 import (
@@ -120,7 +124,7 @@ var (
 // Config parameterizes Open. The zero value is production-ready.
 type Config struct {
 	// FS is the filesystem the ledger reads and appends through (nil =
-	// OS); fault-injection tests interpose faultinject.LedgerFs here.
+	// OS); fault-injection tests interpose faultinject.Fs here.
 	FS FS
 	// AnchorEvery writes the anchor sidecar every N group commits
 	// (default 8; negative disables periodic anchoring — Close still
@@ -302,6 +306,12 @@ func Open(path string, cfg Config) (*Ledger, OpenResult, error) {
 		if err := l.f.Sync(); err != nil {
 			l.f.Close()
 			return nil, res, fmt.Errorf("ledger: sync %s header: %w", path, err)
+		}
+		// Without the directory entry, a crash could take the file and
+		// every entry acknowledged in it.
+		if err := l.fs.SyncDir(dirOf(path)); err != nil {
+			l.f.Close()
+			return nil, res, fmt.Errorf("ledger: sync directory of %s: %w", path, err)
 		}
 	}
 	return l, res, nil
@@ -672,11 +682,12 @@ type anchor struct {
 
 func (l *Ledger) anchorPath() string { return l.path + ".anchor" }
 
-// writeAnchor persists the current durable boundary atomically
-// (temp + rename). Periodic anchors skip the fsync — the ledger data
-// they point at is already durable, and an unreadable half-written
-// anchor is simply ignored on reopen; Close fsyncs for a clean seal.
-func (l *Ledger) writeAnchor(sync bool) error {
+// writeAnchor persists the current durable boundary through
+// WriteFileAtomic. Periodic anchors pass durable=false and skip both
+// fsyncs: the ledger data they point at is already durable, and an
+// anchor lost to a crash only weakens the truncation bound. Close seals
+// with durable=true.
+func (l *Ledger) writeAnchor(durable bool) error {
 	l.mu.Lock()
 	a := anchor{Seq: l.nextSeq, Offset: l.size, Chain: hex.EncodeToString(l.chain[:])}
 	l.mu.Unlock()
@@ -687,29 +698,7 @@ func (l *Ledger) writeAnchor(sync bool) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := l.fs.CreateTemp(dirOf(l.path), ".anchor*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		l.fs.Remove(name)
-		return err
-	}
-	if sync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			l.fs.Remove(name)
-			return err
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		l.fs.Remove(name)
-		return err
-	}
-	if err := l.fs.Rename(name, l.anchorPath()); err != nil {
-		l.fs.Remove(name)
+	if err := WriteFileAtomic(l.fs, l.anchorPath(), data, durable); err != nil {
 		return err
 	}
 	l.mu.Lock()

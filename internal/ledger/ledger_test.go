@@ -96,6 +96,75 @@ func (f slowSyncFile) Sync() error {
 	return f.File.Sync()
 }
 
+// syncCountFS counts the fsyncs beyond the append handle's own group
+// commits: directory fsyncs, and fsyncs of files staged through
+// CreateTemp (the anchor sidecar).
+type syncCountFS struct {
+	FS
+	dirSyncs, stagedSyncs int
+}
+
+type countSyncFile struct {
+	File
+	syncs *int
+}
+
+func (f *syncCountFS) SyncDir(dir string) error {
+	f.dirSyncs++
+	return f.FS.SyncDir(dir)
+}
+
+func (f *syncCountFS) CreateTemp(dir, pattern string) (File, error) {
+	base, err := f.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return countSyncFile{base, &f.stagedSyncs}, nil
+}
+
+func (f countSyncFile) Sync() error {
+	*f.syncs++
+	return f.File.Sync()
+}
+
+// TestLedgerDirectoryFsync: creating a ledger makes its directory
+// entry durable once; periodic anchors issue no fsync of any kind; and
+// Close's seal fsyncs the anchor and its directory through
+// WriteFileAtomic.
+func TestLedgerDirectoryFsync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "audit.bgll")
+	fsys := &syncCountFS{FS: OS}
+	check := func(when string, dirSyncs, stagedSyncs int) {
+		t.Helper()
+		if fsys.dirSyncs != dirSyncs || fsys.stagedSyncs != stagedSyncs {
+			t.Fatalf("%s: %d directory and %d staged-file fsyncs, want %d and %d",
+				when, fsys.dirSyncs, fsys.stagedSyncs, dirSyncs, stagedSyncs)
+		}
+	}
+	l, _ := openT(t, path, Config{FS: fsys, AnchorEvery: 1})
+	check("after create", 1, 0)
+	for i := 0; i < 4; i++ {
+		if _, err := l.Append(KindAlert, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.AnchorSeq() == 0 {
+		t.Fatal("no periodic anchor landed")
+	}
+	check("after periodic anchors", 1, 0)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the sealing anchor", 2, 1)
+
+	// Reopening an existing ledger creates no directory entry.
+	l2, _ := openT(t, path, Config{FS: fsys, AnchorEvery: -1})
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after reopen", 2, 1)
+}
+
 func TestConcurrentAppendsShareCommits(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.bgll")
 	l, _ := openT(t, path, Config{FS: slowSyncFS{OS}})

@@ -176,8 +176,8 @@ func TestChaosAcceptance(t *testing.T) {
 	s.Close()
 	fresh := serve.New(meta, serve.Config{Shards: 2, History: 1 << 16, Window: 30 * time.Minute, Model: serve.ModelInfo{SHA256: info.SHA256}})
 	defer fresh.Close()
-	if _, err := Restore(fresh, dir, info.SHA256); err != nil {
-		t.Fatalf("restore from the chaos checkpoint: %v", err)
+	if cp, err := RestoreMatching(fresh, dir, nil, info.SHA256, t.Logf); err != nil || cp == nil {
+		t.Fatalf("restore from the chaos checkpoint: cp=%v err=%v", cp, err)
 	}
 	freshStanding := keysOf(getAlerts(t, fresh).Standing)
 	for shard, wantSeq := range cleanStanding {

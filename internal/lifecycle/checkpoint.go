@@ -19,8 +19,8 @@ type CheckpointerConfig struct {
 	// Interval between snapshots; default 30 s.
 	Interval time.Duration
 	// FS is the filesystem checkpoints are written through (nil =
-	// model.OS); fault-injection tests interpose faultinject.Fs here.
-	FS model.FS
+	// ledger.OS); fault-injection tests interpose faultinject.Fs here.
+	FS ledger.FS
 	// Retry bounds the backoff against transient write failures; the
 	// zero value selects the defaults (5 attempts, 50 ms..2 s).
 	Retry RetryPolicy
@@ -56,7 +56,7 @@ func NewCheckpointer(srv *serve.Server, cfg CheckpointerConfig) *Checkpointer {
 		cfg.Interval = 30 * time.Second
 	}
 	if cfg.FS == nil {
-		cfg.FS = model.OS
+		cfg.FS = ledger.OS
 	}
 	return &Checkpointer{srv: srv, cfg: cfg}
 }
@@ -81,7 +81,7 @@ func (c *Checkpointer) checkpoint(ctx context.Context) (model.Info, error) {
 	var info model.Info
 	save := func() error {
 		var saveErr error
-		info, saveErr = SaveCheckpointFS(c.cfg.FS, StatePath(c.cfg.Dir), cp)
+		info, saveErr = SaveCheckpoint(c.cfg.FS, StatePath(c.cfg.Dir), cp)
 		return saveErr
 	}
 	if c.cfg.Ledger != nil {

@@ -90,17 +90,18 @@ func MatchModelForCheckpoint(dir, sha string) (string, error) {
 	return "", fmt.Errorf("lifecycle: no intact artifact in %s matches checkpoint model %.12s", dir, sha)
 }
 
-// RestoreMatching is Restore hardened against a crash between the two
-// persistence writes (artifact rename and checkpoint): instead of
-// refusing on a model/state SHA mismatch, it hunts for the artifact
-// the checkpoint was actually taken against — the active model file or
-// a versioned copy — swaps it in, and restores the matching pair. The
-// newest checkpoint is taken from the ledger when one is carried
-// there, falling back to StateFile for pre-ledger directories.
-//
-// Only when no intact artifact matches does it fall back to a cold
-// start (with a logged warning): serving mismatched state would
-// mis-predict silently, which is strictly worse than re-learning.
+// RestoreMatching installs the newest checkpoint into a freshly built
+// server: from the ledger when one is carried there (led may be nil),
+// else from StatePath(dir). wantSHA is the hash of the model the server
+// was built with. A checkpoint taken against another model — the
+// signature of a crash between the artifact rename and the next
+// checkpoint — is never served over it: RestoreMatching hunts for the
+// artifact the checkpoint was actually taken against (the active model
+// file or a versioned copy), swaps it in, and restores the matching
+// pair. Only when no intact artifact matches does it cold-start, with
+// a logged warning: serving mismatched state would mis-predict
+// silently, which is strictly worse than re-learning. It returns
+// (nil, nil) on a cold start.
 func RestoreMatching(srv *serve.Server, dir string, led *ledger.Ledger, wantSHA string, logf func(string, ...any)) (*Checkpoint, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -120,7 +121,7 @@ func RestoreMatching(srv *serve.Server, dir string, led *ledger.Ledger, wantSHA 
 	}
 	if cp == nil {
 		path := StatePath(dir)
-		fcp, _, err := LoadCheckpoint(path)
+		fcp, _, err := LoadCheckpoint(ledger.OS, path)
 		if os.IsNotExist(err) {
 			return nil, nil // cold start
 		}

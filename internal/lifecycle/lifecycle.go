@@ -22,14 +22,12 @@
 package lifecycle
 
 import (
-	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
+	"bglpred/internal/ledger"
 	"bglpred/internal/model"
 	"bglpred/internal/online"
-	"bglpred/internal/serve"
 )
 
 // Checkpoint file format identity; the envelope machinery is shared
@@ -68,53 +66,19 @@ type Checkpoint struct {
 	Shards []online.State
 }
 
-// SaveCheckpoint writes a checkpoint crash-safely (temp file, fsync,
-// rename) in the shared envelope format.
-func SaveCheckpoint(path string, cp *Checkpoint) (model.Info, error) {
-	return SaveCheckpointFS(model.OS, path, cp)
-}
-
-// SaveCheckpointFS is SaveCheckpoint over an explicit filesystem (the
-// fault-injection seam).
-func SaveCheckpointFS(fsys model.FS, path string, cp *Checkpoint) (model.Info, error) {
+// SaveCheckpoint writes a checkpoint crash-safely through fsys (temp
+// file, fsync, rename) in the shared envelope format.
+func SaveCheckpoint(fsys ledger.FS, path string, cp *Checkpoint) (model.Info, error) {
 	return model.SaveEnvelopeFS(fsys, path, CheckpointMagic, CheckpointVersion, cp)
 }
 
-// LoadCheckpoint reads and integrity-checks a checkpoint file.
-func LoadCheckpoint(path string) (*Checkpoint, model.Info, error) {
-	return LoadCheckpointFS(model.OS, path)
-}
-
-// LoadCheckpointFS is LoadCheckpoint over an explicit filesystem.
-func LoadCheckpointFS(fsys model.FS, path string) (*Checkpoint, model.Info, error) {
+// LoadCheckpoint reads and integrity-checks a checkpoint file through
+// fsys.
+func LoadCheckpoint(fsys ledger.FS, path string) (*Checkpoint, model.Info, error) {
 	var cp Checkpoint
 	info, err := model.LoadEnvelopeFS(fsys, path, CheckpointMagic, CheckpointVersion, &cp)
 	if err != nil {
 		return nil, model.Info{}, err
 	}
 	return &cp, info, nil
-}
-
-// Restore installs the checkpoint at StatePath(dir) into a freshly
-// built server, if one exists. wantSHA is the hash of the model the
-// server was built with; a checkpoint taken against a different model
-// is refused (stale state over new rules would mis-predict). Returns
-// (nil, nil) when dir holds no checkpoint — a cold start.
-func Restore(srv *serve.Server, dir, wantSHA string) (*Checkpoint, error) {
-	path := StatePath(dir)
-	cp, _, err := LoadCheckpoint(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("lifecycle: load checkpoint %s: %w", path, err)
-	}
-	if cp.ModelSHA256 != "" && wantSHA != "" && cp.ModelSHA256 != wantSHA {
-		return nil, fmt.Errorf("lifecycle: checkpoint %s was taken against model %.12s, server is running model %.12s (delete %s to start fresh)",
-			path, cp.ModelSHA256, wantSHA, path)
-	}
-	if err := srv.RestoreShards(cp.Shards); err != nil {
-		return nil, err
-	}
-	return cp, nil
 }

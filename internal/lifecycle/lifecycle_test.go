@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"bglpred/internal/bglsim"
+	"bglpred/internal/ledger"
 	"bglpred/internal/model"
 	"bglpred/internal/predictor"
 	"bglpred/internal/preprocess"
@@ -170,7 +171,7 @@ func TestKillAndRestoreEquivalence(t *testing.T) {
 	}
 	restored := serve.New(loadedMeta, cfg)
 	defer restored.Close()
-	cp, err := Restore(restored, dir, info.SHA256)
+	cp, err := RestoreMatching(restored, dir, nil, info.SHA256, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestParentCheckpointRestores(t *testing.T) {
 	post(t, control, encode(t, tail[parentCheckpointCut:]))
 	want := getAlerts(t, control)
 
-	cp, _, err := LoadCheckpoint(filepath.Join("testdata", "checkpoint_parent.bglc"))
+	cp, _, err := LoadCheckpoint(ledger.OS, filepath.Join("testdata", "checkpoint_parent.bglc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestParentCheckpointRestores(t *testing.T) {
 	reexport := *cp
 	reexport.Shards = restored.ExportShards()
 	path := filepath.Join(t.TempDir(), "reexport.bglc")
-	if _, err := SaveCheckpoint(path, &reexport); err != nil {
+	if _, err := SaveCheckpoint(ledger.OS, path, &reexport); err != nil {
 		t.Fatal(err)
 	}
 	saved, err := os.ReadFile(path)
@@ -279,7 +280,8 @@ func TestParentCheckpointRestores(t *testing.T) {
 }
 
 // TestRestoreRefusesWrongModel: stale state over different rules must
-// be refused, not silently served.
+// be refused, not silently served. With no artifact on disk matching
+// the checkpoint's model, the restore is a cold start.
 func TestRestoreRefusesWrongModel(t *testing.T) {
 	meta, _, tail := fixture(t)
 	dir := t.TempDir()
@@ -291,20 +293,28 @@ func TestRestoreRefusesWrongModel(t *testing.T) {
 	}
 	s.Close()
 
-	fresh := serve.New(meta, serve.Config{Shards: 2})
+	fresh := serve.New(meta, serve.Config{Shards: 2, Model: serve.ModelInfo{SHA256: "bbbb"}})
 	defer fresh.Close()
-	if _, err := Restore(fresh, dir, "bbbb"); err == nil {
-		t.Fatal("restore accepted a checkpoint taken against a different model")
+	if cp, err := RestoreMatching(fresh, dir, nil, "bbbb", t.Logf); cp != nil || err != nil {
+		t.Fatalf("restore over a different model: cp=%v err=%v, want a cold start", cp, err)
+	}
+	for i, st := range fresh.ExportShards() {
+		if st.Counters.Ingested != 0 {
+			t.Fatalf("shard %d carries %d ingested records of the refused checkpoint", i, st.Counters.Ingested)
+		}
+	}
+	if got := fresh.Model().SHA256; got != "bbbb" {
+		t.Fatalf("refused restore swapped the model to %.12s", got)
 	}
 	// Missing checkpoint dir is a clean cold start.
-	if cp, err := Restore(fresh, t.TempDir(), "bbbb"); cp != nil || err != nil {
+	if cp, err := RestoreMatching(fresh, t.TempDir(), nil, "bbbb", t.Logf); cp != nil || err != nil {
 		t.Fatalf("cold start: cp=%v err=%v", cp, err)
 	}
 }
 
 // TestGoldenV1HotSwap is the cross-version serving acceptance test:
-// the committed version-1 artifact must load, rebuild through the
-// legacy path, and hot-swap into a running server, with /v1/model
+// the committed version-1 artifact must load (converting to sections),
+// rebuild, and hot-swap into a running server, with /v1/model
 // reporting the classic base-predictor pair.
 func TestGoldenV1HotSwap(t *testing.T) {
 	meta, _, _ := fixture(t)
@@ -327,7 +337,7 @@ func TestGoldenV1HotSwap(t *testing.T) {
 		SHA256:    info.SHA256,
 		Source:    art.Provenance.Source,
 		TrainedAt: art.Provenance.TrainedAt,
-		Rules:     len(art.Rule.Rules),
+		Rules:     goldenMeta.Rule.Rules().Len(),
 	})
 	if swapped.Version != 2 {
 		t.Fatalf("swap version = %d, want 2 (generation after startup)", swapped.Version)
@@ -349,8 +359,8 @@ func TestGoldenV1HotSwap(t *testing.T) {
 	if want := []string{predictor.SourceStatistical, predictor.SourceRule}; !reflect.DeepEqual(resp.Predictors, want) {
 		t.Fatalf("/v1/model predictors = %v, want %v", resp.Predictors, want)
 	}
-	if resp.Rules != len(art.Rule.Rules) {
-		t.Fatalf("/v1/model rules = %d, want %d", resp.Rules, len(art.Rule.Rules))
+	if resp.Rules != 2 {
+		t.Fatalf("/v1/model rules = %d, want the golden's 2", resp.Rules)
 	}
 }
 
@@ -445,7 +455,7 @@ func TestCheckpointerRun(t *testing.T) {
 	if ck.Saves() <= periodic {
 		t.Fatal("no final checkpoint on shutdown")
 	}
-	cp, _, err := LoadCheckpoint(StatePath(dir))
+	cp, _, err := LoadCheckpoint(ledger.OS, StatePath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

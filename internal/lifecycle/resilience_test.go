@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bglpred/internal/faultinject"
+	"bglpred/internal/ledger"
 	"bglpred/internal/serve"
 )
 
@@ -41,7 +42,7 @@ func TestCheckpointLandsAfterTransientFailures(t *testing.T) {
 		t.Fatal("landed checkpoint has no hash")
 	}
 	// The landed file is intact: it loads through the clean filesystem.
-	if _, _, err := LoadCheckpoint(StatePath(dir)); err != nil {
+	if _, _, err := LoadCheckpoint(ledger.OS, StatePath(dir)); err != nil {
 		t.Fatalf("checkpoint written under faults does not load: %v", err)
 	}
 }
@@ -58,7 +59,7 @@ func TestCheckpointGiveUpIsDistinctAndPreservesPredecessor(t *testing.T) {
 	if _, err := good.CheckpointNow(); err != nil {
 		t.Fatal(err)
 	}
-	before, _, err := LoadCheckpoint(StatePath(dir))
+	before, _, err := LoadCheckpoint(ledger.OS, StatePath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestCheckpointGiveUpIsDistinctAndPreservesPredecessor(t *testing.T) {
 		t.Fatalf("saves=%d retries=%d giveups=%d, want 0/%d/1", c.Saves(), c.Retries(), c.GiveUps(), fastRetry.MaxAttempts-1)
 	}
 	// Crash-safety held: the previous complete checkpoint is untouched.
-	after, _, err := LoadCheckpoint(StatePath(dir))
+	after, _, err := LoadCheckpoint(ledger.OS, StatePath(dir))
 	if err != nil {
 		t.Fatalf("predecessor checkpoint destroyed by failed save: %v", err)
 	}
@@ -170,7 +171,7 @@ func TestCheckpointRestoreCorruptionMatrix(t *testing.T) {
 	t.Run("truncated snapshot", func(t *testing.T) {
 		in := faultinject.New(1)
 		in.Set(faultinject.FsCorrupt, faultinject.Plan{Corrupt: faultinject.Truncate})
-		_, _, err := LoadCheckpointFS(faultinject.NewFs(in, nil), StatePath(dir))
+		_, _, err := LoadCheckpoint(faultinject.NewFs(in, nil), StatePath(dir))
 		if err == nil || !strings.Contains(err.Error(), "header declares") {
 			t.Fatalf("truncated restore error = %v, want the length-mismatch diagnosis", err)
 		}
@@ -179,14 +180,14 @@ func TestCheckpointRestoreCorruptionMatrix(t *testing.T) {
 	t.Run("payload bit flip", func(t *testing.T) {
 		in := faultinject.New(1)
 		in.Set(faultinject.FsCorrupt, faultinject.Plan{Corrupt: faultinject.FlipByte})
-		_, _, err := LoadCheckpointFS(faultinject.NewFs(in, nil), StatePath(dir))
+		_, _, err := LoadCheckpoint(faultinject.NewFs(in, nil), StatePath(dir))
 		if err == nil || !strings.Contains(err.Error(), "SHA-256 mismatch") {
 			t.Fatalf("bit-flip restore error = %v, want the checksum diagnosis", err)
 		}
 	})
 
 	t.Run("failed rename leaves predecessor", func(t *testing.T) {
-		before, _, err := LoadCheckpoint(StatePath(dir))
+		before, _, err := LoadCheckpoint(ledger.OS, StatePath(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +201,7 @@ func TestCheckpointRestoreCorruptionMatrix(t *testing.T) {
 		if _, err := cc.CheckpointNow(); !errors.Is(err, ErrCheckpointGiveUp) || !errors.Is(err, faultinject.ErrInjected) {
 			t.Fatalf("rename-failure error = %v, want give-up wrapping the injected fault", err)
 		}
-		after, _, err := LoadCheckpoint(StatePath(dir))
+		after, _, err := LoadCheckpoint(ledger.OS, StatePath(dir))
 		if err != nil || !after.SavedAt.Equal(before.SavedAt) {
 			t.Fatalf("failed rename disturbed the committed checkpoint: %v", err)
 		}
@@ -209,7 +210,7 @@ func TestCheckpointRestoreCorruptionMatrix(t *testing.T) {
 	// The uncorrupted file still restores into a fresh server.
 	fresh := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute})
 	defer fresh.Close()
-	if _, err := Restore(fresh, dir, ""); err != nil {
-		t.Fatalf("clean restore after the matrix: %v", err)
+	if cp, err := RestoreMatching(fresh, dir, nil, "", t.Logf); err != nil || cp == nil {
+		t.Fatalf("clean restore after the matrix: cp=%v err=%v", cp, err)
 	}
 }

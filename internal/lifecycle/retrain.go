@@ -36,8 +36,8 @@ type RetrainerConfig struct {
 	// back models.
 	Dir string
 	// FS is the filesystem artifacts are written through (nil =
-	// model.OS); fault-injection tests interpose faultinject.Fs here.
-	FS model.FS
+	// ledger.OS); fault-injection tests interpose faultinject.Fs here.
+	FS ledger.FS
 	// Retry bounds the backoff against transient artifact-write
 	// failures; the zero value selects the defaults.
 	Retry RetryPolicy
@@ -82,7 +82,7 @@ func NewRetrainer(srv *serve.Server, rec *Recorder, cfg RetrainerConfig) *Retrai
 		cfg.Source = "background retrain"
 	}
 	if cfg.FS == nil {
-		cfg.FS = model.OS
+		cfg.FS = ledger.OS
 	}
 	rec.adopt(cfg.Pipeline.Preprocess)
 	return &Retrainer{srv: srv, rec: rec, cfg: cfg}
@@ -158,8 +158,8 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 
 	// Persist before swapping so the SHA in the published ModelInfo
 	// names bytes that actually exist on disk; a crash between save
-	// and swap leaves a newer artifact with older state, which the
-	// checkpoint SHA check surfaces at restore time.
+	// and swap leaves a newer artifact with older state, which
+	// RestoreMatching pairs back up at restore time.
 	var sha string
 	if r.cfg.Dir != "" {
 		var info model.Info

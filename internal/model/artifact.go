@@ -1,13 +1,14 @@
 package model
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"time"
 
 	"bglpred/internal/assoc"
-	"bglpred/internal/catalog"
+	"bglpred/internal/ledger"
 	"bglpred/internal/predictor"
-	"bglpred/internal/stats"
 )
 
 // ArtifactMagic and ArtifactVersion identify the model artifact
@@ -48,8 +49,9 @@ type MiningParams struct {
 	Miner         string
 }
 
-// StatModel is the serialized statistical base predictor (§3.2.1):
-// its configuration and the learned temporal-correlation tables.
+// StatModel is the version-1 statistical base predictor (§3.2.1): its
+// configuration and the learned temporal-correlation tables. It has the
+// gob shape of the statistical base's State payload.
 type StatModel struct {
 	MinLead        time.Duration
 	MaxWindow      time.Duration
@@ -68,8 +70,9 @@ type StatModel struct {
 	Triggers map[int]float64
 }
 
-// RuleModel is the serialized rule-based base predictor (§3.2.2): the
+// RuleModel is the version-1 rule-based base predictor (§3.2.2): the
 // mined rule set, in BestMatch order, and its rule-generation window.
+// It has the gob shape of the rule base's State payload.
 type RuleModel struct {
 	Window time.Duration
 	// Rules carry supports, confidences and counts; assoc.Rule is plain
@@ -77,11 +80,11 @@ type RuleModel struct {
 	Rules []assoc.Rule
 }
 
-// Section is one named per-predictor payload of a version-2
-// artifact: Name is the base predictor's registry name and Data is
-// its predictor.Base State payload. Meta rebuilds each section
-// through the registry, so an artifact can carry any registered base
-// set, not just the classic pair.
+// Section is one named per-predictor payload: Name is the base
+// predictor's registry name and Data is its predictor.Base State
+// payload. Meta rebuilds each section through the registry, so an
+// artifact can carry any registered base set, not just the classic
+// pair.
 type Section struct {
 	Name string
 	Data []byte
@@ -94,22 +97,21 @@ type Artifact struct {
 	Provenance Provenance
 	// Policy is the meta-learner arbitration policy (predictor.Policy).
 	Policy int
-	// Stat and Rule are the version-1 payload: the classic pair's
-	// tables. Version-2 artifacts keep filling them when the pair is
-	// present — they stay the quick-inspection mirror (rule counts in
-	// logs and /v1/model) — but reconstruction uses Sections.
+	// Stat and Rule are the version-1 payload, the classic pair's
+	// tables. They exist only to decode version-1 files: Load and Decode
+	// convert them into Sections and clear them, and FromMeta never
+	// fills them.
 	Stat StatModel
 	Rule RuleModel
 	// Sections carries every base predictor's serialized state in
-	// meta-learner arbitration order (version >= 2; nil in version-1
-	// files, which map to the legacy statistical+rule pair).
+	// meta-learner arbitration order.
 	Sections []Section
 }
 
 // FromMeta captures a trained meta-learner as an artifact. The
-// returned artifact shares no mutable state with the predictor: maps
-// and slices are copied, so later retraining cannot corrupt a saved
-// model.
+// returned artifact shares no mutable state with the predictor: each
+// section is a freshly encoded State payload, so later retraining
+// cannot corrupt a saved model.
 func FromMeta(m *predictor.Meta, prov Provenance) (*Artifact, error) {
 	if m == nil || len(m.Bases()) == 0 {
 		return nil, fmt.Errorf("model: meta-learner is not trained (no base predictors)")
@@ -122,50 +124,16 @@ func FromMeta(m *predictor.Meta, prov Provenance) (*Artifact, error) {
 		}
 		a.Sections = append(a.Sections, Section{Name: b.Name(), Data: data})
 	}
-	// The classic pair additionally fills the version-1 mirror tables:
-	// logs and /v1/model read rule counts and trigger tables from them
-	// without decoding section payloads.
-	if m.Stat != nil {
-		follow := m.Stat.FollowStats()
-		a.Stat = StatModel{
-			MinLead:        m.Stat.MinLead,
-			MaxWindow:      m.Stat.MaxWindow,
-			MinProbability: m.Stat.MinProbability,
-			MinCount:       m.Stat.MinCount,
-			FollowMinLead:  follow.MinLead,
-			FollowWindow:   follow.Window,
-			Total:          copyIntMap(follow.Total),
-			Followed:       copyIntMap(follow.Followed),
-			Triggers:       make(map[int]float64),
-		}
-		for main, conf := range m.Stat.Triggers() {
-			a.Stat.Triggers[int(main)] = conf
-		}
-	}
-	if m.Rule != nil {
-		rules := m.Rule.Rules()
-		a.Rule = RuleModel{
-			Window: m.Rule.ChosenWindow(),
-			Rules:  make([]assoc.Rule, len(rules.Rules)),
-		}
-		for i, r := range rules.Rules {
-			r.Body = r.Body.Clone()
-			r.Heads = r.Heads.Clone()
-			a.Rule.Rules[i] = r
-		}
-	}
 	return a, nil
 }
 
-// Meta reconstructs a trained meta-learner from the artifact. The
-// result predicts identically to the meta-learner FromMeta captured
-// (the round-trip test in artifact_test.go asserts this event for
-// event). A version-2 artifact rebuilds each per-predictor section
-// through the base-predictor registry; a version-1 artifact (no
-// sections) maps to the legacy statistical+rule pair.
+// Meta reconstructs a trained meta-learner from the artifact, each
+// section through the base-predictor registry. The result predicts
+// identically to the meta-learner FromMeta captured (the round-trip
+// test in artifact_test.go asserts this event for event).
 func (a *Artifact) Meta() (*predictor.Meta, error) {
 	if len(a.Sections) == 0 {
-		return a.legacyMeta(), nil
+		return nil, fmt.Errorf("model: artifact carries no predictor sections")
 	}
 	bases := make([]predictor.Base, 0, len(a.Sections))
 	for _, sec := range a.Sections {
@@ -183,49 +151,36 @@ func (a *Artifact) Meta() (*predictor.Meta, error) {
 	return m, nil
 }
 
-// legacyMeta rebuilds the classic pair from the version-1 mirror
-// tables.
-func (a *Artifact) legacyMeta() *predictor.Meta {
-	stat := &predictor.Statistical{
-		MinLead:        a.Stat.MinLead,
-		MaxWindow:      a.Stat.MaxWindow,
-		MinProbability: a.Stat.MinProbability,
-		MinCount:       a.Stat.MinCount,
+// convertV1 turns a version-1 payload (the classic pair's tables, no
+// sections) into the statistical and rule sections, then clears the
+// tables, so a decoded artifact has one payload whatever its version.
+func (a *Artifact) convertV1() error {
+	if len(a.Sections) == 0 {
+		for _, t := range []struct {
+			name  string
+			table any
+		}{{predictor.SourceStatistical, a.Stat}, {predictor.SourceRule, a.Rule}} {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(t.table); err != nil {
+				return fmt.Errorf("model: convert version-1 %s table: %w", t.name, err)
+			}
+			a.Sections = append(a.Sections, Section{Name: t.name, Data: buf.Bytes()})
+		}
 	}
-	follow := &stats.FollowStats{
-		MinLead:  a.Stat.FollowMinLead,
-		Window:   a.Stat.FollowWindow,
-		Total:    copyIntMap(a.Stat.Total),
-		Followed: copyIntMap(a.Stat.Followed),
-	}
-	triggers := make(map[catalog.Main]float64, len(a.Stat.Triggers))
-	for main, conf := range a.Stat.Triggers {
-		triggers[catalog.Main(main)] = conf
-	}
-	stat.SetTrained(follow, triggers)
-
-	rule := predictor.NewRule()
-	ruleCopies := make([]assoc.Rule, len(a.Rule.Rules))
-	for i, r := range a.Rule.Rules {
-		r.Body = r.Body.Clone()
-		r.Heads = r.Heads.Clone()
-		ruleCopies[i] = r
-	}
-	rule.SetTrained(assoc.NewRuleSet(ruleCopies), a.Rule.Window)
-
-	return &predictor.Meta{Stat: stat, Rule: rule, Policy: predictor.Policy(a.Policy)}
+	a.Stat, a.Rule = StatModel{}, RuleModel{}
+	return nil
 }
 
 // Save writes the artifact to path in the versioned envelope format,
 // atomically. The returned Info carries the payload's SHA-256 — the
 // artifact's identity.
 func (a *Artifact) Save(path string) (Info, error) {
-	return a.SaveFS(OS, path)
+	return a.SaveFS(ledger.OS, path)
 }
 
 // SaveFS is Save over an explicit filesystem (the fault-injection
 // seam).
-func (a *Artifact) SaveFS(fsys FS, path string) (Info, error) {
+func (a *Artifact) SaveFS(fsys ledger.FS, path string) (Info, error) {
 	return SaveEnvelopeFS(fsys, path, ArtifactMagic, ArtifactVersion, a)
 }
 
@@ -233,12 +188,16 @@ func (a *Artifact) SaveFS(fsys FS, path string) (Info, error) {
 // version up to ArtifactVersion; corrupted or truncated files return
 // an error, never a panic.
 func Load(path string) (*Artifact, Info, error) {
-	var a Artifact
-	info, err := LoadEnvelope(path, ArtifactMagic, ArtifactVersion, &a)
+	data, err := ledger.OS.ReadFile(path)
 	if err != nil {
 		return nil, Info{}, err
 	}
-	return &a, info, nil
+	a, info, err := Decode(data)
+	if err != nil {
+		return nil, Info{}, err
+	}
+	info.Path = path
+	return a, info, nil
 }
 
 // Decode is Load over in-memory bytes (used by the fuzz harness and
@@ -246,6 +205,9 @@ func Load(path string) (*Artifact, Info, error) {
 func Decode(data []byte) (*Artifact, Info, error) {
 	var a Artifact
 	info, err := loadEnvelopeBytes(data, "", ArtifactMagic, ArtifactVersion, &a)
+	if err == nil {
+		err = a.convertV1()
+	}
 	if err != nil {
 		return nil, Info{}, err
 	}
@@ -256,12 +218,4 @@ func Decode(data []byte) (*Artifact, Info, error) {
 // decoding it.
 func Verify(path string) (Info, error) {
 	return VerifyEnvelope(path, ArtifactMagic, ArtifactVersion)
-}
-
-func copyIntMap(m map[int]int) map[int]int {
-	out := make(map[int]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,16 +10,16 @@ import (
 
 	"bglpred/internal/assoc"
 	"bglpred/internal/bglsim"
+	"bglpred/internal/catalog"
 	_ "bglpred/internal/ecg" // register the "ecg" base for the three-base round-trip
 	"bglpred/internal/predictor"
 	"bglpred/internal/preprocess"
+	"bglpred/internal/stats"
 )
 
-var update = flag.Bool("update", false, "regenerate testdata/golden_v1.bglm")
-
-// goldenArtifact is a fixed, hand-built artifact. Its saved form is
-// committed as testdata/golden_v1.bglm; the golden test proves every
-// future build keeps decoding version-1 files into exactly this value.
+// goldenArtifact is a fixed, hand-built version-1 artifact: the classic
+// pair's tables and no sections. Its saved form is committed as
+// testdata/golden_v1.bglm.
 func goldenArtifact() *Artifact {
 	return &Artifact{
 		Provenance: Provenance{
@@ -66,23 +65,99 @@ func goldenArtifact() *Artifact {
 	}
 }
 
-// TestGoldenV1Compatibility pins the on-disk format: the committed
-// version-1 file must keep loading, byte-verified, into the exact
-// expected artifact. Run with -update to regenerate the file after an
-// intentional (backward-compatible) change.
-func TestGoldenV1Compatibility(t *testing.T) {
-	golden := filepath.Join("testdata", "golden_v1.bglm")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		info, err := goldenArtifact().Save(golden)
+// goldenPair builds the classic pair straight from goldenArtifact's
+// version-1 tables, the way version-1 files were rebuilt before they
+// converted to sections on load: the oracle the conversion must match.
+func goldenPair() *predictor.Meta {
+	a := goldenArtifact()
+	stat := &predictor.Statistical{
+		MinLead:        a.Stat.MinLead,
+		MaxWindow:      a.Stat.MaxWindow,
+		MinProbability: a.Stat.MinProbability,
+		MinCount:       a.Stat.MinCount,
+	}
+	triggers := make(map[catalog.Main]float64, len(a.Stat.Triggers))
+	for main, conf := range a.Stat.Triggers {
+		triggers[catalog.Main(main)] = conf
+	}
+	stat.SetTrained(&stats.FollowStats{
+		MinLead: a.Stat.FollowMinLead, Window: a.Stat.FollowWindow,
+		Total: a.Stat.Total, Followed: a.Stat.Followed,
+	}, triggers)
+	rule := predictor.NewRule()
+	rule.SetTrained(assoc.NewRuleSet(a.Rule.Rules), a.Rule.Window)
+	return &predictor.Meta{Stat: stat, Rule: rule, Policy: predictor.Policy(a.Policy)}
+}
+
+// anlSplit generates the ANL log at scale 0.05 and returns the Phase 1
+// events of its first 80 % (the training span, cut raw records long)
+// and of the held-out rest.
+func anlSplit(t *testing.T) (train, tail []preprocess.Event, cut int) {
+	t.Helper()
+	gen, err := bglsim.Generate(bglsim.ANLProfile().Scaled(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut = len(gen.Events) * 8 / 10
+	return preprocess.Run(gen.Events[:cut], preprocess.Options{}).Events,
+		preprocess.Run(gen.Events[cut:], preprocess.Options{}).Events, cut
+}
+
+// trainThreeBases trains a meta-learner arbitrating the classic pair
+// plus the event-correlation graph.
+func trainThreeBases(t *testing.T, train []preprocess.Event) *predictor.Meta {
+	t.Helper()
+	bases := make([]predictor.Base, 0, 3)
+	for _, name := range []string{predictor.SourceStatistical, predictor.SourceRule, "ecg"} {
+		b, err := predictor.NewBase(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("regenerated %s (sha256 %s)", golden, info.SHA256)
+		bases = append(bases, b)
 	}
+	m := predictor.NewMetaBases(bases...)
+	if err := m.Train(train); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
+// samePredictions fails unless got predicts exactly what want does on
+// events, and want predicts something.
+func samePredictions(t *testing.T, got, want *predictor.Meta, events []preprocess.Event) {
+	t.Helper()
+	const window = 30 * time.Minute
+	w := want.Predict(events, window)
+	if len(w) == 0 {
+		t.Fatal("no warnings on a failure-rich tail; fixture is degenerate")
+	}
+	if g := got.Predict(events, window); !reflect.DeepEqual(g, w) {
+		t.Fatalf("rebuilt meta predicts differently:\n got %d warnings %+v\nwant %d warnings %+v", len(g), g, len(w), w)
+	}
+}
+
+// rawTables decodes a saved artifact's payload without the version-1
+// conversion, exposing the Stat/Rule tables as they lie on disk.
+func rawTables(t *testing.T, path string) (StatModel, RuleModel) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a Artifact
+	if _, err := UnmarshalEnvelope(data, ArtifactMagic, ArtifactVersion, &a); err != nil {
+		t.Fatal(err)
+	}
+	return a.Stat, a.Rule
+}
+
+// TestGoldenV1Compatibility pins the version-1 format: the committed
+// file keeps loading, byte-verified, with goldenArtifact's provenance
+// and policy, its tables converted to the statistical and rule
+// sections, and a rebuilt meta that predicts event for event what the
+// pair built straight from the tables predicts.
+func TestGoldenV1Compatibility(t *testing.T) {
+	golden := filepath.Join("testdata", "golden_v1.bglm")
 	a, info, err := Load(golden)
 	if err != nil {
 		t.Fatalf("golden artifact failed to load: %v", err)
@@ -93,26 +168,71 @@ func TestGoldenV1Compatibility(t *testing.T) {
 	if len(info.SHA256) != 64 {
 		t.Fatalf("info.SHA256 = %q, want 64 hex chars", info.SHA256)
 	}
-	if want := goldenArtifact(); !reflect.DeepEqual(a, want) {
-		t.Fatalf("golden artifact decoded to\n%+v\nwant\n%+v", a, want)
+	want := goldenArtifact()
+	if !reflect.DeepEqual(a.Provenance, want.Provenance) || a.Policy != want.Policy {
+		t.Fatalf("golden artifact decoded to provenance %+v policy %d\nwant %+v policy %d",
+			a.Provenance, a.Policy, want.Provenance, want.Policy)
+	}
+	var names []string
+	for _, sec := range a.Sections {
+		names = append(names, sec.Name)
+	}
+	if !reflect.DeepEqual(names, []string{predictor.SourceStatistical, predictor.SourceRule}) {
+		t.Fatalf("converted sections = %v, want [statistical rule]", names)
+	}
+	if a.Stat.Total != nil || a.Rule.Rules != nil {
+		t.Fatal("version-1 tables survive the conversion beside the sections")
 	}
 	if vinfo, err := Verify(golden); err != nil || vinfo.SHA256 != info.SHA256 {
 		t.Fatalf("Verify = %+v, %v; want sha %s", vinfo, err, info.SHA256)
 	}
+
+	m, err := a.Meta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tail, _ := anlSplit(t)
+	samePredictions(t, m, goldenPair(), tail)
+}
+
+// TestGoldenV2ParentCompatibility loads testdata/golden_v2_parent.bglm,
+// a statistical+rule+ecg artifact the build before the one-payload
+// format wrote, mirror tables included, from trainThreeBases over
+// anlSplit's training span. It must load and predict event for event
+// what that fixture meta predicts.
+func TestGoldenV2ParentCompatibility(t *testing.T) {
+	golden := filepath.Join("testdata", "golden_v2_parent.bglm")
+	if stat, rule := rawTables(t, golden); stat.Total == nil || len(rule.Rules) == 0 {
+		t.Fatal("parent golden carries no mirror tables; it pins nothing")
+	}
+	a, info, err := Load(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Version != 2 {
+		t.Fatalf("parent golden version = %d, want 2", info.Version)
+	}
+	if a.Stat.Total != nil || a.Rule.Rules != nil {
+		t.Fatal("mirror tables survive the load beside the sections")
+	}
+	m, err := a.Meta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.BaseNames(); !reflect.DeepEqual(got, []string{predictor.SourceStatistical, predictor.SourceRule, "ecg"}) {
+		t.Fatalf("parent golden bases = %v", got)
+	}
+	train, tail, _ := anlSplit(t)
+	samePredictions(t, m, trainThreeBases(t, train), tail)
 }
 
 // TestRoundTripPredictsIdentically trains a real meta-learner, pushes
 // it through FromMeta -> Save -> Load -> Meta, and asserts the
 // reconstructed predictor issues the same warnings on a held-out tail.
 func TestRoundTripPredictsIdentically(t *testing.T) {
-	gen, err := bglsim.Generate(bglsim.ANLProfile().Scaled(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := len(gen.Events) * 8 / 10
-	pre := preprocess.Run(gen.Events[:cut], preprocess.Options{})
+	train, tail, cut := anlSplit(t)
 	m := predictor.NewMeta()
-	if err := m.Train(pre.Events); err != nil {
+	if err := m.Train(train); err != nil {
 		t.Fatal(err)
 	}
 
@@ -120,7 +240,7 @@ func TestRoundTripPredictsIdentically(t *testing.T) {
 		TrainedAt: time.Now().UTC(),
 		Source:    "anl scale=0.05",
 		Records:   cut,
-		Unique:    len(pre.Events),
+		Unique:    len(train),
 	}
 	a, err := FromMeta(m, prov)
 	if err != nil {
@@ -146,50 +266,30 @@ func TestRoundTripPredictsIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := preprocess.Run(gen.Events[cut:], preprocess.Options{}).Events
-	const window = 30 * time.Minute
-	got := m2.Predict(tail, window)
-	want := m.Predict(tail, window)
-	if len(want) == 0 {
-		t.Fatal("no warnings on a failure-rich tail; fixture is degenerate")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("reconstructed meta predicts differently:\n got %d warnings %+v\nwant %d warnings %+v",
-			len(got), got, len(want), want)
-	}
+	samePredictions(t, m2, m, tail)
 
-	// The artifact must be an independent copy: mutating it cannot
-	// reach back into the trained predictor.
-	if len(a.Rule.Rules) > 0 && len(a.Rule.Rules[0].Body) > 0 {
-		a.Rule.Rules[0].Body[0] = 9999
-		if reflect.DeepEqual(m.Rule.Rules().Rules[0].Body, a.Rule.Rules[0].Body) {
-			t.Fatal("artifact shares rule storage with the live predictor")
-		}
+	// The artifact must be an independent copy: scribbling over its
+	// sections cannot reach back into the trained predictor.
+	for _, sec := range a.Sections {
+		clear(sec.Data)
 	}
+	samePredictions(t, m, m2, tail)
 }
 
 // TestV1UpgradesToV2 is the format-migration path: a version-1 file
-// loads through the legacy mirror tables, and re-saving the rebuilt
-// predictor produces a version-2 artifact with per-predictor sections
-// that reconstructs the exact same base predictors.
+// loads as the classic pair's sections, and re-saving the rebuilt
+// predictor produces a version-2 artifact that writes no version-1
+// tables and reconstructs the exact same base predictors.
 func TestV1UpgradesToV2(t *testing.T) {
-	golden := filepath.Join("testdata", "golden_v1.bglm")
-	v1, info, err := Load(golden)
+	v1, _, err := Load(filepath.Join("testdata", "golden_v1.bglm"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != 1 || v1.Sections != nil {
-		t.Fatalf("golden file: version %d, sections %v; want version 1, nil sections", info.Version, v1.Sections)
-	}
-	legacy, err := v1.Meta()
+	converted, err := v1.Meta()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := legacy.BaseNames(); !reflect.DeepEqual(got, []string{predictor.SourceStatistical, predictor.SourceRule}) {
-		t.Fatalf("legacy bases = %v, want the classic pair", got)
-	}
-
-	upgraded, err := FromMeta(legacy, v1.Provenance)
+	upgraded, err := FromMeta(converted, v1.Provenance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,32 +297,23 @@ func TestV1UpgradesToV2(t *testing.T) {
 	if _, err := upgraded.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	v2, info2, err := Load(path)
+	if stat, rule := rawTables(t, path); !reflect.DeepEqual(stat, StatModel{}) || !reflect.DeepEqual(rule, RuleModel{}) {
+		t.Fatal("FromMeta wrote version-1 tables beside the sections")
+	}
+	v2, info, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info2.Version != ArtifactVersion {
-		t.Fatalf("re-saved artifact version = %d, want %d", info2.Version, ArtifactVersion)
-	}
-	var names []string
-	for _, sec := range v2.Sections {
-		names = append(names, sec.Name)
-	}
-	if !reflect.DeepEqual(names, []string{predictor.SourceStatistical, predictor.SourceRule}) {
-		t.Fatalf("v2 sections = %v, want [statistical rule]", names)
-	}
-	// The v1 mirror tables must survive the upgrade byte for byte:
-	// they are what logs and /v1/model read without decoding sections.
-	if !reflect.DeepEqual(v2.Stat, v1.Stat) || !reflect.DeepEqual(v2.Rule, v1.Rule) {
-		t.Fatal("upgrade changed the v1 mirror tables")
+	if info.Version != ArtifactVersion {
+		t.Fatalf("re-saved artifact version = %d, want %d", info.Version, ArtifactVersion)
 	}
 
-	// Reconstruction through sections must equal reconstruction through
-	// the legacy tables, base by base.
+	// Base by base, the sections rebuild what the tables describe.
 	rebuilt, err := v2.Meta()
 	if err != nil {
 		t.Fatal(err)
 	}
+	legacy := goldenPair()
 	if !reflect.DeepEqual(rebuilt.Stat, legacy.Stat) {
 		t.Fatalf("statistical predictor diverged across the upgrade:\n got %+v\nwant %+v", rebuilt.Stat, legacy.Stat)
 	}
@@ -241,10 +332,7 @@ func TestV1UpgradesToV2(t *testing.T) {
 // reconstruction with a useful error, never panic or silently drop a
 // base.
 func TestMetaRejectsCorruptSections(t *testing.T) {
-	legacy, err := goldenArtifact().Meta()
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacy := goldenPair()
 	fresh := func() *Artifact {
 		a, err := FromMeta(legacy, Provenance{Source: "section corruption"})
 		if err != nil {
@@ -298,28 +386,10 @@ func TestFromMetaUntrained(t *testing.T) {
 // TestThreeBaseRoundTrip saves and reloads a meta-learner arbitrating
 // three registered bases — the classic pair plus the event-correlation
 // graph. The reconstructed ensemble must carry all three sections and
-// predict identically; the v1 mirror tables must still be filled for
-// the classic pair.
+// predict identically.
 func TestThreeBaseRoundTrip(t *testing.T) {
-	gen, err := bglsim.Generate(bglsim.ANLProfile().Scaled(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := len(gen.Events) * 8 / 10
-	pre := preprocess.Run(gen.Events[:cut], preprocess.Options{})
-	bases := make([]predictor.Base, 0, 3)
-	for _, name := range []string{predictor.SourceStatistical, predictor.SourceRule, "ecg"} {
-		b, err := predictor.NewBase(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bases = append(bases, b)
-	}
-	m := predictor.NewMetaBases(bases...)
-	if err := m.Train(pre.Events); err != nil {
-		t.Fatal(err)
-	}
-
+	train, tail, _ := anlSplit(t)
+	m := trainThreeBases(t, train)
 	a, err := FromMeta(m, Provenance{Source: "three bases"})
 	if err != nil {
 		t.Fatal(err)
@@ -330,9 +400,6 @@ func TestThreeBaseRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(names, []string{predictor.SourceStatistical, predictor.SourceRule, "ecg"}) {
 		t.Fatalf("sections = %v, want all three bases in arbitration order", names)
-	}
-	if a.Stat.Total == nil || a.Rule.Rules == nil {
-		t.Fatal("classic-pair mirror tables not filled alongside sections")
 	}
 
 	path := filepath.Join(t.TempDir(), "m.bglm")
@@ -353,16 +420,7 @@ func TestThreeBaseRoundTrip(t *testing.T) {
 	if got := m2.BaseNames(); !reflect.DeepEqual(got, []string{predictor.SourceStatistical, predictor.SourceRule, "ecg"}) {
 		t.Fatalf("reconstructed bases = %v", got)
 	}
-	tail := preprocess.Run(gen.Events[cut:], preprocess.Options{}).Events
-	const window = 30 * time.Minute
-	got := m2.Predict(tail, window)
-	want := m.Predict(tail, window)
-	if len(want) == 0 {
-		t.Fatal("no warnings on a failure-rich tail; fixture is degenerate")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("reconstructed three-base meta predicts differently:\n got %d warnings\nwant %d warnings", len(got), len(want))
-	}
+	samePredictions(t, m2, m, tail)
 }
 
 // TestLoadRejectsCorruption exercises every framing failure mode:

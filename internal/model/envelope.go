@@ -8,12 +8,14 @@
 //
 //   - The envelope: a generic binary container — magic, format
 //     version, payload length, SHA-256 of the payload, then a gob
-//     payload — written atomically (temp file, fsync, rename). The
-//     checkpoint files of internal/lifecycle reuse it under their own
-//     magic.
-//   - The Artifact: the model payload itself — the statistical
-//     predictor's temporal-correlation tables and triggers, the mined
-//     association-rule set, the meta policy, and training provenance.
+//     payload — written by ledger.WriteFileAtomic through the one
+//     filesystem seam, ledger.FS (temp file, fsync, rename, directory
+//     fsync). The checkpoint files of internal/lifecycle reuse it under
+//     their own magic.
+//   - The Artifact: the model payload itself — one section per base
+//     predictor (its predictor.Base State payload) in arbitration
+//     order, the meta policy, and training provenance. A version-1
+//     file's classic-pair tables convert to sections on load.
 package model
 
 import (
@@ -23,7 +25,8 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"path/filepath"
+
+	"bglpred/internal/ledger"
 )
 
 // envelope layout:
@@ -94,30 +97,20 @@ func decodeEnvelope(data []byte, magic string, maxVersion uint32) (version uint3
 	return version, payload, nil
 }
 
-// SaveEnvelope gob-encodes v and writes it crash-safely under the
-// given magic and version: the bytes land in a temp file in the target
-// directory, are fsynced, and are renamed over path, so a crash at any
-// point leaves either the old file or the new one — never a torn mix.
-func SaveEnvelope(path, magic string, version uint32, v any) (Info, error) {
-	return SaveEnvelopeFS(OS, path, magic, version, v)
-}
-
-// SaveEnvelopeFS is SaveEnvelope over an explicit filesystem — the
-// fault-injection seam for persistence resilience tests.
-func SaveEnvelopeFS(fsys FS, path, magic string, version uint32, v any) (Info, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
-		return Info{}, fmt.Errorf("model: encode %s: %w", magic, err)
-	}
-	framed, err := encodeEnvelope(magic, version, payload.Bytes())
+// SaveEnvelopeFS gob-encodes v and writes it crash-safely under the
+// given magic and version through ledger.WriteFileAtomic: temp file,
+// fsync, rename, directory fsync, so a crash at any point leaves
+// either the old file or the new one — never a torn mix.
+func SaveEnvelopeFS(fsys ledger.FS, path, magic string, version uint32, v any) (Info, error) {
+	framed, info, err := MarshalEnvelope(magic, version, v)
 	if err != nil {
 		return Info{}, err
 	}
-	if err := writeFileAtomic(fsys, path, framed); err != nil {
+	if err := ledger.WriteFileAtomic(fsys, path, framed, true); err != nil {
 		return Info{}, err
 	}
-	sum := sha256.Sum256(payload.Bytes())
-	return Info{Path: path, Version: version, SHA256: hex.EncodeToString(sum[:]), Size: int64(len(framed))}, nil
+	info.Path = path
+	return info, nil
 }
 
 // MarshalEnvelope gob-encodes v and frames it under the given magic
@@ -137,21 +130,16 @@ func MarshalEnvelope(magic string, version uint32, v any) ([]byte, Info, error) 
 	return framed, Info{Version: version, SHA256: hex.EncodeToString(sum[:]), Size: int64(len(framed))}, nil
 }
 
-// UnmarshalEnvelope is LoadEnvelope over in-memory envelope bytes —
+// UnmarshalEnvelope is LoadEnvelopeFS over in-memory envelope bytes —
 // the inverse of MarshalEnvelope.
 func UnmarshalEnvelope(data []byte, magic string, maxVersion uint32, v any) (Info, error) {
 	return loadEnvelopeBytes(data, "", magic, maxVersion, v)
 }
 
-// LoadEnvelope reads path, verifies the envelope under the given magic
-// (accepting versions 1..maxVersion), and gob-decodes the payload
-// into v.
-func LoadEnvelope(path, magic string, maxVersion uint32, v any) (Info, error) {
-	return LoadEnvelopeFS(OS, path, magic, maxVersion, v)
-}
-
-// LoadEnvelopeFS is LoadEnvelope over an explicit filesystem.
-func LoadEnvelopeFS(fsys FS, path, magic string, maxVersion uint32, v any) (Info, error) {
+// LoadEnvelopeFS reads path through fsys, verifies the envelope under
+// the given magic (accepting versions 1..maxVersion), and gob-decodes
+// the payload into v.
+func LoadEnvelopeFS(fsys ledger.FS, path, magic string, maxVersion uint32, v any) (Info, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return Info{}, err
@@ -159,7 +147,7 @@ func LoadEnvelopeFS(fsys FS, path, magic string, maxVersion uint32, v any) (Info
 	return loadEnvelopeBytes(data, path, magic, maxVersion, v)
 }
 
-// loadEnvelopeBytes is LoadEnvelope over in-memory bytes (the fuzz
+// loadEnvelopeBytes is LoadEnvelopeFS over in-memory bytes (the fuzz
 // seam: no filesystem in the loop).
 func loadEnvelopeBytes(data []byte, path, magic string, maxVersion uint32, v any) (Info, error) {
 	version, payload, err := decodeEnvelope(data, magic, maxVersion)
@@ -177,7 +165,7 @@ func loadEnvelopeBytes(data []byte, path, magic string, maxVersion uint32, v any
 // decoding the payload — a cheap preflight for operators ("is this
 // artifact intact?") and for startup paths that want to fail early.
 func VerifyEnvelope(path, magic string, maxVersion uint32) (Info, error) {
-	data, err := OS.ReadFile(path)
+	data, err := ledger.OS.ReadFile(path)
 	if err != nil {
 		return Info{}, err
 	}
@@ -187,37 +175,4 @@ func VerifyEnvelope(path, magic string, maxVersion uint32) (Info, error) {
 	}
 	sum := sha256.Sum256(payload)
 	return Info{Path: path, Version: version, SHA256: hex.EncodeToString(sum[:]), Size: int64(len(data))}, nil
-}
-
-// writeFileAtomic writes data next to path and renames it into place,
-// fsyncing the file and its directory.
-func writeFileAtomic(fsys FS, path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := fsys.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer fsys.Remove(tmpName) // no-op after a successful rename
-	if n, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	} else if n < len(data) {
-		tmp.Close()
-		return fmt.Errorf("model: short write: %d of %d bytes", n, len(data))
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmpName, path); err != nil {
-		return err
-	}
-	// Persist the rename itself. Best effort: some filesystems refuse
-	// directory fsync, and the data file is already durable.
-	_ = fsys.SyncDir(dir)
-	return nil
 }

@@ -50,7 +50,7 @@ func FuzzDecode(f *testing.F) {
 }
 
 // encodedGolden renders the golden artifact to bytes without touching
-// testdata (the fuzz corpus must not depend on -update having run).
+// testdata (the fuzz corpus must not depend on committed files).
 func encodedGolden() ([]byte, error) {
 	dir, err := os.MkdirTemp("", "bglm-fuzz-seed")
 	if err != nil {
