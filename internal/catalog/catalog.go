@@ -8,7 +8,11 @@ package catalog
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"bglpred/internal/raslog"
 )
@@ -292,60 +296,156 @@ func CountByMain() map[Main]int {
 	return out
 }
 
-// A Classifier maps raw RAS records to subcategories by keyword
-// signature. The zero value is not usable; call NewClassifier.
-type Classifier struct {
-	// lowered caches the lowercase keys per subcategory.
-	lowered [][]string
+// keySet holds one bit per distinct key of the signature index.
+type keySet [4]uint64
+
+func (s *keySet) add(k int) { s[k>>6] |= 1 << (k & 63) }
+
+// covers reports whether s holds every key of t.
+func (s *keySet) covers(t *keySet) bool {
+	return t[0]&^s[0]|t[1]&^s[1]|t[2]&^s[2]|t[3]&^s[3] == 0
 }
 
-// NewClassifier builds a classifier over the full taxonomy.
-func NewClassifier() *Classifier {
-	c := &Classifier{lowered: make([][]string, len(taxonomy))}
-	for i := range taxonomy {
-		keys := make([]string, len(taxonomy[i].Keys))
-		for j, k := range taxonomy[i].Keys {
-			keys[j] = strings.ToLower(k)
-		}
-		c.lowered[i] = keys
-	}
-	return c
+// signatureIndex is the taxonomy's keyword signatures compiled for a
+// single pass over an entry. Built once from the immutable taxonomy.
+type signatureIndex struct {
+	// keys are the distinct lowercase keys, grouped by their first two
+	// bytes: pair[b0][b1] is 0 when no key starts with b0 b1, else g,
+	// and keys[from[g-1]:from[g]] are the keys that do. Most positions
+	// of an entry start no key and cost one table load.
+	keys []string
+	pair [utf8.RuneSelf][utf8.RuneSelf]uint8
+	from []int
+	// users[k] lists the subcategories whose signature contains key k.
+	users [][]int
+	// need[s] is subcategory s's required keys and spec[s] its
+	// specificity: four times its keys' total length, so a FACILITY (2)
+	// or SEVERITY (1) match never outweighs one byte of signature.
+	need []keySet
+	spec []int
 }
+
+var signatures signatureIndex
+
+func init() {
+	ix := &signatures
+	for i := range taxonomy {
+		for _, k := range taxonomy[i].Keys {
+			k = strings.ToLower(k)
+			if len(k) < 2 || k[0] >= utf8.RuneSelf || k[1] >= utf8.RuneSelf {
+				panic("catalog: key " + strconv.Quote(k) + " of " + taxonomy[i].Name + " does not start with two ASCII bytes")
+			}
+			ix.keys = append(ix.keys, k)
+		}
+	}
+	slices.Sort(ix.keys) // which groups them by their first two bytes
+	ix.keys = slices.Compact(ix.keys)
+	if len(ix.keys) > 255 {
+		panic("catalog: more distinct keys than the index numbers")
+	}
+	id := make(map[string]int, len(ix.keys))
+	ix.from = []int{0}
+	for k, key := range ix.keys {
+		id[key] = k
+		if k > 0 && key[:2] != ix.keys[k-1][:2] {
+			ix.from = append(ix.from, k)
+		}
+		ix.pair[key[0]][key[1]] = uint8(len(ix.from))
+	}
+	ix.from = append(ix.from, len(ix.keys))
+	ix.users = make([][]int, len(ix.keys))
+	ix.need = make([]keySet, len(taxonomy))
+	ix.spec = make([]int, len(taxonomy))
+	for s := range taxonomy {
+		for _, key := range taxonomy[s].Keys {
+			key = strings.ToLower(key)
+			k := id[key]
+			ix.need[s].add(k)
+			ix.users[k] = append(ix.users[k], s)
+			ix.spec[s] += len(key) * 4
+		}
+	}
+}
+
+// A Classifier maps raw RAS records to subcategories by keyword
+// signature. It holds no state of its own: every classifier reads the
+// one signature index built from the taxonomy, so it is safe for
+// concurrent use.
+type Classifier struct{}
+
+// NewClassifier returns a classifier over the full taxonomy.
+func NewClassifier() *Classifier { return &Classifier{} }
 
 // Classify returns the best-matching subcategory for the record, or
-// ok=false if no subcategory's signature matches. Among qualifying
-// subcategories the most specific signature (largest total key length)
-// wins; ties prefer matching FACILITY, then matching SEVERITY, then
-// table order.
+// ok=false if no subcategory's signature matches. A subcategory
+// qualifies when the lowercased ENTRY DATA contains every key of its
+// signature. Among qualifying subcategories the most specific
+// signature (largest total key length) wins; ties prefer matching
+// FACILITY, then matching SEVERITY, then table order.
+//
+// One pass over the lowered entry finds every key it contains; only
+// the subcategories using a found key are then scored.
 func (c *Classifier) Classify(e *raslog.Event) (*Subcategory, bool) {
-	entry := strings.ToLower(e.EntryData)
-	best := -1
-	bestScore := -1
-	for i := range taxonomy {
-		score := 0
-		ok := true
-		for _, k := range c.lowered[i] {
-			if !strings.Contains(entry, k) {
-				ok = false
-				break
-			}
-			score += len(k) * 4
-		}
-		if !ok {
+	var buf [128]byte
+	entry := lower(buf[:], e.EntryData)
+	ix := &signatures
+	var hits keySet
+	for i := 0; i+1 < len(entry); i++ {
+		b0, b1 := entry[i], entry[i+1]
+		if b0|b1 >= utf8.RuneSelf {
 			continue
 		}
-		if taxonomy[i].Facility == e.Facility {
-			score += 2
+		g := int(ix.pair[b0][b1])
+		if g == 0 {
+			continue
 		}
-		if taxonomy[i].Severity == e.Severity {
-			score++
+		for k := ix.from[g-1]; k < ix.from[g]; k++ {
+			if key := ix.keys[k]; len(entry)-i >= len(key) && string(entry[i:i+len(key)]) == key {
+				hits.add(k)
+			}
 		}
-		if score > bestScore {
-			best, bestScore = i, score
+	}
+	best, bestScore := -1, -1
+	for w, word := range hits {
+		for ; word != 0; word &= word - 1 {
+			for _, s := range ix.users[w*64+bits.TrailingZeros64(word)] {
+				if !hits.covers(&ix.need[s]) {
+					continue
+				}
+				score := ix.spec[s]
+				if taxonomy[s].Facility == e.Facility {
+					score += 2
+				}
+				if taxonomy[s].Severity == e.Severity {
+					score++
+				}
+				if score > bestScore || score == bestScore && s < best {
+					best, bestScore = s, score
+				}
+			}
 		}
 	}
 	if best < 0 {
 		return nil, false
 	}
 	return &taxonomy[best], true
+}
+
+// lower returns s lowercased exactly as strings.ToLower lowers it, in
+// buf where it fits. ASCII text, all of a BG/L log, folds byte by byte;
+// anything else takes strings.ToLower, which folds runes (U+212A
+// KELVIN SIGN becomes "k") and can change the length.
+func lower(buf []byte, s string) []byte {
+	dst := buf[:0]
+	for i := 0; i < len(s); i++ {
+		b := s[i]
+		if b >= utf8.RuneSelf {
+			return append(buf[:0], strings.ToLower(s)...)
+		}
+		if 'A' <= b && b <= 'Z' {
+			b += 'a' - 'A'
+		}
+		dst = append(dst, b)
+	}
+	return dst
 }

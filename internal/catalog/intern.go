@@ -7,7 +7,7 @@ import "bglpred/internal/raslog"
 // CMCS logs are overwhelmingly duplicates — every chip of a partition
 // reports the same fault text, and polling agents repeat it — so after
 // the first sighting of an entry, classification is one map lookup
-// instead of a 101-signature keyword scan (LogMaster makes the same
+// instead of a Classifier pass over the entry (LogMaster makes the same
 // observation: correlation mining over cluster logs becomes tractable
 // online once events are interned to integer IDs).
 //

@@ -22,18 +22,12 @@ const (
 )
 
 // tkey keys temporal compression: same JOB ID and LOCATION (and, by
-// default, subcategory) within the threshold coalesce.
+// default, subcategory) within the threshold coalesce. A temporal
+// window holds the slot of the unique event it credits.
 type tkey struct {
 	job int64
 	loc raslog.Location
 	sub int
-}
-
-// tstate is a temporal window: the unique event it credits and the
-// last record it absorbed, which the window slides on.
-type tstate struct {
-	slot int
-	last time.Time
 }
 
 // skey keys spatial compression: same ENTRY DATA and JOB ID within
@@ -43,55 +37,55 @@ type skey struct {
 	entry string
 }
 
-// sstate is a spatial window. loc is its representative's location:
-// the paper merges reports "from different locations", so a repeat
-// from loc that survived temporal compression opens a new event.
-type sstate struct {
+// sval is what a spatial window holds: the unique event it credits and
+// its representative's location. The paper merges reports "from
+// different locations", so a repeat from loc that survived temporal
+// compression opens a new event.
+type sval struct {
 	slot int
-	last time.Time
 	loc  raslog.Location
 }
+
+// gcEvery is the log time between two sweeps of expired windows.
+const gcEvery = 10 * time.Minute
 
 // Compressor is the paper's §3.1 temporal-then-spatial compression:
 // one Step per classified record, in time order. Run drives one per
 // job shard, online.Engine one per stream. Memory is bounded to the
 // keys touched within the larger threshold. Not safe for concurrent use.
 type Compressor struct {
-	opts Options
-	// temporal maps each live temporal key to its window's index in
-	// twins, so a record hashes its key once: the lookup finds the
-	// window, which then updates in place. The sweep frees indices for
-	// reuse.
-	temporal map[tkey]int32
-	twins    []tstate
-	free     []int32
-	spatial  map[skey]sstate
+	opts     Options
+	temporal windowSet[tkey, int]
+	spatial  windowSet[skey, sval]
 	next     int
 	lastGC   time.Time
+	// nextGC is the stamp from which Step sweeps: gcEvery past lastGC.
+	// The zero Time, lastGC before any sweep, stamps to the lowest
+	// int64, so the first record sweeps.
+	nextGC int64
 
-	// hot holds the spatial window of the last key Step looked up, and
-	// in a storm — one ENTRY DATA reported from chip after chip — every
-	// record's key is that one: a spatial duplicate updates the window
-	// here without hashing its key, to find it or to store it. While hot
-	// is valid its window is the logical one and spatial[hot.key] may
-	// lag behind it (dirty); flushHot writes it back. maybeGC, State and
-	// Restore, which read or replace the map whole, flush or drop it.
+	// hot is the spatial window of the last key Step looked up (i, or
+	// none), and in a storm — one ENTRY DATA reported from chip after
+	// chip — every record's key is that one: a spatial duplicate finds
+	// its window here without hashing its key. A sweep or Restore, which
+	// may delete or replace the window, drops it.
 	hot struct {
-		key          skey
-		st           sstate
-		valid, found bool // found: a window exists for key
-		dirty        bool
+		key   skey
+		i     int32
+		valid bool
 	}
 }
 
 // NewCompressor builds an empty compressor; zero thresholds in opts
 // mean DefaultThreshold and Workers is ignored.
 func NewCompressor(opts Options) *Compressor {
-	return &Compressor{
+	c := &Compressor{
 		opts:     opts.withDefaults(),
-		temporal: make(map[tkey]int32),
-		spatial:  make(map[skey]sstate),
+		temporal: newWindowSet[tkey, int](0),
+		spatial:  newWindowSet[skey, sval](0),
 	}
+	c.setLastGC(time.Time{})
+	return c
 }
 
 // Step applies the temporal rule, then the spatial rule, to one record
@@ -100,93 +94,60 @@ func NewCompressor(opts Options) *Compressor {
 // belongs to. A temporal key absorbed spatially is redirected to the
 // absorbing event's slot, so its later repeats credit that event.
 func (c *Compressor) Step(ev *raslog.Event, subID int) (Verdict, int) {
-	c.maybeGC(ev.Time)
+	now := stamp(ev.Time)
+	if now >= c.nextGC {
+		c.sweep(now, ev.Time)
+	}
 
 	tk := tkey{job: ev.JobID, loc: ev.Location, sub: subID}
 	if c.opts.TemporalKeyIgnoresCategory {
 		tk.sub = -1
 	}
-	ti, tfound := c.temporal[tk]
-	if tfound {
-		if tw := &c.twins[ti]; ev.Time.Sub(tw.last) <= c.opts.TemporalThreshold {
-			tw.last = ev.Time
-			return TemporalDuplicate, tw.slot
+	ti := c.temporal.find(tk)
+	if ti != none {
+		if tw := &c.temporal.slab[ti]; sub(now, tw.at) <= int64(c.opts.TemporalThreshold) {
+			c.temporal.touch(ti, now, ev.Time)
+			return TemporalDuplicate, tw.val
 		}
 	}
 
 	sk := skey{job: ev.JobID, entry: ev.EntryData}
 	h := &c.hot
 	if !h.valid || h.key != sk {
-		c.flushHot()
-		h.st, h.found = c.spatial[sk]
-		h.key, h.valid = sk, true
+		h.key, h.i, h.valid = sk, c.spatial.find(sk), true
 	}
-	if h.found && ev.Time.Sub(h.st.last) <= c.opts.SpatialThreshold && ev.Location != h.st.loc {
-		h.st.last = ev.Time
-		h.dirty = true
-		c.setTemporal(tk, ti, tfound, tstate{slot: h.st.slot, last: ev.Time})
-		return SpatialDuplicate, h.st.slot
+	if h.i != none {
+		if sw := &c.spatial.slab[h.i]; sub(now, sw.at) <= int64(c.opts.SpatialThreshold) && ev.Location != sw.val.loc {
+			c.spatial.touch(h.i, now, ev.Time)
+			c.temporal.put(tk, ti, sw.val.slot, now, ev.Time)
+			return SpatialDuplicate, sw.val.slot
+		}
 	}
 
 	slot := c.next
 	c.next++
-	c.setTemporal(tk, ti, tfound, tstate{slot: slot, last: ev.Time})
-	h.st, h.found, h.dirty = sstate{slot: slot, last: ev.Time, loc: ev.Location}, true, false
-	c.spatial[sk] = h.st
+	c.temporal.put(tk, ti, slot, now, ev.Time)
+	h.i = c.spatial.put(sk, h.i, sval{slot: slot, loc: ev.Location}, now, ev.Time)
 	return Unique, slot
 }
 
-// setTemporal makes st tk's temporal window: in place when Step's
-// lookup found one (found, at i), else in a free slab slot.
-func (c *Compressor) setTemporal(tk tkey, i int32, found bool, st tstate) {
-	if !found {
-		if n := len(c.free); n > 0 {
-			i, c.free = c.free[n-1], c.free[:n-1]
-		} else {
-			i = int32(len(c.twins))
-			c.twins = append(c.twins, tstate{})
-		}
-		c.temporal[tk] = i
-	}
-	c.twins[i] = st
-}
-
-// flushHot writes the hot spatial window back to the map.
-func (c *Compressor) flushHot() {
-	if c.hot.dirty {
-		c.spatial[c.hot.key] = c.hot.st
-		c.hot.dirty = false
-	}
-}
-
-// maybeGC prunes windows idle for longer than both thresholds. A
-// pruned key could no longer match, so pruning never changes a verdict.
-func (c *Compressor) maybeGC(now time.Time) {
-	const gcEvery = 10 * time.Minute
-	if !c.lastGC.IsZero() && now.Sub(c.lastGC) < gcEvery {
-		return
-	}
-	c.lastGC = now
-	c.flushHot()
+// sweep prunes windows idle for longer than both thresholds; Step
+// runs it once gcEvery of log time has passed since the last. A pruned
+// key could no longer match, so pruning never changes a verdict.
+func (c *Compressor) sweep(now int64, t time.Time) {
+	c.setLastGC(t)
 	c.hot.valid = false // the sweep may delete its window
-	cutoff := now.Add(-max(c.opts.TemporalThreshold, c.opts.SpatialThreshold))
-	for k, i := range c.temporal {
-		if c.twins[i].last.Before(cutoff) {
-			delete(c.temporal, k)
-			//bglvet:ignore determinism which slab slot a window reuses is never observed: verdicts and State read windows by key
-			c.free = append(c.free, i)
-		}
-	}
-	for k, st := range c.spatial {
-		if st.last.Before(cutoff) {
-			delete(c.spatial, k)
-		}
-	}
+	cutoff := sub(now, int64(max(c.opts.TemporalThreshold, c.opts.SpatialThreshold)))
+	c.temporal.expire(cutoff)
+	c.spatial.expire(cutoff)
 }
 
-// Pending is the number of live compression windows, a memory gauge. A
-// dirty hot window is already a map key, so the count needs no flush.
-func (c *Compressor) Pending() int { return len(c.temporal) + len(c.spatial) }
+func (c *Compressor) setLastGC(t time.Time) {
+	c.lastGC, c.nextGC = t, sub(stamp(t), -int64(gcEvery))
+}
+
+// Pending is the number of live compression windows, a memory gauge.
+func (c *Compressor) Pending() int { return c.temporal.len() + c.spatial.len() }
 
 // TemporalEntry is one temporal window of a CompressorState.
 type TemporalEntry struct {
@@ -218,22 +179,22 @@ type CompressorState struct {
 
 // State exports the compressor's state.
 func (c *Compressor) State() CompressorState {
-	c.flushHot()
 	st := CompressorState{LastGC: c.lastGC, Next: c.next}
-	if len(c.temporal) > 0 {
-		st.Temporal = make([]TemporalEntry, 0, len(c.temporal))
-		for k, i := range c.temporal {
-			t := c.twins[i]
-			st.Temporal = append(st.Temporal, TemporalEntry{Job: k.job, Loc: k.loc, Sub: k.sub, Last: t.last, Slot: t.slot})
+	if t := &c.temporal; t.len() > 0 {
+		st.Temporal = make([]TemporalEntry, 0, t.len())
+		for i := t.head; i != none; i = t.slab[i].next {
+			w := &t.slab[i]
+			st.Temporal = append(st.Temporal, TemporalEntry{Job: w.key.job, Loc: w.key.loc, Sub: w.key.sub, Last: w.last, Slot: w.val})
 		}
 		slices.SortFunc(st.Temporal, func(a, b TemporalEntry) int {
 			return cmp.Or(cmp.Compare(a.Job, b.Job), compareLocation(a.Loc, b.Loc), cmp.Compare(a.Sub, b.Sub))
 		})
 	}
-	if len(c.spatial) > 0 {
-		st.Spatial = make([]SpatialEntry, 0, len(c.spatial))
-		for k, s := range c.spatial {
-			st.Spatial = append(st.Spatial, SpatialEntry{Job: k.job, Entry: k.entry, Last: s.last, Loc: s.loc, Slot: s.slot})
+	if s := &c.spatial; s.len() > 0 {
+		st.Spatial = make([]SpatialEntry, 0, s.len())
+		for i := s.head; i != none; i = s.slab[i].next {
+			w := &s.slab[i]
+			st.Spatial = append(st.Spatial, SpatialEntry{Job: w.key.job, Entry: w.key.entry, Last: w.last, Loc: w.val.loc, Slot: w.val.slot})
 		}
 		slices.SortFunc(st.Spatial, func(a, b SpatialEntry) int {
 			return cmp.Or(cmp.Compare(a.Job, b.Job), cmp.Compare(a.Entry, b.Entry))
@@ -250,16 +211,15 @@ func compareLocation(a, b raslog.Location) int {
 // Restore replaces the compressor's state with an exported one; the
 // stream then continues exactly where the exporting compressor stopped.
 func (c *Compressor) Restore(st CompressorState) {
-	c.lastGC, c.next = st.LastGC, st.Next
-	c.hot.valid, c.hot.dirty = false, false
-	c.temporal = make(map[tkey]int32, len(st.Temporal))
-	c.twins, c.free = make([]tstate, len(st.Temporal)), nil
-	for i, t := range st.Temporal {
-		c.temporal[tkey{job: t.Job, loc: t.Loc, sub: t.Sub}] = int32(i)
-		c.twins[i] = tstate{slot: t.Slot, last: t.Last}
-	}
-	c.spatial = make(map[skey]sstate, len(st.Spatial))
-	for _, s := range st.Spatial {
-		c.spatial[skey{job: s.Job, entry: s.Entry}] = sstate{slot: s.Slot, last: s.Last, loc: s.Loc}
-	}
+	c.setLastGC(st.LastGC)
+	c.next = st.Next
+	c.hot.valid = false
+	c.temporal.fill(len(st.Temporal), func(j int) (tkey, int, time.Time) {
+		t := &st.Temporal[j]
+		return tkey{job: t.Job, loc: t.Loc, sub: t.Sub}, t.Slot, t.Last
+	})
+	c.spatial.fill(len(st.Spatial), func(j int) (skey, sval, time.Time) {
+		s := &st.Spatial[j]
+		return skey{job: s.Job, entry: s.Entry}, sval{slot: s.Slot, loc: s.Loc}, s.Last
+	})
 }

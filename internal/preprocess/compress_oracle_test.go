@@ -27,7 +27,7 @@ func referenceCompress(raw []raslog.Event, subs []int32, opts Options) (events [
 		idx  int // index into events
 		last time.Time
 	}
-	temporal := make(map[tkey]tstate)
+	temporal := make(map[refTKey]tstate)
 	for i := range raw {
 		sid := subs[i]
 		if sid < 0 {
@@ -35,7 +35,7 @@ func referenceCompress(raw []raslog.Event, subs []int32, opts Options) (events [
 			continue
 		}
 		e := &raw[i]
-		key := tkey{job: e.JobID, loc: e.Location, sub: int(sid)}
+		key := refTKey{job: e.JobID, loc: e.Location, sub: int(sid)}
 		if opts.TemporalKeyIgnoresCategory {
 			key.sub = -1
 		}
@@ -59,11 +59,11 @@ func referenceCompress(raw []raslog.Event, subs []int32, opts Options) (events [
 		last time.Time
 		loc  raslog.Location
 	}
-	spatial := make(map[skey]sstate)
+	spatial := make(map[refSKey]sstate)
 	kept := events[:0]
 	for i := range events {
 		ue := &events[i]
-		key := skey{job: ue.JobID, entry: ue.EntryData}
+		key := refSKey{job: ue.JobID, entry: ue.EntryData}
 		if ss, ok := spatial[key]; ok && ue.Time.Sub(ss.last) <= opts.SpatialThreshold && ue.Location != ss.loc {
 			target := &kept[ss.idx]
 			if target.Location != ue.Location {

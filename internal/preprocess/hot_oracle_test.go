@@ -3,6 +3,7 @@ package preprocess
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -13,29 +14,63 @@ import (
 )
 
 // refCompressor is the Compressor before it kept its hot spatial
-// window and its temporal windows in a slab: every Step hashes each
-// key to look its window up and again to store it. Its methods are the
-// parent commit's verbatim but for the receiver's type.
+// window, its windows in slabs and its times as stamps: every Step
+// hashes each key to look its window up and again to store it, compares
+// times with time.Time.Sub, and sweeps by ranging over both maps. Its
+// methods are the parent commit's verbatim but for the receiver's type
+// and the ref-prefixed window types below, which are the parent's own,
+// so a change to the live types cannot change the reference.
 type refCompressor struct {
 	opts     Options
-	temporal map[tkey]tstate
-	spatial  map[skey]sstate
+	temporal map[refTKey]refTState
+	spatial  map[refSKey]refSState
 	next     int
 	lastGC   time.Time
+}
+
+// refTKey keys temporal compression: same JOB ID and LOCATION (and, by
+// default, subcategory) within the threshold coalesce.
+type refTKey struct {
+	job int64
+	loc raslog.Location
+	sub int
+}
+
+// refTState is a temporal window: the unique event it credits and the
+// last record it absorbed, which the window slides on.
+type refTState struct {
+	slot int
+	last time.Time
+}
+
+// refSKey keys spatial compression: same ENTRY DATA and JOB ID within
+// the threshold merge.
+type refSKey struct {
+	job   int64
+	entry string
+}
+
+// refSState is a spatial window. loc is its representative's location:
+// the paper merges reports "from different locations", so a repeat
+// from loc that survived temporal compression opens a new event.
+type refSState struct {
+	slot int
+	last time.Time
+	loc  raslog.Location
 }
 
 func newRefCompressor(opts Options) *refCompressor {
 	return &refCompressor{
 		opts:     opts.withDefaults(),
-		temporal: make(map[tkey]tstate),
-		spatial:  make(map[skey]sstate),
+		temporal: make(map[refTKey]refTState),
+		spatial:  make(map[refSKey]refSState),
 	}
 }
 
 func (c *refCompressor) Step(ev *raslog.Event, subID int) (Verdict, int) {
 	c.maybeGC(ev.Time)
 
-	tk := tkey{job: ev.JobID, loc: ev.Location, sub: subID}
+	tk := refTKey{job: ev.JobID, loc: ev.Location, sub: subID}
 	if c.opts.TemporalKeyIgnoresCategory {
 		tk.sub = -1
 	}
@@ -45,18 +80,18 @@ func (c *refCompressor) Step(ev *raslog.Event, subID int) (Verdict, int) {
 		return TemporalDuplicate, st.slot
 	}
 
-	sk := skey{job: ev.JobID, entry: ev.EntryData}
+	sk := refSKey{job: ev.JobID, entry: ev.EntryData}
 	if st, ok := c.spatial[sk]; ok && ev.Time.Sub(st.last) <= c.opts.SpatialThreshold && ev.Location != st.loc {
 		st.last = ev.Time
 		c.spatial[sk] = st
-		c.temporal[tk] = tstate{slot: st.slot, last: ev.Time}
+		c.temporal[tk] = refTState{slot: st.slot, last: ev.Time}
 		return SpatialDuplicate, st.slot
 	}
 
 	slot := c.next
 	c.next++
-	c.temporal[tk] = tstate{slot: slot, last: ev.Time}
-	c.spatial[sk] = sstate{slot: slot, last: ev.Time, loc: ev.Location}
+	c.temporal[tk] = refTState{slot: slot, last: ev.Time}
+	c.spatial[sk] = refSState{slot: slot, last: ev.Time, loc: ev.Location}
 	return Unique, slot
 }
 
@@ -106,13 +141,13 @@ func (c *refCompressor) State() CompressorState {
 
 func (c *refCompressor) Restore(st CompressorState) {
 	c.lastGC, c.next = st.LastGC, st.Next
-	c.temporal = make(map[tkey]tstate, len(st.Temporal))
+	c.temporal = make(map[refTKey]refTState, len(st.Temporal))
 	for _, t := range st.Temporal {
-		c.temporal[tkey{job: t.Job, loc: t.Loc, sub: t.Sub}] = tstate{slot: t.Slot, last: t.Last}
+		c.temporal[refTKey{job: t.Job, loc: t.Loc, sub: t.Sub}] = refTState{slot: t.Slot, last: t.Last}
 	}
-	c.spatial = make(map[skey]sstate, len(st.Spatial))
+	c.spatial = make(map[refSKey]refSState, len(st.Spatial))
 	for _, s := range st.Spatial {
-		c.spatial[skey{job: s.Job, entry: s.Entry}] = sstate{slot: s.Slot, last: s.Last, loc: s.Loc}
+		c.spatial[refSKey{job: s.Job, entry: s.Entry}] = refSState{slot: s.Slot, last: s.Last, loc: s.Loc}
 	}
 }
 
@@ -211,12 +246,82 @@ func hotStreams() map[string][]hotRecord {
 		mk(gaps[rng.IntN(len(gaps))], int64(7+rng.IntN(2)), chips[rng.IntN(4)], entry, 1+rng.IntN(2))
 	}
 	streams["random"] = take()
+
+	// The zero Time, which stamps clamp: first, so lastGC stays zero and
+	// every record sweeps until a real time arrives, and again after
+	// 2005, two thousand years back.
+	for i := 0; i < 40; i++ {
+		if i%10 == 0 {
+			at = time.Time{}
+		}
+		gap := time.Duration(0)
+		if i%10 > 4 {
+			gap = time.Duration(i%3) * time.Second
+		}
+		if i%10 == 5 {
+			at = t0
+		}
+		mk(gap, 7, chips[i%5], entryA, 1+i%2)
+	}
+	streams["zero time"] = take()
+
+	// Sub-second stamps, as cfdr's microsecond times give, straddling
+	// the one-second threshold by a microsecond and a nanosecond.
+	subSecond := []time.Duration{time.Microsecond, 250 * time.Millisecond, time.Second - time.Microsecond,
+		time.Second, time.Second + time.Nanosecond, time.Second + time.Microsecond}
+	for i := 0; i < 600; i++ {
+		mk(subSecond[rng.IntN(len(subSecond))], 7, chips[rng.IntN(3)], entryA, 1+rng.IntN(2))
+	}
+	streams["sub-second times"] = take()
+
+	// Records earlier than the one before them (EXPERIMENTS.md deviation
+	// 7: two connections interleaving one log): windows slide back and
+	// forth, and a sweep may run on a late record.
+	jumps := []time.Duration{-11 * time.Minute, -301 * time.Second, -time.Second, -time.Nanosecond,
+		0, time.Second, 301 * time.Second, 11 * time.Minute, 2 * time.Hour}
+	for i := 0; i < 1500; i++ {
+		entry := entryA
+		if rng.IntN(3) == 0 {
+			entry = entryB
+		}
+		mk(jumps[rng.IntN(len(jumps))], int64(7+rng.IntN(2)), chips[rng.IntN(6)], entry, 1+rng.IntN(2))
+	}
+	streams["records out of time order"] = take()
+
+	// A window exactly as old as a threshold when a sweep runs: the
+	// sweep keeps it, and the record that ran the sweep still falls
+	// inside it — spatially at 300 s (another chip), temporally at an
+	// hour (the same chip).
+	mk(0, 7, chips[0], entryA, 1)
+	mk(5*time.Minute, 7, chips[1], entryA, 1)
+	mk(5*time.Minute, 7, chips[2], entryA, 1) // sweeps: chips[1]'s record is 300 s old
+	mk(time.Hour, 7, chips[2], entryA, 1)     // sweeps: chips[2]'s window is an hour old
+	streams["window exactly a threshold old at a sweep"] = take()
+
+	// The newest window moves back behind an older one: a sweep must
+	// still find it, past the window it now trails.
+	mk(0, 7, chips[0], entryA, 1)
+	mk(5*time.Minute, 7, chips[1], entryB, 1)
+	mk(10*time.Second, 7, chips[2], entryA, 1)
+	mk(-20*time.Minute, 7, chips[2], entryA, 1) // chips[2]'s window, now 20 minutes back
+	mk(20*time.Minute+290*time.Second, 7, chips[3], entryB, 2)
+	streams["newest window moved back"] = take()
+
+	// Times in another zone: State exports each window's time as the
+	// record carried it.
+	zone := time.FixedZone("UTC+1", 3600)
+	for i := 0; i < 200; i++ {
+		mk(gaps[rng.IntN(len(gaps))], 7, chips[rng.IntN(4)], entryA, 1)
+		s[len(s)-1].ev.Time = s[len(s)-1].ev.Time.In(zone)
+	}
+	streams["times in another zone"] = take()
 	return streams
 }
 
 // TestCompressorHotWindowMatchesReference: on every stream, every
-// option set and every checkpoint cadence, the compressor with the hot
-// window answers each record with the reference's verdict and slot,
+// option set and every checkpoint cadence, the compressor — hot window,
+// slabs, stamps and expiry order — answers each record with the
+// reference's verdict and slot,
 // agrees on Pending and exports the same State — with State, Pending
 // and a Restore into a fresh compressor landing mid-storm. Then both
 // rewind to a mid-stream State, the hot one by Restore over its own
@@ -267,5 +372,110 @@ func TestCompressorHotWindowMatchesReference(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestStampMatchesSub: between times inside the int64 nanosecond
+// range, the difference of two stamps is time.Time.Sub's, saturated
+// alike; outside it stamps clamp, the zero Time to the lowest int64;
+// and stamps never order two times the other way round.
+func TestStampMatchesSub(t *testing.T) {
+	zone := time.FixedZone("UTC-7", -7*3600)
+	inside := []time.Time{
+		time.Unix(0, math.MinInt64).UTC(), time.Unix(0, math.MinInt64+1), time.Date(1700, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Unix(-1, 999_999_999), time.Unix(0, 0), t0, t0.Add(time.Nanosecond), t0.Add(time.Microsecond).In(zone),
+		time.Date(2200, 1, 1, 0, 0, 0, 0, zone), time.Unix(0, math.MaxInt64-1), time.Unix(0, math.MaxInt64),
+	}
+	for _, a := range inside {
+		for _, b := range inside {
+			if got, want := sub(stamp(a), stamp(b)), int64(a.Sub(b)); got != want {
+				t.Errorf("sub(stamp(%v), stamp(%v)) = %d, Sub says %d", a, b, got, want)
+			}
+		}
+	}
+	if got := stamp(time.Time{}); got != math.MinInt64 {
+		t.Errorf("stamp of the zero Time = %d, want the lowest int64", got)
+	}
+	if got := stamp(time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)); got != math.MaxInt64 {
+		t.Errorf("stamp of the year 3000 = %d, want the highest int64", got)
+	}
+	all := append([]time.Time{{}, time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC), time.Unix(0, math.MinInt64).Add(-1),
+		time.Unix(0, math.MaxInt64).Add(1), time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)}, inside...)
+	for _, a := range all {
+		for _, b := range all {
+			if a.Before(b) && stamp(a) > stamp(b) {
+				t.Errorf("%v is before %v, but its stamp %d is after %d", a, b, stamp(a), stamp(b))
+			}
+		}
+	}
+}
+
+// stormRecords is a storm opening more than 10 000 temporal windows in
+// ten seconds — one entry from chip after chip, every tenth record
+// another — and then a quiet stretch of a record every four minutes for
+// two hours, spanning a dozen sweeps. It returns where the quiet
+// stretch starts.
+func stormRecords() ([]hotRecord, int) {
+	const chips = 10240
+	var out []hotRecord
+	at := t0
+	for i := 0; i < chips; i++ {
+		at = at.Add(time.Millisecond)
+		entry := "torus receiver x+ input pipe error"
+		if i%10 == 9 {
+			entry = fmt.Sprintf("ddr single symbol error corrected on chip %d", i%7)
+		}
+		loc := raslog.Location{Kind: raslog.KindComputeChip, Rack: i / 1024, Midplane: i / 512 % 2, Card: i / 32 % 16, Chip: i % 32}
+		out = append(out, hotRecord{raslog.Event{RecID: int64(len(out) + 1), Time: at, JobID: 7, Location: loc, EntryData: entry}, 1 + i%3})
+	}
+	quiet := len(out)
+	for i := 0; i < 30; i++ {
+		at = at.Add(4 * time.Minute)
+		loc := raslog.Location{Kind: raslog.KindComputeChip, Chip: i % 4}
+		out = append(out, hotRecord{raslog.Event{RecID: int64(len(out) + 1), Time: at, JobID: int64(7 + i%2), Location: loc, EntryData: "polling agent heartbeat ok"}, 2})
+	}
+	return out, quiet
+}
+
+// TestCompressorStormMatchesReference: through the storm and the quiet
+// stretch after it, the compressor answers each record and counts
+// Pending as the reference does; right after the storm its State is
+// the reference's and a compressor restored from it carries on, and in
+// the quiet stretch State agrees record by record while the sweeps
+// delete the storm's windows.
+func TestCompressorStormMatchesReference(t *testing.T) {
+	stream, quiet := stormRecords()
+	for _, opts := range oracleOptions() {
+		t.Run(fmt.Sprintf("%+v", opts), func(t *testing.T) {
+			ref, c := newRefCompressor(opts), NewCompressor(opts)
+			for i := range stream {
+				if i == quiet {
+					st := c.State()
+					if want := ref.State(); !reflect.DeepEqual(st, want) {
+						t.Fatalf("after the storm: State differs from the reference (%d/%d temporal windows)", len(st.Temporal), len(want.Temporal))
+					}
+					if len(st.Temporal) <= 10000 {
+						t.Fatalf("the storm left %d temporal windows, want more than 10000", len(st.Temporal))
+					}
+					c = NewCompressor(opts)
+					c.Restore(st)
+				}
+				r := &stream[i]
+				wv, ws := ref.Step(&r.ev, r.sub)
+				gv, gs := c.Step(&r.ev, r.sub)
+				if gv != wv || gs != ws {
+					t.Fatalf("record %d: verdict %v slot %d, reference %v slot %d", i, gv, gs, wv, ws)
+				}
+				if got, want := c.Pending(), ref.Pending(); got != want {
+					t.Fatalf("record %d: Pending %d, reference %d", i, got, want)
+				}
+				if i >= quiet && !reflect.DeepEqual(c.State(), ref.State()) {
+					t.Fatalf("record %d: State differs from the reference", i)
+				}
+			}
+			if c.Pending() > 8 {
+				t.Fatalf("%d windows live after two quiet hours", c.Pending())
+			}
+		})
 	}
 }

@@ -222,8 +222,8 @@ func jobShard(job int64, shards int) int {
 
 // classifyParallel maps each record to its subcategory ID (-1 when
 // unclassifiable) using a chunked worker pool. Each worker owns an
-// interning classifier, so the 101-signature keyword scan runs once
-// per distinct ENTRY DATA string rather than once per record.
+// interning classifier, so the keyword classifier runs once per
+// distinct ENTRY DATA string rather than once per record.
 func classifyParallel(raw []raslog.Event, workers int) []int32 {
 	subs := make([]int32, len(raw))
 	if len(raw) == 0 {
