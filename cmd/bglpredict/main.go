@@ -134,9 +134,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bglpredict: %v\n", err)
 			os.Exit(1)
 		}
+		rule := trained.Meta.Rule
+		if rule == nil {
+			fmt.Println("no rules: -predictors selects no rule base")
+			return
+		}
 		rt := report.NewTable(
-			fmt.Sprintf("Mined rules (window %v)", trained.Rule.ChosenWindow()), "rule")
-		for _, r := range trained.Rule.Rules().Rules {
+			fmt.Sprintf("Mined rules (window %v)", rule.ChosenWindow()), "rule")
+		for _, r := range rule.Rules().Rules {
 			rt.AddRow(r.Format(func(it int) string {
 				if s, ok := catalog.ByID(it); ok {
 					return s.Name

@@ -383,16 +383,15 @@ func obtainModel(o options, selection []string) (*predictor.Meta, serve.ModelInf
 	if err != nil {
 		return nil, serve.ModelInfo{}, fmt.Errorf("training: %w", err)
 	}
-	logf("trained on %s: %d records -> %d unique, %d rules (window %v), triggers %v",
-		source, len(trainRaw), len(pre.Events), trained.Rule.Rules().Len(),
-		trained.Rule.ChosenWindow(), trained.Statistical.Triggers())
+	params := model.ParamsOf(trained.Meta)
+	logf("trained on %s: %d records -> %d unique, %d rules (window %v), predictors %v",
+		source, len(trainRaw), len(pre.Events), serve.RuleCount(trained.Meta),
+		params.RuleGenWindow, trained.Meta.BaseNames())
 
 	info := serve.ModelInfo{
 		TrainedAt: time.Now().UTC(),
 		Source:    source,
-		Rules:     trained.Rule.Rules().Len(),
 	}
-	ruleCfg := trained.Rule.Config
 	art, err := model.FromMeta(trained.Meta, model.Provenance{
 		TrainedAt: info.TrainedAt,
 		Source:    source,
@@ -400,13 +399,7 @@ func obtainModel(o options, selection []string) (*predictor.Meta, serve.ModelInf
 		Unique:    len(pre.Events),
 		LogStart:  trainRaw[0].Time,
 		LogEnd:    trainRaw[len(trainRaw)-1].Time,
-		Params: model.MiningParams{
-			MinSupport:    ruleCfg.MinSupport,
-			MinConfidence: ruleCfg.MinConfidence,
-			MaxBodyLen:    ruleCfg.MaxBodyLen,
-			RuleGenWindow: trained.Rule.ChosenWindow(),
-			Miner:         fmt.Sprintf("%T", ruleCfg.Miner),
-		},
+		Params:    params,
 	})
 	if err != nil {
 		return nil, serve.ModelInfo{}, fmt.Errorf("packaging model: %w", err)
@@ -443,19 +436,13 @@ func loadArtifact(path string) (*predictor.Meta, serve.ModelInfo, error) {
 	if err != nil {
 		return nil, serve.ModelInfo{}, fmt.Errorf("rebuild model: %w", err)
 	}
-	rules := 0
-	if meta.Rule != nil {
-		rules = meta.Rule.Rules().Len()
-	}
 	logf("loaded model %s (sha %.12s, trained %s on %q, %d rules, predictors %v)",
 		path, mi.SHA256, art.Provenance.TrainedAt.Format(time.RFC3339),
-		art.Provenance.Source, rules, meta.BaseNames())
+		art.Provenance.Source, serve.RuleCount(meta), meta.BaseNames())
 	return meta, serve.ModelInfo{
-		SHA256:     mi.SHA256,
-		TrainedAt:  art.Provenance.TrainedAt,
-		Source:     art.Provenance.Source,
-		Rules:      rules,
-		Predictors: meta.BaseNames(),
+		SHA256:    mi.SHA256,
+		TrainedAt: art.Provenance.TrainedAt,
+		Source:    art.Provenance.Source,
 	}, nil
 }
 

@@ -85,20 +85,23 @@ func (p *Pipeline) newRule() *predictor.Rule {
 	return &predictor.Rule{Config: p.cfg.Rule}
 }
 
+// predictors is the base selection: Config.Predictors, or the classic
+// pair when that is empty.
+func (p *Pipeline) predictors() []string {
+	if len(p.cfg.Predictors) == 0 {
+		return []string{predictor.SourceStatistical, predictor.SourceRule}
+	}
+	return p.cfg.Predictors
+}
+
 // newMeta builds a configured meta-learner over the selected base
 // predictors. Call validatePredictors first: unknown names here mean
 // the selection was never validated, and panicking beats silently
 // serving a smaller ensemble than configured.
 func (p *Pipeline) newMeta() *predictor.Meta {
-	if len(p.cfg.Predictors) == 0 {
-		return &predictor.Meta{
-			Stat:   p.newStatistical(),
-			Rule:   p.newRule(),
-			Policy: p.cfg.Policy,
-		}
-	}
-	bases := make([]predictor.Base, 0, len(p.cfg.Predictors))
-	for _, name := range p.cfg.Predictors {
+	names := p.predictors()
+	bases := make([]predictor.Base, 0, len(names))
+	for _, name := range names {
 		switch predictor.CanonicalName(name) {
 		case predictor.SourceStatistical:
 			bases = append(bases, p.newStatistical())
@@ -120,42 +123,32 @@ func (p *Pipeline) newMeta() *predictor.Meta {
 // validatePredictors fails fast on an unknown or duplicate
 // Config.Predictors selection.
 func (p *Pipeline) validatePredictors() error {
-	if len(p.cfg.Predictors) == 0 {
-		return nil
-	}
-	_, err := predictor.Resolve(p.cfg.Predictors)
+	_, err := predictor.Resolve(p.predictors())
 	return err
 }
 
-// Trained bundles the three predictors fitted on one training stream.
+// Trained is the meta-learner fitted on one training stream, with
+// typed handles on its classic bases.
 type Trained struct {
+	// Statistical and Rule are Meta.Stat and Meta.Rule — the meta's
+	// own bases, not copies — and nil when Config.Predictors leaves
+	// that base out.
 	Statistical *predictor.Statistical
 	Rule        *predictor.Rule
 	Meta        *predictor.Meta
 }
 
-// Train fits all three predictors on a unique-event stream. The
-// meta-learner owns its own base instances, as in the paper's
-// protocol (its bases train on the same learning set).
+// Train fits the meta-learner on a unique-event stream: each selected
+// base trains once, on that one learning set (paper §3.3).
 func (p *Pipeline) Train(events []preprocess.Event) (*Trained, error) {
 	if err := p.validatePredictors(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	t := &Trained{
-		Statistical: p.newStatistical(),
-		Rule:        p.newRule(),
-		Meta:        p.newMeta(),
-	}
-	if err := t.Statistical.Train(events); err != nil {
-		return nil, fmt.Errorf("core: statistical: %w", err)
-	}
-	if err := t.Rule.Train(events); err != nil {
-		return nil, fmt.Errorf("core: rule: %w", err)
-	}
-	if err := t.Meta.Train(events); err != nil {
+	m := p.newMeta()
+	if err := m.Train(events); err != nil {
 		return nil, fmt.Errorf("core: meta: %w", err)
 	}
-	return t, nil
+	return &Trained{Statistical: m.Stat, Rule: m.Rule, Meta: m}, nil
 }
 
 // Evaluation is the paper's full accuracy study on one log.

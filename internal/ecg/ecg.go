@@ -254,14 +254,14 @@ func seenBefore(recent []predictor.StepObservation, i int) bool {
 	return false
 }
 
-// Predict implements predictor.Base by replaying the stream through
-// Observe with the standing-alarm renewal every precursor method
-// shares (predictor.PredictBase).
+// Predict implements predictor.Base by replaying the stream through a
+// meta-learner over this one base: the deployed Stepper's sliding
+// window and standing-alarm renewal.
 func (p *Predictor) Predict(events []preprocess.Event, window time.Duration) []predictor.Warning {
 	if len(p.paths) == 0 {
 		return nil
 	}
-	return predictor.PredictBase(p, events, window)
+	return predictor.NewMetaBases(p).Predict(events, window)
 }
 
 // Model is the gob payload of State: the configuration and the mined

@@ -145,6 +145,9 @@ func TestRestoreMatchingAfterTornUpgrade(t *testing.T) {
 	if got := fresh.Model().SHA256; got != oldInfo.SHA256 {
 		t.Fatalf("restored server runs model %.12s, want the checkpoint's %.12s", got, oldInfo.SHA256)
 	}
+	if got, want := fresh.Model().Rules, meta.Rule.Rules().Len(); got != want || want == 0 {
+		t.Fatalf("restored server reports %d rules, the checkpoint's artifact mined %d", got, want)
+	}
 
 	// With the matching artifact gone too, mismatched state must not be
 	// served: cold start, not a silent mispair.

@@ -337,7 +337,6 @@ func TestGoldenV1HotSwap(t *testing.T) {
 		SHA256:    info.SHA256,
 		Source:    art.Provenance.Source,
 		TrainedAt: art.Provenance.TrainedAt,
-		Rules:     goldenMeta.Rule.Rules().Len(),
 	})
 	if swapped.Version != 2 {
 		t.Fatalf("swap version = %d, want 2 (generation after startup)", swapped.Version)

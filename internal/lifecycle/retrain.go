@@ -135,7 +135,6 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 		return serve.ModelInfo{}, fmt.Errorf("lifecycle: retrain: %w", err)
 	}
 
-	ruleCfg := trained.Rule.Config
 	prov := model.Provenance{
 		TrainedAt: time.Now().UTC(),
 		Source:    r.cfg.Source,
@@ -143,13 +142,7 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 		Unique:    len(events),
 		LogStart:  events[0].Time,
 		LogEnd:    newest,
-		Params: model.MiningParams{
-			MinSupport:    ruleCfg.MinSupport,
-			MinConfidence: ruleCfg.MinConfidence,
-			MaxBodyLen:    ruleCfg.MaxBodyLen,
-			RuleGenWindow: trained.Rule.ChosenWindow(),
-			Miner:         fmt.Sprintf("%T", ruleCfg.Miner),
-		},
+		Params:    model.ParamsOf(trained.Meta),
 	}
 	artifact, err := model.FromMeta(trained.Meta, prov)
 	if err != nil {
@@ -180,7 +173,6 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 		SHA256:    sha,
 		TrainedAt: prov.TrainedAt,
 		Source:    r.cfg.Source,
-		Rules:     trained.Rule.Rules().Len(),
 	})
 
 	// Immutable per-generation copy, named by the version just

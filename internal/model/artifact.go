@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"bglpred/internal/assoc"
 	"bglpred/internal/ledger"
 	"bglpred/internal/predictor"
 )
@@ -49,35 +48,20 @@ type MiningParams struct {
 	Miner         string
 }
 
-// StatModel is the version-1 statistical base predictor (§3.2.1): its
-// configuration and the learned temporal-correlation tables. It has the
-// gob shape of the statistical base's State payload.
-type StatModel struct {
-	MinLead        time.Duration
-	MaxWindow      time.Duration
-	MinProbability float64
-	MinCount       int
-	// FollowMinLead/FollowWindow frame the follow counts below (they
-	// mirror MinLead/MaxWindow at training time).
-	FollowMinLead time.Duration
-	FollowWindow  time.Duration
-	// Total and Followed are the per-main-category follow counts of
-	// stats.FollowStats.
-	Total    map[int]int
-	Followed map[int]int
-	// Triggers maps trigger categories (catalog.Main as int) to their
-	// learned confidence.
-	Triggers map[int]float64
-}
-
-// RuleModel is the version-1 rule-based base predictor (§3.2.2): the
-// mined rule set, in BestMatch order, and its rule-generation window.
-// It has the gob shape of the rule base's State payload.
-type RuleModel struct {
-	Window time.Duration
-	// Rules carry supports, confidences and counts; assoc.Rule is plain
-	// exported data.
-	Rules []assoc.Rule
+// ParamsOf reads the mining parameters a trained meta-learner's rule
+// base ran under; they are all zero when the meta has no rule base.
+func ParamsOf(m *predictor.Meta) MiningParams {
+	if m.Rule == nil {
+		return MiningParams{}
+	}
+	cfg := m.Rule.Config
+	return MiningParams{
+		MinSupport:    cfg.MinSupport,
+		MinConfidence: cfg.MinConfidence,
+		MaxBodyLen:    cfg.MaxBodyLen,
+		RuleGenWindow: m.Rule.ChosenWindow(),
+		Miner:         fmt.Sprintf("%T", cfg.Miner),
+	}
 }
 
 // Section is one named per-predictor payload: Name is the base
@@ -98,11 +82,11 @@ type Artifact struct {
 	// Policy is the meta-learner arbitration policy (predictor.Policy).
 	Policy int
 	// Stat and Rule are the version-1 payload, the classic pair's
-	// tables. They exist only to decode version-1 files: Load and Decode
-	// convert them into Sections and clear them, and FromMeta never
-	// fills them.
-	Stat StatModel
-	Rule RuleModel
+	// tables in their bases' State payload types. They exist only to
+	// decode version-1 files: Load and Decode convert them into Sections
+	// and clear them, and FromMeta never fills them.
+	Stat predictor.StatState
+	Rule predictor.RuleState
 	// Sections carries every base predictor's serialized state in
 	// meta-learner arbitration order.
 	Sections []Section
@@ -167,7 +151,7 @@ func (a *Artifact) convertV1() error {
 			a.Sections = append(a.Sections, Section{Name: t.name, Data: buf.Bytes()})
 		}
 	}
-	a.Stat, a.Rule = StatModel{}, RuleModel{}
+	a.Stat, a.Rule = predictor.StatState{}, predictor.RuleState{}
 	return nil
 }
 

@@ -38,7 +38,7 @@ func goldenArtifact() *Artifact {
 			},
 		},
 		Policy: int(predictor.PolicyCoverage),
-		Stat: StatModel{
+		Stat: predictor.StatState{
 			MinLead:        5 * time.Minute,
 			MaxWindow:      time.Hour,
 			MinProbability: 0.4,
@@ -49,7 +49,7 @@ func goldenArtifact() *Artifact {
 			Followed:       map[int]int{1: 25, 5: 30},
 			Triggers:       map[int]float64{1: 0.625, 5: 0.5},
 		},
-		Rule: RuleModel{
+		Rule: predictor.RuleState{
 			Window: 15 * time.Minute,
 			Rules: []assoc.Rule{
 				{
@@ -138,7 +138,7 @@ func samePredictions(t *testing.T, got, want *predictor.Meta, events []preproces
 
 // rawTables decodes a saved artifact's payload without the version-1
 // conversion, exposing the Stat/Rule tables as they lie on disk.
-func rawTables(t *testing.T, path string) (StatModel, RuleModel) {
+func rawTables(t *testing.T, path string) (predictor.StatState, predictor.RuleState) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -297,7 +297,7 @@ func TestV1UpgradesToV2(t *testing.T) {
 	if _, err := upgraded.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if stat, rule := rawTables(t, path); !reflect.DeepEqual(stat, StatModel{}) || !reflect.DeepEqual(rule, RuleModel{}) {
+	if stat, rule := rawTables(t, path); !reflect.DeepEqual(stat, predictor.StatState{}) || !reflect.DeepEqual(rule, predictor.RuleState{}) {
 		t.Fatal("FromMeta wrote version-1 tables beside the sections")
 	}
 	v2, info, err := Load(path)

@@ -75,34 +75,6 @@ type Base interface {
 // per registered predictor name.
 type BaseFactory func() Base
 
-// PredictBase replays a test stream through a Base's Observe exactly
-// as a Stepper would — sliding observation window, standing-alarm
-// renewal — and returns the warnings raised. It is the offline
-// Predict shared by every precursor-kind base predictor, so the
-// evaluated behaviour is the deployed behaviour.
-func PredictBase(b Base, events []preprocess.Event, window time.Duration) []Warning {
-	var out []Warning
-	var deque []StepObservation
-	for i := range events {
-		e := &events[i]
-		cutoff := e.Time.Add(-window)
-		k := 0
-		for k < len(deque) && deque[k].At.Before(cutoff) {
-			k++
-		}
-		deque = deque[k:]
-		if !e.Sub.IsFatal() {
-			deque = append(deque, StepObservation{At: e.Time, Sub: e.Sub.ID})
-		}
-		c, ok := b.Observe(e, deque, window)
-		if !ok {
-			continue
-		}
-		renewWarning(&out, c.Warning)
-	}
-	return out
-}
-
 // Kind implements Base: the statistical method predicts at the fatal
 // arrival itself.
 func (s *Statistical) Kind() Kind { return KindPointOfFailure }
@@ -118,18 +90,25 @@ func (s *Statistical) Observe(e *preprocess.Event, _ []StepObservation, window t
 	return Candidate{Warning: w, Specificity: 1}, true
 }
 
-// statState is the gob payload of Statistical.State: configuration
-// plus the learned temporal-correlation tables.
-type statState struct {
+// StatState is the gob payload of Statistical.State, and the
+// version-1 model artifact's statistical table: the configuration plus
+// the learned temporal-correlation tables.
+type StatState struct {
 	MinLead        time.Duration
 	MaxWindow      time.Duration
 	MinProbability float64
 	MinCount       int
-	FollowMinLead  time.Duration
-	FollowWindow   time.Duration
-	Total          map[int]int
-	Followed       map[int]int
-	Triggers       map[int]float64
+	// FollowMinLead and FollowWindow frame the follow counts below
+	// (they mirror MinLead and MaxWindow at training time).
+	FollowMinLead time.Duration
+	FollowWindow  time.Duration
+	// Total and Followed are the per-main-category follow counts of
+	// stats.FollowStats.
+	Total    map[int]int
+	Followed map[int]int
+	// Triggers maps trigger categories (catalog.Main as int) to their
+	// learned confidence.
+	Triggers map[int]float64
 }
 
 // State implements Base.
@@ -137,7 +116,7 @@ func (s *Statistical) State() ([]byte, error) {
 	if s.follow == nil {
 		return nil, fmt.Errorf("predictor: statistical predictor is not trained")
 	}
-	st := statState{
+	st := StatState{
 		MinLead:        s.MinLead,
 		MaxWindow:      s.MaxWindow,
 		MinProbability: s.MinProbability,
@@ -160,7 +139,7 @@ func (s *Statistical) State() ([]byte, error) {
 
 // SetState implements Base.
 func (s *Statistical) SetState(data []byte) error {
-	var st statState
+	var st StatState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("predictor: decode statistical state: %w", err)
 	}
@@ -219,12 +198,15 @@ func (r *Rule) Observe(e *preprocess.Event, recent []StepObservation, window tim
 	}, true
 }
 
-// ruleState is the gob payload of Rule.State: the mined rule set and
+// RuleState is the gob payload of Rule.State, and the version-1 model
+// artifact's rule table: the mined rule set, in BestMatch order, and
 // its rule-generation window (the restore half of Rules and
-// ChosenWindow, like the v1 artifact's RuleModel).
-type ruleState struct {
+// ChosenWindow).
+type RuleState struct {
 	Window time.Duration
-	Rules  []assoc.Rule
+	// Rules carry supports, confidences and counts; assoc.Rule is plain
+	// exported data.
+	Rules []assoc.Rule
 }
 
 // State implements Base.
@@ -232,7 +214,7 @@ func (r *Rule) State() ([]byte, error) {
 	if r.rules == nil {
 		return nil, fmt.Errorf("predictor: rule predictor is not trained")
 	}
-	st := ruleState{Window: r.chosenWindow, Rules: make([]assoc.Rule, len(r.rules.Rules))}
+	st := RuleState{Window: r.chosenWindow, Rules: make([]assoc.Rule, len(r.rules.Rules))}
 	for i, rl := range r.rules.Rules {
 		rl.Body = rl.Body.Clone()
 		rl.Heads = rl.Heads.Clone()
@@ -247,7 +229,7 @@ func (r *Rule) State() ([]byte, error) {
 
 // SetState implements Base.
 func (r *Rule) SetState(data []byte) error {
-	var st ruleState
+	var st RuleState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("predictor: decode rule state: %w", err)
 	}

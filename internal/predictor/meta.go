@@ -58,15 +58,16 @@ func (p Policy) String() string {
 }
 
 // Meta is the meta-learning predictor (paper §3.3): it trains its
-// base methods on the same stream and adaptively integrates their
-// predictions. The classic pair keeps typed fields; any further
+// base methods once, on the same stream, and adaptively integrates
+// their predictions. The classic pair keeps typed fields; any further
 // registered base predictor (e.g. the event-correlation-graph method)
 // rides in Extras, and arbitration treats all bases uniformly:
 // the most specific covering predictor wins, confidence breaks ties.
+// A Meta arbitrates over exactly the bases it holds; build one with
+// NewMeta (the paper's pair) or NewMetaBases.
 type Meta struct {
-	// Stat and Rule are the paper's base predictors; NewMeta wires
-	// defaults, and Train wires any that are nil unless the meta was
-	// built from an explicit base selection (NewMetaBases).
+	// Stat and Rule are the paper's base predictors, nil when the meta
+	// was built without them.
 	Stat *Statistical
 	Rule *Rule
 	// Extras are additional registered base predictors arbitrated
@@ -75,11 +76,6 @@ type Meta struct {
 	// Policy is the arbitration policy; zero value is the paper's
 	// coverage-based policy.
 	Policy Policy
-
-	// explicit marks a meta built from an explicit base selection:
-	// Train then trains exactly the given bases instead of wiring the
-	// classic pair.
-	explicit bool
 }
 
 // NewMeta returns a meta-learner over fresh base predictors with
@@ -91,10 +87,9 @@ func NewMeta() *Meta {
 // NewMetaBases returns a meta-learner over exactly the given base
 // predictors (typically built via NewBase from registry names). A
 // *Statistical or *Rule lands in its typed field; everything else in
-// Extras. Unlike the zero Meta, Train does not wire missing classic
-// bases.
+// Extras.
 func NewMetaBases(bases ...Base) *Meta {
-	m := &Meta{explicit: true}
+	m := &Meta{}
 	for _, b := range bases {
 		switch t := b.(type) {
 		case *Statistical:
@@ -142,17 +137,14 @@ func (m *Meta) Train(events []preprocess.Event) error {
 }
 
 // TrainSegments implements SegmentedTrainer by forwarding the
-// segments to every base method.
+// segments to every base method. A meta with no bases has nothing to
+// learn and fails.
 func (m *Meta) TrainSegments(segments [][]preprocess.Event) error {
-	if !m.explicit {
-		if m.Stat == nil {
-			m.Stat = NewStatistical()
-		}
-		if m.Rule == nil {
-			m.Rule = NewRule()
-		}
+	bases := m.Bases()
+	if len(bases) == 0 {
+		return fmt.Errorf("predictor: meta-learner has no base predictors")
 	}
-	for _, b := range m.Bases() {
+	for _, b := range bases {
 		if err := b.TrainSegments(segments); err != nil {
 			return err
 		}
@@ -191,9 +183,10 @@ const (
 )
 
 // Stepper is the incremental form of the meta-learner: feed events in
-// time order, get alarm transitions out. Both the offline evaluation
-// (Predict) and the online engine (package online) run on it, so the
-// deployed behaviour is exactly the evaluated behaviour.
+// time order, get alarm transitions out. The offline evaluation
+// (Predict, and through a one-base meta every precursor base's
+// Predict) and the online engine (package online) all run on it, so
+// the deployed behaviour is exactly the evaluated behaviour.
 type Stepper struct {
 	m      *Meta
 	bases  []Base

@@ -187,12 +187,12 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-func TestMetaTrainWiresNilBases(t *testing.T) {
+func TestMetaTrainWithoutBasesFails(t *testing.T) {
 	m := &Meta{}
-	if err := m.Train(mixedTraining(5)); err != nil {
-		t.Fatal(err)
+	if err := m.Train(mixedTraining(5)); err == nil {
+		t.Fatal("a meta-learner with no base predictors trained")
 	}
-	if m.Stat == nil || m.Rule == nil {
-		t.Fatal("Train left base predictors nil")
+	if m.Stat != nil || m.Rule != nil {
+		t.Fatal("Train wired base predictors the meta was not built with")
 	}
 }

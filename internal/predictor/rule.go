@@ -287,30 +287,12 @@ func scoreF1(warnings []Warning, events []preprocess.Event) float64 {
 // rule's confidence. A warning behaves as a standing alarm: while it
 // is active, further matching evidence renews it (extending its
 // coverage and upgrading its confidence) instead of raising a second
-// alarm — one precursor episode therefore yields one prediction.
+// alarm — one precursor episode therefore yields one prediction. The
+// replay is a meta-learner over this one base, so the evaluated
+// behaviour is the deployed Stepper's.
 func (r *Rule) Predict(events []preprocess.Event, window time.Duration) []Warning {
 	if r.rules == nil || r.rules.Len() == 0 {
 		return nil
 	}
-	return PredictBase(r, events, window)
-}
-
-// renewWarning appends w, or — when w overlaps the last standing
-// warning — renews that warning in place: coverage extends to w.End
-// and the higher confidence (with its detail) wins.
-func renewWarning(out *[]Warning, w Warning) {
-	if n := len(*out); n > 0 {
-		last := &(*out)[n-1]
-		if !w.Start.After(last.End) {
-			if w.End.After(last.End) {
-				last.End = w.End
-			}
-			if w.Confidence > last.Confidence {
-				last.Confidence = w.Confidence
-				last.Detail = w.Detail
-			}
-			return
-		}
-	}
-	*out = append(*out, w)
+	return NewMetaBases(r).Predict(events, window)
 }

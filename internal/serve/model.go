@@ -28,12 +28,35 @@ type ModelInfo struct {
 	LoadedAt time.Time `json:"loaded_at"`
 	// Source describes the training data.
 	Source string `json:"source,omitempty"`
-	// Rules is the mined rule count, a quick sanity signal.
+	// Rules is the rule base's mined rule count, a quick sanity signal;
+	// 0 when the model has no rule base. New and SwapModel derive it
+	// from the meta-learner, as they do Predictors.
 	Rules int `json:"rules"`
 	// Predictors names the base predictors the model's meta-learner
-	// arbitrates over, in arbitration order (registry names). New and
-	// SwapModel fill it from the meta-learner when left nil.
+	// arbitrates over, in arbitration order (registry names).
 	Predictors []string `json:"predictors,omitempty"`
+}
+
+// RuleCount is a meta-learner's mined rule count: 0 when it has no
+// rule base.
+func RuleCount(meta *predictor.Meta) int {
+	if meta.Rule == nil || meta.Rule.Rules() == nil {
+		return 0
+	}
+	return meta.Rule.Rules().Len()
+}
+
+// publishModel fills info's derived fields from meta — Rules,
+// Predictors, and LoadedAt when unset — and publishes it as the
+// serving model's identity.
+func (s *Server) publishModel(meta *predictor.Meta, info ModelInfo, loadedAt time.Time) ModelInfo {
+	if info.LoadedAt.IsZero() {
+		info.LoadedAt = loadedAt
+	}
+	info.Rules = RuleCount(meta)
+	info.Predictors = meta.BaseNames()
+	s.model.Store(&info)
+	return info
 }
 
 // ModelResponse is the body of a GET /v1/model reply.
@@ -56,7 +79,8 @@ func (s *Server) Swaps() int64 { return s.swaps.Load() }
 // window and standing alarm onto the new model between two records, so
 // concurrent ingestion loses nothing and no duplicate alarms are
 // raised; the swap is complete when SwapModel returns. info.Version is
-// assigned by the server (previous version + 1).
+// assigned by the server (previous version + 1), and Rules and
+// Predictors are derived from meta.
 func (s *Server) SwapModel(meta *predictor.Meta, info ModelInfo) ModelInfo {
 	// Publish the meta before touching engines, so a shard supervisor
 	// rebuilding concurrently never resurrects the outgoing model.
@@ -65,13 +89,7 @@ func (s *Server) SwapModel(meta *predictor.Meta, info ModelInfo) ModelInfo {
 		sh.engine().SwapModel(meta)
 	}
 	info.Version = s.model.Load().Version + 1
-	if info.LoadedAt.IsZero() {
-		info.LoadedAt = time.Now()
-	}
-	if info.Predictors == nil {
-		info.Predictors = meta.BaseNames()
-	}
-	s.model.Store(&info)
+	info = s.publishModel(meta, info, time.Now())
 	s.swaps.Add(1)
 	return info
 }

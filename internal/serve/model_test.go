@@ -5,10 +5,13 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"bglpred/internal/core"
+	"bglpred/internal/preprocess"
 	"bglpred/internal/raslog"
 )
 
@@ -35,13 +38,15 @@ func TestModelEndpointReportsIdentity(t *testing.T) {
 		SHA256:    "deadbeef",
 		TrainedAt: trainedAt,
 		Source:    "unit fixture",
-		Rules:     7,
 	}})
 	defer s.Close()
 
 	got := getModel(t, s)
-	if got.Version != 1 || got.SHA256 != "deadbeef" || got.Source != "unit fixture" || got.Rules != 7 {
+	if got.Version != 1 || got.SHA256 != "deadbeef" || got.Source != "unit fixture" {
 		t.Fatalf("model info = %+v", got)
+	}
+	if want := meta.Rule.Rules().Len(); got.Rules != want || want == 0 {
+		t.Fatalf("rules = %d, the model's rule base mined %d", got.Rules, want)
 	}
 	if got.Swaps != 0 || got.AgeSeconds < 0 {
 		t.Fatalf("swaps=%d age=%g", got.Swaps, got.AgeSeconds)
@@ -83,6 +88,28 @@ func TestSwapModelBumpsVersionAndKeepsServing(t *testing.T) {
 	want := getAlerts(t, control)
 	if after.TotalAlerts != want.TotalAlerts {
 		t.Fatalf("swap changed the alert stream: got %d alerts, control %d", after.TotalAlerts, want.TotalAlerts)
+	}
+}
+
+// TestModelWithoutRuleBaseReportsNoRules swaps in a statistical+ecg
+// model: /v1/model must report its bases and 0 rules, whatever rule
+// count the caller's ModelInfo carried.
+func TestModelWithoutRuleBaseReportsNoRules(t *testing.T) {
+	meta, tail := fixture(t)
+	trained, err := core.New(core.Config{Predictors: []string{"statistical", "ecg"}}).
+		Train(preprocess.Run(tail, preprocess.Options{}).Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trained.Rule != nil {
+		t.Fatal("a statistical+ecg training produced a rule base")
+	}
+	s := New(meta, Config{Shards: 1})
+	defer s.Close()
+	s.SwapModel(trained.Meta, ModelInfo{Source: "no rule base", Rules: 7})
+	got := getModel(t, s)
+	if got.Rules != 0 || !reflect.DeepEqual(got.Predictors, []string{"statistical", "ecg"}) {
+		t.Fatalf("rules = %d, predictors = %v; want 0 and [statistical ecg]", got.Rules, got.Predictors)
 	}
 }
 

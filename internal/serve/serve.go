@@ -100,7 +100,8 @@ type Config struct {
 	Window time.Duration
 	// Model identifies the trained model the server starts with
 	// (surfaced by GET /v1/model). Zero-value fields get defaults:
-	// Version 1, LoadedAt now.
+	// Version 1, LoadedAt now. Rules and Predictors are derived from
+	// the meta-learner.
 	Model ModelInfo
 	// ShardBy, when set, overrides the default rack/midplane-modulo
 	// shard routing: it receives the record's location and the shard
@@ -321,13 +322,7 @@ func New(meta *predictor.Meta, cfg Config) *Server {
 	if info.Version == 0 {
 		info.Version = 1
 	}
-	if info.LoadedAt.IsZero() {
-		info.LoadedAt = s.start
-	}
-	if info.Predictors == nil {
-		info.Predictors = meta.BaseNames()
-	}
-	s.model.Store(&info)
+	s.publishModel(meta, info, s.start)
 	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("GET /v1/alerts", s.handleAlerts)
 	// A subscriber sees only alarms raised after it connects; GET
