@@ -17,16 +17,21 @@
 // ordered by (file, line, analyzer) — the format the CI
 // problem-matcher consumes to annotate pull-request diffs.
 //
-// bglvet loads the entire module from source and runs the
-// whole-program checks (lock-order cycles, hot-path call closures)
-// across every package at once, so it sees cross-package violations.
+// bglvet hands its package arguments (default ./...) to go list
+// unchanged, type-checks the module packages they match from source and
+// everything they import from the go command's export data, then runs
+// the whole-program checks (lock-order cycles, hot-path call closures)
+// across every matched package at once, so it sees cross-package
+// violations.
 //
-// Exit status: 0 clean, 1 findings, 64 usage.
+// Exit status: 0 clean, 1 findings, 64 usage or a package that fails
+// to load.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -35,19 +40,20 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run loads the module from source, runs every analyzer over every
-// (admitted) package, prints findings and returns the exit status.
-func run(args []string) int {
+// run loads the packages, runs every analyzer over every (admitted)
+// package, prints findings and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bglvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer subset to run")
 	jsonOut := fs.Bool("json", false, "emit one JSON object per finding per line (file, line, analyzer order)")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: bglvet [-list] [-json] [-only a,b] [packages]\n\n")
-		fmt.Fprintf(fs.Output(), "With no packages (or \"./...\"), checks the whole module.\n")
+		fmt.Fprintf(fs.Output(), "Packages are go list patterns; with none, checks \"./...\".\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -55,7 +61,7 @@ func run(args []string) int {
 	}
 	if *list {
 		for _, a := range suite.All() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
@@ -67,7 +73,7 @@ func run(args []string) int {
 		for _, name := range strings.Split(*only, ",") {
 			name = strings.TrimSpace(name)
 			if !known[name] {
-				fmt.Fprintf(os.Stderr, "bglvet: unknown analyzer %q (try -list)\n", name)
+				fmt.Fprintf(stderr, "bglvet: unknown analyzer %q (try -list)\n", name)
 				return 64
 			}
 			for _, a := range suite.All() {
@@ -78,65 +84,35 @@ func run(args []string) int {
 		}
 	}
 
-	l, err := analysis.NewLoader(".")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bglvet: %v\n", err)
-		return 64
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	pkgs, err := loadTargets(l, fs.Args())
+	pkgs, err := analysis.NewLoader().Load(patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bglvet: %v\n", err)
+		fmt.Fprintf(stderr, "bglvet: %v\n", err)
 		return 64
 	}
 
 	s := &analysis.Suite{Analyzers: analyzers, Filter: suite.Filter, Known: suite.Known()}
 	findings, err := s.Run(pkgs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bglvet: %v\n", err)
+		fmt.Fprintf(stderr, "bglvet: %v\n", err)
 		return 64
 	}
 	if *jsonOut {
-		if err := writeJSON(os.Stdout, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "bglvet: %v\n", err)
+		if err := writeJSON(stdout, findings); err != nil {
+			fmt.Fprintf(stderr, "bglvet: %v\n", err)
 			return 64
 		}
 	} else {
 		for _, f := range findings {
-			fmt.Println(f.String())
+			fmt.Fprintln(stdout, f.String())
 		}
 	}
 	if n := len(findings); n > 0 {
-		fmt.Fprintf(os.Stderr, "bglvet: %d finding(s) in %d package(s)\n", n, len(pkgs))
+		fmt.Fprintf(stderr, "bglvet: %d finding(s) in %d package(s)\n", n, len(pkgs))
 		return 1
 	}
 	return 0
-}
-
-// loadTargets resolves command-line package arguments: none or
-// "./..." means the whole module; otherwise import paths or
-// directories.
-func loadTargets(l *analysis.Loader, args []string) ([]*analysis.Package, error) {
-	if len(args) == 0 {
-		return l.LoadAll()
-	}
-	var out []*analysis.Package
-	for _, arg := range args {
-		switch {
-		case arg == "./..." || arg == "all":
-			return l.LoadAll()
-		case arg == l.ModulePath || strings.HasPrefix(arg, l.ModulePath+"/"):
-			pkg, err := l.Load(arg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pkg)
-		default:
-			pkg, err := l.LoadDir(arg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pkg)
-		}
-	}
-	return out, nil
 }

@@ -168,3 +168,19 @@ func itoa(n int) string {
 	b, _ := json.Marshal(n)
 	return string(b)
 }
+
+// TestBuildFailureExits64 points bglvet at a package that fails to
+// type-check: it stops with status 64 and the go command's error
+// instead of analyzing a half-checked package.
+func TestBuildFailureExits64(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"./testdata/broken"}, &stdout, &stderr); code != 64 {
+		t.Fatalf("exit status %d, want 64; stderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `broken.go:5:13: cannot use "not an int"`) {
+		t.Errorf("stderr lacks the go list error:\n%s", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("findings printed for a package that does not build:\n%s", stdout.String())
+	}
+}

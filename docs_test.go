@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -15,16 +16,29 @@ import (
 // docIndex is what the module declares, for resolving doc references:
 // per package (keyed by directory name, the root package as
 // "bglpred") its top-level names, Type.Member pairs and bare member
-// names (as .Member), plus every Go file's module-relative path and
-// base name.
+// names (as .Member), every Go file's module-relative path and base
+// name, and the daemons' metric families: those the /metrics goldens
+// pin plus the string literals cmd/bglserved registers as AuxMetrics.
 type docIndex struct {
-	pkgs  map[string]map[string]bool
-	files map[string]bool
+	pkgs    map[string]map[string]bool
+	files   map[string]bool
+	metrics map[string]bool
 }
 
 func buildDocIndex(t *testing.T) docIndex {
 	t.Helper()
-	idx := docIndex{pkgs: make(map[string]map[string]bool), files: make(map[string]bool)}
+	idx := docIndex{pkgs: make(map[string]map[string]bool), files: make(map[string]bool), metrics: make(map[string]bool)}
+	for _, golden := range []string{"internal/serve/testdata/metrics.golden", "internal/cluster/testdata/metrics.golden"} {
+		data, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			if f := strings.Fields(line); len(f) >= 3 && f[0] == "#" && f[1] == "TYPE" {
+				idx.metrics[f[2]] = true
+			}
+		}
+	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -58,6 +72,15 @@ func buildDocIndex(t *testing.T) docIndex {
 			idx.pkgs[pkg] = make(map[string]bool)
 		}
 		declareFile(idx.pkgs[pkg], f)
+		if dir == "cmd/bglserved" {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, _ := strconv.Unquote(lit.Value)
+					idx.metrics[name] = true
+				}
+				return true
+			})
+		}
 		return nil
 	})
 	if err != nil {
@@ -141,12 +164,21 @@ var (
 	pkgRef = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9]*)(?:\.([A-Za-z][A-Za-z0-9]*))?(?:\(.*\))?$`)
 	// fileRef is a Go file, optionally with a :line or :from–to suffix.
 	fileRef = regexp.MustCompile(`^((?:[\w.-]+/)*[A-Za-z0-9][\w.-]*\.go)(?::[\d,–-]+)?$`)
+	// metricRef is a bglserved_ or bglgate_ metric family, optionally
+	// with a label set.
+	metricRef = regexp.MustCompile(`^((?:bglserved|bglgate)_[a-z0-9_]+)(?:\{.*\})?$`)
 )
 
 // unresolved returns why a code span names nothing in the module, or
 // "" when it resolves or is not a module reference at all (a stdlib
 // name, a command line, a literal).
 func (idx docIndex) unresolved(span string) string {
+	if m := metricRef.FindStringSubmatch(span); m != nil {
+		if !idx.metrics[m[1]] {
+			return "names no metric family the /metrics goldens or cmd/bglserved declare"
+		}
+		return ""
+	}
 	if m := fileRef.FindStringSubmatch(span); m != nil {
 		if !idx.files[m[1]] {
 			return "names no Go file in the module"
@@ -176,8 +208,9 @@ func (idx docIndex) unresolved(span string) string {
 // TestDocReferencesResolve keeps DESIGN.md and README.md honest about
 // the code: every backticked pkg.Name, pkg.Type.Member and Go file
 // must still exist in the module's root, internal/ and cmd/ packages,
-// so a rename or deletion fails here until the docs follow it. Fenced
-// code blocks are skipped.
+// and every backticked bglserved_/bglgate_ metric family must still be
+// exported, so a rename or deletion fails here until the docs follow
+// it. Fenced code blocks are skipped.
 func TestDocReferencesResolve(t *testing.T) {
 	idx := buildDocIndex(t)
 	for _, doc := range []string{"DESIGN.md", "README.md"} {

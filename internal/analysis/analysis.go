@@ -1,12 +1,14 @@
 // Package analysis is a self-contained static-analysis framework in
 // the spirit of golang.org/x/tools/go/analysis, built only on the
-// standard library's go/ast, go/parser, go/token and go/types (this
-// repo vendors no third-party modules). It exists to turn the
-// concurrency, determinism, allocation and error-wrapping contracts
-// written down in DESIGN.md — an acyclic lock order, bit-identical
-// deterministic pipelines, allocation-free hot paths and %w sentinel
-// wrapping — into machine-checked invariants that run on every build
-// via cmd/bglvet.
+// standard library's go/ast, go/parser, go/token, go/types and
+// go/importer (this repo vendors no third-party modules). The packages
+// under analysis are type-checked from source; everything they import
+// is read from the go command's export data (see Loader). It exists to
+// turn the concurrency, determinism, allocation and error-wrapping
+// contracts written down in DESIGN.md — an acyclic lock order,
+// bit-identical deterministic pipelines, allocation-free hot paths and
+// %w sentinel wrapping — into machine-checked invariants that run on
+// every build via cmd/bglvet.
 //
 // The shape mirrors x/tools deliberately (Analyzer, Pass, Diagnostic,
 // an analysistest-style corpus runner) so the suite can migrate to
@@ -21,6 +23,18 @@ import (
 	"go/token"
 	"go/types"
 )
+
+// Package is one loaded, type-checked package: syntax plus types.
+type Package struct {
+	// Path is the import path ("bglpred/internal/serve").
+	Path string
+	// Dir is the directory the sources were read from.
+	Dir   string
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
+}
 
 // Analyzer describes one invariant checker.
 type Analyzer struct {

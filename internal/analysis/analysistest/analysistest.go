@@ -4,10 +4,11 @@
 // not depend on).
 //
 // Corpus layout: <analyzer package>/testdata/src/<name>/*.go, loaded
-// as import path <name>. Corpus files may import real module packages
-// ("bglpred/internal/faultinject") — the loader resolves them against
-// the enclosing module — so positive and negative cases exercise the
-// analyzers against the genuine types they guard.
+// as import path <name>. Corpus files may import sibling corpus
+// packages, loaded from source, and real module packages
+// ("bglpred/internal/faultinject"), read from the go command's export
+// data, so positive and negative cases exercise the analyzers against
+// the genuine types they guard.
 //
 // A finding on a line must be matched by a trailing comment on that
 // line of the form
@@ -20,79 +21,83 @@
 package analysistest
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"bglpred/internal/analysis"
 )
 
-var (
-	loaderMu sync.Mutex
-	loaders  = make(map[string]*analysis.Loader)
-)
-
-// loaderFor returns the (cached) loader whose extra roots cover every
-// package under the given testdata/src directory.
-func loaderFor(t *testing.T, srcRoot string) *analysis.Loader {
+// Load type-checks the packages paths name: a key of roots from that
+// directory, anything else as go list resolves it. Every import that is
+// not a root comes from the go command's export data.
+func Load(t *testing.T, roots map[string]string, paths ...string) []*analysis.Package {
 	t.Helper()
-	loaderMu.Lock()
-	defer loaderMu.Unlock()
-	if l, ok := loaders[srcRoot]; ok {
-		return l
-	}
-	l, err := analysis.NewLoader(".")
+	l := analysis.NewLoader()
+	l.Roots = roots
+	pkgs, err := l.Load(paths...)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	l.ExtraRoots = make(map[string]string)
-	entries, err := os.ReadDir(srcRoot)
-	if err != nil {
-		t.Fatalf("analysistest: reading %s: %v", srcRoot, err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			l.ExtraRoots[e.Name()] = filepath.Join(srcRoot, e.Name())
-		}
-	}
-	loaders[srcRoot] = l
-	return l
+	return pkgs
 }
 
-// Run analyzes the corpus packages named by pkgs (default: every
-// package under testdata/src) and checks findings against their want
-// comments. It returns the unsuppressed findings for extra assertions.
+// Corpus maps each package directory under testdata/src to its
+// import path, the directory name.
+func Corpus(t *testing.T) map[string]string {
+	t.Helper()
+	dirs, err := filepath.Glob(filepath.Join("testdata", "src", "*"))
+	if err != nil || len(dirs) == 0 {
+		t.Fatalf("analysistest: no corpus under testdata/src (%v)", err)
+	}
+	roots := make(map[string]string, len(dirs))
+	for _, dir := range dirs {
+		roots[filepath.Base(dir)] = dir
+	}
+	return roots
+}
+
+// Run analyzes the named corpus packages and checks findings against
+// their want comments. It returns the unsuppressed findings for extra
+// assertions.
 func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) []analysis.Finding {
 	t.Helper()
-	srcRoot, err := filepath.Abs(filepath.Join("testdata", "src"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := loaderFor(t, srcRoot)
-	if len(pkgs) == 0 {
-		for name := range l.ExtraRoots {
-			pkgs = append(pkgs, name)
+	loaded := Load(t, Corpus(t), pkgs...)
+	findings := run(t, &analysis.Suite{Analyzers: []*analysis.Analyzer{a}}, loaded)
+	checkWants(t, loaded, findings)
+	return findings
+}
+
+// RunSource runs s over src, the single file of a package "a", and
+// returns the surviving findings: the harness for suppression
+// semantics.
+func RunSource(t *testing.T, s *analysis.Suite, src string) []analysis.Finding {
+	t.Helper()
+	return runFiles(t, s, "a", map[string]string{"a.go": src})
+}
+
+// runFiles writes files into a fresh directory, loads it as package
+// path and runs s over it.
+func runFiles(t *testing.T, s *analysis.Suite, path string, files map[string]string) []analysis.Finding {
+	t.Helper()
+	dir := t.TempDir()
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	var loaded []*analysis.Package
-	for _, name := range pkgs {
-		pkg, err := l.Load(name)
-		if err != nil {
-			t.Fatalf("analysistest: loading corpus %q: %v", name, err)
-		}
-		loaded = append(loaded, pkg)
-	}
-	suite := &analysis.Suite{Analyzers: []*analysis.Analyzer{a}}
-	findings, err := suite.Run(loaded)
+	return run(t, s, Load(t, map[string]string{path: dir}, path))
+}
+
+func run(t *testing.T, s *analysis.Suite, pkgs []*analysis.Package) []analysis.Finding {
+	t.Helper()
+	findings, err := s.Run(pkgs)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	checkWants(t, loaded, findings)
 	return findings
 }
 
@@ -105,7 +110,7 @@ func checkWants(t *testing.T, pkgs []*analysis.Package, findings []analysis.Find
 		re      *regexp.Regexp
 		matched bool
 	}
-	wants := make(map[lineKey][]*want)
+	wants := make(map[analysis.LineKey][]*want)
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
@@ -120,7 +125,7 @@ func checkWants(t *testing.T, pkgs []*analysis.Package, findings []analysis.Find
 						if err != nil {
 							t.Fatalf("%s: bad want regexp %q: %v", pos, q, err)
 						}
-						k := lineKey{pos.Filename, pos.Line}
+						k := analysis.LineKey{File: pos.Filename, Line: pos.Line}
 						wants[k] = append(wants[k], &want{re: re})
 					}
 				}
@@ -128,7 +133,7 @@ func checkWants(t *testing.T, pkgs []*analysis.Package, findings []analysis.Find
 		}
 	}
 	for _, f := range findings {
-		k := lineKey{f.Pos.Filename, f.Pos.Line}
+		k := analysis.LineKey{File: f.Pos.Filename, Line: f.Pos.Line}
 		matched := false
 		for _, w := range wants[k] {
 			if !w.matched && w.re.MatchString(f.Message) {
@@ -144,15 +149,10 @@ func checkWants(t *testing.T, pkgs []*analysis.Package, findings []analysis.Find
 	for k, ws := range wants {
 		for _, w := range ws {
 			if !w.matched {
-				t.Errorf("%s:%d: no finding matched want %q", k.file, k.line, w.re)
+				t.Errorf("%s:%d: no finding matched want %q", k.File, k.Line, w.re)
 			}
 		}
 	}
-}
-
-type lineKey struct {
-	file string
-	line int
 }
 
 // splitQuoted parses the sequence of quoted regexps after "want";
@@ -202,48 +202,20 @@ func splitQuoted(t *testing.T, pos, s string) []string {
 // it is planted.
 func RunOnCopy(t *testing.T, a *analysis.Analyzer, path, planted string) []analysis.Finding {
 	t.Helper()
-	l, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, ok := strings.CutPrefix(path, l.ModulePath+"/")
-	if !ok {
-		t.Fatalf("analysistest: %s is not a package of module %s", path, l.ModulePath)
-	}
-	names, err := filepath.Glob(filepath.Join(l.ModuleDir, filepath.FromSlash(rel), "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	write := func(name string, data []byte) {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, name := range names {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
+	real := Load(t, nil, path)[0]
+	files := make(map[string]string)
+	for _, f := range real.Files {
+		name := real.Fset.File(f.Pos()).Name()
 		data, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		write(filepath.Base(name), data)
+		files[filepath.Base(name)] = string(data)
 	}
 	if planted != "" {
-		write("planted.go", []byte(planted))
+		files["planted.go"] = planted
 	}
-	l.ExtraRoots = map[string]string{path: dir}
-	pkg, err := l.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite := &analysis.Suite{Analyzers: []*analysis.Analyzer{a}}
-	findings, err := suite.Run([]*analysis.Package{pkg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return findings
+	return runFiles(t, &analysis.Suite{Analyzers: []*analysis.Analyzer{a}}, path, files)
 }
 
 // MustContain asserts that some finding message matches the pattern —
@@ -256,5 +228,5 @@ func MustContain(t *testing.T, findings []analysis.Finding, pattern string) {
 			return
 		}
 	}
-	t.Errorf("no finding matched %q; findings: %v", pattern, fmt.Sprint(findings))
+	t.Errorf("no finding matched %q; findings: %v", pattern, findings)
 }

@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"strings"
 )
 
 // PathString renders a pure selector chain ("s.shard.mu") or "" if
@@ -81,6 +83,25 @@ func FuncKey(fn *types.Func) string {
 		return fn.Pkg().Path() + ".(" + n.Obj().Name() + ")." + fn.Name()
 	}
 	return fn.Pkg().Path() + "." + fn.Name()
+}
+
+// ShortKey trims the import-path directories from a function or lock
+// key ("bglpred/internal/serve.(Server).mu" → "serve.(Server).mu") for
+// finding messages.
+func ShortKey(key string) string {
+	return key[strings.LastIndex(key, "/")+1:]
+}
+
+// PosLess orders positions by file, line and column: the deterministic
+// tie-break for findings the whole-program hooks deduplicate.
+func PosLess(a, b token.Position) bool {
+	if a.Filename != b.Filename {
+		return a.Filename < b.Filename
+	}
+	if a.Line != b.Line {
+		return a.Line < b.Line
+	}
+	return a.Column < b.Column
 }
 
 // WalkStack is ast.Inspect with an ancestor stack: f sees each node

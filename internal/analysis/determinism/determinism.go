@@ -114,7 +114,7 @@ func checkOneMapRange(pass *analysis.Pass, funcBody *ast.BlockStmt, rs *ast.Rang
 		mapName = "map"
 	}
 	outer := func(obj types.Object) bool {
-		return obj != nil && (obj.Pos() < rs.Pos() || obj.Pos() > rs.End())
+		return obj != nil && (obj.Pkg() != pass.Pkg || obj.Pos() < rs.Pos() || obj.Pos() > rs.End())
 	}
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {

@@ -149,7 +149,7 @@ func scanBody(pass *analysis.Pass, body *ast.BlockStmt, info *fnInfo) {
 		return true
 	})
 	sort.Slice(info.allocs, func(i, j int) bool {
-		return posLess(info.allocs[i].pos, info.allocs[j].pos)
+		return analysis.PosLess(info.allocs[i].pos, info.allocs[j].pos)
 	})
 }
 
@@ -340,16 +340,6 @@ func pointerShaped(t types.Type) bool {
 	return false
 }
 
-func posLess(a, b token.Position) bool {
-	if a.Filename != b.Filename {
-		return a.Filename < b.Filename
-	}
-	if a.Line != b.Line {
-		return a.Line < b.Line
-	}
-	return a.Column < b.Column
-}
-
 // finish computes the static call closure of every hot root across
 // the admitted packages and reports the allocating constructs inside
 // it, deduplicated by position, tagged with the root that reached
@@ -414,18 +404,10 @@ func finish(results []analysis.PkgResult, report func(analysis.Finding)) {
 				Analyzer: "hotpathalloc",
 				Pos:      a.pos,
 				Message: a.what + " on the hot path (reached from " +
-					shortKey(rootOf[key]) + ")",
+					analysis.ShortKey(rootOf[key]) + ")",
 				SuggestedFix: "hoist the allocation out of the hot path, reuse an amortized buffer, " +
 					"or move the work to the slow path",
 			})
 		}
 	}
-}
-
-// shortKey trims the module prefix from a function key.
-func shortKey(key string) string {
-	if i := strings.LastIndex(key, "/"); i >= 0 {
-		return key[i+1:]
-	}
-	return key
 }

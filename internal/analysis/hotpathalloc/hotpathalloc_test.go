@@ -1,8 +1,6 @@
 package hotpathalloc_test
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -28,26 +26,7 @@ func TestCrossPackageClosure(t *testing.T) {
 // runOn analyzes one synthesized package and returns the surviving
 // findings — the suppression-semantics harness.
 func runOn(t *testing.T, src string) []analysis.Finding {
-	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.ExtraRoots = map[string]string{"a": dir}
-	pkg, err := l.Load("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &analysis.Suite{Analyzers: []*analysis.Analyzer{hotpathalloc.Analyzer}}
-	findings, err := s.Run([]*analysis.Package{pkg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return findings
+	return analysistest.RunSource(t, &analysis.Suite{Analyzers: []*analysis.Analyzer{hotpathalloc.Analyzer}}, src)
 }
 
 // TestIgnoreSilencesExactlyOneFinding: two identical allocations on

@@ -1,277 +1,150 @@
 package analysis
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
-// Package is one loaded, type-checked package: syntax plus types.
-type Package struct {
-	// Path is the import path ("bglpred/internal/serve").
-	Path string
-	// Dir is the directory the sources were read from.
-	Dir   string
-	Fset  *token.FileSet
-	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
-}
-
-// Loader loads and type-checks packages from source with no help from
-// the go command: module packages resolve against the module root,
-// everything else against GOROOT/src (with the GOROOT vendor tree as
-// fallback). Loaded packages are cached, so a process-wide Loader
-// type-checks each dependency once. Cgo is disabled so the pure-Go
-// variants of net, os/user etc. are selected — type information is
-// identical for the analyses here, and it keeps loading hermetic.
+// Loader type-checks the packages under analysis from source and every
+// import from compiler export data, which one `go list -export -deps
+// -json` per Load builds or reuses. Fset holds only the analyzed files;
+// imported objects keep positions in the importer's own file set.
 type Loader struct {
-	// ModulePath and ModuleDir anchor the main module ("bglpred" →
-	// /path/to/repo).
-	ModulePath string
-	ModuleDir  string
-	// ExtraRoots maps additional import-path prefixes to directories —
-	// the analysistest hook that lets testdata packages resolve (e.g.
-	// "a" → .../testdata/src/a) while still importing real module
-	// packages.
-	ExtraRoots map[string]string
-
 	Fset *token.FileSet
+	// Roots maps import paths to directories loaded from source instead
+	// (analysistest's corpora, planted copies), imports between roots too.
+	Roots map[string]string
 
-	ctx  build.Context
-	pkgs map[string]*Package
-	busy map[string]bool
+	exports map[string]string // import path → export data file
+	imp     types.Importer
+	roots   map[string]*Package
 }
 
-// NewLoader builds a loader for the module containing dir (found by
-// walking up to go.mod).
-func NewLoader(dir string) (*Loader, error) {
-	root, modPath, err := findModule(dir)
-	if err != nil {
-		return nil, err
-	}
-	ctx := build.Default
-	ctx.CgoEnabled = false
-	return &Loader{
-		ModulePath: modPath,
-		ModuleDir:  root,
-		Fset:       token.NewFileSet(),
-		ctx:        ctx,
-		pkgs:       make(map[string]*Package),
-		busy:       make(map[string]bool),
-	}, nil
-}
-
-// findModule walks up from dir to the nearest go.mod and returns the
-// module directory and module path.
-func findModule(dir string) (root, modPath string, err error) {
-	dir, err = filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, rerr := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if rerr == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return dir, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("analysis: %s/go.mod has no module directive", dir)
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", fmt.Errorf("analysis: no go.mod above %s", dir)
-		}
-		dir = parent
-	}
-}
-
-// Load returns the type-checked package for an import path, loading
-// and caching it (and, transitively, its dependencies) on first use.
-func (l *Loader) Load(path string) (*Package, error) {
-	if pkg, ok := l.pkgs[path]; ok {
-		return pkg, nil
-	}
-	if l.busy[path] {
-		return nil, fmt.Errorf("analysis: import cycle through %q", path)
-	}
-	dir, err := l.resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	return l.loadDir(path, dir)
-}
-
-// LoadDir loads the package in dir under its module import path.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := filepath.Rel(l.ModuleDir, dir)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return nil, fmt.Errorf("analysis: %s is outside module %s", dir, l.ModuleDir)
-	}
-	path := l.ModulePath
-	if rel != "." {
-		path = l.ModulePath + "/" + filepath.ToSlash(rel)
-	}
-	if pkg, ok := l.pkgs[path]; ok {
-		return pkg, nil
-	}
-	return l.loadDir(path, dir)
-}
-
-// LoadAll loads every buildable non-test package of the module — the
-// loader's "./..." — in deterministic path order, skipping testdata,
-// vendor and hidden directories.
-func (l *Loader) LoadAll() ([]*Package, error) {
-	var dirs []string
-	err := filepath.WalkDir(l.ModuleDir, func(p string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if p != l.ModuleDir && (name == "testdata" || name == "vendor" ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		dirs = append(dirs, p)
-		return nil
+// NewLoader returns a loader that runs go list in the working directory.
+func NewLoader() *Loader {
+	l := &Loader{Fset: token.NewFileSet(), exports: make(map[string]string), roots: make(map[string]*Package)}
+	l.imp = importer.ForCompiler(token.NewFileSet(), "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(l.exports[path])
 	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(dirs)
-	var out []*Package
-	for _, dir := range dirs {
-		if _, err := l.ctx.ImportDir(dir, 0); err != nil {
-			continue // not a buildable package (no .go files, all excluded, …)
+	return l
+}
+
+// Load type-checks the packages the patterns name. A key of Roots names
+// that root; every other pattern goes to go list unchanged, and the
+// main-module packages it matches follow the roots in go list's order.
+// A package that fails to build fails the load with go list's message.
+func (l *Loader) Load(patterns ...string) ([]*Package, error) {
+	var args []string // new roots' imports, then the patterns for go list
+	for path, dir := range l.Roots {
+		if l.roots[path] != nil {
+			continue
 		}
-		pkg, err := l.LoadDir(dir)
-		if err != nil {
+		pkg := &Package{Path: path, Dir: dir, Fset: l.Fset}
+		names, _ := fs.Glob(os.DirFS(dir), "*.go") // fails only on a malformed pattern
+		if err := l.parse(pkg, names); err != nil {
 			return nil, err
 		}
-		out = append(out, pkg)
+		for _, f := range pkg.Files {
+			for _, spec := range f.Imports {
+				if imp, _ := strconv.Unquote(spec.Path.Value); l.Roots[imp] == "" {
+					args = append(args, imp)
+				}
+			}
+		}
+		l.roots[path] = pkg
+	}
+	var out []*Package
+	for _, p := range patterns {
+		if pkg := l.roots[p]; pkg != nil {
+			out = append(out, pkg)
+		} else {
+			args = append(args, p)
+		}
+	}
+	if len(args) > 0 {
+		cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-json"}, args...)...)
+		cmd.Stderr = new(strings.Builder)
+		data, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("analysis: go list: %w\n%s", err, strings.TrimSpace(fmt.Sprint(cmd.Stderr)))
+		}
+		for dec := json.NewDecoder(strings.NewReader(string(data))); dec.More(); {
+			var lp struct {
+				ImportPath, Dir, Export string
+				GoFiles, Match          []string
+				Module                  *struct{ Main bool }
+			}
+			if err := dec.Decode(&lp); err != nil {
+				return nil, fmt.Errorf("analysis: go list output: %w", err)
+			}
+			l.exports[lp.ImportPath] = lp.Export
+			if lp.Module == nil || !lp.Module.Main || !slices.ContainsFunc(lp.Match, func(m string) bool { return slices.Contains(patterns, m) }) {
+				continue
+			}
+			pkg := &Package{Path: lp.ImportPath, Dir: lp.Dir, Fset: l.Fset}
+			if err := l.parse(pkg, lp.GoFiles); err != nil {
+				return nil, err
+			}
+			out = append(out, pkg)
+		}
+	}
+	for _, pkg := range out {
+		if err := l.check(pkg); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
-// resolve maps an import path to a source directory.
-func (l *Loader) resolve(path string) (string, error) {
-	for prefix, dir := range l.ExtraRoots {
-		if path == prefix {
-			return dir, nil
-		}
-		if rest, ok := strings.CutPrefix(path, prefix+"/"); ok {
-			return filepath.Join(dir, filepath.FromSlash(rest)), nil
-		}
-	}
-	if path == l.ModulePath {
-		return l.ModuleDir, nil
-	}
-	if rest, ok := strings.CutPrefix(path, l.ModulePath+"/"); ok {
-		return filepath.Join(l.ModuleDir, filepath.FromSlash(rest)), nil
-	}
-	goroot := l.ctx.GOROOT
-	std := filepath.Join(goroot, "src", filepath.FromSlash(path))
-	if isDir(std) {
-		return std, nil
-	}
-	vendored := filepath.Join(goroot, "src", "vendor", filepath.FromSlash(path))
-	if isDir(vendored) {
-		return vendored, nil
-	}
-	return "", fmt.Errorf("analysis: cannot resolve import %q (module %s, GOROOT %s)", path, l.ModulePath, goroot)
-}
-
-func isDir(p string) bool {
-	fi, err := os.Stat(p)
-	return err == nil && fi.IsDir()
-}
-
-// inModule reports whether an import path belongs to the main module
-// or an extra root (i.e. is analysis subject matter rather than a
-// dependency): those packages keep their comments for suppression
-// scanning.
-func (l *Loader) inModule(path string) bool {
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		return true
-	}
-	for prefix := range l.ExtraRoots {
-		if path == prefix || strings.HasPrefix(path, prefix+"/") {
-			return true
-		}
-	}
-	return false
-}
-
-// loadDir parses and type-checks the package in dir, recursing into
-// imports through the importer hook.
-func (l *Loader) loadDir(path, dir string) (*Package, error) {
-	l.busy[path] = true
-	defer delete(l.busy, path)
-
-	bp, err := l.ctx.ImportDir(dir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: %s: %w", dir, err)
-	}
-	mode := parser.SkipObjectResolution
-	if l.inModule(path) {
-		mode |= parser.ParseComments
-	}
-	files := make([]*ast.File, 0, len(bp.GoFiles))
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, mode)
+// parse reads the named files of pkg.Dir, comments included.
+func (l *Loader) parse(pkg *Package, names []string) error {
+	for _, name := range names {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(pkg.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		files = append(files, f)
+		pkg.Files = append(pkg.Files, f)
 	}
-
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{Importer: importerFunc(l.importFor)}
-	tpkg, err := conf.Check(path, l.Fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
-	}
-
-	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
-	l.pkgs[path] = pkg
-	return pkg, nil
+	return nil
 }
 
-// importFor is the types.Importer hook.
-func (l *Loader) importFor(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
+// check type-checks pkg once; Info without Types marks a check underway.
+func (l *Loader) check(pkg *Package) error {
+	if pkg.Types != nil {
+		return nil
 	}
-	pkg, err := l.Load(path)
+	if pkg.Info != nil {
+		return fmt.Errorf("analysis: import cycle through %q", pkg.Path)
+	}
+	pkg.Info = &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{},
+		Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	tpkg, err := (&types.Config{Importer: l}).Check(pkg.Path, l.Fset, pkg.Files, pkg.Info)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("analysis: type-checking %s: %w", pkg.Path, err)
 	}
-	return pkg.Types, nil
+	pkg.Types = tpkg
+	return nil
 }
 
-type importerFunc func(string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+// Import is the types.Importer the loader checks with: roots come from
+// source, everything else from export data.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	if pkg := l.roots[path]; pkg != nil {
+		err := l.check(pkg)
+		return pkg.Types, err
+	}
+	return l.imp.Import(path)
+}

@@ -604,7 +604,7 @@ func finish(results []analysis.PkgResult, report func(analysis.Finding)) {
 		k := edgeKey{e.From, e.To}
 		if prev, ok := edges[k]; ok {
 			// Deterministic representative: keep the smallest position.
-			if posLess(prev.Pos, e.Pos) {
+			if analysis.PosLess(prev.Pos, e.Pos) {
 				return
 			}
 		}
@@ -644,9 +644,9 @@ func finish(results []analysis.PkgResult, report func(analysis.Finding)) {
 			}
 			via := ""
 			if e.Via != "" {
-				via = " via " + shortFunc(e.Via)
+				via = " via " + analysis.ShortKey(e.Via)
 			}
-			parts = append(parts, fmt.Sprintf("%s → %s (%s%s)", shortLock(from), shortLock(to), e.Pos, via))
+			parts = append(parts, fmt.Sprintf("%s → %s (%s%s)", analysis.ShortKey(from), analysis.ShortKey(to), e.Pos, via))
 		}
 		report(analysis.Finding{
 			Analyzer: "lockorder",
@@ -657,26 +657,6 @@ func finish(results []analysis.PkgResult, report func(analysis.Finding)) {
 		})
 	}
 }
-
-func posLess(a, b token.Position) bool {
-	if a.Filename != b.Filename {
-		return a.Filename < b.Filename
-	}
-	if a.Line != b.Line {
-		return a.Line < b.Line
-	}
-	return a.Column < b.Column
-}
-
-// shortLock trims the module prefix from a lock key for readability.
-func shortLock(key string) string {
-	if i := strings.LastIndex(key, "/"); i >= 0 {
-		return key[i+1:]
-	}
-	return key
-}
-
-func shortFunc(key string) string { return shortLock(key) }
 
 // findCycles returns every elementary cycle's node set, canonicalized
 // (rotated to start at the smallest node, deduplicated, sorted).

@@ -1,8 +1,6 @@
 package lockorder_test
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -30,26 +28,7 @@ func TestCrossPackageCycle(t *testing.T) {
 // cross-package: analyzing lockc and locka without lockb (whose BA
 // holds lockc.Mu into locka) leaves the graph acyclic.
 func TestNoCycleWithoutClosingPackage(t *testing.T) {
-	srcRoot, err := filepath.Abs(filepath.Join("testdata", "src"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.ExtraRoots = map[string]string{
-		"lockc": filepath.Join(srcRoot, "lockc"),
-		"locka": filepath.Join(srcRoot, "locka"),
-	}
-	var pkgs []*analysis.Package
-	for _, name := range []string{"lockc", "locka"} {
-		pkg, err := l.Load(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
+	pkgs := analysistest.Load(t, analysistest.Corpus(t), "lockc", "locka")
 	suite := &analysis.Suite{Analyzers: []*analysis.Analyzer{lockorder.Analyzer}}
 	findings, err := suite.Run(pkgs)
 	if err != nil {
@@ -65,26 +44,7 @@ func TestNoCycleWithoutClosingPackage(t *testing.T) {
 // runOn analyzes one synthesized package with lockorder and returns
 // the surviving findings — the suppression-semantics harness.
 func runOn(t *testing.T, src string) []analysis.Finding {
-	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.ExtraRoots = map[string]string{"a": dir}
-	pkg, err := l.Load("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &analysis.Suite{Analyzers: []*analysis.Analyzer{lockorder.Analyzer}}
-	findings, err := s.Run([]*analysis.Package{pkg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return findings
+	return analysistest.RunSource(t, &analysis.Suite{Analyzers: []*analysis.Analyzer{lockorder.Analyzer}}, src)
 }
 
 // TestIgnoreSilencesExactlyOneFinding: two identical re-entry

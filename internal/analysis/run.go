@@ -38,7 +38,7 @@ func (s *Suite) Run(pkgs []*Package) ([]Finding, error) {
 	var findings []Finding
 	report := func(f Finding) { findings = append(findings, f) }
 
-	ignores := make(map[lineKey][]*ignore)
+	ignores := make(map[LineKey][]*ignore)
 	enabled := make(map[string]bool, len(s.Analyzers))
 	for _, a := range s.Analyzers {
 		enabled[a.Name] = true

@@ -15,11 +15,7 @@ import (
 // zero-finding baseline, so any new violation (or newly stale ignore)
 // fails the build here as well as in the CI bglvet job.
 func TestZeroFindings(t *testing.T) {
-	l, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.LoadAll()
+	pkgs, err := analysis.NewLoader().Load("bglpred/...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +43,12 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		"internal/lifecycle": {"Observe"},
 		"internal/cluster":   {"routeFrame"},
 	}
-	l, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for rel, fns := range want {
-		pkg, err := l.Load("bglpred/" + rel)
+		pkgs, err := analysis.NewLoader().Load("bglpred/" + rel)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pkg := pkgs[0]
 		marked := make(map[string]bool)
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {

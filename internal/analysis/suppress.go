@@ -21,29 +21,27 @@ const IgnorePrefix = "//bglvet:ignore"
 
 // ignore is one parsed suppression comment.
 type ignore struct {
+	LineKey
 	analyzer string
-	reason   string
-	file     string
-	line     int
-	pos      token.Pos
 	used     bool
 	// broken marks a malformed or unknown-analyzer ignore; it is
 	// reported directly and exempt from staleness.
 	broken bool
 }
 
-// lineKey addresses findings and ignores by file and line.
-type lineKey struct {
-	file string
-	line int
+// LineKey addresses findings, ignores and // want comments by file and
+// line.
+type LineKey struct {
+	File string
+	Line int
 }
 
 // scanIgnores parses every suppression comment in a package.
 // known is the full analyzer registry (not just the enabled set), so
 // disabling an analyzer for a run does not misreport its ignores as
 // referring to an unknown checker.
-func scanIgnores(fset *token.FileSet, files []*ast.File, known map[string]bool, report func(Finding)) map[lineKey][]*ignore {
-	out := make(map[lineKey][]*ignore)
+func scanIgnores(fset *token.FileSet, files []*ast.File, known map[string]bool, report func(Finding)) map[LineKey][]*ignore {
+	out := make(map[LineKey][]*ignore)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -52,7 +50,7 @@ func scanIgnores(fset *token.FileSet, files []*ast.File, known map[string]bool, 
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				ig := &ignore{file: pos.Filename, line: pos.Line, pos: c.Pos()}
+				ig := &ignore{LineKey: LineKey{pos.Filename, pos.Line}}
 				fields := strings.Fields(rest)
 				switch {
 				case len(fields) == 0:
@@ -76,9 +74,8 @@ func scanIgnores(fset *token.FileSet, files []*ast.File, known map[string]bool, 
 					})
 				default:
 					ig.analyzer = fields[0]
-					ig.reason = strings.Join(fields[1:], " ")
 				}
-				out[lineKey{pos.Filename, pos.Line}] = append(out[lineKey{pos.Filename, pos.Line}], ig)
+				out[ig.LineKey] = append(out[ig.LineKey], ig)
 			}
 		}
 	}
@@ -87,14 +84,14 @@ func scanIgnores(fset *token.FileSet, files []*ast.File, known map[string]bool, 
 
 // positionOf rebuilds a printable position for an ignore comment.
 func positionOf(ig *ignore) token.Position {
-	return token.Position{Filename: ig.file, Line: ig.line}
+	return token.Position{Filename: ig.File, Line: ig.Line}
 }
 
 // suppressed consumes a matching ignore for a finding, if one exists
 // on the finding's line or the line above.
-func suppressed(ignores map[lineKey][]*ignore, f Finding) bool {
+func suppressed(ignores map[LineKey][]*ignore, f Finding) bool {
 	for _, line := range []int{f.Pos.Line, f.Pos.Line - 1} {
-		for _, ig := range ignores[lineKey{f.Pos.Filename, line}] {
+		for _, ig := range ignores[LineKey{f.Pos.Filename, line}] {
 			if !ig.broken && ig.analyzer == f.Analyzer {
 				ig.used = true
 				return true

@@ -1,38 +1,18 @@
 package analysis_test
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"bglpred/internal/analysis"
+	"bglpred/internal/analysis/analysistest"
 	"bglpred/internal/analysis/wrapsentinel"
 )
 
 // runOn analyzes one synthesized package with wrapsentinel and
 // returns the surviving findings.
 func runOn(t *testing.T, src string) []analysis.Finding {
-	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.ExtraRoots = map[string]string{"a": dir}
-	pkg, err := l.Load("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &analysis.Suite{Analyzers: []*analysis.Analyzer{wrapsentinel.Analyzer}}
-	findings, err := s.Run([]*analysis.Package{pkg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return findings
+	return analysistest.RunSource(t, &analysis.Suite{Analyzers: []*analysis.Analyzer{wrapsentinel.Analyzer}}, src)
 }
 
 // TestIgnoreSilencesExactlyOneFinding: two identical violations, one
@@ -162,32 +142,14 @@ var x = 1
 // exist in the registry but did not run this invocation are left
 // alone — a -only subset run must not flag the others' excuses.
 func TestDisabledAnalyzerIgnoreNotStale(t *testing.T) {
-	dir := t.TempDir()
-	src := `package a
+	findings := analysistest.RunSource(t, &analysis.Suite{
+		Analyzers: []*analysis.Analyzer{wrapsentinel.Analyzer},
+		Known:     map[string]bool{"wrapsentinel": true, "determinism": true},
+	}, `package a
 
 //bglvet:ignore determinism wall-clock measurement is the point
 var x = 1
-`
-	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.ExtraRoots = map[string]string{"a": dir}
-	pkg, err := l.Load("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &analysis.Suite{
-		Analyzers: []*analysis.Analyzer{wrapsentinel.Analyzer},
-		Known:     map[string]bool{"wrapsentinel": true, "determinism": true},
-	}
-	findings, err := s.Run([]*analysis.Package{pkg})
-	if err != nil {
-		t.Fatal(err)
-	}
+`)
 	if len(findings) != 0 {
 		t.Fatalf("ignore for a disabled analyzer misreported: %v", findings)
 	}

@@ -1,6 +1,12 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -8,15 +14,29 @@ import (
 	"bglpred/internal/assoc"
 	"bglpred/internal/catalog"
 	"bglpred/internal/predictor"
+	"bglpred/internal/report"
 )
 
 func testCtx() *Context { return NewContext(0.08, 3) }
 
+var update = flag.Bool("update", false, "rewrite testdata/tables.golden from this run")
+
+const goldenPath = "testdata/tables.golden"
+
+// TestAllExperimentsRun runs every experiment and compares each table
+// with testdata/tables.golden: decimals agree to 2 places, every other
+// byte exactly. A change that moves a number regenerates the golden
+// with -update and says why in EXPERIMENTS.md.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
+	var want map[string][]string
+	if !*update {
+		want = readGolden(t)
+	}
 	ctx := testCtx()
+	got := make(map[string][]string)
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -38,7 +58,108 @@ func TestAllExperimentsRun(t *testing.T) {
 					t.Errorf("%s: unrenderable table %q", e.ID, tb.Title)
 				}
 			}
+			got[e.ID] = goldenLines(tables)
+			if !*update {
+				compareGolden(t, want[e.ID], got[e.ID])
+			}
 		})
+	}
+	if *update {
+		writeGolden(t, got)
+	}
+}
+
+// goldenLines renders tables as the golden stores them: the title,
+// then the header and each row as tab-separated cells. Wall-clock
+// columns ("mining time") read "~": they measure the host, not the
+// reproduction.
+func goldenLines(tables []*report.Table) []string {
+	var out []string
+	for _, tb := range tables {
+		out = append(out, tb.Title)
+		rows := strings.Split(strings.TrimSuffix(tb.CSV(), "\n"), "\n")
+		for i, row := range rows {
+			cells := strings.Split(row, ",")
+			if i > 0 && len(cells) == len(tb.Headers) {
+				for j, h := range tb.Headers {
+					if strings.HasSuffix(h, " time") {
+						cells[j] = "~"
+					}
+				}
+			}
+			out = append(out, strings.Join(cells, "\t"))
+		}
+		out = append(out, "")
+	}
+	return out
+}
+
+var decimalRE = regexp.MustCompile(`-?[0-9]+\.[0-9]+`)
+
+// compareGolden fails on the first line whose text differs from the
+// golden outside its decimals, or whose decimals differ at 2 places.
+func compareGolden(t *testing.T, want, got []string) {
+	t.Helper()
+	if len(want) == 0 {
+		t.Fatalf("no golden section; run go test ./internal/experiments -run TestAllExperimentsRun -update")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d golden lines, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
+	}
+	for i := range want {
+		if !sameAt2Decimals(got[i], want[i]) {
+			t.Fatalf("line %d moved:\n got  %q\n want %q", i+1, got[i], want[i])
+		}
+	}
+}
+
+func sameAt2Decimals(got, want string) bool {
+	if decimalRE.ReplaceAllString(got, "#") != decimalRE.ReplaceAllString(want, "#") {
+		return false
+	}
+	g, w := decimalRE.FindAllString(got, -1), decimalRE.FindAllString(want, -1)
+	for i := range g {
+		a, _ := strconv.ParseFloat(g[i], 64)
+		b, _ := strconv.ParseFloat(w[i], 64)
+		if math.Abs(a-b) >= 0.005 {
+			return false
+		}
+	}
+	return true
+}
+
+// readGolden parses the golden into per-experiment sections, each
+// opened by a "== <id>" line.
+func readGolden(t *testing.T) map[string][]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]string)
+	var id string
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "== "); ok {
+			id = rest
+			continue
+		}
+		out[id] = append(out[id], line)
+	}
+	return out
+}
+
+func writeGolden(t *testing.T, got map[string][]string) {
+	t.Helper()
+	var b strings.Builder
+	for _, e := range All() {
+		lines, ok := got[e.ID]
+		if !ok {
+			t.Fatalf("-update needs every experiment; %s did not run", e.ID)
+		}
+		fmt.Fprintf(&b, "== %s\n%s\n", e.ID, strings.Join(lines, "\n"))
+	}
+	if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

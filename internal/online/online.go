@@ -9,7 +9,6 @@ package online
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -32,12 +31,8 @@ type Config struct {
 	// (not for renewals). It runs outside the engine's state lock, so
 	// it may call back into the engine (Counters, ActiveAlert); with
 	// concurrent ingesters it may be invoked from multiple goroutines,
-	// though never concurrently with itself or a Journal write.
+	// though never concurrently with itself.
 	OnAlert func(predictor.Warning)
-	// Journal, when set, receives one line per new alarm — an
-	// append-only operations log (timestamp, confidence, source,
-	// detail).
-	Journal io.Writer
 }
 
 // Counters tracks engine activity.
@@ -66,7 +61,7 @@ type Ingestion struct {
 // ingested in non-decreasing time order (the CMCS log order).
 type Engine struct {
 	mu      sync.Mutex // guards all mutable state below
-	emitMu  sync.Mutex // serializes Journal writes and OnAlert calls
+	emitMu  sync.Mutex // serializes OnAlert calls
 	cfg     Config
 	clf     *catalog.Interner
 	stepper *predictor.Stepper
@@ -130,26 +125,18 @@ func (e *Engine) IngestBatch(evs []raslog.Event) (rejected int64) {
 	return rejected
 }
 
-// emit journals and delivers new alarms, in order. It runs after the
+// emit delivers new alarms to OnAlert, in order. It runs after the
 // state lock is released so OnAlert may reenter the engine; emitMu
-// keeps the journal and callback stream serialized even under
-// concurrent ingesters.
+// keeps the callback stream serialized even under concurrent
+// ingesters.
 func (e *Engine) emit(alarms []predictor.Warning) {
-	if len(alarms) == 0 {
+	if len(alarms) == 0 || e.cfg.OnAlert == nil {
 		return
 	}
 	e.emitMu.Lock()
 	defer e.emitMu.Unlock()
 	for _, w := range alarms {
-		if e.cfg.Journal != nil {
-			//bglvet:ignore hotpathalloc journal lines are written per emitted alarm, which is rare relative to ingest volume
-			fmt.Fprintf(e.cfg.Journal, "%s alert conf=%.3f source=%s until=%s detail=%q\n",
-				w.At.UTC().Format(time.RFC3339), w.Confidence, w.Source,
-				w.End.UTC().Format(time.RFC3339), w.Detail)
-		}
-		if e.cfg.OnAlert != nil {
-			e.cfg.OnAlert(w)
-		}
+		e.cfg.OnAlert(w)
 	}
 }
 

@@ -3,7 +3,7 @@ package online
 import (
 	"bytes"
 	"encoding/gob"
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -239,26 +239,26 @@ func TestEngineConcurrentIngest(t *testing.T) {
 	}
 }
 
-func TestEngineJournal(t *testing.T) {
+// TestEngineBatchEmitsLikeIngest: IngestBatch hands OnAlert the same
+// alarms, in the same order, as record-by-record Ingest.
+func TestEngineBatchEmitsLikeIngest(t *testing.T) {
 	meta, raw := trainedMeta(t)
-	var journal strings.Builder
-	e := New(meta, Config{Window: 30 * time.Minute, Journal: &journal})
+	recorder := func(ws *[]predictor.Warning) Config {
+		return Config{Window: 30 * time.Minute, OnAlert: func(w predictor.Warning) { *ws = append(*ws, w) }}
+	}
+	var single, batched []predictor.Warning
+	e := New(meta, recorder(&single))
 	for i := range raw {
 		if _, err := e.Ingest(&raw[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	lines := strings.Count(journal.String(), "\n")
-	if int64(lines) != e.Counters().Alerts {
-		t.Fatalf("journal has %d lines, %d alerts raised", lines, e.Counters().Alerts)
+	if len(single) == 0 || int64(len(single)) != e.Counters().Alerts {
+		t.Fatalf("OnAlert saw %d alarms, %d raised", len(single), e.Counters().Alerts)
 	}
-	if lines > 0 && !strings.Contains(journal.String(), "conf=") {
-		t.Fatalf("journal format wrong: %q", journal.String()[:80])
-	}
-	var batched strings.Builder
-	New(meta, Config{Window: 30 * time.Minute, Journal: &batched}).IngestBatch(raw)
-	if batched.String() != journal.String() {
-		t.Fatal("IngestBatch journals differently from Ingest")
+	New(meta, recorder(&batched)).IngestBatch(raw)
+	if !slices.Equal(batched, single) {
+		t.Fatalf("IngestBatch emitted %d alarms differently from Ingest's %d", len(batched), len(single))
 	}
 }
 
