@@ -36,8 +36,8 @@
 //
 // Drive it with cmd/bglreplay's -url flag, then curl /v1/alerts.
 // SIGINT/SIGTERM shuts down gracefully: the listener stops, in-flight
-// ingests finish, shard queues drain, a final checkpoint lands, and
-// the final counters print.
+// ingests finish (each has run its records through the engines before
+// it replies), a final checkpoint lands, and the final counters print.
 package main
 
 import (
@@ -69,7 +69,6 @@ import (
 type options struct {
 	addr    string
 	shards  int
-	queue   int
 	history int
 	window  time.Duration
 	minConf float64
@@ -104,12 +103,11 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8650", "listen address")
 	flag.IntVar(&o.shards, "shards", 4, "engine shards (records route by rack/midplane)")
-	flag.IntVar(&o.queue, "queue", 1024, "per-shard ingest queue depth in batches of up to 4096 records (backpressure bound)")
 	flag.IntVar(&o.history, "history", 256, "recent-alerts ring capacity")
 	flag.DurationVar(&o.window, "window", 30*time.Minute, "prediction window")
 	flag.Float64Var(&o.minConf, "min-confidence", 0, "suppress alerts below this confidence")
-	flag.DurationVar(&o.requestTimeout, "request-timeout", 60*time.Second, "end-to-end deadline per ingest request (negative disables)")
-	flag.DurationVar(&o.shedTimeout, "shed-timeout", time.Second, "max wait on a saturated shard queue before shedding with 429")
+	flag.DurationVar(&o.requestTimeout, "request-timeout", 60*time.Second, "deadline on an ingest request's waits for busy shards (negative disables)")
+	flag.DurationVar(&o.shedTimeout, "shed-timeout", time.Second, "max wait for a busy shard before shedding with 429")
 	flag.IntVar(&o.quarantineCap, "quarantine-cap", 128, "ring capacity of malformed ingest records kept at /v1/quarantine")
 	flag.DurationVar(&o.readHeaderTimeout, "read-header-timeout", 10*time.Second, "http.Server ReadHeaderTimeout (slowloris guard)")
 	flag.DurationVar(&o.readTimeout, "read-timeout", 5*time.Minute, "http.Server ReadTimeout (bounds slow ingest uploads)")
@@ -216,7 +214,6 @@ func run(o options) error {
 
 	srv := serve.New(meta, serve.Config{
 		Shards:         o.shards,
-		QueueDepth:     o.queue,
 		History:        o.history,
 		QuarantineCap:  o.quarantineCap,
 		MinConfidence:  o.minConf,
@@ -340,8 +337,7 @@ func run(o options) error {
 	}
 
 	// Graceful shutdown: stop accepting, let in-flight requests end,
-	// drain the shard queues, then take the final checkpoint over the
-	// drained state.
+	// then take the final checkpoint over the settled state.
 	logf("shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

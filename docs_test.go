@@ -17,17 +17,19 @@ import (
 // per package (keyed by directory name, the root package as
 // "bglpred") its top-level names, Type.Member pairs and bare member
 // names (as .Member), every Go file's module-relative path and base
-// name, and the daemons' metric families: those the /metrics goldens
-// pin plus the string literals cmd/bglserved registers as AuxMetrics.
+// name, the daemons' metric families: those the /metrics goldens pin
+// plus the string literals cmd/bglserved registers as AuxMetrics, and
+// the command-line flags cmd/ and bench/ declare.
 type docIndex struct {
 	pkgs    map[string]map[string]bool
 	files   map[string]bool
 	metrics map[string]bool
+	flags   map[string]bool
 }
 
 func buildDocIndex(t *testing.T) docIndex {
 	t.Helper()
-	idx := docIndex{pkgs: make(map[string]map[string]bool), files: make(map[string]bool), metrics: make(map[string]bool)}
+	idx := docIndex{pkgs: make(map[string]map[string]bool), files: make(map[string]bool), metrics: make(map[string]bool), flags: make(map[string]bool)}
 	for _, golden := range []string{"internal/serve/testdata/metrics.golden", "internal/cluster/testdata/metrics.golden"} {
 		data, err := os.ReadFile(golden)
 		if err != nil {
@@ -57,12 +59,19 @@ func buildDocIndex(t *testing.T) docIndex {
 		idx.files[path] = true
 		idx.files[filepath.Base(path)] = true
 		dir := filepath.ToSlash(filepath.Dir(path))
-		if dir != "." && !strings.HasPrefix(dir, "internal/") && !strings.HasPrefix(dir, "cmd/") {
+		cmd, bench := strings.HasPrefix(dir, "cmd/"), dir == "bench" || strings.HasPrefix(dir, "bench/")
+		if dir != "." && !strings.HasPrefix(dir, "internal/") && !cmd && !bench {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		if cmd || bench {
+			declareFlags(idx.flags, f)
+		}
+		if bench {
+			return nil // read for its flags only
 		}
 		pkg := filepath.Base(dir)
 		if dir == "." {
@@ -151,6 +160,40 @@ func declareFile(names map[string]bool, f *ast.File) {
 	}
 }
 
+// flagNameArg is, for each flag-defining function of package flag (and
+// method of flag.FlagSet), the index of its name argument.
+var flagNameArg = map[string]int{
+	"Bool": 0, "Duration": 0, "Float64": 0, "Int": 0, "Int64": 0, "String": 0, "Uint": 0, "Uint64": 0,
+	"Func": 0, "BoolFunc": 0,
+	"BoolVar": 1, "DurationVar": 1, "Float64Var": 1, "IntVar": 1, "Int64Var": 1, "StringVar": 1, "UintVar": 1, "Uint64Var": 1,
+	"Var": 1, "TextVar": 1,
+}
+
+// declareFlags records the flag names a file declares: calls such as
+// flag.IntVar(&v, "name", ...) or fs.String("name", ...) whose name
+// argument is a string literal.
+func declareFlags(flags map[string]bool, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		i, ok := flagNameArg[sel.Sel.Name]
+		if !ok || i >= len(call.Args) {
+			return true
+		}
+		if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, _ := strconv.Unquote(lit.Value)
+			flags[name] = true
+		}
+		return true
+	})
+}
+
 func member(names map[string]bool, typ, name string) {
 	names[typ+"."+name] = true
 	names["."+name] = true
@@ -167,6 +210,8 @@ var (
 	// metricRef is a bglserved_ or bglgate_ metric family, optionally
 	// with a label set.
 	metricRef = regexp.MustCompile(`^((?:bglserved|bglgate)_[a-z0-9_]+)(?:\{.*\})?$`)
+	// flagRef is a bare command-line flag, optionally with =value.
+	flagRef = regexp.MustCompile(`^-([a-z][a-z0-9-]*)(?:=\S*)?$`)
 )
 
 // unresolved returns why a code span names nothing in the module, or
@@ -176,6 +221,12 @@ func (idx docIndex) unresolved(span string) string {
 	if m := metricRef.FindStringSubmatch(span); m != nil {
 		if !idx.metrics[m[1]] {
 			return "names no metric family the /metrics goldens or cmd/bglserved declare"
+		}
+		return ""
+	}
+	if m := flagRef.FindStringSubmatch(span); m != nil {
+		if !idx.flags[m[1]] {
+			return "names no flag cmd/ or bench/ declares"
 		}
 		return ""
 	}
@@ -208,9 +259,10 @@ func (idx docIndex) unresolved(span string) string {
 // TestDocReferencesResolve keeps DESIGN.md and README.md honest about
 // the code: every backticked pkg.Name, pkg.Type.Member and Go file
 // must still exist in the module's root, internal/ and cmd/ packages,
-// and every backticked bglserved_/bglgate_ metric family must still be
-// exported, so a rename or deletion fails here until the docs follow
-// it. Fenced code blocks are skipped.
+// every backticked bglserved_/bglgate_ metric family must still be
+// exported, and every bare backticked -flag must still be declared by
+// a command or the benchmark, so a rename or deletion fails here until
+// the docs follow it. Fenced code blocks are skipped.
 func TestDocReferencesResolve(t *testing.T) {
 	idx := buildDocIndex(t)
 	for _, doc := range []string{"DESIGN.md", "README.md"} {

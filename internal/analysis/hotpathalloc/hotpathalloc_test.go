@@ -74,7 +74,7 @@ func cold(b []byte) string {
 // TestPlantedServeConcatenation is hotpathalloc's evidence on this
 // tree: internal/serve as it stands gives no finding, and a string
 // concatenation planted in a helper that a //bglvet:hotpath root
-// reaches — the root also walking serve's real ingest loop — gives
+// reaches — the root also walking serve's real decode loop — gives
 // exactly one.
 func TestPlantedServeConcatenation(t *testing.T) {
 	const path = "bglpred/internal/serve"
@@ -86,12 +86,12 @@ func TestPlantedServeConcatenation(t *testing.T) {
 	t.Run("planted", func(t *testing.T) {
 		findings := analysistest.RunOnCopy(t, hotpathalloc.Analyzer, path, `package serve
 
-import "context"
+import "bglpred/internal/raslog"
 
 //bglvet:hotpath
-func (s *Server) plantedIngest(ctx context.Context, src recordSource, resp *IngestResponse, touched []bool, via string) int {
+func (s *Server) plantedDecode(src recordSource, byShard [][]raslog.Event, resp *IngestResponse, via string) (int, int) {
 	resp.Error = plantedTag(via)
-	return s.ingest(ctx, src, resp, touched)
+	return s.decode(src, byShard, resp)
 }
 
 func plantedTag(via string) string {

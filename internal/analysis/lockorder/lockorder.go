@@ -1,5 +1,5 @@
 // Package lockorder enforces two mutex disciplines the concurrency
-// layer (serve's shard supervisors, the cluster gate's replay loops,
+// layer (serve's close lock, the cluster gate's replay loops,
 // the ledger's group-commit leader, lifecycle's retrain path) depends
 // on but no test can exhaustively exercise:
 //

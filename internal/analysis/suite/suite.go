@@ -56,7 +56,7 @@ var deterministicPkgs = map[string]bool{
 }
 
 // concurrencyPkgs own the mutexes lockorder patrols: the serving
-// layer's shard supervisors, the cluster gate's replay loops, the
+// layer's close lock, the cluster gate's replay loops, the
 // edge's SSE broker and inspection ring, the ledger's group-commit
 // leader, lifecycle's retrain machinery and the online engine's
 // dual-lock emission path.

@@ -38,7 +38,7 @@ func TestZeroFindings(t *testing.T) {
 func TestHotpathRootsAnnotated(t *testing.T) {
 	want := map[string][]string{
 		"internal/raslog":    {"ReadFrame", "NextEvent", "DecodeEvent", "PeekWireEvent", "Read"},
-		"internal/serve":     {"ingest"},
+		"internal/serve":     {"decode"},
 		"internal/online":    {"IngestBatch"},
 		"internal/lifecycle": {"Observe"},
 		"internal/cluster":   {"routeFrame"},

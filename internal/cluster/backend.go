@@ -13,8 +13,7 @@ const (
 	// StateUp routes normally.
 	StateUp BackendState = iota
 	// StateDegraded routes normally; the backend self-reports degraded
-	// (recent load-shed or a saturated queue) and readers may prefer
-	// its peers.
+	// (a recent load-shed) and readers may prefer its peers.
 	StateDegraded
 	// StateDown is unroutable: probes or forwards fail. Its hash
 	// ranges' lines park in the replay buffer until recovery.
@@ -53,13 +52,12 @@ func (s BackendState) String() string {
 func (s BackendState) routable() bool { return s == StateUp || s == StateDegraded }
 
 // probeInfo is what one combined /healthz probe learns about a
-// backend (the serve layer includes the model SHA and queue depth in
-// the health body precisely so this is a single request).
+// backend (the serve layer includes the model SHA in the health body
+// precisely so this is a single request).
 type probeInfo struct {
 	Status       string `json:"status"`
 	Degraded     bool   `json:"degraded"`
 	Shards       int    `json:"shards"`
-	Queued       int64  `json:"queued"`
 	ModelSHA     string `json:"model_sha"`
 	ModelVersion int64  `json:"model_version"`
 	// LedgerRoot/LedgerSeq are the backend's audit-ledger head; empty
@@ -146,7 +144,6 @@ func (b *backend) snapshotLocked() BackendStatus {
 		LedgerRoot:     b.ledgerRoot,
 		LedgerSeq:      b.ledgerSeq,
 		Shards:         b.info.Shards,
-		Queued:         b.info.Queued,
 		ReplayBuffered: b.replay.len(),
 		ReplayDropped:  b.replay.dropped,
 		Routed:         b.routed.Load(),
@@ -161,12 +158,11 @@ func (b *backend) snapshotLocked() BackendStatus {
 type BackendStatus struct {
 	URL   string `json:"url"`
 	State string `json:"state"`
-	// ModelSHA/ModelVersion/Shards/Queued mirror the backend's last
-	// successful health probe.
+	// ModelSHA/ModelVersion/Shards mirror the backend's last successful
+	// health probe.
 	ModelSHA     string `json:"model_sha,omitempty"`
 	ModelVersion int64  `json:"model_version,omitempty"`
 	Shards       int    `json:"shards,omitempty"`
-	Queued       int64  `json:"queued"`
 	// LedgerRoot/LedgerSeq are the backend's last accepted audit-ledger
 	// head (empty when it runs without a ledger). A "tampered" State
 	// means a later probe contradicted them.

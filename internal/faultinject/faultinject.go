@@ -1,7 +1,7 @@
 // Package faultinject is a deterministic, seedable fault-injection
 // harness for the serving and lifecycle layers: it lets a chaos test
-// (or an operator drill) make a shard worker panic between two
-// records, slow a shard down until its queue saturates, corrupt an
+// (or an operator drill) make a shard panic after a batch, slow a
+// shard down until requests waiting for it shed, corrupt an
 // ingest payload, or fail a checkpoint write with ENOSPC — all on a
 // fixed schedule reproducible from a seed, with zero cost on the
 // production path.
@@ -34,11 +34,12 @@ import (
 type Point string
 
 const (
-	// ShardPanic panics a serve shard worker between two batches,
-	// exercising the supervisor's restart-from-snapshot path.
+	// ShardPanic panics a serve shard at the end of a batch, after its
+	// snapshot update, exercising the restart-from-snapshot path.
 	ShardPanic Point = "serve.shard.panic"
-	// ShardSlow stalls a shard worker per batch (Plan.Delay), backing
-	// its queue up into the load-shedding path.
+	// ShardSlow stalls a serve shard's batch (Plan.Delay) while it holds
+	// the shard's lock, so other requests for that shard wait into the
+	// load-shedding and deadline paths.
 	ShardSlow Point = "serve.shard.slow"
 	// IngestCorrupt marks a decoded ingest record as corrupt, routing
 	// it to the quarantine ring instead of its shard.
@@ -76,9 +77,9 @@ var ErrInjected = errors.New("faultinject: injected fault")
 // syscall.
 var ENOSPC error = syscall.ENOSPC
 
-// Panic is the value an injected panic throws, so a supervisor's
-// recover can tell an injected crash from a real bug while both take
-// the same recovery path.
+// Panic is the value an injected panic throws, so a recover can tell
+// an injected crash from a real bug while both take the same recovery
+// path.
 type Panic struct{ Point Point }
 
 func (p Panic) String() string { return fmt.Sprintf("faultinject: injected panic at %s", p.Point) }

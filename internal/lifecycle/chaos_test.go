@@ -18,7 +18,7 @@ import (
 const chaosSeed = 0xB61C0FFEE
 
 // TestChaosAcceptance is the fault-injection acceptance test: it
-// replays the bglsim tail through a server while shard workers panic
+// replays the bglsim tail through a server while shard batches panic
 // on a schedule and every persistence write fights injected ENOSPC
 // and fsync failures, and asserts the resilience contract end to end:
 //
@@ -48,7 +48,7 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 	clean.Close()
 
-	// Chaos run: panics on the shard workers, ENOSPC and fsync faults
+	// Chaos run: panics in the shard batches, ENOSPC and fsync faults
 	// on every persistence write.
 	in := faultinject.New(chaosSeed)
 	// ShardPanic counts hand-offs (batches), not records: every 7th

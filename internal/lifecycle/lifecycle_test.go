@@ -406,8 +406,8 @@ func TestHotSwapUnderConcurrentIngest(t *testing.T) {
 		}
 	}()
 
-	// Ingest the tail in small chunks; each post is a synchronous
-	// barrier, so chunks interleave with swaps.
+	// Ingest the tail in small chunks; each post returns once its
+	// records have run, so chunks interleave with swaps.
 	const chunk = 64
 	for i := 0; i < len(tail); i += chunk {
 		end := i + chunk

@@ -47,7 +47,7 @@ type ingestLedgerRecord struct {
 }
 
 // appendIngestRecord group-commits the accepted batch's digest. It
-// runs on the request goroutine after the shard barrier: the reply is
+// runs on the request goroutine after the batches have run: the reply is
 // held until the audit record is durable, so an acknowledged batch is
 // always an auditable batch. An append failure degrades to a counter
 // (the ingest itself already succeeded).
@@ -72,8 +72,8 @@ func (s *Server) appendIngestRecord(d *ingestDigest, resp *IngestResponse) {
 	s.ledgerAppends.Add(1)
 }
 
-// appendAlertRecord records one emitted alert. It runs on the shard
-// goroutine, outside the engine lock; alert rates are low enough that
+// appendAlertRecord records one emitted alert. It runs under the shard
+// lock, outside the engine lock; alert rates are low enough that
 // the group commit's fsync is the only cost, shared with any
 // concurrent ingest digests.
 func (s *Server) appendAlertRecord(a Alert) {

@@ -60,8 +60,8 @@ func TestLedgerChainsIngestAndAlerts(t *testing.T) {
 	}
 
 	// Alerts were raised over the failure-rich tail, and each is in the
-	// ledger too (alert appends ride the shard goroutines, which the
-	// ingest barrier has flushed).
+	// ledger too (alert appends ride the shard batches, which have all
+	// run when an ingest replies).
 	alerts := getAlerts(t, s)
 	if alerts.TotalAlerts == 0 {
 		t.Fatal("no alerts over a failure-rich tail")

@@ -11,7 +11,7 @@ import (
 
 // latencyBounds are the upper bounds (inclusive) of the ingest-latency
 // histogram buckets. The range spans a cache-warm engine step (tens of
-// microseconds) up to a queue saturated by backpressure.
+// microseconds) up to a batch that waited out the shed timeout.
 var latencyBounds = []time.Duration{
 	50 * time.Microsecond,
 	100 * time.Microsecond,
@@ -31,18 +31,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeMetrics lists the exposition: aggregate and per-shard engine
-// counters, queue depths, and the ingest-latency histogram. Latency is
-// measured per hand-off — one observation per batch a shard queue
-// carried, in either dialect — from enqueue to engine completion, so
-// queue wait (backpressure) is included.
+// counters and the ingest-latency histogram. Latency is measured per
+// batch, in either dialect, from the batch being ready to its engine
+// being done, so the wait for a busy shard (backpressure) is included.
 func (s *Server) writeMetrics(m *edge.Metrics) {
 	var total online.Counters // summed over shards
 	standing := int64(0)
 	snaps := make([]online.Snapshot, len(s.shards))
-	depths := make([]int, len(s.shards))
 	for i, sh := range s.shards {
 		snap := sh.engine().Snapshot()
-		snaps[i], depths[i] = snap, len(sh.ch)
+		snaps[i] = snap
 		total.Ingested += snap.Ingested
 		total.Unique += snap.Unique
 		total.Unclassified += snap.Unclassified
@@ -78,14 +76,12 @@ func (s *Server) writeMetrics(m *edge.Metrics) {
 	n := len(s.shards)
 	m.CounterVec("bglserved_shard_worker_restarts_total", "Shard-worker restarts after panics, per shard.", "shard", n,
 		func(i int) (string, int64) { return strconv.Itoa(i), s.shards[i].restarts.Load() })
-	m.GaugeVec("bglserved_shard_queue_depth", "Batches queued per shard.", "shard", n,
-		func(i int) (string, int64) { return strconv.Itoa(i), int64(depths[i]) })
 	m.CounterVec("bglserved_shard_ingested_total", "Records ingested per shard.", "shard", n,
 		func(i int) (string, int64) { return strconv.Itoa(i), snaps[i].Ingested })
 	m.GaugeVec("bglserved_shard_pending_keys", "Streaming-compression dedup keys held per shard.", "shard", n,
 		func(i int) (string, int64) { return strconv.Itoa(i), int64(snaps[i].PendingKeys) })
 
-	m.Histogram("bglserved_ingest_latency_seconds", "Enqueue-to-engine-completion latency per hand-off (one batch of up to 4096 records of one request), text and binary alike.", s.latency)
+	m.Histogram("bglserved_ingest_latency_seconds", "Batch-ready-to-engine-done latency per batch (up to 4096 records of one request), shard wait included, text and binary alike.", s.latency)
 
 	model := s.model.Load()
 	m.Gauge("bglserved_model_version", "Generation of the serving model (1 = startup model; each hot-swap increments).", model.Version)

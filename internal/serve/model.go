@@ -82,8 +82,8 @@ func (s *Server) Swaps() int64 { return s.swaps.Load() }
 // assigned by the server (previous version + 1), and Rules and
 // Predictors are derived from meta.
 func (s *Server) SwapModel(meta *predictor.Meta, info ModelInfo) ModelInfo {
-	// Publish the meta before touching engines, so a shard supervisor
-	// rebuilding concurrently never resurrects the outgoing model.
+	// Publish the meta before touching engines, so a shard rebuilding
+	// its engine after a panic never resurrects the outgoing model.
 	s.meta.Store(meta)
 	for _, sh := range s.shards {
 		sh.engine().SwapModel(meta)
@@ -119,7 +119,7 @@ func (s *Server) RestoreShards(states []online.State) error {
 		if err := sh.engine().Restore(states[i]); err != nil {
 			return err
 		}
-		// The restored state is also the supervisor's first known-good
+		// The restored state is also the shard's first known-good
 		// snapshot: a panic before the first periodic snapshot must fall
 		// back to the checkpoint, not to a cold engine.
 		st := states[i]

@@ -11,28 +11,29 @@
 // (GET /v1/quarantine), and a Prometheus-style text exposition
 // (GET /metrics).
 //
-// Each shard owns one engine, one bounded channel, and one supervised
-// goroutine; a full channel blocks the ingest handler briefly
-// (backpressure), and a channel that stays full past the shed timeout
-// fails the request with 429 instead of wedging the client. Records
-// within one request preserve arrival order per shard, so each engine
-// still sees its substream in CMCS log order.
+// Each shard owns one engine and one lock, and the server owns no
+// goroutines: the request goroutine decodes the body and runs each
+// shard's batches itself, under that shard's lock. A request that waits
+// for a busy shard's lock past the shed timeout fails with 429 instead
+// of wedging the client. Records within one request preserve arrival
+// order per shard, so each engine still sees its substream in CMCS log
+// order.
 //
 // Resilience properties (see README "Failure modes and recovery"):
 //
-//   - A panic on a shard worker is isolated to that shard: the
-//     supervisor rebuilds the engine from its last good state
-//     snapshot and resumes the queue. Alerts already raised live in
-//     the server-side history ring and are never lost; the standing
-//     alarm survives inside the snapshot; at most SnapshotEvery
-//     records of dedup/window evidence are lost per restart.
+//   - A panic while a shard's batch runs is isolated to that shard: a
+//     recover rebuilds the engine from its last good state snapshot.
+//     Alerts already raised live in the server-side history ring and
+//     are never lost; the standing alarm survives inside the snapshot;
+//     at most SnapshotEvery records of dedup/window evidence plus the
+//     batch in progress are lost per restart.
 //   - Malformed or unclassifiable ingest lines are quarantined (a
 //     bounded ring inspectable at /v1/quarantine) instead of failing
 //     the batch or silently vanishing.
-//   - Every ingest request runs under a deadline, and saturation is
-//     shed with 429 plus a degraded flag on /healthz, so a stalled
-//     shard degrades the service instead of accumulating wedged
-//     connections.
+//   - Every ingest request's waits for busy shards run under a
+//     deadline, and saturation is shed with 429 plus a degraded flag
+//     on /healthz, so a stalled shard degrades the service instead of
+//     accumulating wedged connections.
 package serve
 
 import (
@@ -60,12 +61,6 @@ type Config struct {
 	// evidence for one midplane — the granularity jobs are scheduled
 	// at — lands on one engine.
 	Shards int
-	// QueueDepth is the per-shard channel capacity (default 1024),
-	// counted in hand-offs: each element is one batch of up to
-	// wireBatchCap records of one request, whatever the dialect. A full
-	// queue blocks ingestion up to ShedTimeout: backpressure first,
-	// load-shedding after.
-	QueueDepth int
 	// History is the capacity of the recent-alerts ring buffer served
 	// by GET /v1/alerts (default 256).
 	History int
@@ -75,20 +70,21 @@ type Config struct {
 	// MinConfidence suppresses alerts below this confidence from the
 	// alert surfaces (they still count as engine activity).
 	MinConfidence float64
-	// RequestTimeout bounds one POST /v1/ingest request end to end,
-	// including queue waits and the completion barrier (default 60 s;
-	// negative disables). An expired deadline answers 503 with the
-	// records accepted so far.
+	// RequestTimeout bounds how long one POST /v1/ingest request waits
+	// for busy shards, all its waits together (default 60 s; negative
+	// disables). It does not bound an engine's own work: a batch that
+	// has its shard runs to the end. A wait the deadline cuts short
+	// answers 503 with the records accepted so far.
 	RequestTimeout time.Duration
-	// ShedTimeout is how long one batch may wait on a saturated shard
-	// queue before the request is shed with 429 (default 1 s; negative
-	// sheds immediately when a queue is full).
+	// ShedTimeout is how long one batch may wait for its busy shard
+	// before the request is shed with 429 (default 1 s; negative sheds
+	// at once when the shard is busy).
 	ShedTimeout time.Duration
-	// SnapshotEvery is the shard supervisor's state-snapshot cadence
-	// in records (default 1024), checked after each batch: a snapshot
-	// is taken once at least this many records have gone by since the
-	// last. It bounds what a shard panic can lose to those records plus
-	// the batch in progress.
+	// SnapshotEvery is each shard's state-snapshot cadence in records
+	// (default 1024), checked after each batch: a snapshot is taken
+	// once at least this many records have gone by since the last. It
+	// bounds what a shard panic can lose to those records plus the
+	// batch in progress.
 	SnapshotEvery int
 	// StreamHeartbeat is the SSE comment-heartbeat interval on
 	// GET /v1/alerts/stream (default 15 s; negative disables), which
@@ -147,9 +143,6 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
 	if c.History <= 0 {
 		c.History = 256
 	}
@@ -172,7 +165,7 @@ func (c Config) withDefaults() Config {
 }
 
 // degradedHold is how long after a load-shed /healthz keeps reporting
-// degraded (the queue may drain instantly; the signal should not).
+// degraded (the busy shard may free up at once; the signal should not).
 const degradedHold = 15 * time.Second
 
 // Alert is one alarm as served over the HTTP API.
@@ -198,7 +191,8 @@ func (a Alert) WithSeq(seq int64) Alert { a.Seq = seq; return a }
 
 // IngestResponse is the body of a POST /v1/ingest reply.
 type IngestResponse struct {
-	// Accepted counts records decoded and enqueued by this request.
+	// Accepted counts records decoded and processed by this request's
+	// shard engines.
 	Accepted int64 `json:"accepted"`
 	// Quarantined counts this request's undecodable (or
 	// fault-injected-corrupt) lines, parked in the quarantine ring
@@ -208,9 +202,10 @@ type IngestResponse struct {
 	// by an engine (out of log order).
 	RejectedTotal int64 `json:"rejected_total"`
 	// Error describes what stopped the request early, if anything: a
-	// stream-level read failure (400), a saturated shard (429), or an
-	// expired request deadline (503). Per-line decode failures no
-	// longer stop a request; they quarantine.
+	// stream-level read failure (400), a shard busy past ShedTimeout
+	// (429), or a request deadline that expired waiting for a shard
+	// (503). Per-line decode failures no longer stop a request; they
+	// quarantine.
 	Error string `json:"error,omitempty"`
 }
 
@@ -226,51 +221,41 @@ type AlertsResponse struct {
 	TotalAlerts int64 `json:"total_alerts"`
 }
 
-// shardMsg is one unit of work on a shard channel: a batch of records
-// (never empty), or a barrier when done is non-nil.
-type shardMsg struct {
-	evs  []raslog.Event
-	at   time.Time // enqueue time, for the ingest-latency histogram
-	done *sync.WaitGroup
-}
-
-// shard is one engine plus its feed. The engine lives behind an
-// atomic pointer because the supervisor replaces it wholesale when a
-// panic escapes the worker: observability readers must never see a
-// half-dead engine (whose internal mutex a panic may have wedged).
+// shard is one engine and the lock its batches run under: a one-slot
+// channel, so that a request can wait for it with a timeout. The engine
+// lives behind an atomic pointer because a recovered panic replaces it
+// wholesale: observability readers must never see a half-dead engine
+// (whose internal mutex a panic may have wedged).
 type shard struct {
 	id       int
-	ch       chan shardMsg
+	sem      chan struct{}
 	eng      atomic.Pointer[online.Engine]
 	rejected atomic.Int64 // records the engine refused (out of order)
-	restarts atomic.Int64 // supervisor restarts after worker panics
+	restarts atomic.Int64 // engine rebuilds after panics
 
-	// lastGood is the supervisor's most recent consistent engine-state
-	// snapshot — what a restart restores from. Written by the shard
-	// goroutine, read by the supervisor on the same goroutine after a
-	// recover, and refreshed by RestoreShards at startup.
+	// lastGood is the most recent consistent engine-state snapshot —
+	// what a restart restores from. Written under sem, and by
+	// RestoreShards at startup.
 	lastGood  atomic.Pointer[online.State]
-	sinceSnap int // records since lastGood; shard goroutine only
+	sinceSnap int // records since lastGood; guarded by sem
 }
 
 func (sh *shard) engine() *online.Engine { return sh.eng.Load() }
 
 // Server is the sharded prediction service. It implements
-// http.Handler; Close drains the shards.
+// http.Handler; Close stops ingestion.
 type Server struct {
 	cfg    Config
 	mux    *http.ServeMux
 	shards []*shard
-	wg     sync.WaitGroup
 
-	// meta is the currently served trained model; the supervisor reads
-	// it when rebuilding a crashed shard's engine, and SwapModel
-	// publishes retrained models through it before touching engines.
+	// meta is the currently served trained model; a panicked shard's
+	// engine is rebuilt over it, and SwapModel publishes retrained
+	// models through it before touching engines.
 	meta atomic.Pointer[predictor.Meta]
 
 	// closeMu is held shared by in-flight ingest requests and
-	// exclusively by Close, so shard channels never see a send after
-	// close.
+	// exclusively by Close, so no batch runs after Close returns.
 	closeMu sync.RWMutex
 	closed  bool
 
@@ -312,11 +297,9 @@ func New(meta *predictor.Meta, cfg Config) *Server {
 	}
 	s.meta.Store(meta)
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{id: i, ch: make(chan shardMsg, cfg.QueueDepth)}
+		sh := &shard{id: i, sem: make(chan struct{}, 1)}
 		sh.eng.Store(s.newEngine(i))
 		s.shards = append(s.shards, sh)
-		s.wg.Add(1)
-		go s.runShard(sh)
 	}
 	info := cfg.Model
 	if info.Version == 0 {
@@ -353,87 +336,68 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close drains and stops the shards: in-flight ingest requests finish,
-// the queues run dry, and the SSE subscribers are disconnected. The
-// server rejects new ingestion afterwards; read endpoints keep
-// working. Close is idempotent.
+// Close stops ingestion: it waits for the in-flight ingest requests,
+// whose batches have all run when they return, and disconnects the SSE
+// subscribers. The server rejects new ingestion afterwards; read
+// endpoints keep working. Close is idempotent.
 func (s *Server) Close() error {
 	s.closeMu.Lock()
-	if s.closed {
-		s.closeMu.Unlock()
-		return nil
-	}
+	closed := s.closed
 	s.closed = true
-	for _, sh := range s.shards {
-		close(sh.ch)
-	}
 	s.closeMu.Unlock()
-	s.wg.Wait() // drain: every queued record reaches its engine
-	s.broker.Close()
+	if !closed {
+		s.broker.Close()
+	}
 	return nil
 }
 
-// runShard supervises the per-shard worker: shardLoop owns all
-// ingestion into one engine, and any panic that escapes it — an
-// engine bug, a poisonous record, an injected fault — is contained
-// here. The supervisor discards the suspect engine (a panic mid-step
-// can leave its internal mutex held), rebuilds a fresh one over the
-// current model, restores the last good state snapshot, and resumes
-// the same queue. Alerts already published live in the server-side
-// history ring, so none are lost; the standing alarm rides inside the
-// snapshot; at most SnapshotEvery records of compression/window
-// evidence are lost per restart.
-func (s *Server) runShard(sh *shard) {
-	defer s.wg.Done()
-	for !s.shardLoop(sh) {
-		sh.restarts.Add(1)
-		eng := s.newEngine(sh.id)
-		if st := sh.lastGood.Load(); st != nil {
-			// Restore cannot fail here: the engine is fresh by
-			// construction. A nil lastGood restarts cold.
-			_ = eng.Restore(*st)
-		}
-		sh.eng.Store(eng)
-		sh.sinceSnap = 0
-	}
-}
-
-// shardLoop consumes the shard queue until it closes (returning true)
-// or a panic escapes a message (returning false to the supervisor).
-func (s *Server) shardLoop(sh *shard) (clean bool) {
+// process runs one batch through sh's engine; at is when the batch was
+// ready, for the ingest-latency histogram. The caller holds sh's lock,
+// and process releases it on every path. A panic that escapes the
+// batch — an engine bug, a poisonous record, an injected fault — is
+// contained here: the suspect engine (a panic mid-step can leave its
+// internal mutex held) gives way to a fresh one over the current model,
+// restored from the last good state snapshot. Alerts already published
+// live in the server-side history ring, so none are lost; the standing
+// alarm rides inside the snapshot; at most SnapshotEvery records of
+// compression/window evidence plus the batch in progress are lost per
+// restart.
+func (s *Server) process(sh *shard, evs []raslog.Event, at time.Time) {
 	defer func() {
-		if r := recover(); r != nil {
-			clean = false
-		}
-	}()
-	for msg := range sh.ch {
-		if msg.done != nil {
-			msg.done.Done()
-			continue
-		}
-		_ = s.cfg.Inject.Fire(faultinject.ShardSlow) // delay-only point
-		// One lock acquisition and one latency observation per batch.
-		if rej := sh.engine().IngestBatch(msg.evs); rej > 0 {
-			sh.rejected.Add(rej)
-		}
-		sh.sinceSnap += len(msg.evs)
-		recycleBatch(msg.evs)
-		s.latency.Observe(time.Since(msg.at))
-		if sh.sinceSnap >= s.cfg.SnapshotEvery {
-			st := sh.engine().State()
-			sh.lastGood.Store(&st)
+		if recover() != nil {
+			sh.restarts.Add(1)
+			eng := s.newEngine(sh.id)
+			if st := sh.lastGood.Load(); st != nil {
+				// Restore cannot fail here: the engine is fresh by
+				// construction. A nil lastGood restarts cold.
+				_ = eng.Restore(*st)
+			}
+			sh.eng.Store(eng)
 			sh.sinceSnap = 0
 		}
-		// The panic point sits after the snapshot update, so an
-		// injected crash at SnapshotEvery=1 (a snapshot after every
-		// batch) is provably lossless — the chaos acceptance test's
-		// exact-continuity half.
-		_ = s.cfg.Inject.Fire(faultinject.ShardPanic)
+		<-sh.sem
+	}()
+	_ = s.cfg.Inject.Fire(faultinject.ShardSlow) // delay-only point
+	// One engine-lock acquisition and one latency observation per batch.
+	if rej := sh.engine().IngestBatch(evs); rej > 0 {
+		sh.rejected.Add(rej)
 	}
-	return true
+	sh.sinceSnap += len(evs)
+	recycleBatch(evs)
+	s.latency.Observe(time.Since(at))
+	if sh.sinceSnap >= s.cfg.SnapshotEvery {
+		st := sh.engine().State()
+		sh.lastGood.Store(&st)
+		sh.sinceSnap = 0
+	}
+	// The panic point sits after the snapshot update, so an injected
+	// crash at SnapshotEvery=1 (a snapshot after every batch) is
+	// provably lossless — the chaos acceptance test's exact-continuity
+	// half.
+	_ = s.cfg.Inject.Fire(faultinject.ShardPanic)
 }
 
-// Restarts sums supervisor restarts across shards.
+// Restarts sums engine rebuilds after panics across shards.
 func (s *Server) Restarts() int64 {
 	var n int64
 	for _, sh := range s.shards {
@@ -443,7 +407,8 @@ func (s *Server) Restarts() int64 {
 }
 
 // onAlert builds the engine callback for shard i. It runs on the
-// shard goroutine, outside the engine's state lock.
+// goroutine running the shard's batch, under the shard's lock and
+// outside the engine's state lock.
 func (s *Server) onAlert(i int) func(predictor.Warning) {
 	return func(w predictor.Warning) {
 		if w.Confidence < s.cfg.MinConfidence {
@@ -499,33 +464,20 @@ func (s *Server) rejectedTotal() int64 {
 }
 
 // degraded reports whether the service is in degraded mode: it shed
-// load within the last degradedHold, or a shard queue is saturated
-// right now. Surfaced on /healthz and /metrics so operators (and load
-// balancers doing readiness) see saturation before clients see 429s.
+// load within the last degradedHold. Surfaced on /healthz and /metrics
+// so operators (and load balancers doing readiness) can route around a
+// saturated server before its clients see more 429s.
 func (s *Server) degraded() bool {
-	if last := s.lastShed.Load(); last != 0 && time.Since(time.Unix(0, last)) < degradedHold {
-		return true
-	}
-	for _, sh := range s.shards {
-		if len(sh.ch) >= cap(sh.ch) {
-			return true
-		}
-	}
-	return false
+	last := s.lastShed.Load()
+	return last != 0 && time.Since(time.Unix(0, last)) < degradedHold
 }
 
-// noteShed records a load-shed for the degraded-mode window.
-func (s *Server) noteShed() {
-	s.shedTotal.Add(1)
-	s.lastShed.Store(time.Now().UnixNano())
-}
-
-// handleIngest streams the request body through its dialect's decoder,
-// routing each record to its shard. Undecodable ones are quarantined,
-// not fatal. The reply is written only after every record of this
-// request has been processed by its engine (a per-shard barrier), so a
-// 200 means the alert surfaces reflect the batch. The whole request
-// runs under RequestTimeout; a saturated shard sheds with 429.
+// handleIngest streams the request body through its dialect's decoder
+// into its shards' engines (ingest). Undecodable records are
+// quarantined, not fatal. The reply is written only after every batch
+// of this request has run, so a 200 means the alert surfaces reflect
+// it. RequestTimeout bounds the request's waits for busy shards (503),
+// and ShedTimeout each one of them (429).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
@@ -544,7 +496,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	var resp IngestResponse
 	var code int
-	touched := make([]bool, len(s.shards))
 	// The ledger digest streams alongside decoding — one pass over the
 	// body, no buffering of the batch.
 	body, digest := s.teeIngestBody(r.Body)
@@ -557,7 +508,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			s.quarantine.Add(0, string(rec), err)
 			resp.Quarantined++
 		}
-		code = s.ingest(ctx, dec, &resp, touched)
+		code = s.ingest(ctx, dec, &resp)
 		dec.Reset(eofReader{}) // drop the body reference before pooling
 		wireDecoders.Put(dec)
 	} else {
@@ -567,20 +518,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			s.quarantine.Add(le.Line, le.Raw, le.Err)
 			resp.Quarantined++
 		})
-		code = s.ingest(ctx, src, &resp, touched)
+		code = s.ingest(ctx, src, &resp)
 		src.rd.Reset(eofReader{})
 		src.ev = raslog.Event{}
 		textSources.Put(src)
-	}
-
-	// Barrier: wait until each touched shard has drained this
-	// request's records, bounded by the request deadline (enqueued
-	// records are processed regardless; the deadline only stops the
-	// confirmation wait).
-	if !s.barrier(ctx, touched) && code == http.StatusOK {
-		s.deadlined.Add(1)
-		resp.Error = "request deadline exceeded before all records were confirmed"
-		code = http.StatusServiceUnavailable
 	}
 
 	// Record the accepted batch in the audit ledger before replying:
@@ -643,18 +584,16 @@ func (t *textSource) DecodeEvent(ev *raslog.Event) error {
 }
 
 // wireBatchCap bounds a per-shard event batch: large enough to
-// amortize the channel send and the engine-lock acquisition over
-// thousands of records, small enough that pooled buffers stay warm and
-// batch memory per request stays bounded. A request hands a shard a
-// batch when the batch fills, which for a body carrying fewer than
-// wireBatchCap records of that shard — every 4096-record bench body —
-// is only at the end of the body: the engines then work after the
-// decode, not beside it. Smaller batches to overlap the two do not pay
-// on two cores (EXPERIMENTS.md, "512-record hand-offs").
+// amortize the shard- and engine-lock acquisitions over thousands of
+// records, small enough that pooled buffers stay warm and batch memory
+// per request stays bounded. A batch runs when it fills, which for a
+// body carrying fewer than wireBatchCap records of a shard — every
+// 4096-record bench body — is only at the end of the body, where the
+// shards' last batches run in parallel.
 const wireBatchCap = 4096
 
-// eventBatches recycles per-shard batch buffers between the ingest
-// loop (producer) and the shard loops (consumer). Growing a fresh
+// eventBatches recycles per-shard batch buffers across ingest
+// requests. Growing a fresh
 // multi-thousand-event slice per request would reintroduce, on the far
 // side of the zero-alloc decoders, exactly the allocation and GC-scan
 // traffic they removed; steady-state ingest instead cycles a small set
@@ -669,7 +608,8 @@ var eventBatches = sync.Pool{
 }
 
 // recycleBatch parks a consumed batch for reuse. Only buffers at the
-// pooled capacity return; oddballs fall to the GC.
+// pooled capacity return; oddballs (and the batches of a shed request)
+// fall to the GC.
 func recycleBatch(evs []raslog.Event) {
 	if cap(evs) != wireBatchCap {
 		return
@@ -678,48 +618,54 @@ func recycleBatch(evs []raslog.Event) {
 	eventBatches.Put(&evs)
 }
 
-// ingest is the one ingest loop. It pulls the body's records one at a
-// time from src, decodes each in place at the end of its shard's pooled
-// batch, and hands a batch to its shard queue when it reaches
-// wireBatchCap or the body ends. Undecodable records have gone to
-// quarantine through the decoder's hook; a stream-level failure stops
-// the request with 400 after the intact prefix is delivered. Returns
-// the HTTP status.
+// ingest runs one request's body through its shards' engines and
+// returns the HTTP status. A batch that fills mid-body runs at once, on
+// the request goroutine, before decoding goes on; so when the body ends
+// each shard has at most one batch left, and runLast runs those side by
+// side. A stream-level failure stops decoding with 400, after the
+// intact prefix has run. A shard that stays busy past ShedTimeout or
+// the request deadline stops the request; its batch and the batches
+// after it do not run.
+func (s *Server) ingest(ctx context.Context, src recordSource, resp *IngestResponse) int {
+	byShard := make([][]raslog.Event, len(s.shards))
+	for {
+		id, code := s.decode(src, byShard, resp)
+		if id < 0 {
+			if refused := s.runLast(ctx, byShard, resp); refused != 0 {
+				return refused
+			}
+			return code
+		}
+		at, sh := time.Now(), s.shards[id]
+		if refused := s.acquire(ctx, sh, resp); refused != 0 {
+			return refused
+		}
+		resp.Accepted += int64(len(byShard[id]))
+		s.process(sh, byShard[id], at)
+		byShard[id] = nil
+	}
+}
+
+// decode pulls the body's records one at a time from src and decodes
+// each in place at the end of its shard's pooled batch in byShard. It
+// returns a shard's index as soon as that shard's batch reaches
+// wireBatchCap, and -1 when the body ends, with the HTTP status: 200,
+// or 400 after a stream-level failure. Undecodable records have gone to
+// quarantine through the decoder's hook.
 //
 //bglvet:hotpath
-func (s *Server) ingest(ctx context.Context, src recordSource, resp *IngestResponse, touched []bool) int {
-	code := http.StatusOK
-	byShard := make([][]raslog.Event, len(s.shards))
-	// flush hands shard id's batch (never empty) to its queue; false
-	// means the request must shed.
-	flush := func(id int) bool {
-		batch := byShard[id]
-		byShard[id] = nil // ownership moves to the shard
-		sh := s.shards[id]
-		msg := shardMsg{evs: batch, at: time.Now()}
-		select {
-		case sh.ch <- msg:
-		default:
-			// Queue full: backpressure for up to ShedTimeout, then shed.
-			if !s.enqueueSlow(ctx, sh, msg) {
-				return false
-			}
-		}
-		touched[id] = true
-		resp.Accepted += int64(len(batch))
-		return true
-	}
+func (s *Server) decode(src recordSource, byShard [][]raslog.Event, resp *IngestResponse) (full, code int) {
 	for {
 		loc, err := src.NextEvent()
 		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				// Stream-level failure (corrupt frame, oversized line, body
-				// read error): nothing after this point is decodable.
-				s.parseErrs.Add(1)
-				resp.Error = err.Error()
-				code = http.StatusBadRequest
+			if errors.Is(err, io.EOF) {
+				return -1, http.StatusOK
 			}
-			break
+			// Stream-level failure (corrupt frame, oversized line, body
+			// read error): nothing after this point is decodable.
+			s.parseErrs.Add(1)
+			resp.Error = err.Error()
+			return -1, http.StatusBadRequest
 		}
 		id := s.shardFor(loc).id
 		b := byShard[id]
@@ -748,82 +694,81 @@ func (s *Server) ingest(ctx context.Context, src recordSource, resp *IngestRespo
 			s.cfg.Observer(*ev)
 		}
 		byShard[id] = b[:n+1]
-		if n+1 == wireBatchCap && !flush(id) {
-			code = s.enqueueFailed(ctx, resp)
-			break
+		if n+1 == wireBatchCap {
+			return id, http.StatusOK
 		}
 	}
-	// Deliver the partial batches — including ahead of a stream-level
-	// failure, where every record of the intact prefix still counts.
+}
+
+// runLast runs the batches left when a body ends, at most one per
+// shard, the way the cluster gate fans out its forwards: it takes the
+// shard locks in shard order and starts each batch as its lock comes,
+// on a goroutine of its own except the last, which runs on the request
+// goroutine. It returns once every started batch has finished, with 0
+// or the status of a lock that could not be had (acquire); that batch
+// and the ones after it did not run.
+func (s *Server) runLast(ctx context.Context, byShard [][]raslog.Event, resp *IngestResponse) int {
+	last := -1
 	for id, b := range byShard {
-		if len(b) == 0 {
-			recycleBatch(b) // every record of it went to quarantine
-			continue
-		}
-		if !flush(id) {
-			code = s.enqueueFailed(ctx, resp)
-			break
+		if len(b) > 0 {
+			last = id
 		}
 	}
-	return code
-}
-
-// enqueueFailed classifies why a batch could not be enqueued, updating
-// the response, and returns the HTTP status.
-func (s *Server) enqueueFailed(ctx context.Context, resp *IngestResponse) int {
-	if ctx.Err() != nil {
-		s.deadlined.Add(1)
-		resp.Error = "request deadline exceeded"
-		return http.StatusServiceUnavailable
-	}
-	s.noteShed()
-	resp.Error = "shard queue saturated; retry with backoff"
-	return http.StatusTooManyRequests
-}
-
-// enqueueSlow waits up to ShedTimeout (and the request deadline) for
-// room on a saturated shard queue; false means the batch did not land
-// and the request should shed.
-func (s *Server) enqueueSlow(ctx context.Context, sh *shard, msg shardMsg) bool {
-	if s.cfg.ShedTimeout < 0 {
-		return false
-	}
-	t := time.NewTimer(s.cfg.ShedTimeout)
-	defer t.Stop()
-	select {
-	case sh.ch <- msg:
-		return true
-	case <-t.C:
-		return false
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// barrier enqueues a completion token on every touched shard and
-// waits for all of them, bounded by ctx. It returns false if the
-// deadline expired before confirmation.
-func (s *Server) barrier(ctx context.Context, touched []bool) bool {
+	at := time.Now()
 	var wg sync.WaitGroup
-	for i, t := range touched {
-		if !t {
+	defer wg.Wait()
+	for id, b := range byShard[:last+1] {
+		if len(b) == 0 {
 			continue
+		}
+		sh := s.shards[id]
+		if refused := s.acquire(ctx, sh, resp); refused != 0 {
+			return refused
+		}
+		resp.Accepted += int64(len(b))
+		if id == last {
+			s.process(sh, b, at)
+			break
 		}
 		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.process(sh, b, at)
+		}()
+	}
+	return 0
+}
+
+// acquire takes sh's lock for a batch of a request running under ctx,
+// waiting up to ShedTimeout and the request deadline. It returns 0 once
+// the lock is held; otherwise the request must stop, with resp's Error
+// set and the status returned: 503 when the deadline cut the wait, or
+// else a load-shed's 429.
+func (s *Server) acquire(ctx context.Context, sh *shard, resp *IngestResponse) int {
+	select {
+	case sh.sem <- struct{}{}:
+		return 0
+	default:
+	}
+	if s.cfg.ShedTimeout >= 0 {
+		t := time.NewTimer(s.cfg.ShedTimeout)
+		defer t.Stop()
 		select {
-		case s.shards[i].ch <- shardMsg{done: &wg}:
+		case sh.sem <- struct{}{}:
+			return 0
+		case <-t.C:
 		case <-ctx.Done():
-			wg.Done() // token never enqueued; don't wait for it
 		}
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-		return ctx.Err() == nil
-	case <-ctx.Done():
-		return false
+	if ctx.Err() != nil {
+		s.deadlined.Add(1)
+		resp.Error = "request deadline exceeded waiting for a busy shard"
+		return http.StatusServiceUnavailable
 	}
+	s.shedTotal.Add(1)
+	s.lastShed.Store(time.Now().UnixNano()) // for the degraded-mode window
+	resp.Error = "shard busy past the shed timeout; retry with backoff"
+	return http.StatusTooManyRequests
 }
 
 // handleAlerts serves the standing alarms and the recent-alert ring.
@@ -851,7 +796,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz is the liveness/readiness probe. A degraded service
-// (recent load-shed or a saturated queue) still answers 200 — it is
+// (a recent load-shed) still answers 200 — it is
 // alive and partially serving — with "degraded": true for readiness
 // policies that want to route around it.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -875,19 +820,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			standing++
 		}
 	}
-	// Queue depth and model identity ride along so a cluster gate's
-	// single health probe doubles as its version check — one request
-	// instead of two per backend per probe interval.
-	queued := 0
-	for _, sh := range s.shards {
-		queued += len(sh.ch)
-	}
+	// Model identity rides along so a cluster gate's single health
+	// probe doubles as its version check — one request instead of two
+	// per backend per probe interval.
 	model := s.model.Load()
 	resp := map[string]any{
 		"status":          status,
 		"degraded":        degraded,
 		"shards":          len(s.shards),
-		"queued":          queued,
 		"shard_restarts":  s.Restarts(),
 		"standing_alarms": standing,
 		"model_sha":       model.SHA256,

@@ -105,8 +105,8 @@ func TestSSEStreamMidRunSubscriber(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	// Disconnect, then keep ingesting: shard goroutines must not
-	// stall on the dead subscriber.
+	// Disconnect, then keep ingesting: shard batches must not stall on
+	// the dead subscriber.
 	cancel()
 	resp.Body.Close()
 	shifted := append([]raslog.Event(nil), tail[len(tail)-200:]...)
