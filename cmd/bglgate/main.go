@@ -1,8 +1,12 @@
 // Command bglgate runs the cluster ingest router: it fronts N
 // bglserved backends with the same HTTP surface a single daemon
-// exposes, consistent-hash-routing each POST /v1/ingest line to the
+// exposes, consistent-hash-routing each POST /v1/ingest record to the
 // backend owning its rack/midplane, and merging the backends' alert
-// views on the read path.
+// views on the read path. Clients may post either dialect; the gate
+// transcodes text bodies to binary wire frames at the door and
+// forwards wire frames only. A text line that does not decode, or
+// whose record the wire cannot carry, parks in the gate's own
+// GET /v1/quarantine under the client's line number.
 //
 //	POST /v1/ingest          routed by rack/midplane over the hash ring
 //	GET  /v1/alerts          merged standing + recent alerts, deduplicated
@@ -17,7 +21,7 @@
 //	bglgate -backends http://10.0.0.1:8650,http://10.0.0.2:8650
 //	bglgate -addr :8640 -backends http://a:8650,http://b:8650 -vnodes 128
 //
-// A backend that stops answering is marked down; lines hashed to it
+// A backend that stops answering is marked down; records hashed to it
 // are parked, in order, in a bounded replay buffer and re-delivered
 // when its health probe recovers, so a restart costs latency, not
 // data. Backends serving a model SHA that disagrees with the cluster
@@ -52,7 +56,7 @@ func main() {
 	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "per-probe deadline")
 	forwardTimeout := flag.Duration("forward-timeout", 30*time.Second, "per-forward ingest deadline")
 	reloadTimeout := flag.Duration("reload-timeout", 5*time.Minute, "per-backend deadline during a rolling model swap")
-	replayCap := flag.Int("replay-cap", 0, "replay-buffer line cap per backend (0 = default 64k)")
+	replayCap := flag.Int("replay-cap", 0, "replay-buffer record cap per backend (0 = default 64k)")
 	replayWindow := flag.Duration("replay-window", 0, "replay-buffer event-time window (0 = default 1h)")
 	heartbeat := flag.Duration("stream-heartbeat", 15*time.Second, "SSE heartbeat interval (negative disables)")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "http.Server ReadHeaderTimeout")

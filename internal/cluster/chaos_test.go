@@ -761,12 +761,6 @@ func TestClusterChaosWireAcceptance(t *testing.T) {
 				t.Fatalf("backend %s record %d out of order:\n got %q\nwant %q", host, j, got[j], want[host][j])
 			}
 		}
-		cbs[i].mu.Lock()
-		bin := cbs[i].binPosts
-		cbs[i].mu.Unlock()
-		if bin == 0 {
-			t.Fatalf("backend %s saw no wire bodies; the run degraded to text", host)
-		}
 	}
 
 	st := gateStatus(t, g)

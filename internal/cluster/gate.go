@@ -46,7 +46,7 @@ type Config struct {
 	// 5 min).
 	ReloadTimeout time.Duration
 	// ReplayCap and ReplayWindow bound each backend's replay buffer
-	// (defaults 64k lines, 1 h of event time) — the Recorder-window
+	// (defaults 64k records, 1 h of event time) — the Recorder-window
 	// pattern applied to delivery.
 	ReplayCap    int
 	ReplayWindow time.Duration
@@ -102,18 +102,20 @@ const gateQuarantineCap = 128
 
 // IngestResponse is the body of a POST /v1/ingest reply from the
 // gate. Accepted mirrors the single-node field (bglreplay keys on
-// it): every line the gate took responsibility for, whether delivered
-// now or parked for replay.
+// it): every record the gate took responsibility for, whether
+// delivered now or parked for replay. A line the gate quarantined is
+// not accepted.
 type IngestResponse struct {
 	Accepted int64 `json:"accepted"`
-	// Routed lines were delivered to their owner backend during this
-	// request; Buffered lines were parked in a replay buffer because
+	// Routed records were delivered to their owner backend during this
+	// request; Buffered records were parked in a replay buffer because
 	// the owner was unroutable (they will be re-delivered on
 	// recovery).
 	Routed   int64 `json:"routed"`
 	Buffered int64 `json:"buffered"`
-	// Quarantined sums what the touched backends quarantined out of
-	// this request's batches.
+	// Quarantined counts the text lines the gate parked in its own
+	// quarantine plus what the touched backends quarantined out of this
+	// request's batches.
 	Quarantined int64 `json:"quarantined,omitempty"`
 	// RejectedTotal is the best-effort sum of the touched backends'
 	// lifetime out-of-order rejection counts.
@@ -144,21 +146,18 @@ type Gate struct {
 	agreedSHA string
 	swapping  bool
 
-	ingestReqs     atomic.Int64
-	parseErrs      atomic.Int64
-	swaps          atomic.Int64
-	reloadFails    atomic.Int64
-	encQuarantined atomic.Int64 // records that decoded but failed re-encode
-	streamSeq      atomic.Int64 // gate-assigned SSE event ids
-	streamsUp      atomic.Int64 // live fan-in subscriptions to backend streams
-	tampered       atomic.Int64 // backends flagged tampered by ledger checks
+	ingestReqs  atomic.Int64
+	parseErrs   atomic.Int64
+	swaps       atomic.Int64
+	reloadFails atomic.Int64
+	streamSeq   atomic.Int64 // gate-assigned SSE event ids
+	streamsUp   atomic.Int64 // live fan-in subscriptions to backend streams
+	tampered    atomic.Int64 // backends flagged tampered by ledger checks
 
-	// quarantine holds what only the gate can see: records that decoded
-	// leniently but could not be re-encoded for forwarding. Dropping
-	// them would violate the nothing-silently-vanishes contract, and
-	// forwarding them raw would make a backend ingest them into the
-	// wrong ring owner. Backends keep their own rings for lines that
-	// reach them.
+	// quarantine holds the text lines that never become wire records:
+	// lines that do not decode, and records the wire cannot carry, each
+	// under the client's line number. Backends keep their own rings for
+	// corrupt records inside the wire frames that reach them.
 	quarantine *serve.Quarantine
 	broker     *edge.Broker[Alert]
 
@@ -297,17 +296,16 @@ func (g *Gate) probeLoop() {
 }
 
 // handleIngest groups the request's records by their ring owner and
-// delivers each owner's group in one forwarded POST, all owners at
-// once: the hop costs the slowest backend, not the sum of them. Text
-// bodies decode with the same lenient raslog reader a backend uses;
-// binary wire bodies (Content-Type application/x-bglbin) take the
+// delivers each owner's group in one forwarded wire POST, all owners at
+// once: the hop costs the slowest backend, not the sum of them. Binary
+// wire bodies (Content-Type application/x-bglbin) take the
 // pass-through path, which peeks only each record's location prefix
-// and forwards the raw bytes. Records owned by an unroutable backend
-// park in its replay buffer — accepted, not dropped. Undecodable lines
-// are forwarded verbatim to the owner of the unknown-location key,
-// whose quarantine ring is the cluster's single place to inspect
-// garbage; records that decode but cannot be re-encoded park in the
-// gate's own /v1/quarantine.
+// and forwards the raw bytes; text bodies are transcoded to wire frames
+// at the door and take the same path (ingestText). Records owned by an
+// unroutable backend park in its replay buffer — accepted, not
+// dropped. A text line that does not decode, or whose record the wire
+// cannot carry, is not accepted: it parks in the gate's own
+// /v1/quarantine under the client's line number.
 func (g *Gate) handleIngest(w http.ResponseWriter, r *http.Request) {
 	g.ingestReqs.Add(1)
 
@@ -315,8 +313,7 @@ func (g *Gate) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer g.release(s)
 	var resp IngestResponse
 	var code int
-	bin := r.Header.Get("Content-Type") == raslog.WireContentType
-	if bin {
+	if r.Header.Get("Content-Type") == raslog.WireContentType {
 		code = g.ingestWire(r.Body, &resp, s)
 	} else {
 		code = g.ingestText(r.Body, &resp, s)
@@ -333,7 +330,7 @@ func (g *Gate) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if len(ob.marks) == 0 {
 			continue
 		}
-		if !g.backends[i].admit(ob, bin) {
+		if !g.backends[i].admit(ob) {
 			resp.Buffered += ob.n
 			continue
 		}
@@ -344,13 +341,13 @@ func (g *Gate) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for i := range sends {
 		sd := &sends[i]
 		if i == len(sends)-1 {
-			g.deliver(sd, bin) // the last one needs no goroutine
+			g.deliver(sd) // the last one needs no goroutine
 			break
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g.deliver(sd, bin)
+			g.deliver(sd)
 		}()
 	}
 	wg.Wait()
@@ -372,10 +369,14 @@ func (g *Gate) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // routeScratch is one ingest request's working memory, pooled per gate
 // so a steady stream of bodies routes without allocating: the wire
-// scanner with its read and payload buffers, one batch per backend in
-// ring order, and the wire scan's per-frame state.
+// scanner with its read and payload buffers, the text path's reader and
+// wire writer, one batch per backend in ring order, and the wire scan's
+// per-frame state.
 type routeScratch struct {
-	sc      *raslog.WireScanner // made by the first wire body
+	sc      *raslog.WireScanner // made by the first body
+	rd      *raslog.Reader      // made by the first text body, with ww
+	ww      *raslog.WireWriter  // emits into frames
+	frames  bytes.Buffer        // the frame ww cut last, until it is routed
 	owners  []ownerBatch
 	subs    []subFrame
 	strRecs [][]byte // the current frame's string records, source order
@@ -425,6 +426,9 @@ func (s *routeScratch) reset() {
 	if s.sc != nil {
 		s.sc.Reset(http.NoBody) // do not pin the request body
 	}
+	if s.rd != nil {
+		s.rd.Reset(http.NoBody)
+	}
 	for i := range s.owners {
 		ob := &s.owners[i]
 		ob.buf, ob.marks, ob.n = ob.buf[:0], ob.marks[:0], 0
@@ -432,22 +436,28 @@ func (s *routeScratch) reset() {
 	clear(s.sends)
 }
 
-// ingestText decodes a newline-delimited body and fills each owner's
-// batch with its re-encoded lines. Returns the HTTP status.
+// ingestText transcodes a newline-delimited body to wire frames at the
+// door. It decodes the body with the lenient reader a backend uses,
+// encodes each record with a wire writer, and routes every frame the
+// writer cuts through ingestWire, as if the client had sent it — so
+// transcoding holds at most one frame (the writer's 1 MiB cut) beside
+// the owner batches. A line that does not decode, or a record the writer
+// refuses, parks in the gate's quarantine under the client's line
+// number. Returns the HTTP status.
 func (g *Gate) ingestText(body io.Reader, resp *IngestResponse, s *routeScratch) int {
-	code := http.StatusOK
-	var enc bytes.Buffer
-	ew := raslog.NewWriter(&enc)
-	rd := raslog.NewReader(body)
-	rd.Lenient(func(le raslog.LineError) {
-		// Forward the raw line to a deterministic owner; its backend
-		// quarantines it, so nothing silently vanishes at the gate.
-		ob := &s.owners[g.unknownOwner]
-		ob.buf = append(append(ob.buf, le.Raw...), '\n')
-		ob.mark(time.Time{}, 0)
+	if s.rd == nil {
+		s.rd = raslog.NewReader(body)
+		s.ww = raslog.NewWireWriter(&s.frames)
+	} else {
+		s.rd.Reset(body)
+	}
+	s.rd.Lenient(func(le raslog.LineError) {
+		g.quarantine.Add(le.Line, le.Raw, le.Err)
+		resp.Quarantined++
 	})
+	code := http.StatusOK
 	for {
-		ev, err := rd.Read()
+		ev, err := s.rd.Read()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				// Stream-level failure: nothing after this point decodes.
@@ -457,31 +467,19 @@ func (g *Gate) ingestText(body io.Reader, resp *IngestResponse, s *routeScratch)
 			}
 			break
 		}
-		owner := g.ring.OwnerIndex(LocationKey(ev.Location))
-		enc.Reset()
-		werr := ew.Write(&ev)
-		if werr == nil {
-			werr = ew.Flush()
-		}
-		if werr != nil {
-			// The lenient reader accepts some records the strict encoder
-			// refuses (an NDJSON line with a pipe or newline in its entry
-			// text, say). Forwarding the raw line would make a backend
-			// silently ingest it under the wrong owner; dropping it would
-			// break the nothing-vanishes contract. Park it in the gate's
-			// own quarantine ring and re-arm the writer (validation
-			// errors are sticky).
-			g.quarantine.Add(rd.Line(), rd.Raw(), werr)
-			g.encQuarantined.Add(1)
+		if err := s.ww.Write(&ev); err != nil {
+			g.quarantine.Add(s.rd.Line(), s.rd.Raw(), err)
 			resp.Quarantined++
-			enc.Reset()
-			ew = raslog.NewWriter(&enc)
 			continue
 		}
-		ob := &s.owners[owner]
-		ob.buf = append(ob.buf, enc.Bytes()...)
-		ob.mark(ev.Time, 0)
+		if s.frames.Len() > 0 { // the writer cut a frame
+			g.ingestWire(&s.frames, resp, s)
+		}
 	}
+	// Writes into a bytes.Buffer cannot fail, and the frames they make
+	// always walk, so neither call has an error to report.
+	s.ww.Flush()
+	g.ingestWire(&s.frames, resp, s)
 	return code
 }
 
@@ -593,13 +591,13 @@ func uvarintLen(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }
 // backlog and no drain in flight. Otherwise it parks the batch — a
 // non-empty backlog forces new records behind it, so order holds
 // either way — and reports false.
-func (b *backend) admit(ob *ownerBatch, bin bool) bool {
+func (b *backend) admit(ob *ownerBatch) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state.routable() && !b.draining && b.replay.len() == 0 {
 		return true
 	}
-	b.parkLocked(ob.entries(bin))
+	b.parkLocked(ob.entries())
 	return false
 }
 
@@ -616,14 +614,14 @@ func (b *backend) parkLocked(entries []replayEntry) {
 // failed forward marks the backend down and parks the batch instead of
 // dropping it. It touches only its own backend and its own send, so a
 // request's deliveries run side by side.
-func (g *Gate) deliver(sd *send, bin bool) {
+func (g *Gate) deliver(sd *send) {
 	b := sd.b
-	ir, err := g.forward(b, sd.ob.buf, bin, sd.faults)
+	ir, err := g.forward(b, sd.ob.buf, sd.faults)
 	if err != nil {
 		b.forwardErrs.Add(1)
 		b.mu.Lock()
 		b.markDownLocked(err)
-		b.parkLocked(sd.ob.entries(bin))
+		b.parkLocked(sd.ob.entries())
 		b.mu.Unlock()
 		g.logf("backend %s: forward failed, %d records parked for replay: %v", b.url, sd.ob.n, err)
 		sd.parked = true
@@ -663,14 +661,13 @@ func (lb *lentBody) Close() error {
 	return nil
 }
 
-// forward POSTs one format-homogeneous body to a backend's /v1/ingest
-// — concatenated wire frames as application/x-bglbin, text lines as
-// before — reading it straight out of the caller's bytes, which it
-// borrows until it returns. A nil error means the body was delivered;
-// a nil response with a nil error means delivered but the
-// acknowledgment was lost (partial response — the 200 status line is
-// the delivery receipt).
-func (g *Gate) forward(b *backend, body []byte, bin bool, ff forwardFaults) (*serve.IngestResponse, error) {
+// forward POSTs concatenated wire frames to a backend's /v1/ingest as
+// application/x-bglbin, reading them straight out of the caller's
+// bytes, which it borrows until it returns. A nil error means the body
+// was delivered; a nil response with a nil error means delivered but
+// the acknowledgment was lost (partial response — the 200 status line
+// is the delivery receipt).
+func (g *Gate) forward(b *backend, body []byte, ff forwardFaults) (*serve.IngestResponse, error) {
 	if ff.down != nil {
 		return nil, fmt.Errorf("forward to %s: %w", b.url, ff.down)
 	}
@@ -695,11 +692,7 @@ func (g *Gate) forward(b *backend, body []byte, bin bool, ff forwardFaults) (*se
 	req.Body, _ = lend()
 	req.ContentLength = int64(len(body))
 	req.GetBody = lend // a stale keep-alive connection retries with a fresh reader
-	ct := "application/octet-stream"
-	if bin {
-		ct = raslog.WireContentType
-	}
-	req.Header.Set("Content-Type", ct)
+	req.Header.Set("Content-Type", raslog.WireContentType)
 	resp, err := g.client.Do(req)
 	if err != nil {
 		return nil, err
@@ -739,8 +732,8 @@ func (g *Gate) ProbeNow() {
 }
 
 // probe refreshes one backend's health view from a single combined
-// /healthz request (status, degraded flag, shard count, queue depth,
-// model SHA and version — the serve layer bundles them so health and
+// /healthz request (status, degraded flag, shard count, model SHA and
+// version, ledger head — the serve layer bundles them so health and
 // version checks are one round trip).
 func (g *Gate) probe(b *backend) {
 	info, err := g.fetchHealth(b)
@@ -852,11 +845,13 @@ func (g *Gate) enforceVersions() {
 	}
 }
 
-// drainReplay delivers a recovered backend's backlog, oldest first,
-// looping until the buffer runs dry (lines may accumulate behind the
-// drain). A failed delivery pushes the batch back to the buffer's
-// front and re-marks the backend down — order is never broken.
+// drainReplay delivers a recovered backend's backlog, oldest first, as
+// one forward, looping until the buffer runs dry (records may
+// accumulate behind the drain). A failed delivery pushes the backlog
+// back to the buffer's front and re-marks the backend down — order is
+// never broken.
 func (g *Gate) drainReplay(b *backend) {
+	var body []byte
 	for {
 		b.mu.Lock()
 		if !b.state.routable() || b.draining || b.replay.len() == 0 {
@@ -867,38 +862,26 @@ func (g *Gate) drainReplay(b *backend) {
 		entries := b.replay.takeAll()
 		b.mu.Unlock()
 
-		// Forward per homogeneous run; on failure re-park only what was
-		// not yet delivered, crediting the delivered prefix.
-		var done int        // entries delivered
-		var delivered int64 // records delivered
-		var ferr error
-		var body []byte
-		for _, run := range splitRuns(entries) {
-			body = body[:0]
-			for _, e := range run {
-				body = append(body, e.line...)
-			}
-			if _, ferr = g.forward(b, body, run[0].bin, g.drawForwardFaults()); ferr != nil {
-				break
-			}
-			done += len(run)
-			delivered += countRecords(run)
+		body = body[:0]
+		for _, e := range entries {
+			body = append(body, e.line...)
 		}
+		n := countRecords(entries)
+		_, ferr := g.forward(b, body, g.drawForwardFaults())
 
 		b.mu.Lock()
 		b.draining = false
 		if ferr != nil {
 			b.markDownLocked(ferr)
-			b.replay.restore(entries[done:])
-			b.replayed.Add(delivered)
+			b.replay.restore(entries)
 			b.mu.Unlock()
 			b.forwardErrs.Add(1)
-			g.logf("backend %s: replay failed after %d records, %d entries re-parked: %v", b.url, delivered, len(entries)-done, ferr)
+			g.logf("backend %s: replay failed, %d records re-parked: %v", b.url, n, ferr)
 			return
 		}
-		b.replayed.Add(delivered)
+		b.replayed.Add(n)
 		b.mu.Unlock()
-		g.logf("backend %s: replayed %d buffered records", b.url, delivered)
+		g.logf("backend %s: replayed %d buffered records", b.url, n)
 	}
 }
 

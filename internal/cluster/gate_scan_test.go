@@ -86,7 +86,7 @@ func referenceIngestWire(g *Gate, body io.Reader, resp *IngestResponse, batches 
 			}
 			frame := raslog.AppendWireFrameHeader(nil, f.BaseSec, f.BaseRecID, len(sub.payload))
 			frame = append(frame, sub.payload...)
-			batches[i] = append(batches[i], replayEntry{line: frame, at: sub.last, n: sub.n, bin: true})
+			batches[i] = append(batches[i], replayEntry{line: frame, at: sub.last, n: sub.n})
 		}
 	}
 	return code
@@ -122,7 +122,7 @@ func checkScanMatchesReference(t testing.TB, g *Gate, body []byte) {
 		}
 		for i := range s.owners {
 			ob := &s.owners[i]
-			got := ob.entries(true)
+			got := ob.entries()
 			if len(got) != len(want[i]) {
 				t.Fatalf("round %d owner %d: %d sub-frames, reference %d", round, i, len(got), len(want[i]))
 			}
@@ -131,9 +131,9 @@ func checkScanMatchesReference(t testing.TB, g *Gate, body []byte) {
 				if !bytes.Equal(got[j].line, want[i][j].line) {
 					t.Fatalf("round %d owner %d sub-frame %d:\n got %x\nwant %x", round, i, j, got[j].line, want[i][j].line)
 				}
-				if !got[j].at.Equal(want[i][j].at) || got[j].n != want[i][j].n || !got[j].bin {
-					t.Fatalf("round %d owner %d sub-frame %d: at %v n %d bin %v, reference at %v n %d", round, i, j,
-						got[j].at, got[j].n, got[j].bin, want[i][j].at, want[i][j].n)
+				if !got[j].at.Equal(want[i][j].at) || got[j].n != want[i][j].n {
+					t.Fatalf("round %d owner %d sub-frame %d: at %v n %d, reference at %v n %d", round, i, j,
+						got[j].at, got[j].n, want[i][j].at, want[i][j].n)
 				}
 				all = append(all, got[j].line...)
 			}

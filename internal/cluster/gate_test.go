@@ -54,7 +54,7 @@ func fixture(t testing.TB) (*predictor.Meta, []raslog.Event) {
 }
 
 // encode renders events in the pipe dialect.
-func encode(t *testing.T, events []raslog.Event) []byte {
+func encode(t testing.TB, events []raslog.Event) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := raslog.NewWriter(&buf)
@@ -116,47 +116,41 @@ func (tr *hostTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // countingBackend wraps a serve.Server and captures every record
 // POSTed to its /v1/ingest as a canonical pipe line, so tests can
-// assert exactly what the gate delivered, and in what order. Binary
-// wire bodies are decoded and re-encoded to the same pipe lines —
-// capture is format-agnostic, assertions stay line-level.
+// assert exactly what the gate delivered, and in what order. The gate
+// forwards wire frames only; any other body is refused with 415, which
+// the gate sees as a failed forward.
 type countingBackend struct {
 	srv *serve.Server
 
-	mu       sync.Mutex
-	lines    []string
-	binPosts int // /v1/ingest bodies that arrived as wire frames
+	mu    sync.Mutex
+	lines []string
 }
 
 func (cb *countingBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost && r.URL.Path == "/v1/ingest" {
+		if ct := r.Header.Get("Content-Type"); ct != raslog.WireContentType {
+			http.Error(w, "gate forwarded "+ct+", not wire frames", http.StatusUnsupportedMediaType)
+			return
+		}
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		cb.mu.Lock()
-		if r.Header.Get("Content-Type") == raslog.WireContentType {
-			cb.binPosts++
-			var enc bytes.Buffer
-			d := raslog.NewWireDecoder(bytes.NewReader(body))
-			d.OnSkip = func([]byte, error) {} // corrupt records are the server's to count
-			for {
-				evs, derr := d.ReadFrame()
-				if derr != nil {
-					break // io.EOF, or corruption the server will also report
-				}
-				for i := range evs {
-					enc.Reset()
-					ew := raslog.NewWriter(&enc)
-					if ew.Write(&evs[i]) == nil && ew.Flush() == nil {
-						cb.lines = append(cb.lines, strings.TrimSuffix(enc.String(), "\n"))
-					}
-				}
+		var enc bytes.Buffer
+		d := raslog.NewWireDecoder(bytes.NewReader(body))
+		d.OnSkip = func([]byte, error) {} // corrupt records are the server's to count
+		for {
+			evs, derr := d.ReadFrame()
+			if derr != nil {
+				break // io.EOF, or corruption the server will also report
 			}
-		} else {
-			for _, line := range strings.Split(string(body), "\n") {
-				if line != "" {
-					cb.lines = append(cb.lines, line)
+			for i := range evs {
+				enc.Reset()
+				ew := raslog.NewWriter(&enc)
+				if ew.Write(&evs[i]) == nil && ew.Flush() == nil {
+					cb.lines = append(cb.lines, strings.TrimSuffix(enc.String(), "\n"))
 				}
 			}
 		}
@@ -605,11 +599,24 @@ func TestGateQuarantinesUndecodableLines(t *testing.T) {
 
 	body := append(encode(t, tail[:10]), []byte("this is not a RAS record\n")...)
 	resp := gatePost(t, tc.gate, body)
-	if resp.Routed != 11 {
-		t.Fatalf("routed %d lines, want 10 records + 1 raw quarantine forward", resp.Routed)
+	if resp.Routed != 10 || resp.Quarantined != 1 {
+		t.Fatalf("ingest = %+v, want 10 records routed and the garbage line quarantined", resp)
 	}
-	if resp.Quarantined != 1 {
-		t.Fatalf("quarantined %d, want the 1 garbage line parked at its owner backend", resp.Quarantined)
+	total := 0
+	for i := range tc.backends {
+		total += len(tc.backends[i].delivered())
+	}
+	if total != 10 {
+		t.Fatalf("backends received %d records, want 10 (garbage stops at the gate)", total)
+	}
+	rec := httptest.NewRecorder()
+	tc.gate.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/quarantine", nil))
+	var q serve.QuarantineResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &q); err != nil {
+		t.Fatal(err)
+	}
+	if q.Total != 1 || len(q.Recent) != 1 || q.Recent[0].Line != 11 || q.Recent[0].Raw != "this is not a RAS record" {
+		t.Fatalf("gate quarantine %+v, want the garbage line under the client's line number 11", q)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"bglpred/internal/raslog"
-	"bglpred/internal/serve"
 )
 
 // encodeWire renders events as binary wire frames.
@@ -124,12 +123,6 @@ func TestGateWireRoutesByRing(t *testing.T) {
 				t.Fatalf("backend %s record %d:\n got %q\nwant %q", host, j, got[j], want[host][j])
 			}
 		}
-		tc.backends[i].mu.Lock()
-		bin := tc.backends[i].binPosts
-		tc.backends[i].mu.Unlock()
-		if bin == 0 {
-			t.Fatalf("backend %s received no wire bodies; the gate re-encoded to text", host)
-		}
 	}
 }
 
@@ -217,60 +210,6 @@ func TestGateTextBinaryDifferential(t *testing.T) {
 	}
 }
 
-// TestGateQuarantinesUnencodableRecords pins the satellite fix: a line
-// that decodes leniently (stray pipe in ENTRY_DATA — tolerated on
-// read, rejected on write) but cannot be re-encoded must land in the
-// gate's own quarantine, visible on /v1/quarantine and the metrics
-// surface — not silently dropped, and not forwarded raw for a backend
-// to ingest under the wrong owner.
-func TestGateQuarantinesUnencodableRecords(t *testing.T) {
-	meta, tail := fixture(t)
-	tc := newTestCluster(t, meta, []string{"sha-v1", "sha-v1"}, nil)
-	tc.gate.ProbeNow()
-
-	bad := "999|APPFAIL|2005-06-01 10:00:00|0|R00-M0|KERNEL|FATAL|stray|pipe in entry data\n"
-	if _, err := raslog.NewReader(strings.NewReader(bad)).Read(); err != nil {
-		t.Fatalf("fixture line must decode leniently: %v", err)
-	}
-	body := append(encode(t, tail[:10]), []byte(bad)...)
-	resp := gatePost(t, tc.gate, body)
-	if resp.Routed != 10 {
-		t.Fatalf("routed %d, want exactly the 10 encodable records", resp.Routed)
-	}
-	if resp.Quarantined != 1 {
-		t.Fatalf("quarantined %d, want the 1 unencodable record", resp.Quarantined)
-	}
-	total := 0
-	for i := range tc.backends {
-		total += len(tc.backends[i].delivered())
-	}
-	if total != 10 {
-		t.Fatalf("backends received %d records, want 10 (the bad one must not reach any engine)", total)
-	}
-
-	rec := httptest.NewRecorder()
-	tc.gate.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/quarantine", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/v1/quarantine: %d", rec.Code)
-	}
-	var q serve.QuarantineResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &q); err != nil {
-		t.Fatal(err)
-	}
-	if q.Total != 1 || len(q.Recent) != 1 {
-		t.Fatalf("gate quarantine %+v, want exactly the stray-pipe record", q)
-	}
-	if !strings.Contains(q.Recent[0].Raw, "stray|pipe") {
-		t.Fatalf("quarantined raw %q lacks the offending text", q.Recent[0].Raw)
-	}
-
-	mrec := httptest.NewRecorder()
-	tc.gate.ServeHTTP(mrec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if !strings.Contains(mrec.Body.String(), "bglgate_encode_quarantined_total 1") {
-		t.Fatal("metrics lack bglgate_encode_quarantined_total 1")
-	}
-}
-
 // TestGateWireCorruptEventRoutesToUnknown pins the peek-failure path:
 // an event record whose location prefix cannot be peeked still
 // forwards (to the unknown-location owner) rather than aborting the
@@ -302,24 +241,37 @@ func TestGateWireCorruptEventRoutesToUnknown(t *testing.T) {
 	}
 }
 
-// TestSplitRunsAndRecordCounts pins the batching helpers the run-aware
-// delivery path builds on.
-func TestSplitRunsAndRecordCounts(t *testing.T) {
-	mk := func(bin bool, n int) replayEntry { return replayEntry{bin: bin, n: n} }
-	entries := []replayEntry{mk(false, 0), mk(false, 0), mk(true, 7), mk(true, 3), mk(false, 0)}
-	runs := splitRuns(entries)
-	if len(runs) != 3 || len(runs[0]) != 2 || len(runs[1]) != 2 || len(runs[2]) != 1 {
-		t.Fatalf("splitRuns shapes = %v", runs)
+// TestGateReplayCountsRecords parks a multi-frame wire body behind a
+// down backend whose replay cap is a few hundred records: the cap
+// bounds records, not sub-frames, and every record the buffer took is
+// accounted for after recovery — rerouted = replayed + dropped +
+// buffered, in records.
+func TestGateReplayCountsRecords(t *testing.T) {
+	meta, tail := fixture(t)
+	tc := newTestCluster(t, meta, []string{"sha-v1", "sha-v1"}, nil)
+	const replayCap = 300
+	tc.gate.backends[1].replay = newReplayBuffer(replayCap, 0)
+	tc.gate.ProbeNow()
+
+	var body []byte
+	for i := 0; i < 20; i++ {
+		body = append(body, encodeWire(t, tail[i*100:(i+1)*100])...)
 	}
-	if got := countRecords(entries); got != 13 {
-		t.Fatalf("countRecords = %d, want 13 (text entries count 1 each, wire entries their n)", got)
+	tc.transport.setDown("b1.cluster.test", true)
+	resp := gatePostWire(t, tc.gate, body)
+	st := gateStatus(t, tc.gate).Backends[1]
+	if resp.Buffered != st.Rerouted || st.ReplayBuffered > replayCap || st.ReplayDropped == 0 {
+		t.Fatalf("after the outage: %+v (request buffered %d); want at most %d records held, the rest dropped", st, resp.Buffered, replayCap)
 	}
-	if runs := splitRuns(nil); len(runs) != 0 {
-		t.Fatalf("splitRuns(nil) = %v", runs)
+
+	tc.transport.setDown("b1.cluster.test", false)
+	tc.gate.ProbeNow()
+	st = gateStatus(t, tc.gate).Backends[1]
+	if st.ReplayBuffered != 0 || st.Replayed == 0 || st.Rerouted != st.Replayed+st.ReplayDropped+int64(st.ReplayBuffered) {
+		t.Fatalf("after recovery: %+v; want rerouted = replayed + dropped + buffered", st)
 	}
-	homo := []replayEntry{mk(true, 2), mk(true, 2)}
-	if runs := splitRuns(homo); len(runs) != 1 || len(runs[0]) != 2 {
-		t.Fatalf("homogeneous splitRuns = %v", runs)
+	if got := int64(len(tc.backends[1].delivered())); got != st.Replayed {
+		t.Fatalf("backend 1 received %d records, the gate counts %d replayed", got, st.Replayed)
 	}
 }
 

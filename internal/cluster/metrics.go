@@ -19,14 +19,14 @@ func (g *Gate) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // without collisions. Per-backend families are labeled by the backend
 // URL (the ring member identity, stable across restarts).
 func (g *Gate) writeMetrics(m *edge.Metrics) {
-	_, quarantineDropped := g.quarantine.Counts()
+	quarantined, quarantineDropped := g.quarantine.Counts()
 	m.Counter("bglgate_ingest_requests_total", "POST /v1/ingest requests served by the gate.", g.ingestReqs.Load())
 	m.Counter("bglgate_parse_errors_total", "Ingest requests aborted by a stream-level read error.", g.parseErrs.Load())
 	m.Counter("bglgate_model_swaps_total", "Completed rolling cluster-wide model swaps.", g.swaps.Load())
 	m.Counter("bglgate_reload_failures_total", "Rolling swaps aborted before completing.", g.reloadFails.Load())
 	m.Counter("bglgate_stream_dropped_total", "Merged SSE events dropped on slow subscribers.", g.broker.Dropped())
-	m.Counter("bglgate_encode_quarantined_total", "Records that decoded leniently but failed re-encode and were parked in the gate quarantine.", g.encQuarantined.Load())
-	m.Counter("bglgate_encode_quarantine_dropped_total", "Quarantined records evicted from the gate's bounded ring before an operator read them.", quarantineDropped)
+	m.Counter("bglgate_quarantined_total", "Text ingest lines the gate could not decode or carry as wire records, parked in its quarantine.", quarantined)
+	m.Counter("bglgate_quarantine_dropped_total", "Quarantined records evicted from the gate's bounded ring before an operator read them.", quarantineDropped)
 	m.Counter("bglgate_ledger_tampered_total", "Backends flagged tampered by the audit-ledger self-consistency check (head regressed or root changed under a fixed seq).", g.tampered.Load())
 
 	bs := g.backends
@@ -55,9 +55,9 @@ func (g *Gate) writeMetrics(m *edge.Metrics) {
 		}
 		b.mu.Unlock()
 	}
-	m.CounterVec("bglgate_replay_dropped_total", "Replay-buffer lines lost to the window or hard cap, per backend.", "backend", len(bs),
+	m.CounterVec("bglgate_replay_dropped_total", "Replay-buffer records lost to the window or hard cap, per backend.", "backend", len(bs),
 		func(i int) (string, int64) { return bs[i].url, views[i].dropped })
-	m.GaugeVec("bglgate_replay_buffered", "Lines currently parked in each backend's replay buffer.", "backend", len(bs),
+	m.GaugeVec("bglgate_replay_buffered", "Records currently parked in each backend's replay buffer.", "backend", len(bs),
 		func(i int) (string, int64) { return bs[i].url, views[i].buffered })
 	m.GaugeVec("bglgate_backend_up", "Whether each backend is routable (up or degraded = 1; down, skewed or tampered = 0).", "backend", len(bs),
 		func(i int) (string, int64) { return bs[i].url, views[i].up })

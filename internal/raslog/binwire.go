@@ -69,6 +69,9 @@ const (
 	wireMaxString = 1 << 20
 	// wireMaxEventBody caps one event record's body.
 	wireMaxEventBody = 1 << 16
+	// wireMaxLocField caps each location number: the decoder refuses a
+	// larger one, so the writer does too.
+	wireMaxLocField = 1 << 31
 	// wireInternCap caps the decoder's cross-frame intern map (distinct
 	// strings kept alive for zero-alloc re-reads; beyond it, strings
 	// still decode, they just allocate).
@@ -155,18 +158,25 @@ func (w *WireWriter) intern(s string) uint64 {
 	return idx
 }
 
-// Write appends one event, opening or splitting frames as needed.
+// Write appends one event, opening or splitting frames as needed. An
+// event the wire cannot carry — one Validate refuses, a string over the
+// cap, a location the decoder would not read back — is refused without
+// touching the writer: the frame being built survives, and the next
+// Write goes on. A write error from the underlying writer is sticky.
 func (w *WireWriter) Write(e *Event) error {
 	if w.err != nil {
 		return w.err
 	}
 	if err := e.Validate(); err != nil {
-		w.err = err
 		return err
 	}
 	if len(e.Facility) > wireMaxString || len(e.EntryData) > wireMaxString || len(e.Type) > wireMaxString {
-		w.err = fmt.Errorf("raslog: wire string over %d bytes", wireMaxString)
-		return w.err
+		return fmt.Errorf("raslog: record %d: wire string over %d bytes", e.RecID, wireMaxString)
+	}
+	if l := e.Location; l.Kind < KindUnknown || l.Kind > KindServiceCard ||
+		uint(l.Rack) > wireMaxLocField || uint(l.Midplane) > wireMaxLocField ||
+		uint(l.Card) > wireMaxLocField || uint(l.Chip) > wireMaxLocField {
+		return fmt.Errorf("raslog: record %d: location %+v out of wire range", e.RecID, l)
 	}
 	if w.n > 0 && (w.nstr+w.missing(e) > wireMaxFrameStrings || len(w.payload) >= wireFlushPayload) {
 		if err := w.Flush(); err != nil {
@@ -613,7 +623,7 @@ func decodeWireLocation(body []byte) (Location, int, error) {
 	pos := 1
 	for i := 0; i < fields; i++ {
 		x, next, ok := uvarintAt(body, pos)
-		if !ok || x > 1<<31 {
+		if !ok || x > wireMaxLocField {
 			return Location{}, 0, wiref("bad location field at %d", pos)
 		}
 		v[i], pos = int(x), next

@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -270,12 +271,47 @@ func TestWireDecoderLenientSkip(t *testing.T) {
 	}
 }
 
+// TestWireWriterRejectsInvalid: the writer refuses what the wire cannot
+// carry without losing the frame it is building, and carries the pipe
+// dialect's reserved characters.
 func TestWireWriterRejectsInvalid(t *testing.T) {
-	w := NewWireWriter(io.Discard)
-	bad := mkEvent(1, t0)
-	bad.Severity = 42
-	if err := w.Write(&bad); err == nil {
-		t.Fatal("invalid event accepted")
+	var buf bytes.Buffer
+	w := NewWireWriter(&buf)
+	want := []Event{mkEvent(1, t0)}
+	if err := w.Write(&want[0]); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]func(*Event){
+		"empty type":      func(e *Event) { e.Type = "" },
+		"zero time":       func(e *Event) { e.Time = time.Time{} },
+		"bad severity":    func(e *Event) { e.Severity = 42 },
+		"long string":     func(e *Event) { e.EntryData = strings.Repeat("x", wireMaxString+1) },
+		"rack over range": func(e *Event) { e.Location.Rack = wireMaxLocField + 1 },
+		"negative card":   func(e *Event) { e.Location.Card = -1 },
+		"no such kind":    func(e *Event) { e.Location.Kind = 99 },
+	}
+	for name, mutate := range cases {
+		bad := mkEvent(2, t0)
+		mutate(&bad)
+		if err := w.Write(&bad); err == nil {
+			t.Fatalf("%s: invalid event accepted", name)
+		}
+	}
+	stray := mkEvent(3, t0)
+	stray.EntryData, stray.Facility = "stray|pipe\nand newline", "FAC|X"
+	want = append(want, stray)
+	if err := w.Write(&stray); err != nil {
+		t.Fatalf("reserved text characters refused: %v", err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewWireDecoder(&buf).ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("frame after refusals = %+v, want %+v", got, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package raslog
 
 import (
 	"fmt"
-	"strings"
 	"time"
 )
 
@@ -72,7 +71,9 @@ func (e *Event) Before(other *Event) bool {
 	return e.RecID < other.RecID
 }
 
-// Validate checks structural invariants a well-formed record satisfies.
+// Validate checks structural invariants a well-formed record satisfies,
+// whatever it is encoded in. (The pipe dialect reserves more: see
+// Writer.Write.)
 func (e *Event) Validate() error {
 	switch {
 	case e.Type == "":
@@ -81,10 +82,6 @@ func (e *Event) Validate() error {
 		return fmt.Errorf("raslog: record %d: zero timestamp", e.RecID)
 	case !e.Severity.Valid():
 		return fmt.Errorf("raslog: record %d: invalid severity %d", e.RecID, int(e.Severity))
-	case strings.ContainsAny(e.EntryData, "\n|"):
-		return fmt.Errorf("raslog: record %d: entry data contains reserved characters", e.RecID)
-	case strings.ContainsAny(e.Facility, "\n|"):
-		return fmt.Errorf("raslog: record %d: facility contains reserved characters", e.RecID)
 	}
 	return nil
 }

@@ -38,12 +38,23 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
 }
 
-// Write appends one record. The first error encountered is sticky.
+// Write appends one record. A pipe or newline in ENTRY_DATA or
+// FACILITY is refused: the dialect reserves them, though a lenient
+// Reader and the wire carry them. The first error encountered is
+// sticky.
 func (w *Writer) Write(e *Event) error {
 	if w.err != nil {
 		return w.err
 	}
-	if err := e.Validate(); err != nil {
+	err := e.Validate()
+	switch {
+	case err != nil:
+	case strings.ContainsAny(e.EntryData, "\n|"):
+		err = fmt.Errorf("raslog: record %d: entry data contains reserved characters", e.RecID)
+	case strings.ContainsAny(e.Facility, "\n|"):
+		err = fmt.Errorf("raslog: record %d: facility contains reserved characters", e.RecID)
+	}
+	if err != nil {
 		w.err = err
 		return err
 	}
@@ -170,7 +181,7 @@ func (r *Reader) SkippedLines() int64 { return r.skipped }
 
 // Raw returns the raw text of the line most recently scanned — the one
 // the last successful Read decoded. Callers that transform decoded
-// events (the gate's re-encode path) use it to preserve the original
+// events (the gate's transcoding path) use it to preserve the original
 // bytes of a record they cannot reproduce.
 func (r *Reader) Raw() string { return string(r.last) }
 

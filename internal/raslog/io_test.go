@@ -67,17 +67,25 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 }
 
 func TestWriterRejectsInvalid(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	bad := mkEvent(1, t0)
-	bad.EntryData = "has|pipe"
-	if err := w.Write(&bad); err == nil {
-		t.Fatal("Write accepted invalid event")
+	cases := map[string]func(*Event){
+		"empty type":          func(e *Event) { e.Type = "" },
+		"pipe in entry":       func(e *Event) { e.EntryData = "has|pipe" },
+		"newline in entry":    func(e *Event) { e.EntryData = "a\nb" },
+		"pipe in facility":    func(e *Event) { e.Facility = "a|b" },
+		"newline in facility": func(e *Event) { e.Facility = "a\nb" },
 	}
-	// Sticky error: subsequent valid writes must fail too.
-	good := mkEvent(2, t0)
-	if err := w.Write(&good); err == nil {
-		t.Fatal("Write after error should keep failing")
+	for name, mutate := range cases {
+		w := NewWriter(io.Discard)
+		bad := mkEvent(1, t0)
+		mutate(&bad)
+		if err := w.Write(&bad); err == nil {
+			t.Fatalf("%s: Write accepted invalid event", name)
+		}
+		// Sticky error: subsequent valid writes must fail too.
+		good := mkEvent(2, t0)
+		if err := w.Write(&good); err == nil {
+			t.Fatalf("%s: Write after error should keep failing", name)
+		}
 	}
 }
 

@@ -63,7 +63,7 @@ func (s *Server) writeMetrics(m *edge.Metrics) {
 	m.Counter("bglserved_stream_dropped_total", "SSE events dropped on slow subscribers.", s.broker.Dropped())
 	m.Counter("bglserved_quarantined_total", "Malformed ingest records parked in quarantine.", quarantined)
 	m.Counter("bglserved_quarantine_dropped_total", "Quarantined records evicted from the inspection ring on overflow.", quarantineDropped)
-	m.Counter("bglserved_shed_total", "Ingest requests shed with 429 on saturated shard queues.", s.shedTotal.Load())
+	m.Counter("bglserved_shed_total", "Ingest requests shed with 429 after waiting out the shed timeout for a busy shard.", s.shedTotal.Load())
 	m.Counter("bglserved_deadline_exceeded_total", "Ingest requests cut short by the request deadline.", s.deadlined.Load())
 	m.Counter("bglserved_shard_restarts_total", "Shard workers restarted after a panic, all shards.", s.Restarts())
 
@@ -71,7 +71,7 @@ func (s *Server) writeMetrics(m *edge.Metrics) {
 	if s.degraded() {
 		degraded = 1
 	}
-	m.Gauge("bglserved_degraded", "Whether the service is in degraded mode (recent shed or saturated queue).", degraded)
+	m.Gauge("bglserved_degraded", "Whether the service is in degraded mode (it shed load recently).", degraded)
 
 	n := len(s.shards)
 	m.CounterVec("bglserved_shard_worker_restarts_total", "Shard-worker restarts after panics, per shard.", "shard", n,
