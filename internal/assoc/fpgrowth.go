@@ -9,11 +9,23 @@ import "sort"
 type FPGrowth struct{}
 
 type fpNode struct {
-	item     Item
-	count    int
-	parent   *fpNode
-	children map[Item]*fpNode
+	item   Item
+	count  int
+	parent *fpNode
+	// children is searched linearly: fan-out is small, and a slice
+	// spares every node a map.
+	children []*fpNode
 	next     *fpNode // header-table chain of nodes with the same item
+}
+
+// child returns the child node holding it, or nil.
+func (n *fpNode) child(it Item) *fpNode {
+	for _, c := range n.children {
+		if c.item == it {
+			return c
+		}
+	}
+	return nil
 }
 
 type fpTree struct {
@@ -24,7 +36,7 @@ type fpTree struct {
 
 func newFPTree() *fpTree {
 	return &fpTree{
-		root:    &fpNode{children: make(map[Item]*fpNode)},
+		root:    &fpNode{},
 		headers: make(map[Item]*fpNode),
 		counts:  make(map[Item]int),
 	}
@@ -34,12 +46,11 @@ func newFPTree() *fpTree {
 func (t *fpTree) insert(path []Item, count int) {
 	node := t.root
 	for _, it := range path {
-		child, ok := node.children[it]
-		if !ok {
-			child = &fpNode{item: it, parent: node, children: make(map[Item]*fpNode)}
-			child.next = t.headers[it]
+		child := node.child(it)
+		if child == nil {
+			child = &fpNode{item: it, parent: node, next: t.headers[it]}
 			t.headers[it] = child
-			node.children[it] = child
+			node.children = append(node.children, child)
 		}
 		child.count += count
 		t.counts[it] += count

@@ -9,10 +9,11 @@
 package bglsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"time"
 
 	"bglpred/internal/bglsim/faults"
@@ -142,9 +143,7 @@ func Generate(p Profile) (*Result, error) {
 
 	// CMCS stores whole-second timestamps; stable-sort by that and
 	// assign record IDs in storage order.
-	sort.SliceStable(events, func(i, j int) bool {
-		return events[i].Time.Before(events[j].Time)
-	})
+	sortStable(events)
 	for i := range events {
 		events[i].RecID = int64(i + 1)
 	}
@@ -155,6 +154,44 @@ func Generate(p Profile) (*Result, error) {
 		Schedule: schedule,
 		Machine:  machine,
 	}, nil
+}
+
+// sortStable sorts records by time, ties kept in slice order. It
+// sorts small (time, index) keys, then moves each record once, cycle
+// by cycle, instead of swapping whole records throughout the sort.
+func sortStable(events []raslog.Event) {
+	type key struct {
+		t time.Time
+		i int
+	}
+	keys := make([]key, len(events))
+	for i := range events {
+		keys[i] = key{events[i].Time, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := a.t.Compare(b.t); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	// Position r takes the record at keys[r].i; a taken key is marked -1.
+	for start := range keys {
+		if keys[start].i < 0 {
+			continue
+		}
+		held := events[start]
+		r := start
+		for {
+			src := keys[r].i
+			keys[r].i = -1
+			if src == start {
+				events[r] = held
+				break
+			}
+			events[r] = events[src]
+			r = src
+		}
+	}
 }
 
 // expander turns logical events into raw duplicated records.

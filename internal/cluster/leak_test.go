@@ -40,13 +40,19 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	if resp := gatePost(t, g, encode(t, tail[:2000])); resp.Routed != 2000 {
 		t.Fatalf("ingest = %+v, want all 2000 routed", resp)
 	}
-	if loops := gateLoops(); loops < 1+len(hosts) {
-		t.Fatalf("%d gate loops while running, want at least the prober + %d stream loops", loops, len(hosts))
+	// A loop Start spawned may not be in a stack dump yet on a busy
+	// host: wait for all of them, as the check after Close waits.
+	deadline := time.Now().Add(2 * time.Second)
+	for loops := gateLoops(); loops < 1+len(hosts); loops = gateLoops() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d gate loops while running, want at least the prober + %d stream loops", loops, len(hosts))
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
+	deadline = time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines 2s after Close, %d before New", runtime.NumGoroutine(), before)

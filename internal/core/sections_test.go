@@ -1,0 +1,94 @@
+package core
+
+import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"bglpred/internal/bglsim"
+	"bglpred/internal/predictor"
+	"bglpred/internal/preprocess"
+)
+
+var updateSections = flag.Bool("update", false, "rewrite testdata/sections.golden from this run")
+
+const sectionsGolden = "testdata/sections.golden"
+
+// TestTrainSectionsMatchGolden trains all three bases over a fixed
+// bglsim log and compares each base's State section with
+// testdata/sections.golden. The rule and ecg sections are compared as
+// bytes. The statistical section is the one exception: gob writes
+// StatState's maps in map iteration order, so its bytes differ from
+// run to run, and it is compared by decoded value instead (the
+// digest of its JSON form, whose map keys are sorted).
+func TestTrainSectionsMatchGolden(t *testing.T) {
+	p := bglsim.ANLProfile()
+	p.Seed = 7
+	gen, err := bglsim.Generate(p.Scaled(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := preprocess.Run(gen.Events, preprocess.Options{}).Events
+	trained, err := New(Config{Predictors: []string{"statistical", "rule", "ecg"}}).Train(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]string)
+	var names []string
+	for _, b := range trained.Meta.Bases() {
+		data, err := b.State()
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name(), err)
+		}
+		if b.Name() == predictor.SourceStatistical {
+			var st predictor.StatState
+			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+				t.Fatal(err)
+			}
+			if data, err = json.Marshal(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sum := sha256.Sum256(data)
+		got[b.Name()] = hex.EncodeToString(sum[:])
+		names = append(names, b.Name())
+	}
+	if *updateSections {
+		var sb strings.Builder
+		for _, n := range names {
+			fmt.Fprintf(&sb, "%s %s\n", n, got[n])
+		}
+		if err := os.WriteFile(sectionsGolden, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	f, err := os.Open(sectionsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := make(map[string]string)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if name, sum, ok := strings.Cut(sc.Text(), " "); ok {
+			want[name] = sum
+		}
+	}
+	if len(want) != len(got) {
+		t.Fatalf("golden names %d sections, training produced %d", len(want), len(got))
+	}
+	for name, sum := range got {
+		if want[name] != sum {
+			t.Errorf("%s section digest %s, golden %s", name, sum, want[name])
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
 	"time"
 
 	"bglpred/internal/predictor"
@@ -118,27 +117,32 @@ func (p *Predictor) TrainSegments(segments [][]preprocess.Event) error {
 
 // buildPaths computes, for every non-fatal node, the most probable
 // qualified-edge chain into a fatal node, by iterating a
-// Bellman-Ford-style relaxation MaxDepth times over sorted node IDs
+// Bellman-Ford-style relaxation MaxDepth times over ascending node IDs
 // (deterministic: same graph, same paths, bit for bit).
 func buildPaths(g *Graph, cfg Config) map[int]Path {
 	type arc struct {
 		to   int
 		prob float64
 	}
-	adj := make(map[int][]arc)
-	ids := make([]int, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, e := range g.Edges() {
-		if isFatalID(e.From) {
-			continue // chains start and relay through non-fatal nodes
-		}
-		if e.Count < cfg.MinCount || e.Probability < cfg.MinProbability {
+	var adj [numIDs][]arc
+	ids := make([]int, 0, g.nodeCount)
+	for id, n := range g.nodes {
+		if n == 0 {
 			continue
 		}
-		adj[e.From] = append(adj[e.From], arc{to: e.To, prob: e.Probability})
+		ids = append(ids, id)
+		if isFatalID(id) {
+			continue // chains start and relay through non-fatal nodes
+		}
+		for to := range g.edges[id] {
+			count := g.edges[id][to].count
+			if count == 0 || count < cfg.MinCount {
+				continue
+			}
+			if prob := g.probability(id, to); prob >= cfg.MinProbability {
+				adj[id] = append(adj[id], arc{to: to, prob: prob})
+			}
+		}
 	}
 
 	paths := make(map[int]Path)
@@ -155,8 +159,11 @@ func buildPaths(g *Graph, cfg Config) map[int]Path {
 	}
 	// Depth d: relay through a non-fatal neighbour's best path so far
 	// (fatal nodes never hold a path entry, so chains relay only
-	// through non-fatal intermediates).
-	for depth := 2; depth <= cfg.MaxDepth; depth++ {
+	// through non-fatal intermediates). No edge probability exceeds 1,
+	// so a best chain never repeats a node, and relaxing past the node
+	// count changes nothing: that bound keeps a restored MaxDepth from
+	// spinning.
+	for depth := 2; depth <= min(cfg.MaxDepth, g.nodeCount); depth++ {
 		prev := paths
 		next := make(map[int]Path, len(prev))
 		for _, id := range ids {
@@ -295,8 +302,12 @@ func (p *Predictor) SetState(data []byte) error {
 		return fmt.Errorf("ecg: decode state: %w", err)
 	}
 	p.Config = m.Config.withDefaults()
-	p.graph = restoreGraph(p.Config.Window, m.Nodes, m.Edges)
-	p.paths = buildPaths(p.graph, p.Config)
+	g, err := restoreGraph(p.Config.Window, m.Nodes, m.Edges)
+	if err != nil {
+		return err
+	}
+	p.graph = g
+	p.paths = buildPaths(g, p.Config)
 	return nil
 }
 

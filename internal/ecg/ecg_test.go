@@ -2,6 +2,8 @@ package ecg
 
 import (
 	"bytes"
+	"encoding/gob"
+	"reflect"
 	"testing"
 	"time"
 
@@ -305,5 +307,61 @@ func TestRegistered(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("Registered() = %v, missing %q", predictor.Registered(), Source)
+	}
+}
+
+// FuzzSetState feeds arbitrary bytes to SetState, seeded with a
+// trained model's state. Whatever it accepts must serialize again, the
+// restored predictor must accept that serialization as its own, and
+// replaying a stream through it must not panic.
+func FuzzSetState(f *testing.F) {
+	p := New(Config{})
+	if err := p.Train(chainTraining(8)); err != nil {
+		f.Fatal(err)
+	}
+	data, err := p.State()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Add([]byte{})
+	test := chainTraining(2)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := New(Config{})
+		if err := p.SetState(data); err != nil {
+			return
+		}
+		again, err := p.State()
+		if err != nil {
+			t.Fatalf("restored predictor does not serialize: %v", err)
+		}
+		if err := New(Config{}).SetState(again); err != nil {
+			t.Fatalf("restored predictor's own state refused: %v", err)
+		}
+		p.Predict(test, 30*time.Minute)
+	})
+}
+
+// TestSetStateBoundsRelaxation: a restored MaxDepth far past the node
+// count neither spins nor changes a path, because a best chain never
+// repeats a node.
+func TestSetStateBoundsRelaxation(t *testing.T) {
+	p := New(Config{})
+	if err := p.Train(chainTraining(8)); err != nil {
+		t.Fatal(err)
+	}
+	deep := Model{Config: p.Config, Nodes: p.graph.Nodes(), Edges: p.graph.Edges()}
+	deep.Config.MaxDepth = 1 << 40
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(deep); err != nil {
+		t.Fatal(err)
+	}
+	restored := New(Config{})
+	if err := restored.SetState(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored.paths, p.paths) {
+		t.Fatalf("paths at MaxDepth 2^40 = %v, at %d = %v", restored.paths, p.Config.MaxDepth, p.paths)
 	}
 }

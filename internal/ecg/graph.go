@@ -14,7 +14,7 @@
 package ecg
 
 import (
-	"sort"
+	"fmt"
 	"time"
 
 	"bglpred/internal/catalog"
@@ -56,8 +56,6 @@ func (e Edge) MeanGap() time.Duration {
 	return e.GapSum / time.Duration(e.Count)
 }
 
-type edgeKey struct{ from, to int }
-
 type edgeStat struct {
 	count  int
 	gapSum time.Duration
@@ -65,22 +63,25 @@ type edgeStat struct {
 	maxGap time.Duration
 }
 
+// numIDs bounds node IDs: subcategory IDs are dense in
+// [0, catalog.NumSubcategories), so the graph is a matrix, not a map,
+// and it reads out in (From, To) order without sorting.
+const numIDs = catalog.NumSubcategories
+
 // Graph is the mined event-correlation graph. Mine with AddSegment
 // (per training segment, so no correlation window spans a
 // cross-validation seam), then read Nodes/Edges.
 type Graph struct {
-	window time.Duration
-	nodes  map[int]int
-	edges  map[edgeKey]*edgeStat
+	window    time.Duration
+	nodes     [numIDs]int // occurrence count per node ID; 0 = absent
+	edges     [numIDs][numIDs]edgeStat
+	nodeCount int
+	edgeCount int
 }
 
 // NewGraph returns an empty graph with the given correlation window.
 func NewGraph(window time.Duration) *Graph {
-	return &Graph{
-		window: window,
-		nodes:  make(map[int]int),
-		edges:  make(map[edgeKey]*edgeStat),
-	}
+	return &Graph{window: window}
 }
 
 // Window reports the correlation window the graph was mined with.
@@ -93,30 +94,30 @@ func (g *Graph) Window() time.Duration { return g.window }
 // to the edge a -> that signature. Calling AddSegment per segment
 // keeps correlation windows from spanning segment gaps.
 func (g *Graph) AddSegment(events []preprocess.Event) {
-	var seen []int
+	// seen[to] == i+1 once occurrence i has counted successor to.
+	var seen [numIDs]int
 	for i := range events {
 		from := events[i].Sub.ID
+		if g.nodes[from] == 0 {
+			g.nodeCount++
+		}
 		g.nodes[from]++
+		row := &g.edges[from]
 		horizon := events[i].Time.Add(g.window)
-		seen = seen[:0]
 		for j := i + 1; j < len(events) && !events[j].Time.After(horizon); j++ {
 			to := events[j].Sub.ID
-			if to == from || intsContain(seen, to) {
+			if to == from || seen[to] == i+1 {
 				continue
 			}
-			seen = append(seen, to)
+			seen[to] = i + 1
 			gap := events[j].Time.Sub(events[i].Time)
-			st := g.edges[edgeKey{from, to}]
-			if st == nil {
-				st = &edgeStat{minGap: gap, maxGap: gap}
-				g.edges[edgeKey{from, to}] = st
+			st := &row[to]
+			if st.count == 0 {
+				g.edgeCount++
+				st.minGap, st.maxGap = gap, gap
 			} else {
-				if gap < st.minGap {
-					st.minGap = gap
-				}
-				if gap > st.maxGap {
-					st.maxGap = gap
-				}
+				st.minGap = min(st.minGap, gap)
+				st.maxGap = max(st.maxGap, gap)
 			}
 			st.count++
 			st.gapSum += gap
@@ -124,69 +125,92 @@ func (g *Graph) AddSegment(events []preprocess.Event) {
 	}
 }
 
-func intsContain(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
 // NodeCount and EdgeCount size the graph.
-func (g *Graph) NodeCount() int { return len(g.nodes) }
-func (g *Graph) EdgeCount() int { return len(g.edges) }
+func (g *Graph) NodeCount() int { return g.nodeCount }
+func (g *Graph) EdgeCount() int { return g.edgeCount }
 
 // Nodes returns the graph's nodes sorted by ID.
 func (g *Graph) Nodes() []Node {
-	out := make([]Node, 0, len(g.nodes))
+	out := make([]Node, 0, g.nodeCount)
 	for id, n := range g.nodes {
-		out = append(out, Node{ID: id, Count: n, Fatal: isFatalID(id)})
+		if n > 0 {
+			out = append(out, Node{ID: id, Count: n, Fatal: isFatalID(id)})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // Edges returns the graph's edges sorted by (From, To), with
 // probabilities computed against the From node's occurrence count.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, len(g.edges))
-	for k, st := range g.edges {
-		out = append(out, Edge{
-			From:        k.from,
-			To:          k.to,
-			Count:       st.count,
-			Probability: float64(st.count) / float64(g.nodes[k.from]),
-			GapSum:      st.gapSum,
-			MinGap:      st.minGap,
-			MaxGap:      st.maxGap,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+	out := make([]Edge, 0, g.edgeCount)
+	for from := range g.edges {
+		for to := range g.edges[from] {
+			st := &g.edges[from][to]
+			if st.count == 0 {
+				continue
+			}
+			out = append(out, Edge{
+				From:        from,
+				To:          to,
+				Count:       st.count,
+				Probability: g.probability(from, to),
+				GapSum:      st.gapSum,
+				MinGap:      st.minGap,
+				MaxGap:      st.maxGap,
+			})
 		}
-		return out[i].To < out[j].To
-	})
+	}
 	return out
 }
 
-// restore rebuilds a graph from serialized nodes and edges (the
-// SetState half of Nodes/Edges).
-func restoreGraph(window time.Duration, nodes []Node, edges []Edge) *Graph {
+// probability is edge from -> to's count over from's occurrences.
+func (g *Graph) probability(from, to int) float64 {
+	return float64(g.edges[from][to].count) / float64(g.nodes[from])
+}
+
+// restoreGraph rebuilds a graph from serialized nodes and edges (the
+// SetState half of Nodes/Edges). It refuses what the matrix cannot
+// hold or what training never produces: an ID outside the taxonomy, a
+// duplicate node or edge, a non-positive count, an edge whose
+// endpoints are not nodes, or an edge counted more often than its
+// From node occurred (a probability above 1).
+func restoreGraph(window time.Duration, nodes []Node, edges []Edge) (*Graph, error) {
 	g := NewGraph(window)
 	for _, n := range nodes {
+		switch {
+		case n.ID < 0 || n.ID >= numIDs:
+			return nil, fmt.Errorf("ecg: node ID %d outside the taxonomy [0, %d)", n.ID, numIDs)
+		case n.Count <= 0:
+			return nil, fmt.Errorf("ecg: node %d has count %d", n.ID, n.Count)
+		case g.nodes[n.ID] != 0:
+			return nil, fmt.Errorf("ecg: duplicate node %d", n.ID)
+		}
 		g.nodes[n.ID] = n.Count
+		g.nodeCount++
 	}
 	for _, e := range edges {
-		g.edges[edgeKey{e.From, e.To}] = &edgeStat{
+		switch {
+		case e.From < 0 || e.From >= numIDs || e.To < 0 || e.To >= numIDs:
+			return nil, fmt.Errorf("ecg: edge %d->%d outside the taxonomy [0, %d)", e.From, e.To, numIDs)
+		case e.Count <= 0:
+			return nil, fmt.Errorf("ecg: edge %d->%d has count %d", e.From, e.To, e.Count)
+		case g.nodes[e.From] == 0 || g.nodes[e.To] == 0:
+			return nil, fmt.Errorf("ecg: edge %d->%d joins a node the graph does not hold", e.From, e.To)
+		case e.Count > g.nodes[e.From]:
+			return nil, fmt.Errorf("ecg: edge %d->%d counts %d of node %d's %d occurrences", e.From, e.To, e.Count, e.From, g.nodes[e.From])
+		case g.edges[e.From][e.To].count != 0:
+			return nil, fmt.Errorf("ecg: duplicate edge %d->%d", e.From, e.To)
+		}
+		g.edges[e.From][e.To] = edgeStat{
 			count:  e.Count,
 			gapSum: e.GapSum,
 			minGap: e.MinGap,
 			maxGap: e.MaxGap,
 		}
+		g.edgeCount++
 	}
-	return g
+	return g, nil
 }
 
 func isFatalID(id int) bool {

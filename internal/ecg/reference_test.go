@@ -1,0 +1,165 @@
+package ecg
+
+import (
+	"bytes"
+	"encoding/gob"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"bglpred/internal/catalog"
+	"bglpred/internal/preprocess"
+)
+
+// referenceGraph is the correlation graph as it was first written: a
+// node map and an edge map, sorted on every read. It is the oracle
+// the dense Graph must match record for record.
+type referenceGraph struct {
+	window time.Duration
+	nodes  map[int]int
+	edges  map[[2]int]*edgeStat
+}
+
+func newReferenceGraph(window time.Duration) *referenceGraph {
+	return &referenceGraph{window: window, nodes: make(map[int]int), edges: make(map[[2]int]*edgeStat)}
+}
+
+func (g *referenceGraph) AddSegment(events []preprocess.Event) {
+	var seen []int
+	for i := range events {
+		from := events[i].Sub.ID
+		g.nodes[from]++
+		horizon := events[i].Time.Add(g.window)
+		seen = seen[:0]
+		for j := i + 1; j < len(events) && !events[j].Time.After(horizon); j++ {
+			to := events[j].Sub.ID
+			if to == from || intsContain(seen, to) {
+				continue
+			}
+			seen = append(seen, to)
+			gap := events[j].Time.Sub(events[i].Time)
+			st := g.edges[[2]int{from, to}]
+			if st == nil {
+				st = &edgeStat{minGap: gap, maxGap: gap}
+				g.edges[[2]int{from, to}] = st
+			} else {
+				st.minGap = min(st.minGap, gap)
+				st.maxGap = max(st.maxGap, gap)
+			}
+			st.count++
+			st.gapSum += gap
+		}
+	}
+}
+
+func intsContain(xs []int, x int) bool {
+	for _, v := range xs {
+		if v == x {
+			return true
+		}
+	}
+	return false
+}
+
+func (g *referenceGraph) Nodes() []Node {
+	out := make([]Node, 0, len(g.nodes))
+	for id, n := range g.nodes {
+		out = append(out, Node{ID: id, Count: n, Fatal: isFatalID(id)})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+func (g *referenceGraph) Edges() []Edge {
+	out := make([]Edge, 0, len(g.edges))
+	for k, st := range g.edges {
+		out = append(out, Edge{
+			From:        k[0],
+			To:          k[1],
+			Count:       st.count,
+			Probability: float64(st.count) / float64(g.nodes[k[0]]),
+			GapSum:      st.gapSum,
+			MinGap:      st.minGap,
+			MaxGap:      st.maxGap,
+		})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].From != out[j].From {
+			return out[i].From < out[j].From
+		}
+		return out[i].To < out[j].To
+	})
+	return out
+}
+
+// fuzzSegments decodes bytes into a multi-segment unique-event
+// stream: each byte pair is a gap in minutes and a subcategory ID,
+// and a gap byte of 0xff closes the current segment.
+func fuzzSegments(data []byte) [][]preprocess.Event {
+	var segs [][]preprocess.Event
+	var cur []preprocess.Event
+	at := t0
+	for i := 0; i+1 < len(data); i += 2 {
+		if data[i] == 0xff {
+			segs = append(segs, cur)
+			cur = nil
+			continue
+		}
+		at = at.Add(time.Duration(data[i]%32) * time.Minute)
+		sub, _ := catalog.ByID(int(data[i+1]) % catalog.NumSubcategories)
+		cur = append(cur, ue(at, sub.Name))
+	}
+	return append(segs, cur)
+}
+
+// FuzzGraphMatchesReference mines arbitrary multi-segment streams into
+// both graphs: the dense Graph's nodes, edges and the predictor's
+// State bytes must equal what the map-and-sort reference produces.
+func FuzzGraphMatchesReference(f *testing.F) {
+	f.Add(byte(15), []byte{})
+	f.Add(byte(15), []byte{1, 3, 2, 7, 0, 3, 9, 40, 0xff, 0, 0, 3, 7, 1, 3})
+	chain := chainTraining(4)
+	var seed []byte
+	for i, e := range chain {
+		gap := byte(0)
+		if i > 0 {
+			gap = byte(e.Time.Sub(chain[i-1].Time) / time.Minute % 32)
+		}
+		seed = append(seed, gap, byte(e.Sub.ID))
+	}
+	f.Add(byte(15), seed)
+	f.Fuzz(func(t *testing.T, window byte, data []byte) {
+		cfg := Config{Window: time.Duration(window%64+1) * time.Minute}
+		segs := fuzzSegments(data)
+		ref := newReferenceGraph(cfg.Window)
+		for _, seg := range segs {
+			ref.AddSegment(seg)
+		}
+		p := New(cfg)
+		if err := p.TrainSegments(segs); err != nil {
+			t.Fatal(err)
+		}
+		g := p.Graph()
+		if g.NodeCount() != len(ref.nodes) || g.EdgeCount() != len(ref.edges) {
+			t.Fatalf("graph sizes %d/%d, reference %d/%d", g.NodeCount(), g.EdgeCount(), len(ref.nodes), len(ref.edges))
+		}
+		if !reflect.DeepEqual(g.Nodes(), ref.Nodes()) {
+			t.Fatalf("Nodes() = %v, reference %v", g.Nodes(), ref.Nodes())
+		}
+		if !reflect.DeepEqual(g.Edges(), ref.Edges()) {
+			t.Fatalf("Edges() = %v, reference %v", g.Edges(), ref.Edges())
+		}
+		var want bytes.Buffer
+		if err := gob.NewEncoder(&want).Encode(Model{Config: p.Config, Nodes: ref.Nodes(), Edges: ref.Edges()}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatal("State bytes differ from the reference graph's")
+		}
+	})
+}

@@ -18,7 +18,7 @@ import (
 //
 // Wrap the real filesystem with NewFs(inj, ledger.OS) and hand the
 // result to the FS-taking entry points (ledger.Config.FS,
-// lifecycle.CheckpointerConfig.FS, model.Artifact.SaveFS, ...).
+// lifecycle.CheckpointerConfig.FS, lifecycle.RetrainerConfig.FS, ...).
 type Fs struct {
 	inj  *Injector
 	base ledger.FS

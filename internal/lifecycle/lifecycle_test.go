@@ -538,3 +538,36 @@ func TestRetrainerRetrainNow(t *testing.T) {
 	}
 
 }
+
+// TestRetrainArtifactCopiesAreIdentical: one retrain encodes its
+// artifact once, so the active artifact and the versioned copy are the
+// same bytes, and their hash is the SHA the server publishes.
+func TestRetrainArtifactCopiesAreIdentical(t *testing.T) {
+	meta, _, tail := fixture(t)
+	dir := t.TempDir()
+	rec := NewRecorder(0, 0)
+	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, Observer: rec.Observe})
+	defer s.Close()
+	post(t, s, encode(t, tail))
+	rt := NewRetrainer(s, rec, RetrainerConfig{MinEvents: 10, Dir: dir, Logf: t.Logf})
+	rt.cfg.Pipeline.Rule.RuleGenWindow = 15 * time.Minute
+	rt.cfg.Pipeline.Predictors = []string{"statistical", "rule", "ecg"}
+	info, err := rt.RetrainNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	active, err := os.ReadFile(ModelPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	versioned, err := os.ReadFile(VersionedModelPath(dir, info.Version))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(active, versioned) {
+		t.Fatalf("active artifact (%d bytes) and versioned copy (%d bytes) differ", len(active), len(versioned))
+	}
+	if _, got, err := model.Decode(active); err != nil || got.SHA256 != info.SHA256 {
+		t.Fatalf("active artifact hashes to %s (err %v), the server serves %s", got.SHA256, err, info.SHA256)
+	}
+}

@@ -152,14 +152,19 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 	// Persist before swapping so the SHA in the published ModelInfo
 	// names bytes that actually exist on disk; a crash between save
 	// and swap leaves a newer artifact with older state, which
-	// RestoreMatching pairs back up at restore time.
+	// RestoreMatching pairs back up at restore time. The artifact is
+	// encoded once: the active and the versioned copy are the same
+	// bytes.
 	var sha string
+	var framed []byte
 	if r.cfg.Dir != "" {
 		var info model.Info
+		framed, info, err = model.MarshalEnvelope(model.ArtifactMagic, model.ArtifactVersion, artifact)
+		if err != nil {
+			return serve.ModelInfo{}, fmt.Errorf("lifecycle: encode retrained model: %w", err)
+		}
 		retries, err := retryWithBackoff(ctx, r.cfg.Retry, func() error {
-			var saveErr error
-			info, saveErr = artifact.SaveFS(r.cfg.FS, ModelPath(r.cfg.Dir))
-			return saveErr
+			return ledger.WriteFileAtomic(r.cfg.FS, ModelPath(r.cfg.Dir), framed, true)
 		})
 		r.persistRetries.Add(int64(retries))
 		if err != nil {
@@ -181,8 +186,7 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 	// rollback convenience.
 	if r.cfg.Dir != "" {
 		retries, err := retryWithBackoff(ctx, r.cfg.Retry, func() error {
-			_, saveErr := artifact.SaveFS(r.cfg.FS, VersionedModelPath(r.cfg.Dir, newInfo.Version))
-			return saveErr
+			return ledger.WriteFileAtomic(r.cfg.FS, VersionedModelPath(r.cfg.Dir, newInfo.Version), framed, true)
 		})
 		r.persistRetries.Add(int64(retries))
 		if err != nil {

@@ -159,13 +159,7 @@ func (a *Artifact) convertV1() error {
 // atomically. The returned Info carries the payload's SHA-256 — the
 // artifact's identity.
 func (a *Artifact) Save(path string) (Info, error) {
-	return a.SaveFS(ledger.OS, path)
-}
-
-// SaveFS is Save over an explicit filesystem (the fault-injection
-// seam).
-func (a *Artifact) SaveFS(fsys ledger.FS, path string) (Info, error) {
-	return SaveEnvelopeFS(fsys, path, ArtifactMagic, ArtifactVersion, a)
+	return SaveEnvelopeFS(ledger.OS, path, ArtifactMagic, ArtifactVersion, a)
 }
 
 // Load reads and verifies a model artifact. It accepts any format

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,7 +13,7 @@ import (
 	"bglpred/internal/assoc"
 	"bglpred/internal/bglsim"
 	"bglpred/internal/catalog"
-	_ "bglpred/internal/ecg" // register the "ecg" base for the three-base round-trip
+	"bglpred/internal/ecg"
 	"bglpred/internal/predictor"
 	"bglpred/internal/preprocess"
 	"bglpred/internal/stats"
@@ -371,6 +373,47 @@ func TestMetaRejectsCorruptSections(t *testing.T) {
 		func(a *Artifact) { a.Sections[1].Data = []byte{0xff, 0x00} }, "rule")
 	check("empty section payload",
 		func(a *Artifact) { a.Sections[1].Data = nil }, "")
+
+	// The correlation graph is a matrix over the taxonomy: SetState
+	// refuses what it cannot hold, or what training never produces.
+	nodes := []ecg.Node{{ID: 3, Count: 4}, {ID: 7, Count: 2}}
+	edges := []ecg.Edge{{From: 3, To: 7, Count: 2}}
+	withGraph := func(nodes []ecg.Node, edges []ecg.Edge) func(*Artifact) {
+		return func(a *Artifact) { a.Sections = append(a.Sections, ecgSection(t, nodes, edges)) }
+	}
+	valid := fresh()
+	withGraph(nodes, edges)(valid)
+	if _, err := valid.Meta(); err != nil {
+		t.Fatalf("well-formed ecg section refused: %v", err)
+	}
+	node := func(id, count int) []ecg.Node {
+		return append([]ecg.Node{nodes[0], nodes[1]}, ecg.Node{ID: id, Count: count})
+	}
+	edge := func(from, to, count int) []ecg.Edge {
+		return append([]ecg.Edge{edges[0]}, ecg.Edge{From: from, To: to, Count: count})
+	}
+	check("ecg node ID past the taxonomy",
+		withGraph(node(catalog.NumSubcategories, 1), edges), "outside the taxonomy")
+	check("ecg negative node ID", withGraph(node(-1, 1), edges), "outside the taxonomy")
+	check("ecg duplicate node", withGraph(node(7, 1), edges), "duplicate node 7")
+	check("ecg zero node count", withGraph(node(9, 0), edges), "count 0")
+	check("ecg edge ID past the taxonomy",
+		withGraph(nodes, edge(3, catalog.NumSubcategories+5, 1)), "outside the taxonomy")
+	check("ecg negative edge ID", withGraph(nodes, edge(-2, 7, 1)), "outside the taxonomy")
+	check("ecg duplicate edge", withGraph(nodes, edge(3, 7, 1)), "duplicate edge 3->7")
+	check("ecg zero edge count", withGraph(nodes, edge(7, 3, 0)), "count 0")
+	check("ecg edge off the graph", withGraph(nodes, edge(7, 9, 1)), "does not hold")
+	check("ecg edge probability above 1", withGraph(nodes, edge(7, 3, 3)), "of node 7's 2 occurrences")
+}
+
+// ecgSection builds an ecg artifact section over the given graph.
+func ecgSection(t testing.TB, nodes []ecg.Node, edges []ecg.Edge) Section {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ecg.Model{Nodes: nodes, Edges: edges}); err != nil {
+		t.Fatal(err)
+	}
+	return Section{Name: ecg.Source, Data: buf.Bytes()}
 }
 
 // TestFromMetaUntrained rejects half-built predictors.

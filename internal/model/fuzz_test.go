@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"bglpred/internal/ecg"
 )
 
 // FuzzDecode feeds arbitrary bytes through the artifact decoder. The
@@ -27,6 +29,18 @@ func FuzzDecode(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[headerLen] ^= 0xff
 	f.Add(flipped)
+	// A three-section artifact, so mutations reach ecg's SetState.
+	withGraph := goldenArtifact()
+	if err := withGraph.convertV1(); err != nil {
+		f.Fatal(err)
+	}
+	withGraph.Sections = append(withGraph.Sections, ecgSection(f,
+		[]ecg.Node{{ID: 3, Count: 4}, {ID: 7, Count: 2}}, []ecg.Edge{{From: 3, To: 7, Count: 2}}))
+	graphSeed, _, err := MarshalEnvelope(ArtifactMagic, ArtifactVersion, withGraph)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(graphSeed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, info, err := Decode(data)
@@ -46,6 +60,9 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-saved artifact failed verification: %v", err)
 		}
 		_ = info
+		// Rebuilding the predictors from the sections may fail, but
+		// must not panic: every base's SetState is under fuzz too.
+		_, _ = a.Meta()
 	})
 }
 

@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"bglpred/internal/preprocess"
@@ -138,14 +139,29 @@ func (m *Meta) Train(events []preprocess.Event) error {
 
 // TrainSegments implements SegmentedTrainer by forwarding the
 // segments to every base method. A meta with no bases has nothing to
-// learn and fails.
+// learn and fails. The bases train side by side, each on a goroutine
+// of its own except the last, which trains on the caller's: they only
+// read the shared segments. When several fail, the error is the first
+// in arbitration order, the one a base-by-base loop would return.
 func (m *Meta) TrainSegments(segments [][]preprocess.Event) error {
 	bases := m.Bases()
 	if len(bases) == 0 {
 		return fmt.Errorf("predictor: meta-learner has no base predictors")
 	}
-	for _, b := range bases {
-		if err := b.TrainSegments(segments); err != nil {
+	errs := make([]error, len(bases))
+	last := len(bases) - 1
+	var wg sync.WaitGroup
+	for i, b := range bases[:last] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = b.TrainSegments(segments)
+		}()
+	}
+	errs[last] = bases[last].TrainSegments(segments)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}

@@ -69,7 +69,8 @@ type Predictor interface {
 type SegmentedTrainer interface {
 	// TrainSegments fits the predictor on the segments, which must be
 	// in time order. TrainSegments(s) with a single segment is
-	// equivalent to Train(s[0]).
+	// equivalent to Train(s[0]). It must only read the segments: a
+	// meta-learner trains its bases side by side over the same ones.
 	TrainSegments(segments [][]preprocess.Event) error
 }
 
