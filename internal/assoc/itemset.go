@@ -10,6 +10,7 @@
 package assoc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -76,15 +77,21 @@ func (s Itemset) Equal(other Itemset) bool {
 	return true
 }
 
-// Key returns a compact map key uniquely identifying the itemset.
+// Key returns a compact map key uniquely identifying the itemset. An
+// item below 0xffff takes two little-endian bytes (every catalog
+// subcategory ID does); any other item takes the escape 0xff 0xff and
+// then eight bytes, so the code is prefix-free and two itemsets share a
+// key only when they hold the same items.
 func (s Itemset) Key() string {
 	var b strings.Builder
-	b.Grow(len(s) * 2)
+	b.Grow(2 * len(s))
 	for _, it := range s {
-		// Two-byte little-endian encoding supports item IDs up to 65535,
-		// far beyond the 101 subcategories.
-		b.WriteByte(byte(it))
-		b.WriteByte(byte(it >> 8))
+		if uint(it) < 0xffff {
+			b.WriteByte(byte(it))
+			b.WriteByte(byte(it >> 8))
+		} else {
+			b.Write(binary.LittleEndian.AppendUint64([]byte{0xff, 0xff}, uint64(it)))
+		}
 	}
 	return b.String()
 }
@@ -100,6 +107,54 @@ func (s Itemset) String() string {
 
 // Clone returns an independent copy.
 func (s Itemset) Clone() Itemset { return append(Itemset(nil), s...) }
+
+// denseItems bounds the items an itemTable holds in its array; the
+// catalog's subcategory IDs all fall below it.
+const denseItems = 256
+
+// itemTable maps items to int32 values, zero for an item never set: an
+// array for items in [0, denseItems), a map for any other.
+type itemTable struct {
+	dense  [denseItems]int32
+	sparse map[Item]int32
+}
+
+func (t *itemTable) get(it Item) int32 {
+	if uint(it) < denseItems {
+		return t.dense[it]
+	}
+	return t.sparse[it]
+}
+
+func (t *itemTable) set(it Item, v int32) {
+	if uint(it) < denseItems {
+		t.dense[it] = v
+		return
+	}
+	if t.sparse == nil {
+		t.sparse = make(map[Item]int32)
+	}
+	t.sparse[it] = v
+}
+
+// each calls fn for every item with a non-zero value.
+func (t *itemTable) each(fn func(Item, int32)) {
+	for it, v := range t.dense {
+		if v != 0 {
+			fn(it, v)
+		}
+	}
+	for it, v := range t.sparse {
+		if v != 0 {
+			fn(it, v)
+		}
+	}
+}
+
+func (t *itemTable) clear() {
+	t.dense = [denseItems]int32{}
+	clear(t.sparse)
+}
 
 // FrequentItemset pairs an itemset with its transaction count.
 type FrequentItemset struct {

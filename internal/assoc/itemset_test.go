@@ -144,3 +144,21 @@ func TestSortFrequentDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestItemsetKeyLargeItems: items at and past 16 bits, which a
+// two-byte key aliased onto small ones ({65536} onto {0}), keep keys of
+// their own.
+func TestItemsetKeyLargeItems(t *testing.T) {
+	sets := []Itemset{
+		NewItemset(0), NewItemset(1 << 16), NewItemset(0, 1), NewItemset(1, 1<<16),
+		NewItemset(0xfffe), NewItemset(0xffff), NewItemset(0, 0xffff), NewItemset(1<<40, 2),
+		NewItemset(0xffff, 0xffff+1), NewItemset(255, 255<<8+255),
+	}
+	seen := map[string]Itemset{}
+	for _, s := range sets {
+		if prev, dup := seen[s.Key()]; dup {
+			t.Errorf("key collision: %v and %v", prev, s)
+		}
+		seen[s.Key()] = s
+	}
+}

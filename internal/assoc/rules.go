@@ -1,9 +1,11 @@
 package assoc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -140,6 +142,7 @@ func MineRules(tx []Transaction, isHead func(Item) bool, cfg Config) []Rule {
 	// Bodies have up to MaxBodyLen items plus one head.
 	frequent := cfg.Miner.Mine(tx, minCount, cfg.MaxBodyLen+1)
 
+	cover := newTxBits(tx, frequent)
 	counts := make(map[string]int, len(frequent))
 	for _, fi := range frequent {
 		counts[fi.Items.Key()] = fi.Count
@@ -192,7 +195,7 @@ func MineRules(tx []Transaction, isHead func(Item) bool, cfg Config) []Rule {
 		if !ok || bodyCount == 0 {
 			// Anti-monotonicity guarantees the body is frequent whenever
 			// body+head is; missing means maxLen clipped it, so recount.
-			bodyCount = countContaining(tx, body)
+			bodyCount, _ = cover.count(body, nil)
 		}
 		conf := float64(fi.Count) / float64(bodyCount)
 		if conf < cfg.MinConfidence {
@@ -216,8 +219,8 @@ func MineRules(tx []Transaction, isHead func(Item) bool, cfg Config) []Rule {
 		heads[key][headItem] = true
 	}
 
-	// Step 3 continued: compute exact combined counts with one pass per
-	// rule body over the transactions.
+	// Step 3 continued: compute exact combined counts from the
+	// transaction bitsets of each body's and head set's items.
 	rules := make([]Rule, 0, len(heads))
 	for key, headSet := range heads {
 		body := bodies[key]
@@ -225,20 +228,8 @@ func MineRules(tx []Transaction, isHead func(Item) bool, cfg Config) []Rule {
 		for h := range headSet {
 			hs = append(hs, h)
 		}
-		sort.Ints(hs)
-		bodyCount, jointCount := 0, 0
-		for _, t := range tx {
-			if !t.ContainsAll(body) {
-				continue
-			}
-			bodyCount++
-			for _, h := range hs {
-				if t.Contains(h) {
-					jointCount++
-					break
-				}
-			}
-		}
+		slices.Sort(hs)
+		bodyCount, jointCount := cover.count(body, hs)
 		if bodyCount == 0 {
 			continue
 		}
@@ -257,30 +248,78 @@ func MineRules(tx []Transaction, isHead func(Item) bool, cfg Config) []Rule {
 	}
 
 	// Step 4: sort by descending confidence; deterministic tie-breaks.
-	sort.Slice(rules, func(i, j int) bool {
-		a, b := &rules[i], &rules[j]
-		if a.Confidence != b.Confidence {
-			return a.Confidence > b.Confidence
-		}
-		if a.Support != b.Support {
-			return a.Support > b.Support
-		}
-		if len(a.Body) != len(b.Body) {
-			return len(a.Body) < len(b.Body)
-		}
-		return a.Body.Key() < b.Body.Key()
+	slices.SortFunc(rules, func(a, b Rule) int {
+		return cmp.Or(
+			cmp.Compare(b.Confidence, a.Confidence),
+			cmp.Compare(b.Support, a.Support),
+			cmp.Compare(len(a.Body), len(b.Body)),
+			slices.Compare(a.Body, b.Body),
+		)
 	})
 	return rules
 }
 
-func countContaining(tx []Transaction, set Itemset) int {
-	n := 0
-	for _, t := range tx {
-		if t.ContainsAll(set) {
-			n++
+// txBits holds, for each item of the frequent itemsets, the bitset of
+// the transactions containing it. Counting a body is then an AND of
+// its items' bitsets and a population count, a word per 64
+// transactions, instead of a merge of two sorted lists per transaction.
+type txBits struct {
+	bit       itemTable // item -> index of its bitset + 1
+	words     int       // words per bitset
+	sets      []uint64  // item k's bitset is sets[k*words : (k+1)*words]
+	body, hit []uint64  // scratch for count
+}
+
+func newTxBits(tx []Transaction, frequent []FrequentItemset) *txBits {
+	b := &txBits{words: (len(tx) + 63) / 64}
+	n := int32(0)
+	for _, fi := range frequent {
+		for _, it := range fi.Items {
+			if b.bit.get(it) == 0 {
+				n++
+				b.bit.set(it, n)
+			}
 		}
 	}
-	return n
+	b.sets = make([]uint64, int(n)*b.words)
+	for i, t := range tx {
+		for _, it := range t {
+			if k := int(b.bit.get(it)); k > 0 {
+				b.sets[(k-1)*b.words+i/64] |= 1 << (i % 64)
+			}
+		}
+	}
+	b.body = make([]uint64, b.words)
+	b.hit = make([]uint64, b.words)
+	return b
+}
+
+// set is item it's bitset; it must be an item of the frequent itemsets.
+func (b *txBits) set(it Item) []uint64 {
+	k := int(b.bit.get(it)) - 1
+	return b.sets[k*b.words : (k+1)*b.words]
+}
+
+// count reports how many transactions contain body, and how many of
+// those also contain at least one of heads.
+func (b *txBits) count(body, heads Itemset) (bodyCount, jointCount int) {
+	copy(b.body, b.set(body[0]))
+	for _, it := range body[1:] {
+		for w, x := range b.set(it) {
+			b.body[w] &= x
+		}
+	}
+	clear(b.hit)
+	for _, it := range heads {
+		for w, x := range b.set(it) {
+			b.hit[w] |= x
+		}
+	}
+	for w, x := range b.body {
+		bodyCount += bits.OnesCount64(x)
+		jointCount += bits.OnesCount64(x & b.hit[w])
+	}
+	return bodyCount, jointCount
 }
 
 // RuleSet is an ordered rule collection supporting best-match lookup;

@@ -266,3 +266,43 @@ func BenchmarkMineRules(b *testing.B) {
 		MineRules(tx, testIsHead, Config{})
 	}
 }
+
+// TestMineRulesLargeItemIDs mines two bodies whose items differ only
+// above 16 bits, 0 and 65536, each preceding head 1 in ten
+// transactions. Keys that dropped the high bits merged their counts and
+// head sets and lost the second rule; both rules must come out, and
+// exactly as they do with 65536 renamed to 2.
+func TestMineRulesLargeItemIDs(t *testing.T) {
+	build := func(big Item) []Transaction {
+		var tx []Transaction
+		for range 10 {
+			tx = append(tx, NewItemset(0, 1), NewItemset(big, 1))
+		}
+		tx = append(tx, NewItemset(big), NewItemset(big))
+		for range 78 {
+			tx = append(tx, NewItemset(7))
+		}
+		return tx
+	}
+	isHead := func(it Item) bool { return it == 1 }
+	small := MineRules(build(2), isHead, Config{})
+	large := MineRules(build(1<<16), isHead, Config{})
+	if len(small) != 2 {
+		t.Fatalf("renamed control mined %d rules (%v), want 2", len(small), small)
+	}
+	if len(large) != len(small) {
+		t.Fatalf("mined %d rules (%v), want %d like the renamed control (%v)", len(large), large, len(small), small)
+	}
+	for i := range small {
+		want := small[i]
+		if want.Body[0] == 2 {
+			want.Body = Itemset{1 << 16}
+		}
+		got := large[i]
+		if !got.Body.Equal(want.Body) || !got.Heads.Equal(want.Heads) ||
+			got.BodyCount != want.BodyCount || got.JointCount != want.JointCount {
+			t.Errorf("rule %d = %v (%d/%d), want %v (%d/%d)", i, &got, got.BodyCount, got.JointCount,
+				&want, want.BodyCount, want.JointCount)
+		}
+	}
+}

@@ -93,24 +93,38 @@ func (g *Graph) Window() time.Duration { return g.window }
 // window after a contributes one count (and its first-occurrence gap)
 // to the edge a -> that signature. Calling AddSegment per segment
 // keeps correlation windows from spanning segment gaps.
+//
+// Each event's time is read once, into an instant; the scan compares
+// and subtracts integers, with the results time.Time would give.
 func (g *Graph) AddSegment(events []preprocess.Event) {
+	type point struct {
+		instant
+		id int32
+	}
+	pts := make([]point, len(events))
+	for i := range events {
+		pts[i] = point{instantOf(events[i].Time), int32(events[i].Sub.ID)}
+	}
 	// seen[to] == i+1 once occurrence i has counted successor to.
 	var seen [numIDs]int
-	for i := range events {
-		from := events[i].Sub.ID
+	for i, a := range pts {
+		from := a.id
 		if g.nodes[from] == 0 {
 			g.nodeCount++
 		}
 		g.nodes[from]++
 		row := &g.edges[from]
-		horizon := events[i].Time.Add(g.window)
-		for j := i + 1; j < len(events) && !events[j].Time.After(horizon); j++ {
-			to := events[j].Sub.ID
+		horizon := instantOf(events[i].Time.Add(g.window))
+		for j := i + 1; j < len(pts) && !pts[j].after(horizon); j++ {
+			to := pts[j].id
 			if to == from || seen[to] == i+1 {
 				continue
 			}
 			seen[to] = i + 1
-			gap := events[j].Time.Sub(events[i].Time)
+			gap, ok := pts[j].sub(a.instant)
+			if !ok {
+				gap = events[j].Time.Sub(events[i].Time)
+			}
 			st := &row[to]
 			if st.count == 0 {
 				g.edgeCount++

@@ -3,6 +3,7 @@ package ecg
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -94,19 +95,22 @@ func (g *referenceGraph) Edges() []Edge {
 }
 
 // fuzzSegments decodes bytes into a multi-segment unique-event
-// stream: each byte pair is a gap in minutes and a subcategory ID,
-// and a gap byte of 0xff closes the current segment.
-func fuzzSegments(data []byte) [][]preprocess.Event {
+// stream starting at start: each byte pair is a gap and a subcategory
+// ID, and a gap byte of 0xff closes the current segment. A gap byte's
+// low five bits are minutes and its high three nanoseconds, so times
+// meet a correlation window's edge both to the second and a
+// nanosecond either side of it.
+func fuzzSegments(start time.Time, data []byte) [][]preprocess.Event {
 	var segs [][]preprocess.Event
 	var cur []preprocess.Event
-	at := t0
+	at := start
 	for i := 0; i+1 < len(data); i += 2 {
 		if data[i] == 0xff {
 			segs = append(segs, cur)
 			cur = nil
 			continue
 		}
-		at = at.Add(time.Duration(data[i]%32) * time.Minute)
+		at = at.Add(time.Duration(data[i]%32)*time.Minute + time.Duration(data[i]>>5))
 		sub, _ := catalog.ByID(int(data[i+1]) % catalog.NumSubcategories)
 		cur = append(cur, ue(at, sub.Name))
 	}
@@ -115,10 +119,14 @@ func fuzzSegments(data []byte) [][]preprocess.Event {
 
 // FuzzGraphMatchesReference mines arbitrary multi-segment streams into
 // both graphs: the dense Graph's nodes, edges and the predictor's
-// State bytes must equal what the map-and-sort reference produces.
+// State bytes must equal what the map-and-sort reference produces. The
+// stream starts at Unix second sec, nanosecond nsec; seeds put it at
+// the zero Time, before 1678 and after 2262 (where a nanosecond stamp
+// saturates), and at the ends of the seconds a Time can hold.
 func FuzzGraphMatchesReference(f *testing.F) {
-	f.Add(byte(15), []byte{})
-	f.Add(byte(15), []byte{1, 3, 2, 7, 0, 3, 9, 40, 0xff, 0, 0, 3, 7, 1, 3})
+	start := t0.Unix()
+	f.Add(byte(15), start, uint32(0), []byte{})
+	f.Add(byte(15), start, uint32(0), []byte{1, 3, 2, 7, 0, 3, 9, 40, 0xff, 0, 0, 3, 7, 1, 3})
 	chain := chainTraining(4)
 	var seed []byte
 	for i, e := range chain {
@@ -128,10 +136,23 @@ func FuzzGraphMatchesReference(f *testing.F) {
 		}
 		seed = append(seed, gap, byte(e.Sub.ID))
 	}
-	f.Add(byte(15), seed)
-	f.Fuzz(func(t *testing.T, window byte, data []byte) {
+	f.Add(byte(15), start, uint32(0), seed)
+	edge := []byte{0, 3, 15, 7, 0x20, 9, 0xef, 3, 0x2f, 7, 0xff, 1, 3, 0x40, 7}
+	for _, sec := range []int64{
+		time.Time{}.Unix(), // the zero Time
+		time.Date(1500, 6, 1, 0, 0, 0, 0, time.UTC).Unix(),
+		time.Date(1677, 9, 21, 0, 12, 0, 0, time.UTC).Unix(),  // just before int64 nanoseconds begin
+		time.Date(2262, 4, 11, 23, 40, 0, 0, time.UTC).Unix(), // just before they end
+		time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC).Unix(),
+		math.MaxInt64 + time.Time{}.Unix() - 600, // internal seconds about to saturate
+		math.MaxInt64 - 60,                       // Unix seconds whose internal form wraps
+	} {
+		f.Add(byte(15), sec, uint32(999_999_999), edge)
+		f.Add(byte(63), sec, uint32(0), seed)
+	}
+	f.Fuzz(func(t *testing.T, window byte, sec int64, nsec uint32, data []byte) {
 		cfg := Config{Window: time.Duration(window%64+1) * time.Minute}
-		segs := fuzzSegments(data)
+		segs := fuzzSegments(time.Unix(sec, int64(nsec%1e9)).UTC(), data)
 		ref := newReferenceGraph(cfg.Window)
 		for _, seg := range segs {
 			ref.AddSegment(seg)

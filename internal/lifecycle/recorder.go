@@ -173,19 +173,26 @@ func (r *Recorder) pruneLocked() {
 // Events returns the window's unique events, time-ordered, as an
 // independent copy ready to train on.
 func (r *Recorder) Events() []preprocess.Event {
-	events, _, _ := r.training()
+	events, _, _ := r.training(nil)
 	return events
 }
 
-// training is Events together with the raw-record count the events
-// stand for and the newest record time observed, all from one moment.
-func (r *Recorder) training() (events []preprocess.Event, records int, newest time.Time) {
+// training appends the window to dst[:0] and returns it, time-ordered,
+// together with the raw-record count the events stand for and the
+// newest record time observed, all from one moment. A retrainer passes
+// the buffer it keeps between retrains; the result shares nothing with
+// the recorder. The buffer's slots past the window are zeroed, so
+// events an earlier, longer window held do not stay reachable.
+func (r *Recorder) training(dst []preprocess.Event) (events []preprocess.Event, records int, newest time.Time) {
 	r.mu.Lock()
-	events, records, newest = slices.Clone(r.events), r.records, r.newest
+	events, records, newest = append(dst[:0], r.events...), r.records, r.newest
 	r.mu.Unlock()
-	byTime := func(a, b preprocess.Event) int { return a.Time.Compare(b.Time) }
-	if !slices.IsSortedFunc(events, byTime) {
-		slices.SortStableFunc(events, byTime)
+	clear(events[len(events):cap(events)])
+	for i := 1; i < len(events); i++ {
+		if events[i].Time.Before(events[i-1].Time) {
+			slices.SortStableFunc(events, func(a, b preprocess.Event) int { return a.Time.Compare(b.Time) })
+			break
+		}
 	}
 	return events, records, newest
 }

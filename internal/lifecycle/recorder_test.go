@@ -1,6 +1,9 @@
 package lifecycle
 
 import (
+	"bytes"
+	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"slices"
@@ -513,5 +516,128 @@ func TestRecorderObserveDuplicateAllocatesNothing(t *testing.T) {
 	}
 	if r.Unique() != 1 || r.Len() != int(r.Seen()) {
 		t.Fatalf("duplicates opened events or went uncounted: Unique() = %d, Len() = %d, Seen() = %d", r.Unique(), r.Len(), r.Seen())
+	}
+}
+
+// baseStates is each base's State section. The statistical section is
+// re-encoded as JSON, whose map keys are sorted: gob writes its maps in
+// iteration order, so its bytes differ from one State call to the next.
+func baseStates(t *testing.T, m *predictor.Meta) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	for _, b := range m.Bases() {
+		data, err := b.State()
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name(), err)
+		}
+		if b.Name() == predictor.SourceStatistical {
+			var st predictor.StatState
+			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+				t.Fatal(err)
+			}
+			if data, err = json.Marshal(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out[b.Name()] = data
+	}
+	return out
+}
+
+// TestRetrainBufferDoesNotAlias: a retrain copies the recorder's window
+// into a buffer the retrainer keeps and the next retrain overwrites, so
+// a trained model must hold nothing of it, and Events must still hand
+// out a copy of its own.
+func TestRetrainBufferDoesNotAlias(t *testing.T) {
+	meta, _, _ := fixture(t)
+	all := fixtureOnce.all
+	s := serve.New(meta, serve.Config{Shards: 1})
+	defer s.Close()
+	// A cap the first 60 % of the log already fills gives both retrains
+	// windows of one length, so the second reuses the buffer.
+	const unique = 1500
+	rec := NewRecorder(365*24*time.Hour, unique)
+	rt := NewRetrainer(s, rec, RetrainerConfig{MinEvents: 10, Pipeline: threeBases(preprocess.Options{})})
+	first60, first80 := len(all)*6/10, len(all)*8/10
+	for i := range all[:first60] {
+		rec.Observe(all[i])
+	}
+
+	rt.mu.Lock()
+	first, _, err := rt.train()
+	buf := rt.window
+	rt.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(buf) != unique {
+		t.Fatalf("first window holds %d events, want the cap %d", len(buf), unique)
+	}
+	replay := preprocess.Run(all, preprocess.Options{}).Events
+	states := baseStates(t, first)
+	warnings := first.Predict(replay, 30*time.Minute)
+	if len(warnings) == 0 || serve.RuleCount(first) == 0 {
+		t.Fatal("the first model mined no rules or warns of nothing over the replay; the comparison is vacuous")
+	}
+	oldest := buf[0]
+
+	for i := range all[first60:first80] {
+		rec.Observe(all[first60+i])
+	}
+	if _, err := rt.RetrainNow(); err != nil {
+		t.Fatal(err)
+	}
+	if &rt.window[0] != &buf[0] {
+		t.Fatal("the second retrain copied its window into a new slice; the buffer was never overwritten")
+	}
+	if reflect.DeepEqual(buf[0], oldest) {
+		t.Fatal("the second window starts where the first did; the buffer was never overwritten")
+	}
+	if got := baseStates(t, first); !reflect.DeepEqual(got, states) {
+		t.Fatal("overwriting the kept window changed the first model's sections")
+	}
+	if got := first.Predict(replay, 30*time.Minute); !reflect.DeepEqual(got, warnings) {
+		t.Fatalf("overwriting the kept window changed the first model's warnings: %d, was %d", len(got), len(warnings))
+	}
+
+	events := rec.Events()
+	want := slices.Clone(events)
+	for i := range all[first80:] {
+		rec.Observe(all[first80+i])
+	}
+	if !reflect.DeepEqual(events, want) {
+		t.Fatal("observing more records changed a slice Events returned earlier")
+	}
+	if reflect.DeepEqual(rec.Events(), want) {
+		t.Fatal("the window did not move; the copy check is vacuous")
+	}
+}
+
+// TestTrainingClearsStaleBufferTail checks that a window shorter than
+// the buffer it is copied into leaves no earlier events reachable past
+// its end.
+func TestTrainingClearsStaleBufferTail(t *testing.T) {
+	_, _, _ = fixture(t)
+	all := fixtureOnce.all
+	rec := NewRecorder(365*24*time.Hour, 1500)
+	for i := range all[:len(all)/10] {
+		rec.Observe(all[i])
+	}
+	window := rec.Events()
+	if len(window) == 0 {
+		t.Fatal("the recorder holds no events; the check is vacuous")
+	}
+	stale := make([]preprocess.Event, 2*len(window))
+	for i := range stale {
+		stale[i] = window[0]
+	}
+	events, _, _ := rec.training(stale[:0])
+	if len(events) != len(window) {
+		t.Fatalf("training returned %d events, want %d", len(events), len(window))
+	}
+	for i, e := range events[len(events):cap(events)] {
+		if !reflect.DeepEqual(e, preprocess.Event{}) {
+			t.Fatalf("slot %d past the window still holds %v", len(events)+i, e)
+		}
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"bglpred/internal/core"
 	"bglpred/internal/ledger"
 	"bglpred/internal/model"
+	"bglpred/internal/predictor"
+	"bglpred/internal/preprocess"
 	"bglpred/internal/serve"
 )
 
@@ -62,7 +64,8 @@ type Retrainer struct {
 	rec *Recorder
 	cfg RetrainerConfig
 
-	mu             sync.Mutex // serializes RetrainNow
+	mu             sync.Mutex         // serializes RetrainNow
+	window         []preprocess.Event // the last retrain's copy of the recorder's window; mu held
 	persistRetries atomic.Int64
 	persistGiveups atomic.Int64
 	lastCycle      atomic.Int64 // ns the last completed retrain took
@@ -120,31 +123,11 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 	defer r.mu.Unlock()
 
 	started := time.Now()
-	if got, want := r.rec.compression(), compressionOf(r.cfg.Pipeline.Preprocess); got != want {
-		return serve.ModelInfo{}, fmt.Errorf("lifecycle: the recorder compressed its window under %+v but the retrain pipeline asks for %+v; serving model unchanged",
-			got, want)
-	}
-	events, records, newest := r.rec.training()
-	if records < r.cfg.MinEvents {
-		return serve.ModelInfo{}, fmt.Errorf("lifecycle: only %d records in the retraining window (need %d); serving model unchanged",
-			records, r.cfg.MinEvents)
-	}
-
-	trained, err := core.New(r.cfg.Pipeline).Train(events)
+	meta, prov, err := r.train()
 	if err != nil {
-		return serve.ModelInfo{}, fmt.Errorf("lifecycle: retrain: %w", err)
+		return serve.ModelInfo{}, err
 	}
-
-	prov := model.Provenance{
-		TrainedAt: time.Now().UTC(),
-		Source:    r.cfg.Source,
-		Records:   records,
-		Unique:    len(events),
-		LogStart:  events[0].Time,
-		LogEnd:    newest,
-		Params:    model.ParamsOf(trained.Meta),
-	}
-	artifact, err := model.FromMeta(trained.Meta, prov)
+	artifact, err := model.FromMeta(meta, prov)
 	if err != nil {
 		return serve.ModelInfo{}, fmt.Errorf("lifecycle: retrain produced an incomplete model: %w", err)
 	}
@@ -174,7 +157,7 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 		sha = info.SHA256
 	}
 
-	newInfo := r.srv.SwapModel(trained.Meta, serve.ModelInfo{
+	newInfo := r.srv.SwapModel(meta, serve.ModelInfo{
 		SHA256:    sha,
 		TrainedAt: prov.TrainedAt,
 		Source:    r.cfg.Source,
@@ -219,8 +202,42 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 	cycle := time.Since(started)
 	r.lastCycle.Store(int64(cycle))
 	r.logf("retrained model v%d on %d records (%d unique, %d rules, sha %.12s) in %v",
-		newInfo.Version, records, len(events), newInfo.Rules, sha, cycle.Round(time.Millisecond))
+		newInfo.Version, prov.Records, prov.Unique, newInfo.Rules, sha, cycle.Round(time.Millisecond))
 	return newInfo, nil
+}
+
+// train fits a model on the recorder's current window and describes
+// its provenance; r.mu held. It refuses a recorder that compressed
+// under other Phase 1 options than Pipeline.Preprocess, or one whose
+// window stands for fewer than MinEvents records.
+//
+// The window is copied into r.window, the buffer the last retrain
+// used, rather than into a fresh slice: training only reads it, and no
+// trained model keeps it.
+func (r *Retrainer) train() (*predictor.Meta, model.Provenance, error) {
+	if got, want := r.rec.compression(), compressionOf(r.cfg.Pipeline.Preprocess); got != want {
+		return nil, model.Provenance{}, fmt.Errorf("lifecycle: the recorder compressed its window under %+v but the retrain pipeline asks for %+v; serving model unchanged",
+			got, want)
+	}
+	events, records, newest := r.rec.training(r.window)
+	r.window = events
+	if records < r.cfg.MinEvents {
+		return nil, model.Provenance{}, fmt.Errorf("lifecycle: only %d records in the retraining window (need %d); serving model unchanged",
+			records, r.cfg.MinEvents)
+	}
+	trained, err := core.New(r.cfg.Pipeline).Train(events)
+	if err != nil {
+		return nil, model.Provenance{}, fmt.Errorf("lifecycle: retrain: %w", err)
+	}
+	return trained.Meta, model.Provenance{
+		TrainedAt: time.Now().UTC(),
+		Source:    r.cfg.Source,
+		Records:   records,
+		Unique:    len(events),
+		LogStart:  events[0].Time,
+		LogEnd:    newest,
+		Params:    model.ParamsOf(trained.Meta),
+	}, nil
 }
 
 // VersionedModelPath names the immutable artifact copy for one model

@@ -95,24 +95,42 @@ func (r *Rule) ChosenWindow() time.Duration { return r.chosenWindow }
 
 // BuildTransactions constructs one event-set per fatal event: the
 // fatal's subcategory plus every distinct non-fatal subcategory
-// observed within the window before it (paper §3.2.2 step 1).
+// observed within the window before it (paper §3.2.2 step 1). events
+// is time-ordered, as Phase 1 emits it.
+//
+// One pass slides the window: live counts the non-fatal events of each
+// subcategory in [start, i), so an event-set is read off the counts in
+// ascending ID order, sorted as it is built. That costs O(events +
+// fatals × catalog.NumSubcategories), where a rescan of the window and
+// a sort per fatal cost O(fatals × window).
 func BuildTransactions(events []preprocess.Event, window time.Duration) []assoc.Transaction {
 	var tx []assoc.Transaction
+	var live [catalog.NumSubcategories]int32
+	var arena []assoc.Item // backs the event-sets, a chunk at a time
 	start := 0
 	for i := range events {
-		if !events[i].Sub.IsFatal() {
+		sub := events[i].Sub
+		if !sub.IsFatal() {
+			live[sub.ID]++
 			continue
 		}
-		for events[start].Time.Before(events[i].Time.Add(-window)) {
-			start++
-		}
-		items := []assoc.Item{events[i].Sub.ID}
-		for j := start; j < i; j++ {
-			if !events[j].Sub.IsFatal() {
-				items = append(items, events[j].Sub.ID)
+		cutoff := events[i].Time.Add(-window)
+		for ; events[start].Time.Before(cutoff); start++ {
+			if old := events[start].Sub; !old.IsFatal() {
+				live[old.ID]--
 			}
 		}
-		tx = append(tx, assoc.NewItemset(items...))
+		if cap(arena)-len(arena) < len(live) {
+			arena = make([]assoc.Item, 0, 16*len(live))
+		}
+		items := arena[len(arena):]
+		for id, n := range live {
+			if n > 0 || id == sub.ID {
+				items = append(items, id)
+			}
+		}
+		arena = arena[:len(arena)+len(items)]
+		tx = append(tx, items[:len(items):len(items)])
 	}
 	return tx
 }
