@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 
 	"bglpred/internal/edge"
 	"bglpred/internal/ledger"
@@ -55,6 +56,8 @@ func (s *Server) appendIngestRecord(d *ingestDigest, resp *IngestResponse) {
 	if s.cfg.Ledger == nil || d == nil || resp.Accepted == 0 {
 		return
 	}
+	start := time.Now()
+	defer func() { s.ledgerTime.Observe(time.Since(start)) }()
 	payload, err := json.Marshal(ingestLedgerRecord{
 		SHA256:      hex.EncodeToString(d.h.Sum(nil)),
 		Bytes:       d.n,

@@ -31,9 +31,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeMetrics lists the exposition: aggregate and per-shard engine
-// counters and the ingest-latency histogram. Latency is measured per
-// batch, in either dialect, from the batch being ready to its engine
-// being done, so the wait for a busy shard (backpressure) is included.
+// counters, the ingest-latency histogram and the ingest stage timers.
+// Latency is measured per batch, in either dialect, from the batch
+// being ready to its engine being done, so the wait for a busy shard
+// (backpressure) is included; the stage timers split that path into
+// decode, shard wait, engine and ledger append.
 func (s *Server) writeMetrics(m *edge.Metrics) {
 	var total online.Counters // summed over shards
 	standing := int64(0)
@@ -82,6 +84,9 @@ func (s *Server) writeMetrics(m *edge.Metrics) {
 		func(i int) (string, int64) { return strconv.Itoa(i), int64(snaps[i].PendingKeys) })
 
 	m.Histogram("bglserved_ingest_latency_seconds", "Batch-ready-to-engine-done latency per batch (up to 4096 records of one request), shard wait included, text and binary alike.", s.latency)
+	m.Histogram("bglserved_ingest_decode_seconds", "Time per ingest request spent decoding its body, body reads included, text and binary alike.", s.decodeTime)
+	m.Histogram("bglserved_ingest_shard_wait_seconds", "Time per batch spent waiting for its shard's lock, refused waits included.", s.waitTime)
+	m.Histogram("bglserved_ingest_engine_seconds", "Time per batch spent in its shard engine's IngestBatch.", s.engineTime)
 
 	model := s.model.Load()
 	m.Gauge("bglserved_model_version", "Generation of the serving model (1 = startup model; each hot-swap increments).", model.Version)
@@ -93,6 +98,7 @@ func (s *Server) writeMetrics(m *edge.Metrics) {
 	if s.cfg.Ledger != nil {
 		m.Counter("bglserved_ledger_appends_total", "Audit-ledger entries appended by the serving layer.", s.ledgerAppends.Load())
 		m.Counter("bglserved_ledger_append_failures_total", "Audit-ledger appends that failed (the served request itself succeeded).", s.ledgerErrs.Load())
+		m.Histogram("bglserved_ingest_ledger_append_seconds", "Time per ingest request spent appending its audit-ledger record, group commit included.", s.ledgerTime)
 		s.cfg.Ledger.WriteMetrics(m)
 	}
 	if s.cfg.AuxMetrics != nil {
