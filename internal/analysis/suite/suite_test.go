@@ -34,14 +34,19 @@ func TestZeroFindings(t *testing.T) {
 // TestHotpathRootsAnnotated pins the //bglvet:hotpath annotation set:
 // the zero-finding gate above only fires when findings appear, so
 // deleting a root marker would silently shrink hotpathalloc's closure
-// to nothing. This test fails instead.
+// to nothing. This test fails instead. Roots are keyed by receiver, so
+// one type's marked method does not vouch for another's of the same
+// name.
 func TestHotpathRootsAnnotated(t *testing.T) {
 	want := map[string][]string{
-		"internal/raslog":    {"ReadFrame", "NextEvent", "DecodeEvent", "PeekWireEvent", "Read"},
-		"internal/serve":     {"decode"},
-		"internal/online":    {"IngestBatch"},
-		"internal/lifecycle": {"Observe"},
-		"internal/cluster":   {"routeFrame"},
+		"internal/raslog": {
+			"(*WireDecoder).ReadFrame", "(*WireDecoder).NextEvent", "(*WireDecoder).DecodeEvent", "PeekWireEvent",
+			"(*Reader).Read", "(*Reader).NextEvent", "(*Reader).DecodeEvent",
+		},
+		"internal/serve":     {"(*Server).decode"},
+		"internal/online":    {"(*Engine).IngestBatch"},
+		"internal/lifecycle": {"(*Recorder).Observe"},
+		"internal/cluster":   {"(*routeScratch).routeFrame"},
 	}
 	for rel, fns := range want {
 		pkgs, err := analysis.NewLoader().Load("bglpred/" + rel)
@@ -58,17 +63,35 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 				}
 				for _, c := range fd.Doc.List {
 					if strings.HasPrefix(c.Text, hotpathalloc.HotpathMarker) {
-						marked[fd.Name.Name] = true
+						marked[funcKey(fd)] = true
 					}
 				}
 			}
 		}
 		for _, fn := range fns {
 			if !marked[fn] {
-				t.Errorf("%s.%s lost its %s annotation", rel, fn, hotpathalloc.HotpathMarker)
+				t.Errorf("%s %s lost its %s annotation", rel, fn, hotpathalloc.HotpathMarker)
 			}
 		}
 	}
+}
+
+// funcKey names a declaration as a method expression does: "(*T).M"
+// or "T.M" for a method, the bare name for a function. (No root has a
+// generic receiver.)
+func funcKey(fd *ast.FuncDecl) string {
+	if fd.Recv == nil {
+		return fd.Name.Name
+	}
+	switch r := fd.Recv.List[0].Type.(type) {
+	case *ast.StarExpr:
+		if id, ok := r.X.(*ast.Ident); ok {
+			return "(*" + id.Name + ")." + fd.Name.Name
+		}
+	case *ast.Ident:
+		return r.Name + "." + fd.Name.Name
+	}
+	return "?." + fd.Name.Name
 }
 
 // TestFilterScopes pins the package-scoping policy.

@@ -122,12 +122,17 @@ const (
 // line interleaved into a production RAS stream cannot terminate
 // ingestion of everything after it.
 //
-// Pipe records in the spelling Writer emits decode straight from the
-// line buffer without allocating (repeated TYPE, FACILITY and
-// ENTRY_DATA strings resolve through a capped intern table); every
-// other line, valid or not, takes the general parser. A Reader is
-// meant to be pooled and re-armed with Reset, which keeps the buffer
-// and the intern table warm.
+// A stream decodes one of two ways, as a WireDecoder's does: Read
+// returns a record at a time, and NextEvent with DecodeEvent split the
+// next line and return its location first, then decode the record into
+// memory the caller picks from that location. Pipe records in the
+// spelling Writer emits decode straight from the line buffer without
+// allocating: LOCATION resolves through a capped cache, and TYPE,
+// FACILITY and ENTRY_DATA through a compare against the previous
+// record's value ahead of a capped intern table. Every other line,
+// valid or not, takes the general parser. A Reader is meant to be
+// pooled and re-armed with Reset, which keeps the buffer and the
+// caches warm.
 type Reader struct {
 	src        io.Reader
 	buf        []byte // line buffer; doubles up to maxLineBytes for a long line
@@ -145,25 +150,54 @@ type Reader struct {
 	skipped int64
 	onSkip  func(LineError)
 
-	// Fast-path caches; both are pure functions of the bytes they key
+	// The record NextEvent stopped at: its fields, split in place in
+	// buf, and its location; or, for a line only the general parser
+	// decodes, the whole event.
+	f    [8][]byte
+	loc  Location
+	slow bool
+	ev   Event
+
+	// Fast-path caches; all are pure functions of the bytes they key
 	// on, so they carry over a Reset.
-	intern    internTable
-	stamp     [len(timeLayout)]byte // text of the last timestamp decoded
-	stampTime time.Time
+	intern          internTable
+	locs            map[string]Location // capped as intern is
+	typ, fac, entry lastValue
+	stamp           [len(timeLayout)]byte // text of the last timestamp decoded
+	stampTime       time.Time
+	stamped         bool // stamp holds a decoded timestamp
+}
+
+// lastValue resolves a field that mostly repeats the previous record's
+// (TYPE, FACILITY, ENTRY_DATA in a CMCS stream) with one compare,
+// reaching for the intern table only when the value changes. It keeps
+// one string of at most wireInternMaxLen bytes.
+type lastValue struct{ s string }
+
+func (m *lastValue) get(t internTable, b []byte) string {
+	if string(b) == m.s {
+		return m.s
+	}
+	s := t.get(b)
+	if len(s) <= wireInternMaxLen {
+		m.s = s
+	}
+	return s
 }
 
 // NewReader returns a Reader consuming the log dialect from r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{src: r, buf: make([]byte, readerBufSize), intern: make(internTable)}
+	return &Reader{src: r, buf: make([]byte, readerBufSize), intern: make(internTable), locs: make(map[string]Location)}
 }
 
 // Reset re-arms the reader for a new stream, as if fresh from
 // NewReader — strict, line 0, nothing skipped — but keeping its
-// buffers and intern table: the pooling hook.
+// buffers and caches: the pooling hook.
 func (r *Reader) Reset(src io.Reader) {
 	r.src, r.start, r.end, r.srcErr = src, 0, 0, nil
 	r.line, r.last, r.lastInBuf = 0, nil, false
 	r.lenient, r.skipped, r.onSkip = false, 0, nil
+	r.ev = Event{}
 }
 
 // Lenient switches the reader to skip undecodable lines instead of
@@ -180,9 +214,9 @@ func (r *Reader) Lenient(onSkip func(LineError)) *Reader {
 func (r *Reader) SkippedLines() int64 { return r.skipped }
 
 // Raw returns the raw text of the line most recently scanned — the one
-// the last successful Read decoded. Callers that transform decoded
-// events (the gate's transcoding path) use it to preserve the original
-// bytes of a record they cannot reproduce.
+// the last successful Read decoded, or NextEvent stopped at. Callers
+// that transform decoded events (the gate's transcoding path) use it to
+// preserve the original bytes of a record they cannot reproduce.
 func (r *Reader) Raw() string { return string(r.last) }
 
 // Line returns the 1-based line number of the most recently scanned
@@ -198,33 +232,96 @@ func (r *Reader) Line() int64 { return r.line }
 //bglvet:hotpath
 func (r *Reader) Read() (Event, error) {
 	for {
+		if _, err := r.NextEvent(); err != nil {
+			return Event{}, err
+		}
+		var ev Event
+		err := r.DecodeEvent(&ev)
+		if err == nil {
+			return ev, nil
+		}
+		if !r.lenient {
+			return Event{}, err
+		}
+	}
+}
+
+// NextEvent advances to the stream's next record line and returns its
+// location, the routing key; DecodeEvent then decodes the rest of the
+// record into wherever the caller routes it. Blank and comment lines
+// are passed over. An undecodable line shows up here or in DecodeEvent,
+// and goes as it does in Read: a lenient reader skips it and goes on, a
+// strict one returns its *LineError, and the stream stays readable.
+// NextEvent returns io.EOF at a clean end, and a stream-level failure
+// as Read does.
+//
+//bglvet:hotpath
+func (r *Reader) NextEvent() (Location, error) {
+	for {
 		line, ok := r.nextLine()
 		if !ok {
-			return Event{}, r.srcErr // io.EOF at a clean end
+			return Location{}, r.srcErr // io.EOF at a clean end
 		}
 		r.line++
 		if len(line) == 0 || line[0] == '#' {
 			continue // blank lines and comments are permitted
 		}
 		r.last, r.lastInBuf = line, true
-		var ev Event
-		if r.parseFast(line, &ev) {
-			return ev, nil
+		if r.split(line) {
+			r.slow = false
+			return r.loc, nil
 		}
 		ev, err := parseSlow(line)
 		if err == nil {
-			return ev, nil
+			r.ev, r.slow = ev, true
+			return ev.Location, nil
 		}
-		//bglvet:ignore hotpathalloc the copy happens only for undecodable lines, on their way into a LineError
-		le := LineError{Line: r.line, Raw: string(line), Err: err}
-		if !r.lenient {
-			return Event{}, &le
-		}
-		r.skipped++
-		if r.onSkip != nil {
-			r.onSkip(le)
+		if err := r.skip(err); err != nil {
+			return Location{}, err
 		}
 	}
+}
+
+// DecodeEvent decodes the record NextEvent stopped at into *ev,
+// overwriting every field. A non-nil error means the line is
+// undecodable past its location and *ev holds no event: a strict
+// reader returns the line's *LineError, and a lenient one has already
+// counted the line and handed it to onSkip.
+//
+//bglvet:hotpath
+func (r *Reader) DecodeEvent(ev *Event) error {
+	if r.slow {
+		*ev = r.ev
+		return nil
+	}
+	if r.decodeFast(ev) {
+		return nil
+	}
+	parsed, err := parseSlow(r.last)
+	if err == nil {
+		*ev = parsed
+		return nil
+	}
+	if serr := r.skip(err); serr != nil {
+		return serr
+	}
+	return err
+}
+
+// skip disposes of the undecodable line in hand: a strict reader
+// returns its *LineError; a lenient one counts it, hands it to onSkip
+// and returns nil.
+func (r *Reader) skip(err error) error {
+	//bglvet:ignore hotpathalloc the copy happens only for undecodable lines, on their way into a LineError
+	le := LineError{Line: r.line, Raw: string(r.last), Err: err}
+	if !r.lenient {
+		return &le
+	}
+	r.skipped++
+	if r.onSkip != nil {
+		r.onSkip(le)
+	}
+	return nil
 }
 
 // nextLine returns the next line without its terminator ("\n" or
@@ -296,40 +393,60 @@ func (r *Reader) fill() {
 	}
 }
 
-// parseFast decodes a pipe record in the spelling Writer emits — eight
-// fields, plain decimal ids, a "2006-01-02 15:04:05" timestamp —
-// without allocating. It reports false for every other line, valid or
-// not: the verdict on those, and the error text, belong to parseSlow.
-func (r *Reader) parseFast(line []byte, ev *Event) bool {
-	var f [8][]byte
+// split cuts a pipe record into its eight fields, in place, and
+// resolves its location through the location cache. It reports false
+// for an NDJSON object, a line of fewer than eight fields and a
+// location that does not parse: the verdict on those, and the error
+// text, belong to parseSlow.
+func (r *Reader) split(line []byte) bool {
+	if line[0] == '{' {
+		return false
+	}
 	rest := line
 	for i := 0; i < 7; i++ {
 		j := bytes.IndexByte(rest, '|')
 		if j < 0 {
 			return false
 		}
-		f[i], rest = rest[:j], rest[j+1:]
+		r.f[i], rest = rest[:j], rest[j+1:]
 	}
-	f[7] = rest // a stray pipe in ENTRY_DATA stays in the field
+	r.f[7] = rest // a stray pipe in ENTRY_DATA stays in the field
+
+	loc, ok := r.locs[string(r.f[4])] // no allocation on the hit path
+	if !ok {
+		if loc, ok = parseLocation(r.f[4]); !ok {
+			return false
+		}
+		if len(r.locs) < wireInternCap && len(r.f[4]) <= wireInternMaxLen {
+			r.locs[string(r.f[4])] = loc // a miss copies the key once
+		}
+	}
+	r.loc = loc
+	return true
+}
+
+// decodeFast decodes the rest of the split record in the spelling
+// Writer emits — plain decimal ids, a "2006-01-02 15:04:05" timestamp —
+// without allocating. It reports false for every other spelling, valid
+// or not, and leaves those to parseSlow.
+func (r *Reader) decodeFast(ev *Event) bool {
 	var ok bool
-	if ev.RecID, ok = fastInt(f[0]); !ok {
+	if ev.RecID, ok = fastInt(r.f[0]); !ok {
 		return false
 	}
-	if ev.Time, ok = r.fastTime(f[2]); !ok {
+	if ev.Time, ok = r.fastTime(r.f[2]); !ok {
 		return false
 	}
-	if ev.JobID, ok = fastInt(f[3]); !ok {
+	if ev.JobID, ok = fastInt(r.f[3]); !ok {
 		return false
 	}
-	if ev.Location, ok = parseLocation(f[4]); !ok {
+	if ev.Severity, ok = parseSeverity(r.f[6]); !ok {
 		return false
 	}
-	if ev.Severity, ok = parseSeverity(f[6]); !ok {
-		return false
-	}
-	ev.Type = r.intern.get(f[1])
-	ev.Facility = r.intern.get(f[5])
-	ev.EntryData = r.intern.get(f[7])
+	ev.Location = r.loc
+	ev.Type = r.typ.get(r.intern, r.f[1])
+	ev.Facility = r.fac.get(r.intern, r.f[5])
+	ev.EntryData = r.entry.get(r.intern, r.f[7])
 	return true
 }
 
@@ -361,12 +478,13 @@ func fastInt(b []byte) (int64, bool) {
 // does when b has exactly the layout's shape: nineteen bytes, every
 // number at full width. (The general parser also takes a one-digit
 // hour and fractional seconds.) CMCS stamps whole seconds, so raw logs
-// carry long same-second runs; the last stamp is cached.
+// carry long same-second runs; the last stamp is cached once one has
+// decoded.
 func (r *Reader) fastTime(b []byte) (time.Time, bool) {
 	if len(b) != len(timeLayout) {
 		return time.Time{}, false
 	}
-	if string(b) == string(r.stamp[:]) {
+	if r.stamped && string(b) == string(r.stamp[:]) {
 		return r.stampTime, true
 	}
 	if b[4] != '-' || b[7] != '-' || b[10] != ' ' || b[13] != ':' || b[16] != ':' {
@@ -382,6 +500,7 @@ func (r *Reader) fastTime(b []byte) (time.Time, bool) {
 	}
 	copy(r.stamp[:], b)
 	r.stampTime = time.Date(year, time.Month(month), day, hour, minute, sec, 0, time.UTC)
+	r.stamped = true
 	return r.stampTime, true
 }
 

@@ -25,7 +25,8 @@ import (
 // strconv, time.ParseInLocation, fmt — kept here so the zero-alloc
 // paths have an oracle that shares none of their code. Reader must
 // agree with it on every event, every error text, every LineError and
-// every Raw/Line answer.
+// every Raw/Line answer, read through Read and through NextEvent and
+// DecodeEvent alike.
 
 const refTimeLayout = "2006-01-02 15:04:05"
 
@@ -253,10 +254,45 @@ func skipText(le raslog.LineError) string {
 	return fmt.Sprintf("%d %q %v", le.Line, le.Raw, le.Err)
 }
 
+// twoStep reads through NextEvent and DecodeEvent, as serve's ingest
+// loop does, into a slot poisoned before every decode, so a field
+// DecodeEvent leaves unwritten shows. It offers what Read offers.
+type twoStep struct {
+	*raslog.Reader
+	lenient bool
+}
+
+var poison = raslog.Event{
+	RecID: -77, Type: "poison", Time: time.Unix(1, 1), JobID: -77,
+	Location:  raslog.Location{Kind: raslog.KindIONode, Rack: 77, Midplane: 1, Card: 77, Chip: 77},
+	EntryData: "poison", Facility: "poison", Severity: raslog.Severity(77),
+}
+
+func (t twoStep) Read() (raslog.Event, error) {
+	for {
+		loc, err := t.NextEvent()
+		if err != nil {
+			return raslog.Event{}, err
+		}
+		slot := poison
+		if err := t.DecodeEvent(&slot); err != nil {
+			if t.lenient {
+				continue // skipped, and handed to the skip hook
+			}
+			return raslog.Event{}, err
+		}
+		if slot.Location != loc {
+			return raslog.Event{}, fmt.Errorf("NextEvent said %+v, DecodeEvent %+v", loc, slot.Location)
+		}
+		return slot, nil
+	}
+}
+
 // checkAgainstReference runs body through rd (already armed on it) and
 // through a fresh reference reader, in the given mode, and fails on the
-// first observable difference.
-func checkAgainstReference(t testing.TB, what string, rd *raslog.Reader, src func() io.Reader, lenient bool) {
+// first observable difference. With twoSteps it reads rd through
+// NextEvent and DecodeEvent rather than Read.
+func checkAgainstReference(t testing.TB, what string, rd *raslog.Reader, src func() io.Reader, lenient, twoSteps bool) {
 	t.Helper()
 	var gotSkips, wantSkips []string
 	ref := newRefReader(src())
@@ -267,14 +303,18 @@ func checkAgainstReference(t testing.TB, what string, rd *raslog.Reader, src fun
 	if rd.Raw() != "" || rd.Line() != 0 || rd.SkippedLines() != 0 {
 		t.Fatalf("%s: reader not pristine before the first Read: raw=%q line=%d skipped=%d", what, rd.Raw(), rd.Line(), rd.SkippedLines())
 	}
-	got, want := drain(rd), drain(ref)
+	var under textReader = rd
+	if twoSteps {
+		under = twoStep{Reader: rd, lenient: lenient}
+	}
+	got, want := drain(under), drain(ref)
 	for i := 0; i < len(got) && i < len(want); i++ {
 		if got[i] != want[i] {
-			t.Fatalf("%s (lenient=%v): Read #%d differs:\n got %v\nwant %v", what, lenient, i+1, got[i], want[i])
+			t.Fatalf("%s (lenient=%v, two steps=%v): Read #%d differs:\n got %v\nwant %v", what, lenient, twoSteps, i+1, got[i], want[i])
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("%s (lenient=%v): %d Reads, reference %d", what, lenient, len(got), len(want))
+		t.Fatalf("%s (lenient=%v, two steps=%v): %d Reads, reference %d", what, lenient, twoSteps, len(got), len(want))
 	}
 	if rd.SkippedLines() != ref.SkippedLines() {
 		t.Fatalf("%s: SkippedLines %d, reference %d", what, rd.SkippedLines(), ref.SkippedLines())
@@ -285,30 +325,33 @@ func checkAgainstReference(t testing.TB, what string, rd *raslog.Reader, src fun
 	// A stream-level verdict (not a strict reader's LineError, which
 	// leaves the stream readable) is final.
 	if end := got[len(got)-1]; end.errLine == 0 {
-		if _, err := rd.Read(); err == nil || err.Error() != end.err {
+		if _, err := under.Read(); err == nil || err.Error() != end.err {
 			t.Fatalf("%s: Read after %q returned %v", what, end.err, err)
 		}
 	}
 }
 
 // checkBody compares the two readers on body, strict and lenient,
-// whole and under awkward read patterns.
+// through Read and through NextEvent/DecodeEvent, whole and under
+// awkward read patterns.
 func checkBody(t testing.TB, what string, body []byte) {
 	t.Helper()
-	for _, lenient := range []bool{false, true} {
-		whole := func() io.Reader { return bytes.NewReader(body) }
-		checkAgainstReference(t, what, raslog.NewReader(whole()), whole, lenient)
-	}
-	if len(body) > 1<<12 {
-		return // the byte-at-a-time patterns below are for the small cases
-	}
-	for name, wrap := range map[string]func(io.Reader) io.Reader{
-		"one byte":      iotest.OneByteReader,
-		"data with EOF": iotest.DataErrReader,
-		"timeout":       iotest.TimeoutReader,
-	} {
-		src := func() io.Reader { return wrap(bytes.NewReader(body)) }
-		checkAgainstReference(t, what+" / "+name, raslog.NewReader(src()), src, true)
+	for _, twoSteps := range []bool{false, true} {
+		for _, lenient := range []bool{false, true} {
+			whole := func() io.Reader { return bytes.NewReader(body) }
+			checkAgainstReference(t, what, raslog.NewReader(whole()), whole, lenient, twoSteps)
+		}
+		if len(body) > 1<<12 {
+			continue // the byte-at-a-time patterns below are for the small cases
+		}
+		for name, wrap := range map[string]func(io.Reader) io.Reader{
+			"one byte":      iotest.OneByteReader,
+			"data with EOF": iotest.DataErrReader,
+			"timeout":       iotest.TimeoutReader,
+		} {
+			src := func() io.Reader { return wrap(bytes.NewReader(body)) }
+			checkAgainstReference(t, what+" / "+name, raslog.NewReader(src()), src, true, twoSteps)
+		}
 	}
 }
 
@@ -332,6 +375,11 @@ func edgeLines() []string {
 		`{"recid":7,"type":"RAS","time":"2005-01-21 00:00:01","jobid":-1,"location":"R00-M1-L2","facility":"LINKCARD","severity":"WARNING","entry_data":"x"}`,
 		`{"recid":8,"type":"RAS","time":"2005-01-21T00:00:02Z","jobid":3,"location":"?","facility":"APP","severity":"INFO","entry_data":"pipe | inside json"}`,
 		`{"recid":`, `{}`, `{"recid":9,"time":"nope"}`,
+		// Nineteen NUL bytes are the shape of a timestamp, and what an
+		// empty same-second cache holds.
+		withField(2, strings.Repeat("\x00", 19)),
+		// Split on its pipes, this object's fifth field is a location.
+		`{"recid":9,"type":"RAS","time":"2005-01-21 00:00:03","jobid":1,"location":"R00-M1-L2","facility":"APP","severity":"INFO","entry_data":"||||R07-M1|||x"}`,
 	}
 	for _, id := range []string{"0", "+5", "-5", "-0", "+", "-", "", "007", " 1", "1 ", "1_000", "0x10", "1e3",
 		"999999999999999999", "-999999999999999999", "1000000000000000000",
@@ -491,10 +539,11 @@ func TestReaderMatchesReferenceOnGeneratedLog(t *testing.T) {
 }
 
 // TestReaderResetLeaksNothing reuses one Reader across bodies the way
-// serve's pool does. Whatever the previous body left behind — a failed
-// stream, a lenient hook, skip counts, a grown buffer, a last line, a
-// cached timestamp — each body must read exactly as a fresh reference
-// reader reads it.
+// serve's pool does, through Read in the first round and through
+// NextEvent/DecodeEvent in the second. Whatever the previous body left
+// behind — a failed stream, a lenient hook, skip counts, a grown
+// buffer, a last line, a cached timestamp, location or field value —
+// each body must read exactly as a fresh reference reader reads it.
 func TestReaderResetLeaksNothing(t *testing.T) {
 	_, sim := simLog(t, 0.002)
 	long := goodLine + strings.Repeat("y", 200<<10)
@@ -515,7 +564,7 @@ func TestReaderResetLeaksNothing(t *testing.T) {
 			lenient := (i+round)%2 == 0
 			rd.Reset(strings.NewReader(body))
 			src := func() io.Reader { return strings.NewReader(body) }
-			checkAgainstReference(t, fmt.Sprintf("round %d body %d", round, i), rd, src, lenient)
+			checkAgainstReference(t, fmt.Sprintf("round %d body %d", round, i), rd, src, lenient, round == 1)
 			if !lenient {
 				// A hook armed now must not fire for a later strict body.
 				rd.Reset(strings.NewReader("junk\n"))
@@ -533,8 +582,9 @@ func TestReaderResetLeaksNothing(t *testing.T) {
 
 // TestReaderZeroAllocs pins the allocation budget: a warm Reader,
 // re-armed with Reset as serve's pool re-arms it, decodes a
-// 4096-record body without allocating — the mirror of
-// TestWireDecodeZeroAllocs.
+// 4096-record body without allocating — through Read, and through
+// NextEvent/DecodeEvent into a batch as serve's ingest loop does, its
+// location cache warm — the mirror of TestWireDecodeZeroAllocs.
 func TestReaderZeroAllocs(t *testing.T) {
 	events, body := simLog(t, 0.002)
 	if len(events) < 4096 {
@@ -544,27 +594,46 @@ func TestReaderZeroAllocs(t *testing.T) {
 
 	var br bytes.Reader
 	rd := raslog.NewReader(&br)
-	run := func() {
-		br.Reset(body)
-		rd.Reset(&br)
-		n := 0
-		for {
+	batch := make([]raslog.Event, 4096)
+	for name, decode := range map[string]func(i int) error{
+		"Read": func(int) error {
 			_, err := rd.Read()
-			if err == io.EOF {
-				break
+			return err
+		},
+		"NextEvent/DecodeEvent": func(i int) error {
+			if _, err := rd.NextEvent(); err != nil {
+				return err
 			}
-			if err != nil {
-				t.Fatalf("Read: %v", err)
+			return rd.DecodeEvent(&batch[i])
+		},
+	} {
+		run := func() {
+			br.Reset(body)
+			rd.Reset(&br)
+			n := 0
+			for {
+				err := decode(n)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				n++
 			}
-			n++
+			if n != 4096 {
+				t.Fatalf("%s: decoded %d, want 4096", name, n)
+			}
 		}
-		if n != 4096 {
-			t.Fatalf("decoded %d, want 4096", n)
+		run() // warm the caches
+		if avg := testing.AllocsPerRun(20, run); avg != 0 {
+			t.Fatalf("steady-state text decode through %s allocates %.1f allocs per 4096-record body, want 0", name, avg)
 		}
 	}
-	run() // warm the intern table
-	if avg := testing.AllocsPerRun(20, run); avg != 0 {
-		t.Fatalf("steady-state text decode allocates %.1f allocs per 4096-record body, want 0", avg)
+	for i := range batch {
+		if batch[i] != events[i] {
+			t.Fatalf("record %d decoded into its slot as %+v, want %+v", i, batch[i], events[i])
+		}
 	}
 }
 
