@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"bglpred/internal/edge"
 )
 
 // BackendState is the gate's view of one backend's routability.
@@ -98,6 +100,8 @@ type backend struct {
 	forwardErrs atomic.Int64 // failed ingest forwards
 	probeFails  atomic.Int64 // failed health probes
 	partials    atomic.Int64 // 200 responses with unreadable bodies
+
+	forwardTime *edge.Histogram // per forward, acknowledgment read included
 }
 
 // checkLedgerLocked validates a fresh probe's ledger head against the

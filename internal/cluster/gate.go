@@ -154,6 +154,10 @@ type Gate struct {
 	streamsUp   atomic.Int64 // live fan-in subscriptions to backend streams
 	tampered    atomic.Int64 // backends flagged tampered by ledger checks
 
+	// routeTime is each ingest request's time up to its first forward:
+	// the body read, text transcoding and the routing scan.
+	routeTime *edge.Histogram
+
 	// quarantine holds the text lines that never become wire records:
 	// lines that do not decode, and records the wire cannot carry, each
 	// under the client's line number. Backends keep their own rings for
@@ -206,15 +210,17 @@ func New(cfg Config) (*Gate, error) {
 		client:       client,
 		streamClient: streamClient,
 		start:        time.Now(),
+		routeTime:    edge.NewHistogram(edge.LatencyBounds),
 		quarantine:   serve.NewQuarantine(gateQuarantineCap),
 		broker:       edge.NewBroker[Alert](),
 	}
 	g.ctx, g.cancel = context.WithCancel(context.Background())
 	for _, m := range ring.Members() {
 		g.backends = append(g.backends, &backend{
-			url:    m,
-			state:  StateUp,
-			replay: newReplayBuffer(cfg.ReplayCap, cfg.ReplayWindow),
+			url:         m,
+			state:       StateUp,
+			replay:      newReplayBuffer(cfg.ReplayCap, cfg.ReplayWindow),
+			forwardTime: edge.NewHistogram(edge.LatencyBounds),
 		})
 	}
 	g.unknownOwner = ring.OwnerIndex("?")
@@ -313,11 +319,13 @@ func (g *Gate) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer g.release(s)
 	var resp IngestResponse
 	var code int
+	start := time.Now()
 	if r.Header.Get("Content-Type") == raslog.WireContentType {
 		code = g.ingestWire(r.Body, &resp, s)
 	} else {
 		code = g.ingestText(r.Body, &resp, s)
 	}
+	g.routeTime.Observe(time.Since(start))
 
 	// Everything order-sensitive happens here, on the request
 	// goroutine, walking the owners in ring order: whether a batch may
@@ -671,6 +679,8 @@ func (g *Gate) forward(b *backend, body []byte, ff forwardFaults) (*serve.Ingest
 	if ff.down != nil {
 		return nil, fmt.Errorf("forward to %s: %w", b.url, ff.down)
 	}
+	start := time.Now()
+	defer func() { b.forwardTime.Observe(time.Since(start)) }()
 	// The transport may go on reading a request body after Do has
 	// returned (RoundTrip promises only to close it, possibly later and
 	// from another goroutine), and callers reuse body as soon as forward

@@ -13,8 +13,9 @@ func (g *Gate) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeMetrics lists the gate's exposition: routing and replay
-// counters per backend, cluster health gauges, and the gate's own
-// request counters — the bglgate_ namespace, disjoint from the
+// counters per backend, cluster health gauges, the gate's own request
+// counters, and its stage timers (routing per request, forwarding per
+// backend) — the bglgate_ namespace, disjoint from the
 // backends' bglserved_ families so one scrape config can collect both
 // without collisions. Per-backend families are labeled by the backend
 // URL (the ring member identity, stable across restarts).
@@ -61,6 +62,10 @@ func (g *Gate) writeMetrics(m *edge.Metrics) {
 		func(i int) (string, int64) { return bs[i].url, views[i].buffered })
 	m.GaugeVec("bglgate_backend_up", "Whether each backend is routable (up or degraded = 1; down, skewed or tampered = 0).", "backend", len(bs),
 		func(i int) (string, int64) { return bs[i].url, views[i].up })
+
+	m.Histogram("bglgate_ingest_route_seconds", "Time per ingest request up to its first forward: body read, text transcoding and the routing scan.", g.routeTime)
+	m.HistogramVec("bglgate_forward_seconds", "Time per ingest forward to each backend, acknowledgment read included.", "backend", len(bs),
+		func(i int) (string, *edge.Histogram) { return bs[i].url, bs[i].forwardTime })
 
 	m.Gauge("bglgate_backends", "Configured backend count.", int64(len(bs)))
 	m.Gauge("bglgate_stream_subscriptions", "Live fan-in subscriptions to backend alert streams.", g.streamsUp.Load())

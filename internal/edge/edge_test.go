@@ -84,6 +84,26 @@ func TestMetricsEscaping(t *testing.T) {
 	}
 }
 
+// TestHistogramVec pins a labelled histogram's spelling: the label
+// pair leads each bucket's le, and _sum and _count carry it alone.
+func TestHistogramVec(t *testing.T) {
+	a, b := NewHistogram([]time.Duration{time.Millisecond}), NewHistogram([]time.Duration{time.Millisecond})
+	a.Observe(time.Millisecond)
+	b.Observe(2 * time.Second)
+	hs := []*Histogram{a, b}
+	body, err := scrape(func(m *Metrics) {
+		m.HistogramVec("bglgate_x_seconds", "X.", "backend", 2, func(i int) (string, *Histogram) { return []string{"a", "b\""}[i], hs[i] })
+	})
+	want := "# HELP bglgate_x_seconds X.\n# TYPE bglgate_x_seconds histogram\n" +
+		"bglgate_x_seconds_bucket{backend=\"a\",le=\"0.001\"} 1\nbglgate_x_seconds_bucket{backend=\"a\",le=\"+Inf\"} 1\n" +
+		"bglgate_x_seconds_sum{backend=\"a\"} 0.001\nbglgate_x_seconds_count{backend=\"a\"} 1\n" +
+		"bglgate_x_seconds_bucket{backend=\"b\\\"\",le=\"0.001\"} 0\nbglgate_x_seconds_bucket{backend=\"b\\\"\",le=\"+Inf\"} 1\n" +
+		"bglgate_x_seconds_sum{backend=\"b\\\"\"} 2\nbglgate_x_seconds_count{backend=\"b\\\"\"} 1\n"
+	if err != nil || body != want {
+		t.Fatalf("err %v, body:\n%s\nwant:\n%s", err, body, want)
+	}
+}
+
 // TestHistogramCountMatchesInfBucket scrapes while observers run: the
 // text format requires _count to equal the +Inf bucket in every scrape.
 func TestHistogramCountMatchesInfBucket(t *testing.T) {

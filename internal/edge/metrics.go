@@ -118,6 +118,22 @@ func (m *Metrics) GaugeVec(name, help, label string, n int, sample func(i int) (
 	m.vec(name, help, "gauge", label, n, sample)
 }
 
+// LatencyBounds are the bucket bounds (inclusive upper) both daemons
+// time their stages on. The range spans a cache-warm engine step (tens
+// of microseconds) up to a batch that waited out the shed timeout.
+var LatencyBounds = []time.Duration{
+	50 * time.Microsecond,
+	100 * time.Microsecond,
+	250 * time.Microsecond,
+	500 * time.Microsecond,
+	time.Millisecond,
+	5 * time.Millisecond,
+	25 * time.Millisecond,
+	100 * time.Millisecond,
+	500 * time.Millisecond,
+	time.Second,
+}
+
 // Histogram is a lock-free fixed-bucket latency histogram in the
 // Prometheus cumulative-bucket style.
 type Histogram struct {
@@ -149,15 +165,36 @@ func (h *Histogram) Observe(d time.Duration) {
 // kept counter: the format requires the two to be equal, and under
 // concurrent Observe two loads never are.
 func (m *Metrics) Histogram(name, help string, h *Histogram) {
+	if m.family(name, help, "histogram") {
+		m.histogram(name, "", h)
+	}
+}
+
+// HistogramVec writes a histogram family of n histograms told apart by
+// one label; sample returns the i-th label value and histogram.
+func (m *Metrics) HistogramVec(name, help, label string, n int, sample func(i int) (value string, h *Histogram)) {
 	if !m.family(name, help, "histogram") {
 		return
+	}
+	for i := 0; i < n; i++ {
+		value, h := sample(i)
+		m.histogram(name, label+"=\""+labelEscaper.Replace(value)+"\"", h)
+	}
+}
+
+// histogram writes h's samples, each carrying the label pair lp ahead
+// of le when lp is not empty.
+func (m *Metrics) histogram(name, lp string, h *Histogram) {
+	sep, labels := "", ""
+	if lp != "" {
+		sep, labels = ",", "{"+lp+"}"
 	}
 	var cum int64
 	for i, bound := range h.bounds {
 		cum += h.buckets[i].Load()
-		m.buf = fmt.Appendf(m.buf, "%s_bucket{le=\"%g\"} %d\n", name, bound.Seconds(), cum)
+		m.buf = fmt.Appendf(m.buf, "%s_bucket{%s%sle=\"%g\"} %d\n", name, lp, sep, bound.Seconds(), cum)
 	}
 	cum += h.over.Load()
-	m.buf = fmt.Appendf(m.buf, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n",
-		name, cum, name, time.Duration(h.sumNS.Load()).Seconds(), name, cum)
+	m.buf = fmt.Appendf(m.buf, "%s_bucket{%s%sle=\"+Inf\"} %d\n%s_sum%s %g\n%s_count%s %d\n",
+		name, lp, sep, cum, name, labels, time.Duration(h.sumNS.Load()).Seconds(), name, labels, cum)
 }

@@ -9,22 +9,6 @@ import (
 	"bglpred/internal/online"
 )
 
-// latencyBounds are the upper bounds (inclusive) of the ingest-latency
-// histogram buckets. The range spans a cache-warm engine step (tens of
-// microseconds) up to a batch that waited out the shed timeout.
-var latencyBounds = []time.Duration{
-	50 * time.Microsecond,
-	100 * time.Microsecond,
-	250 * time.Microsecond,
-	500 * time.Microsecond,
-	time.Millisecond,
-	5 * time.Millisecond,
-	25 * time.Millisecond,
-	100 * time.Millisecond,
-	500 * time.Millisecond,
-	time.Second,
-}
-
 // handleMetrics serves GET /metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	edge.ServeMetrics(w, s.writeMetrics)
@@ -35,7 +19,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // Latency is measured per batch, in either dialect, from the batch
 // being ready to its engine being done, so the wait for a busy shard
 // (backpressure) is included; the stage timers split that path into
-// decode, shard wait, engine and ledger append.
+// decode (the recorder's observe inside it), shard wait, engine (alert
+// emit inside it) and ledger append.
 func (s *Server) writeMetrics(m *edge.Metrics) {
 	var total online.Counters // summed over shards
 	standing := int64(0)
@@ -87,6 +72,8 @@ func (s *Server) writeMetrics(m *edge.Metrics) {
 	m.Histogram("bglserved_ingest_decode_seconds", "Time per ingest request spent decoding its body, body reads included, text and binary alike.", s.decodeTime)
 	m.Histogram("bglserved_ingest_shard_wait_seconds", "Time per batch spent waiting for its shard's lock, refused waits included.", s.waitTime)
 	m.Histogram("bglserved_ingest_engine_seconds", "Time per batch spent in its shard engine's IngestBatch.", s.engineTime)
+	m.Histogram("bglserved_recorder_observe_seconds", "Time per ingest request spent in the retraining recorder's Observer, inside its decode time; nothing is observed without an Observer.", s.observeTime)
+	m.Histogram("bglserved_alert_emit_seconds", "Time per emitted alert spent recording, publishing and ledgering it, inside its batch's engine time.", s.emitTime)
 
 	model := s.model.Load()
 	m.Gauge("bglserved_model_version", "Generation of the serving model (1 = startup model; each hot-swap increments).", model.Version)
