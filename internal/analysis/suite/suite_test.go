@@ -43,10 +43,11 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 			"(*WireDecoder).ReadFrame", "(*WireDecoder).NextEvent", "(*WireDecoder).DecodeEvent", "PeekWireEvent",
 			"(*Reader).Read", "(*Reader).NextEvent", "(*Reader).DecodeEvent",
 		},
-		"internal/serve":     {"(*Server).decode"},
-		"internal/online":    {"(*Engine).IngestBatch"},
-		"internal/lifecycle": {"(*Recorder).Observe"},
-		"internal/cluster":   {"(*routeScratch).routeFrame"},
+		"internal/serve":      {"(*Server).decode"},
+		"internal/online":     {"(*Engine).IngestBatch"},
+		"internal/preprocess": {"(*Compressor).Step"},
+		"internal/lifecycle":  {"(*Recorder).Observe"},
+		"internal/cluster":    {"(*routeScratch).routeFrame"},
 	}
 	for rel, fns := range want {
 		pkgs, err := analysis.NewLoader().Load("bglpred/" + rel)

@@ -2,6 +2,7 @@ package preprocess
 
 import (
 	"cmp"
+	"hash/maphash"
 	"slices"
 	"time"
 
@@ -30,12 +31,20 @@ type tkey struct {
 	sub int
 }
 
+func (k tkey) hash() uint64 {
+	l := &k.loc
+	return mix(mix(mix(uint64(k.job), uint64(k.sub)), mix(uint64(l.Kind), uint64(l.Rack))),
+		mix(mix(uint64(l.Midplane), uint64(l.Card)), uint64(l.Chip)))
+}
+
 // skey keys spatial compression: same ENTRY DATA and JOB ID within
 // the threshold merge.
 type skey struct {
 	job   int64
 	entry string
 }
+
+func (k skey) hash() uint64 { return mix(maphash.String(strSeed, k.entry), uint64(k.job)) }
 
 // sval is what a spatial window holds: the unique event it credits and
 // its representative's location. The paper merges reports "from
@@ -64,13 +73,14 @@ type Compressor struct {
 	// int64, so the first record sweeps.
 	nextGC int64
 
-	// hot is the spatial window of the last key Step looked up (i, or
-	// none), and in a storm — one ENTRY DATA reported from chip after
-	// chip — every record's key is that one: a spatial duplicate finds
-	// its window here without hashing its key. A sweep or Restore, which
-	// may delete or replace the window, drops it.
+	// hot is the last spatial key Step looked up, its hash and its
+	// window (i, or none), and in a storm — one ENTRY DATA reported from
+	// chip after chip — every record's key is that one: a spatial
+	// duplicate finds its window here without hashing its key. A sweep
+	// or Restore, which may delete or replace the window, drops it.
 	hot struct {
 		key   skey
+		hash  uint64
 		i     int32
 		valid bool
 	}
@@ -81,8 +91,8 @@ type Compressor struct {
 func NewCompressor(opts Options) *Compressor {
 	c := &Compressor{
 		opts:     opts.withDefaults(),
-		temporal: newWindowSet[tkey, int](0),
-		spatial:  newWindowSet[skey, sval](0),
+		temporal: newWindowSet[tkey, int](),
+		spatial:  newWindowSet[skey, sval](),
 	}
 	c.setLastGC(time.Time{})
 	return c
@@ -93,6 +103,8 @@ func NewCompressor(opts Options) *Compressor {
 // ordinal, in Unique-verdict order, of the unique event the record
 // belongs to. A temporal key absorbed spatially is redirected to the
 // absorbing event's slot, so its later repeats credit that event.
+//
+//bglvet:hotpath
 func (c *Compressor) Step(ev *raslog.Event, subID int) (Verdict, int) {
 	now := stamp(ev.Time)
 	if now >= c.nextGC {
@@ -103,7 +115,8 @@ func (c *Compressor) Step(ev *raslog.Event, subID int) (Verdict, int) {
 	if c.opts.TemporalKeyIgnoresCategory {
 		tk.sub = -1
 	}
-	ti := c.temporal.find(tk)
+	th := tk.hash()
+	ti := c.temporal.find(tk, th)
 	if ti != none {
 		if tw := &c.temporal.slab[ti]; sub(now, tw.at) <= int64(c.opts.TemporalThreshold) {
 			c.temporal.touch(ti, now, ev.Time)
@@ -114,20 +127,21 @@ func (c *Compressor) Step(ev *raslog.Event, subID int) (Verdict, int) {
 	sk := skey{job: ev.JobID, entry: ev.EntryData}
 	h := &c.hot
 	if !h.valid || h.key != sk {
-		h.key, h.i, h.valid = sk, c.spatial.find(sk), true
+		h.key, h.hash, h.valid = sk, sk.hash(), true
+		h.i = c.spatial.find(sk, h.hash)
 	}
 	if h.i != none {
 		if sw := &c.spatial.slab[h.i]; sub(now, sw.at) <= int64(c.opts.SpatialThreshold) && ev.Location != sw.val.loc {
 			c.spatial.touch(h.i, now, ev.Time)
-			c.temporal.put(tk, ti, sw.val.slot, now, ev.Time)
+			c.temporal.put(tk, th, ti, sw.val.slot, now, ev.Time)
 			return SpatialDuplicate, sw.val.slot
 		}
 	}
 
 	slot := c.next
 	c.next++
-	c.temporal.put(tk, ti, slot, now, ev.Time)
-	h.i = c.spatial.put(sk, h.i, sval{slot: slot, loc: ev.Location}, now, ev.Time)
+	c.temporal.put(tk, th, ti, slot, now, ev.Time)
+	h.i = c.spatial.put(sk, h.hash, h.i, sval{slot: slot, loc: ev.Location}, now, ev.Time)
 	return Unique, slot
 }
 

@@ -2,8 +2,21 @@ package raslog
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
+
+// The times a record may carry are those int64 nanoseconds since the
+// Unix epoch can hold, 1677-09-21 to 2262-04-11; the predictor compares
+// times as such integers. Both decoders refuse a record outside them as
+// undecodable. BG/L logs span 2004–2006.
+var minTime, maxTime = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+
+// minSec and maxSec are the whole seconds inside [minTime, maxTime].
+const minSec, maxSec = math.MinInt64 / int64(time.Second), math.MaxInt64 / int64(time.Second)
+
+// timeInRange reports whether t is inside [minTime, maxTime].
+func timeInRange(t time.Time) bool { return !t.Before(minTime) && !t.After(maxTime) }
 
 // NoJob is the JOB ID value for records not attributable to a user job
 // (for example service-card or link-card events raised by CMCS itself).

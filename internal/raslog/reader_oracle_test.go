@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -23,7 +24,9 @@ import (
 // The reference: the text reader exactly as it stood before Reader
 // learned to parse from its line buffer — bufio.Scanner, strings.SplitN,
 // strconv, time.ParseInLocation, fmt — kept here so the zero-alloc
-// paths have an oracle that shares none of their code. Reader must
+// paths have an oracle that shares none of their code. One rule was
+// added since: a record whose time int64 nanoseconds since the epoch
+// cannot hold (before 1677-09-21 or after 2262-04-11) is undecodable. Reader must
 // agree with it on every event, every error text, every LineError and
 // every Raw/Line answer, read through Read and through NextEvent and
 // DecodeEvent alike.
@@ -186,6 +189,9 @@ func (r *refReader) Read() (raslog.Event, error) {
 			err = json.Unmarshal(r.sc.Bytes(), &ev)
 		} else {
 			ev, err = refParseLine(line)
+		}
+		if err == nil && (ev.Time.Before(time.Unix(0, math.MinInt64)) || ev.Time.After(time.Unix(0, math.MaxInt64))) {
+			ev, err = raslog.Event{}, fmt.Errorf("raslog: time %s out of range", ev.Time.UTC().Format(refTimeLayout))
 		}
 		if err != nil {
 			le := raslog.LineError{Line: r.line, Raw: line, Err: err}

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
+	"bglpred/internal/catalog"
 	"bglpred/internal/raslog"
 )
 
@@ -198,5 +200,37 @@ func TestWireIngestRejectsCorruptFrame(t *testing.T) {
 	}
 	if resp.Error == "" {
 		t.Fatal("response lacks the stream-level error")
+	}
+}
+
+// TestIngestQuarantinesOutOfRangeTimes: a record dated where int64
+// nanoseconds since the epoch cannot reach is undecodable in either
+// dialect. Two such records of one job, location and subcategory, a
+// century apart, would otherwise meet in one temporal window, their
+// times compared as the same clamped instant.
+func TestIngestQuarantinesOutOfRangeTimes(t *testing.T) {
+	meta, tail := fixture(t)
+	in := catalog.NewInterner(0)
+	i := slices.IndexFunc(tail, func(ev raslog.Event) bool { _, ok := in.Classify(&ev); return ok })
+	if i < 0 {
+		t.Fatal("the tail has no classifiable record")
+	}
+	pair := []raslog.Event{tail[i], tail[i]}
+	pair[0].Time = time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)
+	pair[1].Time = time.Date(2400, 1, 1, 0, 0, 0, 0, time.UTC)
+	pair[1].RecID++
+	for _, wire := range []bool{false, true} {
+		s := New(meta, Config{Shards: 1, Window: 30 * time.Minute})
+		var resp IngestResponse
+		if wire {
+			resp = postWire(t, s, encodeWire(t, pair))
+		} else {
+			resp = post(t, s, encode(t, pair))
+		}
+		if c := s.shards[0].engine().Counters(); resp.Accepted != 0 || resp.Quarantined != 2 || c.Ingested != 0 || c.Unique != 0 {
+			t.Errorf("wire=%v: accepted %d, quarantined %d; the engine ingested %d, %d unique; want both records in quarantine",
+				wire, resp.Accepted, resp.Quarantined, c.Ingested, c.Unique)
+		}
+		s.Close()
 	}
 }
