@@ -33,7 +33,7 @@ var fixtureOnce struct {
 	err  error
 }
 
-func fixture(t *testing.T) (*predictor.Meta, *model.Artifact, []raslog.Event) {
+func fixture(t testing.TB) (*predictor.Meta, *model.Artifact, []raslog.Event) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		gen, err := bglsim.Generate(bglsim.ANLProfile().Scaled(0.05))

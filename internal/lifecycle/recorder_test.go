@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"slices"
 	"strings"
@@ -516,6 +518,51 @@ func TestRecorderObserveDuplicateAllocatesNothing(t *testing.T) {
 	}
 	if r.Unique() != 1 || r.Len() != int(r.Seen()) {
 		t.Fatalf("duplicates opened events or went uncounted: Unique() = %d, Len() = %d, Seen() = %d", r.Unique(), r.Len(), r.Seen())
+	}
+}
+
+// BenchmarkServeIngestObserved posts the fixture's tail as 4096-record
+// wire bodies into a fresh two-shard server per pass, once with the
+// recorder as its Observer, the way bglserved runs, and once without.
+// The difference is what observing costs a served record, the
+// recorder_observe timer included.
+func BenchmarkServeIngestObserved(b *testing.B) {
+	meta, _, tail := fixture(b)
+	var bodies [][]byte
+	for lo := 0; lo < len(tail); lo += 4096 {
+		var buf bytes.Buffer
+		w := raslog.NewWireWriter(&buf)
+		for i := lo; i < min(lo+4096, len(tail)); i++ {
+			if err := w.Write(&tail[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, buf.Bytes())
+	}
+	for _, observed := range []bool{true, false} {
+		b.Run(fmt.Sprintf("observer=%t", observed), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cfg := serve.Config{Shards: 2}
+				if observed {
+					cfg.Observer = NewRecorder(6*time.Hour, 0).Observe
+				}
+				s := serve.New(meta, cfg)
+				for _, body := range bodies {
+					req := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body))
+					req.Header.Set("Content-Type", raslog.WireContentType)
+					rec := httptest.NewRecorder()
+					s.ServeHTTP(rec, req)
+					if rec.Code != http.StatusOK {
+						b.Fatalf("ingest: status %d: %s", rec.Code, rec.Body.String())
+					}
+				}
+				s.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tail)), "ns/record")
+		})
 	}
 }
 
