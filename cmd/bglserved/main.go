@@ -176,6 +176,9 @@ func run(o options) error {
 				ledgerPath, res.Entries, res.Commits, seq, root)
 		}
 	}
+	if modelInfo.TrainedAt.IsZero() {
+		modelInfo.TrainedAt = lifecycle.ModelTrainedAt(led, modelInfo.SHA256)
+	}
 
 	// Record accepted traffic for retraining, and expose retraining via
 	// POST /v1/model/reload. The retrainer needs the server and the
@@ -432,12 +435,11 @@ func loadArtifact(path string) (*predictor.Meta, serve.ModelInfo, error) {
 	if err != nil {
 		return nil, serve.ModelInfo{}, fmt.Errorf("rebuild model: %w", err)
 	}
-	logf("loaded model %s (sha %.12s, trained %s on %q, %d rules, predictors %v)",
-		path, mi.SHA256, art.Provenance.TrainedAt.Format(time.RFC3339),
-		art.Provenance.Source, serve.RuleCount(meta), meta.BaseNames())
+	logf("loaded model %s (sha %.12s, trained on %q, %d rules, predictors %v)",
+		path, mi.SHA256, art.Provenance.Source, serve.RuleCount(meta), meta.BaseNames())
 	return meta, serve.ModelInfo{
 		SHA256:    mi.SHA256,
-		TrainedAt: art.Provenance.TrainedAt,
+		TrainedAt: art.Provenance.TrainedAt, // set only in artifacts written before it left the payload
 		Source:    art.Provenance.Source,
 	}, nil
 }

@@ -48,6 +48,21 @@ func LastModelRecord(led *ledger.Ledger) (ModelLedgerRecord, bool, error) {
 	return rec, true, nil
 }
 
+// ModelTrainedAt is when the model whose artifact hashes to sha was
+// trained, as the ledger's newest model record states it when that
+// record names this model; artifacts carry no wall clock. It is the
+// zero time otherwise, and with no ledger.
+func ModelTrainedAt(led *ledger.Ledger, sha string) time.Time {
+	if led == nil {
+		return time.Time{}
+	}
+	rec, ok, err := LastModelRecord(led)
+	if err != nil || !ok || rec.SHA256 != sha {
+		return time.Time{}
+	}
+	return rec.TrainedAt
+}
+
 // LoadCheckpointFromLedger returns the newest checkpoint carried in
 // the ledger (the group-commit Checkpointer's persistence path), or
 // ok=false when the ledger holds none.
@@ -158,9 +173,13 @@ func RestoreMatching(srv *serve.Server, dir string, led *ledger.Ledger, wantSHA 
 	}
 	logf("restore: checkpoint %s matches artifact %s (%.12s), not the boot model (%.12s); swapping to the matching pair",
 		src, path, cp.ModelSHA256, wantSHA)
+	trainedAt := art.Provenance.TrainedAt // set only in artifacts written before it left the payload
+	if trainedAt.IsZero() {
+		trainedAt = ModelTrainedAt(led, info.SHA256)
+	}
 	srv.SwapModel(meta, serve.ModelInfo{
 		SHA256:    info.SHA256,
-		TrainedAt: art.Provenance.TrainedAt,
+		TrainedAt: trainedAt,
 		Source:    art.Provenance.Source,
 	})
 	if err := srv.RestoreShards(cp.Shards); err != nil {

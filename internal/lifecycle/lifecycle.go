@@ -22,12 +22,16 @@
 package lifecycle
 
 import (
+	"encoding/gob"
+	"io"
 	"path/filepath"
 	"time"
 
+	"bglpred/internal/ecg"
 	"bglpred/internal/ledger"
 	"bglpred/internal/model"
 	"bglpred/internal/online"
+	"bglpred/internal/predictor"
 )
 
 // Checkpoint file format identity; the envelope machinery is shared
@@ -49,6 +53,23 @@ const (
 // directory.
 func ModelPath(dir string) string { return filepath.Join(dir, ModelFile) }
 func StatePath(dir string) string { return filepath.Join(dir, StateFile) }
+
+// Gob numbers types in the order a process first encodes them and
+// writes those numbers into every payload, so a model's bytes — and
+// its SHA-256, the identity the gate votes on and checkpoints match —
+// would depend on what the process encoded before it: a backend that
+// checkpointed before its first retrain would package the same
+// training differently from one that trained at boot. Every type a
+// bglserved persists is numbered here, in a fixed order, before main
+// runs. The order is the one the section and checkpoint goldens were
+// written under (statistical, rule, checkpoint), then the rest.
+func init() {
+	for _, v := range []any{predictor.StatState{}, predictor.RuleState{}, Checkpoint{}, model.Artifact{}, ecg.Model{}} {
+		if err := gob.NewEncoder(io.Discard).Encode(v); err != nil {
+			panic(err)
+		}
+	}
+}
 
 // Checkpoint is one persisted snapshot of a server's mutable serving
 // state. The model itself is not inside (it lives in its own artifact

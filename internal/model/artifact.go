@@ -24,7 +24,11 @@ const (
 // serving model ("which data, which thresholds?") and to reproduce the
 // training run.
 type Provenance struct {
-	// TrainedAt is when training finished (wall clock).
+	// TrainedAt is when training finished (wall clock). It is not part
+	// of the payload, which is a function of the configuration and the
+	// training window alone: FromMeta drops it, so two identical
+	// trainings share one SHA-256. The audit ledger's model record
+	// carries it; artifacts written before it left still load with it.
 	TrainedAt time.Time
 	// Source describes the training data (file path or generator spec).
 	Source string
@@ -92,14 +96,15 @@ type Artifact struct {
 	Sections []Section
 }
 
-// FromMeta captures a trained meta-learner as an artifact. The
-// returned artifact shares no mutable state with the predictor: each
-// section is a freshly encoded State payload, so later retraining
-// cannot corrupt a saved model.
+// FromMeta captures a trained meta-learner as an artifact, with prov
+// less its TrainedAt. The returned artifact shares no mutable state
+// with the predictor: each section is a freshly encoded State payload,
+// so later retraining cannot corrupt a saved model.
 func FromMeta(m *predictor.Meta, prov Provenance) (*Artifact, error) {
 	if m == nil || len(m.Bases()) == 0 {
 		return nil, fmt.Errorf("model: meta-learner is not trained (no base predictors)")
 	}
+	prov.TrainedAt = time.Time{}
 	a := &Artifact{Provenance: prov, Policy: int(m.Policy)}
 	for _, b := range m.Bases() {
 		data, err := b.State()

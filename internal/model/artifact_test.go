@@ -278,6 +278,36 @@ func TestRoundTripPredictsIdentically(t *testing.T) {
 	samePredictions(t, m, m2, tail)
 }
 
+// TestIdenticalTrainingsShareOneSHA is the identity contract: two
+// trainings over the same events, finished at different wall-clock
+// times, package to the same payload bytes and so to one SHA-256.
+func TestIdenticalTrainingsShareOneSHA(t *testing.T) {
+	train, _, cut := anlSplit(t)
+	var shas []string
+	for i := 0; i < 3; i++ {
+		a, err := FromMeta(trainThreeBases(t, train), Provenance{
+			TrainedAt: time.Now().UTC().Add(time.Duration(i) * time.Hour),
+			Source:    "anl scale=0.05",
+			Records:   cut,
+			Unique:    len(train),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !a.Provenance.TrainedAt.IsZero() {
+			t.Fatal("FromMeta kept the wall clock in the payload")
+		}
+		_, info, err := MarshalEnvelope(ArtifactMagic, ArtifactVersion, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shas = append(shas, info.SHA256)
+	}
+	if shas[0] != shas[1] || shas[1] != shas[2] {
+		t.Fatalf("identical trainings got SHAs %v", shas)
+	}
+}
+
 // TestV1UpgradesToV2 is the format-migration path: a version-1 file
 // loads as the classic pair's sections, and re-saving the rebuilt
 // predictor produces a version-2 artifact that writes no version-1

@@ -2,8 +2,13 @@ package predictor
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"bglpred/internal/assoc"
@@ -102,12 +107,22 @@ type StatState struct {
 	// (they mirror MinLead and MaxWindow at training time).
 	FollowMinLead time.Duration
 	FollowWindow  time.Duration
-	// Total and Followed are the per-main-category follow counts of
-	// stats.FollowStats.
+	// TotalTable and FollowedTable are the per-main-category follow
+	// counts of stats.FollowStats, and TriggerTable the trigger
+	// categories with their learned confidence, each packed in category
+	// order (packCounts, packConfs), so that a section's bytes are a
+	// function of the training alone. They are []byte because gob has
+	// that type built in: a new composite type would take the next gob
+	// type ids in this process and renumber every type encoded after
+	// it, checkpoints included.
+	TotalTable    []byte
+	FollowedTable []byte
+	TriggerTable  []byte
+	// Total, Followed and Triggers are the same tables as maps, which
+	// gob writes in map iteration order. They are decoded from older
+	// payloads and the version-1 artifact only; State never fills them.
 	Total    map[int]int
 	Followed map[int]int
-	// Triggers maps trigger categories (catalog.Main as int) to their
-	// learned confidence.
 	Triggers map[int]float64
 }
 
@@ -123,12 +138,9 @@ func (s *Statistical) State() ([]byte, error) {
 		MinCount:       s.MinCount,
 		FollowMinLead:  s.follow.MinLead,
 		FollowWindow:   s.follow.Window,
-		Total:          s.follow.Total,
-		Followed:       s.follow.Followed,
-		Triggers:       make(map[int]float64),
-	}
-	for m, conf := range s.Triggers() {
-		st.Triggers[int(m)] = conf
+		TotalTable:     packCounts(s.follow.Total),
+		FollowedTable:  packCounts(s.follow.Followed),
+		TriggerTable:   packConfs(s.Triggers()),
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
@@ -137,16 +149,12 @@ func (s *Statistical) State() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// SetState implements Base.
+// SetState implements Base. It reads the tables in either form.
 func (s *Statistical) SetState(data []byte) error {
 	var st StatState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("predictor: decode statistical state: %w", err)
 	}
-	s.MinLead = st.MinLead
-	s.MaxWindow = st.MaxWindow
-	s.MinProbability = st.MinProbability
-	s.MinCount = st.MinCount
 	follow := &stats.FollowStats{
 		MinLead:  st.FollowMinLead,
 		Window:   st.FollowWindow,
@@ -163,7 +171,81 @@ func (s *Statistical) SetState(data []byte) error {
 	for main, conf := range st.Triggers {
 		triggers[catalog.Main(main)] = conf
 	}
+	if err := unpackCounts(st.TotalTable, follow.Total); err != nil {
+		return err
+	}
+	if err := unpackCounts(st.FollowedTable, follow.Followed); err != nil {
+		return err
+	}
+	if err := unpackConfs(st.TriggerTable, triggers); err != nil {
+		return err
+	}
+	s.MinLead = st.MinLead
+	s.MaxWindow = st.MaxWindow
+	s.MinProbability = st.MinProbability
+	s.MinCount = st.MinCount
 	s.SetTrained(follow, triggers)
+	return nil
+}
+
+// packCounts writes a count table as varint (category, count) pairs in
+// category order.
+func packCounts(m map[int]int) []byte {
+	var b []byte
+	for _, main := range sortedKeys(m) {
+		b = binary.AppendVarint(binary.AppendVarint(b, int64(main)), int64(m[main]))
+	}
+	return b
+}
+
+// packConfs writes trigger confidences as (varint category, float64
+// bits) pairs in category order.
+func packConfs(m map[catalog.Main]float64) []byte {
+	var b []byte
+	for _, main := range sortedKeys(m) {
+		b = binary.BigEndian.AppendUint64(binary.AppendVarint(b, int64(main)), math.Float64bits(m[main]))
+	}
+	return b
+}
+
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+var errStatTable = errors.New("predictor: decode statistical state: malformed table")
+
+// unpackCounts adds packCounts' pairs to m.
+func unpackCounts(b []byte, m map[int]int) error {
+	for len(b) > 0 {
+		main, n := binary.Varint(b)
+		if n <= 0 {
+			return errStatTable
+		}
+		count, k := binary.Varint(b[n:])
+		if k <= 0 {
+			return errStatTable
+		}
+		m[int(main)] = int(count)
+		b = b[n+k:]
+	}
+	return nil
+}
+
+// unpackConfs adds packConfs' pairs to m.
+func unpackConfs(b []byte, m map[catalog.Main]float64) error {
+	for len(b) > 0 {
+		main, n := binary.Varint(b)
+		if n <= 0 || len(b) < n+8 {
+			return errStatTable
+		}
+		m[catalog.Main(main)] = math.Float64frombits(binary.BigEndian.Uint64(b[n:]))
+		b = b[n+8:]
+	}
 	return nil
 }
 

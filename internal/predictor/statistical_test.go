@@ -1,6 +1,9 @@
 package predictor
 
 import (
+	"bytes"
+	"encoding/gob"
+	"reflect"
 	"testing"
 	"time"
 
@@ -179,5 +182,48 @@ func TestStatisticalWarningCovers(t *testing.T) {
 func TestStatisticalName(t *testing.T) {
 	if NewStatistical().Name() != "statistical" {
 		t.Error("bad name")
+	}
+}
+
+// TestStatisticalStateTables round-trips the packed tables and refuses
+// truncated ones.
+func TestStatisticalStateTables(t *testing.T) {
+	s := NewStatistical()
+	s.MinCount = 5
+	if err := s.Train(correlatedTraining(40)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := NewStatistical()
+	if err := back.SetState(data); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := back.State(); !bytes.Equal(again, data) {
+		t.Fatal("restored statistical state re-encodes to other bytes")
+	}
+	if !reflect.DeepEqual(back.Triggers(), s.Triggers()) || !reflect.DeepEqual(back.FollowStats(), s.FollowStats()) {
+		t.Fatalf("restored %v %+v, trained %v %+v", back.Triggers(), back.FollowStats(), s.Triggers(), s.FollowStats())
+	}
+	var st StatState
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	for name, cut := range map[string]func(*StatState){
+		"total":    func(st *StatState) { st.TotalTable = st.TotalTable[:len(st.TotalTable)-1] },
+		"followed": func(st *StatState) { st.FollowedTable = st.FollowedTable[:len(st.FollowedTable)-1] },
+		"triggers": func(st *StatState) { st.TriggerTable = st.TriggerTable[:len(st.TriggerTable)-1] },
+	} {
+		bad := st
+		cut(&bad)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(bad); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewStatistical().SetState(buf.Bytes()); err == nil {
+			t.Errorf("a truncated %s table restored", name)
+		}
 	}
 }

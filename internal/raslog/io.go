@@ -123,16 +123,16 @@ const (
 // ingestion of everything after it.
 //
 // A stream decodes one of two ways, as a WireDecoder's does: Read
-// returns a record at a time, and NextEvent with DecodeEvent split the
-// next line and return its location first, then decode the record into
+// returns a record at a time, and NextEvent decodes the next line and
+// returns its location first, so DecodeEvent can hand the record to
 // memory the caller picks from that location. Pipe records in the
-// spelling Writer emits decode straight from the line buffer without
-// allocating: LOCATION resolves through a capped cache, and TYPE,
-// FACILITY and ENTRY_DATA through a compare against the previous
-// record's value ahead of a capped intern table. Every other line,
-// valid or not, takes the general parser. A Reader is meant to be
-// pooled and re-armed with Reset, which keeps the buffer and the
-// caches warm.
+// spelling Writer emits decode in one pass, left to right, straight
+// from the line buffer and without allocating: TYPE, FACILITY and
+// ENTRY_DATA through a compare against the previous record's value
+// ahead of a capped intern table, TIME through a same-second cache.
+// Every other line, valid or not, takes the general parser. A Reader
+// is meant to be pooled and re-armed with Reset, which keeps the
+// buffer and the caches warm.
 type Reader struct {
 	src        io.Reader
 	buf        []byte // line buffer; doubles up to maxLineBytes for a long line
@@ -150,18 +150,11 @@ type Reader struct {
 	skipped int64
 	onSkip  func(LineError)
 
-	// The record NextEvent stopped at: its fields, split in place in
-	// buf, and its location; or, for a line only the general parser
-	// decodes, the whole event.
-	f    [8][]byte
-	loc  Location
-	slow bool
-	ev   Event
+	ev Event // the record NextEvent stopped at
 
 	// Fast-path caches; all are pure functions of the bytes they key
 	// on, so they carry over a Reset.
 	intern          internTable
-	locs            map[string]Location // capped as intern is
 	typ, fac, entry lastValue
 	stamp           [len(timeLayout)]byte // text of the last timestamp decoded
 	stampTime       time.Time
@@ -185,9 +178,23 @@ func (m *lastValue) get(t internTable, b []byte) string {
 	return s
 }
 
+// field resolves the field at b[i:], which runs to the next '|', and
+// returns the index past that '|'. A repeat of the last value is
+// matched in place, with no search for the '|'.
+func (m *lastValue) field(t internTable, b []byte, i int) (string, int, bool) {
+	if j := i + len(m.s); j < len(b) && b[j] == '|' && string(b[i:j]) == m.s {
+		return m.s, j + 1, true
+	}
+	n := bytes.IndexByte(b[i:], '|')
+	if n < 0 {
+		return "", 0, false
+	}
+	return m.get(t, b[i:i+n]), i + n + 1, true
+}
+
 // NewReader returns a Reader consuming the log dialect from r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{src: r, buf: make([]byte, readerBufSize), intern: make(internTable), locs: make(map[string]Location)}
+	return &Reader{src: r, buf: make([]byte, readerBufSize), intern: make(internTable)}
 }
 
 // Reset re-arms the reader for a new stream, as if fresh from
@@ -231,29 +238,19 @@ func (r *Reader) Line() int64 { return r.line }
 //
 //bglvet:hotpath
 func (r *Reader) Read() (Event, error) {
-	for {
-		if _, err := r.NextEvent(); err != nil {
-			return Event{}, err
-		}
-		var ev Event
-		err := r.DecodeEvent(&ev)
-		if err == nil {
-			return ev, nil
-		}
-		if !r.lenient {
-			return Event{}, err
-		}
+	if _, err := r.NextEvent(); err != nil {
+		return Event{}, err
 	}
+	return r.ev, nil
 }
 
-// NextEvent advances to the stream's next record line and returns its
-// location, the routing key; DecodeEvent then decodes the rest of the
-// record into wherever the caller routes it. Blank and comment lines
-// are passed over. An undecodable line shows up here or in DecodeEvent,
-// and goes as it does in Read: a lenient reader skips it and goes on, a
-// strict one returns its *LineError, and the stream stays readable.
-// NextEvent returns io.EOF at a clean end, and a stream-level failure
-// as Read does.
+// NextEvent advances to the stream's next record line, decodes it and
+// returns its location, the routing key; DecodeEvent then copies the
+// record to wherever the caller routes it. Blank and comment lines are
+// passed over. An undecodable line goes as it does in Read: a lenient
+// reader skips it and goes on, a strict one returns its *LineError,
+// and the stream stays readable. NextEvent returns io.EOF at a clean
+// end, and a stream-level failure as Read does.
 //
 //bglvet:hotpath
 func (r *Reader) NextEvent() (Location, error) {
@@ -267,13 +264,12 @@ func (r *Reader) NextEvent() (Location, error) {
 			continue // blank lines and comments are permitted
 		}
 		r.last, r.lastInBuf = line, true
-		if r.split(line) {
-			r.slow = false
-			return r.loc, nil
+		if r.decode(line) {
+			return r.ev.Location, nil
 		}
 		ev, err := parseSlow(line)
 		if err == nil {
-			r.ev, r.slow = ev, true
+			r.ev = ev
 			return ev.Location, nil
 		}
 		if err := r.skip(err); err != nil {
@@ -282,30 +278,15 @@ func (r *Reader) NextEvent() (Location, error) {
 	}
 }
 
-// DecodeEvent decodes the record NextEvent stopped at into *ev,
-// overwriting every field. A non-nil error means the line is
-// undecodable past its location and *ev holds no event: a strict
-// reader returns the line's *LineError, and a lenient one has already
-// counted the line and handed it to onSkip.
+// DecodeEvent stores the record NextEvent stopped at in *ev,
+// overwriting every field. NextEvent has already decoded the whole
+// line, so it never fails; the error is there for the shape a
+// WireDecoder shares.
 //
 //bglvet:hotpath
 func (r *Reader) DecodeEvent(ev *Event) error {
-	if r.slow {
-		*ev = r.ev
-		return nil
-	}
-	if r.decodeFast(ev) {
-		return nil
-	}
-	parsed, err := parseSlow(r.last)
-	if err == nil {
-		*ev = parsed
-		return nil
-	}
-	if serr := r.skip(err); serr != nil {
-		return serr
-	}
-	return err
+	*ev = r.ev
+	return nil
 }
 
 // skip disposes of the undecodable line in hand: a strict reader
@@ -393,103 +374,86 @@ func (r *Reader) fill() {
 	}
 }
 
-// split cuts a pipe record into its eight fields, in place, and
-// resolves its location through the location cache. It reports false
-// for an NDJSON object, a line of fewer than eight fields and a
-// location that does not parse: the verdict on those, and the error
-// text, belong to parseSlow.
-func (r *Reader) split(line []byte) bool {
-	if line[0] == '{' {
-		return false
-	}
-	rest := line
-	for i := 0; i < 7; i++ {
-		j := bytes.IndexByte(rest, '|')
-		if j < 0 {
-			return false
-		}
-		r.f[i], rest = rest[:j], rest[j+1:]
-	}
-	r.f[7] = rest // a stray pipe in ENTRY_DATA stays in the field
-
-	loc, ok := r.locs[string(r.f[4])] // no allocation on the hit path
-	if !ok {
-		if loc, ok = parseLocation(r.f[4]); !ok {
-			return false
-		}
-		if len(r.locs) < wireInternCap && len(r.f[4]) <= wireInternMaxLen {
-			r.locs[string(r.f[4])] = loc // a miss copies the key once
-		}
-	}
-	r.loc = loc
-	return true
-}
-
-// decodeFast decodes the rest of the split record in the spelling
-// Writer emits — plain decimal ids, a "2006-01-02 15:04:05" timestamp —
-// without allocating. It reports false for every other spelling, valid
-// or not, and leaves those to parseSlow.
-func (r *Reader) decodeFast(ev *Event) bool {
+// decode decodes a pipe record in the spelling Writer emits into r.ev,
+// in one pass left to right over the line. It reports false for every
+// other line, valid or not — an NDJSON object, a field in another
+// spelling, a time the pass does not cover — and leaves the verdict on
+// those, and the error text, to parseSlow.
+func (r *Reader) decode(b []byte) bool {
+	ev := &r.ev
+	var i int
 	var ok bool
-	if ev.RecID, ok = fastInt(r.f[0]); !ok {
+	if ev.RecID, i, ok = scanInt(b, 0); !ok {
 		return false
 	}
-	if ev.Time, ok = r.fastTime(r.f[2]); !ok {
+	if ev.Type, i, ok = r.typ.field(r.intern, b, i); !ok {
 		return false
 	}
-	if ev.JobID, ok = fastInt(r.f[3]); !ok {
+	if ev.Time, i, ok = r.scanTime(b, i); !ok {
 		return false
 	}
-	if ev.Severity, ok = parseSeverity(r.f[6]); !ok {
+	if ev.JobID, i, ok = scanInt(b, i); !ok {
 		return false
 	}
-	ev.Location = r.loc
-	ev.Type = r.typ.get(r.intern, r.f[1])
-	ev.Facility = r.fac.get(r.intern, r.f[5])
-	ev.EntryData = r.entry.get(r.intern, r.f[7])
+	if ev.Location, i, ok = scanLocation(b, i); !ok {
+		return false
+	}
+	if ev.Facility, i, ok = r.fac.field(r.intern, b, i); !ok {
+		return false
+	}
+	if ev.Severity, i, ok = scanSeverity(b, i); !ok {
+		return false
+	}
+	ev.EntryData = r.entry.get(r.intern, b[i:]) // a stray pipe in ENTRY_DATA stays in the field
 	return true
 }
 
-// fastInt parses b as strconv.ParseInt(b, 10, 64) does, for the values
-// that cannot overflow: an optional sign and one to eighteen digits.
-func fastInt(b []byte) (int64, bool) {
+// scanInt parses the id field at b[i:] as strconv.ParseInt does, for
+// the values that cannot overflow: an optional sign and one to
+// eighteen digits, then '|'. It returns the index past the '|'.
+func scanInt(b []byte, i int) (int64, int, bool) {
 	neg := false
-	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
-		neg, b = b[0] == '-', b[1:]
-	}
-	if len(b) == 0 || len(b) > 18 {
-		return 0, false
+	if i < len(b) && (b[i] == '-' || b[i] == '+') {
+		neg = b[i] == '-'
+		i++
 	}
 	var n int64
-	for _, c := range b {
-		d := c - '0'
+	j := i
+	for ; j < len(b) && j-i <= 18; j++ {
+		d := b[j] - '0'
 		if d > 9 {
-			return 0, false
+			break
 		}
 		n = n*10 + int64(d)
+	}
+	if j == i || j-i > 18 || j == len(b) || b[j] != '|' {
+		return 0, 0, false
 	}
 	if neg {
 		n = -n
 	}
-	return n, true
+	return n, j + 1, true
 }
 
-// fastTime parses b as time.ParseInLocation(timeLayout, b, time.UTC)
-// does when b has exactly the layout's shape: nineteen bytes, every
-// number at full width, in a year wholly inside [minTime, maxTime].
-// (The general parser also takes a one-digit hour and fractional
-// seconds, and decides the years at the ends.) CMCS stamps whole
-// seconds, so raw logs carry long same-second runs; the last stamp is
-// cached once one has decoded.
-func (r *Reader) fastTime(b []byte) (time.Time, bool) {
-	if len(b) != len(timeLayout) {
-		return time.Time{}, false
+// scanTime parses the TIME field at b[i:] as
+// time.ParseInLocation(timeLayout, field, time.UTC) does when the field
+// has exactly the layout's shape: nineteen bytes, every number at full
+// width, in a year wholly inside [minTime, maxTime], then '|'. (The
+// general parser also takes a one-digit hour and fractional seconds,
+// and decides the years at the ends.) CMCS stamps whole seconds, so raw
+// logs carry long same-second runs; the last stamp is cached once one
+// has decoded. It returns the index past the '|'.
+func (r *Reader) scanTime(b []byte, i int) (time.Time, int, bool) {
+	j := i + len(timeLayout)
+	if j >= len(b) || b[j] != '|' {
+		return time.Time{}, 0, false
 	}
+	b = b[i:j]
 	if r.stamped && string(b) == string(r.stamp[:]) {
-		return r.stampTime, true
+		return r.stampTime, j + 1, true
 	}
 	if b[4] != '-' || b[7] != '-' || b[10] != ' ' || b[13] != ':' || b[16] != ':' {
-		return time.Time{}, false
+		return time.Time{}, 0, false
 	}
 	century, yy := digits2(b[0:2]), digits2(b[2:4])
 	month, day := digits2(b[5:7]), digits2(b[8:10])
@@ -497,12 +461,127 @@ func (r *Reader) fastTime(b []byte) (time.Time, bool) {
 	year := 100*century + yy
 	if century < 0 || yy < 0 || year < 1678 || year > 2261 || month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
 		hour < 0 || hour > 23 || minute < 0 || minute > 59 || sec < 0 || sec > 59 {
-		return time.Time{}, false
+		return time.Time{}, 0, false
 	}
 	copy(r.stamp[:], b)
-	r.stampTime = time.Date(year, time.Month(month), day, hour, minute, sec, 0, time.UTC)
+	secs := 86400*daysFromCivil(year, month, day) + int64(3600*hour+60*minute+sec)
+	r.stampTime = time.Unix(secs, 0).UTC() // the time.Time time.Date builds, without its calendar walk
 	r.stamped = true
-	return r.stampTime, true
+	return r.stampTime, j + 1, true
+}
+
+// daysFromCivil is the number of days from 1970-01-01 to the given
+// proleptic Gregorian date, for years from 1 on: the era-of-400-years
+// arithmetic of Hinnant's days_from_civil.
+func daysFromCivil(year, month, day int) int64 {
+	if month <= 2 {
+		year--
+	}
+	era := year / 400
+	yoe := year - 400*era                     // [0, 399]
+	doy := (153*((month+9)%12)+2)/5 + day - 1 // [0, 365], from March 1
+	doe := 365*yoe + yoe/4 - yoe/100 + doy    // [0, 146096]
+	return int64(146097*era+doe) - 719468     // 719468: days from 0000-03-01 to 1970-01-01
+}
+
+// scanLocation parses the LOCATION field at b[i:] in the spellings
+// Location.AppendTo emits — "?", a rack of two or more digits, and
+// below it a midplane, a node card with its compute or I/O chip, a
+// link card or the service card — as parseLocation does, then '|'. It
+// returns the index past the '|'.
+func scanLocation(b []byte, i int) (loc Location, next int, ok bool) {
+	switch at(b, i) {
+	case '?':
+		i++
+	case 'R':
+		if loc.Rack, i, ok = scanDigits(b, i+1, 2); !ok {
+			return Location{}, 0, false
+		}
+		loc.Kind = KindRack
+		if at(b, i) != '-' {
+			break
+		}
+		if at(b, i+1) != 'M' || (at(b, i+2) != '0' && at(b, i+2) != '1') {
+			return Location{}, 0, false
+		}
+		loc.Kind, loc.Midplane = KindMidplane, int(b[i+2]-'0')
+		if i += 3; at(b, i) != '-' {
+			break
+		}
+		switch at(b, i+1) {
+		case 'N':
+			loc.Kind = KindNodeCard
+			if loc.Card, i, ok = scanDigits(b, i+2, 2); !ok {
+				return Location{}, 0, false
+			}
+			if at(b, i) != '-' {
+				break
+			}
+			switch at(b, i+1) {
+			case 'C':
+				loc.Kind = KindComputeChip
+			case 'I':
+				loc.Kind = KindIONode
+			default:
+				return Location{}, 0, false
+			}
+			if loc.Chip, i, ok = scanDigits(b, i+2, 2); !ok {
+				return Location{}, 0, false
+			}
+		case 'L':
+			loc.Kind = KindLinkCard
+			if loc.Card, i, ok = scanDigits(b, i+2, 1); !ok {
+				return Location{}, 0, false
+			}
+		case 'S':
+			loc.Kind = KindServiceCard
+			i += 2
+		default:
+			return Location{}, 0, false
+		}
+	default:
+		return Location{}, 0, false
+	}
+	if at(b, i) != '|' {
+		return Location{}, 0, false
+	}
+	return loc, i + 1, true
+}
+
+// at is b[i], or 0 past the end of b.
+func at(b []byte, i int) byte {
+	if i < len(b) {
+		return b[i]
+	}
+	return 0
+}
+
+// scanDigits reads a run of least to nine digits at b[i:], a value
+// within int on every platform, and returns the index past it.
+func scanDigits(b []byte, i, least int) (int, int, bool) {
+	n, j := 0, i
+	for ; j < len(b) && j-i <= 9; j++ {
+		d := b[j] - '0'
+		if d > 9 {
+			break
+		}
+		n = n*10 + int(d)
+	}
+	if j-i < least || j-i > 9 {
+		return 0, 0, false
+	}
+	return n, j, true
+}
+
+// scanSeverity matches the SEVERITY field at b[i:] against the six
+// names, then '|', and returns the index past the '|'.
+func scanSeverity(b []byte, i int) (Severity, int, bool) {
+	for s, name := range &severityNames {
+		if j := i + len(name); j < len(b) && b[j] == '|' && string(b[i:j]) == name {
+			return Severity(s), j + 1, true
+		}
+	}
+	return 0, 0, false
 }
 
 // digits2 is the value of a two-digit field, or -1 if either byte is
@@ -529,7 +608,7 @@ func daysIn(month, year int) int {
 }
 
 // parseSlow is the general decoder: NDJSON objects, and every pipe
-// line decodeFast passed over. It refuses a record whose time is
+// line decode passed over. It refuses a record whose time is
 // outside [minTime, maxTime].
 func parseSlow(line []byte) (ev Event, err error) {
 	if line[0] == '{' {

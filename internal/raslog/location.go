@@ -104,11 +104,6 @@ func appendPad2(dst []byte, n int) []byte {
 	return strconv.AppendInt(dst, int64(n), 10)
 }
 
-// bytestring is what the text-grammar parsers accept. Reader parses
-// fields straight out of its line buffer and the exported string API
-// parses its argument, through one implementation of each grammar.
-type bytestring interface{ ~string | ~[]byte }
-
 // ParseLocation parses a LOCATION string in the grammar documented on
 // Location. It accepts any truncation point of the hierarchy.
 func ParseLocation(text string) (Location, error) {
@@ -119,9 +114,8 @@ func ParseLocation(text string) (Location, error) {
 	return loc, nil
 }
 
-// parseLocation is ParseLocation without the error value (and so
-// without an allocation on either outcome).
-func parseLocation[T bytestring](text T) (Location, bool) {
+// parseLocation is ParseLocation without the error value.
+func parseLocation(text string) (Location, bool) {
 	if len(text) == 0 || (len(text) == 1 && text[0] == '?') {
 		return Location{}, true
 	}
@@ -209,7 +203,7 @@ func parseLocation[T bytestring](text T) (Location, bool) {
 // segmentNumber parses text[i:j] as strconv.Atoi would, given that a
 // segment cannot contain '-': an optional '+', then one or more
 // digits, the value within int.
-func segmentNumber[T bytestring](text T, i, j int) (int, bool) {
+func segmentNumber(text string, i, j int) (int, bool) {
 	if i < j && text[i] == '+' {
 		i++
 	}

@@ -386,9 +386,17 @@ func edgeLines() []string {
 		withField(2, strings.Repeat("\x00", 19)),
 		// Split on its pipes, this object's fifth field is a location.
 		`{"recid":9,"type":"RAS","time":"2005-01-21 00:00:03","jobid":1,"location":"R00-M1-L2","facility":"APP","severity":"INFO","entry_data":"||||R07-M1|||x"}`,
+		// TYPE and FACILITY are matched in place against the previous
+		// record's value followed by '|': a longer value it prefixes, a
+		// shorter one prefixing it, and back.
+		goodLine, withField(1, "RASX"), withField(1, "RA"), goodLine,
+		withField(5, "KERNELX"), withField(5, "KERNE"), goodLine,
+		withField(7, "a|b"), withField(7, "|"),
+		// CR before the LF, and a CR the LF does not follow.
+		goodLine + "\r\n" + withField(0, "2") + "\r\n", goodLine + "\r",
 	}
-	for _, id := range []string{"0", "+5", "-5", "-0", "+", "-", "", "007", " 1", "1 ", "1_000", "0x10", "1e3",
-		"999999999999999999", "-999999999999999999", "1000000000000000000",
+	for _, id := range []string{"0", "+5", "-5", "-1", "-0", "+", "-", "", "007", " 1", "1 ", "1_000", "0x10", "1e3", "12a", "+-1",
+		"999999999999999999", "-999999999999999999", "+999999999999999999", "123456789012345678", "1000000000000000000", "-1234567890123456789",
 		"9223372036854775807", "-9223372036854775808", "9223372036854775808", "99999999999999999999"} {
 		lines = append(lines, withField(0, id), withField(3, id))
 	}
@@ -401,6 +409,12 @@ func edgeLines() []string {
 		"2005-01-21 24:00:00", "2005-01-21 23:60:00", "2005-01-21 23:59:60", "0000-01-01 00:00:00",
 		"9999-12-31 23:59:59", "2005/01/21 00:00:00", "2005-01-21T00:00:00", "2005-01-21 00-00-00",
 		"2oo5-01-21 00:00:00", "2005-01-21 00:00:0x", "+005-01-21 00:00:00", "2005-01-21 -1:00:00", "",
+		// The years the one-pass parser covers end with 2261; the
+		// general parser decides 1677, 1678 and 2262 against the
+		// int64-nanosecond range.
+		"2261-12-31 23:59:59", "2262-01-01 00:00:00", "2262-04-11 23:47:16", "2262-04-11 23:47:17",
+		"1678-01-01 00:00:00", "1677-12-31 23:59:59", "1970-01-01 00:00:00", "1969-12-31 23:59:59",
+		"2000-03-01 00:00:00", "2100-02-28 23:59:59", "2100-03-01 00:00:00",
 	} {
 		lines = append(lines, withField(2, ts))
 	}
@@ -410,6 +424,10 @@ func edgeLines() []string {
 		"R00-M0-X9", "R00-M0-S5", "R00-M0-S-C01", "R00-M0-L2-C01", "R00-M0-L", "R00-M0-L+3", "R00-M0-N", "R00-M0-NX",
 		"R00-M0-N04-C", "R00-M0-N04-Z9", "R00-M0-N04-C32-Z9", "R00--N01", "R00-M0--C01", "R99-M1-N99-C99",
 		"R9223372036854775807", "R9223372036854775808", "R00000000000000000000000007-M1", "R00-M0-N04-C1x", "r00",
+		// Every spelling AppendTo emits, racks and cards past two digits.
+		"R100", "R100-M0", "R100-M1-N15-C31", "R63-M1-N100-I07", "R00-M0-L10", "R05-M0-S", "R123456789", "R1234567890",
+		// Spellings it never emits, which parse all the same.
+		"R3-M1", "R+03", "R007", "R00-M1-N4", "R00-M1-N04-C3", "R00-M1-L03",
 	} {
 		lines = append(lines, withField(4, loc))
 	}
@@ -491,17 +509,23 @@ func simLog(t testing.TB, scale float64) ([]raslog.Event, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return gen.Events, writeBody(t, gen.Events)
+}
+
+// writeBody renders events in the pipe dialect.
+func writeBody(t testing.TB, events []raslog.Event) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	w := raslog.NewWriter(&buf)
-	for i := range gen.Events {
-		if err := w.Write(&gen.Events[i]); err != nil {
+	for i := range events {
+		if err := w.Write(&events[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return gen.Events, buf.Bytes()
+	return buf.Bytes()
 }
 
 // TestReaderMatchesReferenceOnGeneratedLog is the differential over
@@ -548,7 +572,7 @@ func TestReaderMatchesReferenceOnGeneratedLog(t *testing.T) {
 // serve's pool does, through Read in the first round and through
 // NextEvent/DecodeEvent in the second. Whatever the previous body left
 // behind — a failed stream, a lenient hook, skip counts, a grown
-// buffer, a last line, a cached timestamp, location or field value —
+// buffer, a last line, a cached timestamp or field value —
 // each body must read exactly as a fresh reference reader reads it.
 func TestReaderResetLeaksNothing(t *testing.T) {
 	_, sim := simLog(t, 0.002)
@@ -589,14 +613,34 @@ func TestReaderResetLeaksNothing(t *testing.T) {
 // TestReaderZeroAllocs pins the allocation budget: a warm Reader,
 // re-armed with Reset as serve's pool re-arms it, decodes a
 // 4096-record body without allocating — through Read, and through
-// NextEvent/DecodeEvent into a batch as serve's ingest loop does, its
-// location cache warm — the mirror of TestWireDecodeZeroAllocs.
+// NextEvent/DecodeEvent into a batch as serve's ingest loop does — the
+// mirror of TestWireDecodeZeroAllocs. The body carries NoJob records
+// and every location kind Writer spells.
 func TestReaderZeroAllocs(t *testing.T) {
-	events, body := simLog(t, 0.002)
+	events, _ := simLog(t, 0.002)
 	if len(events) < 4096 {
 		t.Fatalf("generated only %d records", len(events))
 	}
-	body = body[:bytes.LastIndexByte(body[:nthLine(body, 4096)], '\n')+1]
+	events = events[:4096]
+	locs := []raslog.Location{
+		{},
+		{Kind: raslog.KindRack, Rack: 100},
+		{Kind: raslog.KindMidplane, Rack: 3, Midplane: 1},
+		{Kind: raslog.KindNodeCard, Rack: 0, Midplane: 0, Card: 15},
+		{Kind: raslog.KindComputeChip, Rack: 12, Midplane: 1, Card: 4, Chip: 31},
+		{Kind: raslog.KindIONode, Rack: 2, Midplane: 0, Card: 9, Chip: 0},
+		{Kind: raslog.KindLinkCard, Rack: 0, Midplane: 0, Card: 10},
+		{Kind: raslog.KindServiceCard, Rack: 5, Midplane: 1},
+	}
+	for i := range events {
+		if i%3 == 0 {
+			events[i].JobID = raslog.NoJob
+		}
+		if i%5 == 0 {
+			events[i].Location = locs[i/5%len(locs)]
+		}
+	}
+	body := writeBody(t, events)
 
 	var br bytes.Reader
 	rd := raslog.NewReader(&br)
@@ -641,15 +685,6 @@ func TestReaderZeroAllocs(t *testing.T) {
 			t.Fatalf("record %d decoded into its slot as %+v, want %+v", i, batch[i], events[i])
 		}
 	}
-}
-
-// nthLine returns the offset just past the nth line of body.
-func nthLine(body []byte, n int) int {
-	off := 0
-	for ; n > 0; n-- {
-		off += bytes.IndexByte(body[off:], '\n') + 1
-	}
-	return off
 }
 
 // FuzzReaderMatchesReference explores bodies beyond the seed corpus.

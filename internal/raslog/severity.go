@@ -52,21 +52,12 @@ func (s Severity) IsFatal() bool { return s == Fatal || s == Failure }
 
 // ParseSeverity converts a CMCS severity spelling back to a Severity.
 func ParseSeverity(text string) (Severity, error) {
-	sev, ok := parseSeverity(text)
-	if !ok {
-		return 0, parsef("raslog: unknown severity %q", text)
-	}
-	return sev, nil
-}
-
-// parseSeverity is ParseSeverity without the error value.
-func parseSeverity[T bytestring](text T) (Severity, bool) {
 	for i, name := range severityNames {
-		if string(text) == name {
-			return Severity(i), true
+		if text == name {
+			return Severity(i), nil
 		}
 	}
-	return 0, false
+	return 0, parsef("raslog: unknown severity %q", text)
 }
 
 // Severities returns all six severity levels in increasing order.
