@@ -236,8 +236,8 @@ func NewRecorder(window time.Duration, max int) *Recorder {
 }
 
 // NewCheckpointer periodically snapshots srv's shard state into
-// cfg.Dir (or cfg.Ledger); cmd/bglserved restores the newest snapshot
-// on its next start, pairing it with the model it was taken against.
+// cfg.Ledger; its Restore installs the newest snapshot on the next
+// start, pairing it with the model it was taken against.
 func NewCheckpointer(srv *Server, cfg CheckpointerConfig) *Checkpointer {
 	return lifecycle.NewCheckpointer(srv, cfg)
 }
@@ -311,7 +311,8 @@ func NewFaultInjector(seed uint64) *FaultInjector { return faultinject.New(seed)
 // NewFaultFs wraps the filesystem seam of the durable state (nil =
 // the real filesystem) so inj's fs.* fault points can inject ENOSPC,
 // short writes, failed fsyncs, renames and truncates, and read
-// corruption. Pass it as CheckpointerConfig.FS or RetrainerConfig.FS.
+// corruption. Pass it as RetrainerConfig.FS or as the FS of the
+// ledger checkpoints go to.
 func NewFaultFs(inj *FaultInjector, base ledger.FS) ledger.FS {
 	return faultinject.NewFs(inj, base)
 }

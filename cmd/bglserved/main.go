@@ -30,9 +30,9 @@
 // A -checkpoint-dir also activates the tamper-evident audit ledger
 // (<dir>/audit.bgll, overridable with -ledger): every accepted ingest
 // batch, emitted alert, checkpoint, and retrained-model generation is
-// hash-chained into it under group commit, checkpoints ride the
-// ledger's shared fsync instead of their own write-fsync-rename cycle,
-// and cmd/bglaudit verifies the file offline. -ledger=off disables it.
+// hash-chained into it under group commit, and cmd/bglaudit verifies
+// the file offline. Checkpoints live only there: -ledger=off disables
+// the ledger and with it checkpointing, so the daemon cold-starts.
 //
 // Drive it with cmd/bglreplay's -url flag, then curl /v1/alerts.
 // SIGINT/SIGTERM shuts down gracefully: the listener stops, in-flight
@@ -123,7 +123,7 @@ func main() {
 	flag.StringVar(&o.loadModel, "load-model", "", "serve this saved model artifact instead of training")
 	flag.StringVar(&o.saveModel, "save-model", "", "after training, save the model artifact here")
 	flag.StringVar(&o.checkpointDir, "checkpoint-dir", "", "persist model + shard state here; restore on start")
-	flag.StringVar(&o.ledgerPath, "ledger", "", "audit-ledger file (default <checkpoint-dir>/audit.bgll when -checkpoint-dir is set; 'off' disables)")
+	flag.StringVar(&o.ledgerPath, "ledger", "", "audit-ledger file, which also holds the checkpoints (default <checkpoint-dir>/audit.bgll when -checkpoint-dir is set; 'off' disables both)")
 	flag.DurationVar(&o.checkpointInterval, "checkpoint-interval", 30*time.Second, "interval between shard-state checkpoints")
 	flag.DurationVar(&o.retrainInterval, "retrain-interval", 0, "retrain on recent traffic this often and hot-swap (0 disables periodic retraining; POST /v1/model/reload always works)")
 	flag.DurationVar(&o.retrainWindow, "retrain-window", lifecycle.DefaultRecorderWindow, "sliding event-time window retrains learn from; traffic is compressed to unique events (Phase 1) as it arrives and kept that way")
@@ -268,14 +268,25 @@ func run(o options) error {
 	auxRetrainer = rt
 	auxMu.Unlock()
 
-	// Resume from the last checkpoint. RestoreMatching prefers the
-	// newest checkpoint in the ledger, falls back to the state file,
-	// and — when the checkpoint names a different model than the one
-	// just booted (a crash between the artifact write and the
-	// checkpoint write) — hunts down and swaps in the matching artifact
-	// rather than discarding the state.
-	if o.checkpointDir != "" {
-		cp, err := lifecycle.RestoreMatching(srv, o.checkpointDir, led, modelInfo.SHA256, logf)
+	// Checkpoints live in the audit ledger; without one there is
+	// nothing to restore and nowhere to checkpoint. Restore resumes from
+	// the ledger's newest checkpoint and, when it names a different
+	// model than the one just booted (a crash between the artifact write
+	// and the checkpoint append), hunts down and swaps in the matching
+	// artifact rather than discarding the state.
+	var ck *lifecycle.Checkpointer
+	switch {
+	case o.checkpointDir == "":
+	case led == nil:
+		logf("audit ledger off: running without checkpoints; shard state will not survive a restart")
+	default:
+		ck = lifecycle.NewCheckpointer(srv, lifecycle.CheckpointerConfig{
+			Ledger:   led,
+			Dir:      o.checkpointDir,
+			Interval: o.checkpointInterval,
+			Logf:     logf,
+		})
+		cp, err := ck.Restore(modelInfo.SHA256)
 		if err != nil {
 			return err
 		}
@@ -292,13 +303,7 @@ func run(o options) error {
 	// one on shutdown) and periodic retrains.
 	var background sync.WaitGroup
 	lifecycleCtx, cancelLifecycle := context.WithCancel(context.Background())
-	if o.checkpointDir != "" {
-		ck := lifecycle.NewCheckpointer(srv, lifecycle.CheckpointerConfig{
-			Dir:      o.checkpointDir,
-			Interval: o.checkpointInterval,
-			Ledger:   led,
-			Logf:     logf,
-		})
+	if ck != nil {
 		auxMu.Lock()
 		checkpointer = ck
 		auxMu.Unlock()

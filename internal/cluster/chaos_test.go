@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bglpred/internal/faultinject"
+	"bglpred/internal/ledger"
 	"bglpred/internal/lifecycle"
 	"bglpred/internal/raslog"
 	"bglpred/internal/serve"
@@ -237,7 +238,12 @@ func TestClusterChaosAcceptance(t *testing.T) {
 	settle(20)
 	collect()
 	dir := t.TempDir()
-	ck := lifecycle.NewCheckpointer(srvs[1], lifecycle.CheckpointerConfig{Dir: dir, Logf: t.Logf})
+	led, _, err := ledger.Open(lifecycle.LedgerPath(dir), ledger.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	ck := lifecycle.NewCheckpointer(srvs[1], lifecycle.CheckpointerConfig{Ledger: led, Dir: dir, Logf: t.Logf})
 	if _, err := ck.CheckpointNow(); err != nil {
 		t.Fatalf("checkpoint before the kill: %v", err)
 	}
@@ -260,7 +266,7 @@ func TestClusterChaosAcceptance(t *testing.T) {
 	// fresh server here — and put it back on the wire. The gate's next
 	// sweep drains the backlog into it, in order.
 	fresh := mkServer()
-	cp, err := lifecycle.RestoreMatching(fresh, dir, nil, "sha-v1", t.Logf)
+	cp, err := lifecycle.NewCheckpointer(fresh, lifecycle.CheckpointerConfig{Ledger: led, Dir: dir, Logf: t.Logf}).Restore("sha-v1")
 	if err != nil || cp == nil {
 		t.Fatalf("restore from checkpoint: cp=%v err=%v", cp, err)
 	}

@@ -7,18 +7,18 @@ import (
 )
 
 // Fs is ledger.FS middleware that injects filesystem faults into every
-// durable write and read: model artifacts, checkpoints, and the audit
-// ledger with its anchor sidecar. Failed or short writes (FsWrite) and
-// fsync errors (FsSync) hit every handle it opens — staged temp files
-// and the ledger's append handle alike; FsRename fails commit renames,
-// FsTruncate the ledger's rollback truncate (the path that poisons
-// it), FsRead whole-file reads, and FsCorrupt mutates read bytes
-// instead (truncation or a payload bit flip, the two shapes the
-// envelope decoder must catch).
+// durable write and read: model artifacts, and the audit ledger (the
+// checkpoints in it) with its anchor sidecar. Failed or short writes
+// (FsWrite) and fsync errors (FsSync) hit every handle it opens —
+// staged temp files and the ledger's append handle alike; FsRename
+// fails commit renames, FsTruncate the ledger's rollback truncate (the
+// path that poisons it), FsRead whole-file reads, and FsCorrupt
+// mutates read bytes instead (truncation or a bit flip in the final
+// byte, the two shapes readers must catch).
 //
 // Wrap the real filesystem with NewFs(inj, ledger.OS) and hand the
 // result to the FS-taking entry points (ledger.Config.FS,
-// lifecycle.CheckpointerConfig.FS, lifecycle.RetrainerConfig.FS, ...).
+// lifecycle.RetrainerConfig.FS, ...).
 type Fs struct {
 	inj  *Injector
 	base ledger.FS

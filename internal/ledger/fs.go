@@ -11,10 +11,10 @@ import (
 
 // FS is the one filesystem seam the serving stack's durable state goes
 // through: the ledger appends, truncates and reads through it, and
-// every atomic file replace (model artifacts, checkpoint files, the
-// ledger's anchor sidecar) runs WriteFileAtomic over it. It is narrow
-// enough for the fault injector (internal/faultinject.Fs) to interpose
-// every durability-relevant call; production code uses OS.
+// every atomic file replace (model artifacts, the ledger's anchor
+// sidecar) runs WriteFileAtomic over it. It is narrow enough for the
+// fault injector (internal/faultinject.Fs) to interpose every
+// durability-relevant call; production code uses OS.
 type FS interface {
 	// OpenAppend opens path for appending, creating it if absent.
 	OpenAppend(path string) (File, error)

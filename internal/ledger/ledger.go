@@ -26,8 +26,8 @@
 // chain that verifies while omitting an acknowledged entry.
 //
 // FS is the filesystem seam of all durable state, not only the
-// ledger's: model artifacts, checkpoint files and the ledger's anchor
-// sidecar all replace files through WriteFileAtomic over it.
+// ledger's: model artifacts and the ledger's anchor sidecar replace
+// files through WriteFileAtomic over it.
 package ledger
 
 import (
@@ -76,8 +76,7 @@ const (
 	// KindAlert records one emitted alert.
 	KindAlert Kind = 2
 	// KindCheckpoint records a shard-state checkpoint (the payload is
-	// the full checkpoint envelope when the Checkpointer persists
-	// through the ledger).
+	// the full checkpoint envelope).
 	KindCheckpoint Kind = 3
 	// KindModel records a persisted model artifact's provenance
 	// (version, SHA-256, path).

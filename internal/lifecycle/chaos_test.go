@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bglpred/internal/faultinject"
+	"bglpred/internal/ledger"
 	"bglpred/internal/model"
 	"bglpred/internal/serve"
 )
@@ -27,9 +28,9 @@ const chaosSeed = 0xB61C0FFEE
 //   - every injected panic produced a supervised restart, and the
 //     alert stream still matches a fault-free reference run exactly
 //     (SnapshotEvery=1 makes restarts provably lossless),
-//   - checkpoints and the retrained model artifact land despite the
-//     write faults (retries spent, zero give-ups, files verify
-//     through a clean filesystem),
+//   - checkpoints (appended to the audit ledger) and the retrained
+//     model artifact land despite the write faults (retries spent,
+//     zero give-ups, the artifact verifies through a clean filesystem),
 //   - the final checkpoint restores into a fresh server whose
 //     standing alarms match the chaos run's,
 //   - injected ingest corruption is bounded by the quarantine
@@ -49,16 +50,18 @@ func TestChaosAcceptance(t *testing.T) {
 	clean.Close()
 
 	// Chaos run: panics in the shard batches, ENOSPC and fsync faults
-	// on every persistence write.
+	// on every persistence write — the ledger's group commits that
+	// carry the checkpoints, and the model artifact.
 	in := faultinject.New(chaosSeed)
+	faultFs := faultinject.NewFs(in, nil)
+	dir := t.TempDir()
+	led := openTestLedger(t, dir, ledger.Config{FS: faultFs})
 	// ShardPanic counts hand-offs (batches), not records: every 7th
 	// batch either shard takes off its queue crashes its worker.
 	in.Set(faultinject.ShardPanic, faultinject.Plan{Every: 7, Panic: true})
 	in.Set(faultinject.FsWrite, faultinject.Plan{Err: faultinject.ENOSPC, Every: 4})
 	in.Set(faultinject.FsSync, faultinject.Plan{Every: 7})
-	faultFs := faultinject.NewFs(in, nil)
 
-	dir := t.TempDir()
 	rec := NewRecorder(0, 0)
 	s := serve.New(meta, serve.Config{
 		Shards:        2,
@@ -70,10 +73,10 @@ func TestChaosAcceptance(t *testing.T) {
 	})
 	defer s.Close()
 	ck := NewCheckpointer(s, CheckpointerConfig{
-		Dir:   dir,
-		FS:    faultFs,
-		Retry: RetryPolicy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Seed: chaosSeed},
-		Logf:  t.Logf,
+		Ledger: led,
+		Dir:    dir,
+		Retry:  RetryPolicy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Seed: chaosSeed},
+		Logf:   t.Logf,
 	})
 
 	healthz := func() (status string, code int) {
@@ -91,7 +94,8 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 
 	// Replay in chunks; between chunks the service must be healthy and
-	// a checkpoint must land through the faulty filesystem. Each chunk
+	// a checkpoint must land in the ledger through the faulty
+	// filesystem. Each chunk
 	// goes in as requests of 250 records — a request hands each shard at
 	// most one batch, so this is what puts hundreds of hand-offs (and
 	// dozens of panics) into the run.
@@ -138,8 +142,8 @@ func TestChaosAcceptance(t *testing.T) {
 		}
 	}
 
-	// Persistence fought real faults and won: retries were spent, no
-	// checkpoint was abandoned, and the landed bytes verify clean.
+	// Persistence fought real faults and won: retries were spent and no
+	// checkpoint was abandoned.
 	if ck.Retries() == 0 {
 		t.Fatal("no write retries despite the armed ENOSPC/fsync plans")
 	}
@@ -176,7 +180,8 @@ func TestChaosAcceptance(t *testing.T) {
 	s.Close()
 	fresh := serve.New(meta, serve.Config{Shards: 2, History: 1 << 16, Window: 30 * time.Minute, Model: serve.ModelInfo{SHA256: info.SHA256}})
 	defer fresh.Close()
-	if cp, err := RestoreMatching(fresh, dir, nil, info.SHA256, t.Logf); err != nil || cp == nil {
+	restorer := NewCheckpointer(fresh, CheckpointerConfig{Ledger: led, Dir: dir, Logf: t.Logf})
+	if cp, err := restorer.Restore(info.SHA256); err != nil || cp == nil {
 		t.Fatalf("restore from the chaos checkpoint: cp=%v err=%v", cp, err)
 	}
 	freshStanding := keysOf(getAlerts(t, fresh).Standing)

@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -13,34 +14,30 @@ import (
 
 // CheckpointerConfig parameterizes the periodic checkpointer.
 type CheckpointerConfig struct {
-	// Dir is the checkpoint directory (required). The shard-state file
-	// lands at StatePath(Dir).
+	// Ledger is where checkpoints live (required): each snapshot is
+	// appended as a KindCheckpoint entry (full envelope bytes in the
+	// payload) whose fsync is shared with concurrent ingest and alert
+	// appends, and Restore reads the newest such entry.
+	Ledger *ledger.Ledger
+	// Dir is the model directory Restore searches for the artifact a
+	// checkpoint was taken against when the server booted another.
 	Dir string
 	// Interval between snapshots; default 30 s.
 	Interval time.Duration
-	// FS is the filesystem checkpoints are written through (nil =
-	// ledger.OS); fault-injection tests interpose faultinject.Fs here.
-	FS ledger.FS
-	// Retry bounds the backoff against transient write failures; the
+	// Retry bounds the backoff against transient append failures; the
 	// zero value selects the defaults (5 attempts, 50 ms..2 s).
 	Retry RetryPolicy
-	// Ledger, when set, moves checkpoint durability onto the audit
-	// ledger's group-commit path: each snapshot is appended as a
-	// KindCheckpoint entry (full envelope bytes in the payload) whose
-	// fsync is shared with concurrent ingest/alert appends, instead of
-	// the per-write temp+fsync+rename dance on StateFile. Restore reads
-	// the newest such entry; StateFile is neither written nor read.
-	Ledger *ledger.Ledger
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
 }
 
-// Checkpointer periodically snapshots a server's shard state to disk.
-// Every write is crash-safe: a kill at any moment leaves the previous
-// complete checkpoint in place. Transient write failures (ENOSPC, a
-// failed fsync or rename) are retried with jittered exponential
-// backoff; only an exhausted budget surfaces, as an error wrapping
-// ErrCheckpointGiveUp.
+// Checkpointer periodically snapshots a server's shard state into the
+// audit ledger. An append is acknowledged only once its group commit
+// is durable, so a kill at any moment leaves the previous complete
+// checkpoint as the newest one. Transient append failures (ENOSPC, a
+// failed fsync) are retried with jittered exponential backoff; only an
+// exhausted budget or a closed or failed ledger surfaces, as an error
+// wrapping ErrCheckpointGiveUp.
 type Checkpointer struct {
 	srv       *serve.Server
 	cfg       CheckpointerConfig
@@ -50,19 +47,20 @@ type Checkpointer struct {
 	lastSaved atomic.Int64 // unixnano of the newest durable checkpoint
 }
 
+// errNoLedger refuses a checkpoint or restore at once: without a
+// ledger there is nowhere to write or read one, and no retry helps.
+var errNoLedger = errors.New("lifecycle: checkpointer has no ledger")
+
 // NewCheckpointer builds a checkpointer over a server.
 func NewCheckpointer(srv *serve.Server, cfg CheckpointerConfig) *Checkpointer {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 30 * time.Second
 	}
-	if cfg.FS == nil {
-		cfg.FS = ledger.OS
-	}
 	return &Checkpointer{srv: srv, cfg: cfg}
 }
 
-// CheckpointNow takes and persists one snapshot immediately, retrying
-// transient write failures.
+// CheckpointNow takes one snapshot and appends it to the ledger
+// immediately, retrying transient append failures.
 func (c *Checkpointer) CheckpointNow() (model.Info, error) {
 	return c.checkpoint(context.Background())
 }
@@ -71,38 +69,24 @@ func (c *Checkpointer) CheckpointNow() (model.Info, error) {
 // the retry loop early (shutdown must not serve a full backoff
 // schedule to a dead disk).
 func (c *Checkpointer) checkpoint(ctx context.Context) (model.Info, error) {
+	if c.cfg.Ledger == nil {
+		return model.Info{}, errNoLedger
+	}
 	m := c.srv.Model()
-	cp := &Checkpoint{
+	framed, info, err := model.MarshalEnvelope(CheckpointMagic, CheckpointVersion, &Checkpoint{
 		SavedAt:      time.Now(),
 		ModelSHA256:  m.SHA256,
 		ModelVersion: m.Version,
 		Shards:       c.srv.ExportShards(),
+	})
+	if err != nil {
+		return model.Info{}, err
 	}
-	var info model.Info
-	save := func() error {
-		var saveErr error
-		info, saveErr = SaveCheckpoint(c.cfg.FS, StatePath(c.cfg.Dir), cp)
-		return saveErr
-	}
-	if c.cfg.Ledger != nil {
-		// Group-commit path: the checkpoint envelope rides inside the
-		// ledger, so its durability cost is one share of a batched
-		// fsync — and its provenance is chained like everything else.
-		framed, envInfo, err := model.MarshalEnvelope(CheckpointMagic, CheckpointVersion, cp)
-		if err != nil {
-			return model.Info{}, err
-		}
-		save = func() error {
-			r, appendErr := c.cfg.Ledger.Append(ledger.KindCheckpoint, framed)
-			if appendErr != nil {
-				return appendErr
-			}
-			info = envInfo
-			info.Path = fmt.Sprintf("ledger:seq=%d", r.Seq)
-			return nil
-		}
-	}
-	retries, err := retryWithBackoff(ctx, c.cfg.Retry, save)
+	var r ledger.Receipt
+	retries, err := retryWithBackoff(ctx, c.cfg.Retry, func() (appendErr error) {
+		r, appendErr = c.cfg.Ledger.Append(ledger.KindCheckpoint, framed)
+		return appendErr
+	})
 	c.retries.Add(int64(retries))
 	if err != nil {
 		c.giveups.Add(1)
@@ -113,6 +97,7 @@ func (c *Checkpointer) checkpoint(ctx context.Context) (model.Info, error) {
 	if retries > 0 {
 		c.logf("checkpoint landed after %d retries", retries)
 	}
+	info.Path = fmt.Sprintf("ledger:seq=%d", r.Seq)
 	return info, nil
 }
 

@@ -3,7 +3,6 @@ package lifecycle
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"time"
@@ -105,85 +104,62 @@ func MatchModelForCheckpoint(dir, sha string) (string, error) {
 	return "", fmt.Errorf("lifecycle: no intact artifact in %s matches checkpoint model %.12s", dir, sha)
 }
 
-// RestoreMatching installs the newest checkpoint into a freshly built
-// server: from the ledger when one is carried there (led may be nil),
-// else from StatePath(dir). wantSHA is the hash of the model the server
-// was built with. A checkpoint taken against another model — the
-// signature of a crash between the artifact rename and the next
-// checkpoint — is never served over it: RestoreMatching hunts for the
-// artifact the checkpoint was actually taken against (the active model
-// file or a versioned copy), swaps it in, and restores the matching
-// pair. Only when no intact artifact matches does it cold-start, with
-// a logged warning: serving mismatched state would mis-predict
-// silently, which is strictly worse than re-learning. It returns
-// (nil, nil) on a cold start.
-func RestoreMatching(srv *serve.Server, dir string, led *ledger.Ledger, wantSHA string, logf func(string, ...any)) (*Checkpoint, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
+// Restore installs the newest checkpoint in the ledger into the
+// server. wantSHA is the hash of the model the server was built with.
+// A checkpoint taken against another model — the signature of a crash
+// between a retrain's artifact rename and its next checkpoint — is
+// never served over it: Restore hunts Dir for the artifact the
+// checkpoint was actually taken against (the active model file or a
+// versioned copy), swaps it in, and restores the matching pair. Only
+// when no intact artifact matches does it cold-start, with a logged
+// warning: serving mismatched state would mis-predict silently, which
+// is strictly worse than re-learning. It returns (nil, nil) on a cold
+// start.
+func (c *Checkpointer) Restore(wantSHA string) (*Checkpoint, error) {
+	if c.cfg.Ledger == nil {
+		return nil, errNoLedger
 	}
-	var (
-		cp  *Checkpoint
-		src string
-	)
-	if led != nil {
-		lcp, info, ok, err := LoadCheckpointFromLedger(led)
+	cp, src, ok, err := LoadCheckpointFromLedger(c.cfg.Ledger)
+	if err != nil || !ok {
+		return nil, err
+	}
+	if cp.ModelSHA256 != wantSHA {
+		path, err := MatchModelForCheckpoint(c.cfg.Dir, cp.ModelSHA256)
 		if err != nil {
+			c.logf("restore: checkpoint %s was taken against model %.12s, server has %.12s, and no matching artifact survives; cold start (%v)",
+				src.Path, cp.ModelSHA256, wantSHA, err)
+			return nil, nil
+		}
+		if err := c.swapTo(path); err != nil {
 			return nil, err
 		}
-		if ok {
-			cp, src = lcp, info.Path
-		}
+		c.logf("restore: checkpoint %s matches artifact %s (%.12s), not the boot model (%.12s); swapped to the matching pair",
+			src.Path, path, cp.ModelSHA256, wantSHA)
 	}
-	if cp == nil {
-		path := StatePath(dir)
-		fcp, _, err := LoadCheckpoint(ledger.OS, path)
-		if os.IsNotExist(err) {
-			return nil, nil // cold start
-		}
-		if err != nil {
-			return nil, fmt.Errorf("lifecycle: load checkpoint %s: %w", path, err)
-		}
-		cp, src = fcp, path
+	if err := c.srv.RestoreShards(cp.Shards); err != nil {
+		return nil, err
 	}
+	return cp, nil
+}
 
-	if cp.ModelSHA256 == "" || wantSHA == "" || cp.ModelSHA256 == wantSHA {
-		if err := srv.RestoreShards(cp.Shards); err != nil {
-			return nil, err
-		}
-		return cp, nil
-	}
-
-	// The checkpoint was taken against a different model than the one
-	// the server booted with — the signature of a crash between the
-	// artifact write and the checkpoint write. Find the matching
-	// artifact and restore the pair.
-	path, err := MatchModelForCheckpoint(dir, cp.ModelSHA256)
-	if err != nil {
-		logf("restore: checkpoint %s was taken against model %.12s, server has %.12s, and no matching artifact survives; cold start (%v)",
-			src, cp.ModelSHA256, wantSHA, err)
-		return nil, nil
-	}
+// swapTo loads the artifact at path and hot-swaps it into the server.
+func (c *Checkpointer) swapTo(path string) error {
 	art, info, err := model.Load(path)
 	if err != nil {
-		return nil, fmt.Errorf("lifecycle: load matching artifact %s: %w", path, err)
+		return fmt.Errorf("lifecycle: load matching artifact %s: %w", path, err)
 	}
 	meta, err := art.Meta()
 	if err != nil {
-		return nil, fmt.Errorf("lifecycle: matching artifact %s: %w", path, err)
+		return fmt.Errorf("lifecycle: matching artifact %s: %w", path, err)
 	}
-	logf("restore: checkpoint %s matches artifact %s (%.12s), not the boot model (%.12s); swapping to the matching pair",
-		src, path, cp.ModelSHA256, wantSHA)
 	trainedAt := art.Provenance.TrainedAt // set only in artifacts written before it left the payload
 	if trainedAt.IsZero() {
-		trainedAt = ModelTrainedAt(led, info.SHA256)
+		trainedAt = ModelTrainedAt(c.cfg.Ledger, info.SHA256)
 	}
-	srv.SwapModel(meta, serve.ModelInfo{
+	c.srv.SwapModel(meta, serve.ModelInfo{
 		SHA256:    info.SHA256,
 		TrainedAt: trainedAt,
 		Source:    art.Provenance.Source,
 	})
-	if err := srv.RestoreShards(cp.Shards); err != nil {
-		return nil, err
-	}
-	return cp, nil
+	return nil
 }

@@ -13,9 +13,9 @@ import (
 	"bglpred/internal/serve"
 )
 
-func openTestLedger(t *testing.T, dir string) *ledger.Ledger {
+func openTestLedger(t *testing.T, dir string, cfg ledger.Config) *ledger.Ledger {
 	t.Helper()
-	led, _, err := ledger.Open(LedgerPath(dir), ledger.Config{})
+	led, _, err := ledger.Open(LedgerPath(dir), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,13 +23,13 @@ func openTestLedger(t *testing.T, dir string) *ledger.Ledger {
 	return led
 }
 
-// TestCheckpointerLedgerRoundTrip: with a ledger configured, the
-// checkpointer persists through the group-commit path — no state file
-// lands — and RestoreMatching resumes from the ledgered snapshot.
+// TestCheckpointerLedgerRoundTrip: the checkpointer persists through
+// the ledger's group-commit path and Restore resumes from the ledgered
+// snapshot.
 func TestCheckpointerLedgerRoundTrip(t *testing.T) {
 	meta, _, tail := fixture(t)
 	dir := t.TempDir()
-	led := openTestLedger(t, dir)
+	led := openTestLedger(t, dir, ledger.Config{})
 
 	s := serve.New(meta, serve.Config{Shards: 2, Model: serve.ModelInfo{SHA256: "aaaa"}})
 	post(t, s, encode(t, tail[:200]))
@@ -47,15 +47,12 @@ func TestCheckpointerLedgerRoundTrip(t *testing.T) {
 	if ck.LastSaved().IsZero() {
 		t.Fatal("LastSaved still zero after a durable checkpoint")
 	}
-	if _, err := os.Stat(StatePath(dir)); !os.IsNotExist(err) {
-		t.Fatalf("ledger mode wrote the state file anyway (stat err %v)", err)
-	}
 	want := s.ExportShards()
 	s.Close()
 
 	fresh := serve.New(meta, serve.Config{Shards: 2, Model: serve.ModelInfo{SHA256: "aaaa"}})
 	defer fresh.Close()
-	cp, err := RestoreMatching(fresh, dir, led, "aaaa", t.Logf)
+	cp, err := NewCheckpointer(fresh, CheckpointerConfig{Ledger: led, Dir: dir, Logf: t.Logf}).Restore("aaaa")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,17 +64,17 @@ func TestCheckpointerLedgerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreMatchingAfterTornUpgrade is the crash-between-writes
+// TestRestoreAfterTornUpgrade is the crash-between-writes
 // acceptance test: a retrain's artifact rename lands, the process dies
 // before the next checkpoint, and the restart boots the new model with
-// the old model's state on disk. RestoreMatching must notice the SHA
+// the old model's state in the ledger. Restore must notice the SHA
 // mismatch, hunt down the artifact the checkpoint was actually taken
 // against, and restore that matching pair — and the ledger's
 // provenance chain must pinpoint the lost write.
-func TestRestoreMatchingAfterTornUpgrade(t *testing.T) {
+func TestRestoreAfterTornUpgrade(t *testing.T) {
 	meta, artOld, tail := fixture(t)
 	dir := t.TempDir()
-	led := openTestLedger(t, dir)
+	led := openTestLedger(t, dir, ledger.Config{})
 
 	// Generation 1: the old artifact, both active and versioned.
 	oldInfo, err := artOld.Save(VersionedModelPath(dir, 1))
@@ -135,7 +132,7 @@ func TestRestoreMatchingAfterTornUpgrade(t *testing.T) {
 	// only checkpoint names the old model. The matching pair wins.
 	fresh := serve.New(meta, serve.Config{Shards: 2, Model: serve.ModelInfo{SHA256: newInfo.SHA256}})
 	defer fresh.Close()
-	cp, err := RestoreMatching(fresh, dir, led, newInfo.SHA256, t.Logf)
+	cp, err := NewCheckpointer(fresh, CheckpointerConfig{Ledger: led, Dir: dir, Logf: t.Logf}).Restore(newInfo.SHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +153,7 @@ func TestRestoreMatchingAfterTornUpgrade(t *testing.T) {
 	}
 	cold := serve.New(meta, serve.Config{Shards: 2, Model: serve.ModelInfo{SHA256: newInfo.SHA256}})
 	defer cold.Close()
-	cp, err = RestoreMatching(cold, dir, led, newInfo.SHA256, t.Logf)
+	cp, err = NewCheckpointer(cold, CheckpointerConfig{Ledger: led, Dir: dir, Logf: t.Logf}).Restore(newInfo.SHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +170,7 @@ func TestRestoreMatchingAfterTornUpgrade(t *testing.T) {
 func TestRetrainerChainsModelProvenance(t *testing.T) {
 	meta, _, tail := fixture(t)
 	dir := t.TempDir()
-	led := openTestLedger(t, dir)
+	led := openTestLedger(t, dir, ledger.Config{})
 
 	s := serve.New(meta, serve.Config{Shards: 1, Window: 30 * time.Minute})
 	defer s.Close()

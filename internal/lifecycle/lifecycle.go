@@ -1,7 +1,7 @@
 // Package lifecycle keeps a running bglserved's learned state durable
-// and fresh: it checkpoints the serving state to disk so a crashed or
-// restarted daemon resumes within seconds instead of retraining, and
-// it retrains the model in the background over a sliding window of
+// and fresh: it checkpoints the serving state into the audit ledger so
+// a crashed or restarted daemon resumes within seconds instead of
+// retraining, and it retrains the model in the background over a sliding window of
 // recently ingested events, hot-swapping the result into the live
 // shards.
 //
@@ -10,10 +10,10 @@
 //   - Recorder: a bounded sliding window over the records the server
 //     accepts, compressed to unique events (Phase 1) as they arrive —
 //     the retrainer's training data.
-//   - Checkpointer: periodically snapshots every shard engine's
-//     mutable state (dedup tables, observation windows, standing
-//     alarms, counters) into a crash-safe checkpoint file, tagged with
-//     the hash of the model artifact it was taken against.
+//   - Checkpointer: periodically appends a snapshot of every shard
+//     engine's mutable state (dedup tables, observation windows,
+//     standing alarms, counters) to the audit ledger, tagged with the
+//     hash of the model artifact it was taken against.
 //   - Retrainer: re-mines rules and re-learns temporal correlations
 //     over the recorder's window, persists the result as a versioned
 //     model artifact (internal/model), and swaps it into all serving
@@ -28,31 +28,24 @@ import (
 	"time"
 
 	"bglpred/internal/ecg"
-	"bglpred/internal/ledger"
 	"bglpred/internal/model"
 	"bglpred/internal/online"
 	"bglpred/internal/predictor"
 )
 
-// Checkpoint file format identity; the envelope machinery is shared
-// with model artifacts.
+// Checkpoint envelope identity; the envelope machinery is shared with
+// model artifacts.
 const (
 	CheckpointMagic   = "BGLC"
 	CheckpointVersion = 1
 )
 
-// Default file names inside a checkpoint directory.
-const (
-	// ModelFile is the active model artifact.
-	ModelFile = "model.bglm"
-	// StateFile is the shard-state checkpoint.
-	StateFile = "state.bglc"
-)
-
-// ModelPath and StatePath name the well-known files in a checkpoint
+// ModelFile is the active model artifact inside a checkpoint
 // directory.
+const ModelFile = "model.bglm"
+
+// ModelPath names the active model artifact in a checkpoint directory.
 func ModelPath(dir string) string { return filepath.Join(dir, ModelFile) }
-func StatePath(dir string) string { return filepath.Join(dir, StateFile) }
 
 // Gob numbers types in the order a process first encodes them and
 // writes those numbers into every payload, so a model's bytes — and
@@ -85,21 +78,4 @@ type Checkpoint struct {
 	ModelVersion int64
 	// Shards holds one engine state per shard, indexed by shard ID.
 	Shards []online.State
-}
-
-// SaveCheckpoint writes a checkpoint crash-safely through fsys (temp
-// file, fsync, rename) in the shared envelope format.
-func SaveCheckpoint(fsys ledger.FS, path string, cp *Checkpoint) (model.Info, error) {
-	return model.SaveEnvelopeFS(fsys, path, CheckpointMagic, CheckpointVersion, cp)
-}
-
-// LoadCheckpoint reads and integrity-checks a checkpoint file through
-// fsys.
-func LoadCheckpoint(fsys ledger.FS, path string) (*Checkpoint, model.Info, error) {
-	var cp Checkpoint
-	info, err := model.LoadEnvelopeFS(fsys, path, CheckpointMagic, CheckpointVersion, &cp)
-	if err != nil {
-		return nil, model.Info{}, err
-	}
-	return &cp, info, nil
 }

@@ -154,7 +154,8 @@ func TestKillAndRestoreEquivalence(t *testing.T) {
 	first := serve.New(meta, firstCfg)
 	post(t, first, encode(t, tail[:half]))
 	firstAlerts := getAlerts(t, first)
-	if _, err := NewCheckpointer(first, CheckpointerConfig{Dir: dir}).CheckpointNow(); err != nil {
+	led := openTestLedger(t, dir, ledger.Config{})
+	if _, err := NewCheckpointer(first, CheckpointerConfig{Ledger: led, Dir: dir}).CheckpointNow(); err != nil {
 		t.Fatal(err)
 	}
 	first.Close()
@@ -171,7 +172,7 @@ func TestKillAndRestoreEquivalence(t *testing.T) {
 	}
 	restored := serve.New(loadedMeta, cfg)
 	defer restored.Close()
-	cp, err := RestoreMatching(restored, dir, nil, info.SHA256, t.Logf)
+	cp, err := NewCheckpointer(restored, CheckpointerConfig{Ledger: led, Dir: dir, Logf: t.Logf}).Restore(info.SHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestKillAndRestoreEquivalence(t *testing.T) {
 // tail[:parentCheckpointCut], with an alarm standing on shard 0 and
 // shard 2 never touched. It must load, restore, and yield the alerts
 // an uninterrupted run emits over the rest of the stream. Re-exported
-// straight after the restore, it must save to the bytes of
+// straight after the restore, it must marshal to the bytes of
 // testdata/checkpoint_parent_reexport.bglc, which the commit before
 // the compressor's hot spatial window wrote the same way.
 func TestParentCheckpointRestores(t *testing.T) {
@@ -226,8 +227,12 @@ func TestParentCheckpointRestores(t *testing.T) {
 	post(t, control, encode(t, tail[parentCheckpointCut:]))
 	want := getAlerts(t, control)
 
-	cp, _, err := LoadCheckpoint(ledger.OS, filepath.Join("testdata", "checkpoint_parent.bglc"))
+	data, err := os.ReadFile(filepath.Join("testdata", "checkpoint_parent.bglc"))
 	if err != nil {
+		t.Fatal(err)
+	}
+	cp := new(Checkpoint)
+	if _, err := model.UnmarshalEnvelope(data, CheckpointMagic, CheckpointVersion, cp); err != nil {
 		t.Fatal(err)
 	}
 	if st := cp.Shards[0]; !st.Stepper.Active || !st.Stepper.Current.End.After(st.LastSeen) || len(st.Temporal) == 0 {
@@ -240,11 +245,7 @@ func TestParentCheckpointRestores(t *testing.T) {
 	}
 	reexport := *cp
 	reexport.Shards = restored.ExportShards()
-	path := filepath.Join(t.TempDir(), "reexport.bglc")
-	if _, err := SaveCheckpoint(ledger.OS, path, &reexport); err != nil {
-		t.Fatal(err)
-	}
-	saved, err := os.ReadFile(path)
+	saved, _, err := model.MarshalEnvelope(CheckpointMagic, CheckpointVersion, &reexport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,14 +289,15 @@ func TestRestoreRefusesWrongModel(t *testing.T) {
 	cfg := serve.Config{Shards: 2, Model: serve.ModelInfo{SHA256: "aaaa"}}
 	s := serve.New(meta, cfg)
 	post(t, s, encode(t, tail[:100]))
-	if _, err := NewCheckpointer(s, CheckpointerConfig{Dir: dir}).CheckpointNow(); err != nil {
+	led := openTestLedger(t, dir, ledger.Config{})
+	if _, err := NewCheckpointer(s, CheckpointerConfig{Ledger: led, Dir: dir}).CheckpointNow(); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 
 	fresh := serve.New(meta, serve.Config{Shards: 2, Model: serve.ModelInfo{SHA256: "bbbb"}})
 	defer fresh.Close()
-	if cp, err := RestoreMatching(fresh, dir, nil, "bbbb", t.Logf); cp != nil || err != nil {
+	if cp, err := NewCheckpointer(fresh, CheckpointerConfig{Ledger: led, Dir: dir, Logf: t.Logf}).Restore("bbbb"); cp != nil || err != nil {
 		t.Fatalf("restore over a different model: cp=%v err=%v, want a cold start", cp, err)
 	}
 	for i, st := range fresh.ExportShards() {
@@ -306,9 +308,40 @@ func TestRestoreRefusesWrongModel(t *testing.T) {
 	if got := fresh.Model().SHA256; got != "bbbb" {
 		t.Fatalf("refused restore swapped the model to %.12s", got)
 	}
-	// Missing checkpoint dir is a clean cold start.
-	if cp, err := RestoreMatching(fresh, t.TempDir(), nil, "bbbb", t.Logf); cp != nil || err != nil {
+	// A ledger holding no checkpoint is a clean cold start.
+	empty := openTestLedger(t, t.TempDir(), ledger.Config{})
+	if cp, err := NewCheckpointer(fresh, CheckpointerConfig{Ledger: empty, Dir: dir}).Restore("bbbb"); cp != nil || err != nil {
 		t.Fatalf("cold start: cp=%v err=%v", cp, err)
+	}
+}
+
+// TestRestoreRequiresEqualModelSHAs: an empty SHA is no wildcard. State
+// taken against an in-memory model that was never persisted must not
+// be restored over a model that was, nor state taken against a
+// persisted model over an in-memory one.
+func TestRestoreRequiresEqualModelSHAs(t *testing.T) {
+	meta, _, tail := fixture(t)
+	for _, c := range []struct{ saved, booted string }{{"", "aaaa"}, {"aaaa", ""}} {
+		dir := t.TempDir()
+		led := openTestLedger(t, dir, ledger.Config{})
+		s := serve.New(meta, serve.Config{Shards: 2, Model: serve.ModelInfo{SHA256: c.saved}})
+		post(t, s, encode(t, tail[:100]))
+		if _, err := NewCheckpointer(s, CheckpointerConfig{Ledger: led, Dir: dir}).CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+
+		fresh := serve.New(meta, serve.Config{Shards: 2, Model: serve.ModelInfo{SHA256: c.booted}})
+		cp, err := NewCheckpointer(fresh, CheckpointerConfig{Ledger: led, Dir: dir, Logf: t.Logf}).Restore(c.booted)
+		if cp != nil || err != nil {
+			t.Fatalf("checkpoint of model %q restored into model %q: cp=%v err=%v, want a cold start", c.saved, c.booted, cp != nil, err)
+		}
+		for i, st := range fresh.ExportShards() {
+			if st.Counters.Ingested != 0 {
+				t.Fatalf("model %q: shard %d carries %d ingested records of the refused checkpoint", c.booted, i, st.Counters.Ingested)
+			}
+		}
+		fresh.Close()
 	}
 }
 
@@ -439,7 +472,8 @@ func TestCheckpointerRun(t *testing.T) {
 	defer s.Close()
 	post(t, s, encode(t, tail[:200]))
 
-	ck := NewCheckpointer(s, CheckpointerConfig{Dir: dir, Interval: 10 * time.Millisecond, Logf: t.Logf})
+	led := openTestLedger(t, dir, ledger.Config{})
+	ck := NewCheckpointer(s, CheckpointerConfig{Ledger: led, Dir: dir, Interval: 10 * time.Millisecond, Logf: t.Logf})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { ck.Run(ctx); close(done) }()
@@ -454,7 +488,7 @@ func TestCheckpointerRun(t *testing.T) {
 	if ck.Saves() <= periodic {
 		t.Fatal("no final checkpoint on shutdown")
 	}
-	cp, _, err := LoadCheckpoint(ledger.OS, StatePath(dir))
+	cp, _, _, err := LoadCheckpointFromLedger(led)
 	if err != nil {
 		t.Fatal(err)
 	}

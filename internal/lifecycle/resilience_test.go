@@ -3,12 +3,15 @@ package lifecycle
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"bglpred/internal/faultinject"
 	"bglpred/internal/ledger"
+	"bglpred/internal/model"
 	"bglpred/internal/serve"
 )
 
@@ -22,14 +25,15 @@ func TestCheckpointLandsAfterTransientFailures(t *testing.T) {
 	post(t, s, encode(t, tail[:500]))
 
 	in := faultinject.New(1)
-	// The first two write attempts hit ENOSPC, then the disk "clears".
-	in.Set(faultinject.FsWrite, faultinject.Plan{Err: faultinject.ENOSPC, Times: 2})
 	dir := t.TempDir()
+	led := openTestLedger(t, dir, ledger.Config{FS: faultinject.NewFs(in, nil)})
+	// The first two append writes hit ENOSPC, then the disk "clears".
+	in.Set(faultinject.FsWrite, faultinject.Plan{Err: faultinject.ENOSPC, Times: 2})
 	c := NewCheckpointer(s, CheckpointerConfig{
-		Dir:   dir,
-		FS:    faultinject.NewFs(in, nil),
-		Retry: fastRetry,
-		Logf:  t.Logf,
+		Ledger: led,
+		Dir:    dir,
+		Retry:  fastRetry,
+		Logf:   t.Logf,
 	})
 	info, err := c.CheckpointNow()
 	if err != nil {
@@ -41,9 +45,11 @@ func TestCheckpointLandsAfterTransientFailures(t *testing.T) {
 	if info.SHA256 == "" {
 		t.Fatal("landed checkpoint has no hash")
 	}
-	// The landed file is intact: it loads through the clean filesystem.
-	if _, _, err := LoadCheckpoint(ledger.OS, StatePath(dir)); err != nil {
-		t.Fatalf("checkpoint written under faults does not load: %v", err)
+	// The landed entry is intact: it loads from the ledger reopened
+	// through the clean filesystem.
+	led.Close()
+	if _, _, ok, err := LoadCheckpointFromLedger(openTestLedger(t, dir, ledger.Config{})); err != nil || !ok {
+		t.Fatalf("checkpoint written under faults does not load: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -53,24 +59,25 @@ func TestCheckpointGiveUpIsDistinctAndPreservesPredecessor(t *testing.T) {
 	defer s.Close()
 	post(t, s, encode(t, tail[:500]))
 
+	in := faultinject.New(1)
 	dir := t.TempDir()
+	led := openTestLedger(t, dir, ledger.Config{FS: faultinject.NewFs(in, nil)})
 	// A good checkpoint lands first; the give-up must not clobber it.
-	good := NewCheckpointer(s, CheckpointerConfig{Dir: dir, Retry: fastRetry})
+	good := NewCheckpointer(s, CheckpointerConfig{Ledger: led, Dir: dir, Retry: fastRetry})
 	if _, err := good.CheckpointNow(); err != nil {
 		t.Fatal(err)
 	}
-	before, _, err := LoadCheckpoint(ledger.OS, StatePath(dir))
+	before, _, _, err := LoadCheckpointFromLedger(led)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	in := faultinject.New(1)
 	in.Set(faultinject.FsWrite, faultinject.Plan{Err: faultinject.ENOSPC}) // every attempt fails
 	c := NewCheckpointer(s, CheckpointerConfig{
-		Dir:   dir,
-		FS:    faultinject.NewFs(in, nil),
-		Retry: fastRetry,
-		Logf:  t.Logf,
+		Ledger: led,
+		Dir:    dir,
+		Retry:  fastRetry,
+		Logf:   t.Logf,
 	})
 	_, err = c.CheckpointNow()
 	if !errors.Is(err, ErrCheckpointGiveUp) {
@@ -82,13 +89,66 @@ func TestCheckpointGiveUpIsDistinctAndPreservesPredecessor(t *testing.T) {
 	if c.GiveUps() != 1 || c.Saves() != 0 || c.Retries() != int64(fastRetry.MaxAttempts-1) {
 		t.Fatalf("saves=%d retries=%d giveups=%d, want 0/%d/1", c.Saves(), c.Retries(), c.GiveUps(), fastRetry.MaxAttempts-1)
 	}
-	// Crash-safety held: the previous complete checkpoint is untouched.
-	after, _, err := LoadCheckpoint(ledger.OS, StatePath(dir))
-	if err != nil {
-		t.Fatalf("predecessor checkpoint destroyed by failed save: %v", err)
+	// Crash-safety held: the previous complete checkpoint is still the
+	// newest one.
+	after, _, ok, err := LoadCheckpointFromLedger(led)
+	if err != nil || !ok {
+		t.Fatalf("predecessor checkpoint destroyed by failed save: ok=%v err=%v", ok, err)
 	}
 	if !after.SavedAt.Equal(before.SavedAt) {
 		t.Fatal("failed save replaced the previous checkpoint")
+	}
+}
+
+// TestPersistIntoClosedLedgerGivesUpAtOnce: a closed ledger never
+// takes an append again, so neither the checkpoint nor the retrainer's
+// model record spends its backoff schedule on one (the default policy
+// would sleep ~750 ms over four retries).
+func TestPersistIntoClosedLedgerGivesUpAtOnce(t *testing.T) {
+	meta, _, tail := fixture(t)
+	rec := NewRecorder(0, 0)
+	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, Observer: rec.Observe})
+	defer s.Close()
+	post(t, s, encode(t, tail))
+
+	dir := t.TempDir()
+	led := openTestLedger(t, dir, ledger.Config{})
+	led.Close()
+
+	c := NewCheckpointer(s, CheckpointerConfig{Ledger: led, Dir: dir, Logf: t.Logf})
+	_, err := c.CheckpointNow()
+	if !errors.Is(err, ErrCheckpointGiveUp) || !errors.Is(err, ledger.ErrClosed) {
+		t.Fatalf("err = %v, want ErrCheckpointGiveUp wrapping ledger.ErrClosed", err)
+	}
+	if c.Retries() != 0 || c.GiveUps() != 1 || c.Saves() != 0 {
+		t.Fatalf("saves=%d retries=%d giveups=%d, want 0/0/1", c.Saves(), c.Retries(), c.GiveUps())
+	}
+
+	rt := NewRetrainer(s, rec, RetrainerConfig{MinEvents: 10, Dir: dir, Ledger: led, Logf: t.Logf})
+	rt.cfg.Pipeline.Rule.RuleGenWindow = 15 * time.Minute
+	if _, err := rt.RetrainNow(); err != nil {
+		t.Fatalf("a lost audit entry must not fail the retrain: %v", err)
+	}
+	if rt.PersistRetries() != 0 {
+		t.Fatalf("model record into a closed ledger spent %d retries, want 0", rt.PersistRetries())
+	}
+}
+
+// TestCheckpointerWithoutLedgerRefuses: with nowhere to write or read
+// a checkpoint, both directions fail at once, with no retry.
+func TestCheckpointerWithoutLedgerRefuses(t *testing.T) {
+	meta, _, _ := fixture(t)
+	s := serve.New(meta, serve.Config{Shards: 1})
+	defer s.Close()
+	c := NewCheckpointer(s, CheckpointerConfig{Dir: t.TempDir()})
+	if _, err := c.CheckpointNow(); err == nil {
+		t.Fatal("checkpoint without a ledger succeeded")
+	}
+	if c.Retries() != 0 || c.Saves() != 0 {
+		t.Fatalf("saves=%d retries=%d, want 0/0", c.Saves(), c.Retries())
+	}
+	if cp, err := c.Restore(""); cp != nil || err == nil {
+		t.Fatalf("restore without a ledger: cp=%v err=%v, want an error", cp, err)
 	}
 }
 
@@ -154,63 +214,106 @@ func TestRetryBackoffStopsOnContextCancel(t *testing.T) {
 
 // TestCheckpointRestoreCorruptionMatrix proves the restore path fails
 // with a distinct, diagnosable error for each injected corruption
-// shape — truncation, a payload bit flip (SHA mismatch), and a failed
-// commit rename — instead of silently restoring garbage state.
+// shape — a truncated read, a bit flip, damaged envelope bytes, and a
+// failed commit fsync — instead of silently restoring garbage state.
 func TestCheckpointRestoreCorruptionMatrix(t *testing.T) {
 	meta, _, tail := fixture(t)
 	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute})
 	defer s.Close()
 	post(t, s, encode(t, tail[:500]))
 
+	in := faultinject.New(1)
+	fsys := faultinject.NewFs(in, nil)
 	dir := t.TempDir()
-	c := NewCheckpointer(s, CheckpointerConfig{Dir: dir, Retry: fastRetry})
+	// Anchoring every commit pins the checkpoint: no reopen may drop it
+	// as a torn tail.
+	led := openTestLedger(t, dir, ledger.Config{FS: fsys, AnchorEvery: 1})
+	c := NewCheckpointer(s, CheckpointerConfig{Ledger: led, Dir: dir, Retry: fastRetry})
 	if _, err := c.CheckpointNow(); err != nil {
 		t.Fatal(err)
 	}
+	fresh := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute})
+	defer fresh.Close()
+	restorer := NewCheckpointer(fresh, CheckpointerConfig{Ledger: led, Dir: dir, Logf: t.Logf})
 
-	t.Run("truncated snapshot", func(t *testing.T) {
-		in := faultinject.New(1)
+	t.Run("truncated read", func(t *testing.T) {
 		in.Set(faultinject.FsCorrupt, faultinject.Plan{Corrupt: faultinject.Truncate})
-		_, _, err := LoadCheckpoint(faultinject.NewFs(in, nil), StatePath(dir))
-		if err == nil || !strings.Contains(err.Error(), "header declares") {
-			t.Fatalf("truncated restore error = %v, want the length-mismatch diagnosis", err)
+		defer in.Clear(faultinject.FsCorrupt)
+		cp, err := restorer.Restore("")
+		if cp != nil || !errors.Is(err, ledger.ErrCorrupt) || !strings.Contains(err.Error(), "shorter than indexed entry") {
+			t.Fatalf("truncated restore: cp=%v err=%v, want the length diagnosis", cp, err)
 		}
 	})
 
-	t.Run("payload bit flip", func(t *testing.T) {
-		in := faultinject.New(1)
-		in.Set(faultinject.FsCorrupt, faultinject.Plan{Corrupt: faultinject.FlipByte})
-		_, _, err := LoadCheckpoint(faultinject.NewFs(in, nil), StatePath(dir))
-		if err == nil || !strings.Contains(err.Error(), "SHA-256 mismatch") {
-			t.Fatalf("bit-flip restore error = %v, want the checksum diagnosis", err)
+	t.Run("bit flip on reopen", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), LedgerFile)
+		copyLedger(t, LedgerPath(dir), path)
+		in.Set(faultinject.FsCorrupt, faultinject.Plan{Corrupt: faultinject.FlipByte, Times: 1})
+		defer in.Clear(faultinject.FsCorrupt)
+		l, _, err := ledger.Open(path, ledger.Config{FS: fsys})
+		if err == nil {
+			l.Close()
+		}
+		if !errors.Is(err, ledger.ErrTampered) && !errors.Is(err, ledger.ErrCorrupt) {
+			t.Fatalf("bit-flipped reopen error = %v, want ErrTampered or ErrCorrupt", err)
 		}
 	})
 
-	t.Run("failed rename leaves predecessor", func(t *testing.T) {
-		before, _, err := LoadCheckpoint(ledger.OS, StatePath(dir))
+	t.Run("envelope damage", func(t *testing.T) {
+		seq, _ := led.LastSeqOf(ledger.KindCheckpoint)
+		_, payload, err := led.Payload(seq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := faultinject.New(1)
-		in.Set(faultinject.FsRename, faultinject.Plan{})
-		cc := NewCheckpointer(s, CheckpointerConfig{
-			Dir:   dir,
-			FS:    faultinject.NewFs(in, nil),
-			Retry: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
-		})
-		if _, err := cc.CheckpointNow(); !errors.Is(err, ErrCheckpointGiveUp) || !errors.Is(err, faultinject.ErrInjected) {
-			t.Fatalf("rename-failure error = %v, want give-up wrapping the injected fault", err)
+		var cp Checkpoint
+		_, err = model.UnmarshalEnvelope(payload[:len(payload)/2], CheckpointMagic, CheckpointVersion, &cp)
+		if err == nil || !strings.Contains(err.Error(), "header declares") {
+			t.Fatalf("truncated envelope error = %v, want the length-mismatch diagnosis", err)
 		}
-		after, _, err := LoadCheckpoint(ledger.OS, StatePath(dir))
-		if err != nil || !after.SavedAt.Equal(before.SavedAt) {
-			t.Fatalf("failed rename disturbed the committed checkpoint: %v", err)
+		payload[len(payload)-1] ^= 0x01
+		_, err = model.UnmarshalEnvelope(payload, CheckpointMagic, CheckpointVersion, &cp)
+		if err == nil || !strings.Contains(err.Error(), "SHA-256 mismatch") {
+			t.Fatalf("bit-flipped envelope error = %v, want the checksum diagnosis", err)
 		}
 	})
 
-	// The uncorrupted file still restores into a fresh server.
-	fresh := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute})
-	defer fresh.Close()
-	if cp, err := RestoreMatching(fresh, dir, nil, "", t.Logf); err != nil || cp == nil {
+	t.Run("failed fsync leaves predecessor", func(t *testing.T) {
+		before, _, _, err := LoadCheckpointFromLedger(led)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Set(faultinject.FsSync, faultinject.Plan{})
+		defer in.Clear(faultinject.FsSync)
+		cc := NewCheckpointer(s, CheckpointerConfig{
+			Ledger: led,
+			Dir:    dir,
+			Retry:  RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
+		})
+		if _, err := cc.CheckpointNow(); !errors.Is(err, ErrCheckpointGiveUp) || !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("fsync-failure error = %v, want give-up wrapping the injected fault", err)
+		}
+		after, _, _, err := LoadCheckpointFromLedger(led)
+		if err != nil || !after.SavedAt.Equal(before.SavedAt) {
+			t.Fatalf("failed fsync disturbed the committed checkpoint: %v", err)
+		}
+	})
+
+	// The uncorrupted ledger still restores into the fresh server.
+	if cp, err := restorer.Restore(""); err != nil || cp == nil {
 		t.Fatalf("clean restore after the matrix: cp=%v err=%v", cp, err)
+	}
+}
+
+// copyLedger copies a ledger file and its anchor sidecar.
+func copyLedger(t *testing.T, from, to string) {
+	t.Helper()
+	for _, suffix := range []string{"", ".anchor"} {
+		data, err := os.ReadFile(from + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(to+suffix, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

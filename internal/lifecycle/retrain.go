@@ -135,8 +135,8 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 	// Persist before swapping so the SHA in the published ModelInfo
 	// names bytes that actually exist on disk; a crash between save
 	// and swap leaves a newer artifact with older state, which
-	// RestoreMatching pairs back up at restore time. The artifact is
-	// encoded once: the active and the versioned copy are the same
+	// Checkpointer.Restore pairs back up at restore time. The artifact
+	// is encoded once: the active and the versioned copy are the same
 	// bytes.
 	var sha string
 	var framed []byte

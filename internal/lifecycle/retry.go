@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"bglpred/internal/ledger"
 )
 
 // Distinct give-up errors for the two persistence paths, so operators
@@ -13,7 +15,8 @@ import (
 // (errors.Is sees ENOSPC through them).
 var (
 	// ErrCheckpointGiveUp marks a shard-state checkpoint abandoned
-	// after exhausting its retry budget.
+	// after exhausting its retry budget, or at once on a closed or
+	// failed ledger.
 	ErrCheckpointGiveUp = errors.New("lifecycle: checkpoint retries exhausted")
 	// ErrModelPersistGiveUp marks a retrained-model artifact abandoned
 	// after exhausting its retry budget.
@@ -57,8 +60,9 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 }
 
 // retryWithBackoff runs op up to p.MaxAttempts times, sleeping an
-// exponentially growing, jittered delay between failures. It stops
-// early when ctx is cancelled (returning ctx.Err() wrapped over the
+// exponentially growing, jittered delay between failures. A closed or
+// failed ledger is permanent, so op returning either ends the loop at
+// once. It also stops early when ctx is cancelled (returning ctx.Err() wrapped over the
 // last op error, so a shutdown mid-retry is not misread as a disk
 // problem). retries reports how many re-tries ran (attempts - 1,
 // successful or not); err is nil on success and the last op error
@@ -69,7 +73,7 @@ func retryWithBackoff(ctx context.Context, p RetryPolicy, op func() error) (retr
 	delay := p.BaseDelay
 	for attempt := 1; ; attempt++ {
 		err = op()
-		if err == nil || attempt >= p.MaxAttempts {
+		if err == nil || attempt >= p.MaxAttempts || errors.Is(err, ledger.ErrClosed) || errors.Is(err, ledger.ErrFailed) {
 			return attempt - 1, err
 		}
 		if ctx != nil && ctx.Err() != nil {

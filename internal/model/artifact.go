@@ -187,7 +187,7 @@ func Load(path string) (*Artifact, Info, error) {
 // anything shipping artifacts over a wire instead of a file).
 func Decode(data []byte) (*Artifact, Info, error) {
 	var a Artifact
-	info, err := loadEnvelopeBytes(data, "", ArtifactMagic, ArtifactVersion, &a)
+	info, err := UnmarshalEnvelope(data, ArtifactMagic, ArtifactVersion, &a)
 	if err == nil {
 		err = a.convertV1()
 	}

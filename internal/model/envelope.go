@@ -10,8 +10,8 @@
 //     version, payload length, SHA-256 of the payload, then a gob
 //     payload — written by ledger.WriteFileAtomic through the one
 //     filesystem seam, ledger.FS (temp file, fsync, rename, directory
-//     fsync). The checkpoint files of internal/lifecycle reuse it under
-//     their own magic.
+//     fsync). The checkpoints internal/lifecycle appends to the audit
+//     ledger reuse it under their own magic.
 //   - The Artifact: the model payload itself — one section per base
 //     predictor (its predictor.Base State payload) in arbitration
 //     order, the meta policy, and training provenance. A version-1
@@ -130,26 +130,10 @@ func MarshalEnvelope(magic string, version uint32, v any) ([]byte, Info, error) 
 	return framed, Info{Version: version, SHA256: hex.EncodeToString(sum[:]), Size: int64(len(framed))}, nil
 }
 
-// UnmarshalEnvelope is LoadEnvelopeFS over in-memory envelope bytes —
-// the inverse of MarshalEnvelope.
+// UnmarshalEnvelope verifies in-memory envelope bytes under the given
+// magic (accepting versions 1..maxVersion) and gob-decodes the payload
+// into v — the inverse of MarshalEnvelope.
 func UnmarshalEnvelope(data []byte, magic string, maxVersion uint32, v any) (Info, error) {
-	return loadEnvelopeBytes(data, "", magic, maxVersion, v)
-}
-
-// LoadEnvelopeFS reads path through fsys, verifies the envelope under
-// the given magic (accepting versions 1..maxVersion), and gob-decodes
-// the payload into v.
-func LoadEnvelopeFS(fsys ledger.FS, path, magic string, maxVersion uint32, v any) (Info, error) {
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		return Info{}, err
-	}
-	return loadEnvelopeBytes(data, path, magic, maxVersion, v)
-}
-
-// loadEnvelopeBytes is LoadEnvelopeFS over in-memory bytes (the fuzz
-// seam: no filesystem in the loop).
-func loadEnvelopeBytes(data []byte, path, magic string, maxVersion uint32, v any) (Info, error) {
 	version, payload, err := decodeEnvelope(data, magic, maxVersion)
 	if err != nil {
 		return Info{}, err
@@ -158,7 +142,7 @@ func loadEnvelopeBytes(data []byte, path, magic string, maxVersion uint32, v any
 		return Info{}, fmt.Errorf("model: decode %s payload: %w", magic, err)
 	}
 	sum := sha256.Sum256(payload)
-	return Info{Path: path, Version: version, SHA256: hex.EncodeToString(sum[:]), Size: int64(len(data))}, nil
+	return Info{Version: version, SHA256: hex.EncodeToString(sum[:]), Size: int64(len(data))}, nil
 }
 
 // VerifyEnvelope checks a file's framing and integrity hash without
