@@ -40,7 +40,7 @@ func TestZeroFindings(t *testing.T) {
 func TestHotpathRootsAnnotated(t *testing.T) {
 	want := map[string][]string{
 		"internal/raslog": {
-			"(*WireDecoder).ReadFrame", "(*WireDecoder).NextEvent", "(*WireDecoder).DecodeEvent", "PeekWireEvent",
+			"(*WireDecoder).ReadFrame", "(*WireDecoder).NextEvent", "(*WireDecoder).DecodeEvent", "PeekWireRoute", "PeekWireEvent",
 			"(*Reader).Read", "(*Reader).NextEvent", "(*Reader).DecodeEvent",
 		},
 		"internal/serve":      {"(*Server).decode"},

@@ -387,7 +387,8 @@ type routeScratch struct {
 	frames  bytes.Buffer        // the frame ww cut last, until it is routed
 	owners  []ownerBatch
 	subs    []subFrame
-	strRecs [][]byte // the current frame's string records, source order
+	strRecs [][]byte        // the current frame's string records, source order
+	loc     raslog.Location // the routing key the scan peeked last
 	sends   []send
 }
 
@@ -397,8 +398,22 @@ type subFrame struct {
 	start     int // where the sub-frame's header begins in the owner's buf
 	payloadAt int // where its payload begins
 	n         int
-	last      time.Time
-	strings   int // source string records copied so far
+	dated     bool  // some record of it peeked, so last holds a time
+	last      int64 // its newest peeked time, unix seconds
+	strings   int   // source string records copied so far
+}
+
+// zeroUnix is the zero time.Time in unix seconds.
+var zeroUnix = time.Time{}.Unix()
+
+// newest is the sub-frame's newest record time: zero when none of its
+// records peeked or when none falls after the zero time, as the
+// replay backlog reads an entry it cannot date.
+func (sub *subFrame) newest() time.Time {
+	if !sub.dated || sub.last <= zeroUnix {
+		return time.Time{}
+	}
+	return time.Unix(sub.last, 0).UTC()
 }
 
 // send is one direct forward of a request's fan-out: what goes to whom
@@ -523,10 +538,12 @@ func (g *Gate) ingestWire(body io.Reader, resp *IngestResponse, s *routeScratch)
 // place at the end of that owner's batch — string-table adds are
 // copied in source order as a prefix of each sub-frame, so positional
 // indices stay valid — under the source frame's header bases. Event
-// records whose prefix cannot be peeked route to the unknown-location
-// owner, whose backend decoder quarantines them. Each record is copied
-// once, to where its forward will read it from. If the frame turns out
-// unwalkable, none of it is routed.
+// records whose prefix cannot be peeked — an unreadable location, or a
+// time every backend refuses — route to the unknown-location owner,
+// whose backend decoder quarantines them. Each record is copied once,
+// to where its forward will read it from, and each sub-frame keeps its
+// newest peeked time in unix seconds until it is marked. If the frame
+// turns out unwalkable, none of it is routed.
 //
 //bglvet:hotpath
 func (s *routeScratch) routeFrame(f *raslog.WireFrame, ring *Ring, unknownOwner int) error {
@@ -539,10 +556,9 @@ func (s *routeScratch) routeFrame(f *raslog.WireFrame, ring *Ring, unknownOwner 
 			return nil
 		}
 		owner := unknownOwner
-		var at time.Time
-		if loc, t, perr := raslog.PeekWireEvent(content, f.BaseSec); perr == nil {
-			owner = ring.OwnerIndexLocation(loc)
-			at = t
+		dsec, perr := raslog.PeekWireRoute(content, f.BaseSec, &s.loc)
+		if perr == nil {
+			owner = ring.ownerIndexAt(&s.loc)
 		}
 		ob, sub := &s.owners[owner], &s.subs[owner]
 		if sub.n == 0 {
@@ -561,8 +577,8 @@ func (s *routeScratch) routeFrame(f *raslog.WireFrame, ring *Ring, unknownOwner 
 		}
 		ob.buf = append(ob.buf, raw...)
 		sub.n++
-		if at.After(sub.last) {
-			sub.last = at
+		if sec := f.BaseSec + dsec; perr == nil && (!sub.dated || sec > sub.last) {
+			sub.dated, sub.last = true, sec
 		}
 		return nil
 	})
@@ -586,7 +602,7 @@ func (s *routeScratch) routeFrame(f *raslog.WireFrame, ring *Ring, unknownOwner 
 			ob.buf = ob.buf[:lenAt+w+plen]
 		}
 		binary.PutUvarint(ob.buf[lenAt:], uint64(plen))
-		ob.mark(sub.last, sub.n)
+		ob.mark(sub.newest(), sub.n)
 	}
 	return err
 }

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
+	"bglpred/internal/bglsim"
 	"bglpred/internal/raslog"
 )
 
@@ -280,4 +282,46 @@ func TestRouteFrameZeroAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, run); avg != 0 {
 		t.Fatalf("steady-state routing scan allocates %.1f allocs/run, want 0", avg)
 	}
+}
+
+// BenchmarkRouteFrame times the gate's wire pass-through alone, as
+// ingestWire drives it for one request: 4096-record WireWriter bodies
+// of the second half of a 4-rack ANL ×0.25 bglsim log at seed 1 (go run
+// ./bench's tail), each scanned and split into two owners' sub-frames
+// over one warm scratch. It reports ns/record; one op is one body.
+//
+//	go test -run '^$' -bench BenchmarkRouteFrame -benchtime 300x ./internal/cluster
+func BenchmarkRouteFrame(b *testing.B) {
+	p := bglsim.ANLProfile().Scaled(0.25)
+	p.Machine.Racks, p.Seed = 4, 1 // go run ./bench's dataset at its default seed
+	gen, err := bglsim.Generate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tail := gen.Events[len(gen.Events)/2:]
+	var bodies [][]byte
+	for len(tail) > 0 {
+		n := min(len(tail), 4096)
+		bodies, tail = append(bodies, encodeWire(b, tail[:n])), tail[n:]
+	}
+	gen, tail = nil, nil
+	runtime.GC() // the generated log goes before the clock starts
+
+	g := scanGate(b)
+	s := g.scratch.New().(*routeScratch)
+	var br bytes.Reader
+	var records int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br.Reset(bodies[i%len(bodies)])
+		var resp IngestResponse
+		if code := g.ingestWire(&br, &resp, s); code != http.StatusOK {
+			b.Fatalf("status %d: %s", code, resp.Error)
+		}
+		for j := range s.owners {
+			records += s.owners[j].n
+		}
+		s.reset()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
 }

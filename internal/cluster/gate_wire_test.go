@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -272,6 +273,98 @@ func TestGateReplayCountsRecords(t *testing.T) {
 	}
 	if got := int64(len(tc.backends[1].delivered())); got != st.Replayed {
 		t.Fatalf("backend 1 received %d records, the gate counts %d replayed", got, st.Replayed)
+	}
+}
+
+// redate re-emits a one-frame wire body with its k-th event record's
+// time set to unix second sec, which the wire writer would refuse to
+// encode when a time.Time in int64 nanoseconds cannot hold it.
+func redate(t *testing.T, frame []byte, k int, sec int64) []byte {
+	t.Helper()
+	f, err := raslog.NewWireScanner(bytes.NewReader(frame)).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload []byte
+	i := 0
+	if err := f.Records(func(tag byte, raw, content []byte) error {
+		if tag == raslog.WireTagEvent {
+			i++
+		}
+		if tag != raslog.WireTagEvent || i-1 != k {
+			payload = append(payload, raw...)
+			return nil
+		}
+		// The time delta follows the location: the kind byte, the rack,
+		// then as many of midplane, card and chip as the kind has.
+		fields := map[raslog.LocationKind]int{
+			raslog.KindMidplane: 1, raslog.KindServiceCard: 1, raslog.KindNodeCard: 2,
+			raslog.KindLinkCard: 2, raslog.KindComputeChip: 3, raslog.KindIONode: 3,
+		}[raslog.LocationKind(content[0])]
+		pos := 1
+		for j := 0; j <= fields; j++ {
+			_, w := binary.Uvarint(content[pos:])
+			pos += w
+		}
+		_, w := binary.Varint(content[pos:])
+		body := binary.AppendVarint(bytes.Clone(content[:pos]), sec-f.BaseSec)
+		body = append(body, content[pos+w:]...)
+		payload = append(binary.AppendUvarint(append(payload, tag), uint64(len(body))), body...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return append(raslog.AppendWireFrameHeader(nil, f.BaseSec, f.BaseRecID, len(payload)), payload...)
+}
+
+// TestGateReplayWindowIgnoresUndatableRecord parks 60 frames behind a
+// down backend whose replay cap is 300 records, once as they are and
+// once with one of its records in frame 11 dated 2300-01-01 — a time
+// past int64 nanoseconds that every backend refuses. The gate must not
+// date that frame's entry by it: if it did, the backlog would measure
+// its one-hour window back from 2300 and keep frame 11's stale entry
+// over newer ones. Both runs must leave the same backlog.
+func TestGateReplayWindowIgnoresUndatableRecord(t *testing.T) {
+	meta, tail := fixture(t)
+	const frames, per, bad = 60, 100, 11
+	if len(tail) < frames*per {
+		t.Fatalf("fixture tail has %d records, want %d", len(tail), frames*per)
+	}
+	backlog := func(redated bool) []replayEntry {
+		tc := newTestCluster(t, meta, []string{"sha-v1", "sha-v1"}, nil)
+		tc.gate.backends[1].replay = newReplayBuffer(300, 0)
+		tc.gate.ProbeNow()
+		tc.transport.setDown("b1.cluster.test", true)
+		var body []byte
+		for i := 0; i < frames; i++ {
+			chunk := tail[i*per : (i+1)*per]
+			frame := encodeWire(t, chunk)
+			if i == bad && redated {
+				k := 0
+				for tc.gate.ring.OwnerIndexLocation(chunk[k].Location) != 1 {
+					k++
+				}
+				frame = redate(t, frame, k, time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC).Unix())
+			}
+			body = append(body, frame...)
+			if i == 19 || i == frames-1 { // two requests: 20 frames, then 40 more
+				gatePostWire(t, tc.gate, body)
+				body = nil
+			}
+		}
+		b := tc.gate.backends[1]
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return append([]replayEntry(nil), b.replay.entries...)
+	}
+	want, got := backlog(false), backlog(true)
+	if len(got) != len(want) {
+		t.Fatalf("backlog holds %d entries (%d records), want the %d newest (%d records)", len(got), countRecords(got), len(want), countRecords(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i].line, want[i].line) || !got[i].at.Equal(want[i].at) || got[i].n != want[i].n {
+			t.Fatalf("backlog entry %d: %d records at %v, want %d at %v", i, got[i].n, got[i].at, want[i].n, want[i].at)
+		}
 	}
 }
 

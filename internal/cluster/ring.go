@@ -41,7 +41,7 @@ type Ring struct {
 	vnodes  int
 	members []string
 	points  []ringPoint
-	// memo holds OwnerIndexLocation's answer for every routing key a
+	// memo holds ownerIndexAt's answer for every routing key a
 	// real machine emits — per rack below ownerMemoRacks the rack key
 	// and its two midplane keys, then the unknown-location key — worked
 	// out once here so the per-record lookup is an index, not a hash
@@ -130,11 +130,16 @@ func (r *Ring) OwnerIndex(key string) int {
 	return r.ownerOfHash(hashKey(key))
 }
 
-// OwnerIndexLocation returns OwnerIndex(LocationKey(loc)) without
-// building the key string or, for the keys in the memo, hashing at all
-// — the gate's wire pass-through path calls this once per peeked
-// record, where either would dominate the routing cost.
-func (r *Ring) OwnerIndexLocation(loc raslog.Location) int {
+// OwnerIndexLocation returns OwnerIndex(LocationKey(loc)); it is
+// ownerIndexAt taking the location by value.
+func (r *Ring) OwnerIndexLocation(loc raslog.Location) int { return r.ownerIndexAt(&loc) }
+
+// ownerIndexAt returns OwnerIndex(LocationKey(*loc)) without building
+// the key string or, for the keys in the memo, hashing at all — the
+// gate's wire pass-through path calls this once per peeked record,
+// where either would dominate the routing cost, on the location the
+// peek left in its scratch.
+func (r *Ring) ownerIndexAt(loc *raslog.Location) int {
 	if len(r.points) == 0 {
 		return -1
 	}

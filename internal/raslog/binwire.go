@@ -375,33 +375,35 @@ func (d *WireDecoder) ReadFrame() ([]Event, error) {
 }
 
 // NextEvent advances to the stream's next event record and decodes its
-// location, the routing key; DecodeEvent then decodes the rest of the
-// record into wherever the caller routes it. A record whose location
-// does not decode goes to OnSkip or, without OnSkip, comes back as the
-// error and ends its frame. NextEvent returns io.EOF at a clean end,
-// and a frame-level error exactly as ReadFrame does — before any event
-// of the broken frame, so a frame whose framing breaks yields none of
-// its events whichever way it is decoded.
+// location, the routing key, into the decoder's own state; DecodeEvent
+// then decodes the rest of the record into wherever the caller routes
+// it. The *Location points into the decoder and holds until the next
+// NextEvent, ReadFrame or Reset. A record whose location does not
+// decode goes to OnSkip or, without OnSkip, comes back as the error and
+// ends its frame. NextEvent returns io.EOF at a clean end, and a
+// frame-level error exactly as ReadFrame does — before any event of the
+// broken frame, so a frame whose framing breaks yields none of its
+// events whichever way it is decoded.
 //
 //bglvet:hotpath
-func (d *WireDecoder) NextEvent() (Location, error) {
+func (d *WireDecoder) NextEvent() (*Location, error) {
 	for {
 		body, ok := d.nextBody()
 		if !ok {
 			if err := d.loadFrame(); err != nil {
-				return Location{}, err
+				return nil, err
 			}
 			continue
 		}
-		loc, at, err := decodeWireLocation(body)
+		at, err := decodeWireLocation(body, &d.loc)
 		if err != nil {
 			if err = d.skip(body, err); err != nil {
-				return Location{}, err
+				return nil, err
 			}
 			continue
 		}
-		d.body, d.at, d.loc = body, at, loc
-		return loc, nil
+		d.body, d.at = body, at
+		return &d.loc, nil
 	}
 }
 
@@ -412,7 +414,11 @@ func (d *WireDecoder) NextEvent() (Location, error) {
 //
 //bglvet:hotpath
 func (d *WireDecoder) DecodeEvent(ev *Event) error {
-	ev.Location = d.loc
+	// Field by field: NextEvent has just stored d.loc a word at a time,
+	// and a whole-struct copy reads it back 16 bytes at a time, which
+	// the CPU cannot forward from those stores.
+	l, dst := &d.loc, &ev.Location
+	dst.Kind, dst.Rack, dst.Midplane, dst.Card, dst.Chip = l.Kind, l.Rack, l.Midplane, l.Card, l.Chip
 	err := d.decodeRest(d.body, d.at, ev)
 	if err != nil {
 		_ = d.skip(d.body, err) // err itself or nil; the caller has err either way
@@ -574,7 +580,7 @@ func (d *WireDecoder) readFrameHeader() (baseSec, baseID int64, err error) {
 }
 
 // The varint kernel every event decode shares — ReadFrame's,
-// NextEvent's and the gate's PeekWireEvent. Each read returns the value
+// NextEvent's and the gate's PeekWireRoute. Each read returns the value
 // and the position after it, or ok=false with pos unchanged, so a
 // caller's error names where the bad field starts.
 
@@ -598,20 +604,20 @@ func varintAt(b []byte, pos int) (int64, int, bool) {
 	return x, next, ok
 }
 
-// decodeWireLocation decodes the leading location of an event body and
-// returns it with the number of bytes consumed.
-func decodeWireLocation(body []byte) (Location, int, error) {
+// decodeWireLocation decodes the leading location of an event body into
+// *loc, writing every field, and returns the number of bytes consumed.
+// On an error *loc is left as it was.
+func decodeWireLocation(body []byte, loc *Location) (int, error) {
 	if len(body) == 0 {
-		return Location{}, 0, wiref("empty event body")
+		return 0, wiref("empty event body")
 	}
-	var loc Location
-	loc.Kind = LocationKind(body[0])
-	if loc.Kind < KindUnknown || loc.Kind > KindServiceCard {
-		return Location{}, 0, wiref("invalid location kind %d", body[0])
+	kind := LocationKind(body[0])
+	if kind < KindUnknown || kind > KindServiceCard {
+		return 0, wiref("invalid location kind %d", body[0])
 	}
 	// The rack, then as many of midplane, card and chip as the kind has.
 	fields := 1
-	switch loc.Kind {
+	switch kind {
 	case KindMidplane, KindServiceCard:
 		fields = 2
 	case KindNodeCard, KindLinkCard:
@@ -625,8 +631,8 @@ func decodeWireLocation(body []byte) (Location, int, error) {
 	if len(body) >= 5 {
 		x := binary.LittleEndian.Uint32(body[1:5]) & (uint32(1)<<(8*fields) - 1)
 		if x&0x80808080 == 0 {
-			loc.Rack, loc.Midplane, loc.Card, loc.Chip = int(x&0xff), int(x>>8&0xff), int(x>>16&0xff), int(x>>24)
-			return loc, 1 + fields, nil
+			loc.Kind, loc.Rack, loc.Midplane, loc.Card, loc.Chip = kind, int(x&0xff), int(x>>8&0xff), int(x>>16&0xff), int(x>>24)
+			return 1 + fields, nil
 		}
 	}
 	var v [4]int
@@ -634,22 +640,35 @@ func decodeWireLocation(body []byte) (Location, int, error) {
 	for i := 0; i < fields; i++ {
 		x, next, ok := uvarintAt(body, pos)
 		if !ok || x > wireMaxLocField {
-			return Location{}, 0, wiref("bad location field at %d", pos)
+			return 0, wiref("bad location field at %d", pos)
 		}
 		v[i], pos = int(x), next
 	}
-	loc.Rack, loc.Midplane, loc.Card, loc.Chip = v[0], v[1], v[2], v[3]
-	return loc, pos, nil
+	loc.Kind, loc.Rack, loc.Midplane, loc.Card, loc.Chip = kind, v[0], v[1], v[2], v[3]
+	return pos, nil
 }
 
 // decodeEvent decodes a whole event body of the frame in hand into *ev.
 func (d *WireDecoder) decodeEvent(body []byte, ev *Event) error {
-	loc, pos, err := decodeWireLocation(body)
+	pos, err := decodeWireLocation(body, &ev.Location)
 	if err != nil {
 		return err
 	}
-	ev.Location = loc
 	return d.decodeRest(body, pos, ev)
+}
+
+// wireSec admits a record's time, baseSec+dsec seconds, and returns it:
+// false when the sum wraps or falls outside the times a time.Time in
+// int64 nanoseconds holds, which every backend refuses. The decoders and
+// the gate's peek share it, so the gate dates a record only if a backend
+// would take it.
+func wireSec(baseSec, dsec int64) (int64, bool) {
+	// The sum wraps exactly when it moves against dsec's sign.
+	sec := baseSec + dsec
+	if (sec > baseSec) != (dsec > 0) || sec < minSec || sec > maxSec {
+		return 0, false
+	}
+	return sec, true
 }
 
 // decodeRest decodes an event body from pos, just past its location,
@@ -660,9 +679,8 @@ func (d *WireDecoder) decodeRest(body []byte, pos int, ev *Event) error {
 	if dsec, pos, ok = varintAt(body, pos); !ok {
 		return wiref("bad time delta at %d", pos)
 	}
-	// The sum wraps exactly when it moves against dsec's sign.
-	sec := d.baseSec + dsec
-	if (sec > d.baseSec) != (dsec > 0) || sec < minSec || sec > maxSec {
+	sec, ok := wireSec(d.baseSec, dsec)
+	if !ok {
 		return wiref("time %d%+d s out of range", d.baseSec, dsec)
 	}
 	ev.Time = time.Unix(sec, 0).UTC()
@@ -703,19 +721,37 @@ func (d *WireDecoder) stringAt(body []byte, pos int) (string, int, bool) {
 	return d.tbl[i], next, true
 }
 
-// PeekWireEvent decodes only the routing prefix of an event body — its
-// location and time — leaving the rest untouched. This is the gate's
-// whole per-record decode cost on the pass-through path.
+// PeekWireRoute decodes only the routing prefix of an event body — its
+// location, into *loc, and its time delta from baseSec — leaving the
+// rest untouched. This is the gate's whole per-record decode cost on the
+// pass-through path. A record whose time a backend would refuse does
+// not peek: the gate routes it as it routes an unreadable location.
 //
 //bglvet:hotpath
-func PeekWireEvent(body []byte, baseSec int64) (Location, time.Time, error) {
-	loc, pos, err := decodeWireLocation(body)
+func PeekWireRoute(body []byte, baseSec int64, loc *Location) (int64, error) {
+	pos, err := decodeWireLocation(body, loc)
 	if err != nil {
-		return Location{}, time.Time{}, err
+		return 0, err
 	}
 	dsec, _, ok := varintAt(body, pos)
 	if !ok {
-		return Location{}, time.Time{}, wiref("bad time delta at %d", pos)
+		return 0, wiref("bad time delta at %d", pos)
+	}
+	if _, ok := wireSec(baseSec, dsec); !ok {
+		return 0, wiref("time %d%+d s out of range", baseSec, dsec)
+	}
+	return dsec, nil
+}
+
+// PeekWireEvent is PeekWireRoute returning the location and the time by
+// value.
+//
+//bglvet:hotpath
+func PeekWireEvent(body []byte, baseSec int64) (Location, time.Time, error) {
+	var loc Location
+	dsec, err := PeekWireRoute(body, baseSec, &loc)
+	if err != nil {
+		return Location{}, time.Time{}, err
 	}
 	return loc, time.Unix(baseSec+dsec, 0).UTC(), nil
 }

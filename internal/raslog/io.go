@@ -246,18 +246,20 @@ func (r *Reader) Read() (Event, error) {
 
 // NextEvent advances to the stream's next record line, decodes it and
 // returns its location, the routing key; DecodeEvent then copies the
-// record to wherever the caller routes it. Blank and comment lines are
-// passed over. An undecodable line goes as it does in Read: a lenient
-// reader skips it and goes on, a strict one returns its *LineError,
-// and the stream stays readable. NextEvent returns io.EOF at a clean
-// end, and a stream-level failure as Read does.
+// record to wherever the caller routes it. The *Location points into
+// the reader and holds until the next NextEvent, Read or Reset. Blank
+// and comment lines are passed over. An undecodable line goes as it
+// does in Read: a lenient reader skips it and goes on, a strict one
+// returns its *LineError, and the stream stays readable. NextEvent
+// returns io.EOF at a clean end, and a stream-level failure as Read
+// does.
 //
 //bglvet:hotpath
-func (r *Reader) NextEvent() (Location, error) {
+func (r *Reader) NextEvent() (*Location, error) {
 	for {
 		line, ok := r.nextLine()
 		if !ok {
-			return Location{}, r.srcErr // io.EOF at a clean end
+			return nil, r.srcErr // io.EOF at a clean end
 		}
 		r.line++
 		if len(line) == 0 || line[0] == '#' {
@@ -265,15 +267,15 @@ func (r *Reader) NextEvent() (Location, error) {
 		}
 		r.last, r.lastInBuf = line, true
 		if r.decode(line) {
-			return r.ev.Location, nil
+			return &r.ev.Location, nil
 		}
 		ev, err := parseSlow(line)
 		if err == nil {
 			r.ev = ev
-			return ev.Location, nil
+			return &r.ev.Location, nil
 		}
 		if err := r.skip(err); err != nil {
-			return Location{}, err
+			return nil, err
 		}
 	}
 }

@@ -262,7 +262,9 @@ func skipText(le raslog.LineError) string {
 
 // twoStep reads through NextEvent and DecodeEvent, as serve's ingest
 // loop does, into a slot poisoned before every decode, so a field
-// DecodeEvent leaves unwritten shows. It offers what Read offers.
+// DecodeEvent leaves unwritten shows, and holds NextEvent's location
+// to the one DecodeEvent writes, before and after it runs. It offers
+// what Read offers.
 type twoStep struct {
 	*raslog.Reader
 	lenient bool
@@ -280,6 +282,7 @@ func (t twoStep) Read() (raslog.Event, error) {
 		if err != nil {
 			return raslog.Event{}, err
 		}
+		said := *loc
 		slot := poison
 		if err := t.DecodeEvent(&slot); err != nil {
 			if t.lenient {
@@ -287,8 +290,8 @@ func (t twoStep) Read() (raslog.Event, error) {
 			}
 			return raslog.Event{}, err
 		}
-		if slot.Location != loc {
-			return raslog.Event{}, fmt.Errorf("NextEvent said %+v, DecodeEvent %+v", loc, slot.Location)
+		if slot.Location != said || *loc != said {
+			return raslog.Event{}, fmt.Errorf("NextEvent said %+v, DecodeEvent %+v, and the pointer holds %+v after it", said, slot.Location, *loc)
 		}
 		return slot, nil
 	}

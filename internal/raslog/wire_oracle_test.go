@@ -21,8 +21,8 @@ import (
 // refPeekWireEvent are the parent commit's ReadFrame,
 // decodeWireLocation, decodeWireEvent and PeekWireEvent verbatim but
 // for their names and one rule added since: an event whose time int64
-// nanoseconds since the epoch cannot hold is undecodable. It shares
-// readFrameHeader, which did not change.
+// nanoseconds since the epoch cannot hold is undecodable, and does not
+// peek either. It shares readFrameHeader, which did not change.
 type refDecoder struct{ WireDecoder }
 
 func newRefDecoder(r io.Reader) *refDecoder {
@@ -141,8 +141,7 @@ func refDecodeWireEvent(body []byte, baseSec, baseID int64, tbl []string) (Event
 	if err != nil {
 		return Event{}, err
 	}
-	sum := new(big.Int).Add(big.NewInt(baseSec), big.NewInt(dsec))
-	if sum.Cmp(big.NewInt(math.MinInt64/int64(time.Second))) < 0 || sum.Cmp(big.NewInt(math.MaxInt64/int64(time.Second))) > 0 {
+	if !refTimeInRange(baseSec, dsec) {
 		return Event{}, wiref("time %d%+d s out of range", baseSec, dsec)
 	}
 	e.Time = time.Unix(baseSec+dsec, 0).UTC()
@@ -191,7 +190,17 @@ func refPeekWireEvent(body []byte, baseSec int64) (Location, time.Time, error) {
 	if w <= 0 {
 		return Location{}, time.Time{}, wiref("bad time delta at %d", pos)
 	}
+	if !refTimeInRange(baseSec, dsec) {
+		return Location{}, time.Time{}, wiref("time %d%+d s out of range", baseSec, dsec)
+	}
 	return loc, time.Unix(baseSec+dsec, 0).UTC(), nil
+}
+
+// refTimeInRange reports whether baseSec+dsec, summed without wrapping,
+// is a whole second int64 nanoseconds since the epoch can hold.
+func refTimeInRange(baseSec, dsec int64) bool {
+	sum := new(big.Int).Add(big.NewInt(baseSec), big.NewInt(dsec))
+	return sum.Cmp(big.NewInt(math.MinInt64/int64(time.Second))) >= 0 && sum.Cmp(big.NewInt(math.MaxInt64/int64(time.Second))) <= 0
 }
 
 // skipLog records OnSkip calls as (record bytes, error text).
@@ -238,8 +247,9 @@ const routeBatchCap = 4096
 // does: each event decodes in place at the end of its route's batch,
 // and a batch that reaches batchCap is handed off — copied out, then
 // its buffer reused for the next batch, so an event that still aliased
-// decoder state or an old batch would show. It returns the events in
-// record order.
+// decoder state or an old batch would show. NextEvent's location must
+// be the one DecodeEvent writes, before and after it runs. It returns
+// the events in record order.
 func routeDecode(d *WireDecoder, body []byte, routes, batchCap int) decodeResult {
 	var res decodeResult
 	d.Reset(bytes.NewReader(body))
@@ -263,11 +273,18 @@ func routeDecode(d *WireDecoder, body []byte, routes, batchCap int) decodeResult
 			res.err = errText(err)
 			break
 		}
+		said := *loc
 		r := int(uint(loc.Rack*2+loc.Midplane) % uint(routes))
 		b := batches[r]
 		n := len(b)
-		if d.DecodeEvent(&b[:n+1][n]) != nil {
+		slot := &b[:n+1][n]
+		*slot = Event{RecID: -1, Location: Location{Kind: KindIONode, Rack: 77, Midplane: 77, Card: 77, Chip: 77}} // poison
+		if d.DecodeEvent(slot) != nil {
 			continue
+		}
+		if slot.Location != said || *loc != said {
+			res.err = fmt.Sprintf("NextEvent said %+v, DecodeEvent %+v, and the pointer holds %+v after it", said, slot.Location, *loc)
+			break
 		}
 		batches[r] = b[:n+1]
 		order = append(order, r)
@@ -410,7 +427,8 @@ func rebaseFrame(t testing.TB, body []byte, baseSec int64, dsecs ...int64) []byt
 			payload = append(payload, raw...)
 			return nil
 		}
-		_, pos, err := decodeWireLocation(content)
+		var loc Location
+		pos, err := decodeWireLocation(content, &loc)
 		if err != nil {
 			return err
 		}

@@ -71,7 +71,7 @@ func TestIngestContractGolden(t *testing.T) {
 	for lo := 0; lo < 2*contractRecords; lo += contractRecords {
 		perShard := make([]int, 2)
 		for i := range tail[lo : lo+contractRecords] {
-			perShard[s.shardFor(tail[lo+i].Location).id]++
+			perShard[s.shardFor(&tail[lo+i].Location).id]++
 		}
 		if perShard[0] <= wireBatchCap || perShard[1] <= wireBatchCap {
 			t.Fatalf("body at %d splits %v over the shards; each needs over %d", lo, perShard, wireBatchCap)

@@ -55,7 +55,7 @@ func TestShardPanicSupervisionIsLossless(t *testing.T) {
 				})
 			}
 			for i := range tail {
-				if _, err := engines[s.shardFor(tail[i].Location).id].Ingest(&tail[i]); err != nil {
+				if _, err := engines[s.shardFor(&tail[i].Location).id].Ingest(&tail[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -65,7 +65,7 @@ func TestShardPanicSupervisionIsLossless(t *testing.T) {
 				chunk := tail[lo:min(lo+perPost, len(tail))]
 				touched := make(map[int]bool)
 				for i := range chunk {
-					touched[s.shardFor(chunk[i].Location).id] = true
+					touched[s.shardFor(&chunk[i].Location).id] = true
 				}
 				handoffs += len(touched)
 				resp := post(t, s, encode(t, chunk))
@@ -192,7 +192,7 @@ func holdShard(t *testing.T, s *Server, in *faultinject.Injector, body []byte, c
 func ofShard(s *Server, events []raslog.Event, id, n int) []raslog.Event {
 	var out []raslog.Event
 	for i := range events {
-		if len(out) < n && s.shardFor(events[i].Location).id == id {
+		if len(out) < n && s.shardFor(&events[i].Location).id == id {
 			out = append(out, events[i])
 		}
 	}

@@ -447,10 +447,11 @@ func (s *Server) onAlert(i int) func(predictor.Warning) {
 // shardFor routes a location to a shard by its rack/midplane prefix.
 // Locations below midplane level collapse to their midplane, so all
 // evidence for one scheduling unit shares an engine; unknown
-// locations go to shard 0.
-func (s *Server) shardFor(loc raslog.Location) *shard {
+// locations go to shard 0. It reads the location where the decoder
+// left it.
+func (s *Server) shardFor(loc *raslog.Location) *shard {
 	if s.cfg.ShardBy != nil {
-		i := s.cfg.ShardBy(loc, len(s.shards)) % len(s.shards)
+		i := s.cfg.ShardBy(*loc, len(s.shards)) % len(s.shards)
 		if i < 0 {
 			i += len(s.shards)
 		}
@@ -570,13 +571,13 @@ func (eofReader) Read([]byte) (int, error) { return 0, io.EOF }
 
 // recordSource is a body decoder as the ingest loop drives it, one
 // record at a time: NextEvent decodes the next record at least as far
-// as its location — io.EOF at the clean end, or a stream-level error —
-// and DecodeEvent puts the record into the batch slot the loop picked
-// by that location.
+// as its location, in the decoder's own memory — io.EOF at the clean
+// end, or a stream-level error — and DecodeEvent puts the record into
+// the batch slot the loop picked by that location.
 // A record DecodeEvent fails has gone to quarantine through the
 // decoder's hook. *raslog.WireDecoder and *raslog.Reader are the two.
 type recordSource interface {
-	NextEvent() (raslog.Location, error)
+	NextEvent() (*raslog.Location, error)
 	DecodeEvent(*raslog.Event) error
 }
 

@@ -372,7 +372,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	// shard's share of the request, in batches of wireBatchCap.
 	perShard := make([]int, len(s.shards))
 	for i := range tail {
-		perShard[s.shardFor(tail[i].Location).id]++
+		perShard[s.shardFor(&tail[i].Location).id]++
 	}
 	handoffs := 0
 	for _, n := range perShard {
