@@ -225,12 +225,11 @@ func LoadModel(path string) (*ModelArtifact, ModelFileInfo, error) {
 // decoding it.
 func VerifyModel(path string) (ModelFileInfo, error) { return model.Verify(path) }
 
-// NewRecorder keeps at most window of event time of accepted traffic,
-// compressed to unique events (Phase 1) as it is observed, and at most
-// max unique events (zero values select the defaults: 6 h, 250k — some
-// 18 M raw records at a Blue Gene/L log's 73:1). Wire its Observe
-// method as ServerConfig.Observer and hand it to NewRetrainer, whose
-// Pipeline.Preprocess it compresses under.
+// NewRecorder keeps at most window of event time of accepted traffic
+// as Phase 1's unique events, at most max of them (zero values select
+// the defaults: 6 h, 250k — some 18 M raw records at 73:1). Wire its
+// Shard method as ServerConfig.OnRecord and hand it to NewRetrainer;
+// Observe fills one with no server behind it.
 func NewRecorder(window time.Duration, max int) *Recorder {
 	return lifecycle.NewRecorder(window, max)
 }

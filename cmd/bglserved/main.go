@@ -180,10 +180,10 @@ func run(o options) error {
 		modelInfo.TrainedAt = lifecycle.ModelTrainedAt(led, modelInfo.SHA256)
 	}
 
-	// Record accepted traffic for retraining, and expose retraining via
-	// POST /v1/model/reload. The retrainer needs the server and the
-	// server's Reload hook needs the retrainer, so the hook closes over
-	// a variable assigned right after construction.
+	// Keep the shard engines' Phase 1 output for retraining, and expose
+	// retraining via POST /v1/model/reload. The retrainer needs the
+	// server and the server's Reload hook needs the retrainer, so the
+	// hook closes over a variable assigned right after construction.
 	recorder := lifecycle.NewRecorder(o.retrainWindow, 0)
 	var (
 		retrainMu sync.Mutex
@@ -212,7 +212,7 @@ func run(o options) error {
 		}
 		m.Gauge("bglserved_recorder_events", "Unique events in the retraining window (Phase 1 output).", int64(recorder.Unique()))
 		m.Gauge("bglserved_recorder_records", "Raw records the retraining window's events stand for.", int64(recorder.Len()))
-		m.Counter("bglserved_recorder_seen_total", "Records the retraining recorder has observed.", recorder.Seen())
+		m.Counter("bglserved_recorder_seen_total", "Records the shard engines accepted into the retraining recorder.", recorder.Seen())
 	}
 
 	srv := serve.New(meta, serve.Config{
@@ -224,7 +224,7 @@ func run(o options) error {
 		ShedTimeout:    o.shedTimeout,
 		Window:         o.window,
 		Model:          modelInfo,
-		Observer:       recorder.Observe,
+		OnRecord:       recorder.Shard,
 		AuxMetrics:     auxMetrics,
 		Ledger:         led,
 		AuxHealth: func(m map[string]any) {

@@ -89,9 +89,9 @@ func TestPlantedServeConcatenation(t *testing.T) {
 import "bglpred/internal/raslog"
 
 //bglvet:hotpath
-func (s *Server) plantedDecode(src recordSource, byShard [][]raslog.Event, resp *IngestResponse, admitted *[]admittedSlot, via string) (int, int) {
+func (s *Server) plantedDecode(src recordSource, byShard [][]raslog.Event, resp *IngestResponse, via string) (int, int) {
 	resp.Error = plantedTag(via)
-	return s.decode(src, byShard, resp, admitted)
+	return s.decode(src, byShard, resp)
 }
 
 func plantedTag(via string) string {

@@ -116,25 +116,25 @@ func clean(s *S) {
 // package.
 const plantedInversion = `package lifecycle
 
-func plantedRecorderFirst(rec *Recorder, rt *Retrainer) {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
+func plantedSlabFirst(sl *slab, rt *Retrainer) {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 }
 
-func plantedRetrainerFirst(rec *Recorder, rt *Retrainer) {
+func plantedRetrainerFirst(sl *slab, rt *Retrainer) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
 }
 `
 
 // TestPlantedLifecycleInversion is lockorder's evidence on this tree:
-// the real lifecycle package is clean, and two functions taking
-// Recorder.mu and Retrainer.mu in opposite orders produce exactly one
-// cycle naming both.
+// the real lifecycle package is clean, and two functions taking a
+// recorder slab's lock and Retrainer.mu in opposite orders produce
+// exactly one cycle naming both.
 func TestPlantedLifecycleInversion(t *testing.T) {
 	const path = "bglpred/internal/lifecycle"
 	t.Run("unmodified", func(t *testing.T) {
@@ -148,7 +148,7 @@ func TestPlantedLifecycleInversion(t *testing.T) {
 			t.Fatalf("got %d findings, want exactly 1 cycle: %v", len(findings), findings)
 		}
 		msg := findings[0].Message
-		for _, want := range []string{"lock-order cycle", "lifecycle.(Recorder).mu", "lifecycle.(Retrainer).mu"} {
+		for _, want := range []string{"lock-order cycle", "lifecycle.(slab).mu", "lifecycle.(Retrainer).mu"} {
 			if !strings.Contains(msg, want) {
 				t.Errorf("finding %q does not name %q", msg, want)
 			}

@@ -46,7 +46,7 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		"internal/serve":      {"(*Server).decode"},
 		"internal/online":     {"(*Engine).IngestBatch"},
 		"internal/preprocess": {"(*Compressor).Step"},
-		"internal/lifecycle":  {"(*Recorder).Observe"},
+		"internal/lifecycle":  {"(*Recorder).Observe", "(*slab).take"},
 		"internal/cluster":    {"(*routeScratch).routeFrame"},
 	}
 	for rel, fns := range want {

@@ -13,7 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"bglpred/internal/catalog"
+	"bglpred/internal/online"
 	"bglpred/internal/predictor"
+	"bglpred/internal/preprocess"
 	"bglpred/internal/raslog"
 	"bglpred/internal/serve"
 )
@@ -195,8 +198,8 @@ func FuzzGateTextMatchesReader(f *testing.F) {
 	})
 }
 
-// observedServer is a single-shard bglserved whose Observer records,
-// in request order, every record that reaches its engine.
+// observedServer is a single-shard bglserved whose engine hook records,
+// in request order, every record its engine accepts.
 func observedServer(t *testing.T, meta *predictor.Meta) (*serve.Server, func() []raslog.Event) {
 	t.Helper()
 	var mu sync.Mutex
@@ -205,10 +208,12 @@ func observedServer(t *testing.T, meta *predictor.Meta) (*serve.Server, func() [
 		Shards:  1,
 		History: 1 << 16,
 		Window:  30 * time.Minute,
-		Observer: func(ev raslog.Event) {
-			mu.Lock()
-			seen = append(seen, ev)
-			mu.Unlock()
+		OnRecord: func(int) online.RecordFunc {
+			return func(ev *raslog.Event, _ *catalog.Subcategory, _ preprocess.Verdict, _ int) {
+				mu.Lock()
+				seen = append(seen, *ev)
+				mu.Unlock()
+			}
 		},
 	})
 	t.Cleanup(func() { srv.Close() })

@@ -68,7 +68,7 @@ func TestChaosAcceptance(t *testing.T) {
 		History:       1 << 16,
 		Window:        30 * time.Minute,
 		SnapshotEvery: 1,
-		Observer:      rec.Observe,
+		OnRecord:      rec.Shard,
 		Inject:        in,
 	})
 	defer s.Close()

@@ -42,7 +42,7 @@ func TestGateAgreesAfterIdenticalTrainings(t *testing.T) {
 		srv := serve.New(meta, serve.Config{
 			Shards:   1,
 			Window:   30 * time.Minute,
-			Observer: rec.Observe,
+			OnRecord: rec.Shard,
 			Model:    serve.ModelInfo{SHA256: saved.SHA256, Source: "gate agreement"},
 			Reload: func() error {
 				_, err := rt.RetrainNow()

@@ -7,9 +7,8 @@
 //
 // Three cooperating pieces:
 //
-//   - Recorder: a bounded sliding window over the records the server
-//     accepts, compressed to unique events (Phase 1) as they arrive —
-//     the retrainer's training data.
+//   - Recorder: a bounded sliding window of the shard engines' Phase 1
+//     output (unique events), the retrainer's training data.
 //   - Checkpointer: periodically appends a snapshot of every shard
 //     engine's mutable state (dedup tables, observation windows,
 //     standing alarms, counters) to the audit ledger, tagged with the

@@ -511,7 +511,7 @@ func TestRetrainerRetrainNow(t *testing.T) {
 	meta, _, tail := fixture(t)
 	dir := t.TempDir()
 	rec := NewRecorder(0, 0)
-	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, Observer: rec.Observe})
+	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, OnRecord: rec.Shard})
 	defer s.Close()
 	post(t, s, encode(t, tail))
 	if rec.Len() == 0 {
@@ -580,7 +580,7 @@ func TestRetrainArtifactCopiesAreIdentical(t *testing.T) {
 	meta, _, tail := fixture(t)
 	dir := t.TempDir()
 	rec := NewRecorder(0, 0)
-	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, Observer: rec.Observe})
+	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, OnRecord: rec.Shard})
 	defer s.Close()
 	post(t, s, encode(t, tail))
 	rt := NewRetrainer(s, rec, RetrainerConfig{MinEvents: 10, Dir: dir, Logf: t.Logf})

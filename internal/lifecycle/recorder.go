@@ -1,63 +1,49 @@
 package lifecycle
 
 import (
+	"cmp"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bglpred/internal/catalog"
+	"bglpred/internal/online"
 	"bglpred/internal/preprocess"
 	"bglpred/internal/raslog"
 )
 
-// Recorder is the retrainer's training set: a bounded sliding window
-// over the ingested stream, held as Phase 1's output rather than its
-// input. Observe classifies and compresses each record as it arrives
-// (one catalog.Interner, one preprocess.Compressor — the paper's §3.1
-// rules, the same kernel preprocess.Run and online.Engine drive), so a
-// log at 73:1 redundancy is kept as ~14 k unique events, not ~1 M
-// records, and a retrain starts at training. Wire Observe as
-// serve.Config.Observer: it runs ahead of shard routing and sees the
-// whole stream, and because both compression keys carry the JOB ID,
-// one compressor over the whole stream is exactly preprocess.Run.
-//
-// Contract:
-//
-//   - Events is the time-ordered window; without pruning it equals
-//     preprocess.Run(everything observed).Events — order, Count and
-//     Locations included.
-//   - Len is the number of raw records the retained events stand for
-//     (the sum of their Count); records no subcategory matches are
-//     dropped at the door, as Phase 1 drops them. Seen is the lifetime
-//     observed count, unclassified included.
-//   - The window prunes events whose representative is older than
-//     newest−window; max caps the retained unique events, oldest out
-//     first. A later duplicate of a pruned event is dropped with it,
-//     not promoted to a unique event of its own (EXPERIMENTS.md,
-//     deviation summary).
-//   - Records are stepped in arrival order. One older than the newest
-//     observed (two interleaved ingest connections) may open an event
-//     out of place — Events then sorts by time, stably — and may open
-//     one a sorted pass would have merged, the newer record having
-//     expired the compressor's windows (EXPERIMENTS.md has the
-//     measured cost). The window, too, prunes in arrival order.
-//
-// Observe is cheap (a mutex, three map lookups, no allocation for a
-// duplicate) and never blocks on I/O.
+// Recorder is the retrainer's training set: a sliding window of the
+// accepted stream kept as Phase 1's unique events. Shard engines feed
+// it their verdicts through Shard, each into a slab of its own; Observe
+// fills one with no server behind it through its own Interner and
+// Compressor under the preprocess defaults, into slab 0. Events, by
+// time then RecID, is preprocess.Run over all records taken, when fed
+// in log order by Observe or one shard and nothing was pruned (N
+// shards: EXPERIMENTS.md, deviation 9; Observe's arrivals, deviation 7).
+// Events older than newest−window (newest over all slabs) are pruned
+// and max caps the events of all slabs, oldest out first; a duplicate
+// of an event not held is dropped (deviation 6). A Unique below its
+// slab's next slot (a restarted engine re-issuing slots) first
+// truncates the slab. Taking a record reads no clock and allocates
+// nothing for a duplicate.
 type Recorder struct {
+	window   time.Duration
+	max      int
+	slabs    atomic.Pointer[[]*slab] // never nil; grows copy-on-write
+	observed func() *slab            // builds Observe's Phase 1 once
+	clf      *catalog.Interner       // slab 0's lock guards clf and comp
+	comp     *preprocess.Compressor
+}
+
+// slab is one shard's share of the window.
+type slab struct {
+	r      *Recorder
 	mu     sync.Mutex
-	window time.Duration
-	max    int
-	opts   preprocess.Options // compressionOf form
-	clf    *catalog.Interner
-	comp   *preprocess.Compressor
-	// events holds the retained unique events in the order they opened;
-	// events[i] is the compressor's slot base+i.
-	events  []preprocess.Event
-	base    int
-	records int       // sum of events[i].Count
-	newest  time.Time // latest record time observed
-	seen    int64     // lifetime observed count
+	events []preprocess.Event // events[i] opened at slot base+i
+	base   int
+	newest time.Time // latest record time taken
+	seen   int64
 }
 
 // Default recorder bounds: six hours of events, capped at 250k unique
@@ -77,128 +63,179 @@ func NewRecorder(window time.Duration, max int) *Recorder {
 	if max <= 0 {
 		max = DefaultRecorderMax
 	}
-	opts := compressionOf(preprocess.Options{})
-	return &Recorder{
-		window: window,
-		max:    max,
-		opts:   opts,
-		clf:    catalog.NewInterner(0),
-		comp:   preprocess.NewCompressor(opts),
+	r := &Recorder{window: window, max: max}
+	r.slabs.Store(new([]*slab))
+	r.observed = sync.OnceValue(func() *slab {
+		r.clf, r.comp = catalog.NewInterner(0), preprocess.NewCompressor(preprocess.Options{})
+		r.Shard(0)
+		return (*r.slabs.Load())[0]
+	})
+	return r
+}
+
+// Shard returns the hook that feeds shard i's engine's Phase 1 verdicts
+// into slab i: wire Shard as serve.Config.OnRecord.
+func (r *Recorder) Shard(i int) online.RecordFunc {
+	for {
+		slabs := r.slabs.Load()
+		if i < len(*slabs) {
+			return (*slabs)[i].take
+		}
+		grown := append(slices.Clip(*slabs), &slab{r: r})
+		r.slabs.CompareAndSwap(slabs, &grown)
 	}
 }
 
-// compressionOf reduces Phase 1 options to what decides a compressor's
-// verdicts: defaults applied, Workers (parallelism only) cleared. Two
-// option sets compress alike exactly when these forms are equal.
-func compressionOf(o preprocess.Options) preprocess.Options {
-	o.Workers = 0
-	if o.TemporalThreshold == 0 {
-		o.TemporalThreshold = preprocess.DefaultThreshold
-	}
-	if o.SpatialThreshold == 0 {
-		o.SpatialThreshold = preprocess.DefaultThreshold
-	}
-	return o
-}
-
-// adopt makes a recorder that has observed nothing compress under
-// opts; one already filling keeps its options. NewRetrainer calls it
-// with its pipeline's Phase 1 options, and RetrainNow refuses a pair
-// left disagreeing.
-func (r *Recorder) adopt(opts preprocess.Options) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.seen == 0 {
-		r.opts = compressionOf(opts)
-		r.comp = preprocess.NewCompressor(r.opts)
-	}
-}
-
-// compression reports the options the recorder compresses under.
-func (r *Recorder) compression() preprocess.Options {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.opts
-}
-
-// Observe runs one accepted record through Phase 1: a unique record
-// opens an event, a duplicate is credited to the event it repeats.
+// Observe runs one record through the recorder's own Phase 1 into slab 0.
 //
 //bglvet:hotpath
 func (r *Recorder) Observe(ev raslog.Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seen++
-	if ev.Time.After(r.newest) {
-		r.newest = ev.Time
+	sl := r.observed()
+	sl.mu.Lock()
+	sub, ok := r.clf.Classify(&ev)
+	v, slot := preprocess.Unique, -1
+	if ok {
+		v, slot = r.comp.Step(&ev, sub.ID)
 	}
-	if sub, ok := r.clf.Classify(&ev); ok {
-		switch v, slot := r.comp.Step(&ev, sub.ID); {
-		case v == preprocess.Unique:
-			r.events = append(r.events, preprocess.Event{Event: ev, Sub: sub, Count: 1, Locations: 1})
-			r.records++
-		case slot >= r.base: // else the event it repeats was pruned
-			e := &r.events[slot-r.base]
-			e.Count++
-			if v == preprocess.SpatialDuplicate {
-				e.Locations++
-			}
-			r.records++
-		}
+	opened := sl.takeLocked(&ev, sub, v, slot)
+	sl.mu.Unlock()
+	if opened {
+		r.capUnique()
 	}
-	r.pruneLocked()
 }
 
-// pruneLocked drops the leading events that fell out of the window or
-// over the cap; r.mu held. Dropping from the front keeps slot
-// arithmetic a subtraction and costs nothing until append next grows
-// the slice, which copies only what is retained.
-func (r *Recorder) pruneLocked() {
-	cutoff := r.newest.Add(-r.window)
-	n := max(0, len(r.events)-r.max)
-	for n < len(r.events) && r.events[n].Time.Before(cutoff) {
-		n++
+// take is a shard engine's online.RecordFunc.
+//
+//bglvet:hotpath
+func (sl *slab) take(ev *raslog.Event, sub *catalog.Subcategory, v preprocess.Verdict, slot int) {
+	sl.mu.Lock()
+	opened := sl.takeLocked(ev, sub, v, slot)
+	sl.mu.Unlock()
+	if opened {
+		sl.r.capUnique()
 	}
-	if n == 0 {
+}
+
+// takeLocked takes a verdict, reporting whether it opened an event; sl.mu held.
+func (sl *slab) takeLocked(ev *raslog.Event, sub *catalog.Subcategory, v preprocess.Verdict, slot int) bool {
+	sl.seen++
+	if ev.Time.After(sl.newest) {
+		sl.newest = ev.Time
+	}
+	if sub == nil {
+		return false
+	}
+	if v != preprocess.Unique {
+		if i := slot - sl.base; i >= 0 && i < len(sl.events) {
+			sl.events[i].Count++
+			if v == preprocess.SpatialDuplicate {
+				sl.events[i].Locations++
+			}
+		}
+		return false
+	}
+	if keep := slot - sl.base; keep != len(sl.events) {
+		if keep < 0 || keep > len(sl.events) { // a restored engine's slots
+			keep = 0
+		}
+		sl.cut(keep, len(sl.events))
+		sl.base = slot - keep
+	}
+	sl.events = append(sl.events, preprocess.Event{Event: *ev, Sub: sub, Count: 1, Locations: 1})
+	sl.prune(sl.newest.Add(-sl.r.window))
+	return true
+}
+
+// cut drops events[lo:hi], a prefix or a suffix; a prefix goes for free
+// until append next grows the slice, copying only what is retained.
+func (sl *slab) cut(lo, hi int) {
+	clear(sl.events[lo:hi]) // release the dropped events' strings
+	if lo > 0 {
+		sl.events = sl.events[:lo]
 		return
 	}
-	for i := range r.events[:n] {
-		r.records -= r.events[i].Count
-	}
-	clear(r.events[:n]) // release the pruned events' strings
-	r.events = r.events[n:]
-	r.base += n
+	sl.events, sl.base = sl.events[hi:], sl.base+hi
 }
 
-// Events returns the window's unique events, time-ordered, as an
-// independent copy ready to train on.
+// prune drops the leading events older than cutoff; sl.mu held.
+func (sl *slab) prune(cutoff time.Time) {
+	n := 0
+	for n < len(sl.events) && sl.events[n].Time.Before(cutoff) {
+		n++
+	}
+	sl.cut(0, n)
+}
+
+// capUnique drops the oldest event of all slabs while over max, one slab
+// lock at a time: two slabs opening events at once may drop one too many.
+func (r *Recorder) capUnique() {
+	for {
+		var oldest *slab
+		var at time.Time
+		n := 0
+		for _, sl := range *r.slabs.Load() {
+			sl.mu.Lock()
+			if n += len(sl.events); len(sl.events) > 0 && (oldest == nil || sl.events[0].Time.Before(at)) {
+				oldest, at = sl, sl.events[0].Time
+			}
+			sl.mu.Unlock()
+		}
+		if n <= r.max {
+			return
+		}
+		oldest.mu.Lock()
+		oldest.cut(0, min(1, len(oldest.events)))
+		oldest.mu.Unlock()
+	}
+}
+
+// sweep prunes each slab to the window of the newest record of all,
+// calls f on it under its lock, and returns that newest time.
+func (r *Recorder) sweep(f func(*slab)) (newest time.Time) {
+	slabs := *r.slabs.Load()
+	for pass := 0; pass < 2; pass++ {
+		cutoff := newest.Add(-r.window)
+		for _, sl := range slabs {
+			sl.mu.Lock()
+			if sl.newest.After(newest) {
+				newest = sl.newest
+			}
+			if pass == 1 {
+				sl.prune(cutoff)
+				f(sl)
+			}
+			sl.mu.Unlock()
+		}
+	}
+	return newest
+}
+
+// Events returns a time-ordered copy of the window, ready to train on.
 func (r *Recorder) Events() []preprocess.Event {
 	events, _, _ := r.training(nil)
 	return events
 }
 
-// training appends the window to dst[:0] and returns it, time-ordered,
-// together with the raw-record count the events stand for and the
-// newest record time observed, all from one moment. A retrainer passes
-// the buffer it keeps between retrains; the result shares nothing with
-// the recorder. The buffer's slots past the window are zeroed, so
-// events an earlier, longer window held do not stay reachable.
+// training copies the window into the retrainer's buffer dst[:0], whose
+// slots past it are zeroed, with the records it stands for and the
+// newest record time.
 func (r *Recorder) training(dst []preprocess.Event) (events []preprocess.Event, records int, newest time.Time) {
-	r.mu.Lock()
-	events, records, newest = append(dst[:0], r.events...), r.records, r.newest
-	r.mu.Unlock()
+	events = dst[:0]
+	newest = r.sweep(func(sl *slab) { events = append(events, sl.events...) })
 	clear(events[len(events):cap(events)])
 	for i := 1; i < len(events); i++ {
-		if events[i].Time.Before(events[i-1].Time) {
-			slices.SortStableFunc(events, func(a, b preprocess.Event) int { return a.Time.Compare(b.Time) })
+		if a, b := &events[i-1], &events[i]; b.Time.Before(a.Time) || b.Time.Equal(a.Time) && b.RecID < a.RecID {
+			slices.SortFunc(events, func(a, b preprocess.Event) int { return cmp.Or(a.Time.Compare(b.Time), cmp.Compare(a.RecID, b.RecID)) })
 			break
 		}
+	}
+	for i := range events {
+		records += events[i].Count
 	}
 	return events, records, newest
 }
 
-// Snapshot returns the representative raw record of each event in
-// Events.
+// Snapshot returns the representative raw record of each Events entry.
 func (r *Recorder) Snapshot() []raslog.Event {
 	events := r.Events()
 	out := make([]raslog.Event, len(events))
@@ -209,22 +246,21 @@ func (r *Recorder) Snapshot() []raslog.Event {
 }
 
 // Len reports the raw records the retained events stand for.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.records
-}
+func (r *Recorder) Len() int { n, _, _ := r.counts(); return n }
 
 // Unique reports the retained unique events.
-func (r *Recorder) Unique() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
+func (r *Recorder) Unique() int { _, n, _ := r.counts(); return n }
 
-// Seen reports the lifetime observed record count.
-func (r *Recorder) Seen() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seen
+// Seen reports the lifetime count of records taken.
+func (r *Recorder) Seen() int64 { _, _, n := r.counts(); return n }
+
+func (r *Recorder) counts() (records, unique int, seen int64) {
+	r.sweep(func(sl *slab) {
+		for i := range sl.events {
+			records += sl.events[i].Count
+		}
+		unique += len(sl.events)
+		seen += sl.seen
+	})
+	return records, unique, seen
 }

@@ -17,7 +17,9 @@ import (
 	"bglpred/internal/bglsim"
 	"bglpred/internal/catalog"
 	"bglpred/internal/core"
+	"bglpred/internal/faultinject"
 	"bglpred/internal/model"
+	"bglpred/internal/online"
 	"bglpred/internal/predictor"
 	"bglpred/internal/preprocess"
 	"bglpred/internal/raslog"
@@ -124,18 +126,32 @@ func sameModel(t *testing.T, a, b *predictor.Meta) bool {
 }
 
 // TestRecorderMatchesReferenceRetrain is the replacement's oracle: over
-// seeds, machine sizes and Phase 1 option sets, the recorder's window
-// is preprocess.Run's output over the raw window and the model trained
-// from it is the reference cycle's model — statistical, rule and ecg
-// sections alike.
+// seeds and machine sizes, the recorder's window is preprocess.Run's
+// output over the raw window and the model trained from it is the
+// reference cycle's model — statistical, rule and ecg sections alike.
+// The window runs Phase 1 under the preprocess defaults, and it is
+// checked fed both ways: by the standalone Observe ("defaults") and by
+// one engine's OnRecord hook, as in a one-shard server ("engine hook").
 func TestRecorderMatchesReferenceRetrain(t *testing.T) {
-	optionSets := []struct {
+	meta, _, _ := fixture(t)
+	cfg := threeBases(preprocess.Options{})
+	feeds := []struct {
 		name string
-		opts preprocess.Options
+		feed func(t *testing.T, rec *Recorder, events []raslog.Event)
 	}{
-		{"defaults", preprocess.Options{}},
-		{"literal temporal key", preprocess.Options{TemporalKeyIgnoresCategory: true}},
-		{"60s temporal, 15min spatial", preprocess.Options{TemporalThreshold: time.Minute, SpatialThreshold: 15 * time.Minute}},
+		{"defaults", func(t *testing.T, rec *Recorder, events []raslog.Event) {
+			for i := range events {
+				rec.Observe(events[i])
+			}
+		}},
+		{"engine hook", func(t *testing.T, rec *Recorder, events []raslog.Event) {
+			e := online.New(meta, online.Config{OnRecord: rec.Shard(0)})
+			for i := range events {
+				if _, err := e.Ingest(&events[i]); err != nil {
+					t.Fatalf("record %d: %v", i, err)
+				}
+			}
+		}},
 	}
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, racks := range []int{1, 4} {
@@ -151,19 +167,18 @@ func TestRecorderMatchesReferenceRetrain(t *testing.T) {
 			for i := range gen.Events {
 				ref.Observe(gen.Events[i])
 			}
-			for _, set := range optionSets {
-				t.Run(fmt.Sprintf("seed %d, %d racks, %s", seed, racks, set.name), func(t *testing.T) {
-					cfg := threeBases(set.opts)
+			pre, want, err := referenceRetrain(ref, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Rule.Rules().Len() == 0 {
+				t.Fatalf("seed %d, %d racks: reference cycle mined no rules; the comparison is vacuous", seed, racks)
+			}
+			for _, f := range feeds {
+				t.Run(fmt.Sprintf("seed %d, %d racks, %s", seed, racks, f.name), func(t *testing.T) {
 					rec := NewRecorder(year, len(gen.Events)+1)
-					rec.adopt(cfg.Preprocess)
-					for i := range gen.Events {
-						rec.Observe(gen.Events[i])
-					}
+					f.feed(t, rec, gen.Events)
 
-					pre, want, err := referenceRetrain(ref, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
 					events := rec.Events()
 					if !reflect.DeepEqual(events, pre.Events) {
 						t.Fatalf("recorder holds %d events, preprocess.Run over the raw window yields %d; first difference at %d",
@@ -178,9 +193,6 @@ func TestRecorderMatchesReferenceRetrain(t *testing.T) {
 					got, err := core.New(cfg).Train(events)
 					if err != nil {
 						t.Fatal(err)
-					}
-					if want.Rule.Rules().Len() == 0 {
-						t.Fatal("reference cycle mined no rules; the comparison is vacuous")
 					}
 					if !sameModel(t, got.Meta, want.Meta) {
 						t.Fatal("model trained from the recorder's events differs from the reference cycle's")
@@ -397,58 +409,38 @@ func TestRecorderOutOfOrderArrivals(t *testing.T) {
 	}
 }
 
-// TestRetrainerAdoptsOrRefusesRecorderOptions: Phase 1 runs in the
-// recorder, so the retrainer's Pipeline.Preprocess must be the options
-// the recorder compressed under — adopted when the recorder is still
-// empty, refused when it already filled under others.
-func TestRetrainerAdoptsOrRefusesRecorderOptions(t *testing.T) {
+// TestRetrainerRefusesNonDefaultPhase1: the window is compressed under
+// the preprocess defaults, in the shard engines or in Observe, so a
+// retrain refuses a pipeline asking for other Phase 1 options and leaves
+// the serving model alone; options that differ only in parallelism or
+// in spelling the defaults out are accepted.
+func TestRetrainerRefusesNonDefaultPhase1(t *testing.T) {
 	meta, _, tail := fixture(t)
 	s := serve.New(meta, serve.Config{Shards: 2})
 	defer s.Close()
-	literal := threeBases(preprocess.Options{TemporalKeyIgnoresCategory: true, Workers: 3})
-
-	// Adopt: an empty recorder takes the pipeline's options, and its
-	// window is Phase 1 under them.
-	const year = 365 * 24 * time.Hour
-	fresh := NewRecorder(year, 0)
-	rt := NewRetrainer(s, fresh, RetrainerConfig{MinEvents: 10, Pipeline: literal})
+	rec := NewRecorder(365*24*time.Hour, 0)
 	for i := range tail {
-		fresh.Observe(tail[i])
-	}
-	if want := preprocess.Run(tail, literal.Preprocess).Events; !reflect.DeepEqual(fresh.Events(), want) {
-		t.Fatalf("adopting recorder holds %d events, Phase 1 under the pipeline's options yields %d", fresh.Unique(), len(want))
-	}
-	if len(fresh.Events()) == len(preprocess.Run(tail, preprocess.Options{}).Events) {
-		t.Fatal("the two option sets compress the fixture alike; the test distinguishes nothing")
-	}
-	if _, err := rt.RetrainNow(); err != nil {
-		t.Fatalf("retrain over an adopting recorder: %v", err)
-	}
-
-	// Refuse: a recorder that filled under the defaults, paired with the
-	// literal-key pipeline afterwards.
-	filled := NewRecorder(year, 0)
-	for i := range tail {
-		filled.Observe(tail[i])
+		rec.Observe(tail[i])
 	}
 	before := s.Model()
-	_, err := NewRetrainer(s, filled, RetrainerConfig{MinEvents: 10, Pipeline: literal}).RetrainNow()
-	if err == nil {
-		t.Fatal("retrain over a recorder compressed under other options succeeded")
-	}
-	for _, want := range []string{"TemporalKeyIgnoresCategory:false", "TemporalKeyIgnoresCategory:true"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name the option set with %s", err, want)
+	for _, opts := range []preprocess.Options{
+		{TemporalKeyIgnoresCategory: true},
+		{TemporalThreshold: time.Minute},
+		{SpatialThreshold: 15 * time.Minute, Workers: 2},
+	} {
+		_, err := NewRetrainer(s, rec, RetrainerConfig{MinEvents: 10, Pipeline: threeBases(opts)}).RetrainNow()
+		if err == nil {
+			t.Fatalf("retrain under %+v succeeded over a window compressed under the defaults", opts)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("%+v", opts)) {
+			t.Errorf("error %q does not name the options %+v", err, opts)
+		}
+		if got := s.Model(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("refused retrain moved the model: %+v -> %+v", before, got)
 		}
 	}
-	if got := s.Model(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("refused retrain moved the model: %+v -> %+v", before, got)
-	}
-
-	// Options that differ only in parallelism or in spelling the
-	// defaults out compress alike and are accepted.
 	same := threeBases(preprocess.Options{TemporalThreshold: preprocess.DefaultThreshold, Workers: 7})
-	if _, err := NewRetrainer(s, filled, RetrainerConfig{MinEvents: 10, Pipeline: same}).RetrainNow(); err != nil {
+	if _, err := NewRetrainer(s, rec, RetrainerConfig{MinEvents: 10, Pipeline: same}).RetrainNow(); err != nil {
 		t.Fatalf("retrain under equivalent options: %v", err)
 	}
 }
@@ -501,7 +493,8 @@ func TestRecorderConcurrentObserveAndRetrain(t *testing.T) {
 
 // TestRecorderObserveDuplicateAllocatesNothing: a record that repeats a
 // retained event — nearly every record of a Blue Gene/L log — is
-// credited without allocating.
+// credited without allocating, through Observe and through the shard
+// engines' hook alike.
 func TestRecorderObserveDuplicateAllocatesNothing(t *testing.T) {
 	base := time.Date(2026, 8, 6, 0, 0, 0, 0, time.UTC)
 	r := NewRecorder(0, 0)
@@ -519,13 +512,26 @@ func TestRecorderObserveDuplicateAllocatesNothing(t *testing.T) {
 	if r.Unique() != 1 || r.Len() != int(r.Seen()) {
 		t.Fatalf("duplicates opened events or went uncounted: Unique() = %d, Len() = %d, Seen() = %d", r.Unique(), r.Len(), r.Seen())
 	}
+
+	served := NewRecorder(0, 0)
+	take, sub := served.Shard(0), catalog.MustByName("torusFailure")
+	take(&first, sub, preprocess.Unique, 0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		take(&temporal, sub, preprocess.TemporalDuplicate, 0)
+		take(&spatial, sub, preprocess.SpatialDuplicate, 0)
+	}); allocs != 0 {
+		t.Fatalf("taking a duplicate from an engine allocates %.1f times", allocs)
+	}
+	if served.Unique() != 1 || served.Len() != int(served.Seen()) {
+		t.Fatalf("duplicates opened events or went uncounted: Unique() = %d, Len() = %d, Seen() = %d", served.Unique(), served.Len(), served.Seen())
+	}
 }
 
 // BenchmarkServeIngestObserved posts the fixture's tail as 4096-record
 // wire bodies into a fresh two-shard server per pass, once with the
-// recorder as its Observer, the way bglserved runs, and once without.
-// The difference is what observing costs a served record, the
-// recorder_observe timer included.
+// recorder fed by the engines' hook, the way bglserved runs, and once
+// without. The difference is what keeping the window costs a served
+// record.
 func BenchmarkServeIngestObserved(b *testing.B) {
 	meta, _, tail := fixture(b)
 	var bodies [][]byte
@@ -547,7 +553,7 @@ func BenchmarkServeIngestObserved(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := serve.Config{Shards: 2}
 				if observed {
-					cfg.Observer = NewRecorder(6*time.Hour, 0).Observe
+					cfg.OnRecord = NewRecorder(6*time.Hour, 0).Shard
 				}
 				s := serve.New(meta, cfg)
 				for _, body := range bodies {
@@ -686,5 +692,323 @@ func TestTrainingClearsStaleBufferTail(t *testing.T) {
 		if !reflect.DeepEqual(e, preprocess.Event{}) {
 			t.Fatalf("slot %d past the window still holds %v", len(events)+i, e)
 		}
+	}
+}
+
+// ingest posts body to s and returns the reply; unlike post, it may run
+// off the test goroutine.
+func ingest(s *serve.Server, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
+	return rec
+}
+
+// TestRefusedRequestsStayOutOfTrainingWindow: a request the server
+// refuses — shed with 429, or out of time waiting for a busy shard with
+// 503 — ran no batch, so none of its records reach the training window;
+// retried once admitted, it leaves the window one successful post
+// leaves.
+func TestRefusedRequestsStayOutOfTrainingWindow(t *testing.T) {
+	meta, _, tail := fixture(t)
+	const window = 2000 * time.Hour
+	held, body := encode(t, tail[:10]), encode(t, tail[10:1010])
+	want := NewRecorder(window, 0)
+	once := serve.New(meta, serve.Config{Shards: 1, Window: 30 * time.Minute, OnRecord: want.Shard})
+	post(t, once, held)
+	post(t, once, body)
+	once.Close()
+	if want.Seen() != 1010 || want.Unique() == 0 {
+		t.Fatalf("one post of each body: Seen() = %d, Unique() = %d", want.Seen(), want.Unique())
+	}
+
+	for _, c := range []struct {
+		name string
+		cfg  serve.Config
+		code int
+	}{
+		{"shed", serve.Config{ShedTimeout: -1}, http.StatusTooManyRequests},
+		{"deadlined", serve.Config{RequestTimeout: 50 * time.Millisecond, ShedTimeout: 10 * time.Second}, http.StatusServiceUnavailable},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			in := faultinject.New(7)
+			in.Set(faultinject.ShardSlow, faultinject.Plan{Delay: time.Second, Times: 1})
+			rec := NewRecorder(window, 0)
+			cfg := c.cfg
+			cfg.Shards, cfg.Window, cfg.Inject, cfg.OnRecord = 1, 30*time.Minute, in, rec.Shard
+			s := serve.New(meta, cfg)
+			defer s.Close()
+
+			// The first request's batch stalls in ShardSlow holding the
+			// shard, so the second finds it busy.
+			done := make(chan int, 1)
+			go func() { done <- ingest(s, held).Code }()
+			for in.Fires(faultinject.ShardSlow) == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			events, records, seen := rec.Events(), rec.Len(), rec.Seen()
+			if r := ingest(s, body); r.Code != c.code {
+				t.Fatalf("status %d, want %d: %s", r.Code, c.code, r.Body.String())
+			}
+			if !reflect.DeepEqual(rec.Events(), events) || rec.Len() != records || rec.Seen() != seen {
+				t.Fatalf("a refused request moved the window: %d unique, %d records, %d seen, was %d, %d, %d",
+					rec.Unique(), rec.Len(), rec.Seen(), len(events), records, seen)
+			}
+			if code := <-done; code != http.StatusOK {
+				t.Fatalf("holding request: status %d", code)
+			}
+
+			post(t, s, body) // the retry the refusal asks for
+			if !reflect.DeepEqual(rec.Events(), want.Events()) || rec.Len() != want.Len() || rec.Seen() != want.Seen() {
+				t.Fatalf("refusal and retry leave %d unique, %d records, %d seen; one post leaves %d, %d, %d",
+					rec.Unique(), rec.Len(), rec.Seen(), want.Unique(), want.Len(), want.Seen())
+			}
+		})
+	}
+}
+
+// wholePhase1 steps a stream through one Interner and one Compressor
+// under the defaults. It returns the unique events in slot order and,
+// per record, its verdict and the slot it opened or repeats (-1 when
+// unclassified).
+func wholePhase1(recs []raslog.Event) ([]preprocess.Event, []preprocess.Verdict, []int) {
+	clf, comp := catalog.NewInterner(0), preprocess.NewCompressor(preprocess.Options{})
+	var events []preprocess.Event
+	verdicts, slots := make([]preprocess.Verdict, len(recs)), make([]int, len(recs))
+	for i := range recs {
+		sub, ok := clf.Classify(&recs[i])
+		if !ok {
+			slots[i] = -1
+			continue
+		}
+		v, slot := comp.Step(&recs[i], sub.ID)
+		verdicts[i], slots[i] = v, slot
+		switch v {
+		case preprocess.Unique:
+			events = append(events, preprocess.Event{Event: recs[i], Sub: sub, Count: 1, Locations: 1})
+		case preprocess.SpatialDuplicate:
+			events[slot].Locations++
+			fallthrough
+		default:
+			events[slot].Count++
+		}
+	}
+	return events, verdicts, slots
+}
+
+// TestDeviationShardedRecorderSplitsCrossShardSpatialRepeats pins the
+// named deviation of a served window: it is the shard engines' Phase 1
+// outputs merged, not Phase 1 over the whole stream. A one-shard server
+// keeps exactly the reference window. With more shards each extra event
+// is a record whole-stream Phase 1 calls a spatial duplicate of an event
+// on another shard; the records that event and its split-off events
+// stand for, and their locations, add up to the whole-stream event's.
+// Any other difference fails.
+func TestDeviationShardedRecorderSplitsCrossShardSpatialRepeats(t *testing.T) {
+	meta, _, _ := fixture(t)
+	p := bglsim.ANLProfile().Scaled(0.05)
+	p.Machine.Racks = 4
+	racks, err := bglsim.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const year = 365 * 24 * time.Hour
+	for _, log := range []struct {
+		name   string
+		events []raslog.Event
+		extra  map[int]int // by shard count
+	}{
+		{"ANL x0.05", fixtureOnce.all, map[int]int{1: 0, 2: 2, 4: 2}},
+		{"ANL x0.05, 4 racks", racks.Events, map[int]int{1: 0, 2: 0, 4: 1}},
+	} {
+		whole, verdicts, slots := wholePhase1(log.events)
+		ref := &referenceRecorder{window: year, max: len(log.events) + 1}
+		at := make(map[int64]int, len(log.events)) // RecID -> index
+		for i := range log.events {
+			ref.Observe(log.events[i])
+			at[log.events[i].RecID] = i
+		}
+		pre, _, err := referenceRetrain(ref, threeBases(preprocess.Options{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(whole, pre.Events) {
+			t.Fatalf("%s: one Phase 1 over the stream is not the reference window", log.name)
+		}
+		body := encode(t, log.events)
+		for _, shards := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s, %d shards", log.name, shards), func(t *testing.T) {
+				rec := NewRecorder(year, len(log.events)+1)
+				var mu sync.Mutex
+				shardOf := make(map[int64]int, len(log.events))
+				s := serve.New(meta, serve.Config{Shards: shards, Window: 30 * time.Minute, OnRecord: func(i int) online.RecordFunc {
+					take := rec.Shard(i)
+					return func(ev *raslog.Event, sub *catalog.Subcategory, v preprocess.Verdict, slot int) {
+						mu.Lock()
+						shardOf[ev.RecID] = i
+						mu.Unlock()
+						take(ev, sub, v, slot)
+					}
+				}})
+				post(t, s, body)
+				s.Close()
+				if len(shardOf) != len(log.events) {
+					t.Fatalf("the engines accepted %d of %d records", len(shardOf), len(log.events))
+				}
+				got := rec.Events()
+				if shards == 1 {
+					if !reflect.DeepEqual(got, pre.Events) {
+						t.Fatalf("one shard keeps %d events, the reference %d; first difference at %d",
+							len(got), len(pre.Events), firstDifference(got, pre.Events))
+					}
+					return
+				}
+
+				held := make(map[int64]*preprocess.Event, len(got))
+				for i := range got {
+					held[got[i].RecID] = &got[i]
+				}
+				type credit struct{ count, locations int }
+				split := make([]credit, len(whole)) // by whole-stream slot
+				extras := 0
+				for _, e := range got {
+					i := at[e.RecID]
+					if verdicts[i] == preprocess.Unique {
+						continue
+					}
+					extras++
+					target := &whole[slots[i]]
+					if verdicts[i] != preprocess.SpatialDuplicate || shardOf[target.RecID] == shardOf[e.RecID] {
+						t.Errorf("record %d opens an event on shard %d; whole-stream Phase 1 calls it verdict %d of record %d on shard %d",
+							e.RecID, shardOf[e.RecID], verdicts[i], target.RecID, shardOf[target.RecID])
+					}
+					split[slots[i]].count += e.Count
+					split[slots[i]].locations += e.Locations
+				}
+				for k := range whole {
+					w, e := whole[k], held[whole[k].RecID]
+					if e == nil {
+						t.Errorf("whole-stream event of record %d is missing", w.RecID)
+						continue
+					}
+					e.Count += split[k].count
+					e.Locations += split[k].locations
+					if !reflect.DeepEqual(*e, w) {
+						t.Errorf("event of record %d with its split-off events: %+v, whole-stream %+v", w.RecID, *e, w)
+					}
+				}
+				if extras != log.extra[shards] {
+					t.Errorf("%d extra events, pinned at %d", extras, log.extra[shards])
+				}
+				t.Logf("%d whole-stream events, %d sharded", len(whole), len(got))
+			})
+		}
+	}
+}
+
+// TestRecorderSlabRewindsToReissuedSlot: an engine restarted from its
+// last good snapshot issues again the slots it issued since. A slab
+// holding slots 0–9 that takes a Unique at slot 5 holds slots 0–5, slot
+// 5 the new event, and drops a duplicate of a slot it no longer holds;
+// a slab behind a restored engine starts at the engine's next slot and
+// drops duplicates of slots from before the restore.
+func TestRecorderSlabRewindsToReissuedSlot(t *testing.T) {
+	base := time.Date(2026, 8, 6, 0, 0, 0, 0, time.UTC)
+	sub := catalog.MustByName("torusFailure")
+	at := func(i int) *raslog.Event {
+		ev := uniqueRecord(i, base.Add(time.Duration(i)*time.Minute))
+		return &ev
+	}
+	rec := NewRecorder(0, 0)
+	take := rec.Shard(0)
+	for i := 0; i < 10; i++ {
+		take(at(i), sub, preprocess.Unique, i)
+	}
+	take(at(100), sub, preprocess.Unique, 5)
+	take(at(101), sub, preprocess.TemporalDuplicate, 7)
+	take(at(102), sub, preprocess.SpatialDuplicate, 9)
+	take(at(103), sub, preprocess.SpatialDuplicate, 5)
+	events := rec.Events()
+	var ids []int64
+	for _, e := range events {
+		ids = append(ids, e.RecID)
+	}
+	if !slices.Equal(ids, []int64{0, 1, 2, 3, 4, 100}) {
+		t.Fatalf("slab holds the events of records %v", ids)
+	}
+	if e := events[5]; e.Count != 2 || e.Locations != 2 {
+		t.Fatalf("the event at the re-issued slot counts %d records from %d locations, want 2 and 2", e.Count, e.Locations)
+	}
+	if rec.Len() != 7 || rec.Unique() != 6 || rec.Seen() != 14 {
+		t.Fatalf("Len() = %d, Unique() = %d, Seen() = %d; want 7, 6, 14", rec.Len(), rec.Unique(), rec.Seen())
+	}
+
+	restored := NewRecorder(0, 0)
+	take = restored.Shard(0)
+	take(at(0), sub, preprocess.TemporalDuplicate, 3)
+	take(at(1), sub, preprocess.Unique, 50)
+	take(at(2), sub, preprocess.SpatialDuplicate, 10)
+	take(at(3), sub, preprocess.SpatialDuplicate, 50)
+	if events := restored.Events(); len(events) != 1 || events[0].RecID != 1 || events[0].Count != 2 || restored.Len() != 2 {
+		t.Fatalf("slab behind a restored engine holds %+v, Len() = %d", events, restored.Len())
+	}
+}
+
+// TestServedRecorderConcurrentIngestAndRetrain is meant for -race: two
+// shards' engines feed the recorder from concurrent requests — the
+// window pruning and capping across both slabs under their feet — while
+// retrains read it.
+func TestServedRecorderConcurrentIngestAndRetrain(t *testing.T) {
+	meta, _, tail := fixture(t)
+	rec := NewRecorder(2*time.Hour, 500)
+	byMidplane := func(loc raslog.Location, _ int) int { return loc.Midplane }
+	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, OnRecord: rec.Shard, ShardBy: byMidplane})
+	defer s.Close()
+	rt := NewRetrainer(s, rec, RetrainerConfig{MinEvents: 10, Pipeline: threeBases(preprocess.Options{})})
+
+	var wg sync.WaitGroup
+	for shard := 0; shard < 2; shard++ {
+		var part []raslog.Event
+		for i := range tail {
+			if byMidplane(tail[i].Location, 2) == shard {
+				part = append(part, tail[i])
+			}
+		}
+		if len(part) == 0 {
+			t.Fatalf("no record of the tail routes to shard %d", shard)
+		}
+		var bodies [][]byte
+		for lo := 0; lo < len(part); lo += 500 {
+			bodies = append(bodies, encode(t, part[lo:min(lo+500, len(part))]))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, body := range bodies {
+				if r := ingest(s, body); r.Code != http.StatusOK {
+					t.Errorf("ingest: status %d: %s", r.Code, r.Body.String())
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for ingesting := true; ingesting; {
+		select {
+		case <-done:
+			ingesting = false
+		default:
+		}
+		if events := rec.Events(); len(events) > 500 {
+			t.Fatalf("cap leaked: %d events", len(events))
+		}
+		// A retrain may find too little in the window; it must not panic.
+		_, _ = rt.RetrainNow()
+		if n, seen := rec.Len(), rec.Seen(); int64(n) > seen {
+			t.Fatalf("Len() = %d exceeds Seen() = %d", n, seen)
+		}
+	}
+	if got := rec.Seen(); got != int64(len(tail)) {
+		t.Fatalf("Seen() = %d after %d records", got, len(tail))
 	}
 }

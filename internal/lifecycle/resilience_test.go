@@ -107,7 +107,7 @@ func TestCheckpointGiveUpIsDistinctAndPreservesPredecessor(t *testing.T) {
 func TestPersistIntoClosedLedgerGivesUpAtOnce(t *testing.T) {
 	meta, _, tail := fixture(t)
 	rec := NewRecorder(0, 0)
-	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, Observer: rec.Observe})
+	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, OnRecord: rec.Shard})
 	defer s.Close()
 	post(t, s, encode(t, tail))
 
@@ -155,7 +155,7 @@ func TestCheckpointerWithoutLedgerRefuses(t *testing.T) {
 func TestRetrainerPersistGiveUpAbortsSwap(t *testing.T) {
 	meta, _, tail := fixture(t)
 	rec := NewRecorder(0, 0)
-	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, Observer: rec.Observe})
+	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, OnRecord: rec.Shard})
 	defer s.Close()
 	post(t, s, encode(t, tail))
 

@@ -27,10 +27,9 @@ type RetrainerConfig struct {
 	MinEvents int
 	// Pipeline carries the mining parameters retrains use (min
 	// support, confidence thresholds, rule window, policy, ...). The
-	// zero value reproduces the repository defaults. Phase 1 runs in
-	// the recorder, as records arrive: NewRetrainer hands
-	// Pipeline.Preprocess to a recorder that has observed nothing, and
-	// RetrainNow refuses one that filled under other options.
+	// zero value reproduces the repository defaults. The window was
+	// compressed under the preprocess defaults, so RetrainNow refuses
+	// a Pipeline.Preprocess that compresses otherwise.
 	Pipeline core.Config
 	// Dir, when non-empty, persists each retrained model: the active
 	// artifact at ModelPath(Dir) plus an immutable versioned copy
@@ -71,9 +70,7 @@ type Retrainer struct {
 	lastCycle      atomic.Int64 // ns the last completed retrain took
 }
 
-// NewRetrainer builds a retrainer over a server and its recorder; a
-// recorder that has observed nothing yet takes on the pipeline's
-// Phase 1 options.
+// NewRetrainer builds a retrainer over a server and its recorder.
 func NewRetrainer(srv *serve.Server, rec *Recorder, cfg RetrainerConfig) *Retrainer {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * time.Minute
@@ -87,7 +84,6 @@ func NewRetrainer(srv *serve.Server, rec *Recorder, cfg RetrainerConfig) *Retrai
 	if cfg.FS == nil {
 		cfg.FS = ledger.OS
 	}
-	rec.adopt(cfg.Pipeline.Preprocess)
 	return &Retrainer{srv: srv, rec: rec, cfg: cfg}
 }
 
@@ -108,8 +104,8 @@ func (r *Retrainer) LastCycle() time.Duration { return time.Duration(r.lastCycle
 // every serving shard. It returns the identity of the model now
 // serving, or an error that leaves the previous model serving
 // untouched — a failed retrain never degrades the running service: too
-// few records in the window, a recorder that compressed under other
-// Phase 1 options than Pipeline.Preprocess, a training failure, or an
+// few records in the window, a Pipeline.Preprocess other than the
+// defaults the window was compressed under, a training failure, or an
 // artifact that would not persist. Artifact writes retry with backoff;
 // an exhausted budget on the active artifact aborts the swap with an
 // error wrapping ErrModelPersistGiveUp (serving a model whose SHA names
@@ -207,17 +203,18 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 }
 
 // train fits a model on the recorder's current window and describes
-// its provenance; r.mu held. It refuses a recorder that compressed
-// under other Phase 1 options than Pipeline.Preprocess, or one whose
-// window stands for fewer than MinEvents records.
+// its provenance; r.mu held. It refuses Phase 1 options other than the
+// defaults the window was compressed under, and a window that stands
+// for fewer than MinEvents records.
 //
 // The window is copied into r.window, the buffer the last retrain
 // used, rather than into a fresh slice: training only reads it, and no
 // trained model keeps it.
 func (r *Retrainer) train() (*predictor.Meta, model.Provenance, error) {
-	if got, want := r.rec.compression(), compressionOf(r.cfg.Pipeline.Preprocess); got != want {
-		return nil, model.Provenance{}, fmt.Errorf("lifecycle: the recorder compressed its window under %+v but the retrain pipeline asks for %+v; serving model unchanged",
-			got, want)
+	o, d := r.cfg.Pipeline.Preprocess, preprocess.DefaultThreshold
+	if o.TemporalThreshold != 0 && o.TemporalThreshold != d || o.SpatialThreshold != 0 && o.SpatialThreshold != d || o.TemporalKeyIgnoresCategory {
+		return nil, model.Provenance{}, fmt.Errorf("lifecycle: the retrain pipeline asks for Phase 1 options %+v, but the window was compressed under the preprocess defaults; serving model unchanged",
+			o)
 	}
 	events, records, newest := r.rec.training(r.window)
 	r.window = events

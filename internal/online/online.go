@@ -33,7 +33,14 @@ type Config struct {
 	// concurrent ingesters it may be invoked from multiple goroutines,
 	// though never concurrently with itself.
 	OnAlert func(predictor.Warning)
+	// OnRecord, when set, sees each record the engine accepts, under
+	// e.mu: it must not block or call back into the engine.
+	OnRecord RecordFunc
 }
+
+// RecordFunc takes an accepted record (valid only for the call), its
+// subcategory (nil when unclassified), and Phase 1's verdict and slot.
+type RecordFunc func(ev *raslog.Event, sub *catalog.Subcategory, v preprocess.Verdict, slot int)
 
 // Counters tracks engine activity.
 type Counters struct {
@@ -151,13 +158,19 @@ func (e *Engine) ingestLocked(ev *raslog.Event) (Ingestion, error) {
 	e.counters.Ingested++
 
 	sub, ok := e.clf.Classify(ev)
+	v, slot := preprocess.Unique, -1
+	if ok {
+		v, slot = e.comp.Step(ev, sub.ID)
+	}
+	if e.cfg.OnRecord != nil {
+		e.cfg.OnRecord(ev, sub, v, slot)
+	}
 	if !ok {
 		e.counters.Unclassified++
 		return Ingestion{}, nil
 	}
 	out := Ingestion{Sub: sub}
-
-	if v, _ := e.comp.Step(ev, sub.ID); v != preprocess.Unique {
+	if v != preprocess.Unique {
 		return out, nil
 	}
 	out.Unique = true

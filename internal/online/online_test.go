@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bglpred/internal/bglsim"
+	"bglpred/internal/catalog"
 	"bglpred/internal/predictor"
 	"bglpred/internal/preprocess"
 	"bglpred/internal/raslog"
@@ -91,6 +92,67 @@ func TestEngineRejectsOutOfOrder(t *testing.T) {
 	early.Time = early.Time.Add(-time.Hour)
 	if _, err := e.Ingest(&early); err == nil {
 		t.Fatal("out-of-order record accepted")
+	}
+}
+
+// TestEngineOnRecordSeesAcceptedVerdicts: OnRecord sees every record
+// the engine accepts, with the verdict and slot one Phase 1 over the
+// accepted stream reaches; a record refused for time order never
+// reaches it, and a restored engine's slots continue its exporter's.
+func TestEngineOnRecordSeesAcceptedVerdicts(t *testing.T) {
+	meta, raw := trainedMeta(t)
+	type verdict struct {
+		rec  int64
+		sub  int
+		v    preprocess.Verdict
+		slot int
+	}
+	var got []verdict
+	hook := func(ev *raslog.Event, sub *catalog.Subcategory, v preprocess.Verdict, slot int) {
+		if sub == nil {
+			got = append(got, verdict{ev.RecID, -1, 0, 0})
+			return
+		}
+		got = append(got, verdict{ev.RecID, sub.ID, v, slot})
+	}
+	half := len(raw) / 2
+	e := New(meta, Config{OnRecord: hook})
+	if rej := e.IngestBatch(raw[:half]); rej != 0 {
+		t.Fatalf("%d records rejected", rej)
+	}
+	late := raw[half-1]
+	late.Time = late.Time.Add(-time.Hour)
+	if rej := e.IngestBatch([]raslog.Event{late}); rej != 1 {
+		t.Fatal("out-of-order record accepted")
+	}
+	restored := New(meta, Config{OnRecord: hook})
+	if err := restored.Restore(e.State()); err != nil {
+		t.Fatal(err)
+	}
+	if rej := restored.IngestBatch(raw[half:]); rej != 0 {
+		t.Fatalf("%d records rejected after restore", rej)
+	}
+
+	clf, comp := catalog.NewInterner(0), preprocess.NewCompressor(preprocess.Options{})
+	var want []verdict
+	unique := 0
+	for i := range raw {
+		sub, ok := clf.Classify(&raw[i])
+		if !ok {
+			want = append(want, verdict{raw[i].RecID, -1, 0, 0})
+			continue
+		}
+		v, slot := comp.Step(&raw[i], sub.ID)
+		if v == preprocess.Unique {
+			unique++
+		}
+		want = append(want, verdict{raw[i].RecID, sub.ID, v, slot})
+	}
+	if unique == 0 || unique == len(raw) {
+		t.Fatalf("%d of %d records unique; the verdicts distinguish nothing", unique, len(raw))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("hook saw %d verdicts, one Phase 1 over the stream reaches %d", len(got), len(want))
 	}
 }
 

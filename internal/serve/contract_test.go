@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
@@ -11,12 +12,16 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"bglpred/internal/catalog"
 	"bglpred/internal/faultinject"
+	"bglpred/internal/online"
+	"bglpred/internal/preprocess"
 	"bglpred/internal/raslog"
 )
 
@@ -32,8 +37,9 @@ const contractRecords = 12000
 // before the routing decode wrote (-update-contract): a text body with
 // two undecodable lines, then one single-frame wire body with two
 // corrupt records — each body over wireBatchCap records per shard —
-// into two shards with an Observer and a seeded IngestCorrupt plan.
-// The Observer's record sequence, the replies, the quarantined set and
+// into two shards with an OnRecord hook and a seeded IngestCorrupt
+// plan. The records the hooks saw, sorted by RecID (request order, the
+// order the golden lists them in), the replies, the quarantined set and
 // each shard's alerts must match. The quarantine's order is not
 // pinned: a frame's corrupt records used to be quarantined when the
 // whole frame decoded, ahead of its injected faults, and now are
@@ -45,15 +51,12 @@ func TestIngestContractGolden(t *testing.T) {
 	}
 	in := faultinject.New(29)
 	in.Set(faultinject.IngestCorrupt, faultinject.Plan{Every: 7, Prob: 0.1})
-	observed := sha256.New()
-	var nObserved int
-	ow := raslog.NewWriter(observed)
+	hooked := make([][]raslog.Event, 2)
 	s := New(meta, Config{
 		Shards: 2, History: 1 << 16, QuarantineCap: 1 << 12, Window: 30 * time.Minute, Inject: in,
-		Observer: func(ev raslog.Event) {
-			nObserved++
-			if err := ow.Write(&ev); err != nil {
-				t.Error(err)
+		OnRecord: func(i int) online.RecordFunc {
+			return func(ev *raslog.Event, _ *catalog.Subcategory, _ preprocess.Verdict, _ int) {
+				hooked[i] = append(hooked[i], *ev)
 			}
 		},
 	})
@@ -89,10 +92,19 @@ func TestIngestContractGolden(t *testing.T) {
 		s.ServeHTTP(rec, req)
 		fmt.Fprintf(&got, "%s: HTTP %d %s", b.contentType, rec.Code, rec.Body.String())
 	}
+	observed := sha256.New()
+	ow := raslog.NewWriter(observed)
+	all := slices.Concat(hooked...)
+	slices.SortFunc(all, func(a, b raslog.Event) int { return cmp.Compare(a.RecID, b.RecID) })
+	for i := range all {
+		if err := ow.Write(&all[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := ow.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&got, "observed %d records, sha256 %x\n", nObserved, observed.Sum(nil))
+	fmt.Fprintf(&got, "observed %d records, sha256 %x\n", len(all), observed.Sum(nil))
 
 	qrec := httptest.NewRecorder()
 	s.ServeHTTP(qrec, httptest.NewRequest(http.MethodGet, "/v1/quarantine", nil))

@@ -72,7 +72,6 @@ func (s *Server) writeMetrics(m *edge.Metrics) {
 	m.Histogram("bglserved_ingest_decode_seconds", "Time per ingest request spent decoding its body, body reads included, text and binary alike.", s.decodeTime)
 	m.Histogram("bglserved_ingest_shard_wait_seconds", "Time per batch spent waiting for its shard's lock, refused waits included.", s.waitTime)
 	m.Histogram("bglserved_ingest_engine_seconds", "Time per batch spent in its shard engine's IngestBatch.", s.engineTime)
-	m.Histogram("bglserved_recorder_observe_seconds", "Time per ingest request spent in the retraining recorder's Observer, inside its decode time; nothing is observed without an Observer.", s.observeTime)
 	m.Histogram("bglserved_alert_emit_seconds", "Time per emitted alert spent recording, publishing and ledgering it, inside its batch's engine time.", s.emitTime)
 
 	model := s.model.Load()

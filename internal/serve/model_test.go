@@ -6,12 +6,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
+	"bglpred/internal/catalog"
 	"bglpred/internal/core"
+	"bglpred/internal/online"
 	"bglpred/internal/preprocess"
 	"bglpred/internal/raslog"
 )
@@ -195,39 +196,55 @@ func TestExportRestoreShardsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestObserverSeesAcceptedRecords: the Observer gets every record of a
-// request, whole and in request order, across shards and across the
-// batches that fill and run mid-body, and the request is one sample of
-// its observe timer.
+// TestObserverSeesAcceptedRecords: the engine hook OnRecord hands each
+// shard gets every record of a request routed to that shard, whole and
+// in request order, across the batches that fill and run mid-body, with
+// the verdicts the engine's own Phase 1 reached.
 func TestObserverSeesAcceptedRecords(t *testing.T) {
 	meta, tail := fixture(t)
 	n := min(3*wireBatchCap+17, len(tail))
 	if n <= 2*wireBatchCap {
 		t.Fatalf("the tail has %d records; the test needs batches to fill mid-body", len(tail))
 	}
-	var mu sync.Mutex
-	var seen []raslog.Event
-	s := New(meta, Config{Shards: 2, Observer: func(ev raslog.Event) {
-		mu.Lock()
-		seen = append(seen, ev)
-		mu.Unlock()
+	seen := make([][]raslog.Event, 2)
+	unique := make([]int64, 2)
+	s := New(meta, Config{Shards: 2, OnRecord: func(i int) online.RecordFunc {
+		// Shard i's engine lock serializes its hook's calls.
+		return func(ev *raslog.Event, sub *catalog.Subcategory, v preprocess.Verdict, slot int) {
+			seen[i] = append(seen[i], *ev)
+			if sub != nil && v == preprocess.Unique {
+				unique[i]++
+			}
+		}
 	}})
 	defer s.Close()
 
 	post(t, s, encode(t, tail[:n]))
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != n {
-		t.Fatalf("observer saw %d of %d records", len(seen), n)
-	}
-	for i := range seen {
-		if seen[i] != tail[i] {
-			t.Fatalf("observer record %d:\n got %+v\nwant %+v", i, seen[i], tail[i])
+	for i, sh := range s.shards {
+		var want []raslog.Event
+		for j := range tail[:n] {
+			if s.shardFor(&tail[j].Location) == sh {
+				want = append(want, tail[j])
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("no record of the request routes to shard %d; the test checks nothing there", i)
+		}
+		if !slices.Equal(seen[i], want) {
+			t.Fatalf("shard %d's hook saw %d records, %d were routed to it; first difference at %d",
+				i, len(seen[i]), len(want), firstDiff(seen[i], want))
+		}
+		if got := sh.engine().Counters().Unique; unique[i] != got {
+			t.Fatalf("shard %d's hook saw %d unique verdicts, its engine counts %d", i, unique[i], got)
 		}
 	}
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if !strings.Contains(rec.Body.String(), "\nbglserved_recorder_observe_seconds_count 1\n") {
-		t.Fatalf("one request through the Observer is not one observe-time sample:\n%s", rec.Body.String())
+}
+
+func firstDiff(a, b []raslog.Event) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
 	}
+	return min(len(a), len(b))
 }

@@ -106,13 +106,10 @@ type Config struct {
 	// partition a stream exactly as a consistent-hash-routed gate
 	// would, so the two can be compared alert-for-alert.
 	ShardBy func(loc raslog.Location, shards int) int
-	// Observer, when set, sees every record accepted by /v1/ingest, in
-	// request order, on the request goroutine — the model-lifecycle
-	// subsystem's tap for its sliding retraining window. It must be
-	// cheap and must not block. It runs while the server's close lock
-	// is held for reading, so it must not call back into the Server:
-	// calling Close from it deadlocks.
-	Observer func(raslog.Event)
+	// OnRecord, when set, gives shard i's engine its online OnRecord
+	// hook on every build (a supervised restart re-issues the slots
+	// issued since the last good snapshot): the retraining window's tap.
+	OnRecord func(shard int) online.RecordFunc
 	// Reload, when set, backs POST /v1/model/reload: it should retrain
 	// or re-read the model and hot-swap it via SwapModel before
 	// returning.
@@ -267,10 +264,10 @@ type Server struct {
 	deadlined  atomic.Int64 // ingest requests cut short by their deadline
 	latency    *edge.Histogram
 
-	// Ingest stage timers: a request's body decode (reads included) and
-	// the Observer's share of it, each batch's shard-lock wait and engine
-	// run, each emitted alert, and a request's audit-ledger append.
-	decodeTime, observeTime, waitTime, engineTime, emitTime, ledgerTime *edge.Histogram
+	// Ingest stage timers: a request's body decode (reads included),
+	// each batch's shard-lock wait and engine run, each emitted alert,
+	// and a request's audit-ledger append.
+	decodeTime, waitTime, engineTime, emitTime, ledgerTime *edge.Histogram
 
 	// model is the RCU-published identity of the serving model; swaps
 	// replace the pointer after the engines have switched over.
@@ -292,19 +289,18 @@ type Server struct {
 func New(meta *predictor.Meta, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:         cfg,
-		mux:         http.NewServeMux(),
-		start:       time.Now(),
-		latency:     edge.NewHistogram(edge.LatencyBounds),
-		decodeTime:  edge.NewHistogram(edge.LatencyBounds),
-		observeTime: edge.NewHistogram(edge.LatencyBounds),
-		waitTime:    edge.NewHistogram(edge.LatencyBounds),
-		engineTime:  edge.NewHistogram(edge.LatencyBounds),
-		emitTime:    edge.NewHistogram(edge.LatencyBounds),
-		ledgerTime:  edge.NewHistogram(edge.LatencyBounds),
-		history:     edge.NewRing[Alert](cfg.History),
-		quarantine:  NewQuarantine(cfg.QuarantineCap),
-		broker:      edge.NewBroker[Alert](),
+		cfg:        cfg,
+		mux:        http.NewServeMux(),
+		start:      time.Now(),
+		latency:    edge.NewHistogram(edge.LatencyBounds),
+		decodeTime: edge.NewHistogram(edge.LatencyBounds),
+		waitTime:   edge.NewHistogram(edge.LatencyBounds),
+		engineTime: edge.NewHistogram(edge.LatencyBounds),
+		emitTime:   edge.NewHistogram(edge.LatencyBounds),
+		ledgerTime: edge.NewHistogram(edge.LatencyBounds),
+		history:    edge.NewRing[Alert](cfg.History),
+		quarantine: NewQuarantine(cfg.QuarantineCap),
+		broker:     edge.NewBroker[Alert](),
 	}
 	s.meta.Store(meta)
 	for i := 0; i < cfg.Shards; i++ {
@@ -336,10 +332,11 @@ func New(meta *predictor.Meta, cfg Config) *Server {
 // newEngine builds a fresh engine for shard i over the currently
 // published meta-learner.
 func (s *Server) newEngine(i int) *online.Engine {
-	return online.New(s.meta.Load(), online.Config{
-		Window:  s.cfg.Window,
-		OnAlert: s.onAlert(i),
-	})
+	cfg := online.Config{Window: s.cfg.Window, OnAlert: s.onAlert(i)}
+	if s.cfg.OnRecord != nil {
+		cfg.OnRecord = s.cfg.OnRecord(i)
+	}
+	return online.New(s.meta.Load(), cfg)
 }
 
 // ServeHTTP implements http.Handler.
@@ -604,21 +601,6 @@ var eventBatches = sync.Pool{
 	},
 }
 
-// admittedSlot places a record decode admitted: its shard's batch in
-// byShard and its index there. ingest hands the Observer the records
-// these name after each decode call, in the order decode admitted them
-// and before any of their batches runs. closeMu.RLock is held for the
-// whole request; the Observer is contractually cheap, non-blocking and
-// must not call back into the server.
-type admittedSlot struct{ shard, slot int32 }
-
-var admittedSlots = sync.Pool{
-	New: func() any {
-		s := make([]admittedSlot, 0, wireBatchCap)
-		return &s
-	},
-}
-
 // recycleBatch parks a consumed batch for reuse. Only buffers at the
 // pooled capacity return; oddballs (and the batches of a shed request)
 // fall to the GC.
@@ -639,33 +621,11 @@ func recycleBatch(evs []raslog.Event) {
 // after it do not run.
 func (s *Server) ingest(ctx context.Context, src recordSource, resp *IngestResponse) int {
 	byShard := make([][]raslog.Event, len(s.shards))
-	var decoding, observing time.Duration
-	var admitted *[]admittedSlot
-	if s.cfg.Observer != nil {
-		admitted = admittedSlots.Get().(*[]admittedSlot)
-	}
-	defer func() {
-		s.decodeTime.Observe(decoding)
-		if admitted != nil {
-			s.observeTime.Observe(observing)
-			*admitted = (*admitted)[:0]
-			admittedSlots.Put(admitted)
-		}
-	}()
+	var decoding time.Duration
+	defer func() { s.decodeTime.Observe(decoding) }()
 	for {
 		t := time.Now()
-		id, code := s.decode(src, byShard, resp, admitted)
-		if admitted != nil {
-			// The Observer runs here, once per decode call rather than
-			// around each record: a clock read costs more than the
-			// bookkeeping that defers it.
-			o := time.Now()
-			for _, a := range *admitted {
-				s.cfg.Observer(byShard[a.shard][a.slot])
-			}
-			*admitted = (*admitted)[:0]
-			observing += time.Since(o)
-		}
+		id, code := s.decode(src, byShard, resp)
 		decoding += time.Since(t)
 		if id < 0 {
 			if refused := s.runLast(ctx, byShard, resp); refused != 0 {
@@ -688,11 +648,10 @@ func (s *Server) ingest(ctx context.Context, src recordSource, resp *IngestRespo
 // returns a shard's index as soon as that shard's batch reaches
 // wireBatchCap, and -1 when the body ends, with the HTTP status: 200,
 // or 400 after a stream-level failure. Undecodable records have gone to
-// quarantine through the decoder's hook. With an Observer set, each
-// admitted record's place is appended to *admitted, in request order.
+// quarantine through the decoder's hook.
 //
 //bglvet:hotpath
-func (s *Server) decode(src recordSource, byShard [][]raslog.Event, resp *IngestResponse, admitted *[]admittedSlot) (full, code int) {
+func (s *Server) decode(src recordSource, byShard [][]raslog.Event, resp *IngestResponse) (full, code int) {
 	for {
 		loc, err := src.NextEvent()
 		if err != nil {
@@ -723,9 +682,6 @@ func (s *Server) decode(src recordSource, byShard [][]raslog.Event, resp *Ingest
 			s.quarantine.Add(0, ev.EntryData, err)
 			resp.Quarantined++
 			continue
-		}
-		if admitted != nil {
-			*admitted = append(*admitted, admittedSlot{int32(id), int32(n)})
 		}
 		byShard[id] = b[:n+1]
 		if n+1 == wireBatchCap {
