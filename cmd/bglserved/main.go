@@ -3,7 +3,7 @@
 // checkpoint directory, or by training on a provided or generated RAS
 // log), then serves
 //
-//	POST /v1/ingest         newline-delimited records (pipe or NDJSON)
+//	POST /v1/ingest         newline-delimited pipe records, or wire frames
 //	GET  /v1/alerts         standing alarms + recent history
 //	GET  /v1/alerts/stream  server-sent events push of new alarms
 //	GET  /v1/model          identity of the serving model

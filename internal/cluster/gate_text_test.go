@@ -147,6 +147,8 @@ func FuzzGateTextMatchesReader(f *testing.F) {
 	locs := []raslog.Location{{Kind: raslog.KindMidplane}, {Kind: raslog.KindNodeCard, Rack: 3, Midplane: 1, Card: 4}, {}}
 	for _, seed := range []string{
 		string(encode(f, midplaneEvents(8, locs))),
+		// A refusal seed: an NDJSON object is no record in the one text
+		// spelling, so the reader skips it and the gate quarantines it.
 		`{"recid":7,"type":"RAS","time":"2005-06-01 00:00:07","jobid":1,"location":"R02-M1-N03","facility":"APP","severity":"FATAL","entry_data":"json|with pipe"}` + "\n",
 		"garbage line\n1|RAS|2005-06-01 00:00:00|0|R00-M0|KERNEL|INFO|stray|pipe\n",
 		"2||2005-06-01 00:00:00|0|R00-M0|KERNEL|INFO|empty type\n# comment\n\r\n",

@@ -242,6 +242,55 @@ func TestGateWireCorruptEventRoutesToUnknown(t *testing.T) {
 	}
 }
 
+// TestWireFramingErrorSameAtBothHops posts one wire frame whose event
+// record carries a length over the cap to a server and through a gate.
+// Both walk a frame's records with one framing check, so both refuse
+// the frame with 400 and name the same error.
+func TestWireFramingErrorSameAtBothHops(t *testing.T) {
+	meta, tail := fixture(t)
+	tc := newTestCluster(t, meta, []string{"sha-v1", "sha-v1"}, nil)
+	tc.gate.ProbeNow()
+
+	f, err := raslog.NewWireScanner(bytes.NewReader(encodeWire(t, tail[:10]))).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload []byte
+	events := 0
+	if err := f.Records(func(tag byte, raw, _ []byte) error {
+		if tag == raslog.WireTagEvent {
+			if events++; events == 4 {
+				raw = []byte{raslog.WireTagEvent, 0xff, 0xff, 0x7f} // 2 MiB - 1, over the event body cap
+			}
+		}
+		payload = append(payload, raw...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	body := append(raslog.AppendWireFrameHeader(nil, f.BaseSec, f.BaseRecID, len(payload)), payload...)
+
+	var replies [2]IngestResponse
+	for i, h := range []http.Handler{tc.servers[0], tc.gate} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body))
+		req.Header.Set("Content-Type", raslog.WireContentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("hop %d: status %d, want 400: %s", i, rec.Code, rec.Body.Bytes())
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &replies[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if replies[0].Error != replies[1].Error || !strings.Contains(replies[0].Error, "bad event length at ") {
+		t.Fatalf("server error %q, gate error %q; want one \"bad event length\" error", replies[0].Error, replies[1].Error)
+	}
+	if replies[0].Accepted != 0 || replies[1].Routed != 0 {
+		t.Fatalf("server accepted %d, gate routed %d; a frame whose framing breaks yields none of its events", replies[0].Accepted, replies[1].Routed)
+	}
+}
+
 // TestGateReplayCountsRecords parks a multi-frame wire body behind a
 // down backend whose replay cap is a few hundred records: the cap
 // bounds records, not sub-frames, and every record the buffer took is

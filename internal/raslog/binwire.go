@@ -49,7 +49,8 @@ import (
 // the splitting property the gate's peek-and-forward path relies on.
 
 // WireContentType is the Content-Type negotiating the binary wire
-// format on POST /v1/ingest. Anything else is read as text/NDJSON.
+// format on POST /v1/ingest. Anything else is read as the pipe text
+// dialect.
 const WireContentType = "application/x-bglbin"
 
 const (
@@ -270,11 +271,11 @@ func AppendWireFrameHeader(dst []byte, baseSec, baseRecID int64, payloadLen int)
 // resolve through a capped intern map without copying. It is intended
 // to be pooled (sync.Pool) and re-armed per connection with Reset.
 //
-// A stream decodes one of two ways over one kernel: ReadFrame hands
-// back a frame's events at a time out of the arena, and NextEvent with
-// DecodeEvent go a record at a time, decoding each event into memory
-// the caller picks from its location — a server's routing decode,
-// which places every event straight into its shard's batch.
+// A stream decodes a record at a time: NextEvent with DecodeEvent
+// decode each event into memory the caller picks from its location — a
+// server's routing decode, which places every event straight into its
+// shard's batch. ReadFrame takes the same step over one frame, into the
+// arena.
 type WireDecoder struct {
 	br      *bufio.Reader
 	head    [5]byte
@@ -359,18 +360,20 @@ func (d *WireDecoder) ReadFrame() ([]Event, error) {
 	}
 	d.evs = d.evs[:0]
 	for {
-		body, ok := d.nextBody()
-		if !ok {
+		loc, err := d.next(false)
+		if err != nil {
+			return nil, err
+		}
+		if loc == nil {
 			return d.evs, nil
 		}
-		var ev Event
-		if err := d.decodeEvent(body, &ev); err != nil {
-			if err = d.skip(body, err); err != nil {
+		d.evs = append(d.evs, Event{})
+		if err := d.DecodeEvent(&d.evs[len(d.evs)-1]); err != nil {
+			d.evs = d.evs[:len(d.evs)-1]
+			if d.OnSkip == nil {
 				return nil, err
 			}
-			continue
 		}
-		d.evs = append(d.evs, ev)
 	}
 }
 
@@ -386,10 +389,21 @@ func (d *WireDecoder) ReadFrame() ([]Event, error) {
 // events whichever way it is decoded.
 //
 //bglvet:hotpath
-func (d *WireDecoder) NextEvent() (*Location, error) {
+func (d *WireDecoder) NextEvent() (*Location, error) { return d.next(true) }
+
+// next is the one per-record step every wire read takes — NextEvent's,
+// ReadFrame's and brokenFrame's: it walks to the next event record and
+// decodes its location into d.loc, sending a record whose location does
+// not decode to skip. At the end of the frame in hand it loads the next
+// frame when more is set, and otherwise returns a nil *Location and a
+// nil error.
+func (d *WireDecoder) next(more bool) (*Location, error) {
 	for {
 		body, ok := d.nextBody()
 		if !ok {
+			if !more {
+				return nil, nil
+			}
 			if err := d.loadFrame(); err != nil {
 				return nil, err
 			}
@@ -439,7 +453,14 @@ func (d *WireDecoder) loadFrame() error {
 	d.tbl = d.tbl[:0]
 	p := d.payload
 	for pos := 0; pos < len(p); {
-		next, err := d.checkRecord(p, pos)
+		tag, content, next, err := splitRecord(p, pos)
+		if err == nil && tag == WireTagString {
+			if len(d.tbl) < wireMaxFrameStrings {
+				d.tbl = append(d.tbl, d.intern.get(content))
+			} else {
+				err = wiref("frame exceeds %d strings", wireMaxFrameStrings)
+			}
+		}
 		if err != nil {
 			return d.brokenFrame(pos, err)
 		}
@@ -449,56 +470,59 @@ func (d *WireDecoder) loadFrame() error {
 	return nil
 }
 
-// checkRecord checks the framing of the record at p[pos:], interning it
-// if it is a string add, and returns where the next record starts.
-func (d *WireDecoder) checkRecord(p []byte, pos int) (int, error) {
-	tag := p[pos]
-	pos++
+// splitRecord splits the record at p[pos:] into its tag and content and
+// returns where the next record starts: the one framing check the
+// decoder and WireFrame.Records share. A record passes when its tag is
+// known, its length is within its tag's cap and its content is all
+// there.
+func splitRecord(p []byte, pos int) (tag byte, content []byte, next int, err error) {
+	tag = p[pos]
+	what, limit := "event", uint64(wireMaxEventBody)
 	switch tag {
 	case WireTagString:
-		n, w := binary.Uvarint(p[pos:])
-		if w <= 0 || n > wireMaxString {
-			return 0, wiref("bad string length at %d", pos)
-		}
-		pos += w
-		if pos+int(n) > len(p) {
-			return 0, wiref("string truncated at %d", pos)
-		}
-		if len(d.tbl) >= wireMaxFrameStrings {
-			return 0, wiref("frame exceeds %d strings", wireMaxFrameStrings)
-		}
-		d.tbl = append(d.tbl, d.intern.get(p[pos:pos+int(n)]))
-		return pos + int(n), nil
+		what, limit = "string", wireMaxString
 	case WireTagEvent:
-		n, w := binary.Uvarint(p[pos:])
-		if w <= 0 || n > wireMaxEventBody {
-			return 0, wiref("bad event length at %d", pos)
-		}
-		pos += w
-		if pos+int(n) > len(p) {
-			return 0, wiref("event truncated at %d", pos)
-		}
-		return pos + int(n), nil
+	default:
+		return 0, nil, 0, wiref("unknown record tag 0x%02x at %d", tag, pos)
 	}
-	return 0, wiref("unknown record tag 0x%02x at %d", tag, pos-1)
+	pos++
+	n, w := uint64(0), 0
+	if pos < len(p) && p[pos] < 0x80 {
+		n, w = uint64(p[pos]), 1 // nearly every record's length, read without a call
+	} else {
+		n, w = binary.Uvarint(p[pos:])
+	}
+	if w <= 0 || n > limit {
+		return 0, nil, 0, wiref("bad %s length at %d", what, pos)
+	}
+	if pos += w; n > uint64(len(p)-pos) {
+		return 0, nil, 0, wiref("%s truncated at %d", what, pos)
+	}
+	next = pos + int(n)
+	return tag, p[pos:next], next, nil
 }
 
 // brokenFrame fails a frame whose record at breakAt broke its framing.
 // A single-pass walk meets the event records before the break first, so
 // each corrupt one among them goes to OnSkip or, without OnSkip, fails
 // the frame with its own error — as the frame has always failed.
+//
+// Each event decodes into one scratch Event, not the arena: a served
+// decoder never fills its arena, and a hostile frame of tiny events
+// ahead of a break must not make it hold them all.
 func (d *WireDecoder) brokenFrame(breakAt int, err error) error {
 	d.rest, d.nstr = d.payload[:breakAt], 0
 	var scratch Event
 	for {
-		body, ok := d.nextBody()
-		if !ok {
-			return err
-		}
-		if berr := d.decodeEvent(body, &scratch); berr != nil {
-			if berr = d.skip(body, berr); berr != nil {
+		loc, berr := d.next(false)
+		if loc == nil {
+			if berr != nil {
 				return berr
 			}
+			return err
+		}
+		if berr := d.DecodeEvent(&scratch); berr != nil && d.OnSkip == nil {
+			return berr
 		}
 	}
 }
@@ -579,8 +603,8 @@ func (d *WireDecoder) readFrameHeader() (baseSec, baseID int64, err error) {
 	return baseSec, baseID, nil
 }
 
-// The varint kernel every event decode shares — ReadFrame's,
-// NextEvent's and the gate's PeekWireRoute. Each read returns the value
+// The varint kernel every event decode shares — the decoder's record
+// step and the gate's PeekWireRoute. Each read returns the value
 // and the position after it, or ok=false with pos unchanged, so a
 // caller's error names where the bad field starts.
 
@@ -646,15 +670,6 @@ func decodeWireLocation(body []byte, loc *Location) (int, error) {
 	}
 	loc.Kind, loc.Rack, loc.Midplane, loc.Card, loc.Chip = kind, v[0], v[1], v[2], v[3]
 	return pos, nil
-}
-
-// decodeEvent decodes a whole event body of the frame in hand into *ev.
-func (d *WireDecoder) decodeEvent(body []byte, ev *Event) error {
-	pos, err := decodeWireLocation(body, &ev.Location)
-	if err != nil {
-		return err
-	}
-	return d.decodeRest(body, pos, ev)
 }
 
 // wireSec admits a record's time, baseSec+dsec seconds, and returns it:
@@ -772,28 +787,14 @@ type WireFrame struct {
 func (f *WireFrame) Records(fn func(tag byte, raw, content []byte) error) error {
 	p := f.Payload
 	for pos := 0; pos < len(p); {
-		start := pos
-		tag := p[pos]
-		pos++
-		if tag != WireTagString && tag != WireTagEvent {
-			return wiref("unknown record tag 0x%02x at %d", tag, start)
-		}
-		n, w := binary.Uvarint(p[pos:])
-		limit := uint64(wireMaxString)
-		if tag == WireTagEvent {
-			limit = wireMaxEventBody
-		}
-		if w <= 0 || n > limit {
-			return wiref("bad record length at %d", pos)
-		}
-		pos += w
-		if pos+int(n) > len(p) {
-			return wiref("record truncated at %d", pos)
-		}
-		if err := fn(tag, p[start:pos+int(n)], p[pos:pos+int(n)]); err != nil {
+		tag, content, next, err := splitRecord(p, pos)
+		if err != nil {
 			return err
 		}
-		pos += int(n)
+		if err := fn(tag, p[pos:next], content); err != nil {
+			return err
+		}
+		pos = next
 	}
 	return nil
 }
@@ -832,22 +833,7 @@ func (s *WireScanner) Next() (*WireFrame, error) {
 // WriteWireFile writes events to path as a stream of wire frames: the
 // binary log file, whose bytes are also a valid ingest body.
 func WriteWireFile(path string, events []Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := NewWireWriter(f)
-	for i := range events {
-		if err := w.Write(&events[i]); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeEvents(path, events, NewWireWriter)
 }
 
 // ReadWireFile reads a wire-frame file written by WriteWireFile.
@@ -857,7 +843,12 @@ func ReadWireFile(path string) ([]Event, error) {
 		return nil, err
 	}
 	defer f.Close()
-	d := NewWireDecoder(f)
+	return readWire(f)
+}
+
+// readWire decodes a stream of wire frames to its end.
+func readWire(r io.Reader) ([]Event, error) {
+	d := NewWireDecoder(r)
 	var out []Event
 	for {
 		evs, err := d.ReadFrame()
@@ -880,24 +871,24 @@ const retiredBinMagic = "BGLRAS1\n"
 var ErrRetiredBinLog = errors.New(`raslog: retired "BGLRAS1" binary log format; convert it with an older bglconvert -out wire`)
 
 // ReadAnyFile reads a RAS log that is either a wire-frame file or the
-// text dialect, sniffing the wire magic.
+// text dialect, sniffing the wire magic through the buffer it then
+// decodes from.
 func ReadAnyFile(path string) ([]Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	head := make([]byte, len(retiredBinMagic))
-	n, err := io.ReadFull(f, head)
-	f.Close()
-	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+	defer f.Close()
+	br := bufio.NewReaderSize(f, 1<<16)
+	head, err := br.Peek(len(retiredBinMagic))
+	if err != nil && err != io.EOF {
 		return nil, err
 	}
-	head = head[:n]
 	switch {
 	case string(head) == retiredBinMagic:
 		return nil, fmt.Errorf("%s: %w", path, ErrRetiredBinLog)
 	case bytes.HasPrefix(head, []byte(wireMagic)):
-		return ReadWireFile(path)
+		return readWire(br)
 	}
-	return ReadFile(path)
+	return NewReader(br).ReadAll()
 }

@@ -271,6 +271,31 @@ func TestWireDecoderLenientSkip(t *testing.T) {
 	}
 }
 
+// TestBrokenFrameKeepsNoArena: the routing decode walks the events
+// ahead of a broken frame's break without keeping them, so a pooled
+// server decoder holds no event arena however many events a hostile
+// frame puts ahead of its break.
+func TestBrokenFrameKeepsNoArena(t *testing.T) {
+	events := make([]Event, 5000)
+	for i := range events {
+		events[i] = mkEvent(int64(i), t0)
+	}
+	f, err := NewWireScanner(bytes.NewReader(encodeWire(t, events))).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := append(f.Payload, 0x7F) // an unknown tag after the last event
+	body := append(AppendWireFrameHeader(nil, f.BaseSec, f.BaseRecID, len(payload)), payload...)
+	d := NewWireDecoder(bytes.NewReader(body))
+	d.OnSkip = func([]byte, error) {}
+	if _, err := d.NextEvent(); !errors.Is(err, errWire) {
+		t.Fatalf("NextEvent on a broken frame: %v", err)
+	}
+	if cap(d.evs) != 0 {
+		t.Fatalf("the routing decode grew an arena of %d events", cap(d.evs))
+	}
+}
+
 // TestWireWriterRejectsInvalid: the writer refuses what the wire cannot
 // carry without losing the frame it is building, and carries the pipe
 // dialect's reserved characters.

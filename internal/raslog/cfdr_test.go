@@ -180,7 +180,7 @@ func TestCFDREventsFeedTheLogDialect(t *testing.T) {
 	if err := WriteFile(path, events); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadFile(path)
+	back, err := ReadAnyFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

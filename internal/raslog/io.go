@@ -3,7 +3,6 @@ package raslog
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -112,9 +111,8 @@ const (
 	maxLineBytes = 1 << 20
 )
 
-// A Reader streams RAS records from an underlying io.Reader. Each
-// line is either a pipe-dialect record or an NDJSON object (see
-// ndjson.go); the two may be mixed freely within one stream.
+// A Reader streams RAS records from an underlying io.Reader, one
+// pipe-dialect record per line.
 //
 // By default the reader is strict: the first undecodable line fails
 // Read with a *LineError. Lenient switches it to skip such lines —
@@ -122,17 +120,16 @@ const (
 // line interleaved into a production RAS stream cannot terminate
 // ingestion of everything after it.
 //
-// A stream decodes one of two ways, as a WireDecoder's does: Read
-// returns a record at a time, and NextEvent decodes the next line and
-// returns its location first, so DecodeEvent can hand the record to
-// memory the caller picks from that location. Pipe records in the
-// spelling Writer emits decode in one pass, left to right, straight
-// from the line buffer and without allocating: TYPE, FACILITY and
-// ENTRY_DATA through a compare against the previous record's value
-// ahead of a capped intern table, TIME through a same-second cache.
-// Every other line, valid or not, takes the general parser. A Reader
-// is meant to be pooled and re-armed with Reset, which keeps the
-// buffer and the caches warm.
+// NextEvent decodes the next line and returns its location first, so
+// DecodeEvent can hand the record to memory the caller picks from that
+// location, as on a WireDecoder; Read is the two steps in one. Pipe
+// records in the spelling Writer emits decode in one pass, left to
+// right, straight from the line buffer and without allocating: TYPE,
+// FACILITY and ENTRY_DATA through a compare against the previous
+// record's value ahead of a capped intern table, TIME through a
+// same-second cache. Every other line, valid or not, takes the general
+// parser. A Reader is meant to be pooled and re-armed with Reset, which
+// keeps the buffer and the caches warm.
 type Reader struct {
 	src        io.Reader
 	buf        []byte // line buffer; doubles up to maxLineBytes for a long line
@@ -378,9 +375,9 @@ func (r *Reader) fill() {
 
 // decode decodes a pipe record in the spelling Writer emits into r.ev,
 // in one pass left to right over the line. It reports false for every
-// other line, valid or not — an NDJSON object, a field in another
-// spelling, a time the pass does not cover — and leaves the verdict on
-// those, and the error text, to parseSlow.
+// other line, valid or not — a field in another spelling, a time the
+// pass does not cover — and leaves the verdict on those, and the error
+// text, to parseSlow.
 func (r *Reader) decode(b []byte) bool {
 	ev := &r.ev
 	var i int
@@ -609,16 +606,11 @@ func daysIn(month, year int) int {
 	return 31
 }
 
-// parseSlow is the general decoder: NDJSON objects, and every pipe
-// line decode passed over. It refuses a record whose time is
-// outside [minTime, maxTime].
-func parseSlow(line []byte) (ev Event, err error) {
-	if line[0] == '{' {
-		err = json.Unmarshal(line, &ev)
-	} else {
-		//bglvet:ignore hotpathalloc the general parser works on a string; lines in Writer's spelling never reach it
-		ev, err = parseLine(string(line))
-	}
+// parseSlow is the general decoder of every line decode passed over.
+// It refuses a record whose time is outside [minTime, maxTime].
+func parseSlow(line []byte) (Event, error) {
+	//bglvet:ignore hotpathalloc the general parser works on a string; lines in Writer's spelling never reach it
+	ev, err := parseLine(string(line))
 	if err == nil && !timeInRange(ev.Time) {
 		return Event{}, parsef("raslog: time %s out of range", ev.Time.UTC().Format(timeLayout))
 	}
@@ -687,32 +679,31 @@ func parseLine(line string) (Event, error) {
 
 // WriteFile writes events to path in the log dialect.
 func WriteFile(path string, events []Event) error {
+	return writeEvents(path, events, NewWriter)
+}
+
+// writeEvents creates path and writes events to it through the encoder
+// newWriter wraps around the file — the log dialect's or the wire's —
+// closing the file whether or not the writes succeed.
+func writeEvents[W interface {
+	Write(*Event) error
+	Flush() error
+}](path string, events []Event, newWriter func(io.Writer) W) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	w := NewWriter(f)
-	for i := range events {
-		if err := w.Write(&events[i]); err != nil {
-			f.Close()
-			return err
-		}
+	w := newWriter(f)
+	for i := 0; i < len(events) && err == nil; i++ {
+		err = w.Write(&events[i])
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = w.Flush()
 	}
-	return f.Close()
-}
-
-// ReadFile reads an entire log file.
-func ReadFile(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	defer f.Close()
-	return NewReader(f).ReadAll()
+	return err
 }
 
 // Summary aggregates what paper Table 1 reports about a log.

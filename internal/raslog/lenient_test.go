@@ -49,6 +49,8 @@ func TestLenientReaderSkipsGarbage(t *testing.T) {
 
 		4: "this|has|too|few|fields",
 		7: "0|RAS|not-a-time|0|R00-M0|KERNEL|INFO|x",
+		// NDJSON is no spelling the reader takes: an object is garbage.
+		9: `{"recid":3,"type":"RAS","time":"2005-01-21 00:00:00","jobid":1,"location":"R00-M0","facility":"KERNEL","severity":"INFO","entry_data":"x"}`,
 	}
 	input, events := interleavedGarbage(t, 5, garbage)
 

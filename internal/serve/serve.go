@@ -1,7 +1,7 @@
 // Package serve is the deployed form of the online prediction engine
 // (paper §3.3): an HTTP service that ingests raw RAS records over
-// POST /v1/ingest (newline-delimited pipe/NDJSON dialect, or the
-// binary wire-frame format negotiated via
+// POST /v1/ingest (the newline-delimited pipe dialect, or the binary
+// wire-frame format negotiated via
 // Content-Type: application/x-bglbin), fans
 // them out to N sharded online.Engine instances keyed by the
 // rack/midplane prefix of each record's location, and exposes the
@@ -550,8 +550,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // dialect does not allocate per record. A parked decoder holds no
 // body (eofReader) and at most its line or payload buffer (1 MiB text,
 // 16 MiB wire, both usually 64 KiB) and an intern table capped at
-// 16 Ki strings of at most 1 KiB; a text reader keeps a location cache
-// under the same caps.
+// 16 Ki strings of at most 1 KiB.
 var (
 	wireDecoders = sync.Pool{
 		New: func() any { return raslog.NewWireDecoder(eofReader{}) },

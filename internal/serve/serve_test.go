@@ -185,25 +185,51 @@ func TestShardedIngestFansOut(t *testing.T) {
 	}
 }
 
-func TestIngestNDJSONDialect(t *testing.T) {
+// TestIngestQuarantinesNDJSON: the text door reads one spelling, the
+// pipe dialect. NDJSON objects spliced between pipe records are
+// undecodable lines: each is quarantined under its own line number, and
+// every pipe record around them is accepted.
+func TestIngestQuarantinesNDJSON(t *testing.T) {
 	meta, tail := fixture(t)
 	s := New(meta, Config{Shards: 2, Window: 30 * time.Minute})
 	defer s.Close()
 
-	n := 200
-	if n > len(tail) {
-		n = len(tail)
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	n := min(200, len(tail))
+	var body bytes.Buffer
+	var objects []string
+	var objectLines []int64
+	line := int64(0)
 	for i := 0; i < n; i++ {
-		if err := enc.Encode(tail[i]); err != nil {
-			t.Fatal(err)
+		body.Write(encode(t, tail[i:i+1]))
+		line++
+		if i%40 != 7 {
+			continue
 		}
+		e := &tail[i]
+		obj := fmt.Sprintf(`{"recid":%d,"type":%q,"time":%q,"jobid":%d,"location":%q,"facility":%q,"severity":%q,"entry_data":%q}`,
+			e.RecID, e.Type, e.Time.UTC().Format("2006-01-02 15:04:05"), e.JobID, e.Location.String(), e.Facility, e.Severity.String(), e.EntryData)
+		body.WriteString(obj + "\n")
+		line++
+		objects, objectLines = append(objects, obj), append(objectLines, line)
 	}
-	resp := post(t, s, buf.Bytes())
-	if resp.Accepted != int64(n) {
-		t.Fatalf("accepted %d of %d NDJSON records", resp.Accepted, n)
+	resp := post(t, s, body.Bytes())
+	if resp.Accepted != int64(n) || resp.Quarantined != int64(len(objects)) {
+		t.Fatalf("accepted %d, quarantined %d; want all %d pipe records and the %d NDJSON lines", resp.Accepted, resp.Quarantined, n, len(objects))
+	}
+
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/quarantine", nil))
+	var q QuarantineResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &q); err != nil {
+		t.Fatal(err)
+	}
+	if q.Total != int64(len(objects)) || len(q.Recent) != len(objects) {
+		t.Fatalf("quarantine holds %d (total %d), want the %d NDJSON lines", len(q.Recent), q.Total, len(objects))
+	}
+	for i, r := range q.Recent {
+		if r.Line != objectLines[i] || r.Raw != objects[i][:min(len(objects[i]), rawSnippet)] || r.Cause == "" {
+			t.Fatalf("quarantined %d: line %d %q (%s); want line %d %q", i, r.Line, r.Raw, r.Cause, objectLines[i], objects[i])
+		}
 	}
 }
 
