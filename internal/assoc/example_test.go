@@ -2,9 +2,27 @@ package assoc_test
 
 import (
 	"fmt"
+	"sort"
 
 	"bglpred/internal/assoc"
 )
+
+// sortFrequent orders frequent itemsets canonically (by length, then
+// lexicographically) for deterministic comparisons.
+func sortFrequent(fs []assoc.FrequentItemset) {
+	sort.Slice(fs, func(i, j int) bool {
+		a, b := fs[i].Items, fs[j].Items
+		if len(a) != len(b) {
+			return len(a) < len(b)
+		}
+		for k := range a {
+			if a[k] != b[k] {
+				return a[k] < b[k]
+			}
+		}
+		return false
+	})
+}
 
 // Mining a toy log: non-fatal item 1 precedes fatal item 100 in three
 // of its four windows.
@@ -38,8 +56,8 @@ func ExampleFPGrowth_Mine() {
 	}
 	fp := (&assoc.FPGrowth{}).Mine(tx, 2, 0)
 	ap := (&assoc.Apriori{}).Mine(tx, 2, 0)
-	assoc.SortFrequent(fp)
-	assoc.SortFrequent(ap)
+	sortFrequent(fp)
+	sortFrequent(ap)
 	fmt.Println("agree:", len(fp) == len(ap))
 	for _, fi := range fp {
 		fmt.Printf("%v x%d\n", fi.Items, fi.Count)

@@ -182,20 +182,3 @@ func SupportCount(minSupport float64, numTransactions int) int {
 	}
 	return c
 }
-
-// SortFrequent orders frequent itemsets canonically (by length, then
-// lexicographically) for deterministic comparisons.
-func SortFrequent(fs []FrequentItemset) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i].Items, fs[j].Items
-		if len(a) != len(b) {
-			return len(a) < len(b)
-		}
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-}

@@ -129,22 +129,6 @@ func TestSupportCount(t *testing.T) {
 	}
 }
 
-func TestSortFrequentDeterministic(t *testing.T) {
-	fs := []FrequentItemset{
-		{Items: NewItemset(2, 3)},
-		{Items: NewItemset(1)},
-		{Items: NewItemset(1, 2)},
-		{Items: NewItemset(3)},
-	}
-	SortFrequent(fs)
-	want := []string{"{1}", "{3}", "{1 2}", "{2 3}"}
-	for i, w := range want {
-		if fs[i].Items.String() != w {
-			t.Fatalf("order[%d] = %v, want %v", i, fs[i].Items, w)
-		}
-	}
-}
-
 // TestItemsetKeyLargeItems: items at and past 16 bits, which a
 // two-byte key aliased onto small ones ({65536} onto {0}), keep keys of
 // their own.

@@ -64,8 +64,10 @@ func TestGenerateEventsWellFormed(t *testing.T) {
 			t.Fatalf("event %d has unknown location", i)
 		}
 	}
-	if !raslog.EventsSorted(res.Events) {
-		t.Fatal("events not sorted")
+	for i := 1; i < len(res.Events); i++ {
+		if res.Events[i].Before(&res.Events[i-1]) {
+			t.Fatalf("event %d is before event %d", i, i-1)
+		}
 	}
 }
 

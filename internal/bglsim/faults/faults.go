@@ -561,16 +561,6 @@ func geometric(rng *rand.Rand, mean float64) int {
 	return n
 }
 
-// SummarizeKinds tallies logical events by kind — ground truth for
-// calibration tests.
-func SummarizeKinds(events []LogicalEvent) map[Kind]int {
-	out := make(map[Kind]int)
-	for _, e := range events {
-		out[e.Kind]++
-	}
-	return out
-}
-
 // FatalByMain tallies fatal logical events by main category — the
 // simulator-side Table 4.
 func FatalByMain(events []LogicalEvent) map[catalog.Main]int {

@@ -104,7 +104,7 @@ func TestSynthesizeCountsNearExpectation(t *testing.T) {
 	m := testModel()
 	rng := rand.New(rand.NewPCG(2, 2))
 	events := m.Synthesize(rng, t0, t0.Add(fullSpan), fullSpan)
-	kinds := SummarizeKinds(events)
+	kinds := summarizeKinds(events)
 
 	// Chain fatals: 200 episodes x 0.6 confidence = 120 expected.
 	assertNear(t, "chain fatals", kinds[KindChainFatal], 120, 0.35)
@@ -114,6 +114,16 @@ func TestSynthesizeCountsNearExpectation(t *testing.T) {
 	assertNear(t, "isolated", kinds[KindIsolatedFatal], 50, 0.5)
 	// Noise: 10/day x 100 days = 1000 expected.
 	assertNear(t, "noise", kinds[KindNoise], 1000, 0.2)
+}
+
+// summarizeKinds tallies logical events by kind — ground truth for
+// calibration tests.
+func summarizeKinds(events []LogicalEvent) map[Kind]int {
+	out := make(map[Kind]int)
+	for _, e := range events {
+		out[e.Kind]++
+	}
+	return out
 }
 
 func assertNear(t *testing.T, what string, got, want int, tol float64) {
@@ -128,7 +138,7 @@ func TestSynthesizeScaling(t *testing.T) {
 	m := testModel()
 	rng := rand.New(rand.NewPCG(3, 3))
 	half := m.Synthesize(rng, t0, t0.Add(fullSpan/2), fullSpan)
-	kinds := SummarizeKinds(half)
+	kinds := summarizeKinds(half)
 	assertNear(t, "half-span chain fatals", kinds[KindChainFatal], 60, 0.5)
 	assertNear(t, "half-span noise", kinds[KindNoise], 500, 0.3)
 }
@@ -214,7 +224,7 @@ func TestCascadePrecursorsEmitted(t *testing.T) {
 	m := Model{Cascades: []Cascade{c}}
 	rng := rand.New(rand.NewPCG(7, 7))
 	events := m.Synthesize(rng, t0, t0.Add(fullSpan), fullSpan)
-	kinds := SummarizeKinds(events)
+	kinds := summarizeKinds(events)
 	if kinds[KindCascadePrecursor] == 0 {
 		t.Fatal("no cascade precursors emitted at probability 0.5")
 	}

@@ -123,26 +123,3 @@ func (s *Schedule) JobAt(t time.Time, mp raslog.Location) (*Job, bool) {
 	}
 	return nil, false
 }
-
-// Utilization returns the fraction of midplane-time occupied by jobs
-// over [start, end).
-func (s *Schedule) Utilization(start, end time.Time) float64 {
-	if !end.After(start) || len(s.byMidplane) == 0 {
-		return 0
-	}
-	var busy time.Duration
-	for _, j := range s.jobs {
-		b, e := j.Start, j.End
-		if b.Before(start) {
-			b = start
-		}
-		if e.After(end) {
-			e = end
-		}
-		if e.After(b) {
-			busy += e.Sub(b)
-		}
-	}
-	total := end.Sub(start) * time.Duration(len(s.byMidplane))
-	return float64(busy) / float64(total)
-}

@@ -1,8 +1,8 @@
 // Package topology models the Blue Gene/L packaging and network
 // hierarchy (paper §2.1, Gara et al. [9]): racks of two midplanes,
 // midplanes of sixteen node cards plus four link cards and a service
-// card, node cards of 32 compute chips and a configurable number of
-// I/O chips, and the 8x8x8 torus neighbourhood within a midplane.
+// card, and node cards of 32 compute chips and a configurable number
+// of I/O chips.
 package topology
 
 import (
@@ -71,16 +71,6 @@ func (m *Machine) Midplanes() []raslog.Location {
 	return out
 }
 
-// ComputeNodes returns the total compute chip count.
-func (m *Machine) ComputeNodes() int {
-	return m.cfg.Racks * 2 * m.cfg.NodeCardsPerMidplane * m.cfg.ChipsPerNodeCard
-}
-
-// IONodes returns the total I/O chip count.
-func (m *Machine) IONodes() int {
-	return m.cfg.Racks * 2 * m.cfg.NodeCardsPerMidplane * m.cfg.IOChipsPerNodeCard
-}
-
 // ChipsPerMidplane returns the compute chips in one midplane (512 on
 // real hardware).
 func (m *Machine) ChipsPerMidplane() int {
@@ -113,31 +103,6 @@ func (m *Machine) ChipByIndex(mp raslog.Location, idx int) raslog.Location {
 	}
 }
 
-// ChipIndex is the inverse of ChipByIndex.
-func (m *Machine) ChipIndex(chip raslog.Location) int {
-	if chip.Kind != raslog.KindComputeChip {
-		panic(fmt.Sprintf("topology: %v is not a compute chip", chip))
-	}
-	return chip.Card*m.cfg.ChipsPerNodeCard + chip.Chip
-}
-
-// RandomChip draws a uniform compute chip within midplane mp.
-func (m *Machine) RandomChip(rng *rand.Rand, mp raslog.Location) raslog.Location {
-	return m.ChipByIndex(mp, rng.IntN(m.ChipsPerMidplane()))
-}
-
-// RandomIONode draws a uniform I/O chip within midplane mp.
-func (m *Machine) RandomIONode(rng *rand.Rand, mp raslog.Location) raslog.Location {
-	m.checkMidplane(mp)
-	return raslog.Location{
-		Kind:     raslog.KindIONode,
-		Rack:     mp.Rack,
-		Midplane: mp.Midplane,
-		Card:     rng.IntN(m.cfg.NodeCardsPerMidplane),
-		Chip:     rng.IntN(m.cfg.IOChipsPerNodeCard),
-	}
-}
-
 // RandomNodeCard draws a uniform node card within midplane mp.
 func (m *Machine) RandomNodeCard(rng *rand.Rand, mp raslog.Location) raslog.Location {
 	m.checkMidplane(mp)
@@ -164,50 +129,4 @@ func (m *Machine) RandomLinkCard(rng *rand.Rand, mp raslog.Location) raslog.Loca
 func (m *Machine) ServiceCard(mp raslog.Location) raslog.Location {
 	m.checkMidplane(mp)
 	return raslog.Location{Kind: raslog.KindServiceCard, Rack: mp.Rack, Midplane: mp.Midplane}
-}
-
-// torusDims returns the x/y/z extents of the midplane torus. A full
-// 512-chip midplane is 8x8x8; scaled-down test machines get a flat
-// x-by-1-by-1 ring.
-func (m *Machine) torusDims() (x, y, z int) {
-	n := m.ChipsPerMidplane()
-	if n >= 512 {
-		return 8, 8, n / 64
-	}
-	return n, 1, 1
-}
-
-// TorusNeighbors returns the torus-adjacent compute chips of chip
-// (up to six; fewer on degenerate dimensions). The torus wraps, so a
-// full midplane always yields six distinct neighbours.
-func (m *Machine) TorusNeighbors(chip raslog.Location) []raslog.Location {
-	mp := chip.MidplaneOf()
-	m.checkMidplane(mp)
-	xd, yd, zd := m.torusDims()
-	idx := m.ChipIndex(chip)
-	x, y, z := idx%xd, (idx/xd)%yd, idx/(xd*yd)
-
-	seen := map[int]bool{idx: true}
-	var out []raslog.Location
-	add := func(nx, ny, nz int) {
-		n := nz*(xd*yd) + ny*xd + nx
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, m.ChipByIndex(mp, n))
-		}
-	}
-	mod := func(v, d int) int { return ((v % d) + d) % d }
-	if xd > 1 {
-		add(mod(x-1, xd), y, z)
-		add(mod(x+1, xd), y, z)
-	}
-	if yd > 1 {
-		add(x, mod(y-1, yd), z)
-		add(x, mod(y+1, yd), z)
-	}
-	if zd > 1 {
-		add(x, y, mod(z-1, zd))
-		add(x, y, mod(z+1, zd))
-	}
-	return out
 }

@@ -7,13 +7,25 @@ import (
 	"bglpred/internal/raslog"
 )
 
+// computeNodes and ioNodes are the machine's compute and I/O chip
+// counts.
+func computeNodes(m *Machine) int {
+	c := m.Config()
+	return c.Racks * 2 * c.NodeCardsPerMidplane * c.ChipsPerNodeCard
+}
+
+func ioNodes(m *Machine) int {
+	c := m.Config()
+	return c.Racks * 2 * c.NodeCardsPerMidplane * c.IOChipsPerNodeCard
+}
+
 func TestDefaultsMatchSingleRackBGL(t *testing.T) {
 	m := New(Config{})
-	if got := m.ComputeNodes(); got != 1024 {
-		t.Errorf("ComputeNodes = %d, want 1024", got)
+	if got := computeNodes(m); got != 1024 {
+		t.Errorf("compute nodes = %d, want 1024", got)
 	}
-	if got := m.IONodes(); got != 32 {
-		t.Errorf("IONodes = %d, want 32 (ANL I/O-poor default)", got)
+	if got := ioNodes(m); got != 32 {
+		t.Errorf("I/O nodes = %d, want 32 (ANL I/O-poor default)", got)
 	}
 	if got := m.ChipsPerMidplane(); got != 512 {
 		t.Errorf("ChipsPerMidplane = %d, want 512", got)
@@ -25,8 +37,8 @@ func TestDefaultsMatchSingleRackBGL(t *testing.T) {
 
 func TestSDSCIORichConfig(t *testing.T) {
 	m := New(Config{IOChipsPerNodeCard: 4})
-	if got := m.IONodes(); got != 128 {
-		t.Errorf("IONodes = %d, want 128 (SDSC I/O-rich)", got)
+	if got := ioNodes(m); got != 128 {
+		t.Errorf("I/O nodes = %d, want 128 (SDSC I/O-rich)", got)
 	}
 }
 
@@ -38,7 +50,7 @@ func TestChipIndexRoundTrip(t *testing.T) {
 		if chip.Kind != raslog.KindComputeChip {
 			t.Fatalf("ChipByIndex(%d).Kind = %v", idx, chip.Kind)
 		}
-		if got := m.ChipIndex(chip); got != idx {
+		if got := chip.Card*m.Config().ChipsPerNodeCard + chip.Chip; got != idx {
 			t.Fatalf("round trip %d -> %d", idx, got)
 		}
 		if !mp.Contains(chip) {
@@ -73,10 +85,10 @@ func TestCheckMidplanePanicsOnBadInput(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("RandomChip(%v) did not panic", loc)
+					t.Errorf("RandomNodeCard(%v) did not panic", loc)
 				}
 			}()
-			m.RandomChip(rand.New(rand.NewPCG(1, 1)), loc)
+			m.RandomNodeCard(rand.New(rand.NewPCG(1, 1)), loc)
 		}()
 	}
 }
@@ -86,12 +98,6 @@ func TestRandomLocationsStayInMidplane(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	mp := m.Midplanes()[1]
 	for i := 0; i < 200; i++ {
-		if loc := m.RandomChip(rng, mp); !mp.Contains(loc) {
-			t.Fatalf("RandomChip %v escaped %v", loc, mp)
-		}
-		if loc := m.RandomIONode(rng, mp); !mp.Contains(loc) {
-			t.Fatalf("RandomIONode %v escaped %v", loc, mp)
-		}
 		if loc := m.RandomNodeCard(rng, mp); !mp.Contains(loc) {
 			t.Fatalf("RandomNodeCard %v escaped %v", loc, mp)
 		}
@@ -105,63 +111,6 @@ func TestRandomLocationsStayInMidplane(t *testing.T) {
 	}
 }
 
-func TestTorusNeighborsFullMidplane(t *testing.T) {
-	m := New(Config{})
-	mp := m.Midplanes()[0]
-	rng := rand.New(rand.NewPCG(9, 9))
-	for i := 0; i < 100; i++ {
-		chip := m.RandomChip(rng, mp)
-		nbrs := m.TorusNeighbors(chip)
-		if len(nbrs) != 6 {
-			t.Fatalf("chip %v has %d torus neighbours, want 6", chip, len(nbrs))
-		}
-		seen := map[raslog.Location]bool{chip: true}
-		for _, n := range nbrs {
-			if seen[n] {
-				t.Fatalf("duplicate neighbour %v of %v", n, chip)
-			}
-			seen[n] = true
-			if !mp.Contains(n) {
-				t.Fatalf("neighbour %v escaped midplane", n)
-			}
-		}
-	}
-}
-
-func TestTorusNeighborsSymmetric(t *testing.T) {
-	m := New(Config{})
-	mp := m.Midplanes()[0]
-	rng := rand.New(rand.NewPCG(11, 12))
-	contains := func(list []raslog.Location, x raslog.Location) bool {
-		for _, l := range list {
-			if l == x {
-				return true
-			}
-		}
-		return false
-	}
-	for i := 0; i < 50; i++ {
-		a := m.RandomChip(rng, mp)
-		for _, b := range m.TorusNeighbors(a) {
-			if !contains(m.TorusNeighbors(b), a) {
-				t.Fatalf("torus adjacency not symmetric: %v <-> %v", a, b)
-			}
-		}
-	}
-}
-
-func TestTorusNeighborsTinyMachine(t *testing.T) {
-	// A scaled-down machine degenerates to a ring; neighbours must stay
-	// distinct and in range.
-	m := New(Config{NodeCardsPerMidplane: 2, ChipsPerNodeCard: 4})
-	mp := m.Midplanes()[0]
-	chip := m.ChipByIndex(mp, 0)
-	nbrs := m.TorusNeighbors(chip)
-	if len(nbrs) != 2 {
-		t.Fatalf("ring neighbours = %d, want 2", len(nbrs))
-	}
-}
-
 func TestConfigEcho(t *testing.T) {
 	m := New(Config{Racks: 2})
 	cfg := m.Config()
@@ -169,7 +118,7 @@ func TestConfigEcho(t *testing.T) {
 		cfg.IOChipsPerNodeCard != 1 || cfg.LinkCardsPerMidplane != 4 {
 		t.Fatalf("defaulted config = %+v", cfg)
 	}
-	if m.ComputeNodes() != 2048 {
-		t.Fatalf("2-rack ComputeNodes = %d, want 2048", m.ComputeNodes())
+	if computeNodes(m) != 2048 {
+		t.Fatalf("2-rack compute nodes = %d, want 2048", computeNodes(m))
 	}
 }

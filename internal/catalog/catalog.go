@@ -261,13 +261,6 @@ const NumSubcategories = 101
 // shared; callers must not mutate it.
 func All() []Subcategory { return taxonomy }
 
-// ByName looks a subcategory up by its rule identifier (e.g.
-// "torusFailure").
-func ByName(name string) (*Subcategory, bool) {
-	s, ok := byName[name]
-	return s, ok
-}
-
 // ByID returns the subcategory with the given dense ID.
 func ByID(id int) (*Subcategory, bool) {
 	if id < 0 || id >= len(taxonomy) {
@@ -276,8 +269,9 @@ func ByID(id int) (*Subcategory, bool) {
 	return &taxonomy[id], true
 }
 
-// MustByName is ByName for statically known names; it panics on a
-// missing name and is intended for tests and generators.
+// MustByName looks a subcategory up by its rule identifier (e.g.
+// "torusFailure"), for statically known names; it panics on a missing
+// name and is intended for tests and generators.
 func MustByName(name string) *Subcategory {
 	s, ok := byName[name]
 	if !ok {

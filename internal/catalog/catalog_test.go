@@ -84,7 +84,7 @@ func TestFigure3RuleNamesExist(t *testing.T) {
 		"cacheFailure", "nodecardDiscoveryError", "endServiceWarning",
 	}
 	for _, name := range names {
-		if _, ok := ByName(name); !ok {
+		if _, ok := byName[name]; !ok {
 			t.Errorf("paper Figure 3 name %q missing from taxonomy", name)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -288,7 +289,7 @@ func TestClusterChaosAcceptance(t *testing.T) {
 			t.Fatalf("fault point %s never fired (hits %d); retune the schedule", p, in.Hits(p))
 		}
 		t.Logf("fault %s: %d fires in %d hits", p, in.Fires(p), in.Hits(p))
-		in.Clear(p)
+		in.Set(p, faultinject.Plan{After: math.MaxInt}) // disarm: a plan that never fires
 	}
 	settle(20)
 	collect()
@@ -738,7 +739,7 @@ func TestClusterChaosWireAcceptance(t *testing.T) {
 			t.Fatalf("fault point %s never fired (hits %d); retune the schedule", p, in.Hits(p))
 		}
 		t.Logf("fault %s: %d fires in %d hits", p, in.Fires(p), in.Hits(p))
-		in.Clear(p)
+		in.Set(p, faultinject.Plan{After: math.MaxInt}) // disarm: a plan that never fires
 	}
 	settle(20)
 

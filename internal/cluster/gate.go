@@ -403,14 +403,10 @@ type subFrame struct {
 	strings   int   // source string records copied so far
 }
 
-// zeroUnix is the zero time.Time in unix seconds.
-var zeroUnix = time.Time{}.Unix()
-
 // newest is the sub-frame's newest record time: zero when none of its
-// records peeked or when none falls after the zero time, as the
-// replay backlog reads an entry it cannot date.
+// records peeked, as the replay backlog reads an entry it cannot date.
 func (sub *subFrame) newest() time.Time {
-	if !sub.dated || sub.last <= zeroUnix {
+	if !sub.dated {
 		return time.Time{}
 	}
 	return time.Unix(sub.last, 0).UTC()

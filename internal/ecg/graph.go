@@ -94,16 +94,17 @@ func (g *Graph) Window() time.Duration { return g.window }
 // to the edge a -> that signature. Calling AddSegment per segment
 // keeps correlation windows from spanning segment gaps.
 //
-// Each event's time is read once, into an instant; the scan compares
-// and subtracts integers, with the results time.Time would give.
+// Each event's time is read once, as Unix nanoseconds; the scan
+// compares and subtracts those integers, exact for times in
+// raslog.TimeInRange, which events carry.
 func (g *Graph) AddSegment(events []preprocess.Event) {
 	type point struct {
-		instant
+		at int64
 		id int32
 	}
 	pts := make([]point, len(events))
 	for i := range events {
-		pts[i] = point{instantOf(events[i].Time), int32(events[i].Sub.ID)}
+		pts[i] = point{events[i].Time.UnixNano(), int32(events[i].Sub.ID)}
 	}
 	// seen[to] == i+1 once occurrence i has counted successor to.
 	var seen [numIDs]int
@@ -114,17 +115,13 @@ func (g *Graph) AddSegment(events []preprocess.Event) {
 		}
 		g.nodes[from]++
 		row := &g.edges[from]
-		horizon := instantOf(events[i].Time.Add(g.window))
-		for j := i + 1; j < len(pts) && !pts[j].after(horizon); j++ {
+		for j := i + 1; j < len(pts) && pts[j].at-a.at <= int64(g.window); j++ {
 			to := pts[j].id
 			if to == from || seen[to] == i+1 {
 				continue
 			}
 			seen[to] = i + 1
-			gap, ok := pts[j].sub(a.instant)
-			if !ok {
-				gap = events[j].Time.Sub(events[i].Time)
-			}
+			gap := time.Duration(pts[j].at - a.at)
 			st := &row[to]
 			if st.count == 0 {
 				g.edgeCount++

@@ -247,6 +247,13 @@ func TestBrokerNeverBlocksAndCountsDrops(t *testing.T) {
 // TestServeSSEGolden holds the handler to testdata/sse.golden — the
 // frames both daemons' /v1/alerts/stream tests are pinned by — and
 // checks that a client hanging up is reaped.
+// subscribers is the broker's live subscriber count.
+func subscribers[T any](b *Broker[T]) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.subs)
+}
+
 func TestServeSSEGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "sse.golden"))
 	if err != nil {
@@ -270,8 +277,8 @@ func TestServeSSEGolden(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("content type %q", ct)
 	}
-	if b.Subscribers() != 1 {
-		t.Fatalf("subscribers = %d after connect, want 1", b.Subscribers())
+	if subscribers(b) != 1 {
+		t.Fatalf("subscribers = %d after connect, want 1", subscribers(b))
 	}
 	b.Publish(payload)
 
@@ -290,9 +297,9 @@ func TestServeSSEGolden(t *testing.T) {
 	}
 
 	cancel()
-	for deadline := time.Now().Add(5 * time.Second); b.Subscribers() != 0; time.Sleep(5 * time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); subscribers(b) != 0; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("subscribers = %d after disconnect, want 0", b.Subscribers())
+			t.Fatalf("subscribers = %d after disconnect, want 0", subscribers(b))
 		}
 	}
 }

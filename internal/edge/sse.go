@@ -78,13 +78,6 @@ func (b *Broker[T]) Close() {
 // Dropped counts events lost on slow subscribers.
 func (b *Broker[T]) Dropped() int64 { return b.dropped.Load() }
 
-// Subscribers reports the live subscriber count.
-func (b *Broker[T]) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
-
 // ServeSSE serves one GET /v1/alerts/stream subscriber until it hangs
 // up or the broker closes. A subscriber sees only what is published
 // after it connects. Each event is

@@ -325,8 +325,7 @@ func TestDeviationMinSupportPaperValueDropsCoredumpFamily(t *testing.T) {
 		if err := r.Train(d.Pre.Events); err != nil {
 			t.Fatal(err)
 		}
-		b, _ := catalog.ByName(body)
-		h, _ := catalog.ByName(head)
+		b, h := catalog.MustByName(body), catalog.MustByName(head)
 		for _, rule := range r.Rules().Rules {
 			if rule.Body.Contains(b.ID) && rule.Heads.Contains(h.ID) {
 				return rule, true

@@ -161,16 +161,6 @@ func (in *Injector) Set(p Point, plan Plan) {
 	in.points[p] = &pointState{plan: plan, rng: in.seed ^ hashPoint(p)}
 }
 
-// Clear disarms a point.
-func (in *Injector) Clear(p Point) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	delete(in.points, p)
-}
-
 // Fire consults a point: nil on the non-fault path; the plan's error
 // (after the plan's delay) when the fault fires; or a panic for
 // panicking plans. A nil injector always returns nil.

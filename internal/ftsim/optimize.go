@@ -3,8 +3,6 @@ package ftsim
 import (
 	"math"
 	"time"
-
-	"bglpred/internal/predictor"
 )
 
 // YoungInterval returns Young's classic approximation of the optimal
@@ -25,34 +23,6 @@ func MTBF(failures []time.Time) time.Duration {
 	}
 	span := failures[len(failures)-1].Sub(failures[0])
 	return span / time.Duration(len(failures)-1)
-}
-
-// SweepResult is one point of an interval sweep.
-type SweepResult struct {
-	Interval time.Duration
-	Outcome  Outcome
-}
-
-// SweepIntervals simulates the given regime at each periodic interval
-// and returns the outcomes plus the index of the most efficient one.
-// warnings may be nil (pure periodic checkpointing).
-func SweepIntervals(start time.Time, span time.Duration, failures []time.Time,
-	warnings []predictor.Warning, cfg Config, intervals []time.Duration) ([]SweepResult, int) {
-	out := make([]SweepResult, len(intervals))
-	best := 0
-	for i, iv := range intervals {
-		c := cfg
-		c.PeriodicInterval = iv
-		regime := "periodic"
-		if warnings != nil {
-			regime = "periodic+predictive"
-		}
-		out[i] = SweepResult{Interval: iv, Outcome: Simulate(regime, start, span, failures, warnings, c)}
-		if out[i].Outcome.Efficiency() > out[best].Outcome.Efficiency() {
-			best = i
-		}
-	}
-	return out, best
 }
 
 // DefaultIntervalGrid returns a geometric grid of candidate intervals

@@ -31,6 +31,27 @@ func TestMTBF(t *testing.T) {
 	}
 }
 
+// sweepResult is one point of an interval sweep.
+type sweepResult struct {
+	Interval time.Duration
+	Outcome  Outcome
+}
+
+// sweepIntervals simulates periodic checkpointing at each interval and
+// returns the outcomes plus the index of the most efficient one.
+func sweepIntervals(start time.Time, span time.Duration, failures []time.Time, cfg Config, intervals []time.Duration) ([]sweepResult, int) {
+	out := make([]sweepResult, len(intervals))
+	best := 0
+	for i, iv := range intervals {
+		cfg.PeriodicInterval = iv
+		out[i] = sweepResult{Interval: iv, Outcome: Simulate("periodic", start, span, failures, nil, cfg)}
+		if out[i].Outcome.Efficiency() > out[best].Outcome.Efficiency() {
+			best = i
+		}
+	}
+	return out, best
+}
+
 func TestSweepFindsInteriorOptimum(t *testing.T) {
 	// With failures every 12h and 5-minute checkpoints, tiny intervals
 	// drown in overhead and huge intervals lose too much work; the
@@ -42,7 +63,7 @@ func TestSweepFindsInteriorOptimum(t *testing.T) {
 		10 * time.Minute, time.Hour, 2 * time.Hour, 4 * time.Hour,
 		12 * time.Hour, 48 * time.Hour,
 	}
-	results, best := SweepIntervals(t0, span, failures, nil, cfg, intervals)
+	results, best := sweepIntervals(t0, span, failures, cfg, intervals)
 	if len(results) != len(intervals) {
 		t.Fatalf("results = %d", len(results))
 	}

@@ -86,7 +86,9 @@ func (r *Recorder) Shard(i int) online.RecordFunc {
 	}
 }
 
-// Observe runs one record through the recorder's own Phase 1 into slab 0.
+// Observe runs one record through the recorder's own Phase 1 into slab
+// 0. Its time must be in raslog.TimeInRange, as the decoders give it;
+// Observe does not check.
 //
 //bglvet:hotpath
 func (r *Recorder) Observe(ev raslog.Event) {

@@ -3,6 +3,7 @@ package lifecycle
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -238,7 +239,7 @@ func TestCheckpointRestoreCorruptionMatrix(t *testing.T) {
 
 	t.Run("truncated read", func(t *testing.T) {
 		in.Set(faultinject.FsCorrupt, faultinject.Plan{Corrupt: faultinject.Truncate})
-		defer in.Clear(faultinject.FsCorrupt)
+		defer in.Set(faultinject.FsCorrupt, faultinject.Plan{After: math.MaxInt}) // disarm: a plan that never fires
 		cp, err := restorer.Restore("")
 		if cp != nil || !errors.Is(err, ledger.ErrCorrupt) || !strings.Contains(err.Error(), "shorter than indexed entry") {
 			t.Fatalf("truncated restore: cp=%v err=%v, want the length diagnosis", cp, err)
@@ -249,7 +250,7 @@ func TestCheckpointRestoreCorruptionMatrix(t *testing.T) {
 		path := filepath.Join(t.TempDir(), LedgerFile)
 		copyLedger(t, LedgerPath(dir), path)
 		in.Set(faultinject.FsCorrupt, faultinject.Plan{Corrupt: faultinject.FlipByte, Times: 1})
-		defer in.Clear(faultinject.FsCorrupt)
+		defer in.Set(faultinject.FsCorrupt, faultinject.Plan{After: math.MaxInt}) // disarm: a plan that never fires
 		l, _, err := ledger.Open(path, ledger.Config{FS: fsys})
 		if err == nil {
 			l.Close()
@@ -283,7 +284,7 @@ func TestCheckpointRestoreCorruptionMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		in.Set(faultinject.FsSync, faultinject.Plan{})
-		defer in.Clear(faultinject.FsSync)
+		defer in.Set(faultinject.FsSync, faultinject.Plan{After: math.MaxInt}) // disarm: a plan that never fires
 		cc := NewCheckpointer(s, CheckpointerConfig{
 			Ledger: led,
 			Dir:    dir,

@@ -65,7 +65,8 @@ type Ingestion struct {
 }
 
 // Engine is a thread-safe streaming predictor. Records must be
-// ingested in non-decreasing time order (the CMCS log order).
+// ingested in non-decreasing time order (the CMCS log order), each at a
+// time raslog.TimeInRange admits; the engine refuses any other.
 type Engine struct {
 	mu      sync.Mutex // guards all mutable state below
 	emitMu  sync.Mutex // serializes OnAlert calls
@@ -106,9 +107,9 @@ func (e *Engine) Ingest(ev *raslog.Event) (Ingestion, error) {
 // IngestBatch processes a batch of records under a single state-lock
 // acquisition — the hot path for wire-frame ingest, where per-record
 // locking would dominate the decode cost. Per-record semantics match
-// Ingest exactly: a record rejected for time-order violation is
-// counted and skipped (the rest of the batch proceeds), and each new
-// alarm is emitted in order after the state lock is released.
+// Ingest exactly: a record refused for its time is counted and skipped
+// (the rest of the batch proceeds), and each new alarm is emitted in
+// order after the state lock is released.
 //
 //bglvet:hotpath
 func (e *Engine) IngestBatch(evs []raslog.Event) (rejected int64) {
@@ -149,9 +150,9 @@ func (e *Engine) emit(alarms []predictor.Warning) {
 
 // ingestLocked is the state transition; e.mu must be held.
 func (e *Engine) ingestLocked(ev *raslog.Event) (Ingestion, error) {
-	if ev.Time.Before(e.lastSeen) {
-		//bglvet:ignore hotpathalloc rejection detail is built only for out-of-order records, which quarantine off the fast path
-		return Ingestion{}, fmt.Errorf("online: record %d at %v arrived after %v; the engine requires log order",
+	if ev.Time.Before(e.lastSeen) || !raslog.TimeInRange(ev.Time) {
+		//bglvet:ignore hotpathalloc rejection detail is built only for refused records, which quarantine off the fast path
+		return Ingestion{}, fmt.Errorf("online: record %d at %v refused: the engine requires log order from %v, within 1970–2262",
 			ev.RecID, ev.Time, e.lastSeen)
 	}
 	e.lastSeen = ev.Time

@@ -6,6 +6,7 @@ import (
 
 	"bglpred/internal/predictor"
 	"bglpred/internal/preprocess"
+	"bglpred/internal/raslog"
 )
 
 // This file is the engine's checkpoint/restore and hot-swap seam.
@@ -50,12 +51,24 @@ func (e *Engine) State() State {
 // Restore replaces the engine's mutable state with a previously
 // exported one, so a fresh engine over an equivalent trained model
 // continues the stream exactly where the exported engine stopped —
-// same dedup decisions, same standing alarm, same counters.
+// same dedup decisions, same standing alarm, same counters. It refuses
+// a state with a time raslog.TimeInRange does not admit; LastSeen and
+// LastGC may also be zero, as an engine that never ingested exports.
 func (e *Engine) Restore(st State) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.counters.Ingested != 0 {
 		return fmt.Errorf("online: cannot restore state into an engine that has already ingested %d records", e.counters.Ingested)
+	}
+	ok := (st.LastSeen.IsZero() || raslog.TimeInRange(st.LastSeen)) && (st.LastGC.IsZero() || raslog.TimeInRange(st.LastGC))
+	for i := range st.Temporal {
+		ok = ok && raslog.TimeInRange(st.Temporal[i].Last)
+	}
+	for i := range st.Spatial {
+		ok = ok && raslog.TimeInRange(st.Spatial[i].Last)
+	}
+	if !ok {
+		return fmt.Errorf("online: cannot restore state with a time outside 1970–2262")
 	}
 	e.lastSeen = st.LastSeen
 	e.counters = st.Counters

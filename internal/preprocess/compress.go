@@ -58,8 +58,14 @@ type sval struct {
 // gcEvery is the log time between two sweeps of expired windows.
 const gcEvery = 10 * time.Minute
 
+// neverSwept is a Compressor's lastGC before its first sweep, which
+// the first record runs. Record times are never negative.
+const neverSwept int64 = -1
+
 // Compressor is the paper's §3.1 temporal-then-spatial compression:
-// one Step per classified record, in time order. Run drives one per
+// one Step per classified record, in time order, each at a time
+// raslog.TimeInRange admits. Windows compare times as Unix nanoseconds,
+// whose differences are exact inside that range. Run drives one per
 // job shard, online.Engine one per stream. Memory is bounded to the
 // keys touched within the larger threshold. Not safe for concurrent use.
 type Compressor struct {
@@ -67,11 +73,7 @@ type Compressor struct {
 	temporal windowSet[tkey, int]
 	spatial  windowSet[skey, sval]
 	next     int
-	lastGC   time.Time
-	// nextGC is the stamp from which Step sweeps: gcEvery past lastGC.
-	// The zero Time, lastGC before any sweep, stamps to the lowest
-	// int64, so the first record sweeps.
-	nextGC int64
+	lastGC   int64 // the last sweep's time, or neverSwept
 
 	// hot is the last spatial key Step looked up, its hash and its
 	// window (i, or none), and in a storm — one ENTRY DATA reported from
@@ -89,13 +91,12 @@ type Compressor struct {
 // NewCompressor builds an empty compressor; zero thresholds in opts
 // mean DefaultThreshold and Workers is ignored.
 func NewCompressor(opts Options) *Compressor {
-	c := &Compressor{
+	return &Compressor{
 		opts:     opts.withDefaults(),
 		temporal: newWindowSet[tkey, int](),
 		spatial:  newWindowSet[skey, sval](),
+		lastGC:   neverSwept,
 	}
-	c.setLastGC(time.Time{})
-	return c
 }
 
 // Step applies the temporal rule, then the spatial rule, to one record
@@ -106,9 +107,9 @@ func NewCompressor(opts Options) *Compressor {
 //
 //bglvet:hotpath
 func (c *Compressor) Step(ev *raslog.Event, subID int) (Verdict, int) {
-	now := stamp(ev.Time)
-	if now >= c.nextGC {
-		c.sweep(now, ev.Time)
+	now := ev.Time.UnixNano()
+	if c.lastGC == neverSwept || now-c.lastGC >= int64(gcEvery) {
+		c.sweep(now)
 	}
 
 	tk := tkey{job: ev.JobID, loc: ev.Location, sub: subID}
@@ -118,8 +119,8 @@ func (c *Compressor) Step(ev *raslog.Event, subID int) (Verdict, int) {
 	th := tk.hash()
 	ti := c.temporal.find(tk, th)
 	if ti != none {
-		if tw := &c.temporal.slab[ti]; sub(now, tw.at) <= int64(c.opts.TemporalThreshold) {
-			c.temporal.touch(ti, now, ev.Time)
+		if tw := &c.temporal.slab[ti]; now-tw.at <= int64(c.opts.TemporalThreshold) {
+			c.temporal.touch(ti, now)
 			return TemporalDuplicate, tw.val
 		}
 	}
@@ -131,33 +132,29 @@ func (c *Compressor) Step(ev *raslog.Event, subID int) (Verdict, int) {
 		h.i = c.spatial.find(sk, h.hash)
 	}
 	if h.i != none {
-		if sw := &c.spatial.slab[h.i]; sub(now, sw.at) <= int64(c.opts.SpatialThreshold) && ev.Location != sw.val.loc {
-			c.spatial.touch(h.i, now, ev.Time)
-			c.temporal.put(tk, th, ti, sw.val.slot, now, ev.Time)
+		if sw := &c.spatial.slab[h.i]; now-sw.at <= int64(c.opts.SpatialThreshold) && ev.Location != sw.val.loc {
+			c.spatial.touch(h.i, now)
+			c.temporal.put(tk, th, ti, sw.val.slot, now)
 			return SpatialDuplicate, sw.val.slot
 		}
 	}
 
 	slot := c.next
 	c.next++
-	c.temporal.put(tk, th, ti, slot, now, ev.Time)
-	h.i = c.spatial.put(sk, h.hash, h.i, sval{slot: slot, loc: ev.Location}, now, ev.Time)
+	c.temporal.put(tk, th, ti, slot, now)
+	h.i = c.spatial.put(sk, h.hash, h.i, sval{slot: slot, loc: ev.Location}, now)
 	return Unique, slot
 }
 
 // sweep prunes windows idle for longer than both thresholds; Step
 // runs it once gcEvery of log time has passed since the last. A pruned
 // key could no longer match, so pruning never changes a verdict.
-func (c *Compressor) sweep(now int64, t time.Time) {
-	c.setLastGC(t)
+func (c *Compressor) sweep(now int64) {
+	c.lastGC = now
 	c.hot.valid = false // the sweep may delete its window
-	cutoff := sub(now, int64(max(c.opts.TemporalThreshold, c.opts.SpatialThreshold)))
+	cutoff := now - int64(max(c.opts.TemporalThreshold, c.opts.SpatialThreshold))
 	c.temporal.expire(cutoff)
 	c.spatial.expire(cutoff)
-}
-
-func (c *Compressor) setLastGC(t time.Time) {
-	c.lastGC, c.nextGC = t, sub(stamp(t), -int64(gcEvery))
 }
 
 // Pending is the number of live compression windows, a memory gauge.
@@ -193,12 +190,15 @@ type CompressorState struct {
 
 // State exports the compressor's state.
 func (c *Compressor) State() CompressorState {
-	st := CompressorState{LastGC: c.lastGC, Next: c.next}
+	st := CompressorState{Next: c.next}
+	if c.lastGC != neverSwept {
+		st.LastGC = time.Unix(0, c.lastGC).UTC()
+	}
 	if t := &c.temporal; t.len() > 0 {
 		st.Temporal = make([]TemporalEntry, 0, t.len())
 		for i := t.head; i != none; i = t.slab[i].next {
 			w := &t.slab[i]
-			st.Temporal = append(st.Temporal, TemporalEntry{Job: w.key.job, Loc: w.key.loc, Sub: w.key.sub, Last: w.last, Slot: w.val})
+			st.Temporal = append(st.Temporal, TemporalEntry{Job: w.key.job, Loc: w.key.loc, Sub: w.key.sub, Last: time.Unix(0, w.at).UTC(), Slot: w.val})
 		}
 		slices.SortFunc(st.Temporal, func(a, b TemporalEntry) int {
 			return cmp.Or(cmp.Compare(a.Job, b.Job), compareLocation(a.Loc, b.Loc), cmp.Compare(a.Sub, b.Sub))
@@ -208,7 +208,7 @@ func (c *Compressor) State() CompressorState {
 		st.Spatial = make([]SpatialEntry, 0, s.len())
 		for i := s.head; i != none; i = s.slab[i].next {
 			w := &s.slab[i]
-			st.Spatial = append(st.Spatial, SpatialEntry{Job: w.key.job, Entry: w.key.entry, Last: w.last, Loc: w.val.loc, Slot: w.val.slot})
+			st.Spatial = append(st.Spatial, SpatialEntry{Job: w.key.job, Entry: w.key.entry, Last: time.Unix(0, w.at).UTC(), Loc: w.val.loc, Slot: w.val.slot})
 		}
 		slices.SortFunc(st.Spatial, func(a, b SpatialEntry) int {
 			return cmp.Or(cmp.Compare(a.Job, b.Job), cmp.Compare(a.Entry, b.Entry))
@@ -224,16 +224,21 @@ func compareLocation(a, b raslog.Location) int {
 
 // Restore replaces the compressor's state with an exported one; the
 // stream then continues exactly where the exporting compressor stopped.
+// Every time in st must be one raslog.TimeInRange admits, or, for
+// LastGC, zero.
 func (c *Compressor) Restore(st CompressorState) {
-	c.setLastGC(st.LastGC)
+	c.lastGC = neverSwept
+	if !st.LastGC.IsZero() {
+		c.lastGC = st.LastGC.UnixNano()
+	}
 	c.next = st.Next
 	c.hot.valid = false
-	c.temporal.fill(len(st.Temporal), func(j int) (tkey, int, time.Time) {
+	c.temporal.fill(len(st.Temporal), func(j int) (tkey, int, int64) {
 		t := &st.Temporal[j]
-		return tkey{job: t.Job, loc: t.Loc, sub: t.Sub}, t.Slot, t.Last
+		return tkey{job: t.Job, loc: t.Loc, sub: t.Sub}, t.Slot, t.Last.UnixNano()
 	})
-	c.spatial.fill(len(st.Spatial), func(j int) (skey, sval, time.Time) {
+	c.spatial.fill(len(st.Spatial), func(j int) (skey, sval, int64) {
 		s := &st.Spatial[j]
-		return skey{job: s.Job, entry: s.Entry}, sval{slot: s.Slot, loc: s.Loc}, s.Last
+		return skey{job: s.Job, entry: s.Entry}, sval{slot: s.Slot, loc: s.Loc}, s.Last.UnixNano()
 	})
 }

@@ -14,12 +14,13 @@ import (
 )
 
 // refCompressor is the Compressor before it kept its hot spatial
-// window, its windows in slabs and its times as stamps: every Step
+// window, its windows in slabs and its times as integers: every Step
 // hashes each key to look its window up and again to store it, compares
 // times with time.Time.Sub, and sweeps by ranging over both maps. Its
-// methods are the parent commit's verbatim but for the receiver's type
-// and the ref-prefixed window types below, which are the parent's own,
-// so a change to the live types cannot change the reference.
+// methods are the parent commit's verbatim but for the receiver's type,
+// the ref-prefixed window types below, which are the parent's own, so a
+// change to the live types cannot change the reference, and State
+// exporting its times in UTC.
 type refCompressor struct {
 	opts     Options
 	temporal map[refTKey]refTState
@@ -117,11 +118,11 @@ func (c *refCompressor) maybeGC(now time.Time) {
 func (c *refCompressor) Pending() int { return len(c.temporal) + len(c.spatial) }
 
 func (c *refCompressor) State() CompressorState {
-	st := CompressorState{LastGC: c.lastGC, Next: c.next}
+	st := CompressorState{LastGC: c.lastGC.UTC(), Next: c.next}
 	if len(c.temporal) > 0 {
 		st.Temporal = make([]TemporalEntry, 0, len(c.temporal))
 		for k, t := range c.temporal {
-			st.Temporal = append(st.Temporal, TemporalEntry{Job: k.job, Loc: k.loc, Sub: k.sub, Last: t.last, Slot: t.slot})
+			st.Temporal = append(st.Temporal, TemporalEntry{Job: k.job, Loc: k.loc, Sub: k.sub, Last: t.last.UTC(), Slot: t.slot})
 		}
 		slices.SortFunc(st.Temporal, func(a, b TemporalEntry) int {
 			return cmp.Or(cmp.Compare(a.Job, b.Job), compareLocation(a.Loc, b.Loc), cmp.Compare(a.Sub, b.Sub))
@@ -130,7 +131,7 @@ func (c *refCompressor) State() CompressorState {
 	if len(c.spatial) > 0 {
 		st.Spatial = make([]SpatialEntry, 0, len(c.spatial))
 		for k, s := range c.spatial {
-			st.Spatial = append(st.Spatial, SpatialEntry{Job: k.job, Entry: k.entry, Last: s.last, Loc: s.loc, Slot: s.slot})
+			st.Spatial = append(st.Spatial, SpatialEntry{Job: k.job, Entry: k.entry, Last: s.last.UTC(), Loc: s.loc, Slot: s.slot})
 		}
 		slices.SortFunc(st.Spatial, func(a, b SpatialEntry) int {
 			return cmp.Or(cmp.Compare(a.Job, b.Job), cmp.Compare(a.Entry, b.Entry))
@@ -247,23 +248,19 @@ func hotStreams() map[string][]hotRecord {
 	}
 	streams["random"] = take()
 
-	// The zero Time, which stamps clamp: first, so lastGC stays zero and
-	// every record sweeps until a real time arrives, and again after
-	// 2005, two thousand years back.
-	for i := 0; i < 40; i++ {
-		if i%10 == 0 {
-			at = time.Time{}
-		}
-		gap := time.Duration(0)
-		if i%10 > 4 {
-			gap = time.Duration(i%3) * time.Second
-		}
-		if i%10 == 5 {
-			at = t0
-		}
-		mk(gap, 7, chips[i%5], entryA, 1+i%2)
+	// The ends of the range a record's time may take: the epoch, whose
+	// Unix nanoseconds are 0, then a jump of 292 years, whose difference
+	// still fits in an int64, to a run ending on the range's last
+	// nanosecond.
+	at = time.Unix(0, 0).UTC()
+	for i := 0; i < 20; i++ {
+		mk(time.Duration(i%3)*time.Second, 7, chips[i%5], entryA, 1+i%2)
 	}
-	streams["zero time"] = take()
+	at = time.Unix(0, math.MaxInt64).UTC().Add(-20 * time.Minute)
+	for i := 0; i < 20; i++ {
+		mk(time.Minute, 7, chips[i%5], entryA, 1+i%2)
+	}
+	streams["range ends"] = take()
 
 	// Sub-second stamps, as cfdr's microsecond times give, straddling
 	// the one-second threshold by a microsecond and a nanosecond.
@@ -307,8 +304,8 @@ func hotStreams() map[string][]hotRecord {
 	mk(20*time.Minute+290*time.Second, 7, chips[3], entryB, 2)
 	streams["newest window moved back"] = take()
 
-	// Times in another zone: State exports each window's time as the
-	// record carried it.
+	// Times in another zone: windows keep Unix nanoseconds, and State
+	// exports them in UTC.
 	zone := time.FixedZone("UTC+1", 3600)
 	for i := 0; i < 200; i++ {
 		mk(gaps[rng.IntN(len(gaps))], 7, chips[rng.IntN(4)], entryA, 1)
@@ -320,7 +317,7 @@ func hotStreams() map[string][]hotRecord {
 
 // TestCompressorHotWindowMatchesReference: on every stream, every
 // option set and every checkpoint cadence, the compressor — hot window,
-// slabs, stamps and expiry order — answers each record with the
+// slabs, integer times and expiry order — answers each record with the
 // reference's verdict and slot,
 // agrees on Pending and exports the same State — with State, Pending
 // and a Restore into a fresh compressor landing mid-storm. Then both
@@ -370,41 +367,6 @@ func TestCompressorHotWindowMatchesReference(t *testing.T) {
 					hot.Restore(rewind)
 					run(mid)
 				})
-			}
-		}
-	}
-}
-
-// TestStampMatchesSub: between times inside the int64 nanosecond
-// range, the difference of two stamps is time.Time.Sub's, saturated
-// alike; outside it stamps clamp, the zero Time to the lowest int64;
-// and stamps never order two times the other way round.
-func TestStampMatchesSub(t *testing.T) {
-	zone := time.FixedZone("UTC-7", -7*3600)
-	inside := []time.Time{
-		time.Unix(0, math.MinInt64).UTC(), time.Unix(0, math.MinInt64+1), time.Date(1700, 1, 1, 0, 0, 0, 0, time.UTC),
-		time.Unix(-1, 999_999_999), time.Unix(0, 0), t0, t0.Add(time.Nanosecond), t0.Add(time.Microsecond).In(zone),
-		time.Date(2200, 1, 1, 0, 0, 0, 0, zone), time.Unix(0, math.MaxInt64-1), time.Unix(0, math.MaxInt64),
-	}
-	for _, a := range inside {
-		for _, b := range inside {
-			if got, want := sub(stamp(a), stamp(b)), int64(a.Sub(b)); got != want {
-				t.Errorf("sub(stamp(%v), stamp(%v)) = %d, Sub says %d", a, b, got, want)
-			}
-		}
-	}
-	if got := stamp(time.Time{}); got != math.MinInt64 {
-		t.Errorf("stamp of the zero Time = %d, want the lowest int64", got)
-	}
-	if got := stamp(time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)); got != math.MaxInt64 {
-		t.Errorf("stamp of the year 3000 = %d, want the highest int64", got)
-	}
-	all := append([]time.Time{{}, time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC), time.Unix(0, math.MinInt64).Add(-1),
-		time.Unix(0, math.MaxInt64).Add(1), time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)}, inside...)
-	for _, a := range all {
-		for _, b := range all {
-			if a.Before(b) && stamp(a) > stamp(b) {
-				t.Errorf("%v is before %v, but its stamp %d is after %d", a, b, stamp(a), stamp(b))
 			}
 		}
 	}

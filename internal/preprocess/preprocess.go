@@ -111,7 +111,8 @@ const maxShards = 16
 const shardMinRecords = 4096
 
 // Run executes Phase 1 over raw records. The input must be sorted by
-// time (raslog.SortEvents); Run does not modify it.
+// time (raslog.SortEvents), every time in raslog.TimeInRange, as the
+// decoders give them; Run checks neither and does not modify it.
 func Run(raw []raslog.Event, opts Options) *Result {
 	opts = opts.withDefaults()
 	subs := classifyParallel(raw, opts.Workers)

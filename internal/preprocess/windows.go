@@ -3,46 +3,9 @@ package preprocess
 import (
 	"cmp"
 	"hash/maphash"
-	"math"
 	"math/bits"
 	"slices"
-	"time"
 )
-
-// stamp is t in nanoseconds since the Unix epoch, the form windows
-// compare times in: an integer subtraction where time.Time.Sub decodes
-// both operands and checks its result for overflow. Times outside the
-// int64 range (before 1678 or after 2262, the zero Time among them)
-// clamp to its ends; between two times inside it, sub(stamp(a),
-// stamp(b)) is a.Sub(b) exactly.
-func stamp(t time.Time) int64 {
-	const sec = int64(time.Second)
-	const lo, hi = math.MinInt64/sec - 1, math.MaxInt64 / sec // the seconds holding a nanosecond in range
-	s, ns := t.Unix(), int64(t.Nanosecond())
-	switch {
-	case s < lo:
-		return math.MinInt64
-	case s > hi:
-		return math.MaxInt64
-	case s < 0: // (s+1)*sec fits where s*sec may not
-		return sub((s+1)*sec, sec-ns)
-	default:
-		return sub(s*sec, -ns)
-	}
-}
-
-// sub is a - b, saturated to the int64 range as time.Time.Sub
-// saturates.
-func sub(a, b int64) int64 {
-	d := a - b
-	if (a^b)&(a^d) < 0 { // a and b differ in sign and d differs from a: overflow
-		if a < 0 {
-			return math.MinInt64
-		}
-		return math.MaxInt64
-	}
-	return d
-}
 
 // none is the index of no window.
 const none int32 = -1
@@ -72,15 +35,13 @@ type key interface {
 
 // window is one compression window: the key it is filed under and that
 // key's hash, what it holds, and the time of the last record it
-// absorbed, both as the record carried it (last, which State exports)
-// and as a stamp (at, which verdicts and the expiry order compare).
-// prev and next thread the set's expiry order.
+// absorbed in Unix nanoseconds (at). prev and next thread the set's
+// expiry order.
 type window[K key, V any] struct {
 	key        K
 	val        V
 	hash       uint64
 	at         int64
-	last       time.Time
 	prev, next int32
 }
 
@@ -127,13 +88,13 @@ func (w *windowSet[K, V]) find(k K, h uint64) int32 {
 	}
 }
 
-// put makes (val, at, last) the window of k, hashed h: window i, which
-// find returned, or a new one when that was none. It returns the
-// window's index.
-func (w *windowSet[K, V]) put(k K, h uint64, i int32, val V, at int64, last time.Time) int32 {
+// put makes (val, at) the window of k, hashed h: window i, which find
+// returned, or a new one when that was none. It returns the window's
+// index.
+func (w *windowSet[K, V]) put(k K, h uint64, i int32, val V, at int64) int32 {
 	if i != none {
 		w.slab[i].val = val
-		w.touch(i, at, last)
+		w.touch(i, at)
 		return i
 	}
 	if 2*(w.n+1) > len(w.slots) {
@@ -148,7 +109,7 @@ func (w *windowSet[K, V]) put(k K, h uint64, i int32, val V, at int64, last time
 	x := &w.slab[i] // zero: new, or cleared by expire; link sets the rest
 	x.key, x.val, x.hash = k, val, h
 	w.file(i)
-	w.link(i, at, last)
+	w.link(i, at)
 	return i
 }
 
@@ -192,22 +153,22 @@ func (w *windowSet[K, V]) unfile(i int32) {
 	w.n--
 }
 
-// touch moves window i's last record to (at, last).
-func (w *windowSet[K, V]) touch(i int32, at int64, last time.Time) {
+// touch moves window i's last record to at.
+func (w *windowSet[K, V]) touch(i int32, at int64) {
 	if x := &w.slab[i]; i == w.tail && (x.prev == none || w.slab[x.prev].at <= at) {
-		x.at, x.last = at, last // still the newest
+		x.at = at // still the newest
 		return
 	}
 	w.unlink(i)
-	w.link(i, at, last)
+	w.link(i, at)
 }
 
 // link gives unlinked window i its time and threads it in behind the
 // newest window no later than it: the tail, when records come in time
 // order.
-func (w *windowSet[K, V]) link(i int32, at int64, last time.Time) {
+func (w *windowSet[K, V]) link(i int32, at int64) {
 	x := &w.slab[i]
-	x.at, x.last = at, last
+	x.at = at
 	p := w.tail
 	for p != none && w.slab[p].at > at {
 		p = w.slab[p].prev
@@ -263,13 +224,13 @@ func (w *windowSet[K, V]) expire(cutoff int64) {
 // fill replaces the set's windows with n, the j-th as entry(j) gives
 // it; a key given twice keeps its later window, as a map assignment
 // would.
-func (w *windowSet[K, V]) fill(n int, entry func(j int) (K, V, time.Time)) {
+func (w *windowSet[K, V]) fill(n int, entry func(j int) (K, V, int64)) {
 	*w = newWindowSet[K, V]()
 	if n > 0 {
 		w.slots = make([]int32, max(4, 1<<bits.Len(uint(2*n-1))))
 	}
 	for j := 0; j < n; j++ {
-		k, val, last := entry(j)
+		k, val, at := entry(j)
 		h := k.hash()
 		i := w.find(k, h)
 		if i == none {
@@ -277,7 +238,7 @@ func (w *windowSet[K, V]) fill(n int, entry func(j int) (K, V, time.Time)) {
 			w.slab = append(w.slab, window[K, V]{key: k, hash: h})
 			w.file(i)
 		}
-		w.slab[i].val, w.slab[i].at, w.slab[i].last = val, stamp(last), last
+		w.slab[i].val, w.slab[i].at = val, at
 	}
 	order := make([]int32, len(w.slab))
 	for i := range order {
@@ -285,6 +246,6 @@ func (w *windowSet[K, V]) fill(n int, entry func(j int) (K, V, time.Time)) {
 	}
 	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(w.slab[a].at, w.slab[b].at) })
 	for _, i := range order {
-		w.link(i, w.slab[i].at, w.slab[i].last)
+		w.link(i, w.slab[i].at)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"testing"
-	"time"
 
 	"bglpred/internal/raslog"
 )
@@ -91,7 +90,7 @@ func driveWindowSet[K key](t *testing.T, keys []K, steps int, seed uint64) {
 			h := k.hash()
 			i := w.find(k, h)
 			val := rng.IntN(1000)
-			got := w.put(k, h, i, val, at, time.Unix(0, at))
+			got := w.put(k, h, i, val, at)
 			if want, ok := ref.idx[k]; ok && got != want {
 				t.Fatalf("step %d: touching %v moved its window from %d to %d", step, k, want, got)
 			}
@@ -121,7 +120,7 @@ func driveWindowSet[K key](t *testing.T, keys []K, steps int, seed uint64) {
 			for j := range es {
 				es[j] = entry{keys[rng.IntN(len(keys))], rng.IntN(1000), now - int64(rng.IntN(60))}
 			}
-			w.fill(n, func(j int) (K, int, time.Time) { return es[j].k, es[j].val, time.Unix(0, es[j].at) })
+			w.fill(n, func(j int) (K, int, int64) { return es[j].k, es[j].val, es[j].at })
 			ref = newRefSet[K]()
 			ref.peak = n
 			for _, e := range es { // a later entry of a key replaces its earlier one
@@ -167,7 +166,7 @@ func TestWindowSetFillKeepsLaterWindow(t *testing.T) {
 		val int
 		at  int64
 	}{{1, 10, 5}, {2, 20, 6}, {1, 11, 3}, {3, 30, 7}, {2, 21, 9}}
-	w.fill(len(es), func(j int) (flatKey, int, time.Time) { return es[j].k, es[j].val, time.Unix(0, es[j].at) })
+	w.fill(len(es), func(j int) (flatKey, int, int64) { return es[j].k, es[j].val, es[j].at })
 	if w.len() != 3 {
 		t.Fatalf("%d windows, want 3", w.len())
 	}

@@ -174,10 +174,8 @@ func (w *WireWriter) Write(e *Event) error {
 	if len(e.Facility) > wireMaxString || len(e.EntryData) > wireMaxString || len(e.Type) > wireMaxString {
 		return fmt.Errorf("raslog: record %d: wire string over %d bytes", e.RecID, wireMaxString)
 	}
-	if l := e.Location; l.Kind < KindUnknown || l.Kind > KindServiceCard ||
-		uint(l.Rack) > wireMaxLocField || uint(l.Midplane) > wireMaxLocField ||
-		uint(l.Card) > wireMaxLocField || uint(l.Chip) > wireMaxLocField {
-		return fmt.Errorf("raslog: record %d: location %+v out of wire range", e.RecID, l)
+	if !wireCarries(e.Location) {
+		return fmt.Errorf("raslog: record %d: location %+v out of wire range", e.RecID, e.Location)
 	}
 	if w.n > 0 && (w.nstr+w.missing(e) > wireMaxFrameStrings || len(w.payload) >= wireFlushPayload) {
 		if err := w.Flush(); err != nil {
@@ -221,6 +219,14 @@ func (w *WireWriter) Write(e *Event) error {
 	w.n++
 	w.count++
 	return nil
+}
+
+// wireCarries reports whether the wire carries location l, a kind the
+// decoder knows with no number past wireMaxLocField.
+func wireCarries(l Location) bool {
+	return l.Kind >= KindUnknown && l.Kind <= KindServiceCard &&
+		uint(l.Rack) <= wireMaxLocField && uint(l.Midplane) <= wireMaxLocField &&
+		uint(l.Card) <= wireMaxLocField && uint(l.Chip) <= wireMaxLocField
 }
 
 // Flush emits the pending frame, if any, and resets the per-frame
@@ -673,14 +679,13 @@ func decodeWireLocation(body []byte, loc *Location) (int, error) {
 }
 
 // wireSec admits a record's time, baseSec+dsec seconds, and returns it:
-// false when the sum wraps or falls outside the times a time.Time in
-// int64 nanoseconds holds, which every backend refuses. The decoders and
-// the gate's peek share it, so the gate dates a record only if a backend
-// would take it.
+// false when the sum wraps or is a time TimeInRange refuses, as every
+// backend does. The decoders and the gate's peek share it, so the gate
+// dates a record only if a backend would take it.
 func wireSec(baseSec, dsec int64) (int64, bool) {
 	// The sum wraps exactly when it moves against dsec's sign.
 	sec := baseSec + dsec
-	if (sec > baseSec) != (dsec > 0) || sec < minSec || sec > maxSec {
+	if (sec > baseSec) != (dsec > 0) || !TimeInRange(time.Unix(sec, 0)) {
 		return 0, false
 	}
 	return sec, true
@@ -834,16 +839,6 @@ func (s *WireScanner) Next() (*WireFrame, error) {
 // binary log file, whose bytes are also a valid ingest body.
 func WriteWireFile(path string, events []Event) error {
 	return writeEvents(path, events, NewWireWriter)
-}
-
-// ReadWireFile reads a wire-frame file written by WriteWireFile.
-func ReadWireFile(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return readWire(f)
 }
 
 // readWire decodes a stream of wire frames to its end.

@@ -50,7 +50,7 @@ func decodeWire(t testing.TB, data []byte) []Event {
 
 func TestWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(91, 92))
-	events := sortedRandomEvents(rng, 2000)
+	events := append(sortedRandomEvents(rng, 2000), mkEvent(2000, rangeStart), mkEvent(2001, rangeEnd))
 	got := decodeWire(t, encodeWire(t, events))
 	if len(got) != len(events) {
 		t.Fatalf("read %d, want %d", len(got), len(events))
@@ -309,6 +309,8 @@ func TestWireWriterRejectsInvalid(t *testing.T) {
 	cases := map[string]func(*Event){
 		"empty type":      func(e *Event) { e.Type = "" },
 		"zero time":       func(e *Event) { e.Time = time.Time{} },
+		"before 1970":     func(e *Event) { e.Time = beforeRange },
+		"after 2262":      func(e *Event) { e.Time = afterRange },
 		"bad severity":    func(e *Event) { e.Severity = 42 },
 		"long string":     func(e *Event) { e.EntryData = strings.Repeat("x", wireMaxString+1) },
 		"rack over range": func(e *Event) { e.Location.Rack = wireMaxLocField + 1 },
@@ -364,10 +366,10 @@ func TestWireStringInterning(t *testing.T) {
 	}
 }
 
-// TestReadWireFileRejectsCorruption: a damaged binary log file fails
+// TestReadWireRejectsCorruption: a damaged binary log file fails
 // with a frame-level wire error rather than reading cleanly, hanging or
 // panicking.
-func TestReadWireFileRejectsCorruption(t *testing.T) {
+func TestReadWireRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewPCG(51, 52))
 	data := encodeWire(t, sortedRandomEvents(rng, 50))
 	badVersion := append([]byte(nil), data...)
@@ -384,12 +386,8 @@ func TestReadWireFileRejectsCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "log.bglw")
-			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ReadWireFile(path); !errors.Is(err, errWire) {
-				t.Fatalf("ReadWireFile = %v, want a corrupt-frame error", err)
+			if _, err := readWire(bytes.NewReader(tc.data)); !errors.Is(err, errWire) {
+				t.Fatalf("readWire = %v, want a corrupt-frame error", err)
 			}
 		})
 	}
@@ -402,18 +400,11 @@ func TestWriteWireFileReadAnyFile(t *testing.T) {
 	if err := WriteWireFile(path, events); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadWireFile(path)
+	got, err := ReadAnyFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(events) || got[0] != events[0] || got[len(got)-1] != events[len(events)-1] {
-		t.Fatal("ReadWireFile mismatch")
-	}
-	got, err = ReadAnyFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(events) || got[0] != events[0] {
 		t.Fatal("ReadAnyFile did not sniff the wire magic")
 	}
 

@@ -109,9 +109,10 @@ func parseCFDRLine(line string) (Event, error) {
 		return Event{}, err
 	}
 	loc, err := ParseCFDRLocation(fields[3])
-	if err != nil {
+	if err != nil || !wireCarries(loc) {
 		// Some records locate at named services ("UNKNOWN_LOCATION",
-		// "NULL"); keep them with an unknown location.
+		// "NULL"); keep them, and any location the wire cannot carry,
+		// with an unknown location.
 		loc = Location{}
 	}
 	msg := ""
@@ -120,16 +121,22 @@ func parseCFDRLine(line string) (Event, error) {
 	}
 	// The log dialect reserves '|'; the public trace never uses it in
 	// practice, but sanitize defensively.
-	msg = strings.ReplaceAll(msg, "|", "/")
-	return Event{
-		Type:      fields[6],
+	clean := func(s string) string { return strings.ReplaceAll(s, "|", "/") }
+	ev := Event{
+		Type:      clean(fields[6]),
 		Time:      time.Unix(sec, 0).UTC(),
 		JobID:     NoJob, // the public trace has no JOB ID column
 		Location:  loc,
-		Facility:  fields[7],
+		Facility:  clean(fields[7]),
 		Severity:  sev,
-		EntryData: msg,
-	}, nil
+		EntryData: clean(msg),
+	}
+	// A record Validate refuses, a time outside TimeInRange among them,
+	// is one neither writer would take.
+	if err := ev.Validate(); err != nil {
+		return Event{}, err
+	}
+	return ev, nil
 }
 
 // ParseCFDRLocation parses LLNL's location grammar:

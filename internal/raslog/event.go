@@ -6,17 +6,21 @@ import (
 	"time"
 )
 
-// The times a record may carry are those int64 nanoseconds since the
-// Unix epoch can hold, 1677-09-21 to 2262-04-11; the predictor compares
-// times as such integers. Both decoders refuse a record outside them as
-// undecodable. BG/L logs span 2004–2006.
-var minTime, maxTime = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+// TimeInRange reports whether t is a time a record may carry: from the
+// Unix epoch to the last nanosecond that int64 nanoseconds since it
+// hold, 2262-04-11T23:47:16.854775807Z. Inside that range UnixNano is
+// exact and never negative, so the difference of any two such times is
+// an exact int64, and the predictor subtracts times as such integers.
+// Every door refuses a record outside it: both decoders, the gate's
+// peek, the CFDR reader, both writers (through Validate), online ingest
+// and Engine.Restore. BG/L logs span 2004–2006.
+func TimeInRange(t time.Time) bool {
+	s := t.Unix()
+	return s >= 0 && (s < maxSec || s == maxSec && int64(t.Nanosecond()) <= maxNsec)
+}
 
-// minSec and maxSec are the whole seconds inside [minTime, maxTime].
-const minSec, maxSec = math.MinInt64 / int64(time.Second), math.MaxInt64 / int64(time.Second)
-
-// timeInRange reports whether t is inside [minTime, maxTime].
-func timeInRange(t time.Time) bool { return !t.Before(minTime) && !t.After(maxTime) }
+// maxSec and maxNsec are the second and nanosecond the range ends in.
+const maxSec, maxNsec = math.MaxInt64 / int64(time.Second), math.MaxInt64 % int64(time.Second)
 
 // NoJob is the JOB ID value for records not attributable to a user job
 // (for example service-card or link-card events raised by CMCS itself).
@@ -91,8 +95,8 @@ func (e *Event) Validate() error {
 	switch {
 	case e.Type == "":
 		return fmt.Errorf("raslog: record %d: empty event type", e.RecID)
-	case e.Time.IsZero():
-		return fmt.Errorf("raslog: record %d: zero timestamp", e.RecID)
+	case !TimeInRange(e.Time):
+		return fmt.Errorf("raslog: record %d: time %s out of range", e.RecID, e.Time.UTC().Format(time.RFC3339Nano))
 	case !e.Severity.Valid():
 		return fmt.Errorf("raslog: record %d: invalid severity %d", e.RecID, int(e.Severity))
 	}
@@ -122,14 +126,4 @@ func SortEvents(events []Event) {
 		copy(events[lo+1:i+1], events[lo:i])
 		events[lo] = ev
 	}
-}
-
-// EventsSorted reports whether events are ordered by (Time, RecID).
-func EventsSorted(events []Event) bool {
-	for i := 1; i < len(events); i++ {
-		if events[i].Before(&events[i-1]) {
-			return false
-		}
-	}
-	return true
 }

@@ -22,6 +22,15 @@ func mkEvent(recID int64, t time.Time) Event {
 
 var t0 = time.Date(2005, 1, 21, 0, 0, 0, 0, time.UTC)
 
+// The second before the range a record's time may take, its ends in
+// whole seconds, and the second after it.
+var (
+	beforeRange = time.Date(1969, 12, 31, 23, 59, 59, 0, time.UTC)
+	rangeStart  = time.Date(1970, 1, 1, 0, 0, 0, 0, time.UTC)
+	rangeEnd    = time.Date(2262, 4, 11, 23, 47, 16, 0, time.UTC)
+	afterRange  = time.Date(2262, 4, 11, 23, 47, 17, 0, time.UTC)
+)
+
 func TestEventBefore(t *testing.T) {
 	a := mkEvent(1, t0)
 	b := mkEvent(2, t0)
@@ -48,6 +57,8 @@ func TestEventValidate(t *testing.T) {
 	cases := map[string]func(*Event){
 		"empty type":   func(e *Event) { e.Type = "" },
 		"zero time":    func(e *Event) { e.Time = time.Time{} },
+		"before 1970":  func(e *Event) { e.Time = beforeRange },
+		"after 2262":   func(e *Event) { e.Time = afterRange },
 		"bad severity": func(e *Event) { e.Severity = 17 },
 	}
 	for name, mutate := range cases {
@@ -76,8 +87,10 @@ func TestSortEventsOnShuffled(t *testing.T) {
 	}
 	rng.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
 	SortEvents(events)
-	if !EventsSorted(events) {
-		t.Fatal("SortEvents left events unsorted")
+	for i := 1; i < len(events); i++ {
+		if events[i].Before(&events[i-1]) {
+			t.Fatalf("SortEvents left event %d before event %d", i, i-1)
+		}
 	}
 	// All 500 RecIDs must survive (permutation, not overwrite).
 	seen := make(map[int64]bool, len(events))

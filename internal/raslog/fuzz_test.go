@@ -3,6 +3,8 @@ package raslog
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,7 +73,7 @@ func FuzzParseLine(f *testing.F) {
 // FuzzReadAnyFile feeds arbitrary file contents to the format sniffer:
 // it must never panic, must name the retired format for any file that
 // opens with its magic, and must read any file that opens with the
-// wire magic exactly as ReadWireFile does.
+// wire magic exactly as the wire decoder reads its bytes.
 func FuzzReadAnyFile(f *testing.F) {
 	e1 := mkEvent(1, t0)
 	e2 := mkEvent(2, t0.Add(time.Minute))
@@ -100,9 +102,9 @@ func FuzzReadAnyFile(f *testing.F) {
 				t.Fatalf("retired-format file read as %d events, err %v", len(got), err)
 			}
 		case bytes.HasPrefix(data, []byte(wireMagic)):
-			want, werr := ReadWireFile(path)
+			want, werr := readWire(bytes.NewReader(data))
 			if (err == nil) != (werr == nil) || len(got) != len(want) {
-				t.Fatalf("ReadAnyFile = %d events, %v; ReadWireFile = %d events, %v", len(got), err, len(want), werr)
+				t.Fatalf("ReadAnyFile = %d events, %v; readWire = %d events, %v", len(got), err, len(want), werr)
 			}
 		}
 	})
@@ -119,6 +121,56 @@ func FuzzParseSeverity(f *testing.F) {
 		}
 		if sev.String() != strings.ToUpper(text) {
 			t.Fatalf("accepted %q as %v", text, sev)
+		}
+	})
+}
+
+// FuzzCFDRLineRoundTrip: any line the CFDR reader accepts is a record
+// both writers accept and both decoders read back equal, so a public
+// log converts to the log dialect or the wire without a record its own
+// reader refuses. Seeds sit on the range a record's time may take and
+// a second past each end, and carry an empty type, a reserved '|' and
+// location numbers past what the wire carries.
+func FuzzCFDRLineRoundTrip(f *testing.F) {
+	for _, line := range strings.Split(cfdrSample, "\n") {
+		f.Add(line)
+	}
+	const line = "- %d 2005.06.03 R02-M1-N0-C:J12-U11 2005-06-03-15.42.50.363779 R02-M1-N0-C:J12-U11 RAS KERNEL INFO parity error"
+	for _, sec := range []int64{-1, 0, maxSec, maxSec + 1, math.MinInt64, math.MaxInt64} {
+		f.Add(fmt.Sprintf(line, sec))
+	}
+	for _, line := range []string{
+		"- 0 d R02 x R02  KERNEL INFO m", "- 0 d R02 x R02 R|S K|X INFO m|n",
+		"- 0 d R9999999999 x l RAS KERNEL INFO m", "- 0 d R02-M1-N0-C:J4611686018427387904-U11 x l RAS KERNEL INFO m",
+	} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		r := NewCFDRReader(strings.NewReader(line))
+		r.Strict = true
+		ev, err := r.Read()
+		if err != nil {
+			return
+		}
+		var text, wire bytes.Buffer
+		tw, ww := NewWriter(&text), NewWireWriter(&wire)
+		if err := tw.Write(&ev); err != nil {
+			t.Fatalf("Writer refused %+v: %v", ev, err)
+		}
+		if err := ww.Write(&ev); err != nil {
+			t.Fatalf("WireWriter refused %+v: %v", ev, err)
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ww.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if back, err := NewReader(&text).Read(); err != nil || back != ev {
+			t.Fatalf("text decoder read %+v, %v; want %+v", back, err, ev)
+		}
+		if back, err := NewWireDecoder(&wire).ReadFrame(); err != nil || len(back) != 1 || back[0] != ev {
+			t.Fatalf("wire decoder read %+v, %v; want %+v", back, err, ev)
 		}
 	})
 }

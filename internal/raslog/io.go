@@ -37,7 +37,7 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
 }
 
-// Write appends one record. A pipe or newline in ENTRY_DATA or
+// Write appends one record. A pipe or newline in TYPE, ENTRY_DATA or
 // FACILITY is refused: the dialect reserves them, though a lenient
 // Reader and the wire carry them. The first error encountered is
 // sticky.
@@ -48,6 +48,8 @@ func (w *Writer) Write(e *Event) error {
 	err := e.Validate()
 	switch {
 	case err != nil:
+	case strings.ContainsAny(e.Type, "\n|"):
+		err = fmt.Errorf("raslog: record %d: type contains reserved characters", e.RecID)
 	case strings.ContainsAny(e.EntryData, "\n|"):
 		err = fmt.Errorf("raslog: record %d: entry data contains reserved characters", e.RecID)
 	case strings.ContainsAny(e.Facility, "\n|"):
@@ -437,11 +439,11 @@ func scanInt(b []byte, i int) (int64, int, bool) {
 // scanTime parses the TIME field at b[i:] as
 // time.ParseInLocation(timeLayout, field, time.UTC) does when the field
 // has exactly the layout's shape: nineteen bytes, every number at full
-// width, in a year wholly inside [minTime, maxTime], then '|'. (The
-// general parser also takes a one-digit hour and fractional seconds,
-// and decides the years at the ends.) CMCS stamps whole seconds, so raw
-// logs carry long same-second runs; the last stamp is cached once one
-// has decoded. It returns the index past the '|'.
+// width, in a year wholly inside the range TimeInRange admits, then
+// '|'. (The general parser also takes a one-digit hour and fractional
+// seconds, and decides every other year.) CMCS stamps whole seconds,
+// so raw logs carry long same-second runs; the last stamp is cached
+// once one has decoded. It returns the index past the '|'.
 func (r *Reader) scanTime(b []byte, i int) (time.Time, int, bool) {
 	j := i + len(timeLayout)
 	if j >= len(b) || b[j] != '|' {
@@ -458,7 +460,7 @@ func (r *Reader) scanTime(b []byte, i int) (time.Time, int, bool) {
 	month, day := digits2(b[5:7]), digits2(b[8:10])
 	hour, minute, sec := digits2(b[11:13]), digits2(b[14:16]), digits2(b[17:19])
 	year := 100*century + yy
-	if century < 0 || yy < 0 || year < 1678 || year > 2261 || month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
+	if century < 0 || yy < 0 || year < 1970 || year > 2261 || month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
 		hour < 0 || hour > 23 || minute < 0 || minute > 59 || sec < 0 || sec > 59 {
 		return time.Time{}, 0, false
 	}
@@ -607,11 +609,11 @@ func daysIn(month, year int) int {
 }
 
 // parseSlow is the general decoder of every line decode passed over.
-// It refuses a record whose time is outside [minTime, maxTime].
+// It refuses a record whose time TimeInRange refuses.
 func parseSlow(line []byte) (Event, error) {
 	//bglvet:ignore hotpathalloc the general parser works on a string; lines in Writer's spelling never reach it
 	ev, err := parseLine(string(line))
-	if err == nil && !timeInRange(ev.Time) {
+	if err == nil && !TimeInRange(ev.Time) {
 		return Event{}, parsef("raslog: time %s out of range", ev.Time.UTC().Format(timeLayout))
 	}
 	return ev, err

@@ -39,6 +39,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	for i := range events {
 		events[i] = randomEvent(rng, int64(i))
 	}
+	events = append(events, mkEvent(1000, rangeStart), mkEvent(1001, rangeEnd))
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for i := range events {
@@ -49,8 +50,8 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if w.Count() != 1000 {
-		t.Fatalf("Count = %d, want 1000", w.Count())
+	if w.Count() != 1002 {
+		t.Fatalf("Count = %d, want 1002", w.Count())
 	}
 
 	got, err := NewReader(&buf).ReadAll()
@@ -70,6 +71,9 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 func TestWriterRejectsInvalid(t *testing.T) {
 	cases := map[string]func(*Event){
 		"empty type":          func(e *Event) { e.Type = "" },
+		"before 1970":         func(e *Event) { e.Time = beforeRange },
+		"after 2262":          func(e *Event) { e.Time = afterRange },
+		"pipe in type":        func(e *Event) { e.Type = "R|S" },
 		"pipe in entry":       func(e *Event) { e.EntryData = "has|pipe" },
 		"newline in entry":    func(e *Event) { e.EntryData = "a\nb" },
 		"pipe in facility":    func(e *Event) { e.Facility = "a|b" },

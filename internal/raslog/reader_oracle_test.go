@@ -24,8 +24,9 @@ import (
 // learned to parse from its line buffer — bufio.Scanner, strings.SplitN,
 // strconv, time.ParseInLocation, fmt — kept here so the zero-alloc
 // paths have an oracle that shares none of their code. One rule was
-// added since: a record whose time int64 nanoseconds since the epoch
-// cannot hold (before 1677-09-21 or after 2262-04-11) is undecodable,
+// added since: a record whose time is before the Unix epoch or after
+// the last nanosecond int64 nanoseconds since it hold (2262-04-11) is
+// undecodable,
 // and one branch went with the NDJSON spelling: a line that opens with
 // '{' is split on its pipes like any other. Reader must
 // agree with it on every event, every error text, every LineError and
@@ -117,7 +118,7 @@ func refParseLocation(text string) (raslog.Location, error) {
 }
 
 func refParseSeverity(text string) (raslog.Severity, error) {
-	for _, sev := range raslog.Severities() {
+	for sev := raslog.Severity(0); sev.Valid(); sev++ {
 		if sev.String() == text {
 			return sev, nil
 		}
@@ -185,7 +186,7 @@ func (r *refReader) Read() (raslog.Event, error) {
 		}
 		r.last = line
 		ev, err := refParseLine(line)
-		if err == nil && (ev.Time.Before(time.Unix(0, math.MinInt64)) || ev.Time.After(time.Unix(0, math.MaxInt64))) {
+		if err == nil && (ev.Time.Before(time.Unix(0, 0)) || ev.Time.After(time.Unix(0, math.MaxInt64))) {
 			ev, err = raslog.Event{}, fmt.Errorf("raslog: time %s out of range", ev.Time.UTC().Format(refTimeLayout))
 		}
 		if err != nil {
@@ -409,9 +410,9 @@ func edgeLines() []string {
 		"2005-01-21 24:00:00", "2005-01-21 23:60:00", "2005-01-21 23:59:60", "0000-01-01 00:00:00",
 		"9999-12-31 23:59:59", "2005/01/21 00:00:00", "2005-01-21T00:00:00", "2005-01-21 00-00-00",
 		"2oo5-01-21 00:00:00", "2005-01-21 00:00:0x", "+005-01-21 00:00:00", "2005-01-21 -1:00:00", "",
-		// The years the one-pass parser covers end with 2261; the
-		// general parser decides 1677, 1678 and 2262 against the
-		// int64-nanosecond range.
+		// The years the one-pass parser covers run from 1970 to 2261;
+		// the general parser decides earlier years and 2262 against
+		// the range.
 		"2261-12-31 23:59:59", "2262-01-01 00:00:00", "2262-04-11 23:47:16", "2262-04-11 23:47:17",
 		"1678-01-01 00:00:00", "1677-12-31 23:59:59", "1970-01-01 00:00:00", "1969-12-31 23:59:59",
 		"2000-03-01 00:00:00", "2100-02-28 23:59:59", "2100-03-01 00:00:00",

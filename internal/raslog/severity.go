@@ -59,13 +59,3 @@ func ParseSeverity(text string) (Severity, error) {
 	}
 	return 0, parsef("raslog: unknown severity %q", text)
 }
-
-// Severities returns all six severity levels in increasing order.
-// The slice is freshly allocated; callers may mutate it.
-func Severities() []Severity {
-	out := make([]Severity, numSeverities)
-	for i := range out {
-		out[i] = Severity(i)
-	}
-	return out
-}

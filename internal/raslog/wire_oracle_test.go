@@ -197,10 +197,11 @@ func refPeekWireEvent(body []byte, baseSec int64) (Location, time.Time, error) {
 }
 
 // refTimeInRange reports whether baseSec+dsec, summed without wrapping,
-// is a whole second int64 nanoseconds since the epoch can hold.
+// is a whole second from the epoch on that int64 nanoseconds since it
+// can hold.
 func refTimeInRange(baseSec, dsec int64) bool {
 	sum := new(big.Int).Add(big.NewInt(baseSec), big.NewInt(dsec))
-	return sum.Cmp(big.NewInt(math.MinInt64/int64(time.Second))) >= 0 && sum.Cmp(big.NewInt(math.MaxInt64/int64(time.Second))) <= 0
+	return sum.Sign() >= 0 && sum.Cmp(big.NewInt(math.MaxInt64/int64(time.Second))) <= 0
 }
 
 // skipLog records OnSkip calls as (record bytes, error text).
@@ -444,15 +445,17 @@ func rebaseFrame(t testing.TB, body []byte, baseSec int64, dsecs ...int64) []byt
 	return append(AppendWireFrameHeader(nil, baseSec, f.BaseRecID, len(payload)), payload...)
 }
 
-// timeEdgeFrames are frames at the int64 ends whose time deltas bring
-// some events back into range and make others' sums wrap: MaxInt64 +
-// MaxInt64 wraps to -2 and MinInt64 + MinInt64 to 0, times that look
-// valid and must be refused.
+// timeEdgeFrames are frames at the int64 ends and at the epoch whose
+// time deltas bring some events into range, put others a second past
+// its ends, and make others' sums wrap: MaxInt64 + MaxInt64 wraps to -2
+// and MinInt64 + MinInt64 to 0, the epoch, a time that looks valid and
+// must be refused.
 func timeEdgeFrames(t testing.TB, body []byte) []byte {
 	t.Helper()
 	hi := rebaseFrame(t, body, math.MaxInt64, math.MaxInt64, 0, -math.MaxInt64, maxSec-math.MaxInt64, maxSec-math.MaxInt64+1, math.MinInt64, -1)
-	lo := rebaseFrame(t, body, math.MinInt64, math.MinInt64, -1, math.MaxInt64, minSec-math.MinInt64, minSec-math.MinInt64-1, 1, 0)
-	return append(hi, lo...)
+	lo := rebaseFrame(t, body, math.MinInt64, math.MinInt64, -1, math.MaxInt64, 1, 0)
+	epoch := rebaseFrame(t, body, 0, 0, -1, maxSec, maxSec+1, math.MinInt64, math.MaxInt64)
+	return append(append(hi, lo...), epoch...)
 }
 
 // wireFrames encodes events as one frame per chunk of size n.

@@ -325,7 +325,9 @@ func TestRequestDeadlineBoundsShardWait(t *testing.T) {
 	}
 }
 
-func TestSSEHeartbeatAndDisconnectCleanup(t *testing.T) {
+// TestSSEHeartbeat: a quiet stream carries the configured heartbeats.
+// edge's TestServeSSEGolden checks that a disconnect unsubscribes.
+func TestSSEHeartbeat(t *testing.T) {
 	meta, _ := fixture(t)
 	s := New(meta, Config{Shards: 1, Window: 30 * time.Minute, StreamHeartbeat: 30 * time.Millisecond})
 	defer s.Close()
@@ -343,10 +345,6 @@ func TestSSEHeartbeatAndDisconnectCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-
-	if got := s.broker.Subscribers(); got != 1 {
-		t.Fatalf("subscribers = %d after connect, want 1", got)
-	}
 
 	// With no alerts flowing, the quiet stream must still carry
 	// periodic heartbeat comments.
@@ -373,16 +371,5 @@ func TestSSEHeartbeatAndDisconnectCleanup(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("saw %d heartbeats in 5s at a 30ms interval", beats)
 		}
-	}
-
-	// Client disconnect: the handler must notice and unsubscribe.
-	cancel()
-	resp.Body.Close()
-	cleanupDeadline := time.Now().Add(5 * time.Second)
-	for s.broker.Subscribers() != 0 {
-		if time.Now().After(cleanupDeadline) {
-			t.Fatalf("subscribers = %d after disconnect, want 0", s.broker.Subscribers())
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

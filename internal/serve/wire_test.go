@@ -203,11 +203,10 @@ func TestWireIngestRejectsCorruptFrame(t *testing.T) {
 	}
 }
 
-// TestIngestQuarantinesOutOfRangeTimes: a record dated where int64
-// nanoseconds since the epoch cannot reach is undecodable in either
-// dialect. Two such records of one job, location and subcategory, a
-// century apart, would otherwise meet in one temporal window, their
-// times compared as the same clamped instant.
+// TestIngestQuarantinesOutOfRangeTimes: a record dated outside
+// 1970–2262 is undecodable in either dialect, so no engine subtracts
+// its time. The writers refuse such a record, so the bodies are written
+// at good times and redated.
 func TestIngestQuarantinesOutOfRangeTimes(t *testing.T) {
 	meta, tail := fixture(t)
 	in := catalog.NewInterner(0)
@@ -215,21 +214,29 @@ func TestIngestQuarantinesOutOfRangeTimes(t *testing.T) {
 	if i < 0 {
 		t.Fatal("the tail has no classifiable record")
 	}
+	const layout = "2006-01-02 15:04:05"
 	pair := []raslog.Event{tail[i], tail[i]}
-	pair[0].Time = time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)
-	pair[1].Time = time.Date(2400, 1, 1, 0, 0, 0, 0, time.UTC)
 	pair[1].RecID++
-	for _, wire := range []bool{false, true} {
+	var text, wire []byte
+	for k, at := range []time.Time{time.Date(1900, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)} {
+		text = append(text, bytes.Replace(encode(t, pair[k:k+1]), []byte(pair[k].Time.Format(layout)), []byte(at.Format(layout)), 1)...)
+		f, err := raslog.NewWireScanner(bytes.NewReader(encodeWire(t, pair[k:k+1]))).Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire = append(raslog.AppendWireFrameHeader(wire, at.Unix(), f.BaseRecID, len(f.Payload)), f.Payload...)
+	}
+	for _, binary := range []bool{false, true} {
 		s := New(meta, Config{Shards: 1, Window: 30 * time.Minute})
 		var resp IngestResponse
-		if wire {
-			resp = postWire(t, s, encodeWire(t, pair))
+		if binary {
+			resp = postWire(t, s, wire)
 		} else {
-			resp = post(t, s, encode(t, pair))
+			resp = post(t, s, text)
 		}
 		if c := s.shards[0].engine().Counters(); resp.Accepted != 0 || resp.Quarantined != 2 || c.Ingested != 0 || c.Unique != 0 {
 			t.Errorf("wire=%v: accepted %d, quarantined %d; the engine ingested %d, %d unique; want both records in quarantine",
-				wire, resp.Accepted, resp.Quarantined, c.Ingested, c.Unique)
+				binary, resp.Accepted, resp.Quarantined, c.Ingested, c.Unique)
 		}
 		s.Close()
 	}

@@ -94,29 +94,3 @@ func (fs *FollowStats) Categories() []int {
 	sort.Ints(out)
 	return out
 }
-
-// CoveredBy returns, over all events, the fraction that occur within
-// (MinLead, Window] AFTER an event of one of the trigger categories —
-// an upper bound on the statistical predictor's recall for those
-// triggers.
-func CoveredBy(events []TimedEvent, triggers map[int]bool, minLead, window time.Duration) float64 {
-	if len(events) == 0 {
-		return 0
-	}
-	sorted := append([]TimedEvent(nil), events...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Time.Before(sorted[j].Time) })
-	covered := 0
-	for i := range sorted {
-		for j := i - 1; j >= 0; j-- {
-			gap := sorted[i].Time.Sub(sorted[j].Time)
-			if gap > window {
-				break
-			}
-			if gap > minLead && triggers[sorted[j].Category] {
-				covered++
-				break
-			}
-		}
-	}
-	return float64(covered) / float64(len(sorted))
-}

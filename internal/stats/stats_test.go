@@ -196,24 +196,6 @@ func TestFollowStatsCategories(t *testing.T) {
 	}
 }
 
-func TestCoveredBy(t *testing.T) {
-	// Trigger category 1 at t0. Events at +10m (covered), +2h (not).
-	events := []TimedEvent{
-		{base, 1},
-		{base.Add(10 * time.Minute), 2},
-		{base.Add(2 * time.Hour), 2},
-	}
-	got := CoveredBy(events, map[int]bool{1: true}, 5*time.Minute, time.Hour)
-	// Only the +10m event is covered; the trigger itself and the +2h
-	// event are not -> 1/3.
-	if want := 1.0 / 3.0; got != want {
-		t.Errorf("CoveredBy = %v, want %v", got, want)
-	}
-	if CoveredBy(nil, nil, 0, time.Hour) != 0 {
-		t.Error("empty CoveredBy should be 0")
-	}
-}
-
 func TestAnalyzeFollowBurstIsFullyChained(t *testing.T) {
 	// A burst of 5 events, 10 minutes apart: the first 4 are followed.
 	var events []TimedEvent
