@@ -26,7 +26,6 @@ import (
 
 	"bglpred/internal/ledger"
 	"bglpred/internal/lifecycle"
-	"bglpred/internal/model"
 )
 
 func main() {
@@ -104,8 +103,7 @@ func describe(e ledger.ScanEntry) string {
 		return fmt.Sprintf("model v%d sha %.12s (%s, trained %s)",
 			rec.Version, rec.SHA256, rec.Source, rec.TrainedAt.UTC().Format(time.RFC3339))
 	case ledger.KindCheckpoint:
-		var cp lifecycle.Checkpoint
-		info, err := model.UnmarshalEnvelope(e.Payload, lifecycle.CheckpointMagic, lifecycle.CheckpointVersion, &cp)
+		cp, info, err := lifecycle.DecodeCheckpoint(e.Payload)
 		if err != nil {
 			return fmt.Sprintf("unparseable checkpoint envelope: %v", err)
 		}

@@ -209,6 +209,7 @@ func run(o options) error {
 			m.Counter("bglserved_model_persist_retries_total", "Model-artifact write re-tries spent.", rt.PersistRetries())
 			m.Counter("bglserved_model_persist_giveups_total", "Retrained models whose artifact never landed.", rt.PersistGiveUps())
 			m.GaugeSeconds("bglserved_retrain_seconds", "Duration of the last completed retrain, retraining window to swapped model.", rt.LastCycle())
+			m.HistogramVec("bglserved_retrain_stage_seconds", "Time per retrain stage, from the window copy to the ledger record.", "stage", lifecycle.RetrainStages, rt.Stage)
 		}
 		m.Gauge("bglserved_recorder_events", "Unique events in the retraining window (Phase 1 output).", int64(recorder.Unique()))
 		m.Gauge("bglserved_recorder_records", "Raw records the retraining window's events stand for.", int64(recorder.Len()))

@@ -20,9 +20,8 @@ const sectionsGolden = "testdata/sections.golden"
 
 // TestTrainSectionsMatchGolden trains all three bases over a fixed
 // bglsim log and compares each base's State section, as bytes, with
-// testdata/sections.golden. Gob numbers types in the order a process
-// first encodes them, so the digests also pin that numbering: a new
-// composite type in the statistical section would change the other two.
+// testdata/sections.golden. The sections are canonical (internal/canon),
+// so the digests pin each base's encoding and its training alone.
 func TestTrainSectionsMatchGolden(t *testing.T) {
 	p := bglsim.ANLProfile()
 	p.Seed = 7

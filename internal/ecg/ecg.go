@@ -1,11 +1,10 @@
 package ecg
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
+	"bglpred/internal/canon"
 	"bglpred/internal/predictor"
 	"bglpred/internal/preprocess"
 )
@@ -67,7 +66,7 @@ type Path struct {
 // Predictor is the event-correlation-graph base predictor. It
 // implements predictor.Base: train it offline (per cross-validation
 // segment), step it online through the meta-learner's Stepper, or
-// persist it as a version-2 artifact section.
+// persist it as an artifact section.
 type Predictor struct {
 	Config Config
 
@@ -271,44 +270,109 @@ func (p *Predictor) Predict(events []preprocess.Event, window time.Duration) []p
 	return predictor.NewMetaBases(p).Predict(events, window)
 }
 
-// Model is the gob payload of State: the configuration and the mined
-// graph, nodes and edges in sorted order.
-type Model struct {
-	Config Config
-	Nodes  []Node
-	Edges  []Edge
-}
+// stateVersion is the first field of State's encoding.
+const stateVersion = 1
 
 // State implements predictor.Base: it serializes the trained graph
-// for a version-2 artifact section.
+// for an artifact section, in a canonical encoding (internal/canon) of
+// exactly what SetState reads: the configuration, the nodes' (ID,
+// count) and the edges' (from, to, count, gap sum, min gap, max gap),
+// each in ID order. Edge probabilities and node fatality are derived,
+// so they are recomputed on restore rather than stored.
 func (p *Predictor) State() ([]byte, error) {
 	if p.graph == nil {
 		return nil, fmt.Errorf("ecg: predictor is not trained")
 	}
-	m := Model{Config: p.Config, Nodes: p.graph.Nodes(), Edges: p.graph.Edges()}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("ecg: encode state: %w", err)
+	return encodeState(p.Config, p.graph), nil
+}
+
+// encodeState is the encoding State describes.
+func encodeState(c Config, g *Graph) []byte {
+	b := canon.AppendUint(make([]byte, 0, 64+4*g.nodeCount+32*g.edgeCount), stateVersion)
+	b = canon.AppendInt(b, int64(c.Window))
+	b = canon.AppendInt(b, int64(c.MinCount))
+	b = canon.AppendFloat(b, c.MinProbability)
+	b = canon.AppendInt(b, int64(c.MaxDepth))
+	b = canon.AppendFloat(b, c.MinConfidence)
+	b = canon.AppendUint(b, uint64(g.nodeCount))
+	for id, n := range g.nodes {
+		if n > 0 {
+			b = canon.AppendInt(canon.AppendInt(b, int64(id)), int64(n))
+		}
 	}
-	return buf.Bytes(), nil
+	b = canon.AppendUint(b, uint64(g.edgeCount))
+	for from := range g.edges {
+		if g.nodes[from] == 0 {
+			continue
+		}
+		for to := range g.edges[from] {
+			st := &g.edges[from][to]
+			if st.count == 0 {
+				continue
+			}
+			b = canon.AppendInt(canon.AppendInt(b, int64(from)), int64(to))
+			b = canon.AppendInt(b, int64(st.count))
+			b = canon.AppendInt(b, int64(st.gapSum))
+			b = canon.AppendInt(b, int64(st.minGap))
+			b = canon.AppendInt(b, int64(st.maxGap))
+		}
+	}
+	return b
 }
 
 // SetState implements predictor.Base: it rebuilds the graph and
 // recomputes the failure paths (a deterministic function of the
 // graph, so the restored predictor predicts identically).
 func (p *Predictor) SetState(data []byte) error {
-	var m Model
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
+	r := canon.NewReader(data)
+	r.Version("ecg state", stateVersion)
+	var c Config
+	c.Window = time.Duration(r.Int())
+	c.MinCount = int(r.Int())
+	c.MinProbability = r.Float()
+	c.MaxDepth = int(r.Int())
+	c.MinConfidence = r.Float()
+	c = c.withDefaults()
+	g := NewGraph(c.Window)
+	for n := r.Count(2); n > 0 && r.Err() == nil; n-- {
+		id, count := int(r.Int()), int(r.Int())
+		if r.Err() == nil {
+			r.Fail(g.addNode(id, count))
+		}
+	}
+	for n := r.Count(6); n > 0 && r.Err() == nil; n-- {
+		from, to := int(r.Int()), int(r.Int())
+		st := edgeStat{count: int(r.Int()), gapSum: time.Duration(r.Int()), minGap: time.Duration(r.Int()), maxGap: time.Duration(r.Int())}
+		if r.Err() == nil {
+			r.Fail(g.addEdge(from, to, st))
+		}
+	}
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("ecg: decode state: %w", err)
 	}
-	p.Config = m.Config.withDefaults()
-	g, err := restoreGraph(p.Config.Window, m.Nodes, m.Edges)
-	if err != nil {
-		return err
-	}
+	p.Config = c
 	p.graph = g
-	p.paths = buildPaths(g, p.Config)
+	p.paths = buildPaths(g, c)
 	return nil
+}
+
+// Restore builds a trained predictor from a configuration and a mined
+// graph's nodes and edges (their Probability and Fatal fields are
+// derived, so ignored). It refuses what SetState refuses.
+func Restore(cfg Config, nodes []Node, edges []Edge) (*Predictor, error) {
+	cfg = cfg.withDefaults()
+	g := NewGraph(cfg.Window)
+	for _, n := range nodes {
+		if err := g.addNode(n.ID, n.Count); err != nil {
+			return nil, err
+		}
+	}
+	for _, e := range edges {
+		if err := g.addEdge(e.From, e.To, edgeStat{count: e.Count, gapSum: e.GapSum, minGap: e.MinGap, maxGap: e.MaxGap}); err != nil {
+			return nil, err
+		}
+	}
+	return &Predictor{Config: cfg, graph: g, paths: buildPaths(g, cfg)}, nil
 }
 
 func init() {

@@ -2,7 +2,6 @@ package ecg
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 	"time"
@@ -351,14 +350,10 @@ func TestSetStateBoundsRelaxation(t *testing.T) {
 	if err := p.Train(chainTraining(8)); err != nil {
 		t.Fatal(err)
 	}
-	deep := Model{Config: p.Config, Nodes: p.graph.Nodes(), Edges: p.graph.Edges()}
-	deep.Config.MaxDepth = 1 << 40
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(deep); err != nil {
-		t.Fatal(err)
-	}
+	deep := p.Config
+	deep.MaxDepth = 1 << 40
 	restored := New(Config{})
-	if err := restored.SetState(buf.Bytes()); err != nil {
+	if err := restored.SetState(encodeState(deep, p.graph)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(restored.paths, p.paths) {

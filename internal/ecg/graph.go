@@ -70,7 +70,7 @@ const numIDs = catalog.NumSubcategories
 
 // Graph is the mined event-correlation graph. Mine with AddSegment
 // (per training segment, so no correlation window spans a
-// cross-validation seam), then read Nodes/Edges.
+// cross-validation seam); State serializes it, Restore rebuilds it.
 type Graph struct {
 	window    time.Duration
 	nodes     [numIDs]int // occurrence count per node ID; 0 = absent
@@ -140,88 +140,46 @@ func (g *Graph) AddSegment(events []preprocess.Event) {
 func (g *Graph) NodeCount() int { return g.nodeCount }
 func (g *Graph) EdgeCount() int { return g.edgeCount }
 
-// Nodes returns the graph's nodes sorted by ID.
-func (g *Graph) Nodes() []Node {
-	out := make([]Node, 0, g.nodeCount)
-	for id, n := range g.nodes {
-		if n > 0 {
-			out = append(out, Node{ID: id, Count: n, Fatal: isFatalID(id)})
-		}
-	}
-	return out
-}
-
-// Edges returns the graph's edges sorted by (From, To), with
-// probabilities computed against the From node's occurrence count.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.edgeCount)
-	for from := range g.edges {
-		for to := range g.edges[from] {
-			st := &g.edges[from][to]
-			if st.count == 0 {
-				continue
-			}
-			out = append(out, Edge{
-				From:        from,
-				To:          to,
-				Count:       st.count,
-				Probability: g.probability(from, to),
-				GapSum:      st.gapSum,
-				MinGap:      st.minGap,
-				MaxGap:      st.maxGap,
-			})
-		}
-	}
-	return out
-}
-
 // probability is edge from -> to's count over from's occurrences.
 func (g *Graph) probability(from, to int) float64 {
 	return float64(g.edges[from][to].count) / float64(g.nodes[from])
 }
 
-// restoreGraph rebuilds a graph from serialized nodes and edges (the
-// SetState half of Nodes/Edges). It refuses what the matrix cannot
-// hold or what training never produces: an ID outside the taxonomy, a
-// duplicate node or edge, a non-positive count, an edge whose
-// endpoints are not nodes, or an edge counted more often than its
-// From node occurred (a probability above 1).
-func restoreGraph(window time.Duration, nodes []Node, edges []Edge) (*Graph, error) {
-	g := NewGraph(window)
-	for _, n := range nodes {
-		switch {
-		case n.ID < 0 || n.ID >= numIDs:
-			return nil, fmt.Errorf("ecg: node ID %d outside the taxonomy [0, %d)", n.ID, numIDs)
-		case n.Count <= 0:
-			return nil, fmt.Errorf("ecg: node %d has count %d", n.ID, n.Count)
-		case g.nodes[n.ID] != 0:
-			return nil, fmt.Errorf("ecg: duplicate node %d", n.ID)
-		}
-		g.nodes[n.ID] = n.Count
-		g.nodeCount++
+// addNode and addEdge restore one node or edge, nodes first. They
+// refuse what the matrix cannot hold or what training never produces:
+// an ID outside the taxonomy, a duplicate node or edge, a non-positive
+// count, an edge whose endpoints are not nodes, or an edge counted more
+// often than its From node occurred (a probability above 1).
+func (g *Graph) addNode(id, count int) error {
+	switch {
+	case id < 0 || id >= numIDs:
+		return fmt.Errorf("ecg: node ID %d outside the taxonomy [0, %d)", id, numIDs)
+	case count <= 0:
+		return fmt.Errorf("ecg: node %d has count %d", id, count)
+	case g.nodes[id] != 0:
+		return fmt.Errorf("ecg: duplicate node %d", id)
 	}
-	for _, e := range edges {
-		switch {
-		case e.From < 0 || e.From >= numIDs || e.To < 0 || e.To >= numIDs:
-			return nil, fmt.Errorf("ecg: edge %d->%d outside the taxonomy [0, %d)", e.From, e.To, numIDs)
-		case e.Count <= 0:
-			return nil, fmt.Errorf("ecg: edge %d->%d has count %d", e.From, e.To, e.Count)
-		case g.nodes[e.From] == 0 || g.nodes[e.To] == 0:
-			return nil, fmt.Errorf("ecg: edge %d->%d joins a node the graph does not hold", e.From, e.To)
-		case e.Count > g.nodes[e.From]:
-			return nil, fmt.Errorf("ecg: edge %d->%d counts %d of node %d's %d occurrences", e.From, e.To, e.Count, e.From, g.nodes[e.From])
-		case g.edges[e.From][e.To].count != 0:
-			return nil, fmt.Errorf("ecg: duplicate edge %d->%d", e.From, e.To)
-		}
-		g.edges[e.From][e.To] = edgeStat{
-			count:  e.Count,
-			gapSum: e.GapSum,
-			minGap: e.MinGap,
-			maxGap: e.MaxGap,
-		}
-		g.edgeCount++
+	g.nodes[id] = count
+	g.nodeCount++
+	return nil
+}
+
+func (g *Graph) addEdge(from, to int, st edgeStat) error {
+	switch {
+	case from < 0 || from >= numIDs || to < 0 || to >= numIDs:
+		return fmt.Errorf("ecg: edge %d->%d outside the taxonomy [0, %d)", from, to, numIDs)
+	case st.count <= 0:
+		return fmt.Errorf("ecg: edge %d->%d has count %d", from, to, st.count)
+	case g.nodes[from] == 0 || g.nodes[to] == 0:
+		return fmt.Errorf("ecg: edge %d->%d joins a node the graph does not hold", from, to)
+	case st.count > g.nodes[from]:
+		return fmt.Errorf("ecg: edge %d->%d counts %d of node %d's %d occurrences", from, to, st.count, from, g.nodes[from])
+	case g.edges[from][to].count != 0:
+		return fmt.Errorf("ecg: duplicate edge %d->%d", from, to)
 	}
-	return g, nil
+	g.edges[from][to] = st
+	g.edgeCount++
+	return nil
 }
 
 func isFatalID(id int) bool {

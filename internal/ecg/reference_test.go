@@ -2,7 +2,6 @@ package ecg
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"sort"
 	"testing"
@@ -118,8 +117,10 @@ func fuzzSegments(start time.Time, data []byte) [][]preprocess.Event {
 }
 
 // FuzzGraphMatchesReference mines arbitrary multi-segment streams into
-// both graphs: the dense Graph's nodes, edges and the predictor's
-// State bytes must equal what the map-and-sort reference produces. The
+// both graphs: the dense Graph's nodes and edges must equal what the
+// map-and-sort reference produces, and the predictor's State bytes
+// those of the reference's nodes and edges put through the same
+// encoder. The
 // stream starts at Unix second sec, nanosecond nsec, and is skipped if
 // it leaves the range event times take (raslog.TimeInRange); seeds put
 // it at the epoch, where the range starts, and in its last hours,
@@ -173,16 +174,55 @@ func FuzzGraphMatchesReference(f *testing.F) {
 		if !reflect.DeepEqual(g.Edges(), ref.Edges()) {
 			t.Fatalf("Edges() = %v, reference %v", g.Edges(), ref.Edges())
 		}
-		var want bytes.Buffer
-		if err := gob.NewEncoder(&want).Encode(Model{Config: p.Config, Nodes: ref.Nodes(), Edges: ref.Edges()}); err != nil {
-			t.Fatal(err)
+		restored, err := Restore(p.Config, ref.Nodes(), ref.Edges())
+		if err != nil {
+			t.Fatalf("the reference graph does not restore: %v", err)
 		}
 		got, err := p.State()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want.Bytes()) {
+		want, err := restored.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
 			t.Fatal("State bytes differ from the reference graph's")
 		}
 	})
+}
+
+// Nodes returns the graph's nodes sorted by ID.
+func (g *Graph) Nodes() []Node {
+	out := make([]Node, 0, g.nodeCount)
+	for id, n := range g.nodes {
+		if n > 0 {
+			out = append(out, Node{ID: id, Count: n, Fatal: isFatalID(id)})
+		}
+	}
+	return out
+}
+
+// Edges returns the graph's edges sorted by (From, To), with
+// probabilities computed against the From node's occurrence count.
+func (g *Graph) Edges() []Edge {
+	out := make([]Edge, 0, g.edgeCount)
+	for from := range g.edges {
+		for to := range g.edges[from] {
+			st := &g.edges[from][to]
+			if st.count == 0 {
+				continue
+			}
+			out = append(out, Edge{
+				From:        from,
+				To:          to,
+				Count:       st.count,
+				Probability: g.probability(from, to),
+				GapSum:      st.gapSum,
+				MinGap:      st.minGap,
+				MaxGap:      st.maxGap,
+			})
+		}
+	}
+	return out
 }

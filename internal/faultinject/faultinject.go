@@ -57,13 +57,15 @@ const (
 	// and recover without losing or reordering lines.
 	GateProbeFlap Point = "gate.probe.flap"
 	// FsWrite fails a write (ENOSPC, optionally after a short write),
-	// FsSync an fsync, FsRename a commit rename, FsTruncate the ledger's
+	// FsSync an fsync, FsRename a commit rename, FsLink a hard link (a
+	// model's versioned copy), FsTruncate the ledger's
 	// rollback truncate, FsRead a whole-file read; FsCorrupt mutates
 	// read bytes instead of failing the read (truncation or a bit flip
 	// — the SHA-mismatch path).
 	FsWrite    Point = "fs.write"
 	FsSync     Point = "fs.sync"
 	FsRename   Point = "fs.rename"
+	FsLink     Point = "fs.link"
 	FsTruncate Point = "fs.truncate"
 	FsRead     Point = "fs.read"
 	FsCorrupt  Point = "fs.corrupt"

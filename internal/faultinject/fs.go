@@ -11,7 +11,8 @@ import (
 // checkpoints in it) with its anchor sidecar. Failed or short writes
 // (FsWrite) and fsync errors (FsSync) hit every handle it opens —
 // staged temp files and the ledger's append handle alike; FsRename
-// fails commit renames, FsTruncate the ledger's rollback truncate (the
+// fails commit renames, FsLink the hard links versioned model copies
+// are published by, FsTruncate the ledger's rollback truncate (the
 // path that poisons it), FsRead whole-file reads, and FsCorrupt
 // mutates read bytes instead (truncation or a bit flip in the final
 // byte, the two shapes readers must catch).
@@ -94,6 +95,14 @@ func (f *Fs) Rename(oldpath, newpath string) error {
 		return err
 	}
 	return f.base.Rename(oldpath, newpath)
+}
+
+// Link applies FsLink, then links through the base FS.
+func (f *Fs) Link(oldpath, newpath string) error {
+	if err := f.inj.Fire(FsLink); err != nil {
+		return err
+	}
+	return f.base.Link(oldpath, newpath)
 }
 
 // Remove passes through (cleanup never injects: a failed cleanup of a

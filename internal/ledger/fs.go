@@ -1,6 +1,8 @@
 package ledger
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -27,6 +29,9 @@ type FS interface {
 	CreateTemp(dir, pattern string) (File, error)
 	// Rename moves a staged temp file over its destination.
 	Rename(oldPath, newPath string) error
+	// Link makes newPath a hard link to the file at oldPath (os.Link
+	// semantics: it fails when newPath exists).
+	Link(oldPath, newPath string) error
 	// Remove deletes a file (cleanup of failed staging).
 	Remove(path string) error
 	// SyncDir fsyncs a directory, making a created or renamed entry
@@ -66,6 +71,8 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 
 func (osFS) Rename(oldPath, newPath string) error { return os.Rename(oldPath, newPath) }
 
+func (osFS) Link(oldPath, newPath string) error { return os.Link(oldPath, newPath) }
+
 func (osFS) Remove(path string) error { return os.Remove(path) }
 
 func (osFS) SyncDir(dir string) error {
@@ -101,6 +108,29 @@ func WriteFileAtomic(fsys FS, path string, data []byte, durable bool) error {
 	if durable {
 		_ = fsys.SyncDir(dir)
 	}
+	return nil
+}
+
+// LinkFileAtomic publishes newPath as a second name for the file at
+// oldPath, replacing whatever newPath named: the link is made under a
+// staging name next to newPath and renamed over it, so newPath names
+// its old file or oldPath's, never neither. The directory is fsynced
+// afterwards (best effort). The bytes are written once: a caller that
+// never rewrites oldPath in place (WriteFileAtomic always renames a
+// new file over it) gets an immutable copy for the price of a link.
+func LinkFileAtomic(fsys FS, oldPath, newPath string) error {
+	dir := filepath.Dir(newPath)
+	var rnd [8]byte
+	_, _ = rand.Read(rnd[:])
+	tmp := filepath.Join(dir, "."+filepath.Base(newPath)+".link"+hex.EncodeToString(rnd[:]))
+	if err := fsys.Link(oldPath, tmp); err != nil {
+		return err
+	}
+	if err := fsys.Rename(tmp, newPath); err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	_ = fsys.SyncDir(dir)
 	return nil
 }
 

@@ -73,7 +73,7 @@ func (c *Checkpointer) checkpoint(ctx context.Context) (model.Info, error) {
 		return model.Info{}, errNoLedger
 	}
 	m := c.srv.Model()
-	framed, info, err := model.MarshalEnvelope(CheckpointMagic, CheckpointVersion, &Checkpoint{
+	framed, info, err := encodeCheckpoint(&Checkpoint{
 		SavedAt:      time.Now(),
 		ModelSHA256:  m.SHA256,
 		ModelVersion: m.Version,

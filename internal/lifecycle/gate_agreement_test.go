@@ -1,8 +1,10 @@
 package lifecycle
 
 import (
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -95,17 +97,27 @@ func TestGateAgreesAfterIdenticalTrainings(t *testing.T) {
 	}
 }
 
-// TestModelBytesIgnoreGobHistory packages one training in two fresh
-// processes, this test binary run again: one encodes a checkpoint
-// before the model, as a backend that checkpointed before its first
-// retrain does, and one does not. Gob numbers types in the order a
-// process first encodes them; the package's init numbers every
-// persisted type up front so that both get the same SHA-256.
+// TestModelBytesIgnoreGobHistory packages one training in three fresh
+// processes, this test binary run again: one encodes nothing before
+// the model, one a checkpoint, as a backend that checkpointed before
+// its first retrain does, and one gob-encodes a type no part of the
+// tree persists. Gob numbers types in the order a process first
+// encodes them; artifacts are not gob, so all three must get one
+// SHA-256.
 func TestModelBytesIgnoreGobHistory(t *testing.T) {
 	const child = "BGLPRED_GOB_HISTORY_CHILD"
 	if first := os.Getenv(child); first != "" {
-		if first == "checkpoint" {
-			if _, _, err := model.MarshalEnvelope(CheckpointMagic, CheckpointVersion, &Checkpoint{ModelSHA256: "x"}); err != nil {
+		switch first {
+		case "checkpoint":
+			if _, _, err := encodeCheckpoint(&Checkpoint{ModelSHA256: "x"}); err != nil {
+				t.Fatal(err)
+			}
+		case "unrelated":
+			type unrelated struct {
+				Name  string
+				Items map[string][]float64
+			}
+			if err := gob.NewEncoder(io.Discard).Encode(unrelated{Name: "x", Items: map[string][]float64{"a": {1}}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -114,7 +126,7 @@ func TestModelBytesIgnoreGobHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, info, err := model.MarshalEnvelope(model.ArtifactMagic, model.ArtifactVersion, art)
+		_, info, err := art.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +134,7 @@ func TestModelBytesIgnoreGobHistory(t *testing.T) {
 		return
 	}
 	var shas []string
-	for _, first := range []string{"model", "checkpoint"} {
+	for _, first := range []string{"model", "checkpoint", "unrelated"} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestModelBytesIgnoreGobHistory$", "-test.count=1")
 		cmd.Env = append(os.Environ(), child+"="+first)
 		out, err := cmd.CombinedOutput()
@@ -135,7 +147,7 @@ func TestModelBytesIgnoreGobHistory(t *testing.T) {
 		}
 		shas = append(shas, rest[:64])
 	}
-	if shas[0] != shas[1] {
-		t.Fatalf("one training, two SHAs: %.12s with the model encoded first, %.12s after a checkpoint", shas[0], shas[1])
+	if shas[0] != shas[1] || shas[0] != shas[2] {
+		t.Fatalf("one training, several SHAs: %.12s with the model encoded first, %.12s after a checkpoint, %.12s after an unrelated type", shas[0], shas[1], shas[2])
 	}
 }

@@ -1,10 +1,13 @@
 package lifecycle
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"bglpred/internal/ledger"
@@ -74,24 +77,37 @@ func LoadCheckpointFromLedger(led *ledger.Ledger) (*Checkpoint, model.Info, bool
 	if err != nil {
 		return nil, model.Info{}, false, fmt.Errorf("lifecycle: checkpoint entry %d: %w", seq, err)
 	}
-	var cp Checkpoint
-	info, err := model.UnmarshalEnvelope(payload, CheckpointMagic, CheckpointVersion, &cp)
+	cp, info, err := DecodeCheckpoint(payload)
 	if err != nil {
 		return nil, model.Info{}, false, fmt.Errorf("lifecycle: checkpoint entry %d: %w", seq, err)
 	}
 	info.Path = fmt.Sprintf("ledger:seq=%d", seq)
-	return &cp, info, true, nil
+	return cp, info, true, nil
 }
 
 // MatchModelForCheckpoint finds the on-disk model artifact whose
 // content hash is sha: the active ModelPath(dir) first, then the
-// versioned model-v<N>.bglm copies (newest first). It returns the
-// artifact's path, or an error when no intact artifact matches.
+// versioned model-v<N>.bglm copies, newest generation first. It
+// returns the artifact's path, or an error when no intact artifact
+// matches.
 func MatchModelForCheckpoint(dir, sha string) (string, error) {
+	type generation struct {
+		path string
+		n    int64
+	}
+	var versioned []generation
+	paths, _ := filepath.Glob(filepath.Join(dir, "model-v*.bglm"))
+	for _, path := range paths {
+		num := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "model-v"), ".bglm")
+		if n, err := strconv.ParseInt(num, 10, 64); err == nil {
+			versioned = append(versioned, generation{path, n})
+		}
+	}
+	slices.SortFunc(versioned, func(a, b generation) int { return cmp.Compare(b.n, a.n) })
 	candidates := []string{ModelPath(dir)}
-	versioned, _ := filepath.Glob(filepath.Join(dir, "model-v*.bglm"))
-	sort.Sort(sort.Reverse(sort.StringSlice(versioned)))
-	candidates = append(candidates, versioned...)
+	for _, c := range versioned {
+		candidates = append(candidates, c.path)
+	}
 	for _, path := range candidates {
 		info, err := model.Verify(path)
 		if err != nil {

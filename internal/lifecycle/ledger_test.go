@@ -198,3 +198,27 @@ func TestRetrainerChainsModelProvenance(t *testing.T) {
 		t.Fatalf("ledgered path does not exist: %v", err)
 	}
 }
+
+// TestMatchModelPrefersNewestGeneration: with no active artifact and
+// versioned copies of generations 2, 9 and 10 that all match, the copy
+// of generation 10 is verified first, not 9, which sorts after "10" as
+// a string.
+func TestMatchModelPrefersNewestGeneration(t *testing.T) {
+	_, art, _ := fixture(t)
+	dir := t.TempDir()
+	var sha string
+	for _, gen := range []int64{2, 9, 10} {
+		info, err := art.Save(VersionedModelPath(dir, gen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sha = info.SHA256
+	}
+	got, err := MatchModelForCheckpoint(dir, sha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := VersionedModelPath(dir, 10); got != want {
+		t.Fatalf("matched %s first, want the newest generation's %s", got, want)
+	}
+}

@@ -21,15 +21,15 @@
 package lifecycle
 
 import (
+	"bytes"
 	"encoding/gob"
+	"fmt"
 	"io"
 	"path/filepath"
 	"time"
 
-	"bglpred/internal/ecg"
 	"bglpred/internal/model"
 	"bglpred/internal/online"
-	"bglpred/internal/predictor"
 )
 
 // Checkpoint envelope identity; the envelope machinery is shared with
@@ -46,20 +46,15 @@ const ModelFile = "model.bglm"
 // ModelPath names the active model artifact in a checkpoint directory.
 func ModelPath(dir string) string { return filepath.Join(dir, ModelFile) }
 
-// Gob numbers types in the order a process first encodes them and
-// writes those numbers into every payload, so a model's bytes — and
-// its SHA-256, the identity the gate votes on and checkpoints match —
-// would depend on what the process encoded before it: a backend that
-// checkpointed before its first retrain would package the same
-// training differently from one that trained at boot. Every type a
-// bglserved persists is numbered here, in a fixed order, before main
-// runs. The order is the one the section and checkpoint goldens were
-// written under (statistical, rule, checkpoint), then the rest.
+// Checkpoints are gob, and gob numbers types in the order a process
+// first encodes them and writes those numbers into every payload, so a
+// checkpoint's bytes would depend on what the process encoded before
+// it. Checkpoint is numbered here, before main runs, as the first type
+// every process encodes; model artifacts are not gob and need no such
+// care.
 func init() {
-	for _, v := range []any{predictor.StatState{}, predictor.RuleState{}, Checkpoint{}, model.Artifact{}, ecg.Model{}} {
-		if err := gob.NewEncoder(io.Discard).Encode(v); err != nil {
-			panic(err)
-		}
+	if err := gob.NewEncoder(io.Discard).Encode(Checkpoint{}); err != nil {
+		panic(err)
 	}
 }
 
@@ -77,4 +72,26 @@ type Checkpoint struct {
 	ModelVersion int64
 	// Shards holds one engine state per shard, indexed by shard ID.
 	Shards []online.State
+}
+
+// encodeCheckpoint frames cp's gob encoding in the checkpoint envelope.
+func encodeCheckpoint(cp *Checkpoint) ([]byte, model.Info, error) {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(cp); err != nil {
+		return nil, model.Info{}, fmt.Errorf("lifecycle: encode checkpoint: %w", err)
+	}
+	return model.MarshalEnvelope(CheckpointMagic, CheckpointVersion, payload.Bytes())
+}
+
+// DecodeCheckpoint verifies a checkpoint envelope and decodes it.
+func DecodeCheckpoint(data []byte) (*Checkpoint, model.Info, error) {
+	payload, info, err := model.UnmarshalEnvelope(data, CheckpointMagic, CheckpointVersion)
+	if err != nil {
+		return nil, model.Info{}, err
+	}
+	cp := new(Checkpoint)
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(cp); err != nil {
+		return nil, model.Info{}, fmt.Errorf("model: decode %s payload: %w", CheckpointMagic, err)
+	}
+	return cp, info, nil
 }

@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"bglpred/internal/bglsim"
+	"bglpred/internal/edge"
 	"bglpred/internal/ledger"
 	"bglpred/internal/model"
 	"bglpred/internal/predictor"
@@ -231,8 +235,8 @@ func TestParentCheckpointRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := new(Checkpoint)
-	if _, err := model.UnmarshalEnvelope(data, CheckpointMagic, CheckpointVersion, cp); err != nil {
+	cp, _, err := DecodeCheckpoint(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st := cp.Shards[0]; !st.Stepper.Active || !st.Stepper.Current.End.After(st.LastSeen) || len(st.Temporal) == 0 {
@@ -245,13 +249,26 @@ func TestParentCheckpointRestores(t *testing.T) {
 	}
 	reexport := *cp
 	reexport.Shards = restored.ExportShards()
-	saved, _, err := model.MarshalEnvelope(CheckpointMagic, CheckpointVersion, &reexport)
+	saved, _, err := encodeCheckpoint(&reexport)
 	if err != nil {
 		t.Fatal(err)
 	}
 	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_parent_reexport.bglc"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The re-export must decode to what the parent's re-export decodes
+	// to, and marshal to its bytes, which pin gob's type numbering too.
+	savedCP, _, err := DecodeCheckpoint(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenCP, _, err := DecodeCheckpoint(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(savedCP, goldenCP) {
+		t.Fatal("re-exported checkpoint decodes to other content than the parent's re-export")
 	}
 	if !bytes.Equal(saved, golden) {
 		t.Fatalf("re-exported checkpoint (%d bytes) differs from the parent's re-export (%d bytes)", len(saved), len(golden))
@@ -603,5 +620,111 @@ func TestRetrainArtifactCopiesAreIdentical(t *testing.T) {
 	}
 	if _, got, err := model.Decode(active); err != nil || got.SHA256 != info.SHA256 {
 		t.Fatalf("active artifact hashes to %s (err %v), the server serves %s", got.SHA256, err, info.SHA256)
+	}
+}
+
+// TestRetrainCopyReplacesAnExistingFile: a versioned copy whose name a
+// file already holds (left by an earlier process that numbered its
+// generations from 1 too) ends up holding this generation's bytes,
+// linked to the active artifact, with no staging name left behind.
+func TestRetrainCopyReplacesAnExistingFile(t *testing.T) {
+	meta, _, tail := fixture(t)
+	dir := t.TempDir()
+	stale := []byte("an earlier process's generation 2")
+	if err := os.WriteFile(VersionedModelPath(dir, 2), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder(0, 0)
+	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, OnRecord: rec.Shard})
+	defer s.Close()
+	post(t, s, encode(t, tail))
+	rt := NewRetrainer(s, rec, RetrainerConfig{MinEvents: 10, Dir: dir, Logf: t.Logf})
+	rt.cfg.Pipeline.Rule.RuleGenWindow = 15 * time.Minute
+	info, err := rt.RetrainNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Version != 2 {
+		t.Fatalf("retrained version %d, want 2", info.Version)
+	}
+	active, err := os.Stat(ModelPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	versioned, err := os.Stat(VersionedModelPath(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(active, versioned) {
+		t.Fatal("the versioned copy is not the active artifact's file")
+	}
+	if got, err := model.Verify(VersionedModelPath(dir, 2)); err != nil || got.SHA256 != info.SHA256 {
+		t.Fatalf("versioned copy hashes to %.12s (err %v), the server serves %.12s", got.SHA256, err, info.SHA256)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v, want the active artifact and its one copy", names)
+	}
+}
+
+// TestRetrainStagesSumToCycle: each stage histogram times one stage of
+// a cycle, so after one retrain the stages' sums add up to within 10 %
+// of bglserved_retrain_seconds (the swap, a few microseconds, is the
+// only part of the cycle no stage times).
+func TestRetrainStagesSumToCycle(t *testing.T) {
+	meta, _, tail := fixture(t)
+	dir := t.TempDir()
+	led := openTestLedger(t, dir, ledger.Config{})
+	rec := NewRecorder(0, 0)
+	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, OnRecord: rec.Shard})
+	defer s.Close()
+	post(t, s, encode(t, tail))
+	rt := NewRetrainer(s, rec, RetrainerConfig{MinEvents: 10, Dir: dir, Ledger: led, Logf: t.Logf})
+	rt.cfg.Pipeline.Rule.RuleGenWindow = 15 * time.Minute
+	rt.cfg.Pipeline.Predictors = []string{"statistical", "rule", "ecg"}
+	if _, err := rt.RetrainNow(); err != nil {
+		t.Fatal(err)
+	}
+	scrape := httptest.NewRecorder()
+	edge.ServeMetrics(scrape, func(m *edge.Metrics) {
+		m.GaugeSeconds("bglserved_retrain_seconds", "Last cycle.", rt.LastCycle())
+		m.HistogramVec("bglserved_retrain_stage_seconds", "Stages.", "stage", RetrainStages, rt.Stage)
+	})
+	if scrape.Code != http.StatusOK {
+		t.Fatalf("scrape: %d %s", scrape.Code, scrape.Body)
+	}
+	var cycle, sum float64
+	stages := 0
+	for _, line := range strings.Split(scrape.Body.String(), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		switch {
+		case name == "bglserved_retrain_seconds":
+			cycle = v
+		case strings.HasPrefix(name, "bglserved_retrain_stage_seconds_sum{"):
+			sum += v
+			stages++
+		case strings.HasPrefix(name, "bglserved_retrain_stage_seconds_count{") && v != 1:
+			t.Errorf("%s: %v observations after one retrain, want 1", name, v)
+		}
+	}
+	if stages != int(numStages) || cycle <= 0 {
+		t.Fatalf("scrape holds %d stage sums and a cycle of %v s:\n%s", stages, cycle, scrape.Body)
+	}
+	if math.Abs(sum-cycle) > 0.1*cycle {
+		t.Fatalf("stages sum to %.6f s, the cycle took %.6f s", sum, cycle)
 	}
 }

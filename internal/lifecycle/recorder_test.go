@@ -2,8 +2,6 @@ package lifecycle
 
 import (
 	"bytes"
-	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -104,10 +102,8 @@ func threeBases(opts preprocess.Options) core.Config {
 
 // sameModel reports whether two trainings produced one model: the
 // meta-learners (every base's learned tables) are deeply equal, and so
-// are the artifacts packaged from them under a fixed provenance. The
-// artifacts' per-base sections are left out of the second comparison
-// and covered by the first: they are gob payloads, gob writes a map in
-// iteration order, so one model has many encodings.
+// are the artifacts packaged from them under a fixed provenance,
+// per-base sections included.
 func sameModel(t *testing.T, a, b *predictor.Meta) bool {
 	t.Helper()
 	var arts [2]*model.Artifact
@@ -119,7 +115,6 @@ func sameModel(t *testing.T, a, b *predictor.Meta) bool {
 		if len(art.Sections) != 3 {
 			t.Fatalf("artifact carries %d base sections, want statistical, rule and ecg", len(art.Sections))
 		}
-		art.Sections = nil
 		arts[i] = art
 	}
 	return reflect.DeepEqual(a, b) && reflect.DeepEqual(arts[0], arts[1])
@@ -572,9 +567,7 @@ func BenchmarkServeIngestObserved(b *testing.B) {
 	}
 }
 
-// baseStates is each base's State section. The statistical section is
-// re-encoded as JSON, whose map keys are sorted: gob writes its maps in
-// iteration order, so its bytes differ from one State call to the next.
+// baseStates is each base's State section.
 func baseStates(t *testing.T, m *predictor.Meta) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
@@ -582,15 +575,6 @@ func baseStates(t *testing.T, m *predictor.Meta) map[string][]byte {
 		data, err := b.State()
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)
-		}
-		if b.Name() == predictor.SourceStatistical {
-			var st predictor.StatState
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-				t.Fatal(err)
-			}
-			if data, err = json.Marshal(st); err != nil {
-				t.Fatal(err)
-			}
 		}
 		out[b.Name()] = data
 	}
@@ -617,7 +601,7 @@ func TestRetrainBufferDoesNotAlias(t *testing.T) {
 	}
 
 	rt.mu.Lock()
-	first, _, err := rt.train()
+	first, _, err := rt.train(rt.stopwatch(time.Now()))
 	buf := rt.window
 	rt.mu.Unlock()
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 
 	"bglpred/internal/faultinject"
 	"bglpred/internal/ledger"
-	"bglpred/internal/model"
 	"bglpred/internal/serve"
 )
 
@@ -266,13 +265,12 @@ func TestCheckpointRestoreCorruptionMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cp Checkpoint
-		_, err = model.UnmarshalEnvelope(payload[:len(payload)/2], CheckpointMagic, CheckpointVersion, &cp)
+		_, _, err = DecodeCheckpoint(payload[:len(payload)/2])
 		if err == nil || !strings.Contains(err.Error(), "header declares") {
 			t.Fatalf("truncated envelope error = %v, want the length-mismatch diagnosis", err)
 		}
 		payload[len(payload)-1] ^= 0x01
-		_, err = model.UnmarshalEnvelope(payload, CheckpointMagic, CheckpointVersion, &cp)
+		_, _, err = DecodeCheckpoint(payload)
 		if err == nil || !strings.Contains(err.Error(), "SHA-256 mismatch") {
 			t.Fatalf("bit-flipped envelope error = %v, want the checksum diagnosis", err)
 		}
@@ -316,5 +314,49 @@ func copyLedger(t *testing.T, from, to string) {
 		if err := os.WriteFile(to+suffix, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRetrainerLostCopyKeepsTheSwap: a versioned copy whose link never
+// lands costs only the copy. The retrain swaps and reports the model,
+// the retries are counted, and no staging name is left behind.
+func TestRetrainerLostCopyKeepsTheSwap(t *testing.T) {
+	meta, _, tail := fixture(t)
+	rec := NewRecorder(0, 0)
+	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, OnRecord: rec.Shard})
+	defer s.Close()
+	post(t, s, encode(t, tail))
+
+	in := faultinject.New(1)
+	in.Set(faultinject.FsLink, faultinject.Plan{})
+	dir := t.TempDir()
+	rt := NewRetrainer(s, rec, RetrainerConfig{
+		MinEvents: 10,
+		Dir:       dir,
+		FS:        faultinject.NewFs(in, nil),
+		Retry:     fastRetry,
+		Logf:      t.Logf,
+	})
+	rt.cfg.Pipeline.Rule.RuleGenWindow = 15 * time.Minute
+
+	info, err := rt.RetrainNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Model(); got.Version != info.Version || got.SHA256 != info.SHA256 {
+		t.Fatalf("server serves %+v, the retrain reported %+v", got, info)
+	}
+	if in.Fires(faultinject.FsLink) < 2 || rt.PersistRetries() == 0 {
+		t.Fatalf("%d link faults and %d retries: the copy was not retried", in.Fires(faultinject.FsLink), rt.PersistRetries())
+	}
+	if rt.PersistGiveUps() != 0 {
+		t.Fatalf("a lost copy counted as %d persist give-ups", rt.PersistGiveUps())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != ModelFile {
+		t.Fatalf("directory holds %v, want the active artifact alone", entries)
 	}
 }

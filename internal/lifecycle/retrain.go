@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bglpred/internal/core"
+	"bglpred/internal/edge"
 	"bglpred/internal/ledger"
 	"bglpred/internal/model"
 	"bglpred/internal/predictor"
@@ -33,8 +34,8 @@ type RetrainerConfig struct {
 	Pipeline core.Config
 	// Dir, when non-empty, persists each retrained model: the active
 	// artifact at ModelPath(Dir) plus an immutable versioned copy
-	// (model-v<N>.bglm) per generation, so operators can diff or roll
-	// back models.
+	// (model-v<N>.bglm, a hard link to the same file) per generation,
+	// so operators can diff or roll back models.
 	Dir string
 	// FS is the filesystem artifacts are written through (nil =
 	// ledger.OS); fault-injection tests interpose faultinject.Fs here.
@@ -68,6 +69,7 @@ type Retrainer struct {
 	persistRetries atomic.Int64
 	persistGiveups atomic.Int64
 	lastCycle      atomic.Int64 // ns the last completed retrain took
+	stages         [numStages]*edge.Histogram
 }
 
 // NewRetrainer builds a retrainer over a server and its recorder.
@@ -84,7 +86,11 @@ func NewRetrainer(srv *serve.Server, rec *Recorder, cfg RetrainerConfig) *Retrai
 	if cfg.FS == nil {
 		cfg.FS = ledger.OS
 	}
-	return &Retrainer{srv: srv, rec: rec, cfg: cfg}
+	r := &Retrainer{srv: srv, rec: rec, cfg: cfg}
+	for i := range r.stages {
+		r.stages[i] = edge.NewHistogram(edge.LatencyBounds)
+	}
+	return r
 }
 
 // PersistRetries reports artifact-write re-tries spent; PersistGiveUps
@@ -119,7 +125,8 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 	defer r.mu.Unlock()
 
 	started := time.Now()
-	meta, prov, err := r.train()
+	lap := r.stopwatch(started)
+	meta, prov, err := r.train(lap)
 	if err != nil {
 		return serve.ModelInfo{}, err
 	}
@@ -132,16 +139,15 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 	// names bytes that actually exist on disk; a crash between save
 	// and swap leaves a newer artifact with older state, which
 	// Checkpointer.Restore pairs back up at restore time. The artifact
-	// is encoded once: the active and the versioned copy are the same
-	// bytes.
+	// is encoded and written once: the versioned copy below is a second
+	// name for the same file.
 	var sha string
-	var framed []byte
 	if r.cfg.Dir != "" {
-		var info model.Info
-		framed, info, err = model.MarshalEnvelope(model.ArtifactMagic, model.ArtifactVersion, artifact)
+		framed, info, err := artifact.Encode()
 		if err != nil {
 			return serve.ModelInfo{}, fmt.Errorf("lifecycle: encode retrained model: %w", err)
 		}
+		lap(stageEncode)
 		retries, err := retryWithBackoff(ctx, r.cfg.Retry, func() error {
 			return ledger.WriteFileAtomic(r.cfg.FS, ModelPath(r.cfg.Dir), framed, true)
 		})
@@ -150,7 +156,10 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 			r.persistGiveups.Add(1)
 			return serve.ModelInfo{}, fmt.Errorf("%w: %w", ErrModelPersistGiveUp, err)
 		}
+		lap(stagePersist)
 		sha = info.SHA256
+	} else {
+		lap(stageEncode)
 	}
 
 	newInfo := r.srv.SwapModel(meta, serve.ModelInfo{
@@ -158,19 +167,22 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 		TrainedAt: prov.TrainedAt,
 		Source:    r.cfg.Source,
 	})
+	lap(-1)
 
 	// Immutable per-generation copy, named by the version just
-	// assigned. Best effort with the same retry budget: the active
-	// artifact already landed, so a lost versioned copy costs only the
-	// rollback convenience.
+	// assigned: a hard link to the active artifact's fsynced file,
+	// which nothing rewrites in place. Best effort with the same retry
+	// budget: the active artifact already landed, so a lost versioned
+	// copy costs only the rollback convenience.
 	if r.cfg.Dir != "" {
 		retries, err := retryWithBackoff(ctx, r.cfg.Retry, func() error {
-			return ledger.WriteFileAtomic(r.cfg.FS, VersionedModelPath(r.cfg.Dir, newInfo.Version), framed, true)
+			return ledger.LinkFileAtomic(r.cfg.FS, ModelPath(r.cfg.Dir), VersionedModelPath(r.cfg.Dir, newInfo.Version))
 		})
 		r.persistRetries.Add(int64(retries))
 		if err != nil {
 			r.logf("versioned artifact copy: %v", err)
 		}
+		lap(stageCopy)
 	}
 	// Chain the new generation into the audit ledger. Retried with the
 	// same budget as the artifact writes; a give-up costs only the
@@ -194,6 +206,7 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 				r.logf("model provenance ledger entry: %v", err)
 			}
 		}
+		lap(stageLedger)
 	}
 	cycle := time.Since(started)
 	r.lastCycle.Store(int64(cycle))
@@ -202,15 +215,56 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 	return newInfo, nil
 }
 
+// retrainStage names one timed stage of a retrain cycle.
+type retrainStage int
+
+const (
+	stageWindow  retrainStage = iota // copy the recorder's window
+	stageTrain                       // train the bases
+	stageEncode                      // capture the sections, encode the artifact
+	stagePersist                     // write and fsync the active artifact
+	stageCopy                        // link the versioned copy
+	stageLedger                      // append the model record
+	numStages
+)
+
+// RetrainStages counts the stages Retrainer.Stage reports.
+const RetrainStages = int(numStages)
+
+var stageNames = [numStages]string{"window", "train", "encode", "persist", "copy", "ledger"}
+
+// stopwatch returns a lap timer started at from: lap(s) observes the
+// time since the previous lap as stage s, and a negative s skips the
+// interval (the swap, a few microseconds, belongs to no stage).
+func (r *Retrainer) stopwatch(from time.Time) func(retrainStage) {
+	mark := from
+	return func(s retrainStage) {
+		now := time.Now()
+		if s >= 0 {
+			r.stages[s].Observe(now.Sub(mark))
+		}
+		mark = now
+	}
+}
+
+// Stage reports the i-th stage of a retrain cycle, i in
+// [0, RetrainStages), by name and with its latency histogram: window
+// (the recorder's window copied out), train, encode (sections captured
+// and the artifact encoded), persist (the active artifact written and
+// fsynced), copy (the versioned copy linked) and ledger (the model
+// record appended).
+func (r *Retrainer) Stage(i int) (string, *edge.Histogram) { return stageNames[i], r.stages[i] }
+
 // train fits a model on the recorder's current window and describes
 // its provenance; r.mu held. It refuses Phase 1 options other than the
 // defaults the window was compressed under, and a window that stands
-// for fewer than MinEvents records.
+// for fewer than MinEvents records. lap times the window copy and the
+// training.
 //
 // The window is copied into r.window, the buffer the last retrain
 // used, rather than into a fresh slice: training only reads it, and no
 // trained model keeps it.
-func (r *Retrainer) train() (*predictor.Meta, model.Provenance, error) {
+func (r *Retrainer) train(lap func(retrainStage)) (*predictor.Meta, model.Provenance, error) {
 	o, d := r.cfg.Pipeline.Preprocess, preprocess.DefaultThreshold
 	if o.TemporalThreshold != 0 && o.TemporalThreshold != d || o.SpatialThreshold != 0 && o.SpatialThreshold != d || o.TemporalKeyIgnoresCategory {
 		return nil, model.Provenance{}, fmt.Errorf("lifecycle: the retrain pipeline asks for Phase 1 options %+v, but the window was compressed under the preprocess defaults; serving model unchanged",
@@ -222,10 +276,12 @@ func (r *Retrainer) train() (*predictor.Meta, model.Provenance, error) {
 		return nil, model.Provenance{}, fmt.Errorf("lifecycle: only %d records in the retraining window (need %d); serving model unchanged",
 			records, r.cfg.MinEvents)
 	}
+	lap(stageWindow)
 	trained, err := core.New(r.cfg.Pipeline).Train(events)
 	if err != nil {
 		return nil, model.Provenance{}, fmt.Errorf("lifecycle: retrain: %w", err)
 	}
+	lap(stageTrain)
 	return trained.Meta, model.Provenance{
 		TrainedAt: time.Now().UTC(),
 		Source:    r.cfg.Source,

@@ -1,11 +1,10 @@
 package model
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
+	"bglpred/internal/canon"
 	"bglpred/internal/ledger"
 	"bglpred/internal/predictor"
 )
@@ -13,10 +12,11 @@ import (
 // ArtifactMagic and ArtifactVersion identify the model artifact
 // format. Bump ArtifactVersion when the payload schema changes; Load
 // keeps accepting every version up to the current one (the golden-file
-// test in artifact_test.go pins version 1 forever).
+// tests in artifact_test.go pin versions 1 and 2 forever). Version 3
+// is the canonical encoding; versions 1 and 2 are gob and only decode.
 const (
 	ArtifactMagic   = "BGLM"
-	ArtifactVersion = 2
+	ArtifactVersion = 3
 )
 
 // Provenance records where a model came from: the log it was trained
@@ -26,9 +26,10 @@ const (
 type Provenance struct {
 	// TrainedAt is when training finished (wall clock). It is not part
 	// of the payload, which is a function of the configuration and the
-	// training window alone: FromMeta drops it, so two identical
-	// trainings share one SHA-256. The audit ledger's model record
-	// carries it; artifacts written before it left still load with it.
+	// training window alone: FromMeta drops it and the encoding has no
+	// field for it, so two identical trainings share one SHA-256. The
+	// audit ledger's model record carries it; version-1 and version-2
+	// artifacts that still hold it load with it.
 	TrainedAt time.Time
 	// Source describes the training data (file path or generator spec).
 	Source string
@@ -85,12 +86,6 @@ type Artifact struct {
 	Provenance Provenance
 	// Policy is the meta-learner arbitration policy (predictor.Policy).
 	Policy int
-	// Stat and Rule are the version-1 payload, the classic pair's
-	// tables in their bases' State payload types. They exist only to
-	// decode version-1 files: Load and Decode convert them into Sections
-	// and clear them, and FromMeta never fills them.
-	Stat predictor.StatState
-	Rule predictor.RuleState
 	// Sections carries every base predictor's serialized state in
 	// meta-learner arbitration order.
 	Sections []Section
@@ -140,31 +135,88 @@ func (a *Artifact) Meta() (*predictor.Meta, error) {
 	return m, nil
 }
 
-// convertV1 turns a version-1 payload (the classic pair's tables, no
-// sections) into the statistical and rule sections, then clears the
-// tables, so a decoded artifact has one payload whatever its version.
-func (a *Artifact) convertV1() error {
-	if len(a.Sections) == 0 {
-		for _, t := range []struct {
-			name  string
-			table any
-		}{{predictor.SourceStatistical, a.Stat}, {predictor.SourceRule, a.Rule}} {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(t.table); err != nil {
-				return fmt.Errorf("model: convert version-1 %s table: %w", t.name, err)
-			}
-			a.Sections = append(a.Sections, Section{Name: t.name, Data: buf.Bytes()})
-		}
+// Encode frames the artifact's canonical payload in the envelope: the
+// bytes Save writes, and their Info. The payload is provenance less
+// TrainedAt (source, record counts, log span, mining parameters), the
+// policy, then each section's name and State bytes.
+func (a *Artifact) Encode() ([]byte, Info, error) {
+	size := 128 + len(a.Provenance.Source) + len(a.Provenance.Params.Miner)
+	for _, sec := range a.Sections {
+		size += 16 + len(sec.Name) + len(sec.Data)
 	}
-	a.Stat, a.Rule = predictor.StatState{}, predictor.RuleState{}
-	return nil
+	p, b := &a.Provenance, make([]byte, 0, size)
+	b = canon.AppendString(b, p.Source)
+	b = canon.AppendInt(b, int64(p.Records))
+	b = canon.AppendInt(b, int64(p.Unique))
+	b = appendTime(b, p.LogStart)
+	b = appendTime(b, p.LogEnd)
+	b = canon.AppendFloat(b, p.Params.MinSupport)
+	b = canon.AppendFloat(b, p.Params.MinConfidence)
+	b = canon.AppendInt(b, int64(p.Params.MaxBodyLen))
+	b = canon.AppendInt(b, int64(p.Params.RuleGenWindow))
+	b = canon.AppendString(b, p.Params.Miner)
+	b = canon.AppendInt(b, int64(a.Policy))
+	b = canon.AppendUint(b, uint64(len(a.Sections)))
+	for _, sec := range a.Sections {
+		b = canon.AppendBytes(canon.AppendString(b, sec.Name), sec.Data)
+	}
+	return MarshalEnvelope(ArtifactMagic, ArtifactVersion, b)
+}
+
+// decodePayload reads Encode's payload.
+func decodePayload(payload []byte) (*Artifact, error) {
+	r := canon.NewReader(payload)
+	a := &Artifact{}
+	p := &a.Provenance
+	p.Source = r.String()
+	p.Records = int(r.Int())
+	p.Unique = int(r.Int())
+	p.LogStart = readTime(r)
+	p.LogEnd = readTime(r)
+	p.Params.MinSupport = r.Float()
+	p.Params.MinConfidence = r.Float()
+	p.Params.MaxBodyLen = int(r.Int())
+	p.Params.RuleGenWindow = time.Duration(r.Int())
+	p.Params.Miner = r.String()
+	a.Policy = int(r.Int())
+	for n := r.Count(2); n > 0 && r.Err() == nil; n-- {
+		a.Sections = append(a.Sections, Section{Name: r.String(), Data: r.Bytes()})
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("model: decode %s payload: %w", ArtifactMagic, err)
+	}
+	return a, nil
+}
+
+// appendTime writes a time as Unix seconds and nanoseconds; it reads
+// back in UTC, the zero time included.
+func appendTime(b []byte, t time.Time) []byte {
+	return canon.AppendUint(canon.AppendInt(b, t.Unix()), uint64(t.Nanosecond()))
+}
+
+func readTime(r *canon.Reader) time.Time {
+	sec, nsec := r.Int(), r.Uint()
+	if nsec >= 1e9 {
+		r.Fail(fmt.Errorf("model: %d nanoseconds past a second", nsec))
+		return time.Time{}
+	}
+	return time.Unix(sec, int64(nsec)).UTC()
 }
 
 // Save writes the artifact to path in the versioned envelope format,
-// atomically. The returned Info carries the payload's SHA-256 — the
-// artifact's identity.
+// atomically (ledger.WriteFileAtomic: temp file, fsync, rename,
+// directory fsync). The returned Info carries the payload's SHA-256 —
+// the artifact's identity.
 func (a *Artifact) Save(path string) (Info, error) {
-	return SaveEnvelopeFS(ledger.OS, path, ArtifactMagic, ArtifactVersion, a)
+	framed, info, err := a.Encode()
+	if err != nil {
+		return Info{}, err
+	}
+	if err := ledger.WriteFileAtomic(ledger.OS, path, framed, true); err != nil {
+		return Info{}, err
+	}
+	info.Path = path
+	return info, nil
 }
 
 // Load reads and verifies a model artifact. It accepts any format
@@ -184,17 +236,25 @@ func Load(path string) (*Artifact, Info, error) {
 }
 
 // Decode is Load over in-memory bytes (used by the fuzz harness and
-// anything shipping artifacts over a wire instead of a file).
+// anything shipping artifacts over a wire instead of a file). A
+// version-1 or version-2 artifact decodes with its sections converted
+// to their canonical State bytes, so a decoded artifact has one form
+// whatever its version; Info still names the bytes as stored.
 func Decode(data []byte) (*Artifact, Info, error) {
-	var a Artifact
-	info, err := UnmarshalEnvelope(data, ArtifactMagic, ArtifactVersion, &a)
-	if err == nil {
-		err = a.convertV1()
+	payload, info, err := UnmarshalEnvelope(data, ArtifactMagic, ArtifactVersion)
+	if err != nil {
+		return nil, Info{}, err
+	}
+	var a *Artifact
+	if info.Version < 3 {
+		a, err = decodeLegacy(payload)
+	} else {
+		a, err = decodePayload(payload)
 	}
 	if err != nil {
 		return nil, Info{}, err
 	}
-	return &a, info, nil
+	return a, info, nil
 }
 
 // Verify checks a model artifact's framing and integrity without

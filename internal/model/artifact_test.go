@@ -12,6 +12,7 @@ import (
 
 	"bglpred/internal/assoc"
 	"bglpred/internal/bglsim"
+	"bglpred/internal/canon"
 	"bglpred/internal/catalog"
 	"bglpred/internal/ecg"
 	"bglpred/internal/predictor"
@@ -19,11 +20,11 @@ import (
 	"bglpred/internal/stats"
 )
 
-// goldenArtifact is a fixed, hand-built version-1 artifact: the classic
+// goldenV1 is a fixed, hand-built version-1 payload: the classic
 // pair's tables and no sections. Its saved form is committed as
 // testdata/golden_v1.bglm.
-func goldenArtifact() *Artifact {
-	return &Artifact{
+func goldenV1() *legacyArtifact {
+	return &legacyArtifact{
 		Provenance: Provenance{
 			TrainedAt: time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC),
 			Source:    "golden fixture",
@@ -40,7 +41,7 @@ func goldenArtifact() *Artifact {
 			},
 		},
 		Policy: int(predictor.PolicyCoverage),
-		Stat: predictor.StatState{
+		Stat: legacyStat{
 			MinLead:        5 * time.Minute,
 			MaxWindow:      time.Hour,
 			MinProbability: 0.4,
@@ -51,7 +52,7 @@ func goldenArtifact() *Artifact {
 			Followed:       map[int]int{1: 25, 5: 30},
 			Triggers:       map[int]float64{1: 0.625, 5: 0.5},
 		},
-		Rule: predictor.RuleState{
+		Rule: legacyRule{
 			Window: 15 * time.Minute,
 			Rules: []assoc.Rule{
 				{
@@ -67,11 +68,11 @@ func goldenArtifact() *Artifact {
 	}
 }
 
-// goldenPair builds the classic pair straight from goldenArtifact's
-// version-1 tables, the way version-1 files were rebuilt before they
-// converted to sections on load: the oracle the conversion must match.
+// goldenPair builds the classic pair straight from goldenV1's tables,
+// the way version-1 files were rebuilt before they converted to
+// sections on load: the oracle the conversion must match.
 func goldenPair() *predictor.Meta {
-	a := goldenArtifact()
+	a := goldenV1()
 	stat := &predictor.Statistical{
 		MinLead:        a.Stat.MinLead,
 		MaxWindow:      a.Stat.MaxWindow,
@@ -89,6 +90,31 @@ func goldenPair() *predictor.Meta {
 	rule := predictor.NewRule()
 	rule.SetTrained(assoc.NewRuleSet(a.Rule.Rules), a.Rule.Window)
 	return &predictor.Meta{Stat: stat, Rule: rule, Policy: predictor.Policy(a.Policy)}
+}
+
+// goldenArtifact is goldenPair packaged in the current format under
+// goldenV1's provenance.
+func goldenArtifact() *Artifact {
+	a, err := FromMeta(goldenPair(), goldenV1().Provenance)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// legacyBytes frames a gob payload as the given artifact version, the
+// way versions 1 and 2 were written.
+func legacyBytes(t testing.TB, payload any, version uint32) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
+		t.Fatal(err)
+	}
+	framed, _, err := MarshalEnvelope(ArtifactMagic, version, buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return framed
 }
 
 // anlSplit generates the ANL log at scale 0.05 and returns the Phase 1
@@ -138,16 +164,20 @@ func samePredictions(t *testing.T, got, want *predictor.Meta, events []preproces
 	}
 }
 
-// rawTables decodes a saved artifact's payload without the version-1
+// rawTables decodes a legacy artifact's payload without the
 // conversion, exposing the Stat/Rule tables as they lie on disk.
-func rawTables(t *testing.T, path string) (predictor.StatState, predictor.RuleState) {
+func rawTables(t *testing.T, path string) (legacyStat, legacyRule) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a Artifact
-	if _, err := UnmarshalEnvelope(data, ArtifactMagic, ArtifactVersion, &a); err != nil {
+	payload, _, err := UnmarshalEnvelope(data, ArtifactMagic, ArtifactVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a legacyArtifact
+	if err := gobDecode(payload, &a); err != nil {
 		t.Fatal(err)
 	}
 	return a.Stat, a.Rule
@@ -170,7 +200,7 @@ func TestGoldenV1Compatibility(t *testing.T) {
 	if len(info.SHA256) != 64 {
 		t.Fatalf("info.SHA256 = %q, want 64 hex chars", info.SHA256)
 	}
-	want := goldenArtifact()
+	want := goldenV1()
 	if !reflect.DeepEqual(a.Provenance, want.Provenance) || a.Policy != want.Policy {
 		t.Fatalf("golden artifact decoded to provenance %+v policy %d\nwant %+v policy %d",
 			a.Provenance, a.Policy, want.Provenance, want.Policy)
@@ -181,9 +211,6 @@ func TestGoldenV1Compatibility(t *testing.T) {
 	}
 	if !reflect.DeepEqual(names, []string{predictor.SourceStatistical, predictor.SourceRule}) {
 		t.Fatalf("converted sections = %v, want [statistical rule]", names)
-	}
-	if a.Stat.Total != nil || a.Rule.Rules != nil {
-		t.Fatal("version-1 tables survive the conversion beside the sections")
 	}
 	if vinfo, err := Verify(golden); err != nil || vinfo.SHA256 != info.SHA256 {
 		t.Fatalf("Verify = %+v, %v; want sha %s", vinfo, err, info.SHA256)
@@ -213,9 +240,6 @@ func TestGoldenV2ParentCompatibility(t *testing.T) {
 	}
 	if info.Version != 2 {
 		t.Fatalf("parent golden version = %d, want 2", info.Version)
-	}
-	if a.Stat.Total != nil || a.Rule.Rules != nil {
-		t.Fatal("mirror tables survive the load beside the sections")
 	}
 	m, err := a.Meta()
 	if err != nil {
@@ -297,7 +321,7 @@ func TestIdenticalTrainingsShareOneSHA(t *testing.T) {
 		if !a.Provenance.TrainedAt.IsZero() {
 			t.Fatal("FromMeta kept the wall clock in the payload")
 		}
-		_, info, err := MarshalEnvelope(ArtifactMagic, ArtifactVersion, a)
+		_, info, err := a.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,11 +332,11 @@ func TestIdenticalTrainingsShareOneSHA(t *testing.T) {
 	}
 }
 
-// TestV1UpgradesToV2 is the format-migration path: a version-1 file
+// TestV1UpgradesToV3 is the format-migration path: a version-1 file
 // loads as the classic pair's sections, and re-saving the rebuilt
-// predictor produces a version-2 artifact that writes no version-1
-// tables and reconstructs the exact same base predictors.
-func TestV1UpgradesToV2(t *testing.T) {
+// predictor produces a current-version artifact that reconstructs the
+// exact same base predictors.
+func TestV1UpgradesToV3(t *testing.T) {
 	v1, _, err := Load(filepath.Join("testdata", "golden_v1.bglm"))
 	if err != nil {
 		t.Fatal(err)
@@ -329,10 +353,7 @@ func TestV1UpgradesToV2(t *testing.T) {
 	if _, err := upgraded.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if stat, rule := rawTables(t, path); !reflect.DeepEqual(stat, predictor.StatState{}) || !reflect.DeepEqual(rule, predictor.RuleState{}) {
-		t.Fatal("FromMeta wrote version-1 tables beside the sections")
-	}
-	v2, info, err := Load(path)
+	v3, info, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +362,7 @@ func TestV1UpgradesToV2(t *testing.T) {
 	}
 
 	// Base by base, the sections rebuild what the tables describe.
-	rebuilt, err := v2.Meta()
+	rebuilt, err := v3.Meta()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +419,7 @@ func TestMetaRejectsCorruptSections(t *testing.T) {
 	check("unknown name lists registry",
 		func(a *Artifact) { a.Sections[0].Name = "nosuch" }, predictor.SourceRule)
 	check("mangled statistical payload",
-		func(a *Artifact) { a.Sections[0].Data = []byte("not gob") }, "statistical")
+		func(a *Artifact) { a.Sections[0].Data = []byte("garbage") }, "statistical")
 	check("mangled rule payload",
 		func(a *Artifact) { a.Sections[1].Data = []byte{0xff, 0x00} }, "rule")
 	check("empty section payload",
@@ -409,7 +430,7 @@ func TestMetaRejectsCorruptSections(t *testing.T) {
 	nodes := []ecg.Node{{ID: 3, Count: 4}, {ID: 7, Count: 2}}
 	edges := []ecg.Edge{{From: 3, To: 7, Count: 2}}
 	withGraph := func(nodes []ecg.Node, edges []ecg.Edge) func(*Artifact) {
-		return func(a *Artifact) { a.Sections = append(a.Sections, ecgSection(t, nodes, edges)) }
+		return func(a *Artifact) { a.Sections = append(a.Sections, ecgSection(nodes, edges)) }
 	}
 	valid := fresh()
 	withGraph(nodes, edges)(valid)
@@ -436,14 +457,47 @@ func TestMetaRejectsCorruptSections(t *testing.T) {
 	check("ecg edge probability above 1", withGraph(nodes, edge(7, 3, 3)), "of node 7's 2 occurrences")
 }
 
-// ecgSection builds an ecg artifact section over the given graph.
-func ecgSection(t testing.TB, nodes []ecg.Node, edges []ecg.Edge) Section {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ecg.Model{Nodes: nodes, Edges: edges}); err != nil {
-		t.Fatal(err)
+// ecgSection hand-encodes an ecg section over the given graph, valid
+// or not, in the layout ecg's State writes, with the zero
+// configuration (the defaults).
+func ecgSection(nodes []ecg.Node, edges []ecg.Edge) Section {
+	b := canon.AppendUint(nil, 1)
+	b = canon.AppendInt(b, 0)
+	b = canon.AppendInt(b, 0)
+	b = canon.AppendFloat(b, 0)
+	b = canon.AppendInt(b, 0)
+	b = canon.AppendFloat(b, 0)
+	b = canon.AppendUint(b, uint64(len(nodes)))
+	for _, n := range nodes {
+		b = canon.AppendInt(canon.AppendInt(b, int64(n.ID)), int64(n.Count))
 	}
-	return Section{Name: ecg.Source, Data: buf.Bytes()}
+	b = canon.AppendUint(b, uint64(len(edges)))
+	for _, e := range edges {
+		for _, v := range []int64{int64(e.From), int64(e.To), int64(e.Count), int64(e.GapSum), int64(e.MinGap), int64(e.MaxGap)} {
+			b = canon.AppendInt(b, v)
+		}
+	}
+	return Section{Name: ecg.Source, Data: b}
+}
+
+// TestLegacyRejectsCorruptSections: a version-2 artifact whose section
+// no legacy decoder reads, or whose gob section is mangled, fails to
+// load with the section named, never panics.
+func TestLegacyRejectsCorruptSections(t *testing.T) {
+	for _, c := range []struct {
+		sec  Section
+		want string
+	}{
+		{Section{Name: "nosuch", Data: []byte{1}}, `"nosuch"`},
+		{Section{Name: predictor.SourceStatistical, Data: []byte("garbage")}, "statistical"},
+		{Section{Name: predictor.SourceRule, Data: nil}, "rule"},
+		{Section{Name: ecg.Source, Data: []byte{0xff, 0}}, "ecg"},
+	} {
+		data := legacyBytes(t, &legacyArtifact{Sections: []Section{c.sec}}, 2)
+		if _, _, err := Decode(data); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("section %q: error %v, want one naming %s", c.sec.Name, err, c.want)
+		}
+	}
 }
 
 // TestFromMetaUntrained rejects half-built predictors.

@@ -8,15 +8,16 @@ import (
 	"bglpred/internal/ecg"
 )
 
-// FuzzDecode feeds arbitrary bytes through the artifact decoder. The
-// contract under fuzzing: corrupted, truncated, or adversarial inputs
-// return an error — they never panic, never hang, and never allocate
-// unboundedly (the header's declared length is capped before any
-// allocation trusts it).
+// FuzzDecode feeds arbitrary bytes through the artifact decoder, the
+// current canonical format and the gob formats of versions 1 and 2
+// alike. The contract under fuzzing: corrupted, truncated, or
+// adversarial inputs return an error — they never panic, never hang,
+// and never allocate unboundedly (the header's declared length and
+// every count in the payload are capped by the bytes that arrived).
 func FuzzDecode(f *testing.F) {
-	// Seed with a valid artifact and characteristic damage so the
+	// Seed with valid artifacts and characteristic damage so the
 	// fuzzer starts at the interesting boundaries.
-	valid, err := encodedGolden()
+	valid, _, err := goldenArtifact().Encode()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -31,19 +32,25 @@ func FuzzDecode(f *testing.F) {
 	f.Add(flipped)
 	// A three-section artifact, so mutations reach ecg's SetState.
 	withGraph := goldenArtifact()
-	if err := withGraph.convertV1(); err != nil {
-		f.Fatal(err)
-	}
-	withGraph.Sections = append(withGraph.Sections, ecgSection(f,
+	withGraph.Sections = append(withGraph.Sections, ecgSection(
 		[]ecg.Node{{ID: 3, Count: 4}, {ID: 7, Count: 2}}, []ecg.Edge{{From: 3, To: 7, Count: 2}}))
-	graphSeed, _, err := MarshalEnvelope(ArtifactMagic, ArtifactVersion, withGraph)
+	graphSeed, _, err := withGraph.Encode()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(graphSeed)
+	// The committed version-1 and version-2 goldens, so mutations reach
+	// the gob decoder and the legacy conversion.
+	for _, name := range []string{"golden_v1.bglm", "golden_v2_parent.bglm"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, info, err := Decode(data)
+		a, _, err := Decode(data)
 		if err != nil {
 			if a != nil {
 				t.Fatal("Decode returned both an artifact and an error")
@@ -51,32 +58,25 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		// A successful decode must round-trip: re-saving the artifact
-		// yields a loadable file with the same content hash semantics.
+		// yields a loadable file, and decoding that re-encodes to the
+		// same bytes (the encoding is canonical).
 		path := filepath.Join(t.TempDir(), "refuzz.bglm")
-		if _, err := a.Save(path); err != nil {
+		saved, err := a.Save(path)
+		if err != nil {
 			t.Fatalf("decoded artifact failed to re-save: %v", err)
 		}
 		if _, err := Verify(path); err != nil {
 			t.Fatalf("re-saved artifact failed verification: %v", err)
 		}
-		_ = info
+		again, _, err := Load(path)
+		if err != nil {
+			t.Fatalf("re-saved artifact failed to load: %v", err)
+		}
+		if _, info, err := again.Encode(); err != nil || info.SHA256 != saved.SHA256 {
+			t.Fatalf("re-loaded artifact re-encodes to sha %s (%v), saved %s", info.SHA256, err, saved.SHA256)
+		}
 		// Rebuilding the predictors from the sections may fail, but
 		// must not panic: every base's SetState is under fuzz too.
 		_, _ = a.Meta()
 	})
-}
-
-// encodedGolden renders the golden artifact to bytes without touching
-// testdata (the fuzz corpus must not depend on committed files).
-func encodedGolden() ([]byte, error) {
-	dir, err := os.MkdirTemp("", "bglm-fuzz-seed")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "seed.bglm")
-	if _, err := goldenArtifact().Save(path); err != nil {
-		return nil, err
-	}
-	return os.ReadFile(path)
 }

@@ -1,17 +1,13 @@
 package predictor
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
 	"bglpred/internal/assoc"
+	"bglpred/internal/canon"
 	"bglpred/internal/catalog"
 	"bglpred/internal/preprocess"
 	"bglpred/internal/stats"
@@ -68,8 +64,9 @@ type Base interface {
 	// prediction window. It returns the predictor's candidate warning
 	// for this event, if any.
 	Observe(e *preprocess.Event, recent []StepObservation, window time.Duration) (Candidate, bool)
-	// State serializes the trained model (a gob payload private to the
-	// implementation) for a version-2 artifact section. It errors when
+	// State serializes the trained model for an artifact section, in a
+	// versioned canonical encoding private to the implementation
+	// (internal/canon): one training, one byte string. It errors when
 	// the predictor is untrained.
 	State() ([]byte, error)
 	// SetState restores a trained model from a State payload.
@@ -95,117 +92,74 @@ func (s *Statistical) Observe(e *preprocess.Event, _ []StepObservation, window t
 	return Candidate{Warning: w, Specificity: 1}, true
 }
 
-// StatState is the gob payload of Statistical.State, and the
-// version-1 model artifact's statistical table: the configuration plus
-// the learned temporal-correlation tables.
-type StatState struct {
-	MinLead        time.Duration
-	MaxWindow      time.Duration
-	MinProbability float64
-	MinCount       int
-	// FollowMinLead and FollowWindow frame the follow counts below
-	// (they mirror MinLead and MaxWindow at training time).
-	FollowMinLead time.Duration
-	FollowWindow  time.Duration
-	// TotalTable and FollowedTable are the per-main-category follow
-	// counts of stats.FollowStats, and TriggerTable the trigger
-	// categories with their learned confidence, each packed in category
-	// order (packCounts, packConfs), so that a section's bytes are a
-	// function of the training alone. They are []byte because gob has
-	// that type built in: a new composite type would take the next gob
-	// type ids in this process and renumber every type encoded after
-	// it, checkpoints included.
-	TotalTable    []byte
-	FollowedTable []byte
-	TriggerTable  []byte
-	// Total, Followed and Triggers are the same tables as maps, which
-	// gob writes in map iteration order. They are decoded from older
-	// payloads and the version-1 artifact only; State never fills them.
-	Total    map[int]int
-	Followed map[int]int
-	Triggers map[int]float64
-}
+// statStateVersion is the first field of Statistical.State.
+const statStateVersion = 1
 
-// State implements Base.
+// State implements Base. The encoding is canonical (internal/canon):
+// its version, the configuration and the follow counts' frame, then
+// the per-main-category total and followed counts and the trigger
+// confidences, each table in category order.
 func (s *Statistical) State() ([]byte, error) {
 	if s.follow == nil {
 		return nil, fmt.Errorf("predictor: statistical predictor is not trained")
 	}
-	st := StatState{
-		MinLead:        s.MinLead,
-		MaxWindow:      s.MaxWindow,
-		MinProbability: s.MinProbability,
-		MinCount:       s.MinCount,
-		FollowMinLead:  s.follow.MinLead,
-		FollowWindow:   s.follow.Window,
-		TotalTable:     packCounts(s.follow.Total),
-		FollowedTable:  packCounts(s.follow.Followed),
-		TriggerTable:   packConfs(s.Triggers()),
+	b := canon.AppendUint(nil, statStateVersion)
+	b = canon.AppendInt(b, int64(s.MinLead))
+	b = canon.AppendInt(b, int64(s.MaxWindow))
+	b = canon.AppendFloat(b, s.MinProbability)
+	b = canon.AppendInt(b, int64(s.MinCount))
+	b = canon.AppendInt(b, int64(s.follow.MinLead))
+	b = canon.AppendInt(b, int64(s.follow.Window))
+	b = appendCounts(b, s.follow.Total)
+	b = appendCounts(b, s.follow.Followed)
+	triggers := s.Triggers()
+	b = canon.AppendUint(b, uint64(len(triggers)))
+	for _, main := range sortedKeys(triggers) {
+		b = canon.AppendFloat(canon.AppendInt(b, int64(main)), triggers[main])
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("predictor: encode statistical state: %w", err)
-	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
-// SetState implements Base. It reads the tables in either form.
+// SetState implements Base.
 func (s *Statistical) SetState(data []byte) error {
-	var st StatState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	r := canon.NewReader(data)
+	r.Version("statistical state", statStateVersion)
+	cfg := Statistical{MinLead: time.Duration(r.Int()), MaxWindow: time.Duration(r.Int()), MinProbability: r.Float(), MinCount: int(r.Int())}
+	follow := &stats.FollowStats{MinLead: time.Duration(r.Int()), Window: time.Duration(r.Int())}
+	follow.Total = readCounts(r)
+	follow.Followed = readCounts(r)
+	triggers := make(map[catalog.Main]float64)
+	for n := r.Count(9); n > 0 && r.Err() == nil; n-- {
+		main := catalog.Main(r.Int())
+		triggers[main] = r.Float()
+	}
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("predictor: decode statistical state: %w", err)
 	}
-	follow := &stats.FollowStats{
-		MinLead:  st.FollowMinLead,
-		Window:   st.FollowWindow,
-		Total:    st.Total,
-		Followed: st.Followed,
-	}
-	if follow.Total == nil {
-		follow.Total = make(map[int]int)
-	}
-	if follow.Followed == nil {
-		follow.Followed = make(map[int]int)
-	}
-	triggers := make(map[catalog.Main]float64, len(st.Triggers))
-	for main, conf := range st.Triggers {
-		triggers[catalog.Main(main)] = conf
-	}
-	if err := unpackCounts(st.TotalTable, follow.Total); err != nil {
-		return err
-	}
-	if err := unpackCounts(st.FollowedTable, follow.Followed); err != nil {
-		return err
-	}
-	if err := unpackConfs(st.TriggerTable, triggers); err != nil {
-		return err
-	}
-	s.MinLead = st.MinLead
-	s.MaxWindow = st.MaxWindow
-	s.MinProbability = st.MinProbability
-	s.MinCount = st.MinCount
+	s.MinLead, s.MaxWindow, s.MinProbability, s.MinCount = cfg.MinLead, cfg.MaxWindow, cfg.MinProbability, cfg.MinCount
 	s.SetTrained(follow, triggers)
 	return nil
 }
 
-// packCounts writes a count table as varint (category, count) pairs in
-// category order.
-func packCounts(m map[int]int) []byte {
-	var b []byte
+// appendCounts writes a count table as its length and (category,
+// count) varint pairs in category order.
+func appendCounts(b []byte, m map[int]int) []byte {
+	b = canon.AppendUint(b, uint64(len(m)))
 	for _, main := range sortedKeys(m) {
-		b = binary.AppendVarint(binary.AppendVarint(b, int64(main)), int64(m[main]))
+		b = canon.AppendInt(canon.AppendInt(b, int64(main)), int64(m[main]))
 	}
 	return b
 }
 
-// packConfs writes trigger confidences as (varint category, float64
-// bits) pairs in category order.
-func packConfs(m map[catalog.Main]float64) []byte {
-	var b []byte
-	for _, main := range sortedKeys(m) {
-		b = binary.BigEndian.AppendUint64(binary.AppendVarint(b, int64(main)), math.Float64bits(m[main]))
+// readCounts reads appendCounts' table.
+func readCounts(r *canon.Reader) map[int]int {
+	n := r.Count(2)
+	m := make(map[int]int, n)
+	for ; n > 0 && r.Err() == nil; n-- {
+		main := int(r.Int())
+		m[main] = int(r.Int())
 	}
-	return b
+	return m
 }
 
 func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
@@ -215,38 +169,6 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	}
 	slices.Sort(keys)
 	return keys
-}
-
-var errStatTable = errors.New("predictor: decode statistical state: malformed table")
-
-// unpackCounts adds packCounts' pairs to m.
-func unpackCounts(b []byte, m map[int]int) error {
-	for len(b) > 0 {
-		main, n := binary.Varint(b)
-		if n <= 0 {
-			return errStatTable
-		}
-		count, k := binary.Varint(b[n:])
-		if k <= 0 {
-			return errStatTable
-		}
-		m[int(main)] = int(count)
-		b = b[n+k:]
-	}
-	return nil
-}
-
-// unpackConfs adds packConfs' pairs to m.
-func unpackConfs(b []byte, m map[catalog.Main]float64) error {
-	for len(b) > 0 {
-		main, n := binary.Varint(b)
-		if n <= 0 || len(b) < n+8 {
-			return errStatTable
-		}
-		m[catalog.Main(main)] = math.Float64frombits(binary.BigEndian.Uint64(b[n:]))
-		b = b[n+8:]
-	}
-	return nil
 }
 
 // Kind implements Base: rules fire on non-fatal precursor evidence.
@@ -280,41 +202,69 @@ func (r *Rule) Observe(e *preprocess.Event, recent []StepObservation, window tim
 	}, true
 }
 
-// RuleState is the gob payload of Rule.State, and the version-1 model
-// artifact's rule table: the mined rule set, in BestMatch order, and
-// its rule-generation window (the restore half of Rules and
-// ChosenWindow).
-type RuleState struct {
-	Window time.Duration
-	// Rules carry supports, confidences and counts; assoc.Rule is plain
-	// exported data.
-	Rules []assoc.Rule
-}
+// ruleStateVersion is the first field of Rule.State.
+const ruleStateVersion = 1
 
-// State implements Base.
+// State implements Base. The encoding is canonical (internal/canon):
+// its version, the rule-generation window, then the mined rules in
+// BestMatch order, each its body and heads (sorted items), counts,
+// support and confidence.
 func (r *Rule) State() ([]byte, error) {
 	if r.rules == nil {
 		return nil, fmt.Errorf("predictor: rule predictor is not trained")
 	}
-	st := RuleState{Window: r.chosenWindow, Rules: make([]assoc.Rule, len(r.rules.Rules))}
-	for i, rl := range r.rules.Rules {
-		rl.Body = rl.Body.Clone()
-		rl.Heads = rl.Heads.Clone()
-		st.Rules[i] = rl
+	b := canon.AppendUint(nil, ruleStateVersion)
+	b = canon.AppendInt(b, int64(r.chosenWindow))
+	b = canon.AppendUint(b, uint64(len(r.rules.Rules)))
+	for i := range r.rules.Rules {
+		rl := &r.rules.Rules[i]
+		b = appendItemset(b, rl.Body)
+		b = appendItemset(b, rl.Heads)
+		b = canon.AppendInt(b, int64(rl.BodyCount))
+		b = canon.AppendInt(b, int64(rl.JointCount))
+		b = canon.AppendFloat(b, rl.Support)
+		b = canon.AppendFloat(b, rl.Confidence)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("predictor: encode rule state: %w", err)
-	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // SetState implements Base.
 func (r *Rule) SetState(data []byte) error {
-	var st RuleState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	d := canon.NewReader(data)
+	d.Version("rule state", ruleStateVersion)
+	window := time.Duration(d.Int())
+	n := d.Count(20)
+	rules := make([]assoc.Rule, 0, n)
+	for ; n > 0 && d.Err() == nil; n-- {
+		rules = append(rules, assoc.Rule{
+			Body:       readItemset(d),
+			Heads:      readItemset(d),
+			BodyCount:  int(d.Int()),
+			JointCount: int(d.Int()),
+			Support:    d.Float(),
+			Confidence: d.Float(),
+		})
+	}
+	if err := d.Done(); err != nil {
 		return fmt.Errorf("predictor: decode rule state: %w", err)
 	}
-	r.SetTrained(assoc.NewRuleSet(st.Rules), st.Window)
+	r.SetTrained(assoc.NewRuleSet(rules), window)
 	return nil
+}
+
+func appendItemset(b []byte, s assoc.Itemset) []byte {
+	b = canon.AppendUint(b, uint64(len(s)))
+	for _, it := range s {
+		b = canon.AppendInt(b, int64(it))
+	}
+	return b
+}
+
+func readItemset(r *canon.Reader) assoc.Itemset {
+	n := r.Count(1)
+	s := make(assoc.Itemset, 0, n)
+	for ; n > 0 && r.Err() == nil; n-- {
+		s = append(s, assoc.Item(r.Int()))
+	}
+	return s
 }

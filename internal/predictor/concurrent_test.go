@@ -2,9 +2,7 @@ package predictor_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
-	"reflect"
 	"testing"
 
 	"bglpred/internal/bglsim"
@@ -60,22 +58,8 @@ func TestMetaTrainConcurrentMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Name() != predictor.SourceStatistical {
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: state trained inside the meta differs from the base trained alone", b.Name())
-			}
-			continue
-		}
-		// gob writes StatState's maps in map order: compare values.
-		var gs, ws predictor.StatState
-		if err := gob.NewDecoder(bytes.NewReader(got)).Decode(&gs); err != nil {
-			t.Fatal(err)
-		}
-		if err := gob.NewDecoder(bytes.NewReader(want)).Decode(&ws); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gs, ws) {
-			t.Errorf("statistical: state %+v inside the meta, %+v alone", gs, ws)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: state trained inside the meta differs from the base trained alone", b.Name())
 		}
 	}
 

@@ -2,7 +2,6 @@ package predictor
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 	"time"
@@ -185,8 +184,8 @@ func TestStatisticalName(t *testing.T) {
 	}
 }
 
-// TestStatisticalStateTables round-trips the packed tables and refuses
-// truncated ones.
+// TestStatisticalStateTables round-trips the tables and refuses every
+// truncation of them, and a trailing byte.
 func TestStatisticalStateTables(t *testing.T) {
 	s := NewStatistical()
 	s.MinCount = 5
@@ -207,23 +206,12 @@ func TestStatisticalStateTables(t *testing.T) {
 	if !reflect.DeepEqual(back.Triggers(), s.Triggers()) || !reflect.DeepEqual(back.FollowStats(), s.FollowStats()) {
 		t.Fatalf("restored %v %+v, trained %v %+v", back.Triggers(), back.FollowStats(), s.Triggers(), s.FollowStats())
 	}
-	var st StatState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		t.Fatal(err)
+	for cut := range data {
+		if err := NewStatistical().SetState(data[:cut]); err == nil {
+			t.Errorf("state truncated to %d of %d bytes restored", cut, len(data))
+		}
 	}
-	for name, cut := range map[string]func(*StatState){
-		"total":    func(st *StatState) { st.TotalTable = st.TotalTable[:len(st.TotalTable)-1] },
-		"followed": func(st *StatState) { st.FollowedTable = st.FollowedTable[:len(st.FollowedTable)-1] },
-		"triggers": func(st *StatState) { st.TriggerTable = st.TriggerTable[:len(st.TriggerTable)-1] },
-	} {
-		bad := st
-		cut(&bad)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(bad); err != nil {
-			t.Fatal(err)
-		}
-		if err := NewStatistical().SetState(buf.Bytes()); err == nil {
-			t.Errorf("a truncated %s table restored", name)
-		}
+	if err := NewStatistical().SetState(append(data[:len(data):len(data)], 0)); err == nil {
+		t.Error("state with a trailing byte restored")
 	}
 }
