@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"bglpred/internal/cluster"
+	"bglpred/internal/edge"
 )
 
 func main() {
@@ -62,6 +63,8 @@ func main() {
 	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "http.Server ReadHeaderTimeout")
 	readTimeout := flag.Duration("read-timeout", 5*time.Minute, "http.Server ReadTimeout")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout")
+	var debug bool
+	edge.DebugFlag(flag.CommandLine, &debug)
 	flag.Parse()
 
 	if err := run(*addr, *backends, *vnodes, gateTimeouts{
@@ -73,7 +76,7 @@ func main() {
 		readHeader:     *readHeaderTimeout,
 		read:           *readTimeout,
 		idle:           *idleTimeout,
-	}, *replayCap, *replayWindow); err != nil {
+	}, *replayCap, *replayWindow, debug); err != nil {
 		fmt.Fprintf(os.Stderr, "bglgate: %v\n", err)
 		os.Exit(1)
 	}
@@ -84,7 +87,7 @@ type gateTimeouts struct {
 	readHeader, read, idle                                                time.Duration
 }
 
-func run(addr, backendList string, vnodes int, t gateTimeouts, replayCap int, replayWindow time.Duration) error {
+func run(addr, backendList string, vnodes int, t gateTimeouts, replayCap int, replayWindow time.Duration, debug bool) error {
 	var urls []string
 	for _, u := range strings.Split(backendList, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -122,7 +125,7 @@ func run(addr, backendList string, vnodes int, t gateTimeouts, replayCap int, re
 	// SSE stream; heartbeats handle dead-peer detection instead.
 	httpSrv := &http.Server{
 		Addr:              addr,
-		Handler:           gate,
+		Handler:           edge.WithDebug(gate, debug),
 		ReadHeaderTimeout: t.readHeader,
 		ReadTimeout:       t.read,
 		IdleTimeout:       t.idle,

@@ -97,6 +97,8 @@ type options struct {
 	retrainInterval    time.Duration
 	retrainWindow      time.Duration
 	retrainMinEvents   int
+
+	debug bool
 }
 
 func main() {
@@ -128,6 +130,7 @@ func main() {
 	flag.DurationVar(&o.retrainInterval, "retrain-interval", 0, "retrain on recent traffic this often and hot-swap (0 disables periodic retraining; POST /v1/model/reload always works)")
 	flag.DurationVar(&o.retrainWindow, "retrain-window", lifecycle.DefaultRecorderWindow, "sliding event-time window retrains learn from; traffic is compressed to unique events (Phase 1) as it arrives and kept that way")
 	flag.IntVar(&o.retrainMinEvents, "retrain-min-events", 1000, "skip retrains whose window stands for fewer raw records than this")
+	edge.DebugFlag(flag.CommandLine, &o.debug)
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -176,8 +179,8 @@ func run(o options) error {
 				ledgerPath, res.Entries, res.Commits, seq, root)
 		}
 	}
-	if modelInfo.TrainedAt.IsZero() {
-		modelInfo.TrainedAt = lifecycle.ModelTrainedAt(led, modelInfo.SHA256)
+	if modelInfo, err = lifecycle.BootModel(led, modelInfo); err != nil {
+		return fmt.Errorf("audit ledger %s: %w", ledgerPath, err)
 	}
 
 	// Keep the shard engines' Phase 1 output for retraining, and expose
@@ -323,7 +326,7 @@ func run(o options) error {
 	// detection instead.
 	httpSrv := &http.Server{
 		Addr:              o.addr,
-		Handler:           srv,
+		Handler:           edge.WithDebug(srv, o.debug),
 		ReadHeaderTimeout: o.readHeaderTimeout,
 		ReadTimeout:       o.readTimeout,
 		WriteTimeout:      o.writeTimeout,

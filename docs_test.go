@@ -19,7 +19,8 @@ import (
 // names (as .Member), every Go file's module-relative path and base
 // name, the daemons' metric families: those the /metrics goldens pin
 // plus the string literals cmd/bglserved registers as AuxMetrics, and
-// the command-line flags cmd/ and bench/ declare.
+// the command-line flags cmd/, bench/ and non-test internal/ files
+// declare.
 type docIndex struct {
 	pkgs    map[string]map[string]bool
 	files   map[string]bool
@@ -67,7 +68,7 @@ func buildDocIndex(t *testing.T) docIndex {
 		if err != nil {
 			return err
 		}
-		if cmd || bench {
+		if cmd || bench || !strings.HasSuffix(path, "_test.go") {
 			declareFlags(idx.flags, f)
 		}
 		if bench {
@@ -226,7 +227,7 @@ func (idx docIndex) unresolved(span string) string {
 	}
 	if m := flagRef.FindStringSubmatch(span); m != nil {
 		if !idx.flags[m[1]] {
-			return "names no flag cmd/ or bench/ declares"
+			return "names no flag cmd/, bench/ or internal/ declares"
 		}
 		return ""
 	}

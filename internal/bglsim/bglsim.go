@@ -9,7 +9,6 @@
 package bglsim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -136,16 +135,12 @@ func Generate(p Profile) (*Result, error) {
 		mps:      mps,
 		hotShare: p.HotMidplaneShare,
 	}
-	var events []raslog.Event
 	for i := range logical {
-		events = ex.expand(&logical[i], events)
+		ex.expand(&logical[i])
 	}
-
-	// CMCS stores whole-second timestamps; stable-sort by that and
-	// assign record IDs in storage order.
-	sortStable(events)
-	for i := range events {
-		events[i].RecID = int64(i + 1)
+	events, err := storageOrder(ex.blocks)
+	if err != nil {
+		return nil, err
 	}
 	return &Result{
 		Profile:  &p,
@@ -156,43 +151,44 @@ func Generate(p Profile) (*Result, error) {
 	}, nil
 }
 
-// sortStable sorts records by time, ties kept in slice order. It
-// sorts small (time, index) keys, then moves each record once, cycle
-// by cycle, instead of swapping whole records throughout the sort.
-func sortStable(events []raslog.Event) {
-	type key struct {
-		t time.Time
-		i int
-	}
-	keys := make([]key, len(events))
-	for i := range events {
-		keys[i] = key{events[i].Time, i}
-	}
-	slices.SortFunc(keys, func(a, b key) int {
-		if c := a.t.Compare(b.t); c != 0 {
-			return c
+// storageOrder returns the records as CMCS stores them: stable-sorted
+// by their whole-second timestamps, with record IDs in that order.
+// Each sort key packs a record's second, offset from the earliest,
+// above its emission index, so both must fit 32 bits.
+func storageOrder(blocks [][]raslog.Event) ([]raslog.Event, error) {
+	n, first := 0, int64(math.MaxInt64)
+	for _, b := range blocks {
+		n += len(b)
+		for i := range b {
+			first = min(first, b[i].Time.Unix())
 		}
-		return cmp.Compare(a.i, b.i)
-	})
-	// Position r takes the record at keys[r].i; a taken key is marked -1.
-	for start := range keys {
-		if keys[start].i < 0 {
-			continue
-		}
-		held := events[start]
-		r := start
-		for {
-			src := keys[r].i
-			keys[r].i = -1
-			if src == start {
-				events[r] = held
-				break
+	}
+	if uint64(n) > math.MaxUint32 {
+		return nil, fmt.Errorf("bglsim: %d records overflow the 32-bit sort keys", n)
+	}
+	keys := make([]uint64, 0, n)
+	for _, b := range blocks {
+		for i := range b {
+			off := b[i].Time.Unix() - first
+			if off > math.MaxUint32 {
+				return nil, fmt.Errorf("bglsim: a log spanning %d s overflows the 32-bit sort keys", off)
 			}
-			events[r] = events[src]
-			r = src
+			keys = append(keys, uint64(off)<<32|uint64(len(keys)))
 		}
 	}
+	slices.Sort(keys)
+	out := make([]raslog.Event, n)
+	for r, k := range keys {
+		i := int(k & math.MaxUint32)
+		out[r] = blocks[i/blockLen][i%blockLen]
+		out[r].RecID = int64(r + 1)
+	}
+	return out, nil
 }
+
+// blockLen is the length of the blocks the expander emits into, so a
+// growing log is never copied.
+const blockLen = 1 << 14
 
 // expander turns logical events into raw duplicated records.
 type expander struct {
@@ -202,6 +198,29 @@ type expander struct {
 	dup      DupConfig
 	mps      []raslog.Location
 	hotShare float64
+	blocks   [][]raslog.Event // full blocks of blockLen, then the open one
+	perm     []int            // scratch for permOf
+}
+
+// push appends one record to the open block.
+func (ex *expander) push(e raslog.Event) {
+	if n := len(ex.blocks); n == 0 || len(ex.blocks[n-1]) == blockLen {
+		ex.blocks = append(ex.blocks, make([]raslog.Event, 0, blockLen))
+	}
+	b := &ex.blocks[len(ex.blocks)-1]
+	*b = append(*b, e)
+}
+
+// permOf returns what rng.Perm(n) would, drawing the same random
+// numbers, in a buffer reused by the next call.
+func (ex *expander) permOf(n int) []int {
+	p := slices.Grow(ex.perm[:0], n)[:n]
+	for i := range p {
+		p[i] = i
+	}
+	ex.rng.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	ex.perm = p
+	return p
 }
 
 // scope classifies where a subcategory's records originate.
@@ -271,7 +290,7 @@ func (ex *expander) detail() string {
 	}
 }
 
-func (ex *expander) expand(le *faults.LogicalEvent, out []raslog.Event) []raslog.Event {
+func (ex *expander) expand(le *faults.LogicalEvent) {
 	mp := ex.midplaneFor(le)
 	entry := le.Sub.Phrase + ex.detail()
 
@@ -284,7 +303,7 @@ func (ex *expander) expand(le *faults.LogicalEvent, out []raslog.Event) []raslog
 	}
 
 	emit := func(loc raslog.Location, at time.Time) {
-		out = append(out, raslog.Event{
+		ex.push(raslog.Event{
 			Type:      raslog.EventTypeRAS,
 			Time:      at.Truncate(time.Second),
 			JobID:     jobID,
@@ -311,7 +330,7 @@ func (ex *expander) expand(le *faults.LogicalEvent, out []raslog.Event) []raslog
 		if max := ex.machine.ChipsPerMidplane(); n > max {
 			n = max
 		}
-		for _, idx := range ex.rng.Perm(ex.machine.ChipsPerMidplane())[:n] {
+		for _, idx := range ex.permOf(ex.machine.ChipsPerMidplane())[:n] {
 			loc := ex.machine.ChipByIndex(mp, idx)
 			for r := repeats(ex.dup.RepeatMean); r > 0; r-- {
 				emit(loc, jitter())
@@ -324,7 +343,7 @@ func (ex *expander) expand(le *faults.LogicalEvent, out []raslog.Event) []raslog
 		if n > maxIO {
 			n = maxIO
 		}
-		for _, k := range ex.rng.Perm(maxIO)[:n] {
+		for _, k := range ex.permOf(maxIO)[:n] {
 			loc := raslog.Location{
 				Kind:     raslog.KindIONode,
 				Rack:     mp.Rack,
@@ -356,7 +375,6 @@ func (ex *expander) expand(le *faults.LogicalEvent, out []raslog.Event) []raslog
 			emit(mp, jitter())
 		}
 	}
-	return out
 }
 
 // geometric draws a geometric variate (support 0,1,2,...) with the

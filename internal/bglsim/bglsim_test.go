@@ -2,6 +2,8 @@ package bglsim
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -284,13 +286,51 @@ func TestEpisodeSpatialCoherence(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerateANLScale2pct(b *testing.B) {
-	p := ANLProfile().Scaled(0.02)
-	b.ResetTimer()
+// BenchmarkGenerate generates the benchmark's data set: ANL at scale
+// 0.25 on four racks, about a million records.
+func BenchmarkGenerate(b *testing.B) {
+	p := ANLProfile().Scaled(0.25)
+	p.Machine.Racks = 4
+	p.Seed = 1
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Generate(p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPermOfMatchesPerm draws from twin-seeded generators: the reused
+// buffer must hold what rand.Perm returns and leave both streams at
+// the same point, also when a call is shorter than the one before.
+func TestPermOfMatchesPerm(t *testing.T) {
+	ex := expander{rng: rand.New(rand.NewPCG(3, 4))}
+	twin := rand.New(rand.NewPCG(3, 4))
+	for _, n := range []int{0, 1, 2, 7, 512, 7, 2, 1, 0, 512} {
+		if got, want := ex.permOf(n), twin.Perm(n); !slices.Equal(got, want) {
+			t.Fatalf("permOf(%d) = %v, want %v", n, got, want)
+		}
+		if got, want := ex.rng.Uint64(), twin.Uint64(); got != want {
+			t.Fatalf("after permOf(%d) the stream is at %d, want %d", n, got, want)
+		}
+	}
+}
+
+// TestStorageOrderRefusesOverflowingSpan checks both sides of the
+// sort keys' 32-bit second offset: the widest span that fits is
+// sorted, one second more is refused.
+func TestStorageOrderRefusesOverflowingSpan(t *testing.T) {
+	t0 := time.Unix(1_000_000, 0).UTC()
+	widest := t0.Add(math.MaxUint32 * time.Second)
+	got, err := storageOrder([][]raslog.Event{{{Time: widest}, {Time: t0}}})
+	if err != nil {
+		t.Fatalf("span of 2^32-1 s: %v", err)
+	}
+	if !got[0].Time.Equal(t0) || got[0].RecID != 1 || !got[1].Time.Equal(widest) || got[1].RecID != 2 {
+		t.Fatalf("span of 2^32-1 s sorted to %+v", got)
+	}
+	if _, err := storageOrder([][]raslog.Event{{{Time: t0}, {Time: widest.Add(time.Second)}}}); err == nil {
+		t.Fatal("span of 2^32 s accepted")
 	}
 }
 

@@ -50,6 +50,30 @@ func LastModelRecord(led *ledger.Ledger) (ModelLedgerRecord, bool, error) {
 	return rec, true, nil
 }
 
+// BootModel completes a booting server's model identity from the
+// ledger's newest model record. The model that record names keeps its
+// version and, when info has none, its training time; any other model
+// is numbered one above it. Retrains then number their model-v<N>.bglm
+// copies above every generation an earlier process recorded, so none
+// is replaced. With no ledger or no record, info comes back unchanged.
+func BootModel(led *ledger.Ledger, info serve.ModelInfo) (serve.ModelInfo, error) {
+	if led == nil {
+		return info, nil
+	}
+	rec, ok, err := LastModelRecord(led)
+	if err != nil || !ok {
+		return info, err
+	}
+	info.Version = rec.Version + 1
+	if rec.SHA256 == info.SHA256 {
+		info.Version = rec.Version
+		if info.TrainedAt.IsZero() {
+			info.TrainedAt = rec.TrainedAt
+		}
+	}
+	return info, nil
+}
+
 // ModelTrainedAt is when the model whose artifact hashes to sha was
 // trained, as the ledger's newest model record states it when that
 // record names this model; artifacts carry no wall clock. It is the

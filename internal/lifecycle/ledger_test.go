@@ -4,12 +4,15 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"bglpred/internal/ledger"
 	"bglpred/internal/model"
+	"bglpred/internal/predictor"
+	"bglpred/internal/raslog"
 	"bglpred/internal/serve"
 )
 
@@ -220,5 +223,90 @@ func TestMatchModelPrefersNewestGeneration(t *testing.T) {
 	}
 	if want := VersionedModelPath(dir, 10); got != want {
 		t.Fatalf("matched %s first, want the newest generation's %s", got, want)
+	}
+}
+
+// TestRestartNumbersRetrainsAboveRecordedGenerations runs two server
+// and retrainer lifetimes over one directory and ledger. The second
+// boots the active artifact the first left behind, so it takes that
+// generation's number, and its first retrain is numbered one above it:
+// every model-v<N>.bglm the first lifetime recorded still hashes to its
+// ledger record.
+func TestRestartNumbersRetrainsAboveRecordedGenerations(t *testing.T) {
+	meta, _, tail := fixture(t)
+	dir := t.TempDir()
+	lifetime := func(meta *predictor.Meta, boot serve.ModelInfo, bodies ...[]raslog.Event) []serve.ModelInfo {
+		t.Helper()
+		led, _, err := ledger.Open(LedgerPath(dir), ledger.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer led.Close()
+		if boot, err = BootModel(led, boot); err != nil {
+			t.Fatal(err)
+		}
+		rec := NewRecorder(0, 0)
+		s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, Model: boot, OnRecord: rec.Shard})
+		defer s.Close()
+		rt := NewRetrainer(s, rec, RetrainerConfig{MinEvents: 10, Dir: dir, Ledger: led, Logf: t.Logf})
+		rt.cfg.Pipeline.Rule.RuleGenWindow = 15 * time.Minute
+		infos := []serve.ModelInfo{s.Model()}
+		for _, body := range bodies {
+			post(t, s, encode(t, body))
+			info, err := rt.RetrainNow()
+			if err != nil {
+				t.Fatal(err)
+			}
+			infos = append(infos, info)
+		}
+		return infos
+	}
+
+	third := len(tail) / 3
+	first := lifetime(meta, serve.ModelInfo{}, tail[:third], tail[third:2*third])
+	if got := []int64{first[0].Version, first[1].Version, first[2].Version}; !slices.Equal(got, []int64{1, 2, 3}) {
+		t.Fatalf("first lifetime's generations %v, want [1 2 3]", got)
+	}
+	art, info, err := model.Load(ModelPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := art.Meta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := lifetime(restarted, serve.ModelInfo{SHA256: info.SHA256}, tail)
+	if second[0].Version != 3 || second[1].Version != 4 {
+		t.Fatalf("restart booted v%d and retrained v%d, want v3 and v4", second[0].Version, second[1].Version)
+	}
+	if second[1].SHA256 == first[1].SHA256 {
+		t.Fatal("the restart's retrain equals generation 2, so an overwrite would not show")
+	}
+
+	led := openTestLedger(t, dir, ledger.Config{})
+	var versions []int64
+	head, _ := led.Head()
+	for seq := uint64(0); seq < head; seq++ {
+		view, payload, err := led.Payload(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view.Kind != ledger.KindModel {
+			continue
+		}
+		var mrec ModelLedgerRecord
+		if err := json.Unmarshal(payload, &mrec); err != nil {
+			t.Fatal(err)
+		}
+		versions = append(versions, mrec.Version)
+		if got, err := model.Verify(mrec.Path); err != nil || got.SHA256 != mrec.SHA256 {
+			t.Errorf("%s hashes to %.12s (err %v), its ledger record says v%d %.12s", mrec.Path, got.SHA256, err, mrec.Version, mrec.SHA256)
+		}
+	}
+	if !slices.Equal(versions, []int64{2, 3, 4}) {
+		t.Fatalf("ledger records generations %v, want [2 3 4]", versions)
+	}
+	if other, err := BootModel(led, serve.ModelInfo{SHA256: "another model"}); err != nil || other.Version != 5 {
+		t.Fatalf("a boot model the newest record does not name is v%d (err %v), want v5", other.Version, err)
 	}
 }
