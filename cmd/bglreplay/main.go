@@ -236,9 +236,6 @@ func replayRemote(bases []string, events []raslog.Event, speedup float64, batchS
 		requests++
 		s.buf.Reset()
 		s.pending = 0
-		if !bin {
-			s.tw = raslog.NewWriter(&s.buf)
-		}
 		return nil
 	}
 	flushAll := func() error {

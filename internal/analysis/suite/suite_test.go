@@ -42,6 +42,7 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		"internal/raslog": {
 			"(*WireDecoder).ReadFrame", "(*WireDecoder).NextEvent", "(*WireDecoder).DecodeEvent", "PeekWireRoute", "PeekWireEvent",
 			"(*Reader).Read", "(*Reader).NextEvent", "(*Reader).DecodeEvent",
+			"(*Writer).Write", "(*WireWriter).Write",
 		},
 		"internal/serve":      {"(*Server).decode"},
 		"internal/online":     {"(*Engine).IngestBatch"},

@@ -108,6 +108,10 @@ type WireWriter struct {
 	head    []byte
 	strings map[string]uint64
 	nstr    uint64
+	// last holds the previous record's facility, entry and type with
+	// their indexes in the pending frame's table, so a repeat finds its
+	// index without the map. Flush drops it with the table.
+	last    [3]wireLast
 	baseSec int64
 	baseID  int64
 	n       int   // events in the pending frame
@@ -115,9 +119,27 @@ type WireWriter struct {
 	err     error
 }
 
+// wireLast is one of WireWriter.last: a string in the pending frame's
+// table and its index, if ok.
+type wireLast struct {
+	s   string
+	idx uint64
+	ok  bool
+}
+
 // NewWireWriter returns a writer emitting frames to w.
 func NewWireWriter(w io.Writer) *WireWriter {
 	return &WireWriter{w: w, strings: make(map[string]uint64)}
+}
+
+// index returns the index of s, the event's field-th string (facility,
+// entry, type), in the pending frame's table, if the table holds it.
+func (w *WireWriter) index(field int, s string) (uint64, bool) {
+	if l := &w.last[field]; l.ok && l.s == s {
+		return l.idx, true
+	}
+	idx, ok := w.strings[s]
+	return idx, ok
 }
 
 // missing reports how many distinct strings of the event's three are
@@ -125,8 +147,8 @@ func NewWireWriter(w io.Writer) *WireWriter {
 func (w *WireWriter) missing(e *Event) uint64 {
 	var seen [3]string
 	var m uint64
-	for _, s := range [3]string{e.Facility, e.EntryData, e.Type} {
-		if _, ok := w.strings[s]; ok {
+	for field, s := range [3]string{e.Facility, e.EntryData, e.Type} {
+		if _, ok := w.index(field, s); ok {
 			continue
 		}
 		dup := false
@@ -144,26 +166,31 @@ func (w *WireWriter) missing(e *Event) uint64 {
 	return m
 }
 
-// intern returns the frame-local string index, emitting an add record
-// the first time the string appears in this frame.
-func (w *WireWriter) intern(s string) uint64 {
-	if idx, ok := w.strings[s]; ok {
-		return idx
+// intern returns the frame-local index of s, the event's field-th
+// string, emitting an add record the first time the string appears in
+// this frame.
+func (w *WireWriter) intern(field int, s string) uint64 {
+	idx, ok := w.index(field, s)
+	if !ok {
+		w.payload = append(w.payload, WireTagString)
+		w.payload = binary.AppendUvarint(w.payload, uint64(len(s)))
+		w.payload = append(w.payload, s...)
+		idx = w.nstr
+		w.strings[s] = idx
+		w.nstr++
 	}
-	w.payload = append(w.payload, WireTagString)
-	w.payload = binary.AppendUvarint(w.payload, uint64(len(s)))
-	w.payload = append(w.payload, s...)
-	idx := w.nstr
-	w.strings[s] = idx
-	w.nstr++
+	w.last[field] = wireLast{s, idx, true}
 	return idx
 }
 
 // Write appends one event, opening or splitting frames as needed. An
 // event the wire cannot carry — one Validate refuses, a string over the
-// cap, a location the decoder would not read back — is refused without
-// touching the writer: the frame being built survives, and the next
-// Write goes on. A write error from the underlying writer is sticky.
+// cap, a location the decoder would not read back equal — is refused
+// without touching the writer: the frame being built survives, and the
+// next Write goes on. A write error from the underlying writer is
+// sticky.
+//
+//bglvet:hotpath
 func (w *WireWriter) Write(e *Event) error {
 	if w.err != nil {
 		return w.err
@@ -172,10 +199,10 @@ func (w *WireWriter) Write(e *Event) error {
 		return err
 	}
 	if len(e.Facility) > wireMaxString || len(e.EntryData) > wireMaxString || len(e.Type) > wireMaxString {
-		return fmt.Errorf("raslog: record %d: wire string over %d bytes", e.RecID, wireMaxString)
+		return refusef(e.RecID, "wire string over %d bytes", wireMaxString)
 	}
-	if !wireCarries(e.Location) {
-		return fmt.Errorf("raslog: record %d: location %+v out of wire range", e.RecID, e.Location)
+	if !encodable(e.Location) {
+		return refusef(e.RecID, "location %+v does not read back", e.Location)
 	}
 	if w.n > 0 && (w.nstr+w.missing(e) > wireMaxFrameStrings || len(w.payload) >= wireFlushPayload) {
 		if err := w.Flush(); err != nil {
@@ -186,23 +213,15 @@ func (w *WireWriter) Write(e *Event) error {
 		w.baseSec = e.Time.Unix()
 		w.baseID = e.RecID
 	}
-	facIdx := w.intern(e.Facility)
-	entryIdx := w.intern(e.EntryData)
-	typeIdx := w.intern(e.Type)
+	facIdx := w.intern(0, e.Facility)
+	entryIdx := w.intern(1, e.EntryData)
+	typeIdx := w.intern(2, e.Type)
 
-	b := w.body[:0]
-	b = append(b, byte(e.Location.Kind))
-	b = binary.AppendUvarint(b, uint64(e.Location.Rack))
-	switch e.Location.Kind {
-	case KindMidplane, KindServiceCard:
-		b = binary.AppendUvarint(b, uint64(e.Location.Midplane))
-	case KindNodeCard, KindLinkCard:
-		b = binary.AppendUvarint(b, uint64(e.Location.Midplane))
-		b = binary.AppendUvarint(b, uint64(e.Location.Card))
-	case KindComputeChip, KindIONode:
-		b = binary.AppendUvarint(b, uint64(e.Location.Midplane))
-		b = binary.AppendUvarint(b, uint64(e.Location.Card))
-		b = binary.AppendUvarint(b, uint64(e.Location.Chip))
+	l := &e.Location
+	b := append(w.body[:0], byte(l.Kind))
+	nums := [4]int{l.Rack, l.Midplane, l.Card, l.Chip}
+	for _, n := range nums[:max(l.Kind.depth(), 1)] { // an unknown location spells its zero rack
+		b = binary.AppendUvarint(b, uint64(n))
 	}
 	b = binary.AppendVarint(b, e.Time.Unix()-w.baseSec)
 	b = binary.AppendVarint(b, e.RecID-w.baseID)
@@ -250,6 +269,7 @@ func (w *WireWriter) Flush() error {
 	}
 	w.payload = w.payload[:0]
 	clear(w.strings)
+	w.last = [3]wireLast{}
 	w.nstr = 0
 	w.n = 0
 	return nil

@@ -109,9 +109,9 @@ func parseCFDRLine(line string) (Event, error) {
 		return Event{}, err
 	}
 	loc, err := ParseCFDRLocation(fields[3])
-	if err != nil || !wireCarries(loc) {
+	if err != nil || !encodable(loc) {
 		// Some records locate at named services ("UNKNOWN_LOCATION",
-		// "NULL"); keep them, and any location the wire cannot carry,
+		// "NULL"); keep them, and any location the writers cannot carry,
 		// with an unknown location.
 		loc = Location{}
 	}

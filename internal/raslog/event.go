@@ -94,13 +94,20 @@ func (e *Event) Before(other *Event) bool {
 func (e *Event) Validate() error {
 	switch {
 	case e.Type == "":
-		return fmt.Errorf("raslog: record %d: empty event type", e.RecID)
+		return refusef(e.RecID, "empty event type")
 	case !TimeInRange(e.Time):
-		return fmt.Errorf("raslog: record %d: time %s out of range", e.RecID, e.Time.UTC().Format(time.RFC3339Nano))
+		return refusef(e.RecID, "time %s out of range", e.Time.UTC().Format(time.RFC3339Nano))
 	case !e.Severity.Valid():
-		return fmt.Errorf("raslog: record %d: invalid severity %d", e.RecID, int(e.Severity))
+		return refusef(e.RecID, "invalid severity %d", int(e.Severity))
 	}
 	return nil
+}
+
+// refusef builds the error refusing record id, as Validate and the
+// writers word it.
+func refusef(id int64, format string, args ...any) error {
+	//bglvet:ignore hotpathalloc error construction runs only for a record the writers refuse, which never reaches their encoders
+	return fmt.Errorf("raslog: record %d: %s", id, fmt.Sprintf(format, args...))
 }
 
 // SortEvents orders events in place by (Time, RecID).

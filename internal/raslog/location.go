@@ -52,7 +52,8 @@ func (k LocationKind) String() string {
 //	R07-M1-L2      link card 2 of that midplane
 //	R07-M1-S       the midplane's service card
 //
-// Fields below the named Kind are zero and ignored by comparisons.
+// Fields below the named Kind are zero; the writers refuse a location
+// with any other value there.
 type Location struct {
 	Kind     LocationKind
 	Rack     int
@@ -94,6 +95,38 @@ func (l Location) AppendTo(dst []byte) []byte {
 		dst = append(dst, "-S"...)
 	}
 	return dst
+}
+
+// depth is how many of a location's rack, midplane, card and chip its
+// kind names, or -1 for a kind that is none of the constants.
+func (k LocationKind) depth() int {
+	switch k {
+	case KindUnknown:
+		return 0
+	case KindRack:
+		return 1
+	case KindMidplane, KindServiceCard:
+		return 2
+	case KindNodeCard, KindLinkCard:
+		return 3
+	case KindComputeChip, KindIONode:
+		return 4
+	}
+	return -1
+}
+
+// encodable reports whether both writers carry l so that it reads
+// back equal: a known kind, every number from 0 to wireMaxLocField, a
+// midplane of 0 or 1, and zero in each field below the kind, which
+// neither encoding spells.
+func encodable(l Location) bool {
+	depth := l.Kind.depth()
+	for i, n := range [4]int{l.Rack, l.Midplane, l.Card, l.Chip} {
+		if uint(n) > wireMaxLocField || i >= depth && n != 0 {
+			return false
+		}
+	}
+	return depth >= 0 && l.Midplane <= 1
 }
 
 // appendPad2 appends n as fmt's %02d would.

@@ -4,30 +4,44 @@ import (
 	"bytes"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 
 	"bglpred/internal/bglsim"
 	"bglpred/internal/raslog"
 )
 
-// benchTailBodies cuts the second half of a 4-rack ANL ×0.25 bglsim log
-// at seed 1 — go run ./bench's tail, 507 922 records — into
-// 4096-record bodies encoded by encode.
-func benchTailBodies(b *testing.B, encode func(testing.TB, []raslog.Event) []byte) [][]byte {
+// benchTail cuts the second half of a 4-rack ANL ×0.25 bglsim log —
+// go run ./bench's tail, 507 922 records at its default seed 1 — into
+// 4096-record batches, as the bench cuts its bodies.
+func benchTail(tb testing.TB, seed uint64) [][]raslog.Event {
 	p := bglsim.ANLProfile().Scaled(0.25)
-	p.Machine.Racks, p.Seed = 4, 1 // go run ./bench's dataset at its default seed
+	p.Machine.Racks, p.Seed = 4, seed
 	gen, err := bglsim.Generate(p)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	tail := gen.Events[len(gen.Events)/2:]
-	var bodies [][]byte
+	tail := slices.Clone(gen.Events[len(gen.Events)/2:])
+	var batches [][]raslog.Event
 	for len(tail) > 0 {
 		n := min(len(tail), 4096)
-		bodies, tail = append(bodies, encode(b, tail[:n])), tail[n:]
+		batches, tail = append(batches, tail[:n]), tail[n:]
 	}
-	gen, tail = nil, nil
-	runtime.GC() // the generated log goes before the clock starts
+	gen = nil
+	runtime.GC() // the log's first half goes before the clock starts
+	return batches
+}
+
+// benchTailBodies is benchTail's batches, each encoded by encode into
+// one body.
+func benchTailBodies(b *testing.B, encode func(testing.TB, []raslog.Event) []byte) [][]byte {
+	batches := benchTail(b, 1)
+	bodies := make([][]byte, len(batches))
+	for i, batch := range batches {
+		bodies[i] = encode(b, batch)
+	}
+	batches = nil
+	runtime.GC() // the events go before the clock starts
 	return bodies
 }
 
@@ -126,4 +140,49 @@ func writeWireBody(t testing.TB, events []raslog.Event) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// BenchmarkWriterEncode times the text encoder alone: the bench tail's
+// 4096-record batches written by one warm Writer into a reused buffer,
+// a Flush after each, as bglreplay's sinks write their bodies. It
+// reports ns/record; one op is one batch.
+//
+//	go test -run '^$' -bench BenchmarkWriterEncode -benchtime 300x ./internal/raslog
+func BenchmarkWriterEncode(b *testing.B) {
+	benchEncode(b, func(w io.Writer) recordWriter { return raslog.NewWriter(w) })
+}
+
+// BenchmarkWireWriterEncode is BenchmarkWriterEncode's wire twin.
+//
+//	go test -run '^$' -bench BenchmarkWireWriterEncode -benchtime 300x ./internal/raslog
+func BenchmarkWireWriterEncode(b *testing.B) {
+	benchEncode(b, func(w io.Writer) recordWriter { return raslog.NewWireWriter(w) })
+}
+
+// recordWriter is what both writers offer.
+type recordWriter interface {
+	Write(*raslog.Event) error
+	Flush() error
+}
+
+func benchEncode(b *testing.B, newWriter func(io.Writer) recordWriter) {
+	batches := benchTail(b, 1)
+	var buf bytes.Buffer
+	w := newWriter(&buf)
+	records := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch := batches[i%len(batches)]
+		buf.Reset()
+		for j := range batch {
+			if err := w.Write(&batch[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		records += len(batch)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
 }
