@@ -16,6 +16,7 @@ import (
 	"bglpred/internal/faultinject"
 	"bglpred/internal/ledger"
 	"bglpred/internal/lifecycle"
+	"bglpred/internal/predictor"
 	"bglpred/internal/raslog"
 	"bglpred/internal/serve"
 )
@@ -34,6 +35,35 @@ func servePost(t *testing.T, s *serve.Server, body []byte) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("reference ingest: status %d: %s", rec.Code, rec.Body.String())
 	}
+}
+
+// ringReference is the fault-free reference a cluster test compares
+// against: one single-shard server per ring member, each sent, in
+// stream order, the records the ring gives that member, so reference
+// i's engine is backend i's. Their alerts come back marked with the
+// member they stand for.
+func ringReference(t *testing.T, meta *predictor.Meta, ring *Ring, events []raslog.Event) AlertsResponse {
+	t.Helper()
+	members := ring.Members()
+	parts := make([][]raslog.Event, len(members))
+	for _, ev := range events {
+		i := ring.OwnerIndexLocation(ev.Location)
+		parts[i] = append(parts[i], ev)
+	}
+	var ref AlertsResponse
+	for i, member := range members {
+		s := serve.New(meta, serve.Config{Shards: 1, History: 1 << 16, Window: 30 * time.Minute})
+		servePost(t, s, encode(t, parts[i]))
+		resp := serveAlerts(t, s)
+		s.Close()
+		for _, a := range resp.Recent {
+			ref.Recent = append(ref.Recent, Alert{Alert: a, Backend: member})
+		}
+		for _, a := range resp.Standing {
+			ref.Standing = append(ref.Standing, Alert{Alert: a, Backend: member})
+		}
+	}
+	return ref
 }
 
 func serveAlerts(t *testing.T, s *serve.Server) serve.AlertsResponse {
@@ -158,28 +188,18 @@ func TestClusterChaosAcceptance(t *testing.T) {
 	}
 	t.Cleanup(func() { g.Close() })
 
-	// Reference: one fault-free server whose ShardBy hook partitions
-	// exactly as the gate's ring does, so reference shard i is backend
-	// i's engine. It sees the full stream up front; the cluster must
-	// converge to the same alerts no matter what the faults did.
+	// Reference: fault-free servers partitioned exactly as the gate's
+	// ring partitions, so reference i is backend i's engine. They see
+	// the full stream up front; the cluster must converge to the same
+	// alerts no matter what the faults did.
 	ring := g.Ring()
-	ref := serve.New(meta, serve.Config{
-		Shards:  2,
-		History: 1 << 16,
-		Window:  30 * time.Minute,
-		ShardBy: func(loc raslog.Location, shards int) int {
-			return ring.OwnerIndex(LocationKey(loc))
-		},
-	})
-	t.Cleanup(func() { ref.Close() })
-	servePost(t, ref, encode(t, events))
-	refResp := serveAlerts(t, ref)
-	perShard := make([]int, 2)
+	refResp := ringReference(t, meta, ring, events)
+	perBackend := map[string]int{}
 	for _, a := range refResp.Recent {
-		perShard[a.Shard]++
+		perBackend[a.Backend]++
 	}
-	if perShard[0] == 0 || perShard[1] == 0 {
-		t.Fatalf("degenerate reference: %d/%d alerts per shard; the equality check would be vacuous", perShard[0], perShard[1])
+	if perBackend[hosts[0]] == 0 || perBackend[hosts[1]] == 0 {
+		t.Fatalf("degenerate reference: %v alerts per backend; the equality check would be vacuous", perBackend)
 	}
 
 	// The gate-side alert stream is accumulated as a union of merged
@@ -327,11 +347,7 @@ func TestClusterChaosAcceptance(t *testing.T) {
 
 	// Acceptance #1: the union of the gate's merged alert snapshots
 	// equals the fault-free reference stream, byte for byte.
-	var refRecent []Alert
-	for _, a := range refResp.Recent {
-		refRecent = append(refRecent, Alert{Alert: a, Backend: ring.Members()[a.Shard]})
-	}
-	gotStream, wantStream := canonicalJoin(acc), canonicalJoin(refRecent)
+	gotStream, wantStream := canonicalJoin(acc), canonicalJoin(refResp.Recent)
 	if gotStream != wantStream {
 		diffStreams(t, "merged alert stream", gotStream, wantStream)
 	}
@@ -340,11 +356,7 @@ func TestClusterChaosAcceptance(t *testing.T) {
 	// Acceptance #2: standing alarms agree too (the restored backend
 	// carries its alarm through the checkpoint).
 	final := gateAlerts(t, g)
-	var refStanding []Alert
-	for _, a := range refResp.Standing {
-		refStanding = append(refStanding, Alert{Alert: a, Backend: ring.Members()[a.Shard]})
-	}
-	if got, want := canonicalJoin(final.Standing), canonicalJoin(refStanding); got != want {
+	if got, want := canonicalJoin(final.Standing), canonicalJoin(refResp.Standing); got != want {
 		diffStreams(t, "standing alarms", got, want)
 	}
 
@@ -429,8 +441,8 @@ func (c *sseCollector) snapshot() []Alert {
 // fake-transport tests cannot exercise (the recorder cannot stream).
 // It drives traffic through a 2-backend cluster over TCP and checks
 // that the fan-in SSE stream delivers every alert the backends raised
-// and that the merged read path equals a ShardBy-partitioned
-// single-node reference.
+// and that the merged read path equals a reference partitioned by the
+// same ring.
 func TestClusterSmokeRealHTTP(t *testing.T) {
 	meta, tail := fixture(t)
 	n := len(tail) // alerts are sparse; the full tail keeps the run non-vacuous
@@ -554,22 +566,7 @@ func TestClusterSmokeRealHTTP(t *testing.T) {
 	// the same ring — and equals what was streamed.
 	var merged AlertsResponse
 	fetchJSON(gts.URL+"/v1/alerts", &merged)
-	ring := g.Ring()
-	ref := serve.New(meta, serve.Config{
-		Shards:  2,
-		History: 1 << 16,
-		Window:  30 * time.Minute,
-		ShardBy: func(loc raslog.Location, shards int) int {
-			return ring.OwnerIndex(LocationKey(loc))
-		},
-	})
-	t.Cleanup(func() { ref.Close() })
-	servePost(t, ref, body)
-	var refRecent []Alert
-	for _, a := range serveAlerts(t, ref).Recent {
-		refRecent = append(refRecent, Alert{Alert: a, Backend: ring.Members()[a.Shard]})
-	}
-	wantJoin := canonicalJoin(refRecent)
+	wantJoin := canonicalJoin(ringReference(t, meta, g.Ring(), events).Recent)
 	if got := canonicalJoin(merged.Recent); got != wantJoin {
 		diffStreams(t, "merged alerts over TCP", got, wantJoin)
 	}
@@ -653,18 +650,7 @@ func TestClusterChaosWireAcceptance(t *testing.T) {
 	}
 	t.Cleanup(func() { g.Close() })
 
-	ring := g.Ring()
-	ref := serve.New(meta, serve.Config{
-		Shards:  2,
-		History: 1 << 16,
-		Window:  30 * time.Minute,
-		ShardBy: func(loc raslog.Location, shards int) int {
-			return ring.OwnerIndex(LocationKey(loc))
-		},
-	})
-	t.Cleanup(func() { ref.Close() })
-	servePost(t, ref, encode(t, events))
-	refResp := serveAlerts(t, ref)
+	refResp := ringReference(t, meta, g.Ring(), events)
 	if len(refResp.Recent) == 0 {
 		t.Fatal("reference raised no alerts; the wire chaos run is vacuous")
 	}
@@ -744,12 +730,8 @@ func TestClusterChaosWireAcceptance(t *testing.T) {
 	settle(20)
 
 	// Acceptance #1: gate-merged alerts equal the fault-free reference.
-	var refRecent []Alert
-	for _, a := range refResp.Recent {
-		refRecent = append(refRecent, Alert{Alert: a, Backend: ring.Members()[a.Shard]})
-	}
 	final := gateAlerts(t, g)
-	gotStream, wantStream := canonicalJoin(final.Recent), canonicalJoin(refRecent)
+	gotStream, wantStream := canonicalJoin(final.Recent), canonicalJoin(refResp.Recent)
 	if gotStream != wantStream {
 		diffStreams(t, "wire merged alert stream", gotStream, wantStream)
 	}

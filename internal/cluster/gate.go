@@ -56,12 +56,11 @@ type Config struct {
 	// StreamRetry is the pause before resubscribing to a backend's
 	// alert stream after a disconnect (default 2 s).
 	StreamRetry time.Duration
-	// Client serves probes, forwards and read fan-outs (default: a
-	// fresh http.Client; timeouts ride on per-request contexts).
-	// StreamClient serves the long-lived SSE subscriptions and must
-	// not carry a client-level timeout.
-	Client       *http.Client
-	StreamClient *http.Client
+	// Client serves probes, forwards, read fan-outs and the long-lived
+	// SSE subscriptions (default: a fresh http.Client). It must carry
+	// no client-level timeout, which would cut the subscriptions;
+	// timeouts ride on per-request contexts.
+	Client *http.Client
 	// Logf, when set, receives operational log lines. It must be safe
 	// for concurrent use: a request's forwards run side by side, beside
 	// the prober.
@@ -138,7 +137,6 @@ type Gate struct {
 	unknownOwner int        // ring owner of the unknown-location key
 	scratch      sync.Pool  // of *routeScratch
 	client       *http.Client
-	streamClient *http.Client
 	start        time.Time
 
 	// mu guards the cluster-wide agreement state.
@@ -199,20 +197,15 @@ func New(cfg Config) (*Gate, error) {
 	if client == nil {
 		client = &http.Client{}
 	}
-	streamClient := cfg.StreamClient
-	if streamClient == nil {
-		streamClient = client
-	}
 	g := &Gate{
-		cfg:          cfg,
-		mux:          http.NewServeMux(),
-		ring:         ring,
-		client:       client,
-		streamClient: streamClient,
-		start:        time.Now(),
-		routeTime:    edge.NewHistogram(edge.LatencyBounds),
-		quarantine:   serve.NewQuarantine(gateQuarantineCap),
-		broker:       edge.NewBroker[Alert](),
+		cfg:        cfg,
+		mux:        http.NewServeMux(),
+		ring:       ring,
+		client:     client,
+		start:      time.Now(),
+		routeTime:  edge.NewHistogram(edge.LatencyBounds),
+		quarantine: serve.NewQuarantine(gateQuarantineCap),
+		broker:     edge.NewBroker[Alert](),
 	}
 	g.ctx, g.cancel = context.WithCancel(context.Background())
 	for _, m := range ring.Members() {

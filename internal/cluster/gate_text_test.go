@@ -274,19 +274,19 @@ func TestGateStrayPipeMatchesSingleNode(t *testing.T) {
 	}
 }
 
-// TestGateQuarantinesEmptyType pins the decodable line the gate still
-// refuses: a record with an empty TYPE fails Validate, so the wire
-// cannot carry it. It parks in the gate's own quarantine under the
-// client's line number, visible on /v1/quarantine and /metrics, and no
-// backend receives it.
+// TestGateQuarantinesEmptyType pins a line the writers cannot spell:
+// a record with an empty TYPE fails Validate, so the text decoder
+// refuses it as the wire does. It parks in the gate's own quarantine
+// under the client's line number, visible on /v1/quarantine and
+// /metrics, and no backend receives it.
 func TestGateQuarantinesEmptyType(t *testing.T) {
 	meta, tail := fixture(t)
 	tc := newTestCluster(t, meta, []string{"sha-v1", "sha-v1"}, nil)
 	tc.gate.ProbeNow()
 
 	bad := "999||2005-06-01 10:00:00|0|R00-M0|KERNEL|FATAL|no event type\n"
-	if _, err := raslog.NewReader(strings.NewReader(bad)).Read(); err != nil {
-		t.Fatalf("fixture line must decode: %v", err)
+	if _, err := raslog.NewReader(strings.NewReader(bad)).Read(); err == nil || !strings.Contains(err.Error(), "empty event type") {
+		t.Fatalf("the text decoder read the empty-type fixture line, error %v", err)
 	}
 	resp := gatePost(t, tc.gate, append(encode(t, tail[:10]), bad...))
 	if resp.Routed != 10 || resp.Accepted != 10 || resp.Quarantined != 1 {
@@ -314,5 +314,38 @@ func TestGateQuarantinesEmptyType(t *testing.T) {
 	tc.gate.ServeHTTP(mrec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if !strings.Contains(mrec.Body.String(), "\nbglgate_quarantined_total 1\n") {
 		t.Fatal("metrics lack bglgate_quarantined_total 1")
+	}
+}
+
+// TestServeAndGateAgreeOnLocationDomain posts one text body holding a
+// location neither writer can spell, rack 2^32, between good records
+// straight to a node and through the gate: both must count the same
+// records accepted and quarantined.
+func TestServeAndGateAgreeOnLocationDomain(t *testing.T) {
+	meta, tail := fixture(t)
+	odd := tail[2]
+	odd.RecID = 999
+	line := string(encode(t, []raslog.Event{odd}))
+	spelled := "|" + odd.Location.String() + "|"
+	if !strings.Contains(line, spelled) {
+		t.Fatalf("line %q does not spell %q", line, spelled)
+	}
+	body := append(append(encode(t, tail[:3]), strings.Replace(line, spelled, "|R4294967296-M0|", 1)...), encode(t, tail[3:5])...)
+
+	node := serve.New(meta, serve.Config{Shards: 1, History: 1 << 16, Window: 30 * time.Minute})
+	t.Cleanup(func() { node.Close() })
+	rec := httptest.NewRecorder()
+	node.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
+	var direct serve.IngestResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &direct); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("node ingest: status %d, %v: %s", rec.Code, err, rec.Body.String())
+	}
+
+	tc := newTestCluster(t, meta, []string{"sha-v1", "sha-v1"}, nil)
+	tc.gate.ProbeNow()
+	gated := gatePost(t, tc.gate, body)
+	if direct.Accepted != 5 || direct.Quarantined != 1 || gated.Accepted != direct.Accepted || gated.Quarantined != direct.Quarantined {
+		t.Fatalf("node accepted %d and quarantined %d, gate %d and %d; want 5 and 1 from both",
+			direct.Accepted, direct.Quarantined, gated.Accepted, gated.Quarantined)
 	}
 }

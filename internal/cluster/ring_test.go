@@ -145,19 +145,12 @@ func TestRingEdges(t *testing.T) {
 // midplane collapses to the midplane, racks stay rack-level, and
 // unknown locations share one key — mirroring serve's shardFor.
 func TestLocationKey(t *testing.T) {
-	parse := func(s string) raslog.Location {
-		loc, err := raslog.ParseLocation(s)
-		if err != nil {
-			t.Fatalf("ParseLocation(%q): %v", s, err)
-		}
-		return loc
-	}
-	mp := LocationKey(parse("R12-M1"))
-	sub := LocationKey(parse("R12-M1-N04"))
+	mp := LocationKey(raslog.Location{Kind: raslog.KindMidplane, Rack: 12, Midplane: 1})
+	sub := LocationKey(raslog.Location{Kind: raslog.KindNodeCard, Rack: 12, Midplane: 1, Card: 4})
 	if mp != sub {
 		t.Fatalf("node card keyed %q, its midplane %q; all evidence for one midplane must share a key", sub, mp)
 	}
-	other := LocationKey(parse("R12-M0"))
+	other := LocationKey(raslog.Location{Kind: raslog.KindMidplane, Rack: 12})
 	if other == mp {
 		t.Fatalf("distinct midplanes share key %q", mp)
 	}

@@ -38,7 +38,7 @@ func (g *Gate) subscribeOnce(b *backend) {
 	if err != nil {
 		return
 	}
-	resp, err := g.streamClient.Do(req)
+	resp, err := g.client.Do(req)
 	if err != nil {
 		return
 	}

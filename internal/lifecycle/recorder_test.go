@@ -944,8 +944,10 @@ func TestRecorderSlabRewindsToReissuedSlot(t *testing.T) {
 func TestServedRecorderConcurrentIngestAndRetrain(t *testing.T) {
 	meta, _, tail := fixture(t)
 	rec := NewRecorder(2*time.Hour, 500)
-	byMidplane := func(loc raslog.Location, _ int) int { return loc.Midplane }
-	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, OnRecord: rec.Shard, ShardBy: byMidplane})
+	// serve's routing with two shards: a location's midplane, 0 for a
+	// rack or an unknown location.
+	byMidplane := func(loc raslog.Location) int { return loc.Midplane }
+	s := serve.New(meta, serve.Config{Shards: 2, Window: 30 * time.Minute, OnRecord: rec.Shard})
 	defer s.Close()
 	rt := NewRetrainer(s, rec, RetrainerConfig{MinEvents: 10, Pipeline: threeBases(preprocess.Options{})})
 
@@ -953,7 +955,7 @@ func TestServedRecorderConcurrentIngestAndRetrain(t *testing.T) {
 	for shard := 0; shard < 2; shard++ {
 		var part []raslog.Event
 		for i := range tail {
-			if byMidplane(tail[i].Location, 2) == shard {
+			if byMidplane(tail[i].Location) == shard {
 				part = append(part, tail[i])
 			}
 		}

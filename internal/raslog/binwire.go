@@ -240,14 +240,6 @@ func (w *WireWriter) Write(e *Event) error {
 	return nil
 }
 
-// wireCarries reports whether the wire carries location l, a kind the
-// decoder knows with no number past wireMaxLocField.
-func wireCarries(l Location) bool {
-	return l.Kind >= KindUnknown && l.Kind <= KindServiceCard &&
-		uint(l.Rack) <= wireMaxLocField && uint(l.Midplane) <= wireMaxLocField &&
-		uint(l.Card) <= wireMaxLocField && uint(l.Chip) <= wireMaxLocField
-}
-
 // Flush emits the pending frame, if any, and resets the per-frame
 // string table — the bounded-memory rule the wire format is built
 // around.
@@ -656,7 +648,9 @@ func varintAt(b []byte, pos int) (int64, int, bool) {
 
 // decodeWireLocation decodes the leading location of an event body into
 // *loc, writing every field, and returns the number of bytes consumed.
-// On an error *loc is left as it was.
+// It refuses a location encodable refuses: a number past
+// wireMaxLocField, or a midplane other than 0 or 1. On an error *loc is
+// left as it was.
 func decodeWireLocation(body []byte, loc *Location) (int, error) {
 	if len(body) == 0 {
 		return 0, wiref("empty event body")
@@ -677,10 +671,11 @@ func decodeWireLocation(body []byte, loc *Location) (int, error) {
 	}
 	// Real BG/L locations count below 128 in every field, so each field
 	// is one uvarint byte: read them in one load when the body has the
-	// bytes (every event body does; only a cut one falls to the loop).
+	// bytes (every event body does; only a cut one falls to the loop),
+	// and the midplane byte is 0 or 1 (the loop refuses any other).
 	if len(body) >= 5 {
 		x := binary.LittleEndian.Uint32(body[1:5]) & (uint32(1)<<(8*fields) - 1)
-		if x&0x80808080 == 0 {
+		if x&0x8080fe80 == 0 {
 			loc.Kind, loc.Rack, loc.Midplane, loc.Card, loc.Chip = kind, int(x&0xff), int(x>>8&0xff), int(x>>16&0xff), int(x>>24)
 			return 1 + fields, nil
 		}
@@ -689,7 +684,7 @@ func decodeWireLocation(body []byte, loc *Location) (int, error) {
 	pos := 1
 	for i := 0; i < fields; i++ {
 		x, next, ok := uvarintAt(body, pos)
-		if !ok || x > wireMaxLocField {
+		if !ok || x > wireMaxLocField || i == 1 && x > 1 {
 			return 0, wiref("bad location field at %d", pos)
 		}
 		v[i], pos = int(x), next
@@ -747,6 +742,9 @@ func (d *WireDecoder) decodeRest(body []byte, pos int, ev *Event) error {
 	}
 	if ev.Type, _, ok = d.stringAt(body, pos); !ok {
 		return wiref("bad type index at %d", pos)
+	}
+	if ev.Type == "" {
+		return wiref("empty event type") // the writers refuse it, and so does the text decoder
 	}
 	return nil
 }

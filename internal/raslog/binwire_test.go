@@ -271,6 +271,35 @@ func TestWireDecoderLenientSkip(t *testing.T) {
 	}
 }
 
+// TestWireDecoderRefusesEmptyType: an event whose TYPE index names an
+// empty string is one both writers refuse, so the decoder refuses it,
+// as the text decoder does.
+func TestWireDecoderRefusesEmptyType(t *testing.T) {
+	f, err := NewWireScanner(bytes.NewReader(encodeWire(t, []Event{mkEvent(1, t0)}))).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload, body []byte
+	strs := 0
+	if err := f.Records(func(tag byte, raw, content []byte) error {
+		if tag == WireTagString {
+			payload = append(payload, raw...)
+			strs++
+		} else {
+			body = bytes.Clone(content)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	body[len(body)-1] = byte(strs) // the TYPE index, last in the body, names the empty string added below
+	payload = append(append(payload, WireTagString, 0, WireTagEvent, byte(len(body))), body...)
+	frame := append(AppendWireFrameHeader(nil, f.BaseSec, f.BaseRecID, len(payload)), payload...)
+	if evs, err := NewWireDecoder(bytes.NewReader(frame)).ReadFrame(); err == nil || !strings.Contains(err.Error(), "empty event type") {
+		t.Fatalf("decoded %+v, error %v; want the empty TYPE refused", evs, err)
+	}
+}
+
 // TestBrokenFrameKeepsNoArena: the routing decode walks the events
 // ahead of a broken frame's break without keeping them, so a pooled
 // server decoder holds no event arena however many events a hostile

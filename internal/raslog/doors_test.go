@@ -2,6 +2,7 @@ package raslog_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"strings"
@@ -50,11 +51,8 @@ func TestEveryDoorAdmitsOneRange(t *testing.T) {
 		return err
 	}
 	doors := map[string]func(at time.Time) error{
-		"text decoder, one-pass parser": func(at time.Time) error {
+		"text decoder": func(at time.Time) error {
 			return readText(fmt.Sprintf("1|RAS|%s|42|R01-M0-N02-C03|KERNEL|FATAL|x\n", at.Format(layout)))
-		},
-		"text decoder, general parser": func(at time.Time) error {
-			return readText(fmt.Sprintf("1|RAS|%s|42|R1-M0-N02-C03|KERNEL|FATAL|x\n", at.Format(layout)))
 		},
 		"wire decoder": func(at time.Time) error {
 			b := append(raslog.AppendWireFrameHeader(nil, at.Unix(), f.BaseRecID, len(f.Payload)), f.Payload...)
@@ -116,5 +114,106 @@ func TestEveryDoorAdmitsOneRange(t *testing.T) {
 	}
 	if err := online.New(predictor.NewMeta(), online.Config{}).Restore(online.State{}); err != nil {
 		t.Errorf("Restore refused the state of an engine that never ingested: %v", err)
+	}
+}
+
+// TestEveryDoorAdmitsOneLocationDomain feeds the locations at the edges
+// of the domain the writers carry — a rack of 2^31 and one past it,
+// midplane 1 and 2 — to every door that spells a location, each in that
+// door's own spelling, and each must admit exactly the ones inside with
+// the location unchanged. The CFDR reader keeps a record whose location
+// it cannot carry, with the location unknown; that does not admit it.
+func TestEveryDoorAdmitsOneLocationDomain(t *testing.T) {
+	good := raslog.Event{RecID: 1, Type: raslog.EventTypeRAS, Time: time.Date(2005, 6, 3, 15, 42, 50, 0, time.UTC),
+		JobID: 42, Location: raslog.Location{Kind: raslog.KindMidplane, Rack: 1},
+		EntryData: "torus error", Facility: "KERNEL", Severity: raslog.Fatal}
+	var frame bytes.Buffer
+	ww := raslog.NewWireWriter(&frame)
+	if err := ww.Write(&good); err != nil {
+		t.Fatal(err)
+	}
+	if err := ww.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := raslog.NewWireScanner(&frame).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var strs, rest []byte // the string-add records, and the event body past its location
+	if err := f.Records(func(tag byte, raw, content []byte) error {
+		if tag == raslog.WireTagEvent {
+			rest = content[3:] // kind, rack 1, midplane 0: one byte each
+		} else {
+			strs = append(strs, raw...)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// wireBody spells loc as WireWriter would, numbers past what it
+	// carries included.
+	wireBody := func(loc raslog.Location) []byte {
+		b := binary.AppendUvarint([]byte{byte(loc.Kind)}, uint64(loc.Rack))
+		if loc.Kind == raslog.KindMidplane {
+			b = binary.AppendUvarint(b, uint64(loc.Midplane))
+		}
+		return append(b, rest...)
+	}
+	withLocation := func(loc raslog.Location) *raslog.Event {
+		ev := good
+		ev.Location = loc
+		return &ev
+	}
+
+	doors := map[string]func(loc raslog.Location) (raslog.Location, error){
+		"text decoder": func(loc raslog.Location) (raslog.Location, error) {
+			ev, err := raslog.NewReader(strings.NewReader("1|RAS|2005-06-03 15:42:50|42|" + loc.String() + "|KERNEL|FATAL|x\n")).Read()
+			return ev.Location, err
+		},
+		"wire decoder": func(loc raslog.Location) (raslog.Location, error) {
+			body := wireBody(loc)
+			payload := append(binary.AppendUvarint(append(bytes.Clone(strs), raslog.WireTagEvent), uint64(len(body))), body...)
+			evs, err := raslog.NewWireDecoder(bytes.NewReader(append(raslog.AppendWireFrameHeader(nil, f.BaseSec, f.BaseRecID, len(payload)), payload...))).ReadFrame()
+			if err != nil {
+				return raslog.Location{}, err
+			}
+			return evs[0].Location, nil
+		},
+		"PeekWireRoute": func(loc raslog.Location) (raslog.Location, error) {
+			var got raslog.Location
+			_, err := raslog.PeekWireRoute(wireBody(loc), f.BaseSec, &got)
+			return got, err
+		},
+		"CFDR reader": func(loc raslog.Location) (raslog.Location, error) {
+			r := raslog.NewCFDRReader(strings.NewReader(fmt.Sprintf(
+				"- 1117813370 2005.06.03 %s 2005-06-03-15.42.50.363779 %[1]s RAS KERNEL INFO x\n", loc)))
+			r.Strict = true
+			ev, err := r.Read()
+			return ev.Location, err
+		},
+		"Writer": func(loc raslog.Location) (raslog.Location, error) {
+			return loc, raslog.NewWriter(io.Discard).Write(withLocation(loc))
+		},
+		"WireWriter": func(loc raslog.Location) (raslog.Location, error) {
+			return loc, raslog.NewWireWriter(io.Discard).Write(withLocation(loc))
+		},
+	}
+	for _, c := range []struct {
+		loc   raslog.Location
+		admit bool
+	}{
+		{raslog.Location{Kind: raslog.KindRack, Rack: 1 << 31}, true},
+		{raslog.Location{Kind: raslog.KindRack, Rack: 1<<31 + 1}, false},
+		{raslog.Location{Kind: raslog.KindMidplane, Rack: 1 << 31, Midplane: 1}, true},
+		{raslog.Location{Kind: raslog.KindMidplane, Rack: 1<<31 + 1, Midplane: 1}, false},
+		{raslog.Location{Kind: raslog.KindMidplane, Rack: 1, Midplane: 1}, true},
+		{raslog.Location{Kind: raslog.KindMidplane, Rack: 1, Midplane: 2}, false},
+	} {
+		for name, door := range doors {
+			got, err := door(c.loc)
+			if admitted := err == nil && got == c.loc; admitted != c.admit {
+				t.Errorf("%s on %+v: got %+v, error %v; want admitted %v", name, c.loc, got, err, c.admit)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -60,7 +61,9 @@ func NewWriter(w io.Writer) *Writer {
 // them, though a lenient Reader and the wire carry them), an ENTRY_DATA
 // that ends in a carriage return (the Reader takes it for half of a
 // CRLF), a location either writer would not read back equal, and a line
-// over the Reader's cap. The first error encountered is sticky.
+// over the Reader's cap. A refused record leaves the Writer as it was,
+// so the next Write goes on; an error from the underlying writer is
+// sticky.
 //
 //bglvet:hotpath
 func (w *Writer) Write(e *Event) error {
@@ -68,7 +71,6 @@ func (w *Writer) Write(e *Event) error {
 		return w.err
 	}
 	if err := w.check(e); err != nil {
-		w.err = err
 		return err
 	}
 	if w.bw.Available() < maxFixedLine+len(e.Type)+len(e.Facility)+len(e.EntryData) {
@@ -87,8 +89,7 @@ func (w *Writer) Write(e *Event) error {
 	b = append(append(b, '|'), e.EntryData...)
 	b = append(b, '\n')
 	if len(b) > maxLineBytes {
-		w.err = refusef(e.RecID, "line over %d bytes", maxLineBytes)
-		return w.err
+		return refusef(e.RecID, "line over %d bytes", maxLineBytes)
 	}
 	if _, err := w.bw.Write(b); err != nil {
 		w.err = err
@@ -138,7 +139,7 @@ func (w *Writer) appendTime(b []byte, sec int64) []byte {
 // Count returns the number of records written so far.
 func (w *Writer) Count() int64 { return w.count }
 
-// Flush drains buffered output to the underlying writer.
+// Flush drains every record Write accepted to the underlying writer.
 func (w *Writer) Flush() error {
 	if w.err != nil {
 		return w.err
@@ -182,14 +183,14 @@ const (
 //
 // NextEvent decodes the next line and returns its location first, so
 // DecodeEvent can hand the record to memory the caller picks from that
-// location, as on a WireDecoder; Read is the two steps in one. Pipe
-// records in the spelling Writer emits decode in one pass, left to
-// right, straight from the line buffer and without allocating: TYPE,
-// FACILITY and ENTRY_DATA through a compare against the previous
-// record's value ahead of a capped intern table, TIME through a
-// same-second cache. Every other line, valid or not, takes the general
-// parser. A Reader is meant to be pooled and re-armed with Reset, which
-// keeps the buffer and the caches warm.
+// location, as on a WireDecoder; Read is the two steps in one. A line
+// decodes in one pass, left to right, straight from the line buffer and
+// without allocating: TYPE, FACILITY and ENTRY_DATA through a compare
+// against the previous record's value ahead of a capped intern table,
+// TIME through a same-second cache. The pass takes the fields in the
+// spellings Writer emits, and only records WireWriter writes; any other
+// line is undecodable. A Reader is meant to be pooled and
+// re-armed with Reset, which keeps the buffer and the caches warm.
 type Reader struct {
 	src        io.Reader
 	buf        []byte // line buffer; doubles up to maxLineBytes for a long line
@@ -326,12 +327,7 @@ func (r *Reader) NextEvent() (*Location, error) {
 		if r.decode(line) {
 			return &r.ev.Location, nil
 		}
-		ev, err := parseSlow(line)
-		if err == nil {
-			r.ev = ev
-			return &r.ev.Location, nil
-		}
-		if err := r.skip(err); err != nil {
+		if err := r.skip(refusal(line)); err != nil {
 			return nil, err
 		}
 	}
@@ -433,11 +429,13 @@ func (r *Reader) fill() {
 	}
 }
 
-// decode decodes a pipe record in the spelling Writer emits into r.ev,
-// in one pass left to right over the line. It reports false for every
-// other line, valid or not — a field in another spelling, a time the
-// pass does not cover — and leaves the verdict on those, and the error
-// text, to parseSlow.
+// decode decodes the pipe record on line b into r.ev, in one pass left
+// to right, and reports whether it could: each field in a spelling
+// Writer emits (the ids may also carry a '+' or leading zeros, the
+// location numbers leading zeros), and a record WireWriter writes — a
+// TYPE, and a location and a time in their ranges. TYPE, FACILITY and
+// ENTRY_DATA are otherwise free. refusal names what is wrong with any
+// other line.
 func (r *Reader) decode(b []byte) bool {
 	ev := &r.ev
 	var i int
@@ -445,7 +443,7 @@ func (r *Reader) decode(b []byte) bool {
 	if ev.RecID, i, ok = scanInt(b, 0); !ok {
 		return false
 	}
-	if ev.Type, i, ok = r.typ.field(r.intern, b, i); !ok {
+	if ev.Type, i, ok = r.typ.field(r.intern, b, i); !ok || ev.Type == "" {
 		return false
 	}
 	if ev.Time, i, ok = r.scanTime(b, i); !ok {
@@ -467,41 +465,79 @@ func (r *Reader) decode(b []byte) bool {
 	return true
 }
 
+// refusal is the error of line b, which decode refused: too few
+// fields, else the first of RECID, TYPE, TIME, JOBID, LOCATION and
+// SEVERITY that decode does not take, else a time out of range. It
+// runs only on that path.
+func refusal(b []byte) error {
+	var end [7]int // end[k] indexes the '|' that closes field k
+	n := 0
+	for i := 0; i < len(b) && n < len(end); i++ {
+		if b[i] == '|' {
+			end[n] = i
+			n++
+		}
+	}
+	if n < len(end) {
+		return parsef("raslog: want 8 fields, got %d", n+1)
+	}
+	if _, _, ok := scanInt(b, 0); !ok {
+		return parsef("raslog: bad record id %q", b[:end[0]])
+	}
+	if end[1] == end[0]+1 {
+		return parsef("raslog: empty event type")
+	}
+	stamp := b[end[1]+1 : end[2]]
+	if _, ok := parseStamp(stamp); !ok {
+		return parsef("raslog: bad timestamp %q", stamp)
+	}
+	if _, _, ok := scanInt(b, end[2]+1); !ok {
+		return parsef("raslog: bad job id %q", b[end[2]+1:end[3]])
+	}
+	if _, _, ok := scanLocation(b, end[3]+1); !ok {
+		return parsef("raslog: malformed location %q", b[end[3]+1:end[4]])
+	}
+	if _, _, ok := scanSeverity(b, end[5]+1); !ok {
+		return parsef("raslog: unknown severity %q", b[end[5]+1:end[6]])
+	}
+	return parsef("raslog: time %s out of range", stamp)
+}
+
 // scanInt parses the id field at b[i:] as strconv.ParseInt does, for
-// the values that cannot overflow: an optional sign and one to
-// eighteen digits, then '|'. It returns the index past the '|'.
+// an optional sign and one to nineteen digits, then '|'. It returns the
+// index past the '|'.
 func scanInt(b []byte, i int) (int64, int, bool) {
 	neg := false
 	if i < len(b) && (b[i] == '-' || b[i] == '+') {
 		neg = b[i] == '-'
 		i++
 	}
-	var n int64
+	var n uint64
 	j := i
-	for ; j < len(b) && j-i <= 18; j++ {
+	for ; j < len(b) && j-i <= 19; j++ {
 		d := b[j] - '0'
 		if d > 9 {
 			break
 		}
-		n = n*10 + int64(d)
+		n = n*10 + uint64(d)
 	}
-	if j == i || j-i > 18 || j == len(b) || b[j] != '|' {
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++ // math.MinInt64
+	}
+	if j == i || j-i > 19 || j == len(b) || b[j] != '|' || n > limit {
 		return 0, 0, false
 	}
 	if neg {
-		n = -n
+		return -int64(n), j + 1, true
 	}
-	return n, j + 1, true
+	return int64(n), j + 1, true
 }
 
-// scanTime parses the TIME field at b[i:] as
-// time.ParseInLocation(timeLayout, field, time.UTC) does when the field
-// has exactly the layout's shape: nineteen bytes, every number at full
-// width, in a year wholly inside the range TimeInRange admits, then
-// '|'. (The general parser also takes a one-digit hour and fractional
-// seconds, and decides every other year.) CMCS stamps whole seconds,
-// so raw logs carry long same-second runs; the last stamp is cached
-// once one has decoded. It returns the index past the '|'.
+// scanTime parses the TIME field at b[i:], a stamp parseStamp takes in
+// the range TimeInRange admits, then '|'. CMCS stamps whole seconds, so
+// raw logs carry long same-second runs; the last stamp is cached once
+// one has decoded. It returns the index past the '|'.
 func (r *Reader) scanTime(b []byte, i int) (time.Time, int, bool) {
 	j := i + len(timeLayout)
 	if j >= len(b) || b[j] != '|' {
@@ -511,22 +547,37 @@ func (r *Reader) scanTime(b []byte, i int) (time.Time, int, bool) {
 	if r.stamped && string(b) == string(r.stamp[:]) {
 		return r.stampTime, j + 1, true
 	}
-	if b[4] != '-' || b[7] != '-' || b[10] != ' ' || b[13] != ':' || b[16] != ':' {
+	sec, ok := parseStamp(b)
+	if !ok || sec < 0 || sec > maxSec {
 		return time.Time{}, 0, false
+	}
+	copy(r.stamp[:], b)
+	r.stampTime = time.Unix(sec, 0).UTC() // the time.Time time.Date builds, without its calendar walk
+	r.stamped = true
+	return r.stampTime, j + 1, true
+}
+
+// parseStamp parses b as time.ParseInLocation(timeLayout, b, time.UTC)
+// does when b has exactly the layout's shape, every number at full
+// width, and returns its unix second, or -1 for a year before 1970.
+// (time.ParseInLocation also takes a one-digit hour and fractional
+// seconds, which Writer never spells.)
+func parseStamp(b []byte) (int64, bool) {
+	if len(b) != len(timeLayout) || b[4] != '-' || b[7] != '-' || b[10] != ' ' || b[13] != ':' || b[16] != ':' {
+		return 0, false
 	}
 	century, yy := digits2(b[0:2]), digits2(b[2:4])
 	month, day := digits2(b[5:7]), digits2(b[8:10])
 	hour, minute, sec := digits2(b[11:13]), digits2(b[14:16]), digits2(b[17:19])
 	year := 100*century + yy
-	if century < 0 || yy < 0 || year < 1970 || year > 2261 || month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
+	if century < 0 || yy < 0 || month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
 		hour < 0 || hour > 23 || minute < 0 || minute > 59 || sec < 0 || sec > 59 {
-		return time.Time{}, 0, false
+		return 0, false
 	}
-	copy(r.stamp[:], b)
-	secs := 86400*daysFromCivil(year, month, day) + int64(3600*hour+60*minute+sec)
-	r.stampTime = time.Unix(secs, 0).UTC() // the time.Time time.Date builds, without its calendar walk
-	r.stamped = true
-	return r.stampTime, j + 1, true
+	if year < 1970 {
+		return -1, true
+	}
+	return 86400*daysFromCivil(year, month, day) + int64(3600*hour+60*minute+sec), true
 }
 
 // daysFromCivil is the number of days from 1970-01-01 to the given
@@ -546,8 +597,8 @@ func daysFromCivil(year, month, day int) int64 {
 // scanLocation parses the LOCATION field at b[i:] in the spellings
 // Location.AppendTo emits — "?", a rack of two or more digits, and
 // below it a midplane, a node card with its compute or I/O chip, a
-// link card or the service card — as parseLocation does, then '|'. It
-// returns the index past the '|'.
+// link card or the service card — for the locations encodable admits,
+// then '|'. It returns the index past the '|'.
 func scanLocation(b []byte, i int) (loc Location, next int, ok bool) {
 	switch at(b, i) {
 	case '?':
@@ -615,21 +666,22 @@ func at(b []byte, i int) byte {
 	return 0
 }
 
-// scanDigits reads a run of least to nine digits at b[i:], a value
-// within int on every platform, and returns the index past it.
+// scanDigits reads a run of least to ten digits at b[i:], a number no
+// greater than wireMaxLocField, and returns the index past it.
 func scanDigits(b []byte, i, least int) (int, int, bool) {
-	n, j := 0, i
-	for ; j < len(b) && j-i <= 9; j++ {
+	var n uint64
+	j := i
+	for ; j < len(b) && j-i <= 10; j++ {
 		d := b[j] - '0'
 		if d > 9 {
 			break
 		}
-		n = n*10 + int(d)
+		n = n*10 + uint64(d)
 	}
-	if j-i < least || j-i > 9 {
+	if j-i < least || j-i > 10 || n > wireMaxLocField {
 		return 0, 0, false
 	}
-	return n, j, true
+	return int(n), j, true
 }
 
 // scanSeverity matches the SEVERITY field at b[i:] against the six
@@ -666,17 +718,6 @@ func daysIn(month, year int) int {
 	return 31
 }
 
-// parseSlow is the general decoder of every line decode passed over.
-// It refuses a record whose time TimeInRange refuses.
-func parseSlow(line []byte) (Event, error) {
-	//bglvet:ignore hotpathalloc the general parser works on a string; lines in Writer's spelling never reach it
-	ev, err := parseLine(string(line))
-	if err == nil && !TimeInRange(ev.Time) {
-		return Event{}, parsef("raslog: time %s out of range", ev.Time.UTC().Format(timeLayout))
-	}
-	return ev, err
-}
-
 // ReadAll drains the reader into a slice.
 func (r *Reader) ReadAll() ([]Event, error) {
 	var out []Event
@@ -692,49 +733,10 @@ func (r *Reader) ReadAll() ([]Event, error) {
 	}
 }
 
-// parsef builds the general parsers' errors.
+// parsef builds the decoders' errors.
 func parsef(format string, args ...any) error {
-	//bglvet:ignore hotpathalloc error construction runs only for undecodable lines, which the fast path has already passed over
+	//bglvet:ignore hotpathalloc error construction runs only for undecodable lines, which decode has already refused
 	return fmt.Errorf(format, args...)
-}
-
-func parseLine(line string) (Event, error) {
-	// SplitN so a stray pipe in ENTRY_DATA (rejected by the writer, but
-	// tolerated on read) stays in the final field.
-	fields := strings.SplitN(line, "|", 8)
-	if len(fields) != 8 {
-		return Event{}, parsef("raslog: want 8 fields, got %d", len(fields))
-	}
-	recID, err := strconv.ParseInt(fields[0], 10, 64)
-	if err != nil {
-		return Event{}, parsef("raslog: bad record id %q", fields[0])
-	}
-	ts, err := time.ParseInLocation(timeLayout, fields[2], time.UTC)
-	if err != nil {
-		return Event{}, parsef("raslog: bad timestamp %q", fields[2])
-	}
-	jobID, err := strconv.ParseInt(fields[3], 10, 64)
-	if err != nil {
-		return Event{}, parsef("raslog: bad job id %q", fields[3])
-	}
-	loc, err := ParseLocation(fields[4])
-	if err != nil {
-		return Event{}, err
-	}
-	sev, err := ParseSeverity(fields[6])
-	if err != nil {
-		return Event{}, err
-	}
-	return Event{
-		RecID:     recID,
-		Type:      fields[1],
-		Time:      ts,
-		JobID:     jobID,
-		Location:  loc,
-		Facility:  fields[5],
-		Severity:  sev,
-		EntryData: fields[7],
-	}, nil
 }
 
 // WriteFile writes events to path in the log dialect.
@@ -743,8 +745,9 @@ func WriteFile(path string, events []Event) error {
 }
 
 // writeEvents creates path and writes events to it through the encoder
-// newWriter wraps around the file — the log dialect's or the wire's —
-// closing the file whether or not the writes succeed.
+// newWriter wraps around the file — the log dialect's or the wire's.
+// It stops at the first record the encoder refuses, and the file then
+// holds exactly the records before it; the file is closed either way.
 func writeEvents[W interface {
 	Write(*Event) error
 	Flush() error
@@ -757,8 +760,8 @@ func writeEvents[W interface {
 	for i := 0; i < len(events) && err == nil; i++ {
 		err = w.Write(&events[i])
 	}
-	if err == nil {
-		err = w.Flush()
+	if ferr := w.Flush(); err == nil {
+		err = ferr
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr

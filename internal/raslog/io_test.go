@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -40,6 +41,23 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		events[i] = randomEvent(rng, int64(i))
 	}
 	events = append(events, mkEvent(1000, rangeStart), mkEvent(1001, rangeEnd))
+	// The extremes of the fixed fields: both int64 ends in the ids, both
+	// ends of the time range, and each location kind with every number
+	// at the most the writers carry.
+	const n = wireMaxLocField
+	for i, loc := range []Location{
+		{Kind: KindRack, Rack: n}, {Kind: KindMidplane, Rack: n, Midplane: 1},
+		{Kind: KindNodeCard, Rack: n, Midplane: 1, Card: n}, {Kind: KindComputeChip, Rack: n, Midplane: 1, Card: n, Chip: n},
+		{Kind: KindIONode, Rack: n, Midplane: 1, Card: n, Chip: n}, {Kind: KindLinkCard, Rack: n, Midplane: 1, Card: n},
+		{Kind: KindServiceCard, Rack: n, Midplane: 1},
+	} {
+		e := mkEvent(math.MinInt64, rangeStart)
+		if i%2 == 1 {
+			e = mkEvent(math.MaxInt64, rangeEnd)
+		}
+		e.JobID, e.Location = -e.RecID-1, loc
+		events = append(events, e)
+	}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for i := range events {
@@ -50,8 +68,8 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if w.Count() != 1002 {
-		t.Fatalf("Count = %d, want 1002", w.Count())
+	if w.Count() != int64(len(events)) {
+		t.Fatalf("Count = %d, want %d", w.Count(), len(events))
 	}
 
 	got, err := NewReader(&buf).ReadAll()
@@ -80,16 +98,76 @@ func TestWriterRejectsInvalid(t *testing.T) {
 		"newline in facility": func(e *Event) { e.Facility = "a\nb" },
 	}
 	for name, mutate := range cases {
-		w := NewWriter(io.Discard)
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
 		bad := mkEvent(1, t0)
 		mutate(&bad)
 		if err := w.Write(&bad); err == nil {
 			t.Fatalf("%s: Write accepted invalid event", name)
 		}
-		// Sticky error: subsequent valid writes must fail too.
+		// A refusal leaves the Writer as it was: the next record goes on.
 		good := mkEvent(2, t0)
-		if err := w.Write(&good); err == nil {
-			t.Fatalf("%s: Write after error should keep failing", name)
+		if err := w.Write(&good); err != nil {
+			t.Fatalf("%s: Write after a refusal: %v", name, err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatalf("%s: Flush: %v", name, err)
+		}
+		if got, err := NewReader(&buf).ReadAll(); err != nil || len(got) != 1 || got[0] != good || w.Count() != 1 {
+			t.Fatalf("%s: wrote %d records (%+v, %v), Count %d; want only the good one", name, len(got), got, err, w.Count())
+		}
+	}
+}
+
+// TestWritersKeepWhatTheyAccepted writes three good records and then
+// one each writer refuses: Flush, and WriteFile and WriteWireFile,
+// must leave exactly the three.
+func TestWritersKeepWhatTheyAccepted(t *testing.T) {
+	events := []Event{mkEvent(1, t0), mkEvent(2, t0.Add(time.Second)), mkEvent(3, t0.Add(2*time.Second)), mkEvent(4, t0)}
+	events[3].Type = "R|S" // the pipe dialect reserves '|'
+	events[3].Location = Location{Kind: KindMidplane, Rack: 1, Midplane: 2}
+	type encoder interface {
+		Write(*Event) error
+		Flush() error
+	}
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name  string
+		write func(string, []Event) error
+		w     func(io.Writer) encoder
+	}{
+		{"text", WriteFile, func(w io.Writer) encoder { return NewWriter(w) }},
+		{"wire", WriteWireFile, func(w io.Writer) encoder { return NewWireWriter(w) }},
+	} {
+		var buf bytes.Buffer
+		w := c.w(&buf)
+		for i := range events {
+			if err := w.Write(&events[i]); (err != nil) != (i == 3) {
+				t.Fatalf("%s: record %d: Write returned %v", c.name, i, err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatalf("%s: Flush: %v", c.name, err)
+		}
+		path := filepath.Join(dir, c.name)
+		if err := c.write(path, events); err == nil {
+			t.Fatalf("%s: the file writer took a record its writer refuses", c.name)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file, buf.Bytes()) {
+			t.Fatalf("%s: the file holds %d bytes, the three records %d", c.name, len(file), buf.Len())
+		}
+		got, err := ReadAnyFile(path)
+		if err != nil || len(got) != 3 {
+			t.Fatalf("%s: read back %d records, %v; want 3", c.name, len(got), err)
+		}
+		for i := range got {
+			if got[i] != events[i] {
+				t.Fatalf("%s: record %d read back %+v, want %+v", c.name, i, got[i], events[i])
+			}
 		}
 	}
 }

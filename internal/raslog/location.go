@@ -2,7 +2,6 @@ package raslog
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 )
 
@@ -135,123 +134,6 @@ func appendPad2(dst []byte, n int) []byte {
 		dst = append(dst, '0')
 	}
 	return strconv.AppendInt(dst, int64(n), 10)
-}
-
-// ParseLocation parses a LOCATION string in the grammar documented on
-// Location. It accepts any truncation point of the hierarchy.
-func ParseLocation(text string) (Location, error) {
-	loc, ok := parseLocation(text)
-	if !ok {
-		return Location{}, parsef("raslog: malformed location %q", text)
-	}
-	return loc, nil
-}
-
-// parseLocation is ParseLocation without the error value.
-func parseLocation(text string) (Location, bool) {
-	if len(text) == 0 || (len(text) == 1 && text[0] == '?') {
-		return Location{}, true
-	}
-	// Segment k of the dash-separated text is text[lo[k]:hi[k]]. The
-	// grammar has at most four; a fifth never parses.
-	var lo, hi [4]int
-	nseg, from := 0, 0
-	for i := 0; i <= len(text); i++ {
-		if i < len(text) && text[i] != '-' {
-			continue
-		}
-		if nseg == len(lo) {
-			return Location{}, false
-		}
-		lo[nseg], hi[nseg] = from, i
-		nseg++
-		from = i + 1
-	}
-	// Rack segment.
-	if hi[0] < 2 || text[0] != 'R' {
-		return Location{}, false
-	}
-	n, ok := segmentNumber(text, 1, hi[0])
-	if !ok {
-		return Location{}, false
-	}
-	loc := Location{Kind: KindRack, Rack: n}
-	if nseg == 1 {
-		return loc, true
-	}
-	// Midplane segment.
-	if hi[1]-lo[1] != 2 || text[lo[1]] != 'M' || (text[lo[1]+1] != '0' && text[lo[1]+1] != '1') {
-		return Location{}, false
-	}
-	loc.Kind = KindMidplane
-	loc.Midplane = int(text[lo[1]+1] - '0')
-	if nseg == 2 {
-		return loc, true
-	}
-	// Card segment: Nxx, Lx, or S.
-	if hi[2] == lo[2] {
-		return Location{}, false
-	}
-	switch c := text[lo[2]]; {
-	case c == 'S' && hi[2]-lo[2] == 1:
-		if nseg != 3 {
-			return Location{}, false
-		}
-		loc.Kind = KindServiceCard
-		return loc, true
-	case c == 'L':
-		if nseg != 3 {
-			return Location{}, false
-		}
-		loc.Kind = KindLinkCard
-	case c == 'N':
-		loc.Kind = KindNodeCard
-	default:
-		return Location{}, false
-	}
-	if loc.Card, ok = segmentNumber(text, lo[2]+1, hi[2]); !ok {
-		return Location{}, false
-	}
-	if nseg == 3 {
-		return loc, true
-	}
-	// Chip segment: Cxx or Ixx.
-	if hi[3]-lo[3] < 2 {
-		return Location{}, false
-	}
-	switch text[lo[3]] {
-	case 'C':
-		loc.Kind = KindComputeChip
-	case 'I':
-		loc.Kind = KindIONode
-	default:
-		return Location{}, false
-	}
-	if loc.Chip, ok = segmentNumber(text, lo[3]+1, hi[3]); !ok {
-		return Location{}, false
-	}
-	return loc, true
-}
-
-// segmentNumber parses text[i:j] as strconv.Atoi would, given that a
-// segment cannot contain '-': an optional '+', then one or more
-// digits, the value within int.
-func segmentNumber(text string, i, j int) (int, bool) {
-	if i < j && text[i] == '+' {
-		i++
-	}
-	if i >= j {
-		return 0, false
-	}
-	n := 0
-	for ; i < j; i++ {
-		d := int(text[i] - '0')
-		if d > 9 || n > (math.MaxInt-d)/10 {
-			return 0, false
-		}
-		n = n*10 + d
-	}
-	return n, true
 }
 
 // MidplaneOf returns the midplane-level prefix of the location, which is

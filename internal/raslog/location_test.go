@@ -2,11 +2,13 @@ package raslog
 
 import (
 	"math/rand/v2"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestLocationStringParseRoundTrip(t *testing.T) {
+func TestLocationStringReadRoundTrip(t *testing.T) {
 	cases := []Location{
 		{Kind: KindRack, Rack: 0},
 		{Kind: KindRack, Rack: 31},
@@ -16,12 +18,14 @@ func TestLocationStringParseRoundTrip(t *testing.T) {
 		{Kind: KindIONode, Rack: 3, Midplane: 0, Card: 9, Chip: 1},
 		{Kind: KindLinkCard, Rack: 12, Midplane: 1, Card: 3},
 		{Kind: KindServiceCard, Rack: 2, Midplane: 0},
+		{Kind: KindIONode, Rack: wireMaxLocField, Midplane: 1, Card: wireMaxLocField, Chip: wireMaxLocField},
+		{Kind: KindLinkCard, Rack: wireMaxLocField, Midplane: 1, Card: wireMaxLocField},
 	}
 	for _, loc := range cases {
 		text := loc.String()
-		got, err := ParseLocation(text)
+		got, err := readLocation(text)
 		if err != nil {
-			t.Fatalf("ParseLocation(%q): %v", text, err)
+			t.Fatalf("read %q: %v", text, err)
 		}
 		if got != loc {
 			t.Errorf("round trip %q: got %+v, want %+v", text, got, loc)
@@ -29,7 +33,7 @@ func TestLocationStringParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseLocationExamples(t *testing.T) {
+func TestReaderLocationExamples(t *testing.T) {
 	cases := map[string]Location{
 		"R00":            {Kind: KindRack},
 		"R07-M1":         {Kind: KindMidplane, Rack: 7, Midplane: 1},
@@ -38,29 +42,34 @@ func TestParseLocationExamples(t *testing.T) {
 		"R07-M1-N04-I00": {Kind: KindIONode, Rack: 7, Midplane: 1, Card: 4},
 		"R07-M1-L2":      {Kind: KindLinkCard, Rack: 7, Midplane: 1, Card: 2},
 		"R07-M1-S":       {Kind: KindServiceCard, Rack: 7, Midplane: 1},
-		"":               {},
+		"R2147483648":    {Kind: KindRack, Rack: 1 << 31},
 		"?":              {},
 	}
 	for text, want := range cases {
-		got, err := ParseLocation(text)
+		got, err := readLocation(text)
 		if err != nil {
-			t.Fatalf("ParseLocation(%q): %v", text, err)
+			t.Fatalf("read %q: %v", text, err)
 		}
 		if got != want {
-			t.Errorf("ParseLocation(%q) = %+v, want %+v", text, got, want)
+			t.Errorf("read %q as %+v, want %+v", text, got, want)
 		}
 	}
 }
 
-func TestParseLocationRejectsMalformed(t *testing.T) {
+// TestReaderRefusesMalformedLocations holds the Reader to refusing
+// locations outside the grammar, in a spelling no writer emits, or
+// with a number past what the writers carry, naming the field.
+func TestReaderRefusesMalformedLocations(t *testing.T) {
 	bad := []string{
 		"X00", "R", "Rxx", "R00-M2", "R00-MA", "R00-M0-X1",
 		"R00-M0-N04-C32-Z9", "R00-M0-S-C1", "R00-M0-L1-C2",
 		"R00-M0-N04-Q1", "R-1", "R00-M0-Ncc", "R00-M0-N04-C", "R00-M0-",
+		"", "R1", "R+07", "R01-M0-N4", "R01-M0-N04-C3", "R2147483649", "R4294967296-M0",
 	}
 	for _, text := range bad {
-		if _, err := ParseLocation(text); err == nil {
-			t.Errorf("ParseLocation(%q) succeeded, want error", text)
+		_, err := readLocation(text)
+		if want := "raslog: malformed location " + strconv.Quote(text); err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("read %q: error %v, want one ending %q", text, err, want)
 		}
 	}
 }
@@ -143,7 +152,7 @@ func TestLocationRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	f := func() bool {
 		loc := randomLocation(rng)
-		got, err := ParseLocation(loc.String())
+		got, err := readLocation(loc.String())
 		return err == nil && got == loc
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

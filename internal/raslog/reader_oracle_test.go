@@ -10,6 +10,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,17 +24,36 @@ import (
 // The reference: the text reader exactly as it stood before Reader
 // learned to parse from its line buffer — bufio.Scanner, strings.SplitN,
 // strconv, time.ParseInLocation, fmt — kept here so the zero-alloc
-// paths have an oracle that shares none of their code. One rule was
-// added since: a record whose time is before the Unix epoch or after
-// the last nanosecond int64 nanoseconds since it hold (2262-04-11) is
-// undecodable,
-// and one branch went with the NDJSON spelling: a line that opens with
-// '{' is split on its pipes like any other. Reader must
-// agree with it on every event, every error text, every LineError and
-// every Raw/Line answer, read through Read and through NextEvent and
-// DecodeEvent alike.
+// paths have an oracle that shares none of their code. Three rules were
+// added since, and one branch went with the NDJSON spelling (a line
+// that opens with '{' is split on its pipes like any other):
+//
+//   - a record whose time is before the Unix epoch or after the last
+//     nanosecond int64 nanoseconds since it hold (2262-04-11) is
+//     undecodable;
+//   - so is one with an empty TYPE, which the writers refuse;
+//   - and so is a RECID, TIME, JOBID or LOCATION outside the dialect:
+//     the spellings Writer emits, matched by the ref*Spelling patterns
+//     below with the slack Reader allows (a sign and leading zeros on
+//     the ids, leading zeros on the location numbers), and location
+//     numbers no greater than 2^31, the most the wire carries. The
+//     field's error is the one its parser gives.
+//
+// Reader must agree with it on every event, every error text, every
+// LineError and every Raw/Line answer, read through Read and through
+// NextEvent and DecodeEvent alike; and every event both accept must be
+// one WireWriter writes.
 
 const refTimeLayout = "2006-01-02 15:04:05"
+
+var (
+	refIDSpelling       = regexp.MustCompile(`^[+-]?[0-9]{1,19}$`)
+	refTimeSpelling     = regexp.MustCompile(`^[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}$`)
+	refLocationSpelling = regexp.MustCompile(`^(\?|R[0-9]{2,10}(-M[01](-N[0-9]{2,10}(-[CI][0-9]{2,10})?|-L[0-9]{1,10}|-S)?)?)$`)
+)
+
+// refMaxLocField is the largest location number the dialect spells.
+const refMaxLocField = 1 << 31
 
 func refParseLocation(text string) (raslog.Location, error) {
 	var loc raslog.Location
@@ -132,18 +152,24 @@ func refParseLine(line string) (raslog.Event, error) {
 		return raslog.Event{}, fmt.Errorf("raslog: want 8 fields, got %d", len(fields))
 	}
 	recID, err := strconv.ParseInt(fields[0], 10, 64)
-	if err != nil {
+	if err != nil || !refIDSpelling.MatchString(fields[0]) {
 		return raslog.Event{}, fmt.Errorf("raslog: bad record id %q", fields[0])
 	}
+	if fields[1] == "" {
+		return raslog.Event{}, errors.New("raslog: empty event type")
+	}
 	ts, err := time.ParseInLocation(refTimeLayout, fields[2], time.UTC)
-	if err != nil {
+	if err != nil || !refTimeSpelling.MatchString(fields[2]) {
 		return raslog.Event{}, fmt.Errorf("raslog: bad timestamp %q", fields[2])
 	}
 	jobID, err := strconv.ParseInt(fields[3], 10, 64)
-	if err != nil {
+	if err != nil || !refIDSpelling.MatchString(fields[3]) {
 		return raslog.Event{}, fmt.Errorf("raslog: bad job id %q", fields[3])
 	}
 	loc, err := refParseLocation(fields[4])
+	if err == nil && (!refLocationSpelling.MatchString(fields[4]) || max(loc.Rack, loc.Card, loc.Chip) > refMaxLocField) {
+		err = fmt.Errorf("raslog: malformed location %q", fields[4])
+	}
 	if err != nil {
 		return raslog.Event{}, err
 	}
@@ -313,9 +339,15 @@ func checkAgainstReference(t testing.TB, what string, rd *raslog.Reader, src fun
 		under = twoStep{Reader: rd, lenient: lenient}
 	}
 	got, want := drain(under), drain(ref)
+	ww := raslog.NewWireWriter(io.Discard)
 	for i := 0; i < len(got) && i < len(want); i++ {
 		if got[i] != want[i] {
 			t.Fatalf("%s (lenient=%v, two steps=%v): Read #%d differs:\n got %v\nwant %v", what, lenient, twoSteps, i+1, got[i], want[i])
+		}
+		if got[i].err == "" {
+			if err := ww.Write(&got[i].ev); err != nil {
+				t.Fatalf("%s: Read #%d decoded %+v, which WireWriter refuses: %v", what, i+1, got[i].ev, err)
+			}
 		}
 	}
 	if len(got) != len(want) {
@@ -398,7 +430,8 @@ func edgeLines() []string {
 	}
 	for _, id := range []string{"0", "+5", "-5", "-1", "-0", "+", "-", "", "007", " 1", "1 ", "1_000", "0x10", "1e3", "12a", "+-1",
 		"999999999999999999", "-999999999999999999", "+999999999999999999", "123456789012345678", "1000000000000000000", "-1234567890123456789",
-		"9223372036854775807", "-9223372036854775808", "9223372036854775808", "99999999999999999999"} {
+		"9223372036854775807", "-9223372036854775808", "9223372036854775808", "99999999999999999999",
+		"-9223372036854775809", "+9223372036854775807", "0000000000000000001", "00000000000000000001"} {
 		lines = append(lines, withField(0, id), withField(3, id))
 	}
 	for _, ts := range []string{
@@ -410,9 +443,8 @@ func edgeLines() []string {
 		"2005-01-21 24:00:00", "2005-01-21 23:60:00", "2005-01-21 23:59:60", "0000-01-01 00:00:00",
 		"9999-12-31 23:59:59", "2005/01/21 00:00:00", "2005-01-21T00:00:00", "2005-01-21 00-00-00",
 		"2oo5-01-21 00:00:00", "2005-01-21 00:00:0x", "+005-01-21 00:00:00", "2005-01-21 -1:00:00", "",
-		// The years the one-pass parser covers run from 1970 to 2261;
-		// the general parser decides earlier years and 2262 against
-		// the range.
+		// Both ends of the range, the seconds past them, and years
+		// far outside it.
 		"2261-12-31 23:59:59", "2262-01-01 00:00:00", "2262-04-11 23:47:16", "2262-04-11 23:47:17",
 		"1678-01-01 00:00:00", "1677-12-31 23:59:59", "1970-01-01 00:00:00", "1969-12-31 23:59:59",
 		"2000-03-01 00:00:00", "2100-02-28 23:59:59", "2100-03-01 00:00:00",
@@ -425,10 +457,14 @@ func edgeLines() []string {
 		"R00-M0-X9", "R00-M0-S5", "R00-M0-S-C01", "R00-M0-L2-C01", "R00-M0-L", "R00-M0-L+3", "R00-M0-N", "R00-M0-NX",
 		"R00-M0-N04-C", "R00-M0-N04-Z9", "R00-M0-N04-C32-Z9", "R00--N01", "R00-M0--C01", "R99-M1-N99-C99",
 		"R9223372036854775807", "R9223372036854775808", "R00000000000000000000000007-M1", "R00-M0-N04-C1x", "r00",
-		// Every spelling AppendTo emits, racks and cards past two digits.
+		// Every spelling AppendTo emits, racks and cards past two digits
+		// up to 2^31, and numbers past it, which the writers refuse.
 		"R100", "R100-M0", "R100-M1-N15-C31", "R63-M1-N100-I07", "R00-M0-L10", "R05-M0-S", "R123456789", "R1234567890",
-		// Spellings it never emits, which parse all the same.
-		"R3-M1", "R+03", "R007", "R00-M1-N4", "R00-M1-N04-C3", "R00-M1-L03",
+		"R2147483648", "R2147483649", "R4294967296-M0", "R00-M0-N2147483648-C2147483648", "R00-M1-N04-I2147483649",
+		"R00-M1-L2147483648", "R00-M1-L2147483649", "R02147483648", "R0000000007",
+		// Leading zeros Reader takes; one-digit numbers and signs it
+		// does not.
+		"R007", "R00-M1-L03", "R3-M1", "R+03", "R00-M1-N4", "R00-M1-N04-C3", "R00-M1-N+4", "R00-M1-L+3", "R0",
 	} {
 		lines = append(lines, withField(4, loc))
 	}
@@ -438,8 +474,8 @@ func edgeLines() []string {
 	return lines
 }
 
-// TestParsersMatchReference checks the rewritten grammar functions one
-// value at a time, error text included.
+// TestParsersMatchReference checks ParseSeverity, which the CFDR
+// reader keeps, one value at a time, error text included.
 func TestParsersMatchReference(t *testing.T) {
 	same := func(what string, got, want any, gerr, werr error) {
 		t.Helper()
@@ -452,9 +488,6 @@ func TestParsersMatchReference(t *testing.T) {
 		if len(f) != 8 {
 			continue
 		}
-		got, gerr := raslog.ParseLocation(f[4])
-		want, werr := refParseLocation(f[4])
-		same(fmt.Sprintf("ParseLocation(%q)", f[4]), got, want, gerr, werr)
 		gs, gerr := raslog.ParseSeverity(f[6])
 		ws, werr := refParseSeverity(f[6])
 		same(fmt.Sprintf("ParseSeverity(%q)", f[6]), gs, ws, gerr, werr)

@@ -20,9 +20,12 @@ import (
 // replaced. Its ReadFrame, refDecodeWireLocation, refDecodeWireEvent and
 // refPeekWireEvent are the parent commit's ReadFrame,
 // decodeWireLocation, decodeWireEvent and PeekWireEvent verbatim but
-// for their names and one rule added since: an event whose time int64
-// nanoseconds since the epoch cannot hold is undecodable, and does not
-// peek either. It shares readFrameHeader, which did not change.
+// for their names and three rules added since: an event whose time
+// int64 nanoseconds since the epoch cannot hold is undecodable, and does
+// not peek either; so is a location with a midplane other than 0 or 1,
+// which neither writer spells; and an event with an empty TYPE, which
+// both writers refuse, is undecodable. It shares readFrameHeader, which
+// did not change.
 type refDecoder struct{ WireDecoder }
 
 func newRefDecoder(r io.Reader) *refDecoder {
@@ -115,8 +118,12 @@ func refDecodeWireLocation(body []byte) (Location, int, error) {
 	}
 	dsts := [3]*int{&loc.Midplane, &loc.Card, &loc.Chip}
 	for i := 0; i < fields; i++ {
+		at := pos
 		if err := next(dsts[i]); err != nil {
 			return Location{}, 0, err
+		}
+		if loc.Midplane > 1 {
+			return Location{}, 0, wiref("bad location field at %d", at)
 		}
 	}
 	return loc, pos, nil
@@ -177,6 +184,9 @@ func refDecodeWireEvent(body []byte, baseSec, baseID int64, tbl []string) (Event
 	}
 	if e.Type, err = str("type"); err != nil {
 		return Event{}, err
+	}
+	if e.Type == "" {
+		return Event{}, wiref("empty event type")
 	}
 	return e, nil
 }

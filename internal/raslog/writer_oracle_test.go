@@ -300,45 +300,26 @@ func checkWriters(t testing.TB, ops []writeOp) {
 // checkTextWriter writes the script through one Writer and each record
 // through the reference, and requires the reference's bytes and
 // refusals — and on top, a refusal of each record the reference writes
-// but the dialect would not read back equal. A refusal is sticky and
-// drops what was not flushed, so each one ends a segment: the writer's
-// output must then be a prefix of the reference's, at least as long as
-// what was flushed, and the next segment starts on a fresh Writer.
-// What a segment flushed must read back as the records it accepted.
+// but the dialect would not read back equal. A refusal leaves the
+// Writer as it was, so one stream runs to the end: each Flush must
+// leave every record accepted so far in the output, and the output
+// must read back as those records.
 func checkTextWriter(t testing.TB, ops []writeOp, locs locOracle) {
 	t.Helper()
 	var lineBuf bytes.Buffer
 	ref := newRefWriter(&lineBuf)
-	var got bytes.Buffer
+	var got, want bytes.Buffer
 	w := raslog.NewWriter(&got)
-	var flushed, pending []byte
-	var kept, held []raslog.Event // records flushed, and accepted since
+	var accepted []raslog.Event
 	flush := func() {
 		t.Helper()
 		if err := w.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)
 		}
-		flushed, pending = append(flushed, pending...), nil
-		kept, held = append(kept, held...), nil
-	}
-	endSegment := func() {
-		t.Helper()
-		out := got.Bytes()
-		if !bytes.HasPrefix(append(flushed, pending...), out) || len(out) < len(flushed) {
-			t.Fatalf("Writer wrote\n%q\nthe reference, through its last Flush\n%q\nthen\n%q", out, flushed, pending)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("after Flush the Writer has written %d bytes, the reference's lines for what it accepted %d; first difference at %d",
+				got.Len(), want.Len(), firstDiff(got.Bytes(), want.Bytes()))
 		}
-		back, err := raslog.NewReader(bytes.NewReader(flushed)).ReadAll()
-		if err != nil || len(back) != len(kept) {
-			t.Fatalf("read back %d records, %v; want %d", len(back), err, len(kept))
-		}
-		for i := range kept {
-			if back[i] != inSeconds(kept[i]) {
-				t.Fatalf("record %d read back %+v, want %+v", i, back[i], inSeconds(kept[i]))
-			}
-		}
-		got.Reset()
-		w = raslog.NewWriter(&got)
-		flushed, pending, kept, held = nil, nil, nil, nil
 	}
 	for i := range ops {
 		if ops[i].flush {
@@ -377,15 +358,20 @@ func checkTextWriter(t testing.TB, ops []writeOp, locs locOracle) {
 			if err != nil {
 				t.Fatalf("op %d %+v: Writer refused what the reference writes and reads back: %v", i, *e, err)
 			}
-			pending = append(pending, line...)
-			held = append(held, *e)
-		}
-		if err != nil {
-			endSegment()
+			want.Write(line)
+			accepted = append(accepted, inSeconds(*e))
 		}
 	}
 	flush()
-	endSegment()
+	back, err := raslog.NewReader(&got).ReadAll()
+	if err != nil || len(back) != len(accepted) {
+		t.Fatalf("read back %d records, %v; want %d", len(back), err, len(accepted))
+	}
+	for i := range accepted {
+		if back[i] != accepted[i] {
+			t.Fatalf("record %d read back %+v, want %+v", i, back[i], accepted[i])
+		}
+	}
 }
 
 // checkWireWriter writes the script through one WireWriter and one

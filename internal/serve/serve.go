@@ -99,13 +99,6 @@ type Config struct {
 	// Version 1, LoadedAt now. Rules and Predictors are derived from
 	// the meta-learner.
 	Model ModelInfo
-	// ShardBy, when set, overrides the default rack/midplane-modulo
-	// shard routing: it receives the record's location and the shard
-	// count and returns the shard index (reduced modulo the count).
-	// The cluster layer uses it to make a single reference node
-	// partition a stream exactly as a consistent-hash-routed gate
-	// would, so the two can be compared alert-for-alert.
-	ShardBy func(loc raslog.Location, shards int) int
 	// OnRecord, when set, gives shard i's engine its online OnRecord
 	// hook on every build (a supervised restart re-issues the slots
 	// issued since the last good snapshot): the retraining window's tap.
@@ -447,13 +440,6 @@ func (s *Server) onAlert(i int) func(predictor.Warning) {
 // locations go to shard 0. It reads the location where the decoder
 // left it.
 func (s *Server) shardFor(loc *raslog.Location) *shard {
-	if s.cfg.ShardBy != nil {
-		i := s.cfg.ShardBy(*loc, len(s.shards)) % len(s.shards)
-		if i < 0 {
-			i += len(s.shards)
-		}
-		return s.shards[i]
-	}
 	// loc.MidplaneOf()'s rack and midplane, read in place: copying the
 	// Location in and out of MidplaneOf cost more than the routing.
 	var key int
