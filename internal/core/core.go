@@ -141,11 +141,16 @@ type Trained struct {
 // Train fits the meta-learner on a unique-event stream: each selected
 // base trains once, on that one learning set (paper §3.3).
 func (p *Pipeline) Train(events []preprocess.Event) (*Trained, error) {
+	return p.TrainPoints(preprocess.Points(events))
+}
+
+// TrainPoints is Train on the stream's column of Points.
+func (p *Pipeline) TrainPoints(points []preprocess.Point) (*Trained, error) {
 	if err := p.validatePredictors(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	m := p.newMeta()
-	if err := m.Train(events); err != nil {
+	if err := m.TrainSegments([][]preprocess.Point{points}); err != nil {
 		return nil, fmt.Errorf("core: meta: %w", err)
 	}
 	return &Trained{Statistical: m.Stat, Rule: m.Rule, Meta: m}, nil

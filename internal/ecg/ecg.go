@@ -95,7 +95,7 @@ func (p *Predictor) Path(sub int) (Path, bool) {
 
 // Train implements predictor.Base.
 func (p *Predictor) Train(events []preprocess.Event) error {
-	return p.TrainSegments([][]preprocess.Event{events})
+	return p.TrainSegments([][]preprocess.Point{preprocess.Points(events)})
 }
 
 // TrainSegments implements predictor.SegmentedTrainer: the graph is
@@ -103,7 +103,7 @@ func (p *Predictor) Train(events []preprocess.Event) error {
 // two segments (cross-validation excises the test fold from the
 // middle of the stream; mining over the concatenation would fabricate
 // correlations that never happened).
-func (p *Predictor) TrainSegments(segments [][]preprocess.Event) error {
+func (p *Predictor) TrainSegments(segments [][]preprocess.Point) error {
 	p.Config = p.Config.withDefaults()
 	g := NewGraph(p.Config.Window)
 	for _, seg := range segments {

@@ -42,6 +42,9 @@ func stream(pairs ...any) []preprocess.Event {
 	return out
 }
 
+// points is stream's column.
+func points(pairs ...any) []preprocess.Point { return preprocess.Points(stream(pairs...)) }
+
 func id(name string) int { return catalog.MustByName(name).ID }
 
 // chainTraining repeats a two-hop correlation episode: a warning, a
@@ -62,7 +65,7 @@ func chainTraining(n int) []preprocess.Event {
 
 func TestGraphMineCountsAndGaps(t *testing.T) {
 	g := NewGraph(15 * time.Minute)
-	g.AddSegment(chainTraining(8))
+	g.AddSegment(preprocess.Points(chainTraining(8)))
 
 	if got := g.NodeCount(); got != 3 {
 		t.Fatalf("NodeCount = %d, want 3", got)
@@ -93,7 +96,7 @@ func TestGraphDedupsSuccessorPerOccurrence(t *testing.T) {
 	g := NewGraph(15 * time.Minute)
 	// One source occurrence, the same successor three times: the edge
 	// counts once, with the first-occurrence gap.
-	g.AddSegment(stream(
+	g.AddSegment(points(
 		0*time.Minute, "ddrSingleSymbolWarning",
 		2*time.Minute, "machineCheckError",
 		4*time.Minute, "machineCheckError",
@@ -115,7 +118,7 @@ func TestGraphDedupsSuccessorPerOccurrence(t *testing.T) {
 
 func TestGraphNoSelfEdges(t *testing.T) {
 	g := NewGraph(15 * time.Minute)
-	g.AddSegment(stream(
+	g.AddSegment(points(
 		0*time.Minute, "machineCheckError",
 		1*time.Minute, "machineCheckError",
 		2*time.Minute, "machineCheckError",
@@ -133,7 +136,7 @@ func TestSegmentsDoNotSpanGap(t *testing.T) {
 	seg2 := stream(5*time.Minute, "dataReadFailure")
 
 	p := New(Config{MinCount: 1, MinProbability: 0.01})
-	if err := p.TrainSegments([][]preprocess.Event{seg1, seg2}); err != nil {
+	if err := p.TrainSegments([][]preprocess.Point{preprocess.Points(seg1), preprocess.Points(seg2)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Graph().EdgeCount(); got != 0 {

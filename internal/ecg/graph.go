@@ -88,40 +88,30 @@ func NewGraph(window time.Duration) *Graph {
 func (g *Graph) Window() time.Duration { return g.window }
 
 // AddSegment mines one contiguous, time-ordered segment of the
-// unique-event stream into the graph. For each occurrence of an event
-// a, every distinct event signature first seen within the correlation
-// window after a contributes one count (and its first-occurrence gap)
-// to the edge a -> that signature. Calling AddSegment per segment
-// keeps correlation windows from spanning segment gaps.
-//
-// Each event's time is read once, as Unix nanoseconds; the scan
-// compares and subtracts those integers, exact for times in
-// raslog.TimeInRange, which events carry.
-func (g *Graph) AddSegment(events []preprocess.Event) {
-	type point struct {
-		at int64
-		id int32
-	}
-	pts := make([]point, len(events))
-	for i := range events {
-		pts[i] = point{events[i].Time.UnixNano(), int32(events[i].Sub.ID)}
-	}
+// unique-event stream's Points into the graph. For each occurrence of
+// an event a, every distinct event signature first seen within the
+// correlation window after a contributes one count (and its
+// first-occurrence gap) to the edge a -> that signature. Calling
+// AddSegment per segment keeps correlation windows from spanning
+// segment gaps. The scan compares and subtracts the points' Unix
+// nanoseconds.
+func (g *Graph) AddSegment(pts []preprocess.Point) {
 	// seen[to] == i+1 once occurrence i has counted successor to.
 	var seen [numIDs]int
 	for i, a := range pts {
-		from := a.id
+		from := a.Sub
 		if g.nodes[from] == 0 {
 			g.nodeCount++
 		}
 		g.nodes[from]++
 		row := &g.edges[from]
-		for j := i + 1; j < len(pts) && pts[j].at-a.at <= int64(g.window); j++ {
-			to := pts[j].id
+		for j := i + 1; j < len(pts) && pts[j].At-a.At <= int64(g.window); j++ {
+			to := pts[j].Sub
 			if to == from || seen[to] == i+1 {
 				continue
 			}
 			seen[to] = i + 1
-			gap := time.Duration(pts[j].at - a.at)
+			gap := time.Duration(pts[j].At - a.At)
 			st := &row[to]
 			if st.count == 0 {
 				g.edgeCount++

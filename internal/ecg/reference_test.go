@@ -161,7 +161,11 @@ func FuzzGraphMatchesReference(f *testing.F) {
 			ref.AddSegment(seg)
 		}
 		p := New(cfg)
-		if err := p.TrainSegments(segs); err != nil {
+		cols := make([][]preprocess.Point, len(segs))
+		for i, seg := range segs {
+			cols[i] = preprocess.Points(seg)
+		}
+		if err := p.TrainSegments(cols); err != nil {
 			t.Fatal(err)
 		}
 		g := p.Graph()

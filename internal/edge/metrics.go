@@ -160,6 +160,9 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.over.Add(1)
 }
 
+// Sum is the total of the latencies observed.
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
+
 // Histogram writes h as a histogram family in seconds. _count is the
 // cumulative sum just written as the +Inf bucket, not a separately
 // kept counter: the format requires the two to be equal, and under

@@ -171,6 +171,7 @@ func CrossValidate(events []preprocess.Event, folds int, factory predictor.Facto
 		return CVResult{}, fmt.Errorf("eval: %d events cannot fill %d folds", len(events), folds)
 	}
 	bounds := foldBounds(len(events), folds)
+	points := preprocess.Points(events)
 	outcomes := make([]Outcome, folds)
 	errs := make([]error, folds)
 	var wg sync.WaitGroup
@@ -181,7 +182,7 @@ func CrossValidate(events []preprocess.Event, folds int, factory predictor.Facto
 			lo, hi := bounds[f], bounds[f+1]
 			test := events[lo:hi]
 			p := factory()
-			if err := trainExcising(p, events, lo, hi); err != nil {
+			if err := trainExcising(p, events, points, lo, hi); err != nil {
 				errs[f] = fmt.Errorf("fold %d: %w", f, err)
 				return
 			}
@@ -206,20 +207,18 @@ func CrossValidate(events []preprocess.Event, folds int, factory predictor.Facto
 }
 
 // trainExcising trains p on events with [lo, hi) removed, preserving
-// the segment boundary when p supports it.
-func trainExcising(p predictor.Predictor, events []preprocess.Event, lo, hi int) error {
-	var segments [][]preprocess.Event
-	if lo > 0 {
-		segments = append(segments, events[:lo])
-	}
-	if hi < len(events) {
-		segments = append(segments, events[hi:])
-	}
+// the segment boundary when p supports it; points is events' column,
+// which a SegmentedTrainer trains on.
+func trainExcising(p predictor.Predictor, events []preprocess.Event, points []preprocess.Point, lo, hi int) error {
 	if st, ok := p.(predictor.SegmentedTrainer); ok {
+		var segments [][]preprocess.Point
+		if lo > 0 {
+			segments = append(segments, points[:lo])
+		}
+		if hi < len(points) {
+			segments = append(segments, points[hi:])
+		}
 		return st.TrainSegments(segments)
-	}
-	if len(segments) == 1 {
-		return p.Train(segments[0])
 	}
 	train := make([]preprocess.Event, 0, len(events)-(hi-lo))
 	train = append(train, events[:lo]...)

@@ -193,7 +193,7 @@ func TestCrossValidateTrainTestSplit(t *testing.T) {
 // segmentSpy records how CrossValidate trains it.
 type segmentSpy struct {
 	mockPredictor
-	segments  [][]preprocess.Event
+	segments  [][]preprocess.Point
 	trainCall bool
 }
 
@@ -202,7 +202,7 @@ func (s *segmentSpy) Train(events []preprocess.Event) error {
 	return s.mockPredictor.Train(events)
 }
 
-func (s *segmentSpy) TrainSegments(segments [][]preprocess.Event) error {
+func (s *segmentSpy) TrainSegments(segments [][]preprocess.Point) error {
 	s.segments = segments
 	return nil
 }
@@ -243,7 +243,7 @@ func TestCrossValidateExcisesFoldAsSegments(t *testing.T) {
 			// Each segment must be contiguous in the original stream:
 			// time strictly increases within the cascade stream.
 			for i := 1; i < len(seg); i++ {
-				if !seg[i-1].Time.Before(seg[i].Time) {
+				if seg[i-1].At >= seg[i].At {
 					t.Fatal("segment events out of order")
 				}
 			}
@@ -258,7 +258,7 @@ func TestCrossValidateExcisesFoldAsSegments(t *testing.T) {
 			twoSegments++
 			// The two segments bracket the excised fold: a 10-event
 			// (40-minute-per-pair) hole must separate them.
-			gap := s.segments[1][0].Time.Sub(s.segments[0][len(s.segments[0])-1].Time)
+			gap := time.Duration(s.segments[1][0].At - s.segments[0][len(s.segments[0])-1].At)
 			if gap < 4*time.Hour {
 				t.Fatalf("segments nearly touch (gap %v); fold not excised", gap)
 			}

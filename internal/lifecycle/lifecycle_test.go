@@ -217,8 +217,9 @@ func TestKillAndRestoreEquivalence(t *testing.T) {
 // shard 2 never touched. It must load, restore, and yield the alerts
 // an uninterrupted run emits over the rest of the stream. Re-exported
 // straight after the restore, it must marshal to the bytes of
-// testdata/checkpoint_parent_reexport.bglc, which the commit before
-// the compressor's hot spatial window wrote the same way.
+// testdata/checkpoint_parent_reexport.bglc, last rewritten when the
+// engine state gained Taken and Counters.Duplicate (gob describes every
+// field of a type, so new fields move the bytes of an equal value).
 func TestParentCheckpointRestores(t *testing.T) {
 	const parentCheckpointCut = 10554
 	meta, _, tail := fixture(t)

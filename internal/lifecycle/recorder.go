@@ -26,7 +26,9 @@ import (
 // of an event not held is dropped (deviation 6). A Unique below its
 // slab's next slot (a restarted engine re-issuing slots) first
 // truncates the slab. Taking a record reads no clock and allocates
-// nothing for a duplicate.
+// nothing for a duplicate. Beside its events each slab keeps their
+// column of preprocess.Points, which is all a retrain copies, and the
+// running totals the gauges read.
 type Recorder struct {
 	window   time.Duration
 	max      int
@@ -38,12 +40,14 @@ type Recorder struct {
 
 // slab is one shard's share of the window.
 type slab struct {
-	r      *Recorder
-	mu     sync.Mutex
-	events []preprocess.Event // events[i] opened at slot base+i
-	base   int
-	newest time.Time // latest record time taken
-	seen   int64
+	r       *Recorder
+	mu      sync.Mutex
+	events  []preprocess.Event // events[i] opened at slot base+i
+	points  []preprocess.Point // points[i] is events[i]'s Point
+	base    int
+	records int       // the events' Counts summed
+	newest  time.Time // latest record time taken
+	seen    int64
 }
 
 // Default recorder bounds: six hours of events, capped at 250k unique
@@ -130,6 +134,7 @@ func (sl *slab) takeLocked(ev *raslog.Event, sub *catalog.Subcategory, v preproc
 	if v != preprocess.Unique {
 		if i := slot - sl.base; i >= 0 && i < len(sl.events) {
 			sl.events[i].Count++
+			sl.records++
 			if v == preprocess.SpatialDuplicate {
 				sl.events[i].Locations++
 			}
@@ -144,19 +149,25 @@ func (sl *slab) takeLocked(ev *raslog.Event, sub *catalog.Subcategory, v preproc
 		sl.base = slot - keep
 	}
 	sl.events = append(sl.events, preprocess.Event{Event: *ev, Sub: sub, Count: 1, Locations: 1})
+	sl.points = append(sl.points, preprocess.PointOf(&sl.events[len(sl.events)-1]))
+	sl.records++
 	sl.prune(sl.newest.Add(-sl.r.window))
 	return true
 }
 
-// cut drops events[lo:hi], a prefix or a suffix; a prefix goes for free
-// until append next grows the slice, copying only what is retained.
+// cut drops events[lo:hi] and their points, a prefix or a suffix; a
+// prefix goes for free until append next grows the slices, copying
+// only what is retained.
 func (sl *slab) cut(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		sl.records -= sl.events[i].Count
+	}
 	clear(sl.events[lo:hi]) // release the dropped events' strings
 	if lo > 0 {
-		sl.events = sl.events[:lo]
+		sl.events, sl.points = sl.events[:lo], sl.points[:lo]
 		return
 	}
-	sl.events, sl.base = sl.events[hi:], sl.base+hi
+	sl.events, sl.points, sl.base = sl.events[hi:], sl.points[hi:], sl.base+hi
 }
 
 // prune drops the leading events older than cutoff; sl.mu held.
@@ -212,29 +223,42 @@ func (r *Recorder) sweep(f func(*slab)) (newest time.Time) {
 	return newest
 }
 
-// Events returns a time-ordered copy of the window, ready to train on.
+// Events returns a copy of the window, ordered by time then RecID.
 func (r *Recorder) Events() []preprocess.Event {
-	events, _, _ := r.training(nil)
+	var events []preprocess.Event
+	r.sweep(func(sl *slab) { events = append(events, sl.events...) })
+	byTime := func(a, b preprocess.Event) int { return comparePoints(preprocess.PointOf(&a), preprocess.PointOf(&b)) }
+	if !slices.IsSortedFunc(events, byTime) {
+		slices.SortFunc(events, byTime)
+	}
 	return events
 }
 
-// training copies the window into the retrainer's buffer dst[:0], whose
-// slots past it are zeroed, with the records it stands for and the
-// newest record time.
-func (r *Recorder) training(dst []preprocess.Event) (events []preprocess.Event, records int, newest time.Time) {
-	events = dst[:0]
-	newest = r.sweep(func(sl *slab) { events = append(events, sl.events...) })
-	clear(events[len(events):cap(events)])
-	for i := 1; i < len(events); i++ {
-		if a, b := &events[i-1], &events[i]; b.Time.Before(a.Time) || b.Time.Equal(a.Time) && b.RecID < a.RecID {
-			slices.SortFunc(events, func(a, b preprocess.Event) int { return cmp.Or(a.Time.Compare(b.Time), cmp.Compare(a.RecID, b.RecID)) })
+// training copies the window's column into the retrainer's buffer
+// dst[:0], ordered as Events, with the records it stands for and the
+// newest record time. The copy is sorted only when out of order: when
+// several slabs hold events, or one took records out of order.
+func (r *Recorder) training(dst []preprocess.Point) (points []preprocess.Point, records int, newest time.Time) {
+	points = dst[:0]
+	newest = r.sweep(func(sl *slab) {
+		points = append(points, sl.points...)
+		records += sl.records
+	})
+	for i := 1; i < len(points); i++ {
+		if comparePoints(points[i-1], points[i]) > 0 {
+			slices.SortFunc(points, comparePoints)
 			break
 		}
 	}
-	for i := range events {
-		records += events[i].Count
+	return points, records, newest
+}
+
+// comparePoints orders points by time, then RecID, then subcategory.
+func comparePoints(a, b preprocess.Point) int {
+	if a.At != b.At {
+		return cmp.Compare(a.At, b.At)
 	}
-	return events, records, newest
+	return cmp.Or(cmp.Compare(a.RecID, b.RecID), cmp.Compare(a.Sub, b.Sub))
 }
 
 // Snapshot returns the representative raw record of each Events entry.
@@ -256,11 +280,10 @@ func (r *Recorder) Unique() int { _, n, _ := r.counts(); return n }
 // Seen reports the lifetime count of records taken.
 func (r *Recorder) Seen() int64 { _, _, n := r.counts(); return n }
 
+// counts reads each slab's running totals after pruning it.
 func (r *Recorder) counts() (records, unique int, seen int64) {
 	r.sweep(func(sl *slab) {
-		for i := range sl.events {
-			records += sl.events[i].Count
-		}
+		records += sl.records
 		unique += len(sl.events)
 		seen += sl.seen
 	})

@@ -581,7 +581,7 @@ func baseStates(t *testing.T, m *predictor.Meta) map[string][]byte {
 	return out
 }
 
-// TestRetrainBufferDoesNotAlias: a retrain copies the recorder's window
+// TestRetrainBufferDoesNotAlias: a retrain copies the recorder's column
 // into a buffer the retrainer keeps and the next retrain overwrites, so
 // a trained model must hold nothing of it, and Events must still hand
 // out a copy of its own.
@@ -647,35 +647,6 @@ func TestRetrainBufferDoesNotAlias(t *testing.T) {
 	}
 	if reflect.DeepEqual(rec.Events(), want) {
 		t.Fatal("the window did not move; the copy check is vacuous")
-	}
-}
-
-// TestTrainingClearsStaleBufferTail checks that a window shorter than
-// the buffer it is copied into leaves no earlier events reachable past
-// its end.
-func TestTrainingClearsStaleBufferTail(t *testing.T) {
-	_, _, _ = fixture(t)
-	all := fixtureOnce.all
-	rec := NewRecorder(365*24*time.Hour, 1500)
-	for i := range all[:len(all)/10] {
-		rec.Observe(all[i])
-	}
-	window := rec.Events()
-	if len(window) == 0 {
-		t.Fatal("the recorder holds no events; the check is vacuous")
-	}
-	stale := make([]preprocess.Event, 2*len(window))
-	for i := range stale {
-		stale[i] = window[0]
-	}
-	events, _, _ := rec.training(stale[:0])
-	if len(events) != len(window) {
-		t.Fatalf("training returned %d events, want %d", len(events), len(window))
-	}
-	for i, e := range events[len(events):cap(events)] {
-		if !reflect.DeepEqual(e, preprocess.Event{}) {
-			t.Fatalf("slot %d past the window still holds %v", len(events)+i, e)
-		}
 	}
 }
 

@@ -65,7 +65,7 @@ type Retrainer struct {
 	cfg RetrainerConfig
 
 	mu             sync.Mutex         // serializes RetrainNow
-	window         []preprocess.Event // the last retrain's copy of the recorder's window; mu held
+	window         []preprocess.Point // the last retrain's copy of the recorder's column; mu held
 	persistRetries atomic.Int64
 	persistGiveups atomic.Int64
 	lastCycle      atomic.Int64 // ns the last completed retrain took
@@ -219,7 +219,7 @@ func (r *Retrainer) retrainNow(ctx context.Context) (serve.ModelInfo, error) {
 type retrainStage int
 
 const (
-	stageWindow  retrainStage = iota // copy the recorder's window
+	stageWindow  retrainStage = iota // copy the recorder's column
 	stageTrain                       // train the bases
 	stageEncode                      // capture the sections, encode the artifact
 	stagePersist                     // write and fsync the active artifact
@@ -249,7 +249,7 @@ func (r *Retrainer) stopwatch(from time.Time) func(retrainStage) {
 
 // Stage reports the i-th stage of a retrain cycle, i in
 // [0, RetrainStages), by name and with its latency histogram: window
-// (the recorder's window copied out), train, encode (sections captured
+// (the recorder's column copied out), train, encode (sections captured
 // and the artifact encoded), persist (the active artifact written and
 // fsynced), copy (the versioned copy linked) and ledger (the model
 // record appended).
@@ -261,23 +261,23 @@ func (r *Retrainer) Stage(i int) (string, *edge.Histogram) { return stageNames[i
 // for fewer than MinEvents records. lap times the window copy and the
 // training.
 //
-// The window is copied into r.window, the buffer the last retrain
-// used, rather than into a fresh slice: training only reads it, and no
-// trained model keeps it.
+// The bases train on the window's column of Points, copied into
+// r.window, the buffer the last retrain used, rather than into a fresh
+// slice: training only reads it, and no trained model keeps it.
 func (r *Retrainer) train(lap func(retrainStage)) (*predictor.Meta, model.Provenance, error) {
 	o, d := r.cfg.Pipeline.Preprocess, preprocess.DefaultThreshold
 	if o.TemporalThreshold != 0 && o.TemporalThreshold != d || o.SpatialThreshold != 0 && o.SpatialThreshold != d || o.TemporalKeyIgnoresCategory {
 		return nil, model.Provenance{}, fmt.Errorf("lifecycle: the retrain pipeline asks for Phase 1 options %+v, but the window was compressed under the preprocess defaults; serving model unchanged",
 			o)
 	}
-	events, records, newest := r.rec.training(r.window)
-	r.window = events
+	points, records, newest := r.rec.training(r.window)
+	r.window = points
 	if records < r.cfg.MinEvents {
 		return nil, model.Provenance{}, fmt.Errorf("lifecycle: only %d records in the retraining window (need %d); serving model unchanged",
 			records, r.cfg.MinEvents)
 	}
 	lap(stageWindow)
-	trained, err := core.New(r.cfg.Pipeline).Train(events)
+	trained, err := core.New(r.cfg.Pipeline).TrainPoints(points)
 	if err != nil {
 		return nil, model.Provenance{}, fmt.Errorf("lifecycle: retrain: %w", err)
 	}
@@ -286,8 +286,8 @@ func (r *Retrainer) train(lap func(retrainStage)) (*predictor.Meta, model.Proven
 		TrainedAt: time.Now().UTC(),
 		Source:    r.cfg.Source,
 		Records:   records,
-		Unique:    len(events),
-		LogStart:  events[0].Time,
+		Unique:    len(points),
+		LogStart:  points[0].Time(),
 		LogEnd:    newest,
 		Params:    model.ParamsOf(trained.Meta),
 	}, nil

@@ -9,6 +9,7 @@ package online
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -49,6 +50,7 @@ type Counters struct {
 	Unclassified int64 // records matching no subcategory
 	Alerts       int64 // new alarms raised
 	Renewals     int64 // standing-alarm renewals
+	Duplicate    int64 // records refused as repeats of one already taken
 }
 
 // Ingestion reports what one record did.
@@ -66,7 +68,9 @@ type Ingestion struct {
 
 // Engine is a thread-safe streaming predictor. Records must be
 // ingested in non-decreasing time order (the CMCS log order), each at a
-// time raslog.TimeInRange admits; the engine refuses any other.
+// time raslog.TimeInRange admits; the engine refuses any other. A RecID
+// (Table 2's record key) is a record's identity: a repeat of one taken
+// at the newest time is refused, counted only as Duplicate.
 type Engine struct {
 	mu      sync.Mutex // guards all mutable state below
 	emitMu  sync.Mutex // serializes OnAlert calls
@@ -76,6 +80,7 @@ type Engine struct {
 	comp    *preprocess.Compressor
 
 	lastSeen time.Time
+	taken    []int64 // RecIDs taken at lastSeen, ascending; reused
 	counters Counters
 }
 
@@ -155,7 +160,15 @@ func (e *Engine) ingestLocked(ev *raslog.Event) (Ingestion, error) {
 		return Ingestion{}, fmt.Errorf("online: record %d at %v refused: the engine requires log order from %v, within 1970–2262",
 			ev.RecID, ev.Time, e.lastSeen)
 	}
-	e.lastSeen = ev.Time
+	switch n := len(e.taken); {
+	case !ev.Time.Equal(e.lastSeen): // time advanced: forget the RecIDs taken
+		e.lastSeen, e.taken = ev.Time, append(e.taken[:0], ev.RecID)
+	case n == 0 || ev.RecID > e.taken[n-1]: // RecIDs rising: no search
+		e.taken = append(e.taken, ev.RecID)
+	case !e.insertTaken(ev.RecID):
+		e.counters.Duplicate++
+		return Ingestion{}, nil
+	}
 	e.counters.Ingested++
 
 	sub, ok := e.clf.Classify(ev)
@@ -189,6 +202,16 @@ func (e *Engine) ingestLocked(ev *raslog.Event) (Ingestion, error) {
 		out.Renewed = true
 	}
 	return out, nil
+}
+
+// insertTaken adds a RecID arriving below the newest one taken at
+// lastSeen, reporting false when it was taken already.
+func (e *Engine) insertTaken(id int64) bool {
+	i, found := slices.BinarySearch(e.taken, id)
+	if !found {
+		e.taken = slices.Insert(e.taken, i, id)
+	}
+	return !found
 }
 
 // ActiveAlert returns the alarm standing at time t, if any.

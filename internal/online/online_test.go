@@ -3,6 +3,7 @@ package online
 import (
 	"bytes"
 	"encoding/gob"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -92,6 +93,75 @@ func TestEngineRejectsOutOfOrder(t *testing.T) {
 	early.Time = early.Time.Add(-time.Hour)
 	if _, err := e.Ingest(&early); err == nil {
 		t.Fatal("out-of-order record accepted")
+	}
+}
+
+// TestEngineRefusesRepeatedRecords: a record taken at the engine's
+// newest time is refused when it comes again — alone, in a batch, in
+// any order, after a restore — and only the Duplicate counter moves; a
+// record of that time with a RecID not yet taken is taken, below the
+// taken ones or above them, and time advancing forgets the set.
+func TestEngineRefusesRepeatedRecords(t *testing.T) {
+	meta, raw := trainedMeta(t)
+	end := 1000 // past the end of a second holding two records or more
+	for !raw[end-2].Time.Equal(raw[end-1].Time) || raw[end].Time.Equal(raw[end-1].Time) {
+		end++
+	}
+	prefix := raw[:end]
+	var second []raslog.Event // the prefix's records at its newest time, RecIDs descending
+	for i := len(prefix) - 1; i >= 0 && prefix[i].Time.Equal(prefix[end-1].Time); i-- {
+		second = append(second, prefix[i])
+	}
+	var recorded int
+	cfg := Config{Window: 30 * time.Minute, OnRecord: func(*raslog.Event, *catalog.Subcategory, preprocess.Verdict, int) { recorded++ }}
+	e := New(meta, cfg)
+	if rej := e.IngestBatch(prefix); rej != 0 {
+		t.Fatalf("%d records of the prefix rejected", rej)
+	}
+	// repost ingests records as a client re-posting them would, and
+	// checks that each is refused as a duplicate and nothing else moved.
+	repost := func(e *Engine, recs []raslog.Event) {
+		t.Helper()
+		before, seen := e.State(), recorded
+		for i := range recs {
+			if _, err := e.Ingest(&recs[i]); err != nil {
+				t.Fatalf("record %d again: %v; want a duplicate", recs[i].RecID, err)
+			}
+		}
+		if rej := e.IngestBatch(recs); rej != 0 {
+			t.Fatalf("a batch of duplicates had %d records rejected", rej)
+		}
+		after := e.State()
+		after.Counters.Duplicate -= 2 * int64(len(recs))
+		if !reflect.DeepEqual(after, before) || recorded != seen {
+			t.Fatalf("duplicates moved the engine: %+v, was %+v; %d records recorded, was %d", after.Counters, before.Counters, recorded, seen)
+		}
+	}
+	repost(e, second)
+
+	above, below := second[0], second[0]
+	above.RecID = second[0].RecID + 1
+	below.RecID = second[len(second)-1].RecID - 1
+	for _, ev := range []raslog.Event{above, below} {
+		before := recorded
+		if _, err := e.Ingest(&ev); err != nil || recorded != before+1 {
+			t.Fatalf("record %d, new at the newest time: %v; taken %d times", ev.RecID, err, recorded-before)
+		}
+	}
+	second = append(second, above, below)
+	repost(e, second)
+
+	restored := New(meta, cfg)
+	if err := restored.Restore(e.State()); err != nil {
+		t.Fatal(err)
+	}
+	repost(restored, second)
+
+	later := below
+	later.Time = later.Time.Add(time.Second)
+	before := recorded
+	if _, err := restored.Ingest(&later); err != nil || recorded != before+1 {
+		t.Fatalf("a taken RecID a second later: %v, taken %d times; time advancing must clear the set", err, recorded-before)
 	}
 }
 
@@ -376,6 +446,7 @@ func TestIngestBatchZeroAllocs(t *testing.T) {
 	storm := make([]raslog.Event, 512)
 	for i := range storm {
 		storm[i] = proto
+		storm[i].RecID = proto.RecID + 1 + int64(i) // one second's records, each its own
 		storm[i].Location = chip(1 + i)
 	}
 	run := func() {
@@ -391,8 +462,9 @@ func TestIngestBatchZeroAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Fatalf("steady-state IngestBatch allocates %.1f allocs per %d-record batch, want 0", avg, len(storm))
 	}
-	if after := e.Counters(); after.Unique != before.Unique {
-		t.Fatalf("the storm opened %d unique events; it must stay duplicates", after.Unique-before.Unique)
+	if after := e.Counters(); after.Unique != before.Unique || after.Duplicate != 0 {
+		t.Fatalf("the storm opened %d unique events and repeated %d records; it must stay spatial duplicates",
+			after.Unique-before.Unique, after.Duplicate)
 	}
 }
 

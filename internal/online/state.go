@@ -2,6 +2,7 @@ package online
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"bglpred/internal/predictor"
@@ -19,10 +20,12 @@ import (
 // serializable data: the Phase 1 compressor's windows (LastGC,
 // Temporal, Spatial — preprocess.CompressorState, flattened under the
 // gob field names checkpoints have always used), the activity
-// counters, the engine clock, and the Stepper's observation window and
-// standing alarm. The trained model itself is NOT part of the state —
-// it is persisted separately as a model artifact (internal/model), and
-// a checkpoint records which artifact it was taken against.
+// counters, the engine clock, the Stepper's observation window and
+// standing alarm, and the RecIDs taken at LastSeen, which a restored
+// engine refuses again. The trained model itself is NOT part of the
+// state — it is persisted separately as a model artifact
+// (internal/model), and a checkpoint records which artifact it was
+// taken against.
 type State struct {
 	LastSeen time.Time
 	LastGC   time.Time
@@ -30,6 +33,7 @@ type State struct {
 	Temporal []preprocess.TemporalEntry
 	Spatial  []preprocess.SpatialEntry
 	Stepper  predictor.StepperState
+	Taken    []int64
 }
 
 // State exports a consistent snapshot of the engine's mutable state.
@@ -45,6 +49,7 @@ func (e *Engine) State() State {
 		Temporal: cs.Temporal,
 		Spatial:  cs.Spatial,
 		Stepper:  e.stepper.State(),
+		Taken:    slices.Clone(e.taken),
 	}
 }
 
@@ -70,7 +75,7 @@ func (e *Engine) Restore(st State) error {
 	if !ok {
 		return fmt.Errorf("online: cannot restore state with a time outside 1970–2262")
 	}
-	e.lastSeen = st.LastSeen
+	e.lastSeen, e.taken = st.LastSeen, append(e.taken[:0], st.Taken...)
 	e.counters = st.Counters
 	e.comp.Restore(preprocess.CompressorState{
 		LastGC: st.LastGC,

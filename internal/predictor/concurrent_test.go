@@ -3,6 +3,8 @@ package predictor_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"bglpred/internal/bglsim"
@@ -19,27 +21,36 @@ type failingBase struct {
 
 func (f failingBase) Name() string { return f.err.Error() }
 
-func (f failingBase) TrainSegments([][]preprocess.Event) error { return f.err }
+func (f failingBase) TrainSegments([][]preprocess.Point) error { return f.err }
 
 // threeBases returns fresh statistical, rule and ecg bases.
 func threeBases() []predictor.Base {
 	return []predictor.Base{predictor.NewStatistical(), predictor.NewRule(), ecg.New(ecg.Config{})}
 }
 
-// TestMetaTrainConcurrentMatchesSequential holds the side-by-side
-// training to the base-by-base loop it replaced: every base trained
-// inside the meta equals the same base trained alone on the same
-// segments, and when bases fail the meta returns the error the loop
-// would have stopped at.
+// TestMetaTrainConcurrentMatchesSequential holds the work queue of
+// bases to the base-by-base loop it replaced, on one core and on two:
+// every base trained inside the meta equals the same base trained alone
+// on the same segments, and when bases fail the meta returns the error
+// the loop would have stopped at.
 func TestMetaTrainConcurrentMatchesSequential(t *testing.T) {
 	gen, err := bglsim.Generate(bglsim.ANLProfile().Scaled(0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := preprocess.Run(gen.Events, preprocess.Options{}).Events
+	points := preprocess.Points(preprocess.Run(gen.Events, preprocess.Options{}).Events)
 	// Two segments with a fold excised between them, as cross-validation trains.
-	n := len(events)
-	segs := [][]preprocess.Event{events[:n/2], events[n/2+n/10:]}
+	n := len(points)
+	segs := [][]preprocess.Point{points[:n/2], points[n/2+n/10:]}
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			checkMetaMatchesSequential(t, segs)
+		})
+	}
+}
+
+func checkMetaMatchesSequential(t *testing.T, segs [][]preprocess.Point) {
 
 	m := predictor.NewMetaBases(threeBases()...)
 	if err := m.TrainSegments(segs); err != nil {
@@ -65,8 +76,8 @@ func TestMetaTrainConcurrentMatchesSequential(t *testing.T) {
 
 	errA, errB := errors.New("fail a"), errors.New("fail b")
 	for _, extras := range [][]predictor.Base{
-		{ecg.New(ecg.Config{}), failingBase{err: errA}},                         // the caller's base fails
-		{failingBase{err: errA}, ecg.New(ecg.Config{})},                         // a goroutine's base fails
+		{ecg.New(ecg.Config{}), failingBase{err: errA}},                         // the last base fails
+		{failingBase{err: errA}, ecg.New(ecg.Config{})},                         // a middle base fails
 		{failingBase{err: errB}, ecg.New(ecg.Config{}), failingBase{err: errA}}, // both: the earlier wins
 	} {
 		m := &predictor.Meta{Stat: predictor.NewStatistical(), Rule: predictor.NewRule(), Extras: extras}

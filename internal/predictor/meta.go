@@ -2,7 +2,9 @@ package predictor
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bglpred/internal/preprocess"
@@ -132,33 +134,41 @@ func (m *Meta) BaseNames() []string {
 func (m *Meta) Name() string { return "meta" }
 
 // Train implements Predictor: every base method learns from the same
-// training stream (paper §3.3 learning-set step).
+// training stream (paper §3.3 learning-set step), whose column of
+// Points is built once for all of them.
 func (m *Meta) Train(events []preprocess.Event) error {
-	return m.TrainSegments([][]preprocess.Event{events})
+	return m.TrainSegments([][]preprocess.Point{preprocess.Points(events)})
 }
 
 // TrainSegments implements SegmentedTrainer by forwarding the
 // segments to every base method. A meta with no bases has nothing to
-// learn and fails. The bases train side by side, each on a goroutine
-// of its own except the last, which trains on the caller's: they only
-// read the shared segments. When several fail, the error is the first
-// in arbitration order, the one a base-by-base loop would return.
-func (m *Meta) TrainSegments(segments [][]preprocess.Event) error {
+// learn and fails. The bases are a work queue, last to first, shared
+// by min(GOMAXPROCS, bases) workers, the caller one: the caller starts
+// first on the last base, and the cheap statistical one goes to
+// whichever worker frees first. They only read the shared segments.
+// When several fail, the error is the first in arbitration order, the
+// one a base-by-base loop would return.
+func (m *Meta) TrainSegments(segments [][]preprocess.Point) error {
 	bases := m.Bases()
 	if len(bases) == 0 {
 		return fmt.Errorf("predictor: meta-learner has no base predictors")
 	}
 	errs := make([]error, len(bases))
-	last := len(bases) - 1
+	var taken atomic.Int64
+	work := func() {
+		for i := len(bases) - int(taken.Add(1)); i >= 0; i = len(bases) - int(taken.Add(1)) {
+			errs[i] = bases[i].TrainSegments(segments)
+		}
+	}
 	var wg sync.WaitGroup
-	for i, b := range bases[:last] {
+	for range min(runtime.GOMAXPROCS(0), len(bases)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = b.TrainSegments(segments)
+			work()
 		}()
 	}
-	errs[last] = bases[last].TrainSegments(segments)
+	work()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

@@ -60,7 +60,8 @@ type Predictor interface {
 
 // SegmentedTrainer is implemented by predictors that can train on a
 // discontiguous stream: each segment is a time-ordered, internally
-// contiguous slice of the unique-event stream, and no training
+// contiguous slice of the unique-event stream's Points (time and
+// subcategory are all training reads), and no training
 // window (rule-generation window, follow-correlation window) may
 // span the gap between two segments. Cross-validation excises the
 // test fold from the middle of the stream and trains on the two
@@ -68,10 +69,11 @@ type Predictor interface {
 // event-sets that never co-occurred (fold-boundary leakage).
 type SegmentedTrainer interface {
 	// TrainSegments fits the predictor on the segments, which must be
-	// in time order. TrainSegments(s) with a single segment is
-	// equivalent to Train(s[0]). It must only read the segments: a
-	// meta-learner trains its bases side by side over the same ones.
-	TrainSegments(segments [][]preprocess.Event) error
+	// in time order. TrainSegments with the single segment
+	// preprocess.Points(events) is equivalent to Train(events). It must
+	// only read the segments: a meta-learner trains its bases side by
+	// side over the same ones.
+	TrainSegments(segments [][]preprocess.Point) error
 }
 
 // Factory builds a fresh predictor; cross-validation uses one per fold.

@@ -97,36 +97,40 @@ func (r *Rule) ChosenWindow() time.Duration { return r.chosenWindow }
 // fatal's subcategory plus every distinct non-fatal subcategory
 // observed within the window before it (paper §3.2.2 step 1). events
 // is time-ordered, as Phase 1 emits it.
-//
-// One pass slides the window: live counts the non-fatal events of each
+func BuildTransactions(events []preprocess.Event, window time.Duration) []assoc.Transaction {
+	return transactions(preprocess.Points(events), window)
+}
+
+// transactions is BuildTransactions over the points' column. One pass
+// slides the window: live counts the non-fatal points of each
 // subcategory in [start, i), so an event-set is read off the counts in
-// ascending ID order, sorted as it is built. That costs O(events +
+// ascending ID order, sorted as it is built. That costs O(points +
 // fatals × catalog.NumSubcategories), where a rescan of the window and
 // a sort per fatal cost O(fatals × window).
-func BuildTransactions(events []preprocess.Event, window time.Duration) []assoc.Transaction {
+func transactions(points []preprocess.Point, window time.Duration) []assoc.Transaction {
 	var tx []assoc.Transaction
 	var live [catalog.NumSubcategories]int32
 	var arena []assoc.Item // backs the event-sets, a chunk at a time
 	start := 0
-	for i := range events {
-		sub := events[i].Sub
-		if !sub.IsFatal() {
-			live[sub.ID]++
+	for i := range points {
+		id := points[i].Sub
+		if !isFatalItem(int(id)) {
+			live[id]++
 			continue
 		}
-		cutoff := events[i].Time.Add(-window)
-		for ; events[start].Time.Before(cutoff); start++ {
-			if old := events[start].Sub; !old.IsFatal() {
-				live[old.ID]--
+		cutoff := points[i].At - int64(window)
+		for ; points[start].At < cutoff; start++ {
+			if old := points[start].Sub; !isFatalItem(int(old)) {
+				live[old]--
 			}
 		}
 		if cap(arena)-len(arena) < len(live) {
 			arena = make([]assoc.Item, 0, 16*len(live))
 		}
 		items := arena[len(arena):]
-		for id, n := range live {
-			if n > 0 || id == sub.ID {
-				items = append(items, id)
+		for it, n := range live {
+			if n > 0 || it == int(id) {
+				items = append(items, it)
 			}
 		}
 		arena = arena[:len(arena)+len(items)]
@@ -153,7 +157,7 @@ func itemName(it assoc.Item) string {
 // Train implements Predictor: step 5's window selection (when
 // configured) followed by steps 1-4 on the full training stream.
 func (r *Rule) Train(events []preprocess.Event) error {
-	return r.TrainSegments([][]preprocess.Event{events})
+	return r.TrainSegments([][]preprocess.Point{preprocess.Points(events)})
 }
 
 // TrainSegments implements SegmentedTrainer: event-sets are built per
@@ -161,7 +165,7 @@ func (r *Rule) Train(events []preprocess.Event) error {
 // segments (cross-validation excises the test fold from the middle of
 // the stream; building event-sets over the concatenation would mine
 // precursor sets that never co-occurred).
-func (r *Rule) TrainSegments(segments [][]preprocess.Event) error {
+func (r *Rule) TrainSegments(segments [][]preprocess.Point) error {
 	r.Config = r.Config.withDefaults()
 	window := r.Config.RuleGenWindow
 	if window == 0 {
@@ -175,10 +179,10 @@ func (r *Rule) TrainSegments(segments [][]preprocess.Event) error {
 	return nil
 }
 
-func (r *Rule) mine(segments [][]preprocess.Event, window time.Duration) []assoc.Rule {
+func (r *Rule) mine(segments [][]preprocess.Point, window time.Duration) []assoc.Rule {
 	var tx []assoc.Transaction
 	for _, seg := range segments {
-		tx = append(tx, BuildTransactions(seg, window)...)
+		tx = append(tx, transactions(seg, window)...)
 	}
 	return assoc.MineRules(tx, isFatalItem, assoc.Config{
 		MinSupport:       r.Config.MinSupport,
@@ -195,11 +199,13 @@ func (r *Rule) mine(segments [][]preprocess.Event, window time.Duration) []assoc
 // selectWindow implements step 5: mine rules per candidate window on
 // the first three quarters of the training stream, score predictions
 // on the held-out quarter, and keep the best window by F1 (the paper's
-// "best precision with highest recall" criterion, made precise).
-// Candidates are probed concurrently — each probe mines and scores an
-// independent rule set — and ties resolve to the earliest candidate,
-// matching the sequential sweep exactly.
-func (r *Rule) selectWindow(segments [][]preprocess.Event) time.Duration {
+// "best precision with highest recall" criterion, made precise). The
+// hold-out replays as events carrying only a time and a subcategory,
+// all the rule's Stepper reads. Candidates are probed concurrently —
+// each probe mines and scores an independent rule set — and ties
+// resolve to the earliest candidate, matching the sequential sweep
+// exactly.
+func (r *Rule) selectWindow(segments [][]preprocess.Point) time.Duration {
 	best := r.Config.Candidates[0]
 	total := 0
 	for _, seg := range segments {
@@ -209,6 +215,14 @@ func (r *Rule) selectWindow(segments [][]preprocess.Event) time.Duration {
 		return best
 	}
 	train, hold := splitSegments(segments, total*3/4)
+	all := make([]preprocess.Event, total-total*3/4)
+	replay, rest := make([][]preprocess.Event, len(hold)), all
+	for i, seg := range hold {
+		replay[i], rest = rest[:len(seg)], rest[len(seg):]
+		for j := range seg {
+			replay[i][j].Time, replay[i][j].Sub = seg[j].Time(), seg[j].Subcategory()
+		}
+	}
 	const predWindow = 30 * time.Minute
 	scores := make([]float64, len(r.Config.Candidates))
 	var wg sync.WaitGroup
@@ -221,12 +235,10 @@ func (r *Rule) selectWindow(segments [][]preprocess.Event) time.Duration {
 			probe.chosenWindow = cand
 			probe.rules = assoc.NewRuleSet(probe.mine(train, cand))
 			var warnings []Warning
-			var events []preprocess.Event
-			for _, seg := range hold {
+			for _, seg := range replay {
 				warnings = append(warnings, probe.Predict(seg, predWindow)...)
-				events = append(events, seg...)
 			}
-			scores[ci] = scoreF1(warnings, events)
+			scores[ci] = scoreF1(warnings, all)
 		}(ci, cand)
 	}
 	wg.Wait()
@@ -239,10 +251,10 @@ func (r *Rule) selectWindow(segments [][]preprocess.Event) time.Duration {
 	return best
 }
 
-// splitSegments cuts a segment list at the cut-th event overall.
+// splitSegments cuts a segment list at the cut-th point overall.
 // Splitting a contiguous segment yields two contiguous pieces, so the
 // train/holdout seam never admits a window spanning it.
-func splitSegments(segments [][]preprocess.Event, cut int) (train, hold [][]preprocess.Event) {
+func splitSegments(segments [][]preprocess.Point, cut int) (train, hold [][]preprocess.Point) {
 	seen := 0
 	for _, seg := range segments {
 		switch {

@@ -75,7 +75,7 @@ func TestRuleTrainSegmentsNoCrossSeamWindows(t *testing.T) {
 	r = NewRule()
 	r.Config.RuleGenWindow = 15 * time.Minute
 	r.Config.Miner = spy
-	if err := r.TrainSegments([][]preprocess.Event{a, b}); err != nil {
+	if err := r.TrainSegments([][]preprocess.Point{preprocess.Points(a), preprocess.Points(b)}); err != nil {
 		t.Fatal(err)
 	}
 	if len(spy.tx) == 0 {
@@ -103,7 +103,7 @@ func TestStatisticalTrainSegmentsNoCrossSeamFollow(t *testing.T) {
 	}
 
 	s = NewStatistical()
-	if err := s.TrainSegments([][]preprocess.Event{a, b}); err != nil {
+	if err := s.TrainSegments([][]preprocess.Point{preprocess.Points(a), preprocess.Points(b)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.FollowStats().Followed[net]; got != 0 {
@@ -122,7 +122,7 @@ func TestMetaTrainSegmentsForwards(t *testing.T) {
 	m := NewMeta()
 	m.Rule.Config.RuleGenWindow = 15 * time.Minute
 	m.Rule.Config.Miner = spy
-	if err := m.TrainSegments([][]preprocess.Event{a, b}); err != nil {
+	if err := m.TrainSegments([][]preprocess.Point{preprocess.Points(a), preprocess.Points(b)}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Stat.FollowStats() == nil {
@@ -142,7 +142,7 @@ func TestMetaTrainSegmentsForwards(t *testing.T) {
 // dropping events.
 func TestSplitSegmentsContiguity(t *testing.T) {
 	a, b := seamStream()
-	segments := [][]preprocess.Event{a, b}
+	segments := [][]preprocess.Point{preprocess.Points(a), preprocess.Points(b)}
 	total := len(a) + len(b)
 	for cut := 0; cut <= total; cut++ {
 		train, hold := splitSegments(segments, cut)

@@ -64,7 +64,7 @@ func (s *Statistical) Name() string { return SourceStatistical }
 // Train implements Predictor: it learns per-category follow
 // probabilities over the training stream's fatal events.
 func (s *Statistical) Train(events []preprocess.Event) error {
-	return s.TrainSegments([][]preprocess.Event{events})
+	return s.TrainSegments([][]preprocess.Point{preprocess.Points(events)})
 }
 
 // TrainSegments implements SegmentedTrainer: follow statistics are
@@ -73,7 +73,7 @@ func (s *Statistical) Train(events []preprocess.Event) error {
 // scored as "followed" by a fatal that opens the next — across a
 // cross-validation seam those two events can be days apart in the
 // real stream.
-func (s *Statistical) TrainSegments(segments [][]preprocess.Event) error {
+func (s *Statistical) TrainSegments(segments [][]preprocess.Point) error {
 	s.withDefaults()
 	s.follow = &stats.FollowStats{
 		MinLead:  s.MinLead,
@@ -84,11 +84,8 @@ func (s *Statistical) TrainSegments(segments [][]preprocess.Event) error {
 	for _, seg := range segments {
 		var fatal []stats.TimedEvent
 		for i := range seg {
-			if seg[i].Sub.IsFatal() {
-				fatal = append(fatal, stats.TimedEvent{
-					Time:     seg[i].Time,
-					Category: int(seg[i].Sub.Main),
-				})
+			if sub := seg[i].Subcategory(); sub.IsFatal() {
+				fatal = append(fatal, stats.TimedEvent{Time: seg[i].Time(), Category: int(sub.Main)})
 			}
 		}
 		s.follow.Merge(stats.AnalyzeFollow(fatal, s.MinLead, s.MaxWindow))

@@ -71,6 +71,39 @@ type Event struct {
 	Locations int
 }
 
+// Point is the part of a unique event that training reads: its time
+// in Unix nanoseconds (exact for times in raslog.TimeInRange), its
+// record ID and its subcategory ID. It holds no pointer, so a column of
+// points copies without write barriers and the GC never scans it.
+type Point struct {
+	At    int64
+	RecID int64
+	Sub   int32
+}
+
+// PointOf projects one unique event onto its Point.
+func PointOf(e *Event) Point {
+	return Point{At: e.Time.UnixNano(), RecID: e.RecID, Sub: int32(e.Sub.ID)}
+}
+
+// Points is the column of events' Points, in their order.
+func Points(events []Event) []Point {
+	out := make([]Point, len(events))
+	for i := range events {
+		out[i] = PointOf(&events[i])
+	}
+	return out
+}
+
+// Time is the point's time, in UTC.
+func (p *Point) Time() time.Time { return time.Unix(0, p.At).UTC() }
+
+// Subcategory resolves the point's subcategory ID.
+func (p *Point) Subcategory() *catalog.Subcategory {
+	s, _ := catalog.ByID(int(p.Sub))
+	return s
+}
+
 // Stats counts records surviving each Phase 1 step.
 type Stats struct {
 	// Input is the raw record count.

@@ -33,6 +33,7 @@ func (s *Server) writeMetrics(m *edge.Metrics) {
 		total.Unclassified += snap.Unclassified
 		total.Alerts += snap.Alerts
 		total.Renewals += snap.Renewals
+		total.Duplicate += snap.Duplicate
 		if snap.Standing != nil {
 			standing++
 		}
@@ -45,6 +46,7 @@ func (s *Server) writeMetrics(m *edge.Metrics) {
 	m.Counter("bglserved_alerts_total", "New alarms raised.", total.Alerts)
 	m.Counter("bglserved_renewals_total", "Standing-alarm renewals.", total.Renewals)
 	m.Counter("bglserved_rejected_total", "Records rejected as out of log order.", s.rejectedTotal())
+	m.Counter("bglserved_duplicate_total", "Records refused as repeats of a record already taken.", total.Duplicate)
 	m.Counter("bglserved_parse_errors_total", "Ingest requests aborted by a stream-level read error.", s.parseErrs.Load())
 	m.Counter("bglserved_ingest_requests_total", "POST /v1/ingest requests served.", s.ingestReqs.Load())
 	m.Counter("bglserved_stream_dropped_total", "SSE events dropped on slow subscribers.", s.broker.Dropped())
