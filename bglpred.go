@@ -73,17 +73,14 @@ type (
 	Warning = predictor.Warning
 	// Predictor is the common trainable-predictor interface.
 	Predictor = predictor.Predictor
-	// BasePredictor is the pluggable base-predictor interface the
-	// meta-learner arbitrates over; implementations register under a
-	// name with RegisterPredictor.
+	// BasePredictor is the base-predictor interface the meta-learner
+	// arbitrates over; NewBasePredictor builds one by name.
 	BasePredictor = predictor.Base
-	// BasePredictorFactory builds a fresh untrained base predictor.
-	BasePredictorFactory = predictor.BaseFactory
 	// PredictorKind classifies a base as point-of-failure or precursor
 	// for arbitration purposes.
 	PredictorKind = predictor.Kind
 	// ECGPredictor is the event-correlation-graph base predictor
-	// (registry name "ecg"): it mines a directed co-occurrence graph
+	// (name "ecg"): it mines a directed co-occurrence graph
 	// over event signatures and warns when observed precursors reach a
 	// fatal node through qualified edge chains.
 	ECGPredictor = ecg.Predictor
@@ -248,26 +245,16 @@ func NewRetrainer(srv *Server, rec *Recorder, cfg RetrainerConfig) *Retrainer {
 	return lifecycle.NewRetrainer(srv, rec, cfg)
 }
 
-// RegisterPredictor adds a named base predictor to the registry, so
-// Config.Predictors, the -predictors flags, and model artifacts can
-// select it. Call from an init function; duplicate names panic.
-func RegisterPredictor(name string, factory BasePredictorFactory) {
-	predictor.Register(name, factory)
-}
-
-// NewBasePredictor builds a fresh untrained base predictor by
-// registry name ("statistical" (alias "stat"), "rule", "ecg", or
-// anything added with RegisterPredictor).
-func NewBasePredictor(name string) (BasePredictor, error) { return predictor.NewBase(name) }
-
-// RegisteredPredictors lists the registered base-predictor names in
-// registration order.
-func RegisteredPredictors() []string { return predictor.Registered() }
+// NewBasePredictor builds a fresh untrained base predictor by name
+// ("statistical" (alias "stat"), "rule" or "ecg"), with default
+// tuning. The set is closed: Config.Predictors, the -predictors flags
+// and model artifacts select from the same three.
+func NewBasePredictor(name string) (BasePredictor, error) { return core.NewBase(name) }
 
 // ResolvePredictors canonicalizes a base-predictor selection (e.g.
-// from a comma-split flag), failing fast on unknown or duplicate
+// from a comma-split flag), failing fast on unknown, duplicate or no
 // names with an error that lists the known set.
-func ResolvePredictors(names []string) ([]string, error) { return predictor.Resolve(names) }
+func ResolvePredictors(names []string) ([]string, error) { return core.Resolve(names) }
 
 // NewECGPredictor builds the event-correlation-graph base predictor
 // with the given configuration (zero value selects the defaults).

@@ -39,22 +39,20 @@ func parseWindows(s string) ([]time.Duration, error) {
 }
 
 func parsePolicy(s string) (predictor.Policy, error) {
-	for _, p := range []predictor.Policy{
-		predictor.PolicyCoverage, predictor.PolicyStrictCoverage,
-		predictor.PolicyMaxConfidence, predictor.PolicyRulePriority,
-		predictor.PolicyUnion,
-	} {
+	var names []string
+	for _, p := range predictor.Policies() {
 		if p.String() == s {
 			return p, nil
 		}
+		names = append(names, p.String())
 	}
-	return 0, fmt.Errorf("unknown policy %q", s)
+	return 0, fmt.Errorf("unknown policy %q (known: %s)", s, strings.Join(names, ", "))
 }
 
 func main() {
 	folds := flag.Int("folds", 10, "cross-validation folds")
 	windowsFlag := flag.String("windows", "", "comma-separated prediction windows (default 5m..60m)")
-	policyFlag := flag.String("policy", "coverage", "meta policy: coverage, strict-coverage, max-confidence, rule-priority, union")
+	policyFlag := flag.String("policy", "coverage", "meta policy: coverage, strict-coverage, rule-priority, union")
 	ruleWindow := flag.Duration("rule-window", 0, "fixed rule-generation window (default: auto-select)")
 	minSupport := flag.Float64("min-support", 0, "rule-mining minimum support (0 = default 0.01; the paper states 0.04, see DESIGN.md)")
 	predictorsFlag := flag.String("predictors", "", "comma-separated base predictors the meta-learner arbitrates (e.g. rule,stat,ecg); empty = the paper's statistical+rule pair")
@@ -77,7 +75,7 @@ func main() {
 	}
 	var selection []string
 	if strings.TrimSpace(*predictorsFlag) != "" {
-		selection, err = predictor.Resolve(strings.Split(*predictorsFlag, ","))
+		selection, err = core.Resolve(strings.Split(*predictorsFlag, ","))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bglpredict: -predictors: %v\n", err)
 			os.Exit(2)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -33,7 +34,6 @@ func TestParsePolicy(t *testing.T) {
 	cases := map[string]predictor.Policy{
 		"coverage":        predictor.PolicyCoverage,
 		"strict-coverage": predictor.PolicyStrictCoverage,
-		"max-confidence":  predictor.PolicyMaxConfidence,
 		"rule-priority":   predictor.PolicyRulePriority,
 		"union":           predictor.PolicyUnion,
 	}
@@ -43,7 +43,13 @@ func TestParsePolicy(t *testing.T) {
 			t.Errorf("parsePolicy(%q) = %v, %v", name, got, err)
 		}
 	}
-	if _, err := parsePolicy("democracy"); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, name := range []string{"democracy", "max-confidence"} {
+		_, err := parsePolicy(name)
+		if err == nil {
+			t.Fatalf("policy %q accepted", name)
+		}
+		if want := "(known: coverage, strict-coverage, rule-priority, union)"; !strings.Contains(err.Error(), want) {
+			t.Errorf("parsePolicy(%q) error %q does not list %s", name, err, want)
+		}
 	}
 }

@@ -454,13 +454,14 @@ func loadArtifact(path string) (*predictor.Meta, serve.ModelInfo, error) {
 }
 
 // parsePredictors resolves a comma-separated -predictors selection
-// against the base-predictor registry, failing fast on unknown names.
+// against core's table of base predictors, failing fast on unknown
+// names.
 func parsePredictors(s string) ([]string, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
 	names := strings.Split(s, ",")
-	resolved, err := predictor.Resolve(names)
+	resolved, err := core.Resolve(names)
 	if err != nil {
 		return nil, fmt.Errorf("-predictors: %w", err)
 	}

@@ -7,10 +7,11 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"bglpred/internal/catalog"
-	_ "bglpred/internal/ecg" // register the "ecg" base predictor
+	"bglpred/internal/ecg"
 	"bglpred/internal/eval"
 	"bglpred/internal/predictor"
 	"bglpred/internal/preprocess"
@@ -36,10 +37,10 @@ type Config struct {
 	// Policy is the meta-learner arbitration policy.
 	Policy predictor.Policy
 	// Predictors selects the base predictors the meta-learner
-	// arbitrates over, by registry name ("statistical" (alias "stat"),
-	// "rule", "ecg", ...). Empty selects the classic pair, the paper's
+	// arbitrates over, by name: "statistical" (alias "stat"), "rule"
+	// or "ecg". Empty selects the classic pair, the paper's
 	// configuration. Statistical and rule selections carry this
-	// Config's tuning; other bases get their registry defaults.
+	// Config's tuning; ecg gets its defaults.
 	Predictors []string
 	// Folds is the cross-validation fold count (paper: 10).
 	Folds int
@@ -94,37 +95,78 @@ func (p *Pipeline) predictors() []string {
 	return p.cfg.Predictors
 }
 
-// newMeta builds a configured meta-learner over the selected base
-// predictors. Call validatePredictors first: unknown names here mean
-// the selection was never validated, and panicking beats silently
-// serving a smaller ensemble than configured.
-func (p *Pipeline) newMeta() *predictor.Meta {
-	names := p.predictors()
+// knownPredictors lists every name newBase accepts, sorted, for error
+// messages.
+const knownPredictors = "ecg, rule, stat, statistical"
+
+// newBase builds a fresh, untrained base predictor by name, with this
+// pipeline's statistical and rule tuning. It is the one table of base
+// predictors: Config.Predictors, the -predictors flags and model
+// artifact sections all select bases through it.
+func (p *Pipeline) newBase(name string) (predictor.Base, error) {
+	switch strings.TrimSpace(name) {
+	case predictor.SourceStatistical, "stat":
+		return p.newStatistical(), nil
+	case predictor.SourceRule:
+		return p.newRule(), nil
+	case ecg.Source:
+		return ecg.New(ecg.Config{}), nil
+	}
+	return nil, fmt.Errorf("predictor: unknown base predictor %q (known: %s)", name, knownPredictors)
+}
+
+// newBases builds the bases a selection names, refusing an unknown,
+// duplicate or empty selection.
+func (p *Pipeline) newBases(names []string) ([]predictor.Base, error) {
 	bases := make([]predictor.Base, 0, len(names))
 	for _, name := range names {
-		switch predictor.CanonicalName(name) {
-		case predictor.SourceStatistical:
-			bases = append(bases, p.newStatistical())
-		case predictor.SourceRule:
-			bases = append(bases, p.newRule())
-		default:
-			b, err := predictor.NewBase(name)
-			if err != nil {
-				panic(fmt.Sprintf("core: %v (validate Config.Predictors before training)", err))
-			}
-			bases = append(bases, b)
+		b, err := p.newBase(name)
+		if err != nil {
+			return nil, err
 		}
+		for _, prev := range bases {
+			if prev.Name() == b.Name() {
+				return nil, fmt.Errorf("predictor: base predictor %q selected twice (known: %s)", b.Name(), knownPredictors)
+			}
+		}
+		bases = append(bases, b)
+	}
+	if len(bases) == 0 {
+		return nil, fmt.Errorf("predictor: empty base predictor selection (known: %s)", knownPredictors)
+	}
+	return bases, nil
+}
+
+// newMeta builds a configured meta-learner over the selected base
+// predictors.
+func (p *Pipeline) newMeta() (*predictor.Meta, error) {
+	bases, err := p.newBases(p.predictors())
+	if err != nil {
+		return nil, err
 	}
 	m := predictor.NewMetaBases(bases...)
 	m.Policy = p.cfg.Policy
-	return m
+	return m, nil
 }
 
-// validatePredictors fails fast on an unknown or duplicate
-// Config.Predictors selection.
-func (p *Pipeline) validatePredictors() error {
-	_, err := predictor.Resolve(p.predictors())
-	return err
+// NewBase builds a fresh, untrained base predictor by name ("statistical"
+// (alias "stat"), "rule" or "ecg") with default tuning. An unknown name
+// fails, listing the known ones.
+func NewBase(name string) (predictor.Base, error) { return New(Config{}).newBase(name) }
+
+// Resolve canonicalizes a base-predictor selection (e.g. from a
+// comma-split flag), refusing an unknown, duplicate or empty one with
+// an error that lists the known names.
+func Resolve(names []string) ([]string, error) {
+	bases, err := New(Config{}).newBases(names)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, len(bases))
+	for i, b := range bases {
+		out[i] = b.Name()
+	}
+	return out, nil
 }
 
 // Trained is the meta-learner fitted on one training stream, with
@@ -146,10 +188,10 @@ func (p *Pipeline) Train(events []preprocess.Event) (*Trained, error) {
 
 // TrainPoints is Train on the stream's column of Points.
 func (p *Pipeline) TrainPoints(points []preprocess.Point) (*Trained, error) {
-	if err := p.validatePredictors(); err != nil {
+	m, err := p.newMeta()
+	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	m := p.newMeta()
 	if err := m.TrainSegments([][]preprocess.Point{points}); err != nil {
 		return nil, fmt.Errorf("core: meta: %w", err)
 	}
@@ -173,7 +215,7 @@ type Evaluation struct {
 // stream: Table 5, Figure 4, and Figure 5, with Folds-fold
 // cross-validation at each point.
 func (p *Pipeline) Evaluate(events []preprocess.Event, windows []time.Duration) (*Evaluation, error) {
-	if err := p.validatePredictors(); err != nil {
+	if _, err := p.newMeta(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if len(windows) == 0 {
@@ -196,7 +238,10 @@ func (p *Pipeline) Evaluate(events []preprocess.Event, windows []time.Duration) 
 		return nil, fmt.Errorf("core: rule sweep: %w", err)
 	}
 	out.MetaSweep, err = eval.WindowSweep(events, p.cfg.Folds,
-		func() predictor.Predictor { return p.newMeta() }, windows)
+		func() predictor.Predictor {
+			m, _ := p.newMeta() // the selection was validated above
+			return m
+		}, windows)
 	if err != nil {
 		return nil, fmt.Errorf("core: meta sweep: %w", err)
 	}

@@ -12,7 +12,7 @@ import (
 // TestCrossValidate drives the ecg predictor through the paper's
 // cross-validation protocol: eval.CrossValidate excises each test
 // fold and trains on the surrounding segments via the
-// SegmentedTrainer seam, so no correlation window spans a fold
+// TrainSegments seam, so no correlation window spans a fold
 // boundary.
 func TestCrossValidate(t *testing.T) {
 	events := chainTraining(40)
@@ -32,19 +32,10 @@ func TestCrossValidate(t *testing.T) {
 }
 
 // TestMetaArbitratesThreeBases pins the tentpole acceptance: the
-// meta-learner trains and arbitrates over three registered base
-// predictors, and each contributes warnings on evidence only it
-// understands.
+// meta-learner trains and arbitrates over three base predictors, and
+// each contributes warnings on evidence only it understands.
 func TestMetaArbitratesThreeBases(t *testing.T) {
-	var bases []predictor.Base
-	for _, name := range []string{"stat", "rule", "ecg"} {
-		b, err := predictor.NewBase(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bases = append(bases, b)
-	}
-	m := predictor.NewMetaBases(bases...)
+	m := predictor.NewMetaBases(predictor.NewStatistical(), predictor.NewRule(), New(Config{}))
 	if got := len(m.Bases()); got != 3 {
 		t.Fatalf("meta arbitrates %d bases, want 3", got)
 	}
@@ -116,10 +107,7 @@ func TestMetaSpecificityBreaksTies(t *testing.T) {
 		train = append(train, ue(at.Add(10*time.Minute), "dataReadFailure"))
 		at = at.Add(6 * time.Hour)
 	}
-	b, err := predictor.NewBase("ecg")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := New(Config{})
 	rule := predictor.NewRule()
 	rule.Config.RuleGenWindow = 15 * time.Minute
 	rule.Config.MinSupport = 0.05

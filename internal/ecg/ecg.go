@@ -9,7 +9,7 @@ import (
 	"bglpred/internal/preprocess"
 )
 
-// Source is the predictor's registry name and Warning.Source value.
+// Source is the predictor's name and Warning.Source value.
 const Source = "ecg"
 
 // Config parameterizes the event-correlation-graph predictor. The
@@ -98,7 +98,7 @@ func (p *Predictor) Train(events []preprocess.Event) error {
 	return p.TrainSegments([][]preprocess.Point{preprocess.Points(events)})
 }
 
-// TrainSegments implements predictor.SegmentedTrainer: the graph is
+// TrainSegments implements predictor.Predictor: the graph is
 // mined per segment, so no correlation window spans the gap between
 // two segments (cross-validation excises the test fold from the
 // middle of the stream; mining over the concatenation would fabricate
@@ -373,8 +373,4 @@ func Restore(cfg Config, nodes []Node, edges []Edge) (*Predictor, error) {
 		}
 	}
 	return &Predictor{Config: cfg, graph: g, paths: buildPaths(g, cfg)}, nil
-}
-
-func init() {
-	predictor.Register(Source, func() predictor.Base { return New(Config{}) })
 }

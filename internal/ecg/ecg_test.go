@@ -293,25 +293,6 @@ func TestStateIsByteDeterministic(t *testing.T) {
 	}
 }
 
-func TestRegistered(t *testing.T) {
-	b, err := predictor.NewBase("ecg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Name() != Source || b.Kind() != predictor.KindPrecursor {
-		t.Errorf("registry built %q kind %v, want ecg precursor", b.Name(), b.Kind())
-	}
-	found := false
-	for _, name := range predictor.Registered() {
-		if name == Source {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Registered() = %v, missing %q", predictor.Registered(), Source)
-	}
-}
-
 // FuzzSetState feeds arbitrary bytes to SetState, seeded with a
 // trained model's state. Whatever it accepts must serialize again, the
 // restored predictor must accept that serialization as its own, and

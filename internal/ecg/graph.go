@@ -8,9 +8,9 @@
 // prediction time the observed precursors' chain probabilities
 // combine into a failure warning.
 //
-// The predictor registers itself in the base-predictor registry under
-// the name "ecg", so the meta-learner (predictor.Meta) can arbitrate
-// it alongside the paper's statistical and rule methods.
+// core's table of base predictors builds it under the name "ecg", so
+// the meta-learner (predictor.Meta) can arbitrate it alongside the
+// paper's statistical and rule methods.
 package ecg
 
 import (

@@ -155,14 +155,9 @@ func stddevOf(folds []Outcome, metric func(Outcome) float64, mean float64) float
 // set. Folds run concurrently, each on a fresh predictor from the
 // factory.
 //
-// When the predictor implements predictor.SegmentedTrainer, the two
-// remaining pieces (before and after the test fold) are passed as
-// separate training segments, so no training window spans the excised
-// fold. A predictor that only implements Train receives the pieces
-// concatenated; because events carry timestamps, windows formed across
-// that seam pair events that are really a fold apart — precursor sets
-// that never co-occurred. All predictors in this module implement
-// SegmentedTrainer; the fallback remains for external ones.
+// The two remaining pieces (before and after the test fold) train the
+// predictor as separate segments (Predictor.TrainSegments), so no
+// training window spans the excised fold.
 func CrossValidate(events []preprocess.Event, folds int, factory predictor.Factory, window time.Duration) (CVResult, error) {
 	if folds < 2 {
 		return CVResult{}, fmt.Errorf("eval: need at least 2 folds, got %d", folds)
@@ -182,7 +177,7 @@ func CrossValidate(events []preprocess.Event, folds int, factory predictor.Facto
 			lo, hi := bounds[f], bounds[f+1]
 			test := events[lo:hi]
 			p := factory()
-			if err := trainExcising(p, events, points, lo, hi); err != nil {
+			if err := trainExcising(p, points, lo, hi); err != nil {
 				errs[f] = fmt.Errorf("fold %d: %w", f, err)
 				return
 			}
@@ -206,24 +201,17 @@ func CrossValidate(events []preprocess.Event, folds int, factory predictor.Facto
 	return res, nil
 }
 
-// trainExcising trains p on events with [lo, hi) removed, preserving
-// the segment boundary when p supports it; points is events' column,
-// which a SegmentedTrainer trains on.
-func trainExcising(p predictor.Predictor, events []preprocess.Event, points []preprocess.Point, lo, hi int) error {
-	if st, ok := p.(predictor.SegmentedTrainer); ok {
-		var segments [][]preprocess.Point
-		if lo > 0 {
-			segments = append(segments, points[:lo])
-		}
-		if hi < len(points) {
-			segments = append(segments, points[hi:])
-		}
-		return st.TrainSegments(segments)
+// trainExcising trains p on the column points with [lo, hi) removed,
+// the pieces on either side of the gap as separate segments.
+func trainExcising(p predictor.Predictor, points []preprocess.Point, lo, hi int) error {
+	var segments [][]preprocess.Point
+	if lo > 0 {
+		segments = append(segments, points[:lo])
 	}
-	train := make([]preprocess.Event, 0, len(events)-(hi-lo))
-	train = append(train, events[:lo]...)
-	train = append(train, events[hi:]...)
-	return p.Train(train)
+	if hi < len(points) {
+		segments = append(segments, points[hi:])
+	}
+	return p.TrainSegments(segments)
 }
 
 // foldBounds cuts n items into `folds` contiguous slices; bounds has

@@ -109,16 +109,11 @@ func TestMatchExtractsFatals(t *testing.T) {
 
 // mockPredictor predicts a warning after every fatal (self-fulfilling
 // on cascades) for testing the CV plumbing.
-type mockPredictor struct {
-	trainedOn int
-	window    time.Duration
-}
+type mockPredictor struct{}
 
-func (m *mockPredictor) Name() string { return "mock" }
-func (m *mockPredictor) Train(events []preprocess.Event) error {
-	m.trainedOn = len(events)
-	return nil
-}
+func (m *mockPredictor) Name() string                             { return "mock" }
+func (m *mockPredictor) Train([]preprocess.Event) error           { return nil }
+func (m *mockPredictor) TrainSegments([][]preprocess.Point) error { return nil }
 func (m *mockPredictor) Predict(events []preprocess.Event, window time.Duration) []predictor.Warning {
 	var out []predictor.Warning
 	for i := range events {
@@ -208,10 +203,10 @@ func (s *segmentSpy) TrainSegments(segments [][]preprocess.Point) error {
 }
 
 // TestCrossValidateExcisesFoldAsSegments is the fold-boundary
-// regression test for the CV plumbing: a SegmentedTrainer predictor
-// must receive the material before and after the test fold as two
-// separate segments — never concatenated — so no training window can
-// span the excised fold.
+// regression test for the CV plumbing: a predictor must receive the
+// material before and after the test fold as two separate segments —
+// never concatenated — so no training window can span the excised
+// fold.
 func TestCrossValidateExcisesFoldAsSegments(t *testing.T) {
 	events := cascadeEvents(20) // 40 events
 	var spies []*segmentSpy
@@ -232,7 +227,7 @@ func TestCrossValidateExcisesFoldAsSegments(t *testing.T) {
 	oneSegment, twoSegments := 0, 0
 	for _, s := range spies {
 		if s.trainCall {
-			t.Fatal("CrossValidate used Train on a SegmentedTrainer")
+			t.Fatal("CrossValidate used Train, not TrainSegments")
 		}
 		total := 0
 		for _, seg := range s.segments {

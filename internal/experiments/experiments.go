@@ -14,7 +14,7 @@ import (
 	"bglpred/internal/assoc"
 	"bglpred/internal/bglsim"
 	"bglpred/internal/catalog"
-	_ "bglpred/internal/ecg" // register the "ecg" base for predictorComparison
+	"bglpred/internal/ecg"
 	"bglpred/internal/eval"
 	"bglpred/internal/ftsim"
 	"bglpred/internal/predictor"
@@ -689,11 +689,10 @@ func meanStddev(vals []float64) (mean, sd float64) {
 
 // ---- Base-predictor comparison (DESIGN.md §11) -------------------------
 
-// predictorComparison cross-validates every registered base predictor
-// alone and the meta-learner over the classic pair and over all three
-// bases, at the paper's 30-minute prediction window. It is the
-// registry's accuracy story: what each base contributes, and what
-// arbitration buys on top.
+// predictorComparison cross-validates every base predictor alone and
+// the meta-learner over the classic pair and over all three bases, at
+// the paper's 30-minute prediction window: what each base contributes,
+// and what arbitration buys on top.
 func predictorComparison(c *Context) ([]*report.Table, error) {
 	var out []*report.Table
 	for _, sys := range Systems {
@@ -712,13 +711,7 @@ func predictorComparison(c *Context) ([]*report.Table, error) {
 				r.Config.RuleGenWindow = ruleWindow
 				return r
 			}},
-			{"ecg", func() predictor.Predictor {
-				b, err := predictor.NewBase("ecg")
-				if err != nil {
-					panic(err) // registered via the blank import above
-				}
-				return b
-			}},
+			{"ecg", func() predictor.Predictor { return ecg.New(ecg.Config{}) }},
 			{"meta (stat+rule)", func() predictor.Predictor {
 				m := predictor.NewMeta()
 				m.Rule.Config.RuleGenWindow = ruleWindow
@@ -727,11 +720,7 @@ func predictorComparison(c *Context) ([]*report.Table, error) {
 			{"meta (stat+rule+ecg)", func() predictor.Predictor {
 				r := predictor.NewRule()
 				r.Config.RuleGenWindow = ruleWindow
-				ecgBase, err := predictor.NewBase("ecg")
-				if err != nil {
-					panic(err)
-				}
-				return predictor.NewMetaBases(predictor.NewStatistical(), r, ecgBase)
+				return predictor.NewMetaBases(predictor.NewStatistical(), r, ecg.New(ecg.Config{}))
 			}},
 		}
 		t := report.NewTable(
@@ -765,10 +754,7 @@ func ablationPolicy(c *Context) ([]*report.Table, error) {
 		t := report.NewTable(
 			fmt.Sprintf("Meta-learner arbitration policy ablation (%s, 30min window)", sys),
 			"policy", "precision", "recall", "F1")
-		for _, pol := range []predictor.Policy{
-			predictor.PolicyCoverage, predictor.PolicyStrictCoverage,
-			predictor.PolicyRulePriority, predictor.PolicyUnion,
-		} {
+		for _, pol := range predictor.Policies() {
 			pol := pol
 			ruleWindow := paperRuleGenWindow(sys)
 			res, err := eval.CrossValidate(d.Pre.Events, c.Folds, func() predictor.Predictor {

@@ -11,6 +11,7 @@ import (
 
 	"bglpred/internal/bglsim"
 	"bglpred/internal/catalog"
+	"bglpred/internal/core"
 	"bglpred/internal/ledger"
 	"bglpred/internal/predictor"
 	"bglpred/internal/preprocess"
@@ -153,7 +154,7 @@ func TestColumnTrainsAsEvents(t *testing.T) {
 
 func mustBase(t *testing.T, name string) predictor.Base {
 	t.Helper()
-	b, err := predictor.NewBase(name)
+	b, err := core.NewBase(name)
 	if err != nil {
 		t.Fatal(err)
 	}

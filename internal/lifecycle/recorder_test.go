@@ -90,7 +90,7 @@ func referenceRetrain(rec *referenceRecorder, cfg core.Config) (*preprocess.Resu
 	return pre, trained, err
 }
 
-// threeBases is the widest pipeline the registry offers, with the rule
+// threeBases is the widest pipeline the table offers, with the rule
 // window pinned so a training skips the 12-candidate sweep.
 func threeBases(opts preprocess.Options) core.Config {
 	return core.Config{

@@ -2,9 +2,11 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"bglpred/internal/canon"
+	"bglpred/internal/core"
 	"bglpred/internal/ledger"
 	"bglpred/internal/predictor"
 )
@@ -70,9 +72,9 @@ func ParamsOf(m *predictor.Meta) MiningParams {
 }
 
 // Section is one named per-predictor payload: Name is the base
-// predictor's registry name and Data is its predictor.Base State
-// payload. Meta rebuilds each section through the registry, so an
-// artifact can carry any registered base set, not just the classic
+// predictor's name and Data is its predictor.Base State payload. Meta
+// rebuilds each section through core's table of base predictors, so an
+// artifact can carry any set of the three bases, not just the classic
 // pair.
 type Section struct {
 	Name string
@@ -85,6 +87,8 @@ type Section struct {
 type Artifact struct {
 	Provenance Provenance
 	// Policy is the meta-learner arbitration policy (predictor.Policy).
+	// Meta refuses a number that names no policy, and reads the
+	// retired 2 (max-confidence) as coverage, the gate it ran.
 	Policy int
 	// Sections carries every base predictor's serialized state in
 	// meta-learner arbitration order.
@@ -112,16 +116,22 @@ func FromMeta(m *predictor.Meta, prov Provenance) (*Artifact, error) {
 }
 
 // Meta reconstructs a trained meta-learner from the artifact, each
-// section through the base-predictor registry. The result predicts
+// section through core's table of base predictors. The result predicts
 // identically to the meta-learner FromMeta captured (the round-trip
 // test in artifact_test.go asserts this event for event).
 func (a *Artifact) Meta() (*predictor.Meta, error) {
+	policy := predictor.Policy(a.Policy)
+	if a.Policy == 2 {
+		policy = predictor.PolicyCoverage
+	} else if !slices.Contains(predictor.Policies(), policy) {
+		return nil, fmt.Errorf("model: artifact policy %d names no meta policy", a.Policy)
+	}
 	if len(a.Sections) == 0 {
 		return nil, fmt.Errorf("model: artifact carries no predictor sections")
 	}
 	bases := make([]predictor.Base, 0, len(a.Sections))
 	for _, sec := range a.Sections {
-		b, err := predictor.NewBase(sec.Name)
+		b, err := core.NewBase(sec.Name)
 		if err != nil {
 			return nil, fmt.Errorf("model: artifact section %q: %w", sec.Name, err)
 		}
@@ -131,7 +141,7 @@ func (a *Artifact) Meta() (*predictor.Meta, error) {
 		bases = append(bases, b)
 	}
 	m := predictor.NewMetaBases(bases...)
-	m.Policy = predictor.Policy(a.Policy)
+	m.Policy = policy
 	return m, nil
 }
 

@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"bglpred/internal/bglsim"
 	"bglpred/internal/canon"
 	"bglpred/internal/catalog"
+	"bglpred/internal/core"
 	"bglpred/internal/ecg"
 	"bglpred/internal/predictor"
 	"bglpred/internal/preprocess"
@@ -137,7 +139,7 @@ func trainThreeBases(t *testing.T, train []preprocess.Event) *predictor.Meta {
 	t.Helper()
 	bases := make([]predictor.Base, 0, 3)
 	for _, name := range []string{predictor.SourceStatistical, predictor.SourceRule, "ecg"} {
-		b, err := predictor.NewBase(name)
+		b, err := core.NewBase(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +383,7 @@ func TestV1UpgradesToV3(t *testing.T) {
 
 // TestMetaRejectsCorruptSections extends the corruption matrix from
 // the envelope down into per-predictor sections: a section naming an
-// unregistered predictor or carrying a mangled payload must fail
+// unknown predictor or carrying a mangled payload must fail
 // reconstruction with a useful error, never panic or silently drop a
 // base.
 func TestMetaRejectsCorruptSections(t *testing.T) {
@@ -416,7 +418,7 @@ func TestMetaRejectsCorruptSections(t *testing.T) {
 	}
 	check("unknown section name",
 		func(a *Artifact) { a.Sections[0].Name = "nosuch" }, `"nosuch"`)
-	check("unknown name lists registry",
+	check("unknown name lists the known ones",
 		func(a *Artifact) { a.Sections[0].Name = "nosuch" }, predictor.SourceRule)
 	check("mangled statistical payload",
 		func(a *Artifact) { a.Sections[0].Data = []byte("garbage") }, "statistical")
@@ -511,7 +513,7 @@ func TestFromMetaUntrained(t *testing.T) {
 }
 
 // TestThreeBaseRoundTrip saves and reloads a meta-learner arbitrating
-// three registered bases — the classic pair plus the event-correlation
+// three bases — the classic pair plus the event-correlation
 // graph. The reconstructed ensemble must carry all three sections and
 // predict identically.
 func TestThreeBaseRoundTrip(t *testing.T) {
@@ -548,6 +550,61 @@ func TestThreeBaseRoundTrip(t *testing.T) {
 		t.Fatalf("reconstructed bases = %v", got)
 	}
 	samePredictions(t, m2, m, tail)
+}
+
+// reloaded saves a, loads it back and rebuilds its meta-learner.
+func reloaded(t *testing.T, a *Artifact) (*predictor.Meta, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "m.bglm")
+	if _, err := a.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded.Meta()
+}
+
+// TestRetiredPolicyLoadsAsCoverage holds an artifact saved under the
+// retired policy 2 (max-confidence, whose gate was coverage's) to what
+// it always ran as: it loads as coverage and predicts event for event
+// what the coverage meta predicts.
+func TestRetiredPolicyLoadsAsCoverage(t *testing.T) {
+	train, tail, _ := anlSplit(t)
+	m := trainThreeBases(t, train)
+	a, err := FromMeta(m, Provenance{Source: "retired policy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Policy = 2
+	m2, err := reloaded(t, a)
+	if err != nil {
+		t.Fatalf("artifact with the retired policy 2 refused: %v", err)
+	}
+	if m2.Policy != predictor.PolicyCoverage {
+		t.Fatalf("retired policy 2 loaded as %v, want coverage", m2.Policy)
+	}
+	samePredictions(t, m2, m, tail)
+}
+
+// TestMetaRefusesUnknownPolicy: an artifact whose policy number names
+// no policy must not load, or the Stepper would run it ungated.
+func TestMetaRefusesUnknownPolicy(t *testing.T) {
+	for _, policy := range []int{-1, 5, 9} {
+		a, err := FromMeta(goldenPair(), Provenance{Source: "unknown policy"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Policy = policy
+		_, err = reloaded(t, a)
+		if err == nil {
+			t.Fatalf("artifact with policy %d loaded", policy)
+		}
+		if want := fmt.Sprintf("policy %d", policy); !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
 }
 
 // TestLoadRejectsCorruption exercises every framing failure mode:

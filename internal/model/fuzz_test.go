@@ -3,9 +3,11 @@ package model
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"bglpred/internal/ecg"
+	"bglpred/internal/predictor"
 )
 
 // FuzzDecode feeds arbitrary bytes through the artifact decoder, the
@@ -13,7 +15,9 @@ import (
 // alike. The contract under fuzzing: corrupted, truncated, or
 // adversarial inputs return an error — they never panic, never hang,
 // and never allocate unboundedly (the header's declared length and
-// every count in the payload are capped by the bytes that arrived).
+// every count in the payload are capped by the bytes that arrived). An
+// artifact that decodes either fails Meta or rebuilds under one of the
+// four policies.
 func FuzzDecode(f *testing.F) {
 	// Seed with valid artifacts and characteristic damage so the
 	// fuzzer starts at the interesting boundaries.
@@ -39,6 +43,17 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(graphSeed)
+	// The retired policy 2 and a number that names no policy, so
+	// mutations reach Meta's policy check.
+	for _, policy := range []int{2, 9} {
+		withPolicy := goldenArtifact()
+		withPolicy.Policy = policy
+		seed, _, err := withPolicy.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
 	// The committed version-1 and version-2 goldens, so mutations reach
 	// the gob decoder and the legacy conversion.
 	for _, name := range []string{"golden_v1.bglm", "golden_v2_parent.bglm"} {
@@ -76,7 +91,11 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-loaded artifact re-encodes to sha %s (%v), saved %s", info.SHA256, err, saved.SHA256)
 		}
 		// Rebuilding the predictors from the sections may fail, but
-		// must not panic: every base's SetState is under fuzz too.
-		_, _ = a.Meta()
+		// must not panic: every base's SetState is under fuzz too. A
+		// meta it does yield runs one of the four policies; any other
+		// number would run ungated.
+		if m, err := a.Meta(); err == nil && !slices.Contains(predictor.Policies(), m.Policy) {
+			t.Fatalf("artifact policy %d rebuilt as %v", a.Policy, m.Policy)
+		}
 	})
 }

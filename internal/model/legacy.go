@@ -105,7 +105,7 @@ func (a *Artifact) addSection(b predictor.Base) error {
 }
 
 // legacyBase rebuilds the base one gob section describes. Versions 1
-// and 2 were written while exactly these three bases were registered.
+// and 2 were written while exactly these three bases existed.
 func legacyBase(sec Section) (predictor.Base, error) {
 	switch sec.Name {
 	case predictor.SourceStatistical:

@@ -24,9 +24,9 @@ type Kind int
 const (
 	// KindPointOfFailure predicts at the fatal event (the statistical
 	// method: "this failure will be followed by another"). It is the
-	// zero value so that a standing alarm whose Source is no longer
-	// registered — e.g. after a hot-swap to a model without that base —
-	// never suppresses anything.
+	// zero value so that a standing alarm whose Source the meta no
+	// longer holds — e.g. after a hot-swap to a model without that
+	// base — never suppresses anything.
 	KindPointOfFailure Kind = iota
 	// KindPrecursor predicts from non-fatal precursor evidence (the
 	// rule method, the event-correlation-graph method).
@@ -46,8 +46,8 @@ type Candidate struct {
 	Specificity int
 }
 
-// Base is a registrable base predictor the meta-learner can arbitrate
-// over. Beyond offline Train/Predict it supports the Stepper's
+// Base is a base predictor the meta-learner can arbitrate over.
+// Beyond offline training and Predict it supports the Stepper's
 // incremental protocol (Observe) and the model artifact's
 // per-predictor sections (State/SetState).
 //
@@ -55,7 +55,6 @@ type Candidate struct {
 // shared by every shard's Stepper concurrently.
 type Base interface {
 	Predictor
-	SegmentedTrainer
 	// Kind classifies the evidence the predictor fires on.
 	Kind() Kind
 	// Observe considers one unique event in time order. recent holds
@@ -72,10 +71,6 @@ type Base interface {
 	// SetState restores a trained model from a State payload.
 	SetState(data []byte) error
 }
-
-// BaseFactory builds a fresh, untrained Base; the registry holds one
-// per registered predictor name.
-type BaseFactory func() Base
 
 // Kind implements Base: the statistical method predicts at the fatal
 // arrival itself.

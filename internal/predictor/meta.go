@@ -12,6 +12,8 @@ import (
 
 // Policy selects how the meta-learner arbitrates between base
 // predictions. DESIGN.md §5 lists the alternatives as an ablation.
+// Model artifacts store a policy as its number, so the numbers are
+// fixed; 2 was max-confidence, whose gate was coverage's.
 type Policy int
 
 const (
@@ -20,27 +22,27 @@ const (
 	// the precursor methods, fatal-only windows route to the
 	// point-of-failure method, and when both kinds of evidence produce
 	// a prediction the higher confidence wins.
-	PolicyCoverage Policy = iota
+	PolicyCoverage Policy = 0
 	// PolicyStrictCoverage reads §3.3 case (2) literally: the
 	// statistical method is consulted only when NO non-fatal event is
 	// in the observation window. With realistic background noise the
 	// window is rarely empty, so this variant starves the statistical
 	// path — the ablation shows why the operative reading above is the
 	// one that reproduces the paper's Figure 5.
-	PolicyStrictCoverage
-	// PolicyMaxConfidence always issues the higher-confidence
-	// candidate, regardless of window coverage. In the event-driven
-	// replay it coincides with PolicyCoverage; it is kept distinct for
-	// configurations where the two could diverge.
-	PolicyMaxConfidence
+	PolicyStrictCoverage Policy = 1
 	// PolicyRulePriority suppresses statistical predictions whenever a
 	// precursor warning (rule or correlation-graph) is standing,
 	// regardless of confidence.
-	PolicyRulePriority
+	PolicyRulePriority Policy = 3
 	// PolicyUnion issues every base prediction (no arbitration) — an
 	// upper bound on recall and lower bound on precision.
-	PolicyUnion
+	PolicyUnion Policy = 4
 )
+
+// Policies lists every policy, in numeric order.
+func Policies() []Policy {
+	return []Policy{PolicyCoverage, PolicyStrictCoverage, PolicyRulePriority, PolicyUnion}
+}
 
 // String names the policy.
 func (p Policy) String() string {
@@ -49,8 +51,6 @@ func (p Policy) String() string {
 		return "coverage"
 	case PolicyStrictCoverage:
 		return "strict-coverage"
-	case PolicyMaxConfidence:
-		return "max-confidence"
 	case PolicyRulePriority:
 		return "rule-priority"
 	case PolicyUnion:
@@ -63,9 +63,9 @@ func (p Policy) String() string {
 // Meta is the meta-learning predictor (paper §3.3): it trains its
 // base methods once, on the same stream, and adaptively integrates
 // their predictions. The classic pair keeps typed fields; any further
-// registered base predictor (e.g. the event-correlation-graph method)
-// rides in Extras, and arbitration treats all bases uniformly:
-// the most specific covering predictor wins, confidence breaks ties.
+// base predictor (the event-correlation-graph method) rides in Extras,
+// and arbitration treats all bases uniformly: the most specific
+// covering predictor wins, confidence breaks ties.
 // A Meta arbitrates over exactly the bases it holds; build one with
 // NewMeta (the paper's pair) or NewMetaBases.
 type Meta struct {
@@ -73,8 +73,8 @@ type Meta struct {
 	// was built without them.
 	Stat *Statistical
 	Rule *Rule
-	// Extras are additional registered base predictors arbitrated
-	// alongside the classic pair, in order.
+	// Extras are additional base predictors arbitrated alongside the
+	// classic pair, in order.
 	Extras []Base
 	// Policy is the arbitration policy; zero value is the paper's
 	// coverage-based policy.
@@ -88,7 +88,7 @@ func NewMeta() *Meta {
 }
 
 // NewMetaBases returns a meta-learner over exactly the given base
-// predictors (typically built via NewBase from registry names). A
+// predictors (typically built by name through core's table). A
 // *Statistical or *Rule lands in its typed field; everything else in
 // Extras.
 func NewMetaBases(bases ...Base) *Meta {
@@ -119,7 +119,7 @@ func (m *Meta) Bases() []Base {
 	return append(out, m.Extras...)
 }
 
-// BaseNames returns the registry names of the bases, in arbitration
+// BaseNames returns the names of the bases, in arbitration
 // order — the /v1/model "predictors" field.
 func (m *Meta) BaseNames() []string {
 	bases := m.Bases()
@@ -140,7 +140,7 @@ func (m *Meta) Train(events []preprocess.Event) error {
 	return m.TrainSegments([][]preprocess.Point{preprocess.Points(events)})
 }
 
-// TrainSegments implements SegmentedTrainer by forwarding the
+// TrainSegments implements Predictor by forwarding the
 // segments to every base method. A meta with no bases has nothing to
 // learn and fails. The bases are a work queue, last to first, shared
 // by min(GOMAXPROCS, bases) workers, the caller one: the caller starts
@@ -310,10 +310,6 @@ func (s *Stepper) Step(e *preprocess.Event) (Warning, StepResult) {
 			}
 		case PolicyStrictCoverage:
 			if len(s.deque) > 0 {
-				admit = false
-			}
-		case PolicyMaxConfidence:
-			if precursorStanding && alarm.Confidence >= best.Warning.Confidence {
 				admit = false
 			}
 		case PolicyRulePriority:

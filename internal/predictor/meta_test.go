@@ -175,14 +175,32 @@ func TestPolicyString(t *testing.T) {
 	cases := map[Policy]string{
 		PolicyCoverage:       "coverage",
 		PolicyStrictCoverage: "strict-coverage",
-		PolicyMaxConfidence:  "max-confidence",
 		PolicyRulePriority:   "rule-priority",
 		PolicyUnion:          "union",
+		Policy(2):            "Policy(2)",
 		Policy(99):           "Policy(99)",
 	}
 	for p, want := range cases {
 		if got := p.String(); got != want {
 			t.Errorf("Policy(%d).String() = %q, want %q", int(p), got, want)
+		}
+	}
+}
+
+// TestPolicyNumbers pins the policies' numbers: model artifacts store
+// a policy as its int, so renumbering one would load every saved model
+// under another policy. 2 was max-confidence and stays unused.
+func TestPolicyNumbers(t *testing.T) {
+	want := map[Policy]int{PolicyCoverage: 0, PolicyStrictCoverage: 1, PolicyRulePriority: 3, PolicyUnion: 4}
+	if got := Policies(); len(got) != len(want) {
+		t.Fatalf("Policies() = %v, want the %d policies", got, len(want))
+	}
+	for i, p := range Policies() {
+		if n, ok := want[p]; !ok || int(p) != n {
+			t.Errorf("Policies()[%d] = %v (%d), want one of %v", i, p, int(p), want)
+		}
+		if i > 0 && Policies()[i-1] >= p {
+			t.Errorf("Policies() = %v is not in numeric order", Policies())
 		}
 	}
 }

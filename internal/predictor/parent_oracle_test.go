@@ -21,7 +21,9 @@ import (
 // Train, which fitted a shadow statistical and rule predictor beside
 // the meta-learner's own pair, and predictor.PredictBase with its
 // renewWarning, the offline replay precursor bases ran beside the
-// Stepper. The tests hold the current tree to them.
+// Stepper. Names resolve through core's table of base predictors,
+// which replaced the runtime registry they were written against. The
+// tests hold the current tree to them.
 
 type referencePipeline struct {
 	cfg core.Config
@@ -56,18 +58,17 @@ func (p *referencePipeline) newMeta() *predictor.Meta {
 	}
 	bases := make([]predictor.Base, 0, len(p.cfg.Predictors))
 	for _, name := range p.cfg.Predictors {
-		switch predictor.CanonicalName(name) {
-		case predictor.SourceStatistical:
-			bases = append(bases, p.newStatistical())
-		case predictor.SourceRule:
-			bases = append(bases, p.newRule())
-		default:
-			b, err := predictor.NewBase(name)
-			if err != nil {
-				panic(fmt.Sprintf("core: %v (validate Config.Predictors before training)", err))
-			}
-			bases = append(bases, b)
+		b, err := core.NewBase(name)
+		if err != nil {
+			panic(fmt.Sprintf("core: %v (validate Config.Predictors before training)", err))
 		}
+		switch b.Name() {
+		case predictor.SourceStatistical:
+			b = p.newStatistical()
+		case predictor.SourceRule:
+			b = p.newRule()
+		}
+		bases = append(bases, b)
 	}
 	m := predictor.NewMetaBases(bases...)
 	m.Policy = p.cfg.Policy
@@ -80,7 +81,7 @@ func (p *referencePipeline) validatePredictors() error {
 	if len(p.cfg.Predictors) == 0 {
 		return nil
 	}
-	_, err := predictor.Resolve(p.cfg.Predictors)
+	_, err := core.Resolve(p.cfg.Predictors)
 	return err
 }
 

@@ -32,9 +32,7 @@ type Warning struct {
 	End   time.Time
 	// Confidence is the predictor's confidence in (0, 1].
 	Confidence float64
-	// Source names the base method by its registry name
-	// ("statistical", "rule", or another registered base such as
-	// "ecg").
+	// Source names the base method: "statistical", "rule" or "ecg".
 	Source string
 	// Detail describes the trigger (rule text or trigger category).
 	Detail string
@@ -52,28 +50,23 @@ type Predictor interface {
 	Name() string
 	// Train fits the predictor on a time-ordered unique-event stream.
 	Train(events []preprocess.Event) error
-	// Predict replays a time-ordered test stream and returns the
-	// warnings the method would have raised with the given prediction
-	// window, in issue order.
-	Predict(events []preprocess.Event, window time.Duration) []Warning
-}
-
-// SegmentedTrainer is implemented by predictors that can train on a
-// discontiguous stream: each segment is a time-ordered, internally
-// contiguous slice of the unique-event stream's Points (time and
-// subcategory are all training reads), and no training
-// window (rule-generation window, follow-correlation window) may
-// span the gap between two segments. Cross-validation excises the
-// test fold from the middle of the stream and trains on the two
-// remaining segments; concatenating them instead would fabricate
-// event-sets that never co-occurred (fold-boundary leakage).
-type SegmentedTrainer interface {
-	// TrainSegments fits the predictor on the segments, which must be
-	// in time order. TrainSegments with the single segment
+	// TrainSegments fits the predictor on a discontiguous stream: each
+	// segment is a time-ordered, internally contiguous slice of the
+	// unique-event stream's Points (time and subcategory are all
+	// training reads), and no training window (rule-generation window,
+	// follow-correlation window) may span the gap between two segments.
+	// Cross-validation excises the test fold from the middle of the
+	// stream and trains on the two remaining segments; concatenating
+	// them instead would fabricate event-sets that never co-occurred
+	// (fold-boundary leakage). TrainSegments with the single segment
 	// preprocess.Points(events) is equivalent to Train(events). It must
 	// only read the segments: a meta-learner trains its bases side by
 	// side over the same ones.
 	TrainSegments(segments [][]preprocess.Point) error
+	// Predict replays a time-ordered test stream and returns the
+	// warnings the method would have raised with the given prediction
+	// window, in issue order.
+	Predict(events []preprocess.Event, window time.Duration) []Warning
 }
 
 // Factory builds a fresh predictor; cross-validation uses one per fold.

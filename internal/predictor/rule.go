@@ -160,7 +160,7 @@ func (r *Rule) Train(events []preprocess.Event) error {
 	return r.TrainSegments([][]preprocess.Point{preprocess.Points(events)})
 }
 
-// TrainSegments implements SegmentedTrainer: event-sets are built per
+// TrainSegments implements Predictor: event-sets are built per
 // segment, so no rule-generation window spans the gap between two
 // segments (cross-validation excises the test fold from the middle of
 // the stream; building event-sets over the concatenation would mine

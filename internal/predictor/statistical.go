@@ -67,7 +67,7 @@ func (s *Statistical) Train(events []preprocess.Event) error {
 	return s.TrainSegments([][]preprocess.Point{preprocess.Points(events)})
 }
 
-// TrainSegments implements SegmentedTrainer: follow statistics are
+// TrainSegments implements Predictor: follow statistics are
 // analyzed per segment and merged, so no correlation window spans the
 // gap between segments. A fatal at the end of one segment is never
 // scored as "followed" by a fatal that opens the next — across a

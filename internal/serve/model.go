@@ -33,7 +33,7 @@ type ModelInfo struct {
 	// from the meta-learner, as they do Predictors.
 	Rules int `json:"rules"`
 	// Predictors names the base predictors the model's meta-learner
-	// arbitrates over, in arbitration order (registry names).
+	// arbitrates over, in arbitration order (by name).
 	Predictors []string `json:"predictors,omitempty"`
 }
 
